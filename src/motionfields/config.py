@@ -40,6 +40,44 @@ def _complex_from_json(x):
     raise ConfigError("coeff", f"expected number or [re, im], got {x!r}")
 
 
+def _coords(where, x):
+    """A flat point as a tuple of finite floats."""
+    try:
+        H = tuple(float(v) for v in np.atleast_1d(x))
+    except (TypeError, ValueError):
+        raise ConfigError(where, f"expected a list of numbers, got {x!r}") from None
+    if not np.all(np.isfinite(H)):
+        raise ConfigError(where, f"coordinates must be finite, got {x!r}")
+    return H
+
+
+def _check_point(where, pt):
+    """A dual point of a convergence query: a label and an optional flat point."""
+    if not isinstance(pt, dict) or "label" not in pt:
+        raise ConfigError(where, "needs an object with a label")
+    try:
+        _label_from_json(pt["label"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.label", f"not an irrep label: {pt['label']!r}") from None
+    if pt.get("H") is not None:
+        _coords(f"{where}.H", pt["H"])
+
+
+def _check_queries(queries):
+    if not isinstance(queries, list):
+        raise ConfigError("convergence_queries", "must be a list")
+    for i, q in enumerate(queries):
+        where = f"convergence_queries[{i}]"
+        if not isinstance(q, dict):
+            raise ConfigError(where, "must be an object")
+        _check_point(f"{where}.limit", q.get("limit"))
+        seq = q.get("sequence")
+        if not isinstance(seq, list):
+            raise ConfigError(f"{where}.sequence", "needs a list of points")
+        for j, pt in enumerate(seq):
+            _check_point(f"{where}.sequence[{j}]", pt)
+
+
 def _complex_to_json(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -92,12 +130,9 @@ class ScenarioConfig:
         if order is not None and (not isinstance(order, int) or order <= 0):
             raise ConfigError("cutoffs.order", "must be a positive integer or null")
         grids = doc.get("grids", {})
-
-        def tup(x):
-            return tuple(float(v) for v in x)
-
         gamma0 = [
-            (_label_from_json(e["mu"]), tup(e["H"])) for e in grids.get("gamma0", [])
+            (_label_from_json(e["mu"]), _coords(f"grids.gamma0[{i}].H", e["H"]))
+            for i, e in enumerate(grids.get("gamma0", []))
         ]
         gamma2 = [_label_from_json(x) for x in grids.get("gamma2", [])]
         cont = grids.get("continuity")
@@ -109,6 +144,8 @@ class ScenarioConfig:
         if not ladder or ladder.get("levels", -1) < 1:
             raise ConfigError("grids.h_ladder", "needs mus, H0 and levels >= 1")
         mu_grid = grids.get("mu_decay")
+        queries = doc.get("convergence_queries", [])
+        _check_queries(queries)
         tol = doc.get("tolerances", {})
         valid_tols = set(Thresholds().__dataclass_fields__)
         for k, v in tol.items():
@@ -125,15 +162,18 @@ class ScenarioConfig:
             gamma0=gamma0,
             gamma2=gamma2,
             continuity_mu=_label_from_json(cont["mu"]),
-            continuity_path=[tup(h) for h in cont["path"]],
+            continuity_path=[
+                _coords(f"grids.continuity.path[{i}]", h)
+                for i, h in enumerate(cont["path"])
+            ],
             h_ladder_mus=[_label_from_json(m) for m in ladder["mus"]],
-            h_ladder_H0=tup(ladder["H0"]),
+            h_ladder_H0=_coords("grids.h_ladder.H0", ladder["H0"]),
             h_ladder_levels=int(ladder["levels"]),
             mu_values=(
                 [_label_from_json(m) for m in mu_grid["mu_values"]] if mu_grid else None
             ),
-            mu_decay_H=tup(mu_grid["H"]) if mu_grid else None,
-            convergence_queries=doc.get("convergence_queries", []),
+            mu_decay_H=_coords("grids.mu_decay.H", mu_grid["H"]) if mu_grid else None,
+            convergence_queries=queries,
             tolerances=dict(tol),
             output_dir=doc.get("output_dir"),
         )

@@ -2,11 +2,16 @@
 
 The induced operator acts by pi(f) Psi(h) = int_K fhat2(h k^{-1}, Ad(h) H)
 Psi(k) dk.  Matrix entries against the covariant basis are product-rule
-double quadratures over K x K; for separable terms the kernel factorizes
-through matrix coefficients, so each entry is evaluated as a product of two
-single quadratures with values identical to the naive double sum.  The
-K-dual entries are the plain integrated representations tau_lambda(f), and
-the zero-point operator is their block sum over the branching K-types.
+double quadratures over K x K.  For separable terms the kernel factorizes
+through matrix coefficients, so every entry is a sum over r of products
+A B, where A and B are weighted node sums of two irrep matrices, one from
+the term and one from the basis block (``CompactGroup.coefficient_sums``).
+No basis node table is built.  On SO(3) the sums are Euler-factorised: the
+equispaced alpha and gamma sums become a frequency selection from a 2-D
+FFT of the orbit factor, leaving one Gauss-Legendre sum in beta.  Either
+way the values are those of the naive product-rule double sum.  The K-dual
+entries are the plain integrated representations tau_lambda(f), and the
+zero-point operator is their block sum over the branching K-types.
 """
 
 from __future__ import annotations
@@ -62,6 +67,18 @@ class TruncatedOperator:
         }
 
 
+def block_diagonal(blocks):
+    """Square complex blocks placed along the diagonal, in order."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    row = 0
+    for b in blocks:
+        d = b.shape[0]
+        out[row : row + d, row : row + d] = b
+        row += d
+    return out
+
+
 def operator_norm(T):
     m = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
     if m.size == 0:
@@ -94,25 +111,35 @@ def kernel(f, pair, mu, H, h, k, order=None):
     return out
 
 
+def _basis_factor(basis, sums):
+    """sqrt(d_lam) S T for every basis block, stacked: shape (r, N, d_rho)."""
+    return np.concatenate(
+        [
+            np.sqrt(basis.K.irrep_dim(lam)) * (S @ T)
+            for (lam, Ts), S in zip(basis.blocks, sums)
+            for T in Ts
+        ],
+        axis=1,
+    )
+
+
 def _pi_entries(f, pair, basis, H, rule):
-    w = rule.weights
-    Psi = basis.node_table(rule)  # (N, n, d_rho)
     ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
-    N = basis.size
-    M = np.zeros((N, N), dtype=complex)
-    tabs = {}
-    for term in f.terms:
-        lab = term.u.label
-        if lab not in tabs:
-            tabs[lab] = pair.K.irrep_node_table(lab, rule)
-        D = tabs[lab]
-        gvals = term.g.fourier(ad)  # (n,)
-        i0, j0 = term.u.row, term.u.col
-        # u(h k^{-1}) = sum_r D[h, i0, r] conj(D[k, j0, r]) splits the
-        # K x K product quadrature into two single sums per r
-        A = np.einsum("n,nr,ina->ria", w * gvals, D[:, i0, :], np.conj(Psi))
-        B = np.einsum("n,nr,jna->rja", w, np.conj(D[:, j0, :]), Psi)
-        M += term.coeff * np.einsum("ria,rja->ij", A, B)
+    lams = [lam for lam, _ in basis.blocks]
+    # u(h k^{-1}) = sum_r D[h, i0, r] conj(D[k, j0, r]) splits the K x K
+    # product quadrature into two single sums per r: A from g-hat on the
+    # orbit and row i0, B from the plain rule and row j0
+    left = [(t.g.fourier(ad), t.u.label, t.u.row) for t in f.terms]
+    right = list(dict.fromkeys((t.u.label, t.u.col) for t in f.terms))
+    ones = np.ones(len(rule))
+    sums = pair.K.coefficient_sums(
+        rule, lams, left + [(ones, lab, col) for lab, col in right]
+    )
+    factors = [_basis_factor(basis, s) for s in sums]
+    B = dict(zip(right, (np.conj(x) for x in factors[len(left):])))
+    M = np.zeros((basis.size, basis.size), dtype=complex)
+    for term, A in zip(f.terms, factors):
+        M += term.coeff * np.einsum("ria,rja->ij", A, B[(term.u.label, term.u.col)])
     return M
 
 
@@ -204,15 +231,8 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None, order=None, H_ref=None):
         if lam not in tau_cache:
             tau_cache[lam] = tau_matrix(f, pair, lam, order=order).matrix
         blocks.extend([tau_cache[lam]] * len(Ts))
-    n = sum(b.shape[0] for b in blocks)
-    M = np.zeros((n, n), dtype=complex)
-    row = 0
-    for b in blocks:
-        d = b.shape[0]
-        M[row : row + d, row : row + d] = b
-        row += d
     return TruncatedOperator(
-        matrix=M,
+        matrix=block_diagonal(blocks),
         lambda_max=lambda_max,
         order=order,
         block_index=basis.block_index,

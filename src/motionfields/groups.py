@@ -34,13 +34,15 @@ class QuadratureRule:
 
     ``params`` holds the raw parametrization arrays (angles, Euler triples)
     used for vectorized tabulation; ``nodes`` are the corresponding group
-    elements.
+    elements.  A rule that is a tensor grid also keeps its 1-D ``axes``;
+    ``params`` and ``weights`` then run over the grid in C order.
     """
 
     group: "CompactGroup"
     order: int
     weights: np.ndarray
     params: object
+    axes: tuple | None = None
     _nodes: list = field(default=None, repr=False)
 
     @property
@@ -101,6 +103,34 @@ class CompactGroup:
     def irrep_node_table(self, label, rule):
         """tau_label(k) at every node of ``rule``, shape (n, d, d)."""
         raise NotImplementedError
+
+    def coefficient_sums(self, rule, lams, requests):
+        """Weighted node sums of products of two irrep matrices.
+
+        For each request ``(g, label, row)``, with ``g`` a value per node of
+        ``rule``, and each K-type ``lam`` in ``lams`` this is
+
+            S[r, v, b] = sum_n w_n g_n tau_label(k_n)[row, r] tau_lam(k_n)[v, b].
+
+        Returns one list of S arrays (in ``lams`` order) per request.
+        """
+        tabs = {}
+
+        def table(lab):
+            if lab not in tabs:
+                tabs[lab] = self.irrep_node_table(lab, rule)
+            return tabs[lab]
+
+        out = []
+        for g, label, row in requests:
+            u = (rule.weights * g)[:, None] * table(label)[:, row, :]  # (n, r)
+            out.append(
+                [
+                    np.tensordot(u, table(lam), axes=(0, 0))  # (r, v, b)
+                    for lam in lams
+                ]
+            )
+        return out
 
     def _nodes_from_params(self, params):
         raise NotImplementedError
@@ -208,7 +238,9 @@ def rot_x(angle):
 def euler_zyz(R):
     """Extract (alpha, beta, gamma) with R = Rz(alpha) Ry(beta) Rz(gamma)."""
     r22 = min(1.0, max(-1.0, float(R[2, 2])))
-    beta = math.acos(r22)
+    # atan2 keeps full precision near beta = 0 and pi, where acos(r22)
+    # loses half the digits
+    beta = math.atan2(math.hypot(R[0, 2], R[1, 2]), r22)
     if abs(r22) < 1.0 - 1e-12:
         alpha = math.atan2(R[1, 2], R[0, 2])
         gamma = math.atan2(R[2, 1], -R[2, 0])
@@ -341,7 +373,7 @@ class RotationGroup3(CompactGroup):
         WB = np.broadcast_to(wb[None, :, None], A.shape)
         weights = (WB / (2.0 * n_ang * n_ang)).ravel()
         params = (A.ravel(), B.ravel(), G.ravel())
-        return QuadratureRule(self, order, weights, params)
+        return QuadratureRule(self, order, weights, params, axes=(ang, beta, ang))
 
     def irrep_node_table(self, label, rule):
         alpha, beta, gamma = rule.params
@@ -352,6 +384,35 @@ class RotationGroup3(CompactGroup):
         ea = np.exp(-1j * np.outer(alpha, m))
         eg = np.exp(-1j * np.outer(gamma, m))
         return ea[:, :, None] * d * eg[:, None, :]
+
+    def coefficient_sums(self, rule, lams, requests):
+        """The product-rule sums of the base class, Euler-factorised.
+
+        Both factors are e^{-i m' alpha} d(beta) e^{-i m gamma}, so at each
+        beta node the sums over the equispaced alpha and gamma axes of the
+        rule pick one frequency of the 2-D DFT of g (aliasing included), and
+        what is left is one Gauss-Legendre sum over beta of little-d
+        products.
+        """
+        alpha, beta, gamma = rule.axes
+        shape = (len(alpha), len(beta), len(gamma))
+        w_beta = rule.weights.reshape(shape).sum(axis=(0, 2))
+        d = [wigner_d(int(lam), beta) for lam in lams]
+        out = []
+        for g, label, row in requests:
+            ell = int(label)
+            ghat = np.fft.fft2(np.reshape(g, shape), axes=(0, 2)) / (shape[0] * shape[2])
+            u = w_beta[:, None] * wigner_d(ell, beta)[:, row, :]  # (q, r)
+            m_r = np.arange(-ell, ell + 1)
+            sums = []
+            for lam, d_lam in zip(lams, d):
+                m = np.arange(-int(lam), int(lam) + 1)
+                ka = (row - ell + m) % shape[0]  # alpha frequency per v
+                kg = (m_r[:, None] + m[None, :]) % shape[2]  # gamma frequency per (r, b)
+                sel = ghat[ka[None, :, None], :, kg[:, None, :]]  # (r, v, b, q)
+                sums.append(np.einsum("qr,qvb,rvbq->rvb", u, d_lam, sel))
+            out.append(sums)
+        return out
 
     def _nodes_from_params(self, params):
         alpha, beta, gamma = params

@@ -216,6 +216,7 @@ class TestFunction:
                     f"flat factor dim {t.g.dim} != instance dim {pair.dim_p}"
                 )
         self.bandlimit = max(pair.K.char_band(t.u.label) for t in self.terms)
+        self._sup = None  # fhat2_sup() with default arguments, once computed
 
     def __add__(self, other):
         if other.pair is not self.pair and other.pair.name != self.pair.name:
@@ -298,8 +299,16 @@ class TestFunction:
         A single separable term factorizes, so the estimate multiplies the
         per-factor suprema; several terms are maximized jointly on a
         refining grid seeded with quadrature nodes and the per-term Gaussian
-        peaks (plus any caller-supplied candidates).
+        peaks (plus any caller-supplied candidates).  The estimate with
+        default arguments is computed once per function.
         """
+        if extra_k is None and extra_xi is None and rounds == 4:
+            if self._sup is None:
+                self._sup = self._estimate_sup(None, None, 4)
+            return self._sup
+        return self._estimate_sup(extra_k, extra_xi, rounds)
+
+    def _estimate_sup(self, extra_k, extra_xi, rounds):
         if len(self.terms) == 1:
             t = self.terms[0]
             return abs(t.coeff) * self._sup_abs_u(t) * t.g.sup_abs_fourier()

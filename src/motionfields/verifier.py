@@ -21,6 +21,7 @@ import numpy as np
 from .dual import GAMMA2, make_dual_point
 from .errors import MissingGamma2Data, PathCrossesStrata
 from .fourier import (
+    block_diagonal,
     hs_norm,
     operator_norm,
     pi_matrix,
@@ -368,16 +369,7 @@ def field_at_zero(pair, sample, mu, stab=None):
             m = sample.operators[p].matrix
             blocks.extend([m] * mult)
             norm = max(norm, operator_norm(m))
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex), 0.0
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    row = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[row : row + d, row : row + d] = b
-        row += d
-    return out, norm
+    return block_diagonal(blocks), norm
 
 
 def is_in_D0(sample, thresholds=Thresholds()):

@@ -42,6 +42,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(doc)
 
+    def test_query_errors_are_field_scoped(self):
+        doc = bundled_scenario("m2-default")
+        doc["convergence_queries"][0]["sequence"][2]["H"] = [float("nan")]
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "convergence_queries[0].sequence[2].H"
+        doc = bundled_scenario("m2-default")
+        del doc["convergence_queries"][0]["limit"]
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "convergence_queries[0].limit"
+
     def test_test_function_errors_are_field_scoped(self, m2):
         doc = bundled_scenario("m2-default")
         doc["test_function"]["terms"][0]["g"]["sigma"] = -1.0
@@ -149,6 +161,26 @@ class TestMain:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "field", ["limit", "sequence", "query_nan", "gamma0_nan"]
+    )
+    def test_bad_query_or_point_exits_2_before_work(self, field, tmp_path, capsys):
+        doc = bundled_scenario("m2-default")
+        query = doc["convergence_queries"][0]
+        if field == "query_nan":
+            query["sequence"][3]["H"] = [float("nan")]
+        elif field == "gamma0_nan":
+            doc["grids"]["gamma0"][0]["H"] = [float("inf")]
+        else:
+            del query[field]
+        path = tmp_path / "bad.json"
+        path.write_text(dump_json(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         from motionfields.cli import OUTPUT_DIR_ENV

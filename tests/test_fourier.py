@@ -178,6 +178,66 @@ class TestPiMatrix:
             assert np.abs(s1 - s2).max() < 1e-8
 
 
+class TestFactorisedEntries:
+    """Factorised entries against the naive K x K double quadrature.
+
+    The low orders alias on purpose: the factorised sums must reproduce the
+    product rule itself, not only the exact integral.
+    """
+
+    @staticmethod
+    def m3_function(m3):
+        return TestFunction(
+            m3,
+            [
+                Term(1.0, MatrixCoefficient(2, 0, 3),
+                     PolyGaussian(3, 0.9, {(1, 0, 0): 1.0, (0, 1, 2): 0.5j})),
+                Term(0.4 - 0.2j, MatrixCoefficient(1, 2, 1), PolyGaussian.gaussian(3, 1.1)),
+            ],
+        )
+
+    @staticmethod
+    def assert_matches(op, oracle):
+        assert np.abs(oracle).max() > 1e-3  # the comparison is not vacuous
+        assert np.abs(op.matrix - oracle).max() <= 1e-10
+
+    @pytest.mark.parametrize("mu", [0, 1, -2])
+    def test_m3_non_radial_regular_points(self, m3, mu):
+        f = self.m3_function(m3)
+        H = (0.9,)
+        op = pi_matrix(f, m3, mu, H, 2, order=4, refine_check=False)
+        self.assert_matches(op, brute_pi_matrix(f, m3, op.basis, H, 4))
+
+    def test_m3_so3_stabilizer(self, m3):
+        # mu = 1 at H = 0: the stabilizer is SO(3) itself and d_rho = 3
+        f = self.m3_function(m3)
+        op = pi_matrix(f, m3, 1, (0.0,), 2, order=4, refine_check=False)
+        assert op.basis.d_rho == 3
+        self.assert_matches(op, brute_pi_matrix(f, m3, op.basis, (0.0,), 4))
+
+    def test_m2xm2_wall_point(self, m2xm2):
+        # the product group takes the generic node-table sums
+        f = TestFunction(
+            m2xm2,
+            [
+                Term(1.0, MatrixCoefficient((-1, 1)),
+                     PolyGaussian(4, 0.9, {(1, 0, 0, 0): 1.0, (0, 0, 1, 1): 0.5j})),
+                Term(0.4, MatrixCoefficient((0, 1)), PolyGaussian.gaussian(4, 1.0)),
+            ],
+        )
+        H = (0.0, 0.7)
+        op = pi_matrix(f, m2xm2, (1, 0), H, 2)
+        self.assert_matches(op, brute_pi_matrix(f, m2xm2, op.basis, H, op.order))
+
+    def test_order_guard_on_high_degree_flat_factor(self, m3):
+        # the default order ignores the degree of z^10 and the check trips
+        f = TestFunction(
+            m3, [Term(1.0, MatrixCoefficient(0), PolyGaussian(3, 1.0, {(0, 0, 10): 1.0}))]
+        )
+        with pytest.raises(QuadratureOrderTooLow):
+            pi_matrix(f, m3, 0, (1.0,), 2)
+
+
 class TestTauMatrix:
     def test_vanishes_beyond_bandlimit(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 2, 0, 1)])
