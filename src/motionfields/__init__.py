@@ -80,7 +80,6 @@ from .verifier import (
     check_h_to_zero,
     check_lambda_decay,
     check_mu_decay,
-    default_plan,
     field_at_zero,
     is_in_D0,
     run_verification,

@@ -10,15 +10,15 @@ convergence queries, and writes:
 * ``mu_decay.csv``, ``lambda_decay.csv``, ``h_ladder.csv``,
   ``continuity.csv``    -- two-column curve data extracted from witnesses
 
-Exit status: 0 overall pass, 1 overall fail, 2 invalid configuration,
-3 runtime error in a module.  Outputs are deterministic for a fixed
+Exit status: 0 overall pass, 1 overall fail, 2 invalid scenario document
+or tolerance override (refused before any work), 3 runtime error in a
+module.  Outputs are deterministic for a fixed
 scenario (floats printed at 12 significant digits).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -105,22 +105,15 @@ def emit_plot_data(report, samples, outdir):
 
 
 def run_convergence_queries(pair, queries):
+    """One certificate per parsed query (see ``ScenarioConfig.queries``)."""
     out = []
-    for i, q in enumerate(queries):
-        lim = q["limit"]
-        limit = make_dual_point(
-            pair,
-            _label_in(lim["label"]),
-            lim.get("H"),
-        )
-        seq = [
-            make_dual_point(pair, _label_in(e["label"]), e.get("H"))
-            for e in q["sequence"]
-        ]
+    for name, limit, sequence in queries:
+        limit = make_dual_point(pair, *limit)
+        seq = [make_dual_point(pair, *pt) for pt in sequence]
         cert = converges(pair, seq, limit)
         out.append(
             {
-                "name": q.get("name", f"query-{i}"),
+                "name": name,
                 "limit": {"stratum": limit.stratum, "label": _label_str(limit.label)},
                 "verdict": "converges" if cert.verdict else "diverges",
                 "tail_index": cert.tail_index,
@@ -130,19 +123,12 @@ def run_convergence_queries(pair, queries):
     return out
 
 
-def _label_in(x):
-    return tuple(int(v) for v in x) if isinstance(x, list) else int(x)
-
-
-def run_scenario(config: ScenarioConfig, outdir, threads=1):
+def run_scenario(config: ScenarioConfig, outdir):
     """Execute a scenario and write all artifact files; returns the report."""
     pair = config.build_pair()
     f = config.build_test_function(pair)
-    plan = config.build_plan()
-    thresholds = config.build_thresholds()
-
-    report, samples = run_verification(f, pair, plan, thresholds, threads=threads)
-    certificates = run_convergence_queries(pair, config.convergence_queries)
+    report, samples = run_verification(f, pair, config.plan, config.thresholds)
+    certificates = run_convergence_queries(pair, config.queries)
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -187,9 +173,6 @@ def build_parser():
         help=f"artifact directory (default: scenario value, then ${OUTPUT_DIR_ENV}, then ./out)",
     )
     run_p.add_argument(
-        "--threads", type=int, default=1, help="worker threads for grid evaluation"
-    )
-    run_p.add_argument(
         "--override-tolerance",
         action="append",
         default=[],
@@ -208,16 +191,14 @@ def main(argv=None):
         return 0
     try:
         config = load_scenario(args.scenario)
+        overrides = {}
         for item in args.override_tolerance:
-            if "=" not in item:
+            name, sep, value = item.partition("=")
+            if not sep:
                 raise ConfigError("override-tolerance", f"expected NAME=VALUE, got {item!r}")
-            k, v = item.split("=", 1)
-            config.tolerances[k] = float(v)
-        config.build_thresholds()  # validate overrides early
+            overrides[name] = value
+        config.override_tolerances(overrides)
     except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except TypeError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 
@@ -228,7 +209,7 @@ def main(argv=None):
         or "out"
     )
     try:
-        report, certificates = run_scenario(config, outdir, threads=args.threads)
+        report, certificates = run_scenario(config, outdir)
     except MotionFieldsError as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

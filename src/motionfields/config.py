@@ -1,14 +1,22 @@
-"""Scenario configuration: JSON schema, validation, round-trip serialization.
+"""Scenario configuration: the one parser of the scenario format.
 
-Irrep labels appear in JSON as integers (rank-one instances) or two-element
-lists (the product instance); complex numbers are [re, im] pairs; polynomial
-multi-indices are comma-joined strings keying [re, im] coefficients.
+``ScenarioConfig.from_dict`` turns a scenario document, in one pass, into
+the test-function terms, the ``VerificationPlan``, the ``Thresholds`` and
+the convergence queries, with labels and coordinates parsed.  Every
+malformed field raises a ``ConfigError`` naming it (for example
+``grids.gamma0[0].mu``), so a bad document is refused before any work.
+
+Irrep labels appear in JSON as integers (rank-one instances) or integer
+lists (the product instance); flat points are lists of ``rank`` finite
+numbers; complex numbers are numbers or [re, im] pairs; polynomial
+multi-indices are comma-joined strings keying complex coefficients.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -20,162 +28,223 @@ from .verifier import Thresholds, VerificationPlan
 SCHEMA_VERSION = 1
 
 
-def _label_from_json(x):
-    if isinstance(x, list):
-        return tuple(int(v) for v in x)
-    return int(x)
+# -- field parsers: each returns the parsed value or raises ConfigError ------
+
+
+def _require(ok, where, message):
+    if not ok:
+        raise ConfigError(where, message)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _obj(where, x):
+    _require(isinstance(x, dict), where, f"expected an object, got {x!r}")
+    return x
+
+
+def _key(where, obj, key):
+    """``obj[key]``, where ``obj`` is the object at ``where``."""
+    _require(key in _obj(where, obj), f"{where}.{key}", "missing")
+    return obj[key]
+
+
+def _items(where, x, empty_ok=False):
+    """(field name, entry) for each entry of a list."""
+    what = "a list" if empty_ok else "a nonempty list"
+    _require(isinstance(x, list) and (x or empty_ok), where, f"expected {what}, got {x!r}")
+    return [(f"{where}[{i}]", v) for i, v in enumerate(x)]
+
+
+def _positive_int(where, x):
+    _require(_is_int(x) and x > 0, where, f"must be a positive integer, got {x!r}")
+    return x
+
+
+def _label(where, x):
+    if isinstance(x, list) and x and all(map(_is_int, x)):
+        return tuple(x)
+    _require(_is_int(x), where, f"not an irrep label: {x!r}")
+    return x
+
+
+def _labels(where, x):
+    return [_label(w, v) for w, v in _items(where, x)]
+
+
+def _coords(where, x, rank):
+    """A flat point: ``rank`` finite numbers."""
+    ok = isinstance(x, list) and len(x) == rank and all(map(_is_number, x))
+    _require(ok, where, f"expected a list of {rank} numbers, got {x!r}")
+    _require(all(map(math.isfinite, x)), where, f"coordinates must be finite, got {x!r}")
+    return tuple(float(v) for v in x)
+
+
+def _complex(where, x):
+    pair = isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
+    _require(_is_number(x) or pair, where, f"expected a number or [re, im], got {x!r}")
+    z = complex(*x) if pair else complex(x)
+    _require(math.isfinite(abs(z)), where, f"must be finite, got {x!r}")
+    return z
+
+
+def _tolerances(where, tol):
+    """Threshold values by name: known names, positive numbers."""
+    for k, v in _obj(where, tol).items():
+        _require(k in Thresholds.__dataclass_fields__, f"{where}.{k}", "unknown threshold name")
+        _require(_is_number(v) and v > 0, f"{where}.{k}", f"must be a positive number, got {v!r}")
+    return tol
+
+
+def _term(where, t, dim):
+    u, g = _key(where, t, "u"), _key(where, t, "g")
+    label = _label(f"{where}.u.label", _key(f"{where}.u", u, "label"))
+    row, col = u.get("row", 0), u.get("col", 0)
+    _require(all(_is_int(i) and i >= 0 for i in (row, col)), f"{where}.u",
+             "row and col must be nonnegative integers")
+    poly = {}
+    for key, val in _obj(f"{where}.g.poly", _key(f"{where}.g", g, "poly")).items():
+        alpha = key.split(",")
+        _require(all(a.isdecimal() for a in alpha), f"{where}.g.poly.{key}", "not a multi-index")
+        poly[tuple(map(int, alpha))] = _complex(f"{where}.g.poly.{key}", val)
+    sigma, radial = _key(f"{where}.g", g, "sigma"), g.get("radial", False)
+    _require(_is_number(sigma), f"{where}.g.sigma", f"must be a number, got {sigma!r}")
+    _require(isinstance(radial, bool), f"{where}.g.radial", "must be true or false")
+    coeff = _complex(f"{where}.coeff", _key(where, t, "coeff"))
+    try:
+        flat = PolyGaussian(dim, float(sigma), poly, radial=radial)
+    except ValueError as e:
+        raise ConfigError(f"{where}.g", str(e)) from None
+    return Term(coeff, MatrixCoefficient(label, row, col), flat)
+
+
+def _terms(tf, pair):
+    where = "test_function.terms"
+    entries = _items(where, _key("test_function", tf, "terms"))
+    terms = tuple(_term(w, t, pair.dim_p) for w, t in entries)
+    try:
+        TestFunction(pair, terms)  # labels and indices against the instance
+    except ValueError as e:
+        raise ConfigError(where, str(e)) from None
+    return terms
+
+
+def _plan(doc, rank):
+    cut, grids = _obj("cutoffs", doc.get("cutoffs", {})), _obj("grids", doc.get("grids", {}))
+    order = cut.get("order")
+    _require(order is None or _is_int(order) and order > 0, "cutoffs.order",
+             f"must be a positive integer or null, got {order!r}")
+    cont, ladder = _key("grids", grids, "continuity"), _key("grids", grids, "h_ladder")
+    path = _items("grids.continuity.path", _key("grids.continuity", cont, "path"))
+    _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
+             "needs an odd number (>= 3) of points")
+    mu_grid = grids.get("mu_decay")
+    return VerificationPlan(
+        lambda_max=_positive_int("cutoffs.lambda_max", cut.get("lambda_max")),
+        gamma0_grid=[
+            (_label(f"{w}.mu", _key(w, e, "mu")), _coords(f"{w}.H", _key(w, e, "H"), rank))
+            for w, e in _items("grids.gamma0", grids.get("gamma0"))
+        ],
+        gamma2_lambdas=_labels("grids.gamma2", grids.get("gamma2")),
+        continuity_mu=_label("grids.continuity.mu", _key("grids.continuity", cont, "mu")),
+        continuity_path=[_coords(w, h, rank) for w, h in path],
+        h_ladder_mus=_labels("grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus")),
+        h_ladder_H0=_coords("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), rank),
+        h_ladder_levels=_positive_int(
+            "grids.h_ladder.levels", _key("grids.h_ladder", ladder, "levels")
+        ),
+        mu_values=None if mu_grid is None else _labels(
+            "grids.mu_decay.mu_values", _key("grids.mu_decay", mu_grid, "mu_values")
+        ),
+        mu_decay_H=None if mu_grid is None else _coords(
+            "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), rank
+        ),
+        order=order,
+    )
+
+
+def _point(where, pt, rank):
+    """A dual point of a convergence query: (label, flat point or None)."""
+    H = _obj(where, pt).get("H")
+    label = _label(f"{where}.label", _key(where, pt, "label"))
+    return label, None if H is None else _coords(f"{where}.H", H, rank)
+
+
+def _queries(queries, rank):
+    """Convergence queries as (name, limit, sequence) with parsed points."""
+    out = []
+    for i, (where, q) in enumerate(_items("convergence_queries", queries, empty_ok=True)):
+        name = _obj(where, q).get("name", f"query-{i}")
+        _require(isinstance(name, str), f"{where}.name", f"must be a string, got {name!r}")
+        seq = _items(f"{where}.sequence", q.get("sequence"))
+        limit = _point(f"{where}.limit", q.get("limit"), rank)
+        out.append((name, limit, tuple(_point(w, p, rank) for w, p in seq)))
+    return tuple(out)
+
+
+# -- serialization -----------------------------------------------------------
 
 
 def _label_to_json(x):
-    if isinstance(x, tuple):
-        return [int(v) for v in x]
-    return int(x)
-
-
-def _complex_from_json(x):
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2:
-        return complex(x[0], x[1])
-    raise ConfigError("coeff", f"expected number or [re, im], got {x!r}")
-
-
-def _coords(where, x):
-    """A flat point as a tuple of finite floats."""
-    try:
-        H = tuple(float(v) for v in np.atleast_1d(x))
-    except (TypeError, ValueError):
-        raise ConfigError(where, f"expected a list of numbers, got {x!r}") from None
-    if not np.all(np.isfinite(H)):
-        raise ConfigError(where, f"coordinates must be finite, got {x!r}")
-    return H
-
-
-def _check_point(where, pt):
-    """A dual point of a convergence query: a label and an optional flat point."""
-    if not isinstance(pt, dict) or "label" not in pt:
-        raise ConfigError(where, "needs an object with a label")
-    try:
-        _label_from_json(pt["label"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.label", f"not an irrep label: {pt['label']!r}") from None
-    if pt.get("H") is not None:
-        _coords(f"{where}.H", pt["H"])
-
-
-def _check_queries(queries):
-    if not isinstance(queries, list):
-        raise ConfigError("convergence_queries", "must be a list")
-    for i, q in enumerate(queries):
-        where = f"convergence_queries[{i}]"
-        if not isinstance(q, dict):
-            raise ConfigError(where, "must be an object")
-        _check_point(f"{where}.limit", q.get("limit"))
-        seq = q.get("sequence")
-        if not isinstance(seq, list):
-            raise ConfigError(f"{where}.sequence", "needs a list of points")
-        for j, pt in enumerate(seq):
-            _check_point(f"{where}.sequence[{j}]", pt)
+    return list(x) if isinstance(x, tuple) else x
 
 
 def _complex_to_json(z):
-    z = complex(z)
     return [z.real, z.imag]
+
+
+def _point_to_json(point):
+    label, H = point
+    return {"label": _label_to_json(label), "H": None if H is None else list(H)}
+
+
+def _term_to_json(t):
+    poly = {",".join(map(str, a)): _complex_to_json(c) for a, c in t.g.poly.items()}
+    return {
+        "coeff": _complex_to_json(t.coeff),
+        "u": {"label": _label_to_json(t.u.label), "row": t.u.row, "col": t.u.col},
+        "g": {"sigma": t.g.sigma, "poly": poly, "radial": t.g.radial},
+    }
 
 
 @dataclass
 class ScenarioConfig:
     name: str
     instance: str
-    test_function: dict
-    lambda_max: int
-    order: int | None
-    gamma0: list  # (label, H tuple)
-    gamma2: list
-    continuity_mu: object
-    continuity_path: list
-    h_ladder_mus: list
-    h_ladder_H0: tuple
-    h_ladder_levels: int
-    mu_values: list | None
-    mu_decay_H: tuple | None
-    convergence_queries: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
+    terms: tuple  # Term objects of the test function
+    plan: VerificationPlan
+    thresholds: Thresholds
+    queries: tuple  # (name, limit, sequence); points are (label, H or None)
     output_dir: str | None = None
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError("<root>", "scenario document must be an object")
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise ConfigError("schema", f"expected {SCHEMA_VERSION}, got {doc.get('schema')!r}")
-        name = doc.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigError("name", "scenario needs a nonempty name")
-        instance = doc.get("instance")
-        if instance not in INSTANCE_NAMES:
-            raise ConfigError(
-                "instance", f"{instance!r} not in {', '.join(INSTANCE_NAMES)}"
-            )
-        tf = doc.get("test_function")
-        if not isinstance(tf, dict) or "terms" not in tf or not tf["terms"]:
-            raise ConfigError("test_function", "needs a nonempty terms list")
-        cut = doc.get("cutoffs", {})
-        lambda_max = cut.get("lambda_max")
-        if not isinstance(lambda_max, int) or lambda_max <= 0:
-            raise ConfigError("cutoffs.lambda_max", "must be a positive integer")
-        order = cut.get("order")
-        if order is not None and (not isinstance(order, int) or order <= 0):
-            raise ConfigError("cutoffs.order", "must be a positive integer or null")
-        grids = doc.get("grids", {})
-        gamma0 = [
-            (_label_from_json(e["mu"]), _coords(f"grids.gamma0[{i}].H", e["H"]))
-            for i, e in enumerate(grids.get("gamma0", []))
-        ]
-        gamma2 = [_label_from_json(x) for x in grids.get("gamma2", [])]
-        cont = grids.get("continuity")
-        if not cont or len(cont.get("path", [])) < 3 or len(cont["path"]) % 2 == 0:
-            raise ConfigError(
-                "grids.continuity", "needs an odd number (>= 3) of path points"
-            )
-        ladder = grids.get("h_ladder")
-        if not ladder or ladder.get("levels", -1) < 1:
-            raise ConfigError("grids.h_ladder", "needs mus, H0 and levels >= 1")
-        mu_grid = grids.get("mu_decay")
-        queries = doc.get("convergence_queries", [])
-        _check_queries(queries)
-        tol = doc.get("tolerances", {})
-        valid_tols = set(Thresholds().__dataclass_fields__)
-        for k, v in tol.items():
-            if k not in valid_tols:
-                raise ConfigError(f"tolerances.{k}", "unknown threshold name")
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"tolerances.{k}", "must be positive")
+        doc = _obj("<root>", doc)
+        schema, name, instance = doc.get("schema"), doc.get("name"), doc.get("instance")
+        _require(schema == SCHEMA_VERSION, "schema", f"expected {SCHEMA_VERSION}, got {schema!r}")
+        _require(isinstance(name, str) and name, "name", "scenario needs a nonempty name")
+        _require(instance in INSTANCE_NAMES, "instance",
+                 f"{instance!r} not in {', '.join(INSTANCE_NAMES)}")
+        output_dir = doc.get("output_dir")
+        _require(output_dir is None or isinstance(output_dir, str), "output_dir",
+                 f"must be a string or null, got {output_dir!r}")
+        pair = build_instance(instance)
         return cls(
             name=name,
             instance=instance,
-            test_function=tf,
-            lambda_max=lambda_max,
-            order=order,
-            gamma0=gamma0,
-            gamma2=gamma2,
-            continuity_mu=_label_from_json(cont["mu"]),
-            continuity_path=[
-                _coords(f"grids.continuity.path[{i}]", h)
-                for i, h in enumerate(cont["path"])
-            ],
-            h_ladder_mus=[_label_from_json(m) for m in ladder["mus"]],
-            h_ladder_H0=_coords("grids.h_ladder.H0", ladder["H0"]),
-            h_ladder_levels=int(ladder["levels"]),
-            mu_values=(
-                [_label_from_json(m) for m in mu_grid["mu_values"]] if mu_grid else None
-            ),
-            mu_decay_H=_coords("grids.mu_decay.H", mu_grid["H"]) if mu_grid else None,
-            convergence_queries=queries,
-            tolerances=dict(tol),
-            output_dir=doc.get("output_dir"),
+            terms=_terms(doc.get("test_function"), pair),
+            plan=_plan(doc, pair.rank),
+            thresholds=Thresholds(**_tolerances("tolerances", doc.get("tolerances", {}))),
+            queries=_queries(doc.get("convergence_queries", []), pair.rank),
+            output_dir=output_dir,
         )
 
     @classmethod
@@ -186,38 +255,51 @@ class ScenarioConfig:
             raise ConfigError("<json>", str(e)) from None
         return cls.from_dict(doc)
 
+    def override_tolerances(self, overrides):
+        """Replace thresholds from {name: numeric text}, checked like the document's block."""
+        tol = {}
+        for k, v in overrides.items():
+            try:
+                tol[k] = float(v)
+            except ValueError:
+                raise ConfigError(f"override-tolerance.{k}", f"not a number: {v!r}") from None
+        self.thresholds = replace(self.thresholds, **_tolerances("override-tolerance", tol))
+
     def to_dict(self):
-        doc = {
+        plan = self.plan
+        grids = {
+            "gamma0": [{"mu": _label_to_json(mu), "H": list(H)} for mu, H in plan.gamma0_grid],
+            "gamma2": [_label_to_json(x) for x in plan.gamma2_lambdas],
+            "continuity": {
+                "mu": _label_to_json(plan.continuity_mu),
+                "path": [list(h) for h in plan.continuity_path],
+            },
+            "h_ladder": {
+                "mus": [_label_to_json(m) for m in plan.h_ladder_mus],
+                "H0": list(plan.h_ladder_H0),
+                "levels": plan.h_ladder_levels,
+            },
+        }
+        if plan.mu_values is not None:
+            grids["mu_decay"] = {
+                "H": list(plan.mu_decay_H),
+                "mu_values": [_label_to_json(m) for m in plan.mu_values],
+            }
+        queries = [
+            {"name": n, "limit": _point_to_json(lim), "sequence": list(map(_point_to_json, seq))}
+            for n, lim, seq in self.queries
+        ]
+        return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "instance": self.instance,
-            "test_function": self.test_function,
-            "cutoffs": {"lambda_max": self.lambda_max, "order": self.order},
-            "grids": {
-                "gamma0": [
-                    {"mu": _label_to_json(mu), "H": list(H)} for mu, H in self.gamma0
-                ],
-                "gamma2": [_label_to_json(x) for x in self.gamma2],
-                "continuity": {
-                    "mu": _label_to_json(self.continuity_mu),
-                    "path": [list(h) for h in self.continuity_path],
-                },
-                "h_ladder": {
-                    "mus": [_label_to_json(m) for m in self.h_ladder_mus],
-                    "H0": list(self.h_ladder_H0),
-                    "levels": self.h_ladder_levels,
-                },
-            },
-            "convergence_queries": self.convergence_queries,
-            "tolerances": dict(self.tolerances),
+            "test_function": {"terms": [_term_to_json(t) for t in self.terms]},
+            "cutoffs": {"lambda_max": plan.lambda_max, "order": plan.order},
+            "grids": grids,
+            "convergence_queries": queries,
+            "tolerances": asdict(self.thresholds),
             "output_dir": self.output_dir,
         }
-        if self.mu_values is not None:
-            doc["grids"]["mu_decay"] = {
-                "H": list(self.mu_decay_H),
-                "mu_values": [_label_to_json(m) for m in self.mu_values],
-            }
-        return doc
 
     # -- realization --------------------------------------------------------
 
@@ -225,55 +307,7 @@ class ScenarioConfig:
         return build_instance(self.instance)
 
     def build_test_function(self, pair):
-        terms = []
-        for i, t in enumerate(self.test_function["terms"]):
-            where = f"test_function.terms[{i}]"
-            try:
-                coeff = _complex_from_json(t["coeff"])
-                u = t["u"]
-                mc = MatrixCoefficient(
-                    _label_from_json(u["label"]),
-                    int(u.get("row", 0)),
-                    int(u.get("col", 0)),
-                )
-                gspec = t["g"]
-                poly = {}
-                for key, val in gspec["poly"].items():
-                    alpha = tuple(int(x) for x in key.split(",")) if key else ()
-                    poly[alpha] = _complex_from_json(val)
-                g = PolyGaussian(
-                    pair.dim_p,
-                    float(gspec["sigma"]),
-                    poly,
-                    radial=bool(gspec.get("radial", False)),
-                )
-            except ConfigError:
-                raise
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(where, str(e)) from None
-            terms.append(Term(coeff, mc, g))
-        try:
-            return TestFunction(pair, terms)
-        except ValueError as e:
-            raise ConfigError("test_function", str(e)) from None
-
-    def build_plan(self):
-        return VerificationPlan(
-            lambda_max=self.lambda_max,
-            gamma0_grid=self.gamma0,
-            gamma2_lambdas=self.gamma2,
-            continuity_mu=self.continuity_mu,
-            continuity_path=self.continuity_path,
-            h_ladder_mus=self.h_ladder_mus,
-            h_ladder_H0=self.h_ladder_H0,
-            h_ladder_levels=self.h_ladder_levels,
-            mu_values=self.mu_values,
-            mu_decay_H=self.mu_decay_H,
-            order=self.order,
-        )
-
-    def build_thresholds(self):
-        return Thresholds(**self.tolerances)
+        return TestFunction(pair, self.terms)
 
 
 def round_floats(obj, sig=12):

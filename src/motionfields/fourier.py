@@ -249,54 +249,36 @@ class OperatorFieldSample:
     operators: dict
     metadata: dict = field(default_factory=dict)
 
-    def norms(self):
-        return {
-            p: (operator_norm(T), hs_norm(T)) for p, T in self.operators.items()
-        }
 
-
-def sample_field(f, pair, grid, lambda_max, order=None, refine_check=False,
-                 threads=1):
+def sample_field(f, pair, grid, lambda_max, order=None, refine_check=False):
     """Evaluate the Fourier-transform field of ``f`` on a grid of dual points.
 
-    Grid points are independent; with ``threads`` > 1 the induced-stratum
-    operators are assembled in a thread pool (bases are prebuilt serially so
-    rays sharing a stabilizer share their basis).
+    Induced-stratum points that share a weight and a stabilizer share one
+    covariant basis.
     """
     for p in grid:
         if p.pair_name != pair.name:
             raise ValueError(f"grid point {p} is not on instance {pair.name}")
-    basis_cache = {}
-    induced = [p for p in grid if p.stratum != GAMMA2]
-    for p in induced:
-        key = (p.label, stabilizer(pair, p.H).structure)
-        if key not in basis_cache:
-            basis_cache[key] = peter_weyl_basis(pair, p.label, p.H, lambda_max)
-
-    def one(p):
+    bases = {}
+    operators = {}
+    for p in grid:
         if p.stratum == GAMMA2:
-            return tau_matrix(f, pair, p.label, order=order, point=p)
+            operators[p] = tau_matrix(f, pair, p.label, order=order, point=p)
+            continue
         key = (p.label, stabilizer(pair, p.H).structure)
-        return pi_matrix(
+        if key not in bases:
+            bases[key] = peter_weyl_basis(pair, p.label, p.H, lambda_max)
+        operators[p] = pi_matrix(
             f,
             pair,
             p.label,
             p.H,
             lambda_max,
             order=order,
-            basis=basis_cache[key],
+            basis=bases[key],
             refine_check=refine_check,
             point=p,
         )
-
-    if threads > 1 and len(grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ops = list(pool.map(one, grid))
-    else:
-        ops = [one(p) for p in grid]
-    operators = dict(zip(grid, ops))
     return OperatorFieldSample(
         instance_name=pair.name,
         grid=tuple(grid),

@@ -402,76 +402,26 @@ class VerificationPlan:
     order: int | None = None
 
 
-def default_plan(pair, lambda_max=5):
-    if pair.name == "M3":
-        return VerificationPlan(
-            lambda_max=lambda_max,
-            gamma0_grid=[(mu, (h,)) for mu in (0, 1) for h in (0.5, 1.0, 1.5)],
-            gamma2_lambdas=list(range(0, lambda_max + 1)),
-            continuity_mu=1,
-            continuity_path=[(h,) for h in np.linspace(1.0, 2.0, 9)],
-            h_ladder_mus=[0, 1, 2],
-            h_ladder_H0=(1.0,),
-            h_ladder_levels=8,
-            mu_values=list(range(-lambda_max, lambda_max + 1)),
-            mu_decay_H=(1.0,),
-        )
-    if pair.name == "M2":
-        return VerificationPlan(
-            lambda_max=lambda_max,
-            gamma0_grid=[(0, (h,)) for h in (0.5, 1.0, 1.5, 2.0, 2.5)],
-            gamma2_lambdas=list(range(-lambda_max, lambda_max + 1)),
-            continuity_mu=0,
-            continuity_path=[(h,) for h in np.linspace(1.0, 2.0, 9)],
-            h_ladder_mus=[0],
-            h_ladder_H0=(1.0,),
-            h_ladder_levels=8,
-        )
-    if pair.name == "M2xM2":
-        return VerificationPlan(
-            lambda_max=lambda_max,
-            gamma0_grid=[((0, 0), (a, b)) for a in (0.5, 1.5) for b in (1.0, 2.0)],
-            gamma2_lambdas=[
-                (a, b)
-                for a in range(-lambda_max, lambda_max + 1)
-                for b in range(-lambda_max, lambda_max + 1)
-            ],
-            continuity_mu=(0, 2),
-            continuity_path=[(h, 0.0) for h in np.linspace(1.0, 2.0, 9)],
-            h_ladder_mus=[(0, 0)],
-            h_ladder_H0=(1.0, 1.0),
-            h_ladder_levels=8,
-            mu_values=[(0, m) for m in range(-4, 5)],
-            mu_decay_H=(1.0, 0.0),
-        )
-    raise ValueError(f"no default plan for instance {pair.name}")
-
-
-def run_verification(f, pair, plan=None, thresholds=Thresholds(), threads=1):
-    """Run conditions 1-5 on the Fourier field of ``f``.
+def run_verification(f, pair, plan, thresholds=Thresholds()):
+    """Run conditions 1-5 on the Fourier field of ``f`` over ``plan``'s grids.
 
     Returns the aggregated report together with the computed samples
     (keys "main", "path", "mu") so callers can export per-point norms.
+    Plans come from scenarios: ``ScenarioConfig.from_dict(doc).plan``.
     """
-    if plan is None:
-        plan = default_plan(pair)
     reports = []
     samples = {}
 
     grid = [make_dual_point(pair, mu, H) for mu, H in plan.gamma0_grid]
     grid += [make_dual_point(pair, lam, None) for lam in plan.gamma2_lambdas]
-    sample = sample_field(
-        f, pair, grid, plan.lambda_max, order=plan.order, threads=threads
-    )
+    sample = sample_field(f, pair, grid, plan.lambda_max, order=plan.order)
     samples["main"] = sample
     reports.append(check_compactness_proxy(pair, sample, thresholds))
 
     path_pts = [
         make_dual_point(pair, plan.continuity_mu, H) for H in plan.continuity_path
     ]
-    path_sample = sample_field(
-        f, pair, path_pts, plan.lambda_max, order=plan.order, threads=threads
-    )
+    path_sample = sample_field(f, pair, path_pts, plan.lambda_max, order=plan.order)
     samples["path"] = path_sample
     reports.append(check_continuity(pair, path_sample, thresholds))
 
@@ -481,7 +431,7 @@ def run_verification(f, pair, plan=None, thresholds=Thresholds(), threads=1):
         ]
         mu_sample = sample_field(
             f, pair, mu_pts, max(plan.lambda_max, _max_band(pair, plan.mu_values) + 2),
-            order=plan.order, threads=threads,
+            order=plan.order,
         )
         samples["mu"] = mu_sample
         reports.append(check_mu_decay(pair, mu_sample, thresholds))
@@ -516,7 +466,7 @@ def run_verification(f, pair, plan=None, thresholds=Thresholds(), threads=1):
     return report, samples
 
 
-def verify_membership(f, pair, plan=None, thresholds=Thresholds()):
+def verify_membership(f, pair, plan, thresholds=Thresholds()):
     """Run conditions 1-5 on the Fourier field of ``f`` and aggregate."""
     report, _ = run_verification(f, pair, plan, thresholds)
     return report

@@ -364,7 +364,7 @@ def test_10_verifier_discrimination_and_membership():
     for name in BUNDLED_NAMES:
         cfg = ScenarioConfig.from_dict(bundled_scenario(name))
         p = cfg.build_pair()
-        rep = verify_membership(cfg.build_test_function(p), p, cfg.build_plan())
+        rep = verify_membership(cfg.build_test_function(p), p, cfg.plan)
         assert rep.overall, name
 
     # (b) adversarial fixtures, one per condition; each trips only its own

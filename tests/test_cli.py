@@ -8,6 +8,30 @@ from motionfields.errors import ConfigError
 from motionfields.scenarios import BUNDLED_NAMES, bundled_scenario
 
 
+def _query(doc):
+    return doc["convergence_queries"][0]
+
+
+def _term(doc):
+    return doc["test_function"]["terms"][0]
+
+
+# malformed documents by case: (bundled scenario, edit); the parser refuses each
+BAD_DOCUMENTS = {
+    "limit": ("m2-default", lambda d: _query(d).pop("limit")),
+    "sequence": ("m2-default", lambda d: _query(d).pop("sequence")),
+    "query_nan": ("m2-default", lambda d: _query(d)["sequence"][3].update(H=[float("nan")])),
+    "gamma0_nan": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(H=[float("inf")])),
+    "gamma0_no_mu": ("m3-default", lambda d: d["grids"]["gamma0"][0].pop("mu")),
+    "h_ladder_no_H0": ("m3-default", lambda d: d["grids"]["h_ladder"].pop("H0")),
+    "gamma0_label_x": ("m3-default", lambda d: d["grids"]["gamma0"][0].update(mu="x")),
+    "gamma2_label_x": ("m3-default", lambda d: d["grids"]["gamma2"].__setitem__(2, "x")),
+    "cutoffs_list": ("m3-default", lambda d: d.update(cutoffs=[5])),
+    "sigma_negative": ("m2-default", lambda d: _term(d)["g"].update(sigma=-1)),
+    "label_pair_on_m2": ("m2-default", lambda d: _term(d)["u"].update(label=[1, 2])),
+}
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_round_trip(self, name):
@@ -54,13 +78,24 @@ class TestConfig:
             ScenarioConfig.from_dict(doc)
         assert err.value.field == "convergence_queries[0].limit"
 
-    def test_test_function_errors_are_field_scoped(self, m2):
+    def test_test_function_errors_are_field_scoped(self):
         doc = bundled_scenario("m2-default")
         doc["test_function"]["terms"][0]["g"]["sigma"] = -1.0
-        cfg = ScenarioConfig.from_dict(doc)
         with pytest.raises(ConfigError) as err:
-            cfg.build_test_function(m2)
+            ScenarioConfig.from_dict(doc)
         assert "terms[0]" in err.value.field
+
+    def test_grid_errors_are_field_scoped(self):
+        doc = bundled_scenario("m3-default")
+        del doc["grids"]["gamma0"][0]["mu"]
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "grids.gamma0[0].mu"
+        doc = bundled_scenario("m2xm2-gamma1")
+        doc["grids"]["continuity"]["path"][4] = [1.5]
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "grids.continuity.path[4]"
 
 
 class TestRun:
@@ -83,7 +118,8 @@ class TestRun:
         assert (tmp_path / "mu_decay.csv").read_text() == "mu,op_norm\n"
         # ladder rows: levels + 1 per weight
         ladder = (tmp_path / "h_ladder.csv").read_text().strip().splitlines()
-        assert len(ladder) == 1 + (cfg.h_ladder_levels + 1) * len(cfg.h_ladder_mus)
+        plan = cfg.plan
+        assert len(ladder) == 1 + (plan.h_ladder_levels + 1) * len(plan.h_ladder_mus)
 
     def test_determinism(self, tmp_path):
         cfg = ScenarioConfig.from_dict(bundled_scenario("m2-default"))
@@ -162,18 +198,11 @@ class TestMain:
             == 2
         )
 
-    @pytest.mark.parametrize(
-        "field", ["limit", "sequence", "query_nan", "gamma0_nan"]
-    )
+    @pytest.mark.parametrize("field", list(BAD_DOCUMENTS))
     def test_bad_query_or_point_exits_2_before_work(self, field, tmp_path, capsys):
-        doc = bundled_scenario("m2-default")
-        query = doc["convergence_queries"][0]
-        if field == "query_nan":
-            query["sequence"][3]["H"] = [float("nan")]
-        elif field == "gamma0_nan":
-            doc["grids"]["gamma0"][0]["H"] = [float("inf")]
-        else:
-            del query[field]
+        name, edit = BAD_DOCUMENTS[field]
+        doc = bundled_scenario(name)
+        edit(doc)
         path = tmp_path / "bad.json"
         path.write_text(dump_json(doc))
         out = tmp_path / "out"
@@ -181,6 +210,16 @@ class TestMain:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    def test_bad_override_value_exits_2_before_work(self, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "m2-default", "--output-dir", str(out),
+                "--override-tolerance", f"h_zero_delta={value}"]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "override-tolerance.h_zero_delta" in err and "Traceback" not in err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         from motionfields.cli import OUTPUT_DIR_ENV

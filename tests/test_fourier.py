@@ -358,16 +358,6 @@ class TestSampleField:
                 operator_norm(s_f.operators[p]) + operator_norm(s_g.operators[p]) + 1e-12
             )
 
-    def test_threads_match_serial(self, m3):
-        f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
-        grid = [make_dual_point(m3, 0, (h,)) for h in (0.5, 1.0)] + [
-            make_dual_point(m3, 1, None)
-        ]
-        s1 = sample_field(f, m3, grid, 3)
-        s2 = sample_field(f, m3, grid, 3, threads=3)
-        for p in grid:
-            assert np.array_equal(s1.operators[p].matrix, s2.operators[p].matrix)
-
 
 class TestConvolution:
     def _convolved_radial(self, m2, f, g):

@@ -23,7 +23,9 @@ from motionfields import (
     tau_matrix,
     verify_membership,
 )
+from motionfields.config import ScenarioConfig
 from motionfields.fourier import OperatorFieldSample, TruncatedOperator
+from motionfields.scenarios import bundled_scenario
 from motionfields.verifier import judge_h_ladder, judge_lambda_decay, judge_mu_decay
 
 
@@ -257,10 +259,14 @@ class TestD0:
             assert operator_norm(d) < 1e-10
 
 
+def bundled_plan(name):
+    return ScenarioConfig.from_dict(bundled_scenario(name)).plan
+
+
 class TestMembership:
     def test_m3_default_plan_passes(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 2, 1, 3), gauss_term(m3, 1, 0, 0, 0.5, 0.8)])
-        report = verify_membership(f, m3)
+        report = verify_membership(f, m3, bundled_plan("m3-default"))
         assert report.overall
         assert [r.condition for r in report.reports] == [1, 2, 3, 4, 5]
 
@@ -268,7 +274,7 @@ class TestMembership:
         f = TestFunction(
             m2xm2, [gauss_term(m2xm2, (1, 2)), gauss_term(m2xm2, (0, 1), coeff=0.5, sigma=0.9)]
         )
-        report = verify_membership(f, m2xm2)
+        report = verify_membership(f, m2xm2, bundled_plan("m2xm2-gamma1"))
         assert report.overall
 
     def test_adversarial_injection_fails_condition_two(self, m3):
