@@ -49,11 +49,9 @@ from .groups import IrrepDescriptor, QuadratureRule
 from .induction import (
     PeterWeylBasis,
     branching_multiplicity,
-    character,
     enumerate_irreps,
     full_group,
     haar_quadrature,
-    irrep_matrix,
     peter_weyl_basis,
     restriction_multiplicity,
 )

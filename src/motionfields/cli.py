@@ -154,7 +154,11 @@ def load_scenario(spec):
             f"{spec!r} is neither a bundled scenario ({', '.join(BUNDLED_NAMES)}) "
             "nor an existing file",
         )
-    return ScenarioConfig.from_json(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError("scenario", f"cannot read {spec!r}: {e}") from None
+    return ScenarioConfig.from_json(text)
 
 
 def build_parser():

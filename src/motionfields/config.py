@@ -7,9 +7,11 @@ malformed field raises a ``ConfigError`` naming it (for example
 ``grids.gamma0[0].mu``), so a bad document is refused before any work.
 
 Irrep labels appear in JSON as integers (rank-one instances) or integer
-lists (the product instance); flat points are lists of ``rank`` finite
-numbers; complex numbers are numbers or [re, im] pairs; polynomial
-multi-indices are comma-joined strings keying complex coefficients.
+lists (the product instance), and each grid or query label must be an irrep
+label of the stabilizer at its points (``dual.check_label``); flat points
+are lists of ``rank`` finite numbers; complex numbers are numbers or
+[re, im] pairs; polynomial multi-indices are comma-joined strings keying
+complex coefficients.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .dual import check_label
+from .errors import ConfigError, StratumMismatch
 from .pairs import INSTANCE_NAMES, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
 from .verifier import Thresholds, VerificationPlan
@@ -67,15 +70,22 @@ def _positive_int(where, x):
     return x
 
 
-def _label(where, x):
+def _label(where, x, pair=None, points=()):
+    """An irrep label; with ``pair``, one of the stabilizer at each point (None: K)."""
     if isinstance(x, list) and x and all(map(_is_int, x)):
-        return tuple(x)
-    _require(_is_int(x), where, f"not an irrep label: {x!r}")
+        x = tuple(x)
+    else:
+        _require(_is_int(x), where, f"not an irrep label: {x!r}")
+    for H in points:
+        try:
+            check_label(pair, x, H)
+        except StratumMismatch as e:
+            raise ConfigError(where, str(e)) from None
     return x
 
 
-def _labels(where, x):
-    return [_label(w, v) for w, v in _items(where, x)]
+def _labels(where, x, pair, points):
+    return [_label(w, v, pair, points) for w, v in _items(where, x)]
 
 
 def _coords(where, x, rank):
@@ -95,10 +105,11 @@ def _complex(where, x):
 
 
 def _tolerances(where, tol):
-    """Threshold values by name: known names, positive numbers."""
+    """Threshold values by name: known names, finite positive numbers."""
     for k, v in _obj(where, tol).items():
         _require(k in Thresholds.__dataclass_fields__, f"{where}.{k}", "unknown threshold name")
-        _require(_is_number(v) and v > 0, f"{where}.{k}", f"must be a positive number, got {v!r}")
+        _require(_is_number(v) and 0 < v < math.inf, f"{where}.{k}",
+                 f"must be a finite positive number, got {v!r}")
     return tol
 
 
@@ -135,7 +146,9 @@ def _terms(tf, pair):
     return terms
 
 
-def _plan(doc, rank):
+def _plan(doc, pair):
+    """The verification plan; every grid label fits the stabilizer of its points."""
+    rank = pair.rank
     cut, grids = _obj("cutoffs", doc.get("cutoffs", {})), _obj("grids", doc.get("grids", {}))
     order = cut.get("order")
     _require(order is None or _is_int(order) and order > 0, "cutoffs.order",
@@ -144,47 +157,56 @@ def _plan(doc, rank):
     path = _items("grids.continuity.path", _key("grids.continuity", cont, "path"))
     _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
              "needs an odd number (>= 3) of points")
+    path = [_coords(w, h, rank) for w, h in path]
+    gamma0 = []
+    for w, e in _items("grids.gamma0", grids.get("gamma0")):
+        H = _coords(f"{w}.H", _key(w, e, "H"), rank)
+        gamma0.append((_label(f"{w}.mu", _key(w, e, "mu"), pair, [H]), H))
+    H0 = _coords("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), rank)
     mu_grid = grids.get("mu_decay")
+    mu_H = None if mu_grid is None else _coords(
+        "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), rank
+    )
     return VerificationPlan(
         lambda_max=_positive_int("cutoffs.lambda_max", cut.get("lambda_max")),
-        gamma0_grid=[
-            (_label(f"{w}.mu", _key(w, e, "mu")), _coords(f"{w}.H", _key(w, e, "H"), rank))
-            for w, e in _items("grids.gamma0", grids.get("gamma0"))
-        ],
-        gamma2_lambdas=_labels("grids.gamma2", grids.get("gamma2")),
-        continuity_mu=_label("grids.continuity.mu", _key("grids.continuity", cont, "mu")),
-        continuity_path=[_coords(w, h, rank) for w, h in path],
-        h_ladder_mus=_labels("grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus")),
-        h_ladder_H0=_coords("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), rank),
+        gamma0_grid=gamma0,
+        gamma2_lambdas=_labels("grids.gamma2", grids.get("gamma2"), pair, [None]),
+        continuity_mu=_label(
+            "grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path
+        ),
+        continuity_path=path,
+        h_ladder_mus=_labels(
+            "grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus"), pair, [H0]
+        ),
+        h_ladder_H0=H0,
         h_ladder_levels=_positive_int(
             "grids.h_ladder.levels", _key("grids.h_ladder", ladder, "levels")
         ),
         mu_values=None if mu_grid is None else _labels(
-            "grids.mu_decay.mu_values", _key("grids.mu_decay", mu_grid, "mu_values")
+            "grids.mu_decay.mu_values", _key("grids.mu_decay", mu_grid, "mu_values"),
+            pair, [mu_H],
         ),
-        mu_decay_H=None if mu_grid is None else _coords(
-            "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), rank
-        ),
+        mu_decay_H=mu_H,
         order=order,
     )
 
 
-def _point(where, pt, rank):
+def _point(where, pt, pair):
     """A dual point of a convergence query: (label, flat point or None)."""
     H = _obj(where, pt).get("H")
-    label = _label(f"{where}.label", _key(where, pt, "label"))
-    return label, None if H is None else _coords(f"{where}.H", H, rank)
+    H = None if H is None else _coords(f"{where}.H", H, pair.rank)
+    return _label(f"{where}.label", _key(where, pt, "label"), pair, [H]), H
 
 
-def _queries(queries, rank):
+def _queries(queries, pair):
     """Convergence queries as (name, limit, sequence) with parsed points."""
     out = []
     for i, (where, q) in enumerate(_items("convergence_queries", queries, empty_ok=True)):
         name = _obj(where, q).get("name", f"query-{i}")
         _require(isinstance(name, str), f"{where}.name", f"must be a string, got {name!r}")
         seq = _items(f"{where}.sequence", q.get("sequence"))
-        limit = _point(f"{where}.limit", q.get("limit"), rank)
-        out.append((name, limit, tuple(_point(w, p, rank) for w, p in seq)))
+        limit = _point(f"{where}.limit", q.get("limit"), pair)
+        out.append((name, limit, tuple(_point(w, p, pair) for w, p in seq)))
     return tuple(out)
 
 
@@ -241,9 +263,9 @@ class ScenarioConfig:
             name=name,
             instance=instance,
             terms=_terms(doc.get("test_function"), pair),
-            plan=_plan(doc, pair.rank),
+            plan=_plan(doc, pair),
             thresholds=Thresholds(**_tolerances("tolerances", doc.get("tolerances", {}))),
-            queries=_queries(doc.get("convergence_queries", []), pair.rank),
+            queries=_queries(doc.get("convergence_queries", []), pair),
             output_dir=output_dir,
         )
 

@@ -83,32 +83,41 @@ def transport_label(pair, w, H_from, label):
     raise AssertionError(f"no transported label found for {label!r} under {w.name}")
 
 
+def check_label(pair, label, H=None):
+    """The chamber point of ``H`` (None on the K-dual) once ``label`` fits it.
+
+    The label must be an irrep label of the stabilizer of the dominant
+    representative of ``H``, or of K itself when ``H`` is None or zero;
+    StratumMismatch is raised otherwise.
+    """
+    if H is not None and np.linalg.norm(H) > pair.wall_tol:
+        point = classify_chamber_point(pair, H)
+        stab = stabilizer(pair, point.coords)
+        if not stab.group.validate_label(label):
+            raise StratumMismatch(
+                f"{label!r} is not an irrep label of stabilizer {stab.structure} "
+                f"at H={point.coords} on {pair.name}"
+            )
+        return point
+    if not pair.K.validate_label(label):
+        raise StratumMismatch(f"{label!r} is not a K-irrep label on {pair.name}")
+    return None
+
+
 def make_dual_point(pair, label, H=None):
     """Canonical dual point from raw data; the stratum is derived, not trusted.
 
     ``H`` may be any flat coordinate (or None / zero for the K-dual); it is
     replaced by its dominant representative and the label transported
     accordingly.  StratumMismatch is raised when the label is not an irrep
-    label of the stabilizer of the resulting point.
+    label of the stabilizer of the resulting point (see ``check_label``).
     """
     if H is not None:
         H = tuple(float(c) for c in np.atleast_1d(H))
-        if np.linalg.norm(H) <= pair.wall_tol:
-            H = None
-    if H is None:
-        if not pair.K.validate_label(label):
-            raise StratumMismatch(
-                f"{label!r} is not a K-irrep label on {pair.name}"
-            )
+    point = check_label(pair, label, H)
+    if point is None:
         return DualPoint(pair.name, GAMMA2, label, None)
-    point = classify_chamber_point(pair, H)
     _, w = dominant_representative(pair, H)
-    stab = stabilizer(pair, point.coords)
-    if not stab.group.validate_label(label):
-        raise StratumMismatch(
-            f"{label!r} is not an irrep label of stabilizer {stab.structure} "
-            f"at H={point.coords} on {pair.name}"
-        )
     moved = transport_label(pair, w, H, label)
     stratum = GAMMA0 if point.tag == "Regular" else GAMMA1
     return DualPoint(pair.name, stratum, moved, point.coords)

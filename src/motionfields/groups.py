@@ -3,9 +3,12 @@
 Groups are small value-like objects.  Elements are plain data: an angle for
 the circle, a 3x3 rotation matrix for SO(3), ``()`` for the trivial group,
 and tuples of factor elements for products.  Irreps are addressed by integer
-weights (SO(2): m in Z; SO(3): ell >= 0; products: tuples), and the group
-knows how to evaluate irrep matrices, characters, and normalized-Haar
-quadrature rules on itself.
+weights (SO(2): m in Z; SO(3): ell >= 0; products: tuples).  Each group
+evaluates its irreps in one vectorised method, ``irrep_table``, at elements
+given in the parameter form of its quadrature rules (angles, Euler triples,
+tuples of factor parameters); single irrep matrices, characters and node
+tables are rows, traces and calls of it.  Groups also build normalized-Haar
+quadrature rules on themselves.
 """
 
 from __future__ import annotations
@@ -87,14 +90,24 @@ class CompactGroup:
         """Max weight magnitude occurring in the irrep (quadrature sizing)."""
         raise NotImplementedError
 
-    def irrep_matrix(self, label, elt):
+    def irrep_table(self, label, params):
+        """tau_label at n elements given as ``params``, shape (n, d, d).
+
+        ``params`` has the form of ``QuadratureRule.params``.  This is the
+        one place where a concrete group evaluates its irreps.
+        """
         raise NotImplementedError
+
+    def params_of(self, elts):
+        """The ``params`` form of a list of elements."""
+        raise NotImplementedError
+
+    def irrep_matrix(self, label, elt):
+        """tau_label(elt): a one-element ``irrep_table``."""
+        return self.irrep_table(label, self.params_of([elt]))[0]
 
     def character(self, label, elt):
         return complex(np.trace(self.irrep_matrix(label, elt)))
-
-    def irrep(self, label):
-        return IrrepDescriptor(self, label, self.irrep_dim(label))
 
     # -- integration ------------------------------------------------------
     def quadrature(self, order):
@@ -102,7 +115,7 @@ class CompactGroup:
 
     def irrep_node_table(self, label, rule):
         """tau_label(k) at every node of ``rule``, shape (n, d, d)."""
-        raise NotImplementedError
+        return self.irrep_table(label, rule.params)
 
     def coefficient_sums(self, rule, lams, requests):
         """Weighted node sums of products of two irrep matrices.
@@ -163,14 +176,14 @@ class TrivialGroup(CompactGroup):
     def char_band(self, label):
         return 0
 
-    def irrep_matrix(self, label, elt):
-        return np.ones((1, 1), dtype=complex)
+    def irrep_table(self, label, params):
+        return np.ones((len(params), 1, 1), dtype=complex)
+
+    def params_of(self, elts):
+        return np.zeros(len(elts))
 
     def quadrature(self, order):
         return QuadratureRule(self, order, np.ones(1), np.zeros(1))
-
-    def irrep_node_table(self, label, rule):
-        return np.ones((len(rule), 1, 1), dtype=complex)
 
     def _nodes_from_params(self, params):
         return [()] * len(params)
@@ -205,16 +218,16 @@ class CircleGroup(CompactGroup):
     def char_band(self, label):
         return abs(int(label))
 
-    def irrep_matrix(self, label, elt):
-        return np.array([[np.exp(1j * label * elt)]], dtype=complex)
+    def irrep_table(self, label, params):
+        return np.exp(1j * label * params)[:, None, None]
+
+    def params_of(self, elts):
+        return np.array(elts, dtype=float)
 
     def quadrature(self, order):
         n = max(int(order), 1)
         theta = 2.0 * np.pi * np.arange(n) / n
         return QuadratureRule(self, order, np.full(n, 1.0 / n), theta)
-
-    def irrep_node_table(self, label, rule):
-        return np.exp(1j * label * rule.params)[:, None, None]
 
     def _nodes_from_params(self, params):
         return [float(t) for t in params]
@@ -342,20 +355,18 @@ class RotationGroup3(CompactGroup):
     def char_band(self, label):
         return int(label)
 
-    def irrep_matrix(self, label, elt):
-        alpha, beta, gamma = euler_zyz(elt)
+    def irrep_table(self, label, params):
+        alpha, beta, gamma = params
         ell = int(label)
-        d = wigner_d(ell, np.array([beta]))[0]
+        ub, inv = np.unique(beta, return_inverse=True)
+        d = wigner_d(ell, ub)[inv]
         m = np.arange(-ell, ell + 1)
-        return np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
+        ea = np.exp(-1j * np.outer(alpha, m))
+        eg = np.exp(-1j * np.outer(gamma, m))
+        return ea[:, :, None] * d * eg[:, None, :]
 
-    def character(self, label, elt):
-        theta = rotation_angle(elt)
-        ell = int(label)
-        if abs(math.sin(theta / 2.0)) < 1e-8:
-            # Dirichlet kernel limit at the identity class
-            return complex(2 * ell + 1)
-        return complex(math.sin((ell + 0.5) * theta) / math.sin(theta / 2.0))
+    def params_of(self, elts):
+        return tuple(np.array([euler_zyz(R) for R in elts], dtype=float).reshape(-1, 3).T)
 
     def quadrature(self, order):
         """Product rule exact for matrix-coefficient products of total degree <= order.
@@ -374,16 +385,6 @@ class RotationGroup3(CompactGroup):
         weights = (WB / (2.0 * n_ang * n_ang)).ravel()
         params = (A.ravel(), B.ravel(), G.ravel())
         return QuadratureRule(self, order, weights, params, axes=(ang, beta, ang))
-
-    def irrep_node_table(self, label, rule):
-        alpha, beta, gamma = rule.params
-        ell = int(label)
-        ub, inv = np.unique(beta, return_inverse=True)
-        d = wigner_d(ell, ub)[inv]
-        m = np.arange(-ell, ell + 1)
-        ea = np.exp(-1j * np.outer(alpha, m))
-        eg = np.exp(-1j * np.outer(gamma, m))
-        return ea[:, :, None] * d * eg[:, None, :]
 
     def coefficient_sums(self, rule, lams, requests):
         """The product-rule sums of the base class, Euler-factorised.
@@ -457,45 +458,31 @@ class ProductGroup(CompactGroup):
     def char_band(self, label):
         return max(f.char_band(w) for f, w in zip(self.factors, label))
 
-    def irrep_matrix(self, label, elt):
-        mat = np.ones((1, 1), dtype=complex)
-        for f, w, x in zip(self.factors, label, elt):
-            mat = np.kron(mat, f.irrep_matrix(w, x))
-        return mat
-
-    def character(self, label, elt):
-        out = 1.0 + 0.0j
-        for f, w, x in zip(self.factors, label, elt):
-            out *= f.character(w, x)
+    def irrep_table(self, label, params):
+        tables = [f.irrep_table(w, p) for f, w, p in zip(self.factors, label, params)]
+        out = tables[0]
+        for t in tables[1:]:  # kron of the factor matrices, node by node
+            n, (a, b), (c, d) = len(t), out.shape[1:], t.shape[1:]
+            out = np.einsum("nab,ncd->nacbd", out, t).reshape(n, a * c, b * d)
         return out
+
+    def params_of(self, elts):
+        return tuple(f.params_of([e[i] for e in elts]) for i, f in enumerate(self.factors))
 
     def quadrature(self, order):
+        """Tensor rule in C order; ``params`` holds each factor's node-aligned params."""
         rules = [f.quadrature(order) for f in self.factors]
-        weights = np.ones(1)
-        for r in rules:
-            weights = np.outer(weights, r.weights).ravel()
-        return QuadratureRule(self, order, weights, tuple(rules))
-
-    def irrep_node_table(self, label, rule):
-        tables = [
-            f.irrep_node_table(w, r)
-            for f, w, r in zip(self.factors, label, rule.params)
-        ]
-        out = tables[0]
-        n0 = out.shape[0]
-        for t in tables[1:]:
-            n1 = t.shape[0]
-            out = np.einsum("iab,jcd->ijacbd", out, t).reshape(
-                n0 * n1,
-                out.shape[1] * t.shape[1],
-                out.shape[2] * t.shape[2],
-            )
-            n0 *= n1
-        return out
+        idx = np.indices([len(r) for r in rules]).reshape(len(rules), -1)
+        weights = np.prod([r.weights[i] for r, i in zip(rules, idx)], axis=0)
+        params = tuple(_take(r.params, i) for r, i in zip(rules, idx))
+        return QuadratureRule(self, order, weights, params)
 
     def _nodes_from_params(self, params):
-        factor_nodes = [r.nodes for r in params]
-        nodes = [()]
-        for fn in factor_nodes:
-            nodes = [n + (x,) for n in nodes for x in fn]
-        return nodes
+        return list(zip(*(f._nodes_from_params(p) for f, p in zip(self.factors, params))))
+
+
+def _take(params, idx):
+    """The params of the elements ``idx``: an array, or a tuple of params."""
+    if isinstance(params, tuple):
+        return tuple(_take(p, idx) for p in params)
+    return params[idx]

@@ -39,14 +39,6 @@ def enumerate_irreps(group, cutoff):
     return [IrrepDescriptor(g, lab, g.irrep_dim(lab)) for lab in g.irrep_labels(cutoff)]
 
 
-def irrep_matrix(irrep: IrrepDescriptor, k):
-    return irrep.group.irrep_matrix(irrep.weight, k)
-
-
-def character(irrep: IrrepDescriptor, k):
-    return irrep.group.character(irrep.weight, k)
-
-
 def haar_quadrature(group, order):
     if order < 1:
         raise ValueError("order must be positive")
@@ -69,12 +61,10 @@ def restriction_multiplicity(big_ctx, big, sub, small, order=None):
     big, small = _as_label(big), _as_label(small)
     band = big_ctx.group.char_band(big) + sub.group.char_band(small) + 2
     rule = sub.group.quadrature(order if order is not None else band)
-    val = 0.0 + 0.0j
-    for w, s in zip(rule.weights, rule.nodes):
-        inside = big_ctx.pullback(sub.embed(s))
-        val += w * big_ctx.group.character(big, inside) * np.conj(
-            sub.group.character(small, s)
-        )
+    inside = big_ctx.group.params_of([big_ctx.pullback(sub.embed(s)) for s in rule.nodes])
+    chi_big = np.trace(big_ctx.group.irrep_table(big, inside), axis1=1, axis2=2)
+    chi_small = np.trace(sub.group.irrep_node_table(small, rule), axis1=1, axis2=2)
+    val = complex(np.sum(rule.weights * chi_big * np.conj(chi_small)))
     nearest = round(val.real)
     if abs(val - nearest) > MULT_ROUND_TOL:
         raise NonIntegerMultiplicity(
@@ -100,11 +90,11 @@ def intertwiners(K, lam, stab, mu):
     d_mu = stab.group.irrep_dim(mu)
     order = K.char_band(lam) + stab.group.char_band(mu) + 2
     rule = stab.group.quadrature(order)
-    P = np.zeros((d_lam * d_mu, d_lam * d_mu), dtype=complex)
-    for w, s in zip(rule.weights, rule.nodes):
-        tau = K.irrep_matrix(lam, stab.embed(s))
-        rho = stab.group.irrep_matrix(mu, s)
-        P += w * np.kron(tau, rho.conj())
+    tau = K.irrep_table(lam, K.params_of([stab.embed(s) for s in rule.nodes]))
+    rho = stab.group.irrep_node_table(mu, rule)
+    # P = sum_n w_n kron(tau_n, conj(rho_n)), entry [(a, c), (b, d)]
+    P = np.einsum("n,nab,ncd->acbd", rule.weights, tau, rho.conj(), optimize=True)
+    P = P.reshape(d_lam * d_mu, d_lam * d_mu)
     evals, evecs = np.linalg.eigh((P + P.conj().T) / 2.0)
     if np.any((evals > 0.1) & (evals < 0.9)):
         raise NonIntegerMultiplicity(
@@ -154,28 +144,20 @@ class PeterWeylBasis:
 
     def evaluate(self, k):
         """All basis maps at one group element, shape (size, d_rho)."""
-        rows = []
-        for lam, Ts in self.blocks:
-            tau = self.K.irrep_matrix(lam, k)
-            sq = np.sqrt(self.K.irrep_dim(lam))
-            for T in Ts:
-                rows.append(sq * np.conj(tau @ T))
-        return np.concatenate(rows, axis=0)
+        return self._values(self.K.params_of([k]))[:, 0]
 
     def node_table(self, rule):
         """Basis values at every node of ``rule``, shape (size, n, d_rho)."""
-        n = len(rule.weights)
-        out = np.empty((self.size, n, self.d_rho), dtype=complex)
-        row = 0
+        return self._values(rule.params)
+
+    def _values(self, params):
+        """Basis values at the elements ``params`` of K, shape (size, n, d_rho)."""
+        rows = []
         for lam, Ts in self.blocks:
-            d = self.K.irrep_dim(lam)
-            tab = self.K.irrep_node_table(lam, rule)
-            sq = np.sqrt(d)
-            for T in Ts:
-                vals = sq * np.conj(np.einsum("nvb,ba->nva", tab, T))
-                out[row : row + d] = np.transpose(vals, (1, 0, 2))
-                row += d
-        return out
+            tab = self.K.irrep_table(lam, params)
+            sq = np.sqrt(self.K.irrep_dim(lam))
+            rows.extend(sq * np.conj(np.einsum("nvb,ba->vna", tab, T)) for T in Ts)
+        return np.concatenate(rows, axis=0)
 
     def gram(self, rule):
         tab = self.node_table(rule)

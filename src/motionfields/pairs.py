@@ -277,9 +277,7 @@ def _build_m2xm2(wall_tol):
         return _product_stab(factors, (0, 1), k_id)
 
     def orbit_table(rule, coords):
-        r1, r2 = rule.params
-        t1 = np.repeat(r1.params, len(r2.weights))
-        t2 = np.tile(r2.params, len(r1.weights))
+        t1, t2 = rule.params
         a, b = float(coords[0]), float(coords[1])
         return np.stack(
             [a * np.cos(t1), a * np.sin(t1), b * np.cos(t2), b * np.sin(t2)],

@@ -223,24 +223,24 @@ class TestFunction:
             raise ValueError("cannot add test functions on different instances")
         return TestFunction(self.pair, self.terms + other.terms)
 
-    def u_value(self, term, k):
-        return complex(
-            self.pair.K.irrep_matrix(term.u.label, k)[term.u.row, term.u.col]
+    def _u_table(self, params):
+        """u of every term at the elements ``params`` of K, shape (terms, n)."""
+        K = self.pair.K
+        return np.array(
+            [K.irrep_table(t.u.label, params)[:, t.u.row, t.u.col] for t in self.terms]
         )
 
     def value(self, k, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(X.shape[0], dtype=complex)
-        for t in self.terms:
-            out += t.coeff * self.u_value(t, k) * t.g.value(X)
+        u = self._u_table(self.pair.K.params_of([k]))[:, 0]
+        out = sum(t.coeff * ut * t.g.value(X) for t, ut in zip(self.terms, u))
         return out if out.size > 1 else complex(out[0])
 
     def partial_fourier(self, k, xi):
         """f-hat in the flat variable: sum of c u(k) g-hat(xi)."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        out = np.zeros(xi.shape[0], dtype=complex)
-        for t in self.terms:
-            out += t.coeff * self.u_value(t, k) * t.g.fourier(xi)
+        u = self._u_table(self.pair.K.params_of([k]))[:, 0]
+        out = sum(t.coeff * ut * t.g.fourier(xi) for t, ut in zip(self.terms, u))
         return out if out.size > 1 else complex(out[0])
 
     def star(self):
@@ -263,13 +263,6 @@ class TestFunction:
                 for t in self.terms
             ],
         )
-
-    def _k_candidates(self, extra_k=None):
-        rule = self.pair.K.quadrature(2 * self.bandlimit + 8)
-        nodes = list(rule.nodes)
-        if extra_k:
-            nodes.extend(extra_k)
-        return nodes
 
     def _xi_candidates(self, extra_xi=None, refine=9):
         pts = [np.zeros(self.pair.dim_p)]
@@ -312,10 +305,10 @@ class TestFunction:
         if len(self.terms) == 1:
             t = self.terms[0]
             return abs(t.coeff) * self._sup_abs_u(t) * t.g.sup_abs_fourier()
-        ks = self._k_candidates(extra_k)
-        uvals = np.array(
-            [[self.u_value(t, k) for k in ks] for t in self.terms]
-        )  # (terms, n_k)
+        K = self.pair.K
+        uvals = self._u_table(K.quadrature(2 * self.bandlimit + 8).params)  # (terms, n_k)
+        if extra_k:
+            uvals = np.concatenate([uvals, self._u_table(K.params_of(extra_k))], axis=1)
         xi = self._xi_candidates(extra_xi)
         best = 0.0
         center = xi[0]
@@ -375,10 +368,13 @@ class TestFunction:
             axis=0,
         )
         comp = np.exp(np.sum(X * X, axis=1) / (2.0 * smax**2))
-        total = 0.0
-        for wk, k in zip(rule.weights, rule.nodes):
-            total += wk * float(np.sum(W * comp * np.abs(self.value(k, X))))
-        return total
+        coeffs = np.array([t.coeff for t in self.terms])
+        cu = coeffs * self._u_table(rule.params).T  # (n_k, terms)
+        gvals = np.array([t.g.value(X) for t in self.terms])  # (terms, n_X)
+        # one node at a time keeps memory at one X grid
+        return sum(
+            wk * float(np.abs(row @ gvals) @ (W * comp)) for wk, row in zip(rule.weights, cu)
+        )
 
     def describe(self):
         return {

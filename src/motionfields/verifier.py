@@ -429,9 +429,10 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
         mu_pts = [
             make_dual_point(pair, mu, plan.mu_decay_H) for mu in plan.mu_values
         ]
+        stab = stabilizer(pair, plan.mu_decay_H)
+        band = max(stab.group.char_band(mu) for mu in plan.mu_values)
         mu_sample = sample_field(
-            f, pair, mu_pts, max(plan.lambda_max, _max_band(pair, plan.mu_values) + 2),
-            order=plan.order,
+            f, pair, mu_pts, max(plan.lambda_max, band + 2), order=plan.order
         )
         samples["mu"] = mu_sample
         reports.append(check_mu_decay(pair, mu_sample, thresholds))
@@ -470,16 +471,6 @@ def verify_membership(f, pair, plan, thresholds=Thresholds()):
     """Run conditions 1-5 on the Fourier field of ``f`` and aggregate."""
     report, _ = run_verification(f, pair, plan, thresholds)
     return report
-
-
-def _max_band(pair, labels):
-    bands = []
-    for lab in labels:
-        if isinstance(lab, tuple):
-            bands.append(max(abs(int(x)) for x in lab))
-        else:
-            bands.append(abs(int(lab)))
-    return max(bands)
 
 
 def _point_key(p):

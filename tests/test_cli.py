@@ -29,6 +29,9 @@ BAD_DOCUMENTS = {
     "cutoffs_list": ("m3-default", lambda d: d.update(cutoffs=[5])),
     "sigma_negative": ("m2-default", lambda d: _term(d)["g"].update(sigma=-1)),
     "label_pair_on_m2": ("m2-default", lambda d: _term(d)["u"].update(label=[1, 2])),
+    "tolerance_inf": ("m2-default", lambda d: d.update(tolerances={"tail_mass": float("inf")})),
+    # M2's regular stabilizer is trivial: its only irrep label is 0
+    "gamma0_label_not_in_stabilizer": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(mu=1)),
 }
 
 
@@ -96,6 +99,24 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(doc)
         assert err.value.field == "grids.continuity.path[4]"
+
+    def test_stabilizer_label_errors_are_field_scoped(self):
+        doc = bundled_scenario("m2-default")
+        doc["grids"]["gamma0"][0]["mu"] = 1
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "grids.gamma0[0].mu"
+        assert "stabilizer Trivial" in str(err.value)
+        doc = bundled_scenario("m3-default")
+        doc["convergence_queries"][0]["sequence"][1]["label"] = [0, 1]
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "convergence_queries[0].sequence[1].label"
+        doc = bundled_scenario("m3-default")
+        doc["grids"]["gamma2"][0] = -1  # not an SO(3) irrep
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "grids.gamma2[0]"
 
 
 class TestRun:
@@ -211,7 +232,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_scenario_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / "scenario"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
     def test_bad_override_value_exits_2_before_work(self, value, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["run", "--scenario", "m2-default", "--output-dir", str(out),

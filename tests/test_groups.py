@@ -13,6 +13,7 @@ from motionfields.groups import (
     rotation_angle,
     wigner_d,
 )
+from motionfields.pairs import build_instance
 
 
 class TestCircle:
@@ -205,3 +206,60 @@ def test_plancherel_identity(make_group, band, rng):
         op = np.einsum("n,nab->ab", rule.weights * vals, tabs[lab])
         mass += group.irrep_dim(lab) * np.linalg.norm(op) ** 2
     assert abs(l2 - mass) < 1e-8
+
+
+def character_oracle(group, label, elt):
+    """Closed-form characters: weight exponentials, factor by factor."""
+    if isinstance(group, ProductGroup):
+        return np.prod(
+            [character_oracle(f, w, x) for f, w, x in zip(group.factors, label, elt)]
+        )
+    if isinstance(group, RotationGroup3):
+        theta = rotation_angle(elt)
+        return sum(np.exp(1j * m * theta) for m in range(-label, label + 1))
+    if isinstance(group, CircleGroup):
+        return np.exp(1j * label * elt)
+    return 1.0
+
+
+def _flat(params):
+    if isinstance(params, tuple):
+        return np.concatenate([_flat(p) for p in params])
+    return np.asarray(params, dtype=float)
+
+
+# K and the stabilizer of a regular point, of every wall and of zero
+SINGLE_PATH_GROUPS = [
+    ("M2", None), ("M2", (1.0,)), ("M2", (0.0,)),
+    ("M3", None), ("M3", (1.0,)), ("M3", (0.0,)),
+    ("M2xM2", None), ("M2xM2", (1.0, 1.0)), ("M2xM2", (1.0, 0.0)),
+    ("M2xM2", (0.0, 1.0)), ("M2xM2", (0.0, 0.0)),
+]
+
+
+class TestSinglePath:
+    """Every irrep value comes from the one table method of its group."""
+
+    def test_concrete_groups_define_only_the_table(self):
+        for cls in (TrivialGroup, CircleGroup, RotationGroup3, ProductGroup):
+            defined = set(vars(cls))
+            assert {"irrep_table", "params_of"} <= defined
+            assert not {"irrep_matrix", "character", "irrep_node_table"} & defined
+
+    @pytest.mark.parametrize("instance,H", SINGLE_PATH_GROUPS)
+    def test_matrix_is_a_table_row_and_character_matches_oracle(self, instance, H, rng):
+        pair = build_instance(instance)
+        group = pair.K if H is None else pair.stabilizer_of(H).group
+        elts = [group.random(rng) for _ in range(5)]
+        params = group.params_of(elts)
+        # params_of inverts _nodes_from_params
+        again = group.params_of(group._nodes_from_params(params))
+        assert np.abs(_flat(again) - _flat(params)).max() < 1e-12
+        for label in group.irrep_labels(2):
+            table = group.irrep_table(label, params)
+            assert table.shape == (5, group.irrep_dim(label), group.irrep_dim(label))
+            for elt, row in zip(elts, table):
+                assert np.abs(group.irrep_matrix(label, elt) - row).max() < 1e-12
+                assert group.character(label, elt) == pytest.approx(
+                    character_oracle(group, label, elt), abs=1e-10
+                )

@@ -5,16 +5,16 @@ from motionfields import (
     EmptyBasis,
     NonIntegerMultiplicity,
     branching_multiplicity,
-    character,
+    build_instance,
     enumerate_irreps,
     full_group,
     haar_quadrature,
-    irrep_matrix,
     peter_weyl_basis,
     restriction_multiplicity,
     stabilizer,
 )
 from motionfields.groups import CircleGroup, ProductGroup, RotationGroup3
+from motionfields.induction import intertwiners
 from motionfields.pairs import StabilizerDescriptor
 
 
@@ -51,23 +51,23 @@ class TestIrrepMatrixAndCharacter:
     def test_circle_scalar(self):
         ir = enumerate_irreps(CircleGroup(), 3)[-1]
         assert ir.weight == 3
-        assert irrep_matrix(ir, 0.5)[0, 0] == pytest.approx(np.exp(1.5j))
+        assert ir.group.irrep_matrix(ir.weight, 0.5)[0, 0] == pytest.approx(np.exp(1.5j))
 
     def test_so3_identity(self):
         ir = [i for i in enumerate_irreps(RotationGroup3(), 1) if i.weight == 1][0]
-        assert np.abs(irrep_matrix(ir, np.eye(3)) - np.eye(3)).max() < 1e-14
+        assert np.abs(ir.group.irrep_matrix(ir.weight, np.eye(3)) - np.eye(3)).max() < 1e-14
 
     def test_character_trace_consistency(self, rng):
         g = RotationGroup3()
         for ir in enumerate_irreps(g, 3):
             k = g.random(rng)
-            assert character(ir, k) == pytest.approx(
-                np.trace(irrep_matrix(ir, k)), abs=1e-10
+            assert g.character(ir.weight, k) == pytest.approx(
+                np.trace(g.irrep_matrix(ir.weight, k)), abs=1e-10
             )
 
     def test_character_identity_dim(self):
         for ir in enumerate_irreps(RotationGroup3(), 4):
-            assert character(ir, np.eye(3)) == pytest.approx(ir.dim)
+            assert ir.group.character(ir.weight, np.eye(3)) == pytest.approx(ir.dim)
 
 
 class TestBranching:
@@ -192,3 +192,63 @@ class TestPeterWeyl:
         basis = peter_weyl_basis(m2xm2, (0, 2), (1.0, 0.0), 3)
         # one block per first-factor weight, second factor pinned by the label
         assert [lam for lam, _ in basis.blocks] == [(m, 2) for m in range(-3, 4)]
+
+
+def intertwiners_reference(K, lam, stab, mu):
+    """Per-node projection sum with np.kron, one irrep matrix at a time."""
+    d_lam, d_mu = K.irrep_dim(lam), stab.group.irrep_dim(mu)
+    rule = stab.group.quadrature(K.char_band(lam) + stab.group.char_band(mu) + 2)
+    P = np.zeros((d_lam * d_mu, d_lam * d_mu), dtype=complex)
+    for w, s in zip(rule.weights, rule.nodes):
+        tau = K.irrep_matrix(lam, stab.embed(s))
+        rho = stab.group.irrep_matrix(mu, s)
+        P += w * np.kron(tau, rho.conj())
+    evals, evecs = np.linalg.eigh((P + P.conj().T) / 2.0)
+    return [evecs[:, i].reshape(d_lam, d_mu) for i in np.flatnonzero(evals > 0.5)]
+
+
+def restriction_reference(big_ctx, big, sub, small):
+    """Per-node character inner product, one character at a time."""
+    rule = sub.group.quadrature(big_ctx.group.char_band(big) + sub.group.char_band(small) + 2)
+    val = 0.0 + 0.0j
+    for w, s in zip(rule.weights, rule.nodes):
+        inside = big_ctx.pullback(sub.embed(s))
+        val += w * big_ctx.group.character(big, inside) * np.conj(
+            sub.group.character(small, s)
+        )
+    return val
+
+
+# stabilizers of a regular point, of every wall and of zero; K-type cutoff
+REFERENCE_CASES = [
+    ("M2", (1.0,), 3), ("M2", (0.0,), 3),
+    ("M3", (1.0,), 3), ("M3", (0.0,), 3),
+    ("M2xM2", (1.0, 1.0), 1), ("M2xM2", (1.0, 0.0), 1),
+    ("M2xM2", (0.0, 1.0), 1), ("M2xM2", (0.0, 0.0), 1),
+]
+
+
+class TestTablesMatchPerNodeReference:
+    @pytest.mark.parametrize("instance,H,cutoff", REFERENCE_CASES)
+    def test_intertwiners(self, instance, H, cutoff):
+        pair = build_instance(instance)
+        stab = stabilizer(pair, H)
+        for lam in pair.K.irrep_labels(cutoff):
+            for mu in stab.group.irrep_labels(cutoff):
+                got = intertwiners(pair.K, lam, stab, mu)
+                ref = intertwiners_reference(pair.K, lam, stab, mu)
+                assert len(got) == len(ref)
+                for T, R in zip(got, ref):
+                    phase = np.vdot(R, T)  # each T is fixed up to a unit phase
+                    assert abs(abs(phase) - 1.0) < 1e-12
+                    assert np.abs(T - phase * R).max() < 1e-12
+
+    @pytest.mark.parametrize("instance,H,cutoff", REFERENCE_CASES)
+    def test_restriction_multiplicity(self, instance, H, cutoff):
+        pair = build_instance(instance)
+        big_ctx = full_group(pair.K)
+        sub = stabilizer(pair, H)
+        for big in pair.K.irrep_labels(cutoff):
+            for small in sub.group.irrep_labels(cutoff):
+                ref = restriction_reference(big_ctx, big, sub, small)
+                assert abs(restriction_multiplicity(big_ctx, big, sub, small) - ref) < 1e-12

@@ -139,6 +139,21 @@ class TestTestFunction:
         # both peaks at xi = 0 and the phases align on the diagonal
         assert est == pytest.approx(2 * np.pi + 0.5 * 8 * np.pi, rel=1e-6)
 
+    def test_sup_extra_k_candidate(self, m2):
+        # |f-hat(theta, 0)| = 2 pi |1 + e^{i(0.3 - 2 theta)}| peaks at theta = 0.15,
+        # which no node of the circle rule hits; passing it as a candidate
+        # recovers the exact sup 4 pi
+        f = TestFunction(
+            m2,
+            [
+                Term(1.0, MatrixCoefficient(1), PolyGaussian.gaussian(2, 1.0)),
+                Term(np.exp(0.3j), MatrixCoefficient(-1), PolyGaussian.gaussian(2, 1.0)),
+            ],
+        )
+        assert f.fhat2_sup() < 4 * np.pi - 1e-3
+        assert f.fhat2_sup(extra_k=[0.15]) == pytest.approx(4 * np.pi, rel=1e-12)
+        assert abs(f.partial_fourier(0.15, np.zeros(2))) == pytest.approx(4 * np.pi, rel=1e-12)
+
     def test_addition(self, m2):
         f = TestFunction(m2, [Term(1.0, MatrixCoefficient(1), PolyGaussian.gaussian(2, 1.0))])
         g = TestFunction(m2, [Term(1.0, MatrixCoefficient(2), PolyGaussian.gaussian(2, 1.0))])
