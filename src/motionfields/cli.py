@@ -37,11 +37,22 @@ def _fmt(x):
     return f"{float(x):.12g}"
 
 
+def _write_text(path, text):
+    """Write ``text`` under a temporary name beside ``path``, then move it there.
+
+    A failure leaves no partial file and keeps any previous ``path`` intact.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+    lines = (",".join(str(c) for c in row) + "\n" for row in [header, *rows])
+    _write_text(path, "".join(lines))
 
 
 def _label_str(label):
@@ -132,8 +143,8 @@ def run_scenario(config: ScenarioConfig, outdir):
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "reports.json").write_text(dump_json(report.to_dict()))
-    (outdir / "convergence.json").write_text(dump_json(certificates))
+    _write_text(outdir / "reports.json", dump_json(report.to_dict()))
+    _write_text(outdir / "convergence.json", dump_json(certificates))
     _write_csv(
         outdir / "norms.csv",
         ["grid", "stratum", "label", "H", "op_norm", "hs_norm"],

@@ -68,17 +68,16 @@ def transport_label(pair, w, H_from, label):
     kw_inv = pair.K.inverse(kw)
     band = stab_from.group.char_band(label)
     samples = [stab_to.group.random(np.random.default_rng(7 + i)) for i in range(3)]
-
-    def conj_char(s):
-        moved = pair.K.compose(kw_inv, pair.K.compose(stab_to.embed(s), kw))
-        return stab_from.group.character(label, stab_from.pullback(moved))
-
-    targets = [conj_char(s) for s in samples]
+    moved = [
+        stab_from.pullback(pair.K.compose(kw_inv, pair.K.compose(stab_to.embed(s), kw)))
+        for s in samples
+    ]
+    table = stab_from.group.irrep_table(label, stab_from.group.params_of(moved))
+    targets = np.trace(table, axis1=1, axis2=2)
+    params = stab_to.group.params_of(samples)
     for cand in stab_to.group.irrep_labels(band):
-        if all(
-            abs(stab_to.group.character(cand, s) - t) < 1e-8
-            for s, t in zip(samples, targets)
-        ):
+        chars = np.trace(stab_to.group.irrep_table(cand, params), axis1=1, axis2=2)
+        if np.all(np.abs(chars - targets) < 1e-8):
             return cand
     raise AssertionError(f"no transported label found for {label!r} under {w.name}")
 

@@ -10,8 +10,9 @@ No basis node table is built.  On SO(3) the sums are Euler-factorised: the
 equispaced alpha and gamma sums become a frequency selection from a 2-D
 FFT of the orbit factor, leaving one Gauss-Legendre sum in beta.  Either
 way the values are those of the naive product-rule double sum.  The K-dual
-entries are the plain integrated representations tau_lambda(f), and the
-zero-point operator is their block sum over the branching K-types.
+entries are the plain integrated representations tau_lambda(f), taken from
+the same sums with the orbit factor 1, and the zero-point operator is
+their block sum over the branching K-types.
 """
 
 from __future__ import annotations
@@ -187,22 +188,24 @@ def pi_matrix(
 
 
 def tau_matrix(f, pair, lam, order=None, point=None):
-    """The K-dual entry: integral of fhat2(k, 0) against the K-irrep."""
+    """The K-dual entry: integral of fhat2(k, 0) against the K-irrep.
+
+    Each term contributes ghat(0) times the rule's sum of u(k) tau_lam(k),
+    read off ``CompactGroup.coefficient_sums`` with g = 1 at the term's row.
+    """
     band = max(f.bandlimit, pair.K.char_band(lam))
     order = order if order else 2 * band + 4
     rule = pair.K.quadrature(order)
-    tab = pair.K.irrep_node_table(lam, rule)
+    ones = np.ones(len(rule))
+    sums = pair.K.coefficient_sums(
+        rule, [lam], [(ones, t.u.label, t.u.row) for t in f.terms]
+    )
+    zero = np.zeros((1, pair.dim_p))
     d = pair.K.irrep_dim(lam)
     M = np.zeros((d, d), dtype=complex)
-    zero = np.zeros((1, pair.dim_p))
-    utabs = {}
-    for term in f.terms:
-        lab = term.u.label
-        if lab not in utabs:
-            utabs[lab] = pair.K.irrep_node_table(lab, rule)
-        uvals = utabs[lab][:, term.u.row, term.u.col]
+    for term, (S,) in zip(f.terms, sums):
         ghat0 = complex(term.g.fourier(zero)[0])
-        M += term.coeff * ghat0 * np.einsum("n,nab->ab", rule.weights * uvals, tab)
+        M += term.coeff * ghat0 * S[term.u.col]
     return TruncatedOperator(
         matrix=M,
         lambda_max=pair.K.char_band(lam),

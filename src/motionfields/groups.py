@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 
 @dataclass(frozen=True)
@@ -272,27 +270,21 @@ def rotation_angle(R):
 
 
 @lru_cache(maxsize=None)
-def _wigner_d_coeffs(ell):
-    """Exponents and exact prefactors of the Jacobi form of little-d."""
-    coeffs = []
-    for mp in range(-ell, ell + 1):
-        row = []
-        for m in range(-ell, ell + 1):
-            k = min(ell + m, ell - m, ell + mp, ell - mp)
-            if k == ell + m:
-                a, lam = mp - m, mp - m
-            elif k == ell - m:
-                a, lam = m - mp, 0
-            elif k == ell + mp:
-                a, lam = m - mp, 0
-            else:
-                a, lam = mp - m, mp - m
-            b = 2 * (ell - k) - a
-            ratio = Fraction(math.comb(2 * ell - k, k + a), math.comb(k + b, b))
-            pref = (-1.0) ** lam * math.sqrt(ratio)
-            row.append((k, a, b, pref))
-        coeffs.append(row)
-    return coeffs
+def _jy_eigenvectors(ell):
+    """Unitary V with J_y = V diag(m) V^H, m = -ell..ell, and V^H (read-only).
+
+    J_y is the tridiagonal Hermitian matrix of (J+ - J-)/(2i) in the basis
+    |m>, from <m+1|J+|m> = sqrt(ell(ell+1) - m(m+1)); its eigenvalues are
+    exactly -ell..ell, which eigh returns in ascending order.
+    """
+    m = np.arange(-ell, ell)
+    up = np.sqrt(ell * (ell + 1) - m * (m + 1.0))
+    jy = (np.diag(up, -1) - np.diag(up, 1)) / 2j
+    V = np.linalg.eigh(jy)[1]
+    Vh = V.conj().T.copy()
+    V.setflags(write=False)
+    Vh.setflags(write=False)
+    return V, Vh
 
 
 def wigner_d(ell, beta):
@@ -300,18 +292,16 @@ def wigner_d(ell, beta):
 
     Row/column indices run over m', m = -ell..ell.  Entries follow the
     z-y-z convention D^ell_{m'm}(a,b,c) = e^{-i m' a} d^ell_{m'm}(b) e^{-i m c}.
+    d^ell(beta) = exp(-i beta J_y) is evaluated from the exact
+    diagonalisation of J_y (Feng, Wang, Yang & Jin, Phys. Rev. E 92,
+    043307, 2015): one batched product over all beta.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    s, c = np.sin(beta / 2.0), np.cos(beta / 2.0)
-    x = np.cos(beta)
-    dim = 2 * ell + 1
-    out = np.empty((beta.size, dim, dim))
-    coeffs = _wigner_d_coeffs(ell)
-    for i in range(dim):
-        for j in range(dim):
-            k, a, b, pref = coeffs[i][j]
-            out[:, i, j] = pref * (s ** a) * (c ** b) * eval_jacobi(k, a, b, x)
-    return out
+    ell = int(ell)
+    V, Vh = _jy_eigenvectors(ell)
+    m = np.arange(-ell, ell + 1)
+    phase = np.exp(-1j * np.outer(beta, m))
+    return ((V * phase[:, None, :]) @ Vh).real
 
 
 class RotationGroup3(CompactGroup):

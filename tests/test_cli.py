@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import motionfields
+from motionfields import cli
 from motionfields.cli import main, run_scenario
 from motionfields.config import ScenarioConfig, dump_json
 from motionfields.errors import ConfigError
@@ -151,6 +157,36 @@ class TestRun:
                 tmp_path / "b" / fname
             ).read_bytes()
 
+    @pytest.mark.parametrize("failure", ["rows", "replace"])
+    def test_failed_write_leaves_no_partial_file(self, failure, tmp_path, monkeypatch):
+        # a run into a directory holding a previous run's artifacts, and one
+        # into a fresh directory, each failing while writing: every file
+        # left is complete (a previous artifact intact) and no temp remains
+        cfg = ScenarioConfig.from_dict(bundled_scenario("m2-default"))
+        old = tmp_path / "old"
+        run_scenario(cfg, old)
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        if failure == "rows":  # norms.csv fails after its first row
+            real = cli._norms_rows
+
+            def rows_then_fail(samples):
+                yield real(samples)[0]
+                raise RuntimeError("writer failed")
+
+            monkeypatch.setattr(cli, "_norms_rows", rows_then_fail)
+        else:  # the first move into place fails
+
+            def no_replace(src, dst):
+                raise OSError("replace failed")
+
+            monkeypatch.setattr(cli.os, "replace", no_replace)
+        for outdir in (old, tmp_path / "new"):
+            with pytest.raises((RuntimeError, OSError)):
+                run_scenario(cfg, outdir)
+            for path in outdir.iterdir():
+                assert path.read_bytes() == before[path.name]
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
     def test_gamma1_certificates_present(self, tmp_path):
         cfg = ScenarioConfig.from_dict(bundled_scenario("m2xm2-gamma1"))
         report, certs = run_scenario(cfg, tmp_path)
@@ -289,3 +325,29 @@ class TestGoldenRegression:
         }[name]
         got = {c["name"]: c["verdict"] for c in certs}
         assert got == golden
+
+
+def test_run_time_imports_no_scipy():
+    # numpy is the only run-time dependency: importing the package and the
+    # CLI and computing one M3 induced entry and one K-dual entry must not
+    # import scipy, lazily or otherwise
+    code = """
+import sys
+import motionfields, motionfields.cli
+from motionfields import (
+    MatrixCoefficient, PolyGaussian, Term, TestFunction, build_instance,
+    pi_matrix, tau_matrix,
+)
+m3 = build_instance("M3")
+f = TestFunction(m3, [Term(1.0, MatrixCoefficient(2, 0, 1), PolyGaussian.gaussian(3))])
+pi_matrix(f, m3, 1, (1.0,), 2)
+tau_matrix(f, m3, 2)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(motionfields.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -48,6 +48,19 @@ def brute_pi_matrix(f, pair, basis, H, order):
     return M
 
 
+def table_tau_matrix(f, pair, lam, order):
+    """Reference K-dual entry: the full-node-table contraction per term."""
+    rule = pair.K.quadrature(order)
+    tab = pair.K.irrep_node_table(lam, rule)
+    zero = np.zeros((1, pair.dim_p))
+    M = np.zeros(tab.shape[1:], dtype=complex)
+    for term in f.terms:
+        uvals = pair.K.irrep_node_table(term.u.label, rule)[:, term.u.row, term.u.col]
+        ghat0 = complex(term.g.fourier(zero)[0])
+        M += term.coeff * ghat0 * np.einsum("n,nab->ab", rule.weights * uvals, tab)
+    return M
+
+
 class TestKernel:
     def test_trivial_stabilizer_collapse(self, m2, rng):
         f = TestFunction(m2, [gauss_term(m2, 2), gauss_term(m2, -1, sigma=0.8)])
@@ -239,6 +252,38 @@ class TestFactorisedEntries:
 
 
 class TestTauMatrix:
+    # terms differ in u label, row and column, and each lam pairs with one
+    # (on the circle factors, with a label of opposite weight); the low
+    # order aliases on purpose, so the sums must reproduce the product rule
+    # itself
+    TAU_CASES = [
+        ("M2", [(2, 0, 0, 1.0), (-1, 0, 0, 0.3j), (0, 0, 0, 0.5)], [-2, 0, 1]),
+        (
+            "M3",
+            [(0, 0, 0, 1.0), (1, 2, 0, 0.4 - 0.2j), (2, 0, 3, 0.7), (2, 4, 1, 0.2j),
+             (5, 3, 8, 1.1), (5, 10, 0, -0.6)],
+            [0, 1, 2, 5],
+        ),
+        ("M2xM2", [((1, 2), 0, 0, 1.0), ((0, -1), 0, 0, 0.5j), ((0, 0), 0, 0, 0.3)],
+         [(-1, -2), (0, 1), (0, 0)]),
+    ]
+
+    @pytest.mark.parametrize("order", [None, 3])
+    @pytest.mark.parametrize("instance, terms, lams", TAU_CASES)
+    def test_matches_node_table_reference(self, instance, terms, lams, order, request):
+        pair = request.getfixturevalue(instance.lower())
+        dim = pair.dim_p
+        g = PolyGaussian(dim, 0.9, {(0,) * dim: 1.0, (1,) + (0,) * (dim - 1): 0.5})
+        f = TestFunction(
+            pair, [Term(c, MatrixCoefficient(lab, row, col), g) for lab, row, col, c in terms]
+        )
+        for lam in lams:
+            op = tau_matrix(f, pair, lam, order=order)
+            ref = table_tau_matrix(f, pair, lam, op.order)
+            scale = np.abs(ref).max()
+            assert scale > 1e-3  # the comparison is not vacuous
+            assert np.abs(op.matrix - ref).max() <= 1e-12 * scale
+
     def test_vanishes_beyond_bandlimit(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 2, 0, 1)])
         for lam in (3, 4, 5):

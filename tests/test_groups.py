@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 from motionfields.groups import (
     CircleGroup,
@@ -37,7 +41,58 @@ class TestCircle:
         assert a == pytest.approx(0.0)
 
 
+def jacobi_wigner_d(ell, beta):
+    """Reference little-d: the Jacobi-polynomial form, one entry at a time.
+
+    d_{m'm}(beta) = pref sin(beta/2)^a cos(beta/2)^b P_k^{(a,b)}(cos beta),
+    with k, a, b and the exact prefactor chosen per entry by which of
+    ell +- m, ell +- m' is smallest.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    s, c, x = np.sin(beta / 2.0), np.cos(beta / 2.0), np.cos(beta)
+    out = np.empty((beta.size, 2 * ell + 1, 2 * ell + 1))
+    for i, mp in enumerate(range(-ell, ell + 1)):
+        for j, m in enumerate(range(-ell, ell + 1)):
+            k = min(ell + m, ell - m, ell + mp, ell - mp)
+            if k == ell + m:
+                a, lam = mp - m, mp - m
+            elif k == ell - m:
+                a, lam = m - mp, 0
+            elif k == ell + mp:
+                a, lam = m - mp, 0
+            else:
+                a, lam = mp - m, mp - m
+            b = 2 * (ell - k) - a
+            ratio = Fraction(math.comb(2 * ell - k, k + a), math.comb(k + b, b))
+            pref = (-1.0) ** lam * math.sqrt(ratio)
+            out[:, i, j] = pref * s**a * c**b * eval_jacobi(k, a, b, x)
+    return out
+
+
+WIGNER_ELLS = list(range(13)) + [20, 40, 80]
+
+
+def wigner_betas():
+    edges = [0.0, np.pi, 1e-9, np.pi - 1e-9]
+    return np.concatenate([edges, np.random.default_rng(11).uniform(0.0, np.pi, 6)])
+
+
 class TestWignerD:
+    @pytest.mark.parametrize("ell", WIGNER_ELLS)
+    def test_matches_jacobi_form(self, ell):
+        beta = wigner_betas()
+        assert np.abs(wigner_d(ell, beta) - jacobi_wigner_d(ell, beta)).max() <= 1e-12
+
+    @pytest.mark.parametrize("ell", WIGNER_ELLS)
+    def test_orthogonal_and_group_law(self, ell):
+        beta = wigner_betas()
+        d = wigner_d(ell, beta)
+        eye = np.eye(2 * ell + 1)
+        assert np.abs(d @ d.transpose(0, 2, 1) - eye).max() <= 1e-13
+        # d(b1) d(b2) = d(b1 + b2), sums beyond pi included
+        b1, b2 = beta[4:7], beta[7:10]
+        assert np.abs(d[4:7] @ d[7:10] - wigner_d(ell, b1 + b2)).max() <= 1e-13
+
     def test_ell_one_closed_form(self):
         # indices [m'+1, m+1], m', m = -1..1
         beta = np.array([0.0, 0.3, np.pi / 2, 2.2])
