@@ -36,12 +36,12 @@ from .errors import (
 from .fourier import (
     OperatorFieldSample,
     TruncatedOperator,
-    default_order,
     hs_norm,
     kernel,
     operator_norm,
     pi_matrix,
     pi_mu0_matrix,
+    proven_order,
     sample_field,
     tau_matrix,
 )

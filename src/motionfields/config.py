@@ -150,9 +150,9 @@ def _plan(doc, pair):
     """The verification plan; every grid label fits the stabilizer of its points."""
     rank = pair.rank
     cut, grids = _obj("cutoffs", doc.get("cutoffs", {})), _obj("grids", doc.get("grids", {}))
-    order = cut.get("order")
-    _require(order is None or _is_int(order) and order > 0, "cutoffs.order",
-             f"must be a positive integer or null, got {order!r}")
+    order = cut.get("order")  # null in older documents
+    _require(order is None, "cutoffs.order",
+             f"not a setting: each operator uses its proven order, got {order!r}")
     cont, ladder = _key("grids", grids, "continuity"), _key("grids", grids, "h_ladder")
     path = _items("grids.continuity.path", _key("grids.continuity", cont, "path"))
     _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
@@ -187,7 +187,6 @@ def _plan(doc, pair):
             pair, [mu_H],
         ),
         mu_decay_H=mu_H,
-        order=order,
     )
 
 
@@ -316,7 +315,7 @@ class ScenarioConfig:
             "name": self.name,
             "instance": self.instance,
             "test_function": {"terms": [_term_to_json(t) for t in self.terms]},
-            "cutoffs": {"lambda_max": plan.lambda_max, "order": plan.order},
+            "cutoffs": {"lambda_max": plan.lambda_max},
             "grids": grids,
             "convergence_queries": queries,
             "tolerances": asdict(self.thresholds),

@@ -12,7 +12,8 @@ FFT of the orbit factor, leaving one Gauss-Legendre sum in beta.  Either
 way the values are those of the naive product-rule double sum.  The K-dual
 entries are the plain integrated representations tau_lambda(f), taken from
 the same sums with the orbit factor 1, and the zero-point operator is
-their block sum over the branching K-types.
+their block sum over the branching K-types.  Each operator is computed at
+the quadrature order ``proven_order``, which integrates it exactly.
 """
 
 from __future__ import annotations
@@ -26,12 +27,28 @@ from .errors import QuadratureOrderTooLow
 from .induction import PeterWeylBasis, peter_weyl_basis
 from .pairs import stabilizer
 
-ENTRY_REFINE_TOL = 1e-6
+
+def proven_order(f, lam_band, orbit=True):
+    """The order that integrates entries against K-types of band <= ``lam_band`` exactly.
+
+    An entry integrand is u(k) tau_lam(k), for induced entries (``orbit``)
+    times g-hat(Ad(k)H) = C q(Ad(k)H) exp(-sigma^2 |H|^2 / 2), as Ad is
+    orthogonal; q has the degree of g's polynomial, which bounds its K-band.
+    A rule of order q is exact up to band q on SO(3), but only up to q - 1
+    on a circle factor (q nodes): hence the 1 +.
+    """
+    K = f.pair.K
+    return 1 + lam_band + max(
+        K.char_band(t.u.label) + (t.g.max_degree() if orbit else 0) for t in f.terms
+    )
 
 
-def default_order(bandlimit, lambda_max):
-    """Quadrature order leaving bandlimited integrands exactly integrated."""
-    return 2 * (bandlimit + lambda_max) + 4
+def _rule(f, pair, lam_band, order, orbit=True):
+    """The rule of ``order``, by default the proven one; below it is refused."""
+    proven = proven_order(f, lam_band, orbit)
+    if order is not None and order < proven:
+        raise QuadratureOrderTooLow(f"order {order} is below the proven order {proven}")
+    return pair.K.quadrature(proven if order is None else order)
 
 
 @dataclass(eq=False)
@@ -144,43 +161,24 @@ def _pi_entries(f, pair, basis, H, rule):
     return M
 
 
-def pi_matrix(
-    f,
-    pair,
-    mu,
-    H,
-    lambda_max,
-    order=None,
-    basis=None,
-    refine_check=True,
-    point=None,
-):
+def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     """Truncated matrix of the induced-representation operator at (mu, H).
 
     Entries are <pi(f) psi_j, psi_i> over the covariant basis cut at
-    ``lambda_max``.  With ``refine_check`` the entries are recomputed at
-    order+4 and QuadratureOrderTooLow is raised if any moves by more than
-    1e-6.  A prebuilt ``basis`` may be passed to share it across points
-    with the same stabilizer (e.g. along a ray toward zero).
+    ``lambda_max``, integrated at ``proven_order`` for the basis K-types,
+    which is exact; an explicit ``order`` below it raises
+    QuadratureOrderTooLow.  A prebuilt ``basis`` may be passed to share it
+    across points with the same stabilizer (e.g. along a ray toward zero).
     """
     H = tuple(float(c) for c in np.atleast_1d(H))
     if basis is None:
         basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    if order is None:
-        order = default_order(f.bandlimit, lambda_max)
-    rule = pair.K.quadrature(order)
-    M = _pi_entries(f, pair, basis, H, rule)
-    if refine_check:
-        fine = _pi_entries(f, pair, basis, H, pair.K.quadrature(order + 4))
-        drift = float(np.abs(M - fine).max())
-        if drift > ENTRY_REFINE_TOL:
-            raise QuadratureOrderTooLow(
-                f"entries moved by {drift:.3g} under order {order} -> {order + 4}"
-            )
+    lam_band = max(pair.K.char_band(lam) for lam, _ in basis.blocks)
+    rule = _rule(f, pair, lam_band, order)
     return TruncatedOperator(
-        matrix=M,
+        matrix=_pi_entries(f, pair, basis, H, rule),
         lambda_max=lambda_max,
-        order=order,
+        order=rule.order,
         block_index=basis.block_index,
         basis=basis,
         point=point,
@@ -191,11 +189,10 @@ def tau_matrix(f, pair, lam, order=None, point=None):
     """The K-dual entry: integral of fhat2(k, 0) against the K-irrep.
 
     Each term contributes ghat(0) times the rule's sum of u(k) tau_lam(k),
-    read off ``CompactGroup.coefficient_sums`` with g = 1 at the term's row.
+    read off ``CompactGroup.coefficient_sums`` with g = 1 at the term's row,
+    at ``proven_order`` (an explicit ``order`` below it raises).
     """
-    band = max(f.bandlimit, pair.K.char_band(lam))
-    order = order if order else 2 * band + 4
-    rule = pair.K.quadrature(order)
+    rule = _rule(f, pair, pair.K.char_band(lam), order, orbit=False)
     ones = np.ones(len(rule))
     sums = pair.K.coefficient_sums(
         rule, [lam], [(ones, t.u.label, t.u.row) for t in f.terms]
@@ -209,35 +206,31 @@ def tau_matrix(f, pair, lam, order=None, point=None):
     return TruncatedOperator(
         matrix=M,
         lambda_max=pair.K.char_band(lam),
-        order=order,
+        order=rule.order,
         block_index=[(lam, 0, v) for v in range(d)],
         point=point,
     )
 
 
-def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None, order=None, H_ref=None):
+def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None, H_ref=None):
     """Matrix of the zero-point operator: block sum of tau_lambda(f).
 
     Blocks follow the covariant-basis order of the companion induced
     operator, each K-type repeated per branching copy, so differences
     against pi_matrix along a ray toward zero are entrywise meaningful.
+    ``order`` is the largest of the blocks' orders.
     """
     if basis is None:
         if H_ref is None:
             H_ref = tuple([1.0] * pair.rank)
         basis = peter_weyl_basis(pair, mu, H_ref, lambda_max)
-    if order is None:
-        order = default_order(f.bandlimit, lambda_max)
-    blocks = []
-    tau_cache = {}
-    for lam, Ts in basis.blocks:
-        if lam not in tau_cache:
-            tau_cache[lam] = tau_matrix(f, pair, lam, order=order).matrix
-        blocks.extend([tau_cache[lam]] * len(Ts))
+    taus = {lam: tau_matrix(f, pair, lam) for lam, _ in basis.blocks}
     return TruncatedOperator(
-        matrix=block_diagonal(blocks),
+        matrix=block_diagonal(
+            [taus[lam].matrix for lam, Ts in basis.blocks for _ in Ts]
+        ),
         lambda_max=lambda_max,
-        order=order,
+        order=max(t.order for t in taus.values()),
         block_index=basis.block_index,
         basis=basis,
     )
@@ -253,11 +246,11 @@ class OperatorFieldSample:
     metadata: dict = field(default_factory=dict)
 
 
-def sample_field(f, pair, grid, lambda_max, order=None, refine_check=False):
+def sample_field(f, pair, grid, lambda_max):
     """Evaluate the Fourier-transform field of ``f`` on a grid of dual points.
 
-    Induced-stratum points that share a weight and a stabilizer share one
-    covariant basis.
+    Every operator is integrated at its ``proven_order``.  Induced-stratum
+    points that share a weight and a stabilizer share one covariant basis.
     """
     for p in grid:
         if p.pair_name != pair.name:
@@ -266,21 +259,13 @@ def sample_field(f, pair, grid, lambda_max, order=None, refine_check=False):
     operators = {}
     for p in grid:
         if p.stratum == GAMMA2:
-            operators[p] = tau_matrix(f, pair, p.label, order=order, point=p)
+            operators[p] = tau_matrix(f, pair, p.label, point=p)
             continue
         key = (p.label, stabilizer(pair, p.H).structure)
         if key not in bases:
             bases[key] = peter_weyl_basis(pair, p.label, p.H, lambda_max)
         operators[p] = pi_matrix(
-            f,
-            pair,
-            p.label,
-            p.H,
-            lambda_max,
-            order=order,
-            basis=bases[key],
-            refine_check=refine_check,
-            point=p,
+            f, pair, p.label, p.H, lambda_max, basis=bases[key], point=p
         )
     return OperatorFieldSample(
         instance_name=pair.name,
@@ -291,6 +276,5 @@ def sample_field(f, pair, grid, lambda_max, order=None, refine_check=False):
             "bandlimit": f.bandlimit,
             "fhat2_sup": f.fhat2_sup(),
             "lambda_max": lambda_max,
-            "order": order if order else default_order(f.bandlimit, lambda_max),
         },
     )

@@ -36,7 +36,8 @@ class QuadratureRule:
     ``params`` holds the raw parametrization arrays (angles, Euler triples)
     used for vectorized tabulation; ``nodes`` are the corresponding group
     elements.  A rule that is a tensor grid also keeps its 1-D ``axes``;
-    ``params`` and ``weights`` then run over the grid in C order.
+    ``params`` and ``weights`` then run over the grid in C order.  Rules are
+    shared (``CompactGroup.quadrature``), so their arrays and nodes are read-only.
     """
 
     group: "CompactGroup"
@@ -44,12 +45,15 @@ class QuadratureRule:
     weights: np.ndarray
     params: object
     axes: tuple | None = None
-    _nodes: list = field(default=None, repr=False)
+    _nodes: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _freeze((self.weights, self.params, self.axes))
 
     @property
     def nodes(self):
         if self._nodes is None:
-            self._nodes = self.group._nodes_from_params(self.params)
+            self._nodes = _freeze(tuple(self.group._nodes_from_params(self.params)))
         return self._nodes
 
     def __len__(self):
@@ -109,6 +113,13 @@ class CompactGroup:
 
     # -- integration ------------------------------------------------------
     def quadrature(self, order):
+        """The normalized-Haar rule of ``order``, built once per (group, order)."""
+        key = (self.name, int(order))
+        if key not in _RULES:
+            _RULES[key] = self._quadrature(order)
+        return _RULES[key]
+
+    def _quadrature(self, order):
         raise NotImplementedError
 
     def irrep_node_table(self, label, rule):
@@ -180,7 +191,7 @@ class TrivialGroup(CompactGroup):
     def params_of(self, elts):
         return np.zeros(len(elts))
 
-    def quadrature(self, order):
+    def _quadrature(self, order):
         return QuadratureRule(self, order, np.ones(1), np.zeros(1))
 
     def _nodes_from_params(self, params):
@@ -222,7 +233,7 @@ class CircleGroup(CompactGroup):
     def params_of(self, elts):
         return np.array(elts, dtype=float)
 
-    def quadrature(self, order):
+    def _quadrature(self, order):
         n = max(int(order), 1)
         theta = 2.0 * np.pi * np.arange(n) / n
         return QuadratureRule(self, order, np.full(n, 1.0 / n), theta)
@@ -358,7 +369,7 @@ class RotationGroup3(CompactGroup):
     def params_of(self, elts):
         return tuple(np.array([euler_zyz(R) for R in elts], dtype=float).reshape(-1, 3).T)
 
-    def quadrature(self, order):
+    def _quadrature(self, order):
         """Product rule exact for matrix-coefficient products of total degree <= order.
 
         Equispaced angles in alpha and gamma kill Fourier modes up to the
@@ -459,7 +470,7 @@ class ProductGroup(CompactGroup):
     def params_of(self, elts):
         return tuple(f.params_of([e[i] for e in elts]) for i, f in enumerate(self.factors))
 
-    def quadrature(self, order):
+    def _quadrature(self, order):
         """Tensor rule in C order; ``params`` holds each factor's node-aligned params."""
         rules = [f.quadrature(order) for f in self.factors]
         idx = np.indices([len(r) for r in rules]).reshape(len(rules), -1)
@@ -469,6 +480,19 @@ class ProductGroup(CompactGroup):
 
     def _nodes_from_params(self, params):
         return list(zip(*(f._nodes_from_params(p) for f, p in zip(self.factors, params))))
+
+
+_RULES = {}  # (group name, order) -> QuadratureRule
+
+
+def _freeze(x):
+    """Make the numpy arrays in a nest of tuples read-only; returns ``x``."""
+    if isinstance(x, tuple):
+        for item in x:
+            _freeze(item)
+    elif isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    return x
 
 
 def _take(params, idx):

@@ -33,7 +33,7 @@ M3_DEFAULT = {
             },
         ]
     },
-    "cutoffs": {"lambda_max": 5, "order": None},
+    "cutoffs": {"lambda_max": 5},
     "grids": {
         "gamma0": [
             {"mu": mu, "H": [h]} for mu in (0, 1) for h in (0.5, 1.0, 1.5)
@@ -92,7 +92,7 @@ M2_DEFAULT = {
             },
         ]
     },
-    "cutoffs": {"lambda_max": 5, "order": None},
+    "cutoffs": {"lambda_max": 5},
     "grids": {
         "gamma0": [{"mu": 0, "H": [h]} for h in (0.5, 1.0, 1.5, 2.0, 2.5)],
         "gamma2": list(range(-5, 6)),
@@ -136,7 +136,7 @@ M2XM2_GAMMA1 = {
             },
         ]
     },
-    "cutoffs": {"lambda_max": 4, "order": None},
+    "cutoffs": {"lambda_max": 4},
     "grids": {
         "gamma0": [
             {"mu": [0, 0], "H": [a, b]} for a in (0.5, 1.5) for b in (1.0, 2.0)

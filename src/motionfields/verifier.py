@@ -268,8 +268,7 @@ def judge_h_ladder(deltas_by_mu, thresholds=Thresholds()):
     return bool(ok)
 
 
-def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, order=None,
-                    thresholds=Thresholds()):
+def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresholds()):
     """Distance from the induced operator to its zero-point block form.
 
     Rays are H0 * 2^{-j}, j = 0..levels; the covariant basis is built once
@@ -282,14 +281,11 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, order=None,
     witnesses = []
     for mu in mu_list:
         basis = peter_weyl_basis(pair, mu, H0, lambda_max)
-        ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis, order=order)
+        ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
         ds = []
         for j in range(levels + 1):
             H = tuple(c * 2.0 ** (-j) for c in H0)
-            op = pi_matrix(
-                f, pair, mu, H, lambda_max, order=order, basis=basis,
-                refine_check=False,
-            )
+            op = pi_matrix(f, pair, mu, H, lambda_max, basis=basis)
             d = operator_norm(op.matrix - ref.matrix)
             ds.append(d)
             witnesses.append({"mu": mu, "j": j, "delta": d})
@@ -399,7 +395,6 @@ class VerificationPlan:
     h_ladder_levels: int
     mu_values: list | None = None  # stabilizer weights for condition 3
     mu_decay_H: object = None
-    order: int | None = None
 
 
 def run_verification(f, pair, plan, thresholds=Thresholds()):
@@ -414,14 +409,14 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
 
     grid = [make_dual_point(pair, mu, H) for mu, H in plan.gamma0_grid]
     grid += [make_dual_point(pair, lam, None) for lam in plan.gamma2_lambdas]
-    sample = sample_field(f, pair, grid, plan.lambda_max, order=plan.order)
+    sample = sample_field(f, pair, grid, plan.lambda_max)
     samples["main"] = sample
     reports.append(check_compactness_proxy(pair, sample, thresholds))
 
     path_pts = [
         make_dual_point(pair, plan.continuity_mu, H) for H in plan.continuity_path
     ]
-    path_sample = sample_field(f, pair, path_pts, plan.lambda_max, order=plan.order)
+    path_sample = sample_field(f, pair, path_pts, plan.lambda_max)
     samples["path"] = path_sample
     reports.append(check_continuity(pair, path_sample, thresholds))
 
@@ -431,9 +426,7 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
         ]
         stab = stabilizer(pair, plan.mu_decay_H)
         band = max(stab.group.char_band(mu) for mu in plan.mu_values)
-        mu_sample = sample_field(
-            f, pair, mu_pts, max(plan.lambda_max, band + 2), order=plan.order
-        )
+        mu_sample = sample_field(f, pair, mu_pts, max(plan.lambda_max, band + 2))
         samples["mu"] = mu_sample
         reports.append(check_mu_decay(pair, mu_sample, thresholds))
     else:
@@ -448,7 +441,6 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
             plan.h_ladder_H0,
             plan.h_ladder_levels,
             plan.lambda_max,
-            order=plan.order,
             thresholds=thresholds,
         )
     )

@@ -194,7 +194,7 @@ def test_06_mu_decay_exact():
     pair, f = _bandlimit3_m3()
     worst = 0.0
     for mu in (-6, -5, -4, 4, 5, 6):
-        op = pi_matrix(f, pair, mu, (1.0,), 8, refine_check=False)
+        op = pi_matrix(f, pair, mu, (1.0,), 8)
         worst = max(worst, operator_norm(op))
         assert operator_norm(op) <= 1e-9
     dt = time.perf_counter() - t0
@@ -448,10 +448,8 @@ def test_11_equivalence_invariance_singular_values():
         mu = int(rng.integers(-2, 3))
         H = (float(rng.uniform(0.3, 2.0)),)
         w = m3.weyl_group[int(rng.integers(0, 2))]
-        a = pi_matrix(f3, m3, mu, H, 4, refine_check=False)
-        b = pi_matrix(
-            f3, m3, transport_label(m3, w, H, mu), w.apply(H), 4, refine_check=False
-        )
+        a = pi_matrix(f3, m3, mu, H, 4)
+        b = pi_matrix(f3, m3, transport_label(m3, w, H, mu), w.apply(H), 4)
         s1 = np.linalg.svd(a.matrix, compute_uv=False)
         s2 = np.linalg.svd(b.matrix, compute_uv=False)
         worst = max(worst, float(np.abs(s1 - s2).max()))
@@ -462,8 +460,8 @@ def test_11_equivalence_invariance_singular_values():
     for _ in range(10):
         H = (float(rng.uniform(0.3, 2.5)),)
         w = m2.weyl_group[1]
-        a = pi_matrix(f2, m2, 0, H, 4, refine_check=False)
-        b = pi_matrix(f2, m2, 0, w.apply(H), 4, refine_check=False)
+        a = pi_matrix(f2, m2, 0, H, 4)
+        b = pi_matrix(f2, m2, 0, w.apply(H), 4)
         s1 = np.linalg.svd(a.matrix, compute_uv=False)
         s2 = np.linalg.svd(b.matrix, compute_uv=False)
         worst = max(worst, float(np.abs(s1 - s2).max()))
@@ -474,11 +472,8 @@ def test_11_equivalence_invariance_singular_values():
     for _ in range(15):
         H = (float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)))
         w = m22.weyl_group[int(rng.integers(0, 4))]
-        a = pi_matrix(f22, m22, (0, 0), H, 3, refine_check=False)
-        b = pi_matrix(
-            f22, m22, transport_label(m22, w, H, (0, 0)), w.apply(H), 3,
-            refine_check=False,
-        )
+        a = pi_matrix(f22, m22, (0, 0), H, 3)
+        b = pi_matrix(f22, m22, transport_label(m22, w, H, (0, 0)), w.apply(H), 3)
         s1 = np.linalg.svd(a.matrix, compute_uv=False)
         s2 = np.linalg.svd(b.matrix, compute_uv=False)
         worst = max(worst, float(np.abs(s1 - s2).max()))

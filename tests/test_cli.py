@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_config_property import REPLACEMENTS, _mutate, _paths
 
 import motionfields
 from motionfields import cli
@@ -38,6 +40,8 @@ BAD_DOCUMENTS = {
     "tolerance_inf": ("m2-default", lambda d: d.update(tolerances={"tail_mass": float("inf")})),
     # M2's regular stabilizer is trivial: its only irrep label is 0
     "gamma0_label_not_in_stabilizer": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(mu=1)),
+    # each operator takes its proven quadrature order; the setting is gone
+    "cutoffs_order": ("m2-default", lambda d: d["cutoffs"].update(order=7)),
 }
 
 
@@ -48,6 +52,17 @@ class TestConfig:
         cfg = ScenarioConfig.from_dict(doc)
         again = ScenarioConfig.from_dict(cfg.to_dict())
         assert cfg.to_dict() == again.to_dict()
+
+    def test_order_null_accepted_and_not_written(self):
+        # documents written before orders were proven carry "order": null
+        doc = bundled_scenario("m3-default")
+        doc["cutoffs"]["order"] = None
+        cfg = ScenarioConfig.from_dict(doc)
+        assert cfg.to_dict()["cutoffs"] == {"lambda_max": 5}
+        doc["cutoffs"]["order"] = 7
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "cutoffs.order"
 
     def test_invalid_instance(self):
         doc = bundled_scenario("m2-default")
@@ -297,6 +312,54 @@ class TestMain:
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "envout"))
         assert main(["run", "--scenario", "m2-default"]) == 0
         assert (tmp_path / "envout" / "reports.json").exists()
+
+
+def _fuzzed_m2_default(rng):
+    """The m2-default document with one seeded mutation.
+
+    Mostly a number is replaced by another number of its type, so that most
+    documents parse and run (integers stay below 6, which caps lambda_max);
+    otherwise any key is dropped or its value replaced by a wrong type.
+    """
+    doc = bundled_scenario("m2-default")
+    paths = list(_paths(doc))
+
+    def value(path):
+        v = doc
+        for k in path:
+            v = v[k]
+        return v
+
+    numbers = [p for p in paths if type(value(p)) in (int, float)]
+    if rng.random() < 0.7:
+        path = numbers[int(rng.integers(len(numbers)))]
+        if isinstance(value(path), int):
+            new = int(rng.integers(-2, 6))
+        else:
+            new = float(np.round(rng.normal(0.0, 2.0), 3))
+    else:
+        path = paths[int(rng.integers(len(paths)))]
+        choices = (None,) + REPLACEMENTS
+        new = choices[int(rng.integers(len(choices)))]
+    _mutate(doc, path, new)
+    return doc, path, new
+
+
+def test_main_keeps_exit_code_contract_on_mutated_documents(tmp_path, capsys):
+    # every mutated document runs end to end through main(): it exits 0,
+    # 1, 2 or 3 and never ends in an uncaught exception
+    rng = np.random.default_rng(6)
+    codes = []
+    for i in range(30):
+        doc, path, new = _fuzzed_m2_default(rng)
+        scenario = tmp_path / f"doc{i}.json"
+        scenario.write_text(json.dumps(doc))
+        argv = ["run", "--scenario", str(scenario), "--output-dir", str(tmp_path / f"out{i}")]
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1, 2, 3), (path, new, err)
+        assert "Traceback" not in err, (path, new, err)
+    assert {0, 2} <= set(codes)  # the mutations reach past the parser
 
 
 class TestGoldenRegression:

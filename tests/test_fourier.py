@@ -9,18 +9,20 @@ from motionfields import (
     Term,
     TestFunction,
     adjoint_action,
-    default_order,
     hs_norm,
     kernel,
     make_dual_point,
     operator_norm,
+    peter_weyl_basis,
     pi_matrix,
     pi_mu0_matrix,
+    proven_order,
     sample_field,
     stabilizer,
     tau_matrix,
     transport_label,
 )
+from motionfields.fourier import _pi_entries
 
 
 def gauss_term(pair, label, row=0, col=0, coeff=1.0, sigma=1.0):
@@ -59,6 +61,17 @@ def table_tau_matrix(f, pair, lam, order):
         ghat0 = complex(term.g.fourier(zero)[0])
         M += term.coeff * ghat0 * np.einsum("n,nab->ab", rule.weights * uvals, tab)
     return M
+
+
+def coefficient_sum_tau(f, pair, lam, order):
+    """The K-dual entry from ``coefficient_sums`` at any order, aliasing included."""
+    rule = pair.K.quadrature(order)
+    ones = np.ones(len(rule))
+    sums = pair.K.coefficient_sums(rule, [lam], [(ones, t.u.label, t.u.row) for t in f.terms])
+    zero = np.zeros((1, pair.dim_p))
+    return sum(
+        t.coeff * complex(t.g.fourier(zero)[0]) * S[t.u.col] for t, (S,) in zip(f.terms, sums)
+    )
 
 
 class TestKernel:
@@ -106,7 +119,7 @@ class TestPiMatrix:
 
     def test_m3_against_double_quadrature(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 2)])
-        op = pi_matrix(f, m3, 0, (0.8,), 1, order=6, refine_check=False)
+        op = pi_matrix(f, m3, 0, (0.8,), 1, order=6)
         oracle = brute_pi_matrix(f, m3, op.basis, (0.8,), 6)
         assert np.abs(op.matrix - oracle).max() < 1e-10
 
@@ -148,7 +161,7 @@ class TestPiMatrix:
         f = TestFunction(m3, [gauss_term(m3, 2, 1, 3), gauss_term(m3, 1, 0, 0, 0.5, 0.8)])
         sup = f.fhat2_sup()
         for mu in (0, 1, 2):
-            op = pi_matrix(f, m3, mu, (1.0,), 5, refine_check=False)
+            op = pi_matrix(f, m3, mu, (1.0,), 5)
             assert hs_norm(op) ** 2 <= 1 * sup**2 * (1 + 1e-6)
 
     def test_empty_basis_propagates(self, m3):
@@ -157,7 +170,7 @@ class TestPiMatrix:
             pi_matrix(f, m3, 6, (1.0,), 3)
 
     def test_quadrature_order_guard(self, m2):
-        # far below the exactness threshold the refinement check trips
+        # an explicit order below the proven one is refused
         f = TestFunction(m2, [gauss_term(m2, 6), gauss_term(m2, 5, coeff=0.9)])
         with pytest.raises(QuadratureOrderTooLow):
             pi_matrix(f, m2, 0, (1.0,), 6, order=3)
@@ -166,10 +179,9 @@ class TestPiMatrix:
         # bandlimited data: the retained block is unchanged under refinement
         f = TestFunction(m3, [gauss_term(m3, 2, 0, 1)])
         lam_max = 4
-        op = pi_matrix(f, m3, 1, (1.0,), lam_max, refine_check=False)
+        op = pi_matrix(f, m3, 1, (1.0,), lam_max)
         op2 = pi_matrix(
-            f, m3, 1, (1.0,), lam_max + 2,
-            order=default_order(f.bandlimit, lam_max) + 4, refine_check=False,
+            f, m3, 1, (1.0,), lam_max + 2, order=proven_order(f, lam_max) + 4
         )
         keep = [i for i, b in enumerate(op2.block_index) if b[0] <= lam_max]
         sub = op2.matrix[np.ix_(keep, keep)]
@@ -181,11 +193,8 @@ class TestPiMatrix:
             mu = int(rng.integers(-2, 3))
             H = (float(rng.uniform(0.3, 2.0)),)
             w = m3.weyl_group[1]
-            op1 = pi_matrix(f3, m3, mu, H, 4, refine_check=False)
-            op2 = pi_matrix(
-                f3, m3, transport_label(m3, w, H, mu), w.apply(H), 4,
-                refine_check=False,
-            )
+            op1 = pi_matrix(f3, m3, mu, H, 4)
+            op2 = pi_matrix(f3, m3, transport_label(m3, w, H, mu), w.apply(H), 4)
             s1 = np.linalg.svd(op1.matrix, compute_uv=False)
             s2 = np.linalg.svd(op2.matrix, compute_uv=False)
             assert np.abs(s1 - s2).max() < 1e-8
@@ -194,8 +203,9 @@ class TestPiMatrix:
 class TestFactorisedEntries:
     """Factorised entries against the naive K x K double quadrature.
 
-    The low orders alias on purpose: the factorised sums must reproduce the
-    product rule itself, not only the exact integral.
+    The M3 cases take the entry sums at order 4, below the proven order, so
+    they alias on purpose: the factorised sums must reproduce the product
+    rule itself, not only the exact integral.
     """
 
     @staticmethod
@@ -210,23 +220,25 @@ class TestFactorisedEntries:
         )
 
     @staticmethod
-    def assert_matches(op, oracle):
+    def assert_matches(M, oracle):
         assert np.abs(oracle).max() > 1e-3  # the comparison is not vacuous
-        assert np.abs(op.matrix - oracle).max() <= 1e-10
+        assert np.abs(M - oracle).max() <= 1e-10
 
     @pytest.mark.parametrize("mu", [0, 1, -2])
     def test_m3_non_radial_regular_points(self, m3, mu):
         f = self.m3_function(m3)
         H = (0.9,)
-        op = pi_matrix(f, m3, mu, H, 2, order=4, refine_check=False)
-        self.assert_matches(op, brute_pi_matrix(f, m3, op.basis, H, 4))
+        basis = peter_weyl_basis(m3, mu, H, 2)
+        M = _pi_entries(f, m3, basis, H, m3.K.quadrature(4))
+        self.assert_matches(M, brute_pi_matrix(f, m3, basis, H, 4))
 
     def test_m3_so3_stabilizer(self, m3):
         # mu = 1 at H = 0: the stabilizer is SO(3) itself and d_rho = 3
         f = self.m3_function(m3)
-        op = pi_matrix(f, m3, 1, (0.0,), 2, order=4, refine_check=False)
-        assert op.basis.d_rho == 3
-        self.assert_matches(op, brute_pi_matrix(f, m3, op.basis, (0.0,), 4))
+        basis = peter_weyl_basis(m3, 1, (0.0,), 2)
+        assert basis.d_rho == 3
+        M = _pi_entries(f, m3, basis, (0.0,), m3.K.quadrature(4))
+        self.assert_matches(M, brute_pi_matrix(f, m3, basis, (0.0,), 4))
 
     def test_m2xm2_wall_point(self, m2xm2):
         # the product group takes the generic node-table sums
@@ -240,22 +252,119 @@ class TestFactorisedEntries:
         )
         H = (0.0, 0.7)
         op = pi_matrix(f, m2xm2, (1, 0), H, 2)
-        self.assert_matches(op, brute_pi_matrix(f, m2xm2, op.basis, H, op.order))
+        self.assert_matches(op.matrix, brute_pi_matrix(f, m2xm2, op.basis, H, op.order))
+
+    @staticmethod
+    def z10_function(m3, label):
+        flat = PolyGaussian(3, 1.0, {(0, 0, 10): 1.0})
+        return TestFunction(m3, [Term(1.0, MatrixCoefficient(label), flat)])
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("lam_max", [2, 5])
+    def test_default_order_exact_on_high_degree_flat_factor(self, m3, label, lam_max):
+        # the degree of z^10 enters the proven order: the default entries
+        # are those of a far finer rule
+        f = self.z10_function(m3, label)
+        op = pi_matrix(f, m3, 0, (1.0,), lam_max)
+        assert op.order == label + 10 + lam_max + 1
+        fine = pi_matrix(f, m3, 0, (1.0,), lam_max, order=60)
+        assert np.abs(op.matrix - fine.matrix).max() <= 1e-12 * np.abs(fine.matrix).max()
 
     def test_order_guard_on_high_degree_flat_factor(self, m3):
-        # the default order ignores the degree of z^10 and the check trips
-        f = TestFunction(
-            m3, [Term(1.0, MatrixCoefficient(0), PolyGaussian(3, 1.0, {(0, 0, 10): 1.0}))]
-        )
+        # an order that ignores the degree of z^10 is refused
+        f = self.z10_function(m3, 1)
         with pytest.raises(QuadratureOrderTooLow):
-            pi_matrix(f, m3, 0, (1.0,), 2)
+            pi_matrix(f, m3, 0, (1.0,), 2, order=13)
+        assert pi_matrix(f, m3, 0, (1.0,), 2, order=14).order == 14
 
+
+def random_function(pair, rng, max_label=3, max_degree=4):
+    """A seeded test function: 1-3 terms, labels of band <= ``max_label``,
+    non-radial flat factors of degree <= ``max_degree``."""
+    dim, K = pair.dim_p, pair.K
+    labels = K.irrep_labels(max_label)
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        lab = labels[int(rng.integers(len(labels)))]
+        d = K.irrep_dim(lab)
+        deg = int(rng.integers(0, max_degree + 1))
+        top = tuple(rng.multinomial(deg, [1 / dim] * dim))
+        poly = {top: complex(*rng.normal(size=2))}
+        for _ in range(int(rng.integers(0, 3))):
+            alpha = tuple(rng.multinomial(int(rng.integers(0, deg + 1)), [1 / dim] * dim))
+            poly[alpha] = poly.get(alpha, 0) + complex(*rng.normal(size=2))
+        flat = PolyGaussian(dim, float(rng.uniform(0.7, 1.2)), poly)
+        u = MatrixCoefficient(lab, int(rng.integers(d)), int(rng.integers(d)))
+        terms.append(Term(complex(*rng.normal(size=2)), u, flat))
+    return TestFunction(pair, terms)
+
+
+class TestProvenOrder:
+    """Entries at the default order are those of a rule 8 orders finer.
+
+    The reference order is derived here, independently of ``proven_order``:
+    band(u) + deg q + band(lambda) is the band of an entry integrand, and a
+    rule of order band + 1 integrates it exactly on every K.  The corner
+    cases (labels 0, degree 4, lambda_max 0) are where an order blind to
+    deg q is lowest.
+    """
+
+    POINTS = {
+        "M2": [(1.1,), (0.0,)],
+        "M3": [(0.9,), (0.0,)],
+        "M2xM2": [(0.8, 1.3), (0.0, 0.9), (0.7, 0.0), (0.0, 0.0)],
+    }
+
+    @staticmethod
+    def band(f, lam_band, orbit=True):
+        K = f.pair.K
+        return lam_band + max(
+            K.char_band(t.u.label) + (max(map(sum, t.g.poly)) if orbit else 0)
+            for t in f.terms
+        )
+
+    @staticmethod
+    def assert_equal_entries(op, fine):
+        scale = np.abs(fine.matrix).max()
+        if scale > 1e-10:  # all-zero operators carry no evidence
+            assert np.abs(op.matrix - fine.matrix).max() <= 1e-12 * scale
+
+    def check(self, pair, f, lam_max, rng):
+        K = pair.K
+        for H in self.POINTS[pair.name]:
+            labels = stabilizer(pair, H).group.irrep_labels(lam_max)
+            mu = labels[int(rng.integers(len(labels)))]
+            op = pi_matrix(f, pair, mu, H, lam_max)
+            lam_band = max(K.char_band(lam) for lam, _ in op.basis.blocks)
+            ref = self.band(f, lam_band) + 9
+            self.assert_equal_entries(op, pi_matrix(f, pair, mu, H, lam_max, order=ref))
+        for lam in K.irrep_labels(lam_max):
+            op = tau_matrix(f, pair, lam)
+            ref = self.band(f, K.char_band(lam), orbit=False) + 9
+            self.assert_equal_entries(op, tau_matrix(f, pair, lam, order=ref))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_random_functions(self, instance, seed, request):
+        pair = request.getfixturevalue(instance.lower())
+        rng = np.random.default_rng([seed, len(instance)])
+        f = random_function(pair, rng)
+        self.check(pair, f, int(rng.integers(0, 5)), rng)
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_degree_four_corner(self, instance, request):
+        pair = request.getfixturevalue(instance.lower())
+        dim = pair.dim_p
+        label = pair.K.irrep_labels(0)[0]
+        poly = {(4,) + (0,) * (dim - 1): 1.0, (1,) * 2 + (0,) * (dim - 2): 0.5j}
+        f = TestFunction(pair, [Term(1.0, MatrixCoefficient(label), PolyGaussian(dim, 1.0, poly))])
+        self.check(pair, f, 0, np.random.default_rng(0))
 
 class TestTauMatrix:
     # terms differ in u label, row and column, and each lam pairs with one
-    # (on the circle factors, with a label of opposite weight); the low
-    # order aliases on purpose, so the sums must reproduce the product rule
-    # itself
+    # (on the circle factors, with a label of opposite weight); order 3,
+    # below the proven order, aliases on purpose, so the entry sums taken
+    # with that rule must reproduce the product rule itself
     TAU_CASES = [
         ("M2", [(2, 0, 0, 1.0), (-1, 0, 0, 0.3j), (0, 0, 0, 0.5)], [-2, 0, 1]),
         (
@@ -278,11 +387,14 @@ class TestTauMatrix:
             pair, [Term(c, MatrixCoefficient(lab, row, col), g) for lab, row, col, c in terms]
         )
         for lam in lams:
-            op = tau_matrix(f, pair, lam, order=order)
-            ref = table_tau_matrix(f, pair, lam, op.order)
+            if order is None:
+                op = tau_matrix(f, pair, lam)
+                M, ref = op.matrix, table_tau_matrix(f, pair, lam, op.order)
+            else:
+                M, ref = coefficient_sum_tau(f, pair, lam, order), table_tau_matrix(f, pair, lam, order)
             scale = np.abs(ref).max()
             assert scale > 1e-3  # the comparison is not vacuous
-            assert np.abs(op.matrix - ref).max() <= 1e-12 * scale
+            assert np.abs(M - ref).max() <= 1e-12 * scale
 
     def test_vanishes_beyond_bandlimit(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 2, 0, 1)])
@@ -460,9 +572,9 @@ class TestConvolution:
 
         discrepancies = []
         for lam_max in (1, 3):
-            op_f = pi_matrix(f, m2, 0, H, lam_max, refine_check=False)
-            op_g = pi_matrix(g, m2, 0, H, lam_max, basis=op_f.basis, refine_check=False)
-            rule = m2.K.quadrature(default_order(2, lam_max) + 4)
+            op_f = pi_matrix(f, m2, 0, H, lam_max)
+            op_g = pi_matrix(g, m2, 0, H, lam_max, basis=op_f.basis)
+            rule = m2.K.quadrature(proven_order(f + g, lam_max) + 8)
             Psi = op_f.basis.node_table(rule)
             w, nodes = rule.weights, rule.nodes
             Hp = m2.embed_a(H)

@@ -1,0 +1,56 @@
+"""Golden numbers of the benchmark workloads, checked in the test suite.
+
+The frozen inputs under ``perfbench/workloads`` are run here as the
+benchmark runs them, and compared with ``perfbench/golden`` by the
+benchmark's own rules (``perfbench/golden.py``: verdicts exact, CSV cells
+at relative tolerance 1e-9 with a floor of 1e-12 times the largest value,
+sweep norms at relative tolerance 1e-9).  A change that moves a number
+beyond those tolerances fails here.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from motionfields import fourier
+from motionfields.cli import load_scenario, run_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    spec = importlib.util.spec_from_file_location("golden", PERFBENCH / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["m3-default", "m2xm2-gamma1"])
+def test_scenario_matches_golden(workload, golden, tmp_path):
+    config = load_scenario(str(WORKLOADS / f"{workload}.json"))
+    report, _ = run_scenario(config, tmp_path)
+    assert report.overall
+    assert golden.check_scenario(tmp_path, workload) == []
+
+
+def test_lambda_sweep_matches_golden(golden):
+    sweep = json.loads((WORKLOADS / "m3-lambda-sweep.json").read_text())
+    config = load_scenario(str(WORKLOADS / sweep["scenario"]))
+    pair = config.build_pair()
+    f = config.build_test_function(pair)
+    norms = []
+    for lam in sweep["lambda_max"]:
+        op = fourier.pi_matrix(f, pair, sweep["mu"], tuple(sweep["H"]), lam)
+        norms.append(
+            {
+                "lambda_max": lam,
+                "N": op.size,
+                "op_norm": fourier.operator_norm(op),
+                "hs_norm": fourier.hs_norm(op),
+            }
+        )
+    assert golden.check_sweep(norms, "m3-lambda-sweep") == []

@@ -234,6 +234,37 @@ class TestProductAndTrivial:
         assert len(rule) == 1 and rule.weights[0] == 1.0
 
 
+class TestQuadratureCache:
+    """One rule per (group, order), shared and read-only."""
+
+    GROUPS = [TrivialGroup, CircleGroup, RotationGroup3,
+              lambda: ProductGroup([CircleGroup(), TrivialGroup()])]
+
+    @pytest.mark.parametrize("make_group", GROUPS)
+    def test_one_rule_per_group_and_order(self, make_group):
+        rule = make_group().quadrature(5)
+        # a second instance of the same group gets the same rule
+        assert make_group().quadrature(5) is rule
+        assert make_group().quadrature(6) is not rule
+        assert rule.order == 5
+
+    @pytest.mark.parametrize("make_group", GROUPS)
+    def test_rule_arrays_are_read_only(self, make_group):
+        rule = make_group().quadrature(4)
+        arrays = [rule.weights]
+        todo = [rule.params, rule.axes, rule.nodes]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, tuple):
+                todo.extend(x)
+            elif isinstance(x, np.ndarray):
+                arrays.append(x)
+        assert len(arrays) >= 2
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 def _random_trig_poly(group, rng, band):
     """Coefficients for a random trigonometric polynomial on the group."""
     terms = []
