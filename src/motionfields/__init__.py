@@ -27,7 +27,6 @@ from .errors import (
     MixedInstance,
     MissingGamma2Data,
     MotionFieldsError,
-    NonIntegerMultiplicity,
     PathCrossesStrata,
     QuadratureOrderTooLow,
     StratumMismatch,
@@ -37,7 +36,6 @@ from .fourier import (
     OperatorFieldSample,
     TruncatedOperator,
     hs_norm,
-    kernel,
     operator_norm,
     pi_matrix,
     pi_mu0_matrix,

@@ -228,6 +228,9 @@ def main(argv=None):
     except MotionFieldsError as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # the artifact writes are the run's only file access
+        print(f"run failed: cannot write artifacts to {outdir}: {e}", file=sys.stderr)
+        return 3
     for r in report.reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"condition {r.condition} ({r.name}): {status}")

@@ -29,12 +29,8 @@ class EmptyBasis(MotionFieldsError):
     """No K-type below the cutoff branches over the requested irrep."""
 
 
-class NonIntegerMultiplicity(MotionFieldsError):
-    """Branching quadrature returned a value too far from an integer."""
-
-
 class QuadratureOrderTooLow(MotionFieldsError):
-    """Refinement check moved matrix entries beyond tolerance."""
+    """Explicit quadrature order below the proven order of the operator."""
 
 
 class PathCrossesStrata(MotionFieldsError):

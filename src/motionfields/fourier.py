@@ -109,26 +109,6 @@ def hs_norm(T):
     return float(np.linalg.norm(m))
 
 
-def kernel(f, pair, mu, H, h, k, order=None):
-    """The stabilizer-averaged kernel at (h, k): a d_mu x d_mu matrix.
-
-    For a trivial stabilizer the average collapses to the scalar
-    fhat2(h k^{-1}, Ad(h) H) times the identity.
-    """
-    H = tuple(float(c) for c in np.atleast_1d(H))
-    stab = stabilizer(pair, H)
-    band = f.bandlimit + stab.group.char_band(mu)
-    rule = stab.group.quadrature(order if order else 2 * band + 4)
-    xi = pair.adjoint_action(h, pair.embed_a(H))
-    k_inv = pair.K.inverse(k)
-    d = stab.group.irrep_dim(mu)
-    out = np.zeros((d, d), dtype=complex)
-    for w, s in zip(rule.weights, rule.nodes):
-        elt = pair.K.compose(h, pair.K.compose(stab.embed(s), k_inv))
-        out += w * complex(f.partial_fourier(elt, xi)) * stab.group.irrep_matrix(mu, s)
-    return out
-
-
 def _basis_factor(basis, sums):
     """sqrt(d_lam) S T for every basis block, stacked: shape (r, N, d_rho)."""
     return np.concatenate(

@@ -13,6 +13,7 @@ quadrature rules on themselves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -90,6 +91,10 @@ class CompactGroup:
 
     def char_band(self, label):
         """Max weight magnitude occurring in the irrep (quadrature sizing)."""
+        raise NotImplementedError
+
+    def weights(self, label):
+        """Torus weight of each standard basis vector of the irrep, in basis order."""
         raise NotImplementedError
 
     def irrep_table(self, label, params):
@@ -185,6 +190,9 @@ class TrivialGroup(CompactGroup):
     def char_band(self, label):
         return 0
 
+    def weights(self, label):
+        return [0]
+
     def irrep_table(self, label, params):
         return np.ones((len(params), 1, 1), dtype=complex)
 
@@ -226,6 +234,9 @@ class CircleGroup(CompactGroup):
 
     def char_band(self, label):
         return abs(int(label))
+
+    def weights(self, label):
+        return [label]
 
     def irrep_table(self, label, params):
         return np.exp(1j * label * params)[:, None, None]
@@ -356,6 +367,10 @@ class RotationGroup3(CompactGroup):
     def char_band(self, label):
         return int(label)
 
+    def weights(self, label):
+        """rot_z(theta) acts on e_m (m = -ell..ell) by e^{-i m theta}: weight -m."""
+        return list(range(int(label), -int(label) - 1, -1))
+
     def irrep_table(self, label, params):
         alpha, beta, gamma = params
         ell = int(label)
@@ -458,6 +473,10 @@ class ProductGroup(CompactGroup):
 
     def char_band(self, label):
         return max(f.char_band(w) for f, w in zip(self.factors, label))
+
+    def weights(self, label):
+        """Tuples of factor weights, in the kron (C) order of ``irrep_table``."""
+        return list(itertools.product(*(f.weights(w) for f, w in zip(self.factors, label))))
 
     def irrep_table(self, label, params):
         tables = [f.irrep_table(w, p) for f, w, p in zip(self.factors, label, params)]

@@ -7,10 +7,14 @@ orthonormal basis is assembled K-type by K-type from matrix coefficients
     psi(k) = sqrt(d_lambda) T* tau_lambda(k^{-1}) v
 
 where T runs over a Hilbert-Schmidt-orthonormal set of intertwiners
-H_rho -> H_lambda.  Intertwiners are computed by averaging over the
-stabilizer, which is instance-agnostic and needs no weight-vector
-bookkeeping: the average of tau(s) (x) conj(rho(s)) is the orthogonal
-projection onto the intertwiner space.
+H_rho -> H_lambda.  Every shipped stabilizer is trivial, a coordinate
+subtorus of K's maximal torus, or all of K, so branching needs no
+quadrature: an intertwiner is a unit weight vector (``CompactGroup.weights``)
+whose weight restricts to rho (``StabilizerDescriptor.restrict``), or the
+identity on all of K (Schur's lemma), and multiplicities count weights.
+This is the weight-basis form of the SE(2)/SE(3) induced representations in
+Chirikjian & Kyatkin, Engineering Applications of Noncommutative Harmonic
+Analysis (2001).
 """
 
 from __future__ import annotations
@@ -19,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBasis, NonIntegerMultiplicity
+from .errors import EmptyBasis
 from .groups import CompactGroup, IrrepDescriptor
 from .pairs import StabilizerDescriptor
 
-MULT_ROUND_TOL = 1e-3
-
 
 def full_group(K: CompactGroup) -> StabilizerDescriptor:
-    """K viewed as a subgroup of itself (identity embedding)."""
-    return StabilizerDescriptor(K.name, K, lambda s: s, lambda k: k)
+    """K viewed as a subgroup of itself (identity embedding, Schur's lemma)."""
+    return StabilizerDescriptor(K.name, K, lambda s: s, lambda k: k, None)
 
 
 def enumerate_irreps(group, cutoff):
@@ -50,65 +52,38 @@ def _as_label(irrep_or_label):
     return irrep_or_label.weight if isinstance(irrep_or_label, IrrepDescriptor) else irrep_or_label
 
 
-def restriction_multiplicity(big_ctx, big, sub, small, order=None):
+def restriction_multiplicity(big_ctx, big, sub, small):
     """Multiplicity of ``small`` in the restriction of ``big`` to ``sub``.
 
     ``big_ctx`` is the subgroup of K carrying ``big`` (possibly K itself via
-    :func:`full_group`); ``sub`` must embed into it, which is checked through
-    ``big_ctx.pullback``.  Computed as the character inner product over the
-    subgroup with a quadrature rule sized from the weight labels.
+    :func:`full_group`) and ``sub`` sits inside it.  If ``sub`` is all of K
+    this is Schur's lemma; otherwise it counts the weights of ``big`` that
+    restrict to ``small``.  Every shipped stabilizer reads its weights in the
+    coordinates of K's maximal torus, so ``sub.restrict`` applies to them.
     """
     big, small = _as_label(big), _as_label(small)
-    band = big_ctx.group.char_band(big) + sub.group.char_band(small) + 2
-    rule = sub.group.quadrature(order if order is not None else band)
-    inside = big_ctx.group.params_of([big_ctx.pullback(sub.embed(s)) for s in rule.nodes])
-    chi_big = np.trace(big_ctx.group.irrep_table(big, inside), axis1=1, axis2=2)
-    chi_small = np.trace(sub.group.irrep_node_table(small, rule), axis1=1, axis2=2)
-    val = complex(np.sum(rule.weights * chi_big * np.conj(chi_small)))
-    nearest = round(val.real)
-    if abs(val - nearest) > MULT_ROUND_TOL:
-        raise NonIntegerMultiplicity(
-            f"[{big}|:{small}] quadrature gave {val:.6g}; rule is too coarse"
-        )
-    return int(nearest)
+    if sub.restrict is None:
+        return int(big == small)
+    return sum(sub.restrict(w) == small for w in big_ctx.group.weights(big))
 
 
-def branching_multiplicity(K, big, sub, small, order=None):
+def branching_multiplicity(K, big, sub, small):
     """Multiplicity of the stabilizer irrep ``small`` in the K-irrep ``big``."""
-    return restriction_multiplicity(full_group(K), big, sub, small, order=order)
+    return restriction_multiplicity(full_group(K), big, sub, small)
 
 
 def intertwiners(K, lam, stab, mu):
     """HS-orthonormal intertwiners H_mu -> H_lam for the stabilizer action.
 
-    The averaged operator P(E) = int tau(s) E rho(s)^dagger ds is the
-    orthogonal projection onto the intertwiner space; its unit eigenvectors
-    are the returned matrices (row-major vec).  Eigenvalues must cluster at
-    0 and 1 -- anything in between signals a broken quadrature rule.
+    If the stabilizer is all of K this is Schur's lemma: I / sqrt(d_lam) when
+    lam == mu, else none.  Otherwise mu is one-dimensional and they are the
+    (d_lam x 1) unit columns e_i whose weight restricts to mu, in index order.
     """
-    d_lam = K.irrep_dim(lam)
-    d_mu = stab.group.irrep_dim(mu)
-    order = K.char_band(lam) + stab.group.char_band(mu) + 2
-    rule = stab.group.quadrature(order)
-    tau = K.irrep_table(lam, K.params_of([stab.embed(s) for s in rule.nodes]))
-    rho = stab.group.irrep_node_table(mu, rule)
-    # P = sum_n w_n kron(tau_n, conj(rho_n)), entry [(a, c), (b, d)]
-    P = np.einsum("n,nab,ncd->acbd", rule.weights, tau, rho.conj(), optimize=True)
-    P = P.reshape(d_lam * d_mu, d_lam * d_mu)
-    evals, evecs = np.linalg.eigh((P + P.conj().T) / 2.0)
-    if np.any((evals > 0.1) & (evals < 0.9)):
-        raise NonIntegerMultiplicity(
-            f"intertwiner projection for lambda={lam}, mu={mu} has eigenvalues "
-            f"away from 0/1: {evals}"
-        )
-    out = []
-    for idx in np.flatnonzero(evals > 0.5):
-        T = evecs[:, idx].reshape(d_lam, d_mu)
-        # fix the arbitrary phase: largest entry made real positive
-        piv = np.unravel_index(np.argmax(np.abs(T)), T.shape)
-        T = T * (np.abs(T[piv]) / T[piv])
-        out.append(T)
-    return out
+    d = K.irrep_dim(lam)
+    unit = np.eye(d, dtype=complex)
+    if stab.restrict is None:
+        return [unit / np.sqrt(d)] if lam == mu else []
+    return [unit[:, [i]] for i, w in enumerate(K.weights(lam)) if stab.restrict(w) == mu]
 
 
 @dataclass(eq=False)

@@ -66,13 +66,17 @@ class StabilizerDescriptor:
     """A closed connected subgroup of K with explicit embedding.
 
     ``pullback`` is the partial inverse of ``embed``; it raises ValueError
-    on elements outside the subgroup (tolerance 1e-8).
+    on elements outside the subgroup (tolerance 1e-8).  ``restrict`` maps a
+    torus weight of K (``CompactGroup.weights``) to the stabilizer label it
+    restricts to; it is None for a stabilizer that is all of K, which
+    branches by Schur's lemma.
     """
 
     structure: str
     group: CompactGroup
     embed: Callable
     pullback: Callable
+    restrict: Callable | None
 
 
 @dataclass(eq=False)
@@ -127,12 +131,13 @@ def _trivial_in(identity_elt):
         g,
         lambda s, e=identity_elt: e,
         lambda k: (),
+        lambda w: 0,
     )
 
 
 def _full_circle():
     g = CircleGroup()
-    return StabilizerDescriptor("Torus(1)", g, lambda s: s, lambda k: k)
+    return StabilizerDescriptor("Torus(1)", g, lambda s: s, lambda k: k, lambda w: w)
 
 
 def _z_circle_in_so3():
@@ -143,12 +148,12 @@ def _z_circle_in_so3():
             raise ValueError("element is not a z-axis rotation")
         return float(np.arctan2(R[1, 0], R[0, 0]) % (2.0 * np.pi))
 
-    return StabilizerDescriptor("Torus(1)", g, rot_z, pull)
+    return StabilizerDescriptor("Torus(1)", g, rot_z, pull, lambda w: w)
 
 
 def _full_so3():
     g = RotationGroup3()
-    return StabilizerDescriptor("SO3", g, lambda s: s, lambda k: k)
+    return StabilizerDescriptor("SO3", g, lambda s: s, lambda k: k, None)
 
 
 def _product_stab(factors, positions, k_identity):
@@ -169,7 +174,10 @@ def _product_stab(factors, positions, k_identity):
     def pull(k):
         return tuple(f.pullback(k[slot]) for slot, f in zip(positions, factors))
 
-    return StabilizerDescriptor(structure, g, embed, pull)
+    def restrict(w):
+        return tuple(f.restrict(w[slot]) for slot, f in zip(positions, factors))
+
+    return StabilizerDescriptor(structure, g, embed, pull, restrict)
 
 
 # ---------------------------------------------------------------------------

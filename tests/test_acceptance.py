@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from test_fourier import kernel
 
 from motionfields import (
     MatrixCoefficient,
@@ -25,7 +26,6 @@ from motionfields import (
     converges,
     dominant_representative,
     hs_norm,
-    kernel,
     make_dual_point,
     neighborhood_cross_check,
     operator_norm,

@@ -283,6 +283,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["file", "below-file"])
+    def test_unwritable_output_dir_exits_3(self, kind, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile if kind == "file" else afile / "out"
+        assert main(["run", "--scenario", "m2-default", "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"run failed: cannot write artifacts to {out}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_scenario_exits_2(self, kind, tmp_path, capsys):
         path = tmp_path / "scenario"

@@ -10,7 +10,6 @@ from motionfields import (
     TestFunction,
     adjoint_action,
     hs_norm,
-    kernel,
     make_dual_point,
     operator_norm,
     peter_weyl_basis,
@@ -72,6 +71,26 @@ def coefficient_sum_tau(f, pair, lam, order):
     return sum(
         t.coeff * complex(t.g.fourier(zero)[0]) * S[t.u.col] for t, (S,) in zip(f.terms, sums)
     )
+
+
+def kernel(f, pair, mu, H, h, k):
+    """The stabilizer-averaged kernel at (h, k): a d_mu x d_mu matrix.
+
+    For a trivial stabilizer the average collapses to the scalar
+    fhat2(h k^{-1}, Ad(h) H) times the identity.
+    """
+    H = tuple(float(c) for c in np.atleast_1d(H))
+    stab = stabilizer(pair, H)
+    band = f.bandlimit + stab.group.char_band(mu)
+    rule = stab.group.quadrature(2 * band + 4)
+    xi = pair.adjoint_action(h, pair.embed_a(H))
+    k_inv = pair.K.inverse(k)
+    d = stab.group.irrep_dim(mu)
+    out = np.zeros((d, d), dtype=complex)
+    for w, s in zip(rule.weights, rule.nodes):
+        elt = pair.K.compose(h, pair.K.compose(stab.embed(s), k_inv))
+        out += w * complex(f.partial_fourier(elt, xi)) * stab.group.irrep_matrix(mu, s)
+    return out
 
 
 class TestKernel:
