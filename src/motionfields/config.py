@@ -163,6 +163,9 @@ def _plan(doc, pair):
         H = _coords(f"{w}.H", _key(w, e, "H"), rank)
         gamma0.append((_label(f"{w}.mu", _key(w, e, "mu"), pair, [H]), H))
     H0 = _coords("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), rank)
+    # every rung t H0 of a ray from zero is the zero point: condition 4 would be vacuous
+    _require(np.linalg.norm(H0) > pair.wall_tol, "grids.h_ladder.H0",
+             f"must be a nonzero point, got {list(H0)!r}")
     mu_grid = grids.get("mu_decay")
     mu_H = None if mu_grid is None else _coords(
         "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), rank

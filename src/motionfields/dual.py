@@ -60,26 +60,37 @@ def transport_label(pair, w, H_from, label):
 
     The stabilizers of ``H_from`` and ``w.H_from`` are identified by
     conjugation with the stored representative of ``w``; the transported
-    label is found by matching characters on sample elements.
+    label is the candidate whose character matches at the nodes of the
+    stabilizer's quadrature rule of order 2 band + 1.  That rule integrates
+    products of characters of band <= band exactly, so two distinct
+    candidates, orthonormal characters, differ by at least sqrt(2) at some
+    node and the match is exact.  Results are kept per (instance, Weyl
+    element, stabilizer structures, label).
     """
     stab_from = stabilizer(pair, H_from)
     stab_to = stabilizer(pair, w.apply(tuple(np.atleast_1d(H_from))))
+    key = (pair.name, w.name, stab_from.structure, stab_to.structure, label)
+    if key in _TRANSPORTED:
+        return _TRANSPORTED[key]
     kw = w.rep_in_k
     kw_inv = pair.K.inverse(kw)
     band = stab_from.group.char_band(label)
-    samples = [stab_to.group.random(np.random.default_rng(7 + i)) for i in range(3)]
+    rule = stab_to.group.quadrature(2 * band + 1)
     moved = [
         stab_from.pullback(pair.K.compose(kw_inv, pair.K.compose(stab_to.embed(s), kw)))
-        for s in samples
+        for s in rule.nodes
     ]
     table = stab_from.group.irrep_table(label, stab_from.group.params_of(moved))
     targets = np.trace(table, axis1=1, axis2=2)
-    params = stab_to.group.params_of(samples)
     for cand in stab_to.group.irrep_labels(band):
-        chars = np.trace(stab_to.group.irrep_table(cand, params), axis1=1, axis2=2)
+        chars = np.trace(stab_to.group.irrep_table(cand, rule.params), axis1=1, axis2=2)
         if np.all(np.abs(chars - targets) < 1e-8):
+            _TRANSPORTED[key] = cand
             return cand
     raise AssertionError(f"no transported label found for {label!r} under {w.name}")
+
+
+_TRANSPORTED = {}  # (pair, Weyl element, stabilizer structures, label) -> label
 
 
 def check_label(pair, label, H=None):

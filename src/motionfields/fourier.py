@@ -2,18 +2,21 @@
 
 The induced operator acts by pi(f) Psi(h) = int_K fhat2(h k^{-1}, Ad(h) H)
 Psi(k) dk.  Matrix entries against the covariant basis are product-rule
-double quadratures over K x K.  For separable terms the kernel factorizes
+double integrals over K x K.  For separable terms the kernel factorizes
 through matrix coefficients, so every entry is a sum over r of products
-A B, where A and B are weighted node sums of two irrep matrices, one from
-the term and one from the basis block (``CompactGroup.coefficient_sums``).
-No basis node table is built.  On SO(3) the sums are Euler-factorised: the
-equispaced alpha and gamma sums become a frequency selection from a 2-D
-FFT of the orbit factor, leaving one Gauss-Legendre sum in beta.  Either
-way the values are those of the naive product-rule double sum.  The K-dual
-entries are the plain integrated representations tau_lambda(f), taken from
-the same sums with the orbit factor 1, and the zero-point operator is
-their block sum over the branching K-types.  Each operator is computed at
-the quadrature order ``proven_order``, which integrates it exactly.
+A B of two single integrals of a term coefficient against a basis block.
+A carries the orbit factor and is a weighted node sum of two irrep
+matrices (``CompactGroup.coefficient_sums``); no basis node table is
+built.  On SO(3) the sums are Euler-factorised: the equispaced alpha and
+gamma sums become a frequency selection from a 2-D FFT of the orbit
+factor, leaving one Gauss-Legendre sum in beta.  Either way the values are
+those of the product rule.  B has no orbit factor, so it is the closed-form
+Schur sum (``CompactGroup.schur_sum``), zero outside the basis block of the
+term's contragredient K-type.  Induced operators are computed at the
+quadrature order ``proven_order``, which integrates A exactly.  The K-dual
+entries are the plain integrated representations tau_lambda(f), Schur sums
+with no quadrature (``order`` 0), and the zero-point operator is their
+block sum over the branching K-types.
 """
 
 from __future__ import annotations
@@ -28,27 +31,17 @@ from .induction import PeterWeylBasis, peter_weyl_basis
 from .pairs import stabilizer
 
 
-def proven_order(f, lam_band, orbit=True):
+def proven_order(f, lam_band):
     """The order that integrates entries against K-types of band <= ``lam_band`` exactly.
 
-    An entry integrand is u(k) tau_lam(k), for induced entries (``orbit``)
-    times g-hat(Ad(k)H) = C q(Ad(k)H) exp(-sigma^2 |H|^2 / 2), as Ad is
-    orthogonal; q has the degree of g's polynomial, which bounds its K-band.
-    A rule of order q is exact up to band q on SO(3), but only up to q - 1
-    on a circle factor (q nodes): hence the 1 +.
+    An entry integrand is u(k) tau_lam(k) g-hat(Ad(k)H), and g-hat(Ad(k)H)
+    = C q(Ad(k)H) exp(-sigma^2 |H|^2 / 2), as Ad is orthogonal; q has the
+    degree of g's polynomial, which bounds its K-band.  A rule of order q is
+    exact up to band q on SO(3), but only up to q - 1 on a circle factor
+    (q nodes): hence the 1 +.
     """
     K = f.pair.K
-    return 1 + lam_band + max(
-        K.char_band(t.u.label) + (t.g.max_degree() if orbit else 0) for t in f.terms
-    )
-
-
-def _rule(f, pair, lam_band, order, orbit=True):
-    """The rule of ``order``, by default the proven one; below it is refused."""
-    proven = proven_order(f, lam_band, orbit)
-    if order is not None and order < proven:
-        raise QuadratureOrderTooLow(f"order {order} is below the proven order {proven}")
-    return pair.K.quadrature(proven if order is None else order)
+    return 1 + lam_band + max(K.char_band(t.u.label) + t.g.max_degree() for t in f.terms)
 
 
 @dataclass(eq=False)
@@ -57,6 +50,8 @@ class TruncatedOperator:
 
     ``block_index`` lists (K-type label, copy, vector index) per basis row;
     for K-dual entries the basis is the standard one of the single K-type.
+    ``order`` is the quadrature order of the entries; 0 means a closed
+    form, with no quadrature (K-dual entries and their block sums).
     """
 
     matrix: np.ndarray
@@ -109,35 +104,38 @@ def hs_norm(T):
     return float(np.linalg.norm(m))
 
 
-def _basis_factor(basis, sums):
-    """sqrt(d_lam) S T for every basis block, stacked: shape (r, N, d_rho)."""
-    return np.concatenate(
-        [
-            np.sqrt(basis.K.irrep_dim(lam)) * (S @ T)
-            for (lam, Ts), S in zip(basis.blocks, sums)
-            for T in Ts
-        ],
-        axis=1,
-    )
+def _block_factor(K, lam, Ts, S):
+    """sqrt(d_lam) S T for every copy T of one basis block, stacked: (r, d_lam * copies, d_rho)."""
+    return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=1)
 
 
 def _pi_entries(f, pair, basis, H, rule):
-    ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
-    lams = [lam for lam, _ in basis.blocks]
-    # u(h k^{-1}) = sum_r D[h, i0, r] conj(D[k, j0, r]) splits the K x K
-    # product quadrature into two single sums per r: A from g-hat on the
-    # orbit and row i0, B from the plain rule and row j0
-    left = [(t.g.fourier(ad), t.u.label, t.u.row) for t in f.terms]
-    right = list(dict.fromkeys((t.u.label, t.u.col) for t in f.terms))
-    ones = np.ones(len(rule))
-    sums = pair.K.coefficient_sums(
-        rule, lams, left + [(ones, lab, col) for lab, col in right]
-    )
-    factors = [_basis_factor(basis, s) for s in sums]
-    B = dict(zip(right, (np.conj(x) for x in factors[len(left):])))
+    K = pair.K
+    cols, start = {}, 0  # lam -> (its basis columns, its copies)
+    for lam, Ts in basis.blocks:
+        cols[lam] = (slice(start, start + K.irrep_dim(lam) * len(Ts)), Ts)
+        start = cols[lam][0].stop
+    # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
+    # integral into two single ones per r: A, the rule's sums of g-hat on the
+    # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
+    # the basis block of the contragredient K-type bar; a term whose bar is
+    # not in the basis contributes nothing
+    live = [(t, *K.schur_sum(t.u.label, t.u.col)) for t in f.terms]
+    live = [(t, bar, S) for t, bar, S in live if bar in cols]
     M = np.zeros((basis.size, basis.size), dtype=complex)
-    for term, A in zip(f.terms, factors):
-        M += term.coeff * np.einsum("ria,rja->ij", A, B[(term.u.label, term.u.col)])
+    if not live:
+        return M
+    ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
+    sums = K.coefficient_sums(
+        rule, list(cols), [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in live]
+    )
+    for (term, bar, S), s in zip(live, sums):
+        A = np.concatenate(
+            [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(basis.blocks, s)], axis=1
+        )
+        bar_cols, bar_Ts = cols[bar]
+        B = _block_factor(K, bar, bar_Ts, S)
+        M[:, bar_cols] += term.coeff * np.einsum("ria,rja->ij", A, B.conj())
     return M
 
 
@@ -153,8 +151,10 @@ def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     H = tuple(float(c) for c in np.atleast_1d(H))
     if basis is None:
         basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    lam_band = max(pair.K.char_band(lam) for lam, _ in basis.blocks)
-    rule = _rule(f, pair, lam_band, order)
+    proven = proven_order(f, max(pair.K.char_band(lam) for lam, _ in basis.blocks))
+    if order is not None and order < proven:
+        raise QuadratureOrderTooLow(f"order {order} is below the proven order {proven}")
+    rule = pair.K.quadrature(proven if order is None else order)
     return TruncatedOperator(
         matrix=_pi_entries(f, pair, basis, H, rule),
         lambda_max=lambda_max,
@@ -165,28 +165,26 @@ def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     )
 
 
-def tau_matrix(f, pair, lam, order=None, point=None):
+def tau_matrix(f, pair, lam, point=None):
     """The K-dual entry: integral of fhat2(k, 0) against the K-irrep.
 
-    Each term contributes ghat(0) times the rule's sum of u(k) tau_lam(k),
-    read off ``CompactGroup.coefficient_sums`` with g = 1 at the term's row,
-    at ``proven_order`` (an explicit ``order`` below it raises).
+    Each term contributes ghat(0) times int u(k) tau_lam(k) dk, its Schur
+    sum (``CompactGroup.schur_sum``) at the term's column: zero unless lam
+    is the contragredient of the term's label.  This is a closed form, so no
+    quadrature is involved and ``order`` is 0.
     """
-    rule = _rule(f, pair, pair.K.char_band(lam), order, orbit=False)
-    ones = np.ones(len(rule))
-    sums = pair.K.coefficient_sums(
-        rule, [lam], [(ones, t.u.label, t.u.row) for t in f.terms]
-    )
+    K = pair.K
     zero = np.zeros((1, pair.dim_p))
-    d = pair.K.irrep_dim(lam)
+    d = K.irrep_dim(lam)
     M = np.zeros((d, d), dtype=complex)
-    for term, (S,) in zip(f.terms, sums):
-        ghat0 = complex(term.g.fourier(zero)[0])
-        M += term.coeff * ghat0 * S[term.u.col]
+    for term in f.terms:
+        bar, S = K.schur_sum(term.u.label, term.u.row)
+        if bar == lam:
+            M += term.coeff * complex(term.g.fourier(zero)[0]) * S[term.u.col]
     return TruncatedOperator(
         matrix=M,
-        lambda_max=pair.K.char_band(lam),
-        order=rule.order,
+        lambda_max=K.char_band(lam),
+        order=0,
         block_index=[(lam, 0, v) for v in range(d)],
         point=point,
     )
@@ -198,7 +196,7 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None, H_ref=None):
     Blocks follow the covariant-basis order of the companion induced
     operator, each K-type repeated per branching copy, so differences
     against pi_matrix along a ray toward zero are entrywise meaningful.
-    ``order`` is the largest of the blocks' orders.
+    The blocks are closed forms, so ``order`` is 0.
     """
     if basis is None:
         if H_ref is None:
@@ -210,7 +208,7 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None, H_ref=None):
             [taus[lam].matrix for lam, Ts in basis.blocks for _ in Ts]
         ),
         lambda_max=lambda_max,
-        order=max(t.order for t in taus.values()),
+        order=0,
         block_index=basis.block_index,
         basis=basis,
     )
@@ -229,8 +227,9 @@ class OperatorFieldSample:
 def sample_field(f, pair, grid, lambda_max):
     """Evaluate the Fourier-transform field of ``f`` on a grid of dual points.
 
-    Every operator is integrated at its ``proven_order``.  Induced-stratum
-    points that share a weight and a stabilizer share one covariant basis.
+    Induced operators are integrated at their ``proven_order``; K-dual
+    entries are closed forms.  Induced-stratum points that share a weight
+    and a stabilizer share one covariant basis.
     """
     for p in grid:
         if p.pair_name != pair.name:

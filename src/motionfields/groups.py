@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -97,6 +97,11 @@ class CompactGroup:
         """Torus weight of each standard basis vector of the irrep, in basis order."""
         raise NotImplementedError
 
+    def contragredient(self, label):
+        """(bar, J): the label of the conjugate irrep and a unitary J with
+        tau_bar(k) = J conj(tau_label(k)) J^H for every k."""
+        raise NotImplementedError
+
     def irrep_table(self, label, params):
         """tau_label at n elements given as ``params``, shape (n, d, d).
 
@@ -159,6 +164,21 @@ class CompactGroup:
             )
         return out
 
+    def schur_sum(self, label, row):
+        """The Haar integrals of ``coefficient_sums`` with g = 1, in closed form.
+
+        int tau_label(k)[row, r] tau_lam(k)[v, b] dk vanishes unless lam is
+        the contragredient ``bar`` of ``label``; there Schur orthogonality
+        against tau_bar = J conj(tau_label) J^H gives
+
+            S[r, v, b] = J[v, row] conj(J[b, r]) / d_label.
+
+        Returns (bar, S).
+        """
+        bar, J = self.contragredient(label)
+        S = np.einsum("v,br->rvb", J[:, row], J.conj()) / self.irrep_dim(label)
+        return bar, S
+
     def _nodes_from_params(self, params):
         raise NotImplementedError
 
@@ -192,6 +212,9 @@ class TrivialGroup(CompactGroup):
 
     def weights(self, label):
         return [0]
+
+    def contragredient(self, label):
+        return 0, np.ones((1, 1))
 
     def irrep_table(self, label, params):
         return np.ones((len(params), 1, 1), dtype=complex)
@@ -237,6 +260,9 @@ class CircleGroup(CompactGroup):
 
     def weights(self, label):
         return [label]
+
+    def contragredient(self, label):
+        return -int(label), np.ones((1, 1))
 
     def irrep_table(self, label, params):
         return np.exp(1j * label * params)[:, None, None]
@@ -371,6 +397,14 @@ class RotationGroup3(CompactGroup):
         """rot_z(theta) acts on e_m (m = -ell..ell) by e^{-i m theta}: weight -m."""
         return list(range(int(label), -int(label) - 1, -1))
 
+    def contragredient(self, label):
+        """conj(D^ell_{m'm}) = (-1)^(m'-m) D^ell_{-m',-m}: J[2ell - a, a] = (-1)^(a - ell)."""
+        ell = int(label)
+        a = np.arange(2 * ell + 1)
+        J = np.zeros((2 * ell + 1, 2 * ell + 1))
+        J[2 * ell - a, a] = (-1.0) ** (a - ell)
+        return ell, J
+
     def irrep_table(self, label, params):
         alpha, beta, gamma = params
         ell = int(label)
@@ -477,6 +511,11 @@ class ProductGroup(CompactGroup):
     def weights(self, label):
         """Tuples of factor weights, in the kron (C) order of ``irrep_table``."""
         return list(itertools.product(*(f.weights(w) for f, w in zip(self.factors, label))))
+
+    def contragredient(self, label):
+        """Factor by factor, with J the kron of the factors' in the C order of ``irrep_table``."""
+        bars, Js = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
+        return tuple(bars), reduce(np.kron, Js)
 
     def irrep_table(self, label, params):
         tables = [f.irrep_table(w, p) for f, w, p in zip(self.factors, label, params)]

@@ -32,6 +32,8 @@ BAD_DOCUMENTS = {
     "gamma0_nan": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(H=[float("inf")])),
     "gamma0_no_mu": ("m3-default", lambda d: d["grids"]["gamma0"][0].pop("mu")),
     "h_ladder_no_H0": ("m3-default", lambda d: d["grids"]["h_ladder"].pop("H0")),
+    # a ladder on the zero point has every rung at zero: condition 4 is vacuous
+    "h_ladder_H0_zero": ("m3-default", lambda d: d["grids"]["h_ladder"].update(H0=[0.0])),
     "gamma0_label_x": ("m3-default", lambda d: d["grids"]["gamma0"][0].update(mu="x")),
     "gamma2_label_x": ("m3-default", lambda d: d["grids"]["gamma2"].__setitem__(2, "x")),
     "cutoffs_list": ("m3-default", lambda d: d.update(cutoffs=[5])),
@@ -400,10 +402,11 @@ class TestGoldenRegression:
         assert got == golden
 
 
-def test_run_time_imports_no_scipy():
+def test_run_time_imports_no_scipy(tmp_path):
     # numpy is the only run-time dependency: importing the package and the
-    # CLI and computing one M3 induced entry and one K-dual entry must not
-    # import scipy, lazily or otherwise
+    # CLI, computing one M3 induced entry and one K-dual entry, and running
+    # the m3-default scenario must not import scipy, lazily or otherwise;
+    # nor numpy.random, as no run-time result rests on random samples
     code = """
 import sys
 import motionfields, motionfields.cli
@@ -415,12 +418,15 @@ m3 = build_instance("M3")
 f = TestFunction(m3, [Term(1.0, MatrixCoefficient(2, 0, 1), PolyGaussian.gaussian(3))])
 pi_matrix(f, m3, 1, (1.0,), 2)
 tau_matrix(f, m3, 2)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+cli = motionfields.cli
+cli.run_scenario(cli.load_scenario("m3-default"), sys.argv[1])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.random"))
 """
     src = str(Path(motionfields.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

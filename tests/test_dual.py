@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from motionfields import (
@@ -14,6 +15,7 @@ from motionfields import (
     weyl_action_on_pairs,
 )
 from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
+from motionfields.pairs import stabilizer
 
 
 def ray(pair, label, start, target, n=28):
@@ -85,6 +87,46 @@ class TestWeylAction:
         p = make_dual_point(m2xm2, (0, 0), (1.0, 2.0))
         for w in m2xm2.weyl_group:
             assert equivalent(m2xm2, p, weyl_action_on_pairs(m2xm2, w, p))
+
+
+def transport_label_reference(pair, w, H_from, label):
+    """The transported label from characters matched at three random elements."""
+    stab_from = stabilizer(pair, H_from)
+    stab_to = stabilizer(pair, w.apply(tuple(np.atleast_1d(H_from))))
+    kw = w.rep_in_k
+    kw_inv = pair.K.inverse(kw)
+    samples = [stab_to.group.random(np.random.default_rng(7 + i)) for i in range(3)]
+    moved = [
+        stab_from.pullback(pair.K.compose(kw_inv, pair.K.compose(stab_to.embed(s), kw)))
+        for s in samples
+    ]
+    targets = [stab_from.group.character(label, m) for m in moved]
+    for cand in stab_to.group.irrep_labels(stab_from.group.char_band(label)):
+        chars = [stab_to.group.character(cand, s) for s in samples]
+        if np.allclose(chars, targets, atol=1e-8, rtol=0):
+            return cand
+    raise AssertionError(f"no transported label found for {label!r} under {w.name}")
+
+
+class TestTransportLabel:
+    """Characters matched on a quadrature rule against random samples."""
+
+    POINTS = {  # regular and wall points, dominant or not
+        "M2": [(1.3,), (-0.7,)],
+        "M3": [(2.0,), (-0.4,)],
+        "M2xM2": [(1.0, 2.0), (-0.5, 1.5), (1.0, 0.0), (0.0, -2.0), (-1.5, 0.0)],
+    }
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_matches_random_sample_oracle(self, instance, request):
+        pair = request.getfixturevalue(instance.lower())
+        for H in self.POINTS[instance]:
+            for label in stabilizer(pair, H).group.irrep_labels(4):
+                for w in pair.weyl_group:
+                    got = transport_label(pair, w, H, label)
+                    assert got == transport_label_reference(pair, w, H, label)
+                    # the memoised answer is the same
+                    assert transport_label(pair, w, H, label) == got
 
 
 class TestNeighborhood:

@@ -22,6 +22,7 @@ from motionfields import (
     transport_label,
 )
 from motionfields.fourier import _pi_entries
+from motionfields.groups import CompactGroup
 
 
 def gauss_term(pair, label, row=0, col=0, coeff=1.0, sigma=1.0):
@@ -59,6 +60,36 @@ def table_tau_matrix(f, pair, lam, order):
         uvals = pair.K.irrep_node_table(term.u.label, rule)[:, term.u.row, term.u.col]
         ghat0 = complex(term.g.fourier(zero)[0])
         M += term.coeff * ghat0 * np.einsum("n,nab->ab", rule.weights * uvals, tab)
+    return M
+
+
+def quadrature_b_pi_entries(f, pair, basis, H, rule):
+    """Reference induced entries with both factors of every entry by quadrature.
+
+    A is the rule's sums of g-hat on the orbit at the term's row; B the
+    rule's sums with g = 1 at its column, contracted against every basis
+    column (the closed form of B is zero outside one block).
+    """
+    K = pair.K
+
+    def factor(sums):
+        return np.concatenate(
+            [np.sqrt(K.irrep_dim(lam)) * (S @ T)
+             for (lam, Ts), S in zip(basis.blocks, sums) for T in Ts],
+            axis=1,
+        )
+
+    ad = pair.ad_orbit_table(rule, H)
+    lams = [lam for lam, _ in basis.blocks]
+    left = [(t.g.fourier(ad), t.u.label, t.u.row) for t in f.terms]
+    right = list(dict.fromkeys((t.u.label, t.u.col) for t in f.terms))
+    ones = np.ones(len(rule))
+    sums = K.coefficient_sums(rule, lams, left + [(ones, lab, col) for lab, col in right])
+    factors = [factor(s) for s in sums]
+    B = dict(zip(right, (np.conj(x) for x in factors[len(left):])))
+    M = np.zeros((basis.size, basis.size), dtype=complex)
+    for term, A in zip(f.terms, factors):
+        M += term.coeff * np.einsum("ria,rja->ij", A, B[(term.u.label, term.u.col)])
     return M
 
 
@@ -223,8 +254,10 @@ class TestFactorisedEntries:
     """Factorised entries against the naive K x K double quadrature.
 
     The M3 cases take the entry sums at order 4, below the proven order, so
-    they alias on purpose: the factorised sums must reproduce the product
-    rule itself, not only the exact integral.
+    the A sums alias on purpose: they must reproduce the product rule
+    itself, not only the exact integral.  The B side has band at most 4
+    here, so the rule of order 4 integrates it exactly, as its closed form
+    does.
     """
 
     @staticmethod
@@ -321,6 +354,9 @@ def random_function(pair, rng, max_label=3, max_degree=4):
 class TestProvenOrder:
     """Entries at the default order are those of a rule 8 orders finer.
 
+    K-dual entries, a closed form, are checked against the node-table sums
+    of that finer rule.
+
     The reference order is derived here, independently of ``proven_order``:
     band(u) + deg q + band(lambda) is the band of an entry integrand, and a
     rule of order band + 1 integrates it exactly on every K.  The corner
@@ -343,10 +379,10 @@ class TestProvenOrder:
         )
 
     @staticmethod
-    def assert_equal_entries(op, fine):
-        scale = np.abs(fine.matrix).max()
+    def assert_equal_entries(M, fine):
+        scale = np.abs(fine).max()
         if scale > 1e-10:  # all-zero operators carry no evidence
-            assert np.abs(op.matrix - fine.matrix).max() <= 1e-12 * scale
+            assert np.abs(M - fine).max() <= 1e-12 * scale
 
     def check(self, pair, f, lam_max, rng):
         K = pair.K
@@ -356,11 +392,13 @@ class TestProvenOrder:
             op = pi_matrix(f, pair, mu, H, lam_max)
             lam_band = max(K.char_band(lam) for lam, _ in op.basis.blocks)
             ref = self.band(f, lam_band) + 9
-            self.assert_equal_entries(op, pi_matrix(f, pair, mu, H, lam_max, order=ref))
+            fine = pi_matrix(f, pair, mu, H, lam_max, order=ref)
+            self.assert_equal_entries(op.matrix, fine.matrix)
         for lam in K.irrep_labels(lam_max):
             op = tau_matrix(f, pair, lam)
+            assert op.order == 0
             ref = self.band(f, K.char_band(lam), orbit=False) + 9
-            self.assert_equal_entries(op, tau_matrix(f, pair, lam, order=ref))
+            self.assert_equal_entries(op.matrix, table_tau_matrix(f, pair, lam, ref))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
@@ -379,11 +417,69 @@ class TestProvenOrder:
         f = TestFunction(pair, [Term(1.0, MatrixCoefficient(label), PolyGaussian(dim, 1.0, poly))])
         self.check(pair, f, 0, np.random.default_rng(0))
 
+
+class TestClosedFormB:
+    """Induced entries with the closed-form B against B by quadrature."""
+
+    POINTS = {  # regular, wall and near-zero points
+        "M2": [(1.1,), (0.0,), (1e-7,)],
+        "M3": [(0.9,), (0.0,), (1e-7,)],
+        "M2xM2": [(0.8, 1.3), (0.0, 0.9), (0.7, 0.0), (0.0, 0.0), (1e-7, 2e-7)],
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_random_functions(self, instance, seed, request):
+        pair = request.getfixturevalue(instance.lower())
+        rng = np.random.default_rng([seed, len(instance), 7])
+        f = random_function(pair, rng)
+        # lam_max covers the term labels (band <= 3), whose contragredients
+        # then sit in the basis when mu is small
+        lam_max = int(rng.integers(3, 5))
+        pairs = []
+        for H in self.POINTS[pair.name]:
+            labels = stabilizer(pair, H).group.irrep_labels(1)
+            mu = labels[int(rng.integers(len(labels)))]
+            op = pi_matrix(f, pair, mu, H, lam_max)
+            ref = quadrature_b_pi_entries(f, pair, op.basis, H, pair.K.quadrature(op.order))
+            pairs.append((op.matrix, ref))
+        # the closed form is exactly zero where quadrature leaves rounding
+        # noise, so the scale is the largest entry over all points
+        scale = max(np.abs(ref).max() for _, ref in pairs)
+        assert scale > 1e-3  # the comparison is not vacuous
+        for M, ref in pairs:
+            assert np.abs(M - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch):
+    pair = request.getfixturevalue(instance.lower())
+    rng = np.random.default_rng([len(instance), 11])
+    f = random_function(pair, rng, max_label=2, max_degree=0)  # ghat(0) != 0
+    lams = pair.K.irrep_labels(2)
+    refs = [table_tau_matrix(f, pair, lam, 6) for lam in lams]
+    assert max(np.abs(r).max() for r in refs) > 1e-3
+
+    def no_rule(self, order):
+        raise AssertionError(f"quadrature rule of order {order} built on {self.name}")
+
+    monkeypatch.setattr(CompactGroup, "quadrature", no_rule)
+    for lam, ref in zip(lams, refs):
+        op = tau_matrix(f, pair, lam)
+        assert op.order == 0
+        assert np.abs(op.matrix - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+    mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
+    op = pi_mu0_matrix(f, pair, mu, 2)
+    assert op.order == 0
+    assert np.abs(op.matrix).max() > 0
+
+
 class TestTauMatrix:
     # terms differ in u label, row and column, and each lam pairs with one
-    # (on the circle factors, with a label of opposite weight); order 3,
-    # below the proven order, aliases on purpose, so the entry sums taken
-    # with that rule must reproduce the product rule itself
+    # (on the circle factors, with a label of opposite weight); the [3]
+    # cases take coefficient_sums at order 3, below the exact order, which
+    # aliases on purpose: the entry sums taken with that rule must
+    # reproduce the product rule itself
     TAU_CASES = [
         ("M2", [(2, 0, 0, 1.0), (-1, 0, 0, 0.3j), (0, 0, 0, 0.5)], [-2, 0, 1]),
         (
@@ -407,8 +503,9 @@ class TestTauMatrix:
         )
         for lam in lams:
             if order is None:
-                op = tau_matrix(f, pair, lam)
-                M, ref = op.matrix, table_tau_matrix(f, pair, lam, op.order)
+                # closed form against the table at an order exact for u tau_lam
+                exact = 1 + pair.K.char_band(lam) + max(pair.K.char_band(t[0]) for t in terms)
+                M, ref = tau_matrix(f, pair, lam).matrix, table_tau_matrix(f, pair, lam, exact)
             else:
                 M, ref = coefficient_sum_tau(f, pair, lam, order), table_tau_matrix(f, pair, lam, order)
             scale = np.abs(ref).max()

@@ -349,3 +349,37 @@ class TestSinglePath:
                 assert group.character(label, elt) == pytest.approx(
                     character_oracle(group, label, elt), abs=1e-10
                 )
+
+
+class TestSchurSum:
+    """The closed-form Schur sums against the quadrature sums with g = 1."""
+
+    GROUPS = [TrivialGroup, CircleGroup, RotationGroup3,
+              lambda: ProductGroup([CircleGroup(), CircleGroup()])]
+
+    @pytest.mark.parametrize("make_group", GROUPS)
+    def test_contragredient_conjugates_the_irrep(self, make_group, rng):
+        group = make_group()
+        params = group.params_of([group.random(rng) for _ in range(4)])
+        for label in group.irrep_labels(3):
+            bar, J = group.contragredient(label)
+            assert np.abs(J @ J.conj().T - np.eye(len(J))).max() < 1e-15
+            expect = J @ np.conj(group.irrep_table(label, params)) @ J.conj().T
+            assert np.abs(group.irrep_table(bar, params) - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("make_group", GROUPS)
+    def test_matches_coefficient_sums_with_unit_orbit_factor(self, make_group):
+        # every label and K-type of band <= 5 and every row, at the order
+        # that integrates the product of the two coefficients exactly
+        group = make_group()
+        labels = group.irrep_labels(5)
+        for label in labels:
+            rule = group.quadrature(1 + group.char_band(label) + 5)
+            rows = range(group.irrep_dim(label))
+            ones = np.ones(len(rule))
+            sums = group.coefficient_sums(rule, labels, [(ones, label, row) for row in rows])
+            for row, quad in zip(rows, sums):
+                bar, S = group.schur_sum(label, row)
+                for lam, Sq in zip(labels, quad):
+                    expect = S if lam == bar else 0.0
+                    assert np.abs(Sq - expect).max() <= 1e-14
