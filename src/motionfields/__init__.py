@@ -27,6 +27,7 @@ from .errors import (
     MixedInstance,
     MissingGamma2Data,
     MotionFieldsError,
+    NonRadialFlatFactor,
     PathCrossesStrata,
     QuadratureOrderTooLow,
     StratumMismatch,

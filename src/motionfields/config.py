@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dual import check_label
-from .errors import ConfigError, StratumMismatch
+from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch
 from .pairs import INSTANCE_NAMES, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
 from .verifier import Thresholds, VerificationPlan
@@ -130,6 +130,8 @@ def _term(where, t, dim):
     coeff = _complex(f"{where}.coeff", _key(where, t, "coeff"))
     try:
         flat = PolyGaussian(dim, float(sigma), poly, radial=radial)
+    except NonRadialFlatFactor as e:
+        raise ConfigError(f"{where}.g.radial", str(e)) from None
     except ValueError as e:
         raise ConfigError(f"{where}.g", str(e)) from None
     return Term(coeff, MatrixCoefficient(label, row, col), flat)

@@ -33,6 +33,10 @@ class QuadratureOrderTooLow(MotionFieldsError):
     """Explicit quadrature order below the proven order of the operator."""
 
 
+class NonRadialFlatFactor(MotionFieldsError, ValueError):
+    """Flat factor declared radial whose polynomial is not one in |X|^2."""
+
+
 class PathCrossesStrata(MotionFieldsError):
     """Continuity path leaves the stratum it started in."""
 

@@ -5,18 +5,22 @@ Psi(k) dk.  Matrix entries against the covariant basis are product-rule
 double integrals over K x K.  For separable terms the kernel factorizes
 through matrix coefficients, so every entry is a sum over r of products
 A B of two single integrals of a term coefficient against a basis block.
-A carries the orbit factor and is a weighted node sum of two irrep
-matrices (``CompactGroup.coefficient_sums``); no basis node table is
-built.  On SO(3) the sums are Euler-factorised: the equispaced alpha and
-gamma sums become a frequency selection from a 2-D FFT of the orbit
-factor, leaving one Gauss-Legendre sum in beta.  Either way the values are
-those of the product rule.  B has no orbit factor, so it is the closed-form
-Schur sum (``CompactGroup.schur_sum``), zero outside the basis block of the
-term's contragredient K-type.  Induced operators are computed at the
-quadrature order ``proven_order``, which integrates A exactly.  The K-dual
-entries are the plain integrated representations tau_lambda(f), Schur sums
-with no quadrature (``order`` 0), and the zero-point operator is their
-block sum over the branching K-types.
+A carries the orbit factor g-hat(Ad(k) H).  For a Gaussian flat factor
+(polynomial degree 0) that factor is the constant g-hat(H), as Ad is
+orthogonal, so A is g-hat(H) times a closed-form Schur sum
+(``CompactGroup.schur_sum``) and the term needs no quadrature.  Otherwise
+A is a weighted node sum of two irrep matrices
+(``CompactGroup.coefficient_sums``); no basis node table is built.  On
+SO(3) those sums are Euler-factorised: the equispaced alpha and gamma sums
+become a frequency selection from a 2-D FFT of the orbit factor, leaving
+one Gauss-Legendre sum in beta.  Either way the values are those of the
+product rule.  B has no orbit factor, so it is always the Schur sum, zero
+outside the basis block of the term's contragredient K-type.  Induced
+operators whose terms are not all Gaussian are computed at the quadrature
+order ``proven_order``, which integrates A exactly.  The K-dual entries
+are the plain integrated representations tau_lambda(f), Schur sums with
+no quadrature, and the zero-point operator is their block sum over the
+branching K-types.  ``order`` 0 records that no entry needed quadrature.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ class TruncatedOperator:
 
     ``block_index`` lists (K-type label, copy, vector index) per basis row;
     for K-dual entries the basis is the standard one of the single K-type.
-    ``order`` is the quadrature order of the entries; 0 means a closed
-    form, with no quadrature (K-dual entries and their block sums).
+    ``order`` is the quadrature order of the entries, 0 when no entry needs
+    quadrature (all-Gaussian induced entries, K-dual entries and their
+    block sums).
     """
 
     matrix: np.ndarray
@@ -109,44 +114,60 @@ def _block_factor(K, lam, Ts, S):
     return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=1)
 
 
-def _pi_entries(f, pair, basis, H, rule):
+def _pi_entries(f, pair, basis, H, order):
+    """The entries <pi(f) psi_j, psi_i>, and the order of the rule they used (0 for none)."""
     K = pair.K
     cols, start = {}, 0  # lam -> (its basis columns, its copies)
     for lam, Ts in basis.blocks:
         cols[lam] = (slice(start, start + K.irrep_dim(lam) * len(Ts)), Ts)
         start = cols[lam][0].stop
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
-    # integral into two single ones per r: A, the rule's sums of g-hat on the
-    # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
-    # the basis block of the contragredient K-type bar; a term whose bar is
-    # not in the basis contributes nothing
-    live = [(t, *K.schur_sum(t.u.label, t.u.col)) for t in f.terms]
-    live = [(t, bar, S) for t, bar, S in live if bar in cols]
+    # integral into two single ones per r: A, the sums of g-hat on the orbit
+    # at row i0, and B, the Schur sums at row j0, which vanish outside the
+    # basis block of the contragredient K-type bar; a term whose bar is not
+    # in the basis contributes nothing
     M = np.zeros((basis.size, basis.size), dtype=complex)
-    if not live:
-        return M
+    quadrature_terms = []
+    for t in f.terms:
+        bar, S = K.schur_sum(t.u.label, t.u.col)
+        if bar not in cols:
+            continue
+        bar_cols, bar_Ts = cols[bar]
+        B = _block_factor(K, bar, bar_Ts, S)
+        if t.g.max_degree():
+            quadrature_terms.append((t, bar_cols, B))
+            continue
+        # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal, so
+        # A is g-hat(H) times the Schur sum at row i0: the (bar, bar) block
+        ghat = complex(t.g.fourier(pair.embed_a(H))[0])
+        A = _block_factor(K, bar, bar_Ts, K.schur_sum(t.u.label, t.u.row)[1])
+        M[bar_cols, bar_cols] += t.coeff * ghat * np.einsum("ria,rja->ij", A, B.conj())
+    if not quadrature_terms:
+        return M, 0
+    rule = K.quadrature(order)
     ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
     sums = K.coefficient_sums(
-        rule, list(cols), [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in live]
+        rule, list(cols), [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in quadrature_terms]
     )
-    for (term, bar, S), s in zip(live, sums):
+    for (t, bar_cols, B), s in zip(quadrature_terms, sums):
         A = np.concatenate(
             [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(basis.blocks, s)], axis=1
         )
-        bar_cols, bar_Ts = cols[bar]
-        B = _block_factor(K, bar, bar_Ts, S)
-        M[:, bar_cols] += term.coeff * np.einsum("ria,rja->ij", A, B.conj())
-    return M
+        M[:, bar_cols] += t.coeff * np.einsum("ria,rja->ij", A, B.conj())
+    return M, rule.order
 
 
 def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     """Truncated matrix of the induced-representation operator at (mu, H).
 
     Entries are <pi(f) psi_j, psi_i> over the covariant basis cut at
-    ``lambda_max``, integrated at ``proven_order`` for the basis K-types,
-    which is exact; an explicit ``order`` below it raises
-    QuadratureOrderTooLow.  A prebuilt ``basis`` may be passed to share it
-    across points with the same stabilizer (e.g. along a ray toward zero).
+    ``lambda_max``.  Terms with a Gaussian flat factor (degree 0) are closed
+    forms; the others are integrated at ``proven_order`` for the basis
+    K-types, which is exact, and the rule is built only for them.  An
+    explicit ``order`` below the proven one raises QuadratureOrderTooLow.
+    ``order`` of the result is that of the rule, or 0 when no entry needed
+    one.  A prebuilt ``basis`` may be passed to share it across points with
+    the same stabilizer (e.g. along a ray toward zero).
     """
     H = tuple(float(c) for c in np.atleast_1d(H))
     if basis is None:
@@ -154,11 +175,11 @@ def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     proven = proven_order(f, max(pair.K.char_band(lam) for lam, _ in basis.blocks))
     if order is not None and order < proven:
         raise QuadratureOrderTooLow(f"order {order} is below the proven order {proven}")
-    rule = pair.K.quadrature(proven if order is None else order)
+    matrix, used = _pi_entries(f, pair, basis, H, proven if order is None else order)
     return TruncatedOperator(
-        matrix=_pi_entries(f, pair, basis, H, rule),
+        matrix=matrix,
         lambda_max=lambda_max,
-        order=rule.order,
+        order=used,
         block_index=basis.block_index,
         basis=basis,
         point=point,

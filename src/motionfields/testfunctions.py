@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonRadialFlatFactor
+
+# k rows of the fhat2_sup grid evaluated per matrix product
+SUP_K_BLOCK = 64
+
 # polynomials as {multi-index tuple: complex coefficient}
 
 
@@ -63,6 +68,11 @@ def _poly_clean(poly, tol=0.0):
     return {a: complex(c) for a, c in poly.items() if abs(c) > tol}
 
 
+def _r2(dim):
+    """|X|^2 on R^dim as a polynomial."""
+    return {tuple(2 * (i == j) for i in range(dim)): 1.0 for j in range(dim)}
+
+
 @dataclass(eq=False)
 class PolyGaussian:
     """g(X) = p(X) exp(-|X|^2 / (2 sigma^2)) on R^dim.
@@ -92,7 +102,28 @@ class PolyGaussian:
         for alpha in self.poly:
             if len(alpha) != self.dim:
                 raise ValueError(f"multi-index {alpha} does not match dim {self.dim}")
+        if self.radial and not self._is_r2_poly():
+            # star() drops the adjoint motion only for radial flat factors
+            raise NonRadialFlatFactor(
+                "a radial flat factor needs a polynomial in |X|^2, as radial_poly builds"
+            )
         self._hat_poly = self._transform_poly()
+
+    def _is_r2_poly(self):
+        """Whether p = sum_k c_k (|X|^2)^k, up to round-off (1e-12 of its largest coefficient).
+
+        c_k is the coefficient of X_1^(2k), the only monomial of that form in
+        (|X|^2)^k; what is left after taking those powers off must vanish.
+        """
+        rest = dict(self.poly)
+        power = {tuple([0] * self.dim): 1.0}
+        for k in range(self.max_degree() // 2 + 1):
+            c = self.poly.get((2 * k,) + (0,) * (self.dim - 1), 0.0)
+            for a, v in power.items():
+                rest[a] = rest.get(a, 0.0) - c * v
+            power = poly_mul(power, _r2(self.dim))
+        scale = max(abs(c) for c in self.poly.values())
+        return all(abs(c) <= 1e-12 * scale for c in rest.values())
 
     @classmethod
     def gaussian(cls, dim, sigma=1.0, coeff=1.0):
@@ -101,17 +132,11 @@ class PolyGaussian:
     @classmethod
     def radial_poly(cls, dim, sigma, r2_coeffs):
         """p = sum_k c_k (|X|^2)^k times the Gaussian; always radial."""
-        zero = tuple([0] * dim)
-        r2 = {}
-        for j in range(dim):
-            idx = [0] * dim
-            idx[j] = 2
-            r2[tuple(idx)] = 1.0
         poly = {}
-        power = {zero: 1.0}
+        power = {tuple([0] * dim): 1.0}
         for k, c in enumerate(r2_coeffs):
             if k:
-                power = poly_mul(power, r2)
+                power = poly_mul(power, _r2(dim))
             for a, v in power.items():
                 poly[a] = poly.get(a, 0.0) + c * v
         return cls(dim, sigma, poly, radial=True)
@@ -305,30 +330,39 @@ class TestFunction:
         if len(self.terms) == 1:
             t = self.terms[0]
             return abs(t.coeff) * self._sup_abs_u(t) * t.g.sup_abs_fourier()
+        return self._grid_sup(extra_k, extra_xi, rounds)[0]
+
+    def _grid_sup(self, extra_k, extra_xi, rounds):
+        """Refined grid maximum of |f-hat| over (k, xi), and the xi it was found at.
+
+        Each round evaluates the grid as one matrix product per block of
+        ``SUP_K_BLOCK`` k rows, so memory holds one block, not the whole
+        grid; the strict > keeps the first maximum in C order of (k, xi) as
+        the refinement center.
+        """
         K = self.pair.K
         uvals = self._u_table(K.quadrature(2 * self.bandlimit + 8).params)  # (terms, n_k)
         if extra_k:
             uvals = np.concatenate([uvals, self._u_table(K.params_of(extra_k))], axis=1)
+        cu = (np.array([t.coeff for t in self.terms])[:, None] * uvals).T  # (n_k, terms)
         xi = self._xi_candidates(extra_xi)
         best = 0.0
         center = xi[0]
         width = None
         for _ in range(rounds):
             gvals = np.array([t.g.fourier(xi) for t in self.terms])  # (terms, n_xi)
-            coeffs = np.array([t.coeff for t in self.terms])
-            vals = np.abs(
-                np.einsum("t,tk,tx->kx", coeffs, uvals, gvals)
-            )
-            idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if vals[idx] > best:
-                best = float(vals[idx])
-                center = xi[idx[1]]
+            for k0 in range(0, len(cu), SUP_K_BLOCK):
+                vals = np.abs(cu[k0 : k0 + SUP_K_BLOCK] @ gvals)
+                i = int(np.argmax(vals))
+                if vals.flat[i] > best:
+                    best = float(vals.flat[i])
+                    center = xi[i % len(xi)]
             width = 0.5 if width is None else width / 3.0
             axes = [np.linspace(c - width, c + width, 5) for c in center]
             xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
                 -1, self.pair.dim_p
             )
-        return best
+        return best, center
 
     def fhat2_sup_bound(self):
         """Rigorous upper bound: sum of per-term factor suprema."""

@@ -44,6 +44,8 @@ BAD_DOCUMENTS = {
     "gamma0_label_not_in_stabilizer": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(mu=1)),
     # each operator takes its proven quadrature order; the setting is gone
     "cutoffs_order": ("m2-default", lambda d: d["cutoffs"].update(order=7)),
+    # star() is exact only for radial flat factors, so the flag is checked
+    "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
 }
 
 
@@ -110,6 +112,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(doc)
         assert "terms[0]" in err.value.field
+        doc = bundled_scenario("m2-default")
+        doc["test_function"]["terms"][1]["g"]["poly"] = {"1,0": [1.0, 0.0]}  # radial: true
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "test_function.terms[1].g.radial"
 
     def test_grid_errors_are_field_scoped(self):
         doc = bundled_scenario("m3-default")

@@ -257,7 +257,8 @@ class TestFactorisedEntries:
     the A sums alias on purpose: they must reproduce the product rule
     itself, not only the exact integral.  The B side has band at most 4
     here, so the rule of order 4 integrates it exactly, as its closed form
-    does.
+    does.  The same holds for the A side of the Gaussian term (band at
+    most 3), which takes the closed form too.
     """
 
     @staticmethod
@@ -281,7 +282,7 @@ class TestFactorisedEntries:
         f = self.m3_function(m3)
         H = (0.9,)
         basis = peter_weyl_basis(m3, mu, H, 2)
-        M = _pi_entries(f, m3, basis, H, m3.K.quadrature(4))
+        M, _ = _pi_entries(f, m3, basis, H, 4)
         self.assert_matches(M, brute_pi_matrix(f, m3, basis, H, 4))
 
     def test_m3_so3_stabilizer(self, m3):
@@ -289,7 +290,7 @@ class TestFactorisedEntries:
         f = self.m3_function(m3)
         basis = peter_weyl_basis(m3, 1, (0.0,), 2)
         assert basis.d_rho == 3
-        M = _pi_entries(f, m3, basis, (0.0,), m3.K.quadrature(4))
+        M, _ = _pi_entries(f, m3, basis, (0.0,), 4)
         self.assert_matches(M, brute_pi_matrix(f, m3, basis, (0.0,), 4))
 
     def test_m2xm2_wall_point(self, m2xm2):
@@ -330,16 +331,16 @@ class TestFactorisedEntries:
         assert pi_matrix(f, m3, 0, (1.0,), 2, order=14).order == 14
 
 
-def random_function(pair, rng, max_label=3, max_degree=4):
+def random_function(pair, rng, max_label=3, max_degree=4, min_degree=0):
     """A seeded test function: 1-3 terms, labels of band <= ``max_label``,
-    non-radial flat factors of degree <= ``max_degree``."""
+    non-radial flat factors of degree in [``min_degree``, ``max_degree``]."""
     dim, K = pair.dim_p, pair.K
     labels = K.irrep_labels(max_label)
     terms = []
     for _ in range(int(rng.integers(1, 4))):
         lab = labels[int(rng.integers(len(labels)))]
         d = K.irrep_dim(lab)
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(min_degree, max_degree + 1))
         top = tuple(rng.multinomial(deg, [1 / dim] * dim))
         poly = {top: complex(*rng.normal(size=2))}
         for _ in range(int(rng.integers(0, 3))):
@@ -419,13 +420,40 @@ class TestProvenOrder:
 
 
 class TestClosedFormB:
-    """Induced entries with the closed-form B against B by quadrature."""
+    """Induced entries against both factors of every entry by quadrature.
+
+    The reference rule is the proven order of the basis, whatever rule the
+    entries used: Gaussian terms take the closed form and build none.
+    """
 
     POINTS = {  # regular, wall and near-zero points
         "M2": [(1.1,), (0.0,), (1e-7,)],
         "M3": [(0.9,), (0.0,), (1e-7,)],
         "M2xM2": [(0.8, 1.3), (0.0, 0.9), (0.7, 0.0), (0.0, 0.0), (1e-7, 2e-7)],
     }
+
+    def check(self, pair, f, rng, lam_max, so3_at_zero=False):
+        """Compare at every point; returns the recorded orders and the proven ones."""
+        pairs, orders = [], []
+        for H in self.POINTS[pair.name]:
+            labels = stabilizer(pair, H).group.irrep_labels(1)
+            mu = labels[int(rng.integers(len(labels)))]
+            so3 = so3_at_zero and pair.name == "M3" and H == (0.0,)
+            if so3:
+                mu = 1  # the stabilizer is SO(3) itself and d_rho = 3
+            op = pi_matrix(f, pair, mu, H, lam_max)
+            assert not so3 or op.basis.d_rho == 3
+            lam_band = max(pair.K.char_band(lam) for lam, _ in op.basis.blocks)
+            rule = pair.K.quadrature(proven_order(f, lam_band))
+            orders.append((op.order, rule.order))
+            pairs.append((op.matrix, quadrature_b_pi_entries(f, pair, op.basis, H, rule)))
+        # the closed form is exactly zero where quadrature leaves rounding
+        # noise, so the scale is the largest entry over all points
+        scale = max(np.abs(ref).max() for _, ref in pairs)
+        assert scale > 1e-3  # the comparison is not vacuous
+        for M, ref in pairs:
+            assert np.abs(M - ref).max() <= 1e-12 * scale
+        return orders
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
@@ -435,30 +463,47 @@ class TestClosedFormB:
         f = random_function(pair, rng)
         # lam_max covers the term labels (band <= 3), whose contragredients
         # then sit in the basis when mu is small
-        lam_max = int(rng.integers(3, 5))
-        pairs = []
-        for H in self.POINTS[pair.name]:
-            labels = stabilizer(pair, H).group.irrep_labels(1)
-            mu = labels[int(rng.integers(len(labels)))]
-            op = pi_matrix(f, pair, mu, H, lam_max)
-            ref = quadrature_b_pi_entries(f, pair, op.basis, H, pair.K.quadrature(op.order))
-            pairs.append((op.matrix, ref))
-        # the closed form is exactly zero where quadrature leaves rounding
-        # noise, so the scale is the largest entry over all points
-        scale = max(np.abs(ref).max() for _, ref in pairs)
-        assert scale > 1e-3  # the comparison is not vacuous
-        for M, ref in pairs:
-            assert np.abs(M - ref).max() <= 1e-12 * scale
+        for used, proven in self.check(pair, f, rng, int(rng.integers(3, 5))):
+            assert used in (0, proven)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_gaussian_and_mixed_degree_functions(self, instance, seed, kind, request):
+        # Gaussian terms alone build no rule; mixed, they share the matrix
+        # with terms of degree >= 1 on the same matrix coefficients, which
+        # are then live at the same points and take the rule
+        pair = request.getfixturevalue(instance.lower())
+        rng = np.random.default_rng([seed, len(instance), 13])
+        f = random_function(pair, rng, max_degree=0)
+        if kind == "mixed":
+            rough = random_function(pair, rng, min_degree=1)
+            f = f + TestFunction(pair, [Term(t.coeff, s.u, t.g) for s, t in zip(f.terms, rough.terms)])
+        orders = self.check(pair, f, rng, int(rng.integers(3, 5)), so3_at_zero=True)
+        if kind == "gaussian":
+            assert all(used == 0 for used, _ in orders)
+        else:  # some point integrates a degree >= 1 term at its proven order
+            assert all(used in (0, proven) for used, proven in orders)
+            assert any(used == proven for used, proven in orders)
 
 
 @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
 def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch):
+    # a Gaussian flat factor is constant on the orbit, so induced entries are
+    # closed forms too, at single points and over a sampled field
     pair = request.getfixturevalue(instance.lower())
     rng = np.random.default_rng([len(instance), 11])
     f = random_function(pair, rng, max_label=2, max_degree=0)  # ghat(0) != 0
     lams = pair.K.irrep_labels(2)
     refs = [table_tau_matrix(f, pair, lam, 6) for lam in lams]
     assert max(np.abs(r).max() for r in refs) > 1e-3
+    mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
+    H = (0.9,) * pair.rank
+    # dual points and the sup estimate sample_field records take rules of
+    # their own: build them before the patch
+    grid = [make_dual_point(pair, mu, H), make_dual_point(pair, mu, (0.4,) * pair.rank),
+            make_dual_point(pair, lams[1], None)]
+    f.fhat2_sup()
 
     def no_rule(self, order):
         raise AssertionError(f"quadrature rule of order {order} built on {self.name}")
@@ -468,10 +513,14 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch)
         op = tau_matrix(f, pair, lam)
         assert op.order == 0
         assert np.abs(op.matrix - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
-    mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
     op = pi_mu0_matrix(f, pair, mu, 2)
     assert op.order == 0
     assert np.abs(op.matrix).max() > 0
+    op = pi_matrix(f, pair, mu, H, 2)
+    assert op.order == 0
+    assert np.abs(op.matrix).max() > 0
+    sample = sample_field(f, pair, grid, 2)
+    assert [sample.operators[p].order for p in grid] == [0, 0, 0]
 
 
 class TestTauMatrix:

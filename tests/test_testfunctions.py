@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionfields import MatrixCoefficient, PolyGaussian, Term, TestFunction
+from motionfields import MatrixCoefficient, PolyGaussian, Term, TestFunction, testfunctions
 
 
 def fourier_oracle_2d(g, xi, half_width=9.0, n=721):
@@ -12,6 +12,46 @@ def fourier_oracle_2d(g, xi, half_width=9.0, n=721):
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
     vals = g.value(pts)
     return np.sum(vals * np.exp(1j * (pts @ np.asarray(xi)))) * dx * dx
+
+
+def einsum_grid_sup(f, extra_k=None, extra_xi=None, rounds=4):
+    """Reference grid estimate: one einsum over the whole (k x xi) grid per round.
+
+    Returns the value, and the k index and xi of the first maximum in C
+    order.
+    """
+    K = f.pair.K
+    uvals = f._u_table(K.quadrature(2 * f.bandlimit + 8).params)
+    if extra_k:
+        uvals = np.concatenate([uvals, f._u_table(K.params_of(extra_k))], axis=1)
+    coeffs = np.array([t.coeff for t in f.terms])
+    xi = f._xi_candidates(extra_xi)
+    best, k_best, center, width = 0.0, None, xi[0], None
+    for _ in range(rounds):
+        gvals = np.array([t.g.fourier(xi) for t in f.terms])
+        vals = np.abs(np.einsum("t,tk,tx->kx", coeffs, uvals, gvals))
+        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[idx] > best:
+            best, k_best, center = float(vals[idx]), int(idx[0]), xi[idx[1]]
+        width = 0.5 if width is None else width / 3.0
+        axes = [np.linspace(c - width, c + width, 5) for c in center]
+        xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.pair.dim_p)
+    return best, k_best, center
+
+
+def seeded_function(pair, rng):
+    """2-3 terms, labels of band <= 2, flat factors of degree <= 2."""
+    K, dim = pair.K, pair.dim_p
+    labels = K.irrep_labels(2)
+    terms = []
+    for _ in range(int(rng.integers(2, 4))):
+        lab = labels[int(rng.integers(len(labels)))]
+        d = K.irrep_dim(lab)
+        alpha = tuple(rng.multinomial(int(rng.integers(0, 3)), [1 / dim] * dim))
+        flat = PolyGaussian(dim, float(rng.uniform(0.7, 1.2)), {alpha: complex(*rng.normal(size=2))})
+        u = MatrixCoefficient(lab, int(rng.integers(d)), int(rng.integers(d)))
+        terms.append(Term(complex(*rng.normal(size=2)), u, flat))
+    return TestFunction(pair, terms)
 
 
 class TestPolyGaussian:
@@ -43,6 +83,20 @@ class TestPolyGaussian:
         X = np.array([[1.0, 2.0]])
         assert g.value(X)[0] == pytest.approx((1 + 2 * 5) * np.exp(-2.5))
         assert g.radial
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_radial_flag_needs_polynomial_in_r2(self, dim):
+        # star() drops the adjoint motion only for radial flat factors, so
+        # a polynomial that is not one in |X|^2 is refused the flag
+        for coeffs in ([1.0], [0.3, -1.7, 0.25], [0.0, 0.0, 0.5j]):
+            g = PolyGaussian.radial_poly(dim, 0.9, coeffs)
+            assert PolyGaussian(dim, 0.9, g.poly, radial=True).radial
+        e1 = (1,) + (0,) * (dim - 1)
+        e2 = (0, 2) + (0,) * (dim - 2)
+        for poly in ({e1: 1.0}, {e2: 1.0}, {(0,) * dim: 1.0, e1: 1e-3}):
+            with pytest.raises(ValueError, match=r"\|X\|\^2"):
+                PolyGaussian(dim, 0.9, poly, radial=True)
+            assert not PolyGaussian(dim, 0.9, poly).radial
 
     def test_sup_estimate_gaussian(self):
         assert PolyGaussian.gaussian(2, 1.0).sup_abs_fourier() == pytest.approx(
@@ -153,6 +207,41 @@ class TestTestFunction:
         assert f.fhat2_sup() < 4 * np.pi - 1e-3
         assert f.fhat2_sup(extra_k=[0.15]) == pytest.approx(4 * np.pi, rel=1e-12)
         assert abs(f.partial_fourier(0.15, np.zeros(2))) == pytest.approx(4 * np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_sup_grid_in_k_blocks(self, instance, seed, request):
+        # the blocked products sum over terms in another order than the
+        # einsum, so values may differ in the last bit; the center may not
+        pair = request.getfixturevalue(instance.lower())
+        rng = np.random.default_rng([seed, len(instance), 17])
+        f = seeded_function(pair, rng)
+        extra_k = [pair.K.random(rng) for _ in range(3)]
+        extra_xi = rng.normal(size=(4, pair.dim_p))
+        for args in ((None, None), (extra_k, extra_xi)):
+            want, _, want_center = einsum_grid_sup(f, *args)
+            got, got_center = f._grid_sup(*args, 4)
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+            assert np.array_equal(got_center, want_center)
+        assert f.fhat2_sup() == f._grid_sup(None, None, 4)[0]
+
+    def test_sup_maximum_past_first_k_block(self, m2xm2):
+        # as in test_sup_extra_k_candidate, on M2xM2: the peak is the extra
+        # candidate, which follows the 144 rule nodes
+        f = TestFunction(
+            m2xm2,
+            [
+                Term(1.0, MatrixCoefficient((1, 0)), PolyGaussian.gaussian(4, 1.0)),
+                Term(np.exp(0.3j), MatrixCoefficient((-1, 2)), PolyGaussian.gaussian(4, 1.0)),
+            ],
+        )
+        extra_k = [(0.15, 0.0)]
+        want, k_best, want_center = einsum_grid_sup(f, extra_k)
+        assert k_best >= testfunctions.SUP_K_BLOCK
+        got, got_center = f._grid_sup(extra_k, None, 4)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        assert np.array_equal(got_center, want_center)
+        assert f.fhat2_sup(extra_k=extra_k) == pytest.approx(8 * np.pi**2, rel=1e-12)
 
     def test_addition(self, m2):
         f = TestFunction(m2, [Term(1.0, MatrixCoefficient(1), PolyGaussian.gaussian(2, 1.0))])
