@@ -79,39 +79,31 @@ def _norms_rows(samples):
     return rows
 
 
+# curve file -> (condition, header, witness -> row)
+_PLOT_FILES = {
+    "mu_decay.csv": (3, ["mu", "op_norm"], lambda w: (_label_str(w["mu"]), _fmt(w["norm"]))),
+    "lambda_decay.csv": (
+        5, ["lambda", "op_norm"], lambda w: (_label_str(w["lambda"]), _fmt(w["norm"]))
+    ),
+    "h_ladder.csv": (
+        4,
+        ["mu", "level", "delta_op_norm"],
+        lambda w: (_label_str(w["mu"]), w["j"], _fmt(w["delta"])),
+    ),
+    "continuity.csv": (
+        2, ["step", "difference_op_norm"], lambda w: (_fmt(w["step"]), _fmt(w["difference"]))
+    ),
+}
+
+
 def emit_plot_data(report, samples, outdir):
     """Two-column CSV per decay/continuity curve, from the check witnesses."""
     by_cond = {r.condition: r for r in report.reports}
     written = []
-
-    mu_rows = [
-        (_label_str(w["mu"]), _fmt(w["norm"])) for w in by_cond[3].witnesses
-    ]
-    path = outdir / "mu_decay.csv"
-    _write_csv(path, ["mu", "op_norm"], mu_rows)
-    written.append(path)
-
-    lam_rows = [
-        (_label_str(w["lambda"]), _fmt(w["norm"])) for w in by_cond[5].witnesses
-    ]
-    path = outdir / "lambda_decay.csv"
-    _write_csv(path, ["lambda", "op_norm"], lam_rows)
-    written.append(path)
-
-    ladder_rows = [
-        (_label_str(w["mu"]), w["j"], _fmt(w["delta"]))
-        for w in by_cond[4].witnesses
-    ]
-    path = outdir / "h_ladder.csv"
-    _write_csv(path, ["mu", "level", "delta_op_norm"], ladder_rows)
-    written.append(path)
-
-    cont_rows = [
-        (_fmt(w["step"]), _fmt(w["difference"])) for w in by_cond[2].witnesses
-    ]
-    path = outdir / "continuity.csv"
-    _write_csv(path, ["step", "difference_op_norm"], cont_rows)
-    written.append(path)
+    for name, (condition, header, row) in _PLOT_FILES.items():
+        path = outdir / name
+        _write_csv(path, header, [row(w) for w in by_cond[condition].witnesses])
+        written.append(path)
     return written
 
 

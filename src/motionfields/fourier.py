@@ -5,22 +5,19 @@ Psi(k) dk.  Matrix entries against the covariant basis are product-rule
 double integrals over K x K.  For separable terms the kernel factorizes
 through matrix coefficients, so every entry is a sum over r of products
 A B of two single integrals of a term coefficient against a basis block.
-A carries the orbit factor g-hat(Ad(k) H).  For a Gaussian flat factor
-(polynomial degree 0) that factor is the constant g-hat(H), as Ad is
-orthogonal, so A is g-hat(H) times a closed-form Schur sum
-(``CompactGroup.schur_sum``) and the term needs no quadrature.  Otherwise
-A is a weighted node sum of two irrep matrices
-(``CompactGroup.coefficient_sums``); no basis node table is built.  On
-SO(3) those sums are Euler-factorised: the equispaced alpha and gamma sums
-become a frequency selection from a 2-D FFT of the orbit factor, leaving
-one Gauss-Legendre sum in beta.  Either way the values are those of the
-product rule.  B has no orbit factor, so it is always the Schur sum, zero
-outside the basis block of the term's contragredient K-type.  Induced
-operators whose terms are not all Gaussian are computed at the quadrature
-order ``proven_order``, which integrates A exactly.  The K-dual entries
-are the plain integrated representations tau_lambda(f), Schur sums with
-no quadrature, and the zero-point operator is their block sum over the
-branching K-types.  ``order`` 0 records that no entry needed quadrature.
+B is the closed-form Schur sum (``CompactGroup.schur_sum``), zero outside
+the block of the term's contragredient K-type bar.  A carries the orbit
+factor g-hat(Ad(k) H).  Where that is a constant g-hat(xi), A is a Schur
+sum too and the basis copies drop out: the term adds coeff g-hat(xi)
+S[col] to each copy of bar.  ``_schur_blocks`` forms that block sum, the
+one closed form here.  It covers Gaussian flat factors (degree 0) at every
+H, with xi = H as Ad is orthogonal, and every term at H = 0: the K-dual
+entries tau_lambda(f) and the zero-point operator, their block sum over
+the branching copies.  Other terms take A as a node sum of two irrep
+matrices (``CompactGroup.coefficient_sums``) at ``proven_order``, which
+integrates A exactly; on SO(3) the alpha and gamma sums are a frequency
+selection from a 2-D FFT of the orbit factor, leaving one Gauss-Legendre
+sum in beta.  ``order`` 0 records that no entry needed quadrature.
 """
 
 from __future__ import annotations
@@ -114,9 +111,29 @@ def _block_factor(K, lam, Ts, S):
     return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=1)
 
 
+def _schur_blocks(terms, K, blocks, xi):
+    """Block sum of coeff g-hat(xi) S[col] over ``terms``, one block per (lam, copy).
+
+    S is the term's Schur sum at its row, which lives on the contragredient
+    bar of its label; a term whose bar is not among ``blocks`` (pairs of a
+    K-type and its copies, in basis order) adds nothing, and its g-hat is
+    not evaluated.
+    """
+    sums = {lam: np.zeros((K.irrep_dim(lam),) * 2, dtype=complex) for lam, _ in blocks}
+    for t in terms:
+        bar, S = K.schur_sum(t.u.label, t.u.row)
+        if bar in sums:
+            sums[bar] += t.coeff * complex(t.g.fourier(xi)[0]) * S[t.u.col]
+    return block_diagonal([sums[lam] for lam, copies in blocks for _ in copies])
+
+
 def _pi_entries(f, pair, basis, H, order):
     """The entries <pi(f) psi_j, psi_i>, and the order of the rule they used (0 for none)."""
     K = pair.K
+    # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal
+    M = _schur_blocks(
+        [t for t in f.terms if not t.g.max_degree()], K, basis.blocks, pair.embed_a(H)
+    )
     cols, start = {}, 0  # lam -> (its basis columns, its copies)
     for lam, Ts in basis.blocks:
         cols[lam] = (slice(start, start + K.irrep_dim(lam) * len(Ts)), Ts)
@@ -126,22 +143,14 @@ def _pi_entries(f, pair, basis, H, order):
     # at row i0, and B, the Schur sums at row j0, which vanish outside the
     # basis block of the contragredient K-type bar; a term whose bar is not
     # in the basis contributes nothing
-    M = np.zeros((basis.size, basis.size), dtype=complex)
     quadrature_terms = []
     for t in f.terms:
+        if not t.g.max_degree():
+            continue
         bar, S = K.schur_sum(t.u.label, t.u.col)
-        if bar not in cols:
-            continue
-        bar_cols, bar_Ts = cols[bar]
-        B = _block_factor(K, bar, bar_Ts, S)
-        if t.g.max_degree():
-            quadrature_terms.append((t, bar_cols, B))
-            continue
-        # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal, so
-        # A is g-hat(H) times the Schur sum at row i0: the (bar, bar) block
-        ghat = complex(t.g.fourier(pair.embed_a(H))[0])
-        A = _block_factor(K, bar, bar_Ts, K.schur_sum(t.u.label, t.u.row)[1])
-        M[bar_cols, bar_cols] += t.coeff * ghat * np.einsum("ria,rja->ij", A, B.conj())
+        if bar in cols:
+            bar_cols, bar_Ts = cols[bar]
+            quadrature_terms.append((t, bar_cols, _block_factor(K, bar, bar_Ts, S)))
     if not quadrature_terms:
         return M, 0
     rule = K.quadrature(order)
@@ -194,40 +203,28 @@ def tau_matrix(f, pair, lam, point=None):
     is the contragredient of the term's label.  This is a closed form, so no
     quadrature is involved and ``order`` is 0.
     """
-    K = pair.K
-    zero = np.zeros((1, pair.dim_p))
-    d = K.irrep_dim(lam)
-    M = np.zeros((d, d), dtype=complex)
-    for term in f.terms:
-        bar, S = K.schur_sum(term.u.label, term.u.row)
-        if bar == lam:
-            M += term.coeff * complex(term.g.fourier(zero)[0]) * S[term.u.col]
     return TruncatedOperator(
-        matrix=M,
-        lambda_max=K.char_band(lam),
+        matrix=_schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros(pair.dim_p)),
+        lambda_max=pair.K.char_band(lam),
         order=0,
-        block_index=[(lam, 0, v) for v in range(d)],
+        block_index=[(lam, 0, v) for v in range(pair.K.irrep_dim(lam))],
         point=point,
     )
 
 
-def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None, H_ref=None):
+def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     """Matrix of the zero-point operator: block sum of tau_lambda(f).
 
     Blocks follow the covariant-basis order of the companion induced
     operator, each K-type repeated per branching copy, so differences
     against pi_matrix along a ray toward zero are entrywise meaningful.
+    Without ``basis`` that is the basis at the regular point H = (1, ..., 1).
     The blocks are closed forms, so ``order`` is 0.
     """
     if basis is None:
-        if H_ref is None:
-            H_ref = tuple([1.0] * pair.rank)
-        basis = peter_weyl_basis(pair, mu, H_ref, lambda_max)
-    taus = {lam: tau_matrix(f, pair, lam) for lam, _ in basis.blocks}
+        basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
     return TruncatedOperator(
-        matrix=block_diagonal(
-            [taus[lam].matrix for lam, Ts in basis.blocks for _ in Ts]
-        ),
+        matrix=_schur_blocks(f.terms, pair.K, basis.blocks, np.zeros(pair.dim_p)),
         lambda_max=lambda_max,
         order=0,
         block_index=basis.block_index,

@@ -73,6 +73,16 @@ def _r2(dim):
     return {tuple(2 * (i == j) for i in range(dim)): 1.0 for j in range(dim)}
 
 
+def _multi_index(alpha, dim):
+    """``alpha`` as a tuple of Python ints; ValueError unless it has ``dim`` entries >= 0."""
+    alpha = tuple(alpha)
+    if len(alpha) != dim:
+        raise ValueError(f"multi-index {alpha} does not match dim {dim}")
+    if not all(isinstance(a, (int, np.integer)) and a >= 0 for a in alpha):
+        raise ValueError(f"multi-index {alpha} needs nonnegative integer entries")
+    return tuple(int(a) for a in alpha)
+
+
 @dataclass(eq=False)
 class PolyGaussian:
     """g(X) = p(X) exp(-|X|^2 / (2 sigma^2)) on R^dim.
@@ -94,14 +104,9 @@ class PolyGaussian:
                 "flat factor needs a finite positive decay scale; "
                 "functions constant in X are not integrable"
             )
-        self.poly = _poly_clean(
-            {tuple(a): c for a, c in self.poly.items()}
-        )
+        self.poly = _poly_clean({_multi_index(a, self.dim): c for a, c in self.poly.items()})
         if not self.poly:
             raise ValueError("flat factor polynomial is identically zero")
-        for alpha in self.poly:
-            if len(alpha) != self.dim:
-                raise ValueError(f"multi-index {alpha} does not match dim {self.dim}")
         if self.radial and not self._is_r2_poly():
             # star() drops the adjoint motion only for radial flat factors
             raise NonRadialFlatFactor(
@@ -181,14 +186,14 @@ class PolyGaussian:
     def max_degree(self):
         return max(sum(a) for a in self.poly)
 
-    def sup_abs_fourier(self, rounds=5):
-        """Grid-refined estimate of sup_xi |g-hat(xi)|."""
+    def sup_abs_fourier(self):
+        """Grid-refined estimate of sup_xi |g-hat(xi)|: five rounds, each a third as wide."""
         radius = (math.sqrt(2.0 * max(1, self.max_degree())) + 6.0) / self.sigma
         center = np.zeros(self.dim)
         width = radius
         best = 0.0
         pts_per_dim = 9 if self.dim <= 3 else 7
-        for _ in range(rounds):
+        for _ in range(5):
             axes = [
                 np.linspace(c - width, c + width, pts_per_dim) for c in center
             ]
@@ -289,29 +294,20 @@ class TestFunction:
             ],
         )
 
-    def _xi_candidates(self, extra_xi=None, refine=9):
-        pts = [np.zeros(self.pair.dim_p)]
+    def _xi_candidates(self, extra_xi=None):
+        dim = self.pair.dim_p
+        pts = [np.zeros(dim)]
         radius = max(
             (math.sqrt(2.0 * max(1, t.g.max_degree())) + 6.0) / t.g.sigma
             for t in self.terms
         )
-        grid = np.linspace(-radius, radius, refine)
-        if self.pair.dim_p <= 3:
-            axes = np.stack(
-                np.meshgrid(*([grid] * self.pair.dim_p), indexing="ij"), axis=-1
-            ).reshape(-1, self.pair.dim_p)
-        else:
-            axes = np.stack(
-                np.meshgrid(*([np.linspace(-radius, radius, 7)] * self.pair.dim_p),
-                            indexing="ij"),
-                axis=-1,
-            ).reshape(-1, self.pair.dim_p)
-        pts.append(axes)
+        grid = np.linspace(-radius, radius, 9 if dim <= 3 else 7)
+        pts.append(np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim))
         if extra_xi is not None and len(extra_xi):
             pts.append(np.atleast_2d(np.asarray(extra_xi, dtype=float)))
         return np.concatenate([np.atleast_2d(p) for p in pts], axis=0)
 
-    def fhat2_sup(self, extra_k=None, extra_xi=None, rounds=4):
+    def fhat2_sup(self, extra_k=None, extra_xi=None):
         """Grid-refined estimate of the sup norm of the partial transform.
 
         A single separable term factorizes, so the estimate multiplies the
@@ -320,25 +316,25 @@ class TestFunction:
         peaks (plus any caller-supplied candidates).  The estimate with
         default arguments is computed once per function.
         """
-        if extra_k is None and extra_xi is None and rounds == 4:
+        if extra_k is None and extra_xi is None:
             if self._sup is None:
-                self._sup = self._estimate_sup(None, None, 4)
+                self._sup = self._estimate_sup(None, None)
             return self._sup
-        return self._estimate_sup(extra_k, extra_xi, rounds)
+        return self._estimate_sup(extra_k, extra_xi)
 
-    def _estimate_sup(self, extra_k, extra_xi, rounds):
+    def _estimate_sup(self, extra_k, extra_xi):
         if len(self.terms) == 1:
             t = self.terms[0]
             return abs(t.coeff) * self._sup_abs_u(t) * t.g.sup_abs_fourier()
-        return self._grid_sup(extra_k, extra_xi, rounds)[0]
+        return self._grid_sup(extra_k, extra_xi)[0]
 
-    def _grid_sup(self, extra_k, extra_xi, rounds):
+    def _grid_sup(self, extra_k, extra_xi):
         """Refined grid maximum of |f-hat| over (k, xi), and the xi it was found at.
 
-        Each round evaluates the grid as one matrix product per block of
-        ``SUP_K_BLOCK`` k rows, so memory holds one block, not the whole
-        grid; the strict > keeps the first maximum in C order of (k, xi) as
-        the refinement center.
+        Each of the four rounds evaluates the grid as one matrix product per
+        block of ``SUP_K_BLOCK`` k rows, so memory holds one block, not the
+        whole grid; the strict > keeps the first maximum in C order of
+        (k, xi) as the refinement center.
         """
         K = self.pair.K
         uvals = self._u_table(K.quadrature(2 * self.bandlimit + 8).params)  # (terms, n_k)
@@ -349,7 +345,7 @@ class TestFunction:
         best = 0.0
         center = xi[0]
         width = None
-        for _ in range(rounds):
+        for _ in range(4):
             gvals = np.array([t.g.fourier(xi) for t in self.terms])  # (terms, n_xi)
             for k0 in range(0, len(cu), SUP_K_BLOCK):
                 vals = np.abs(cu[k0 : k0 + SUP_K_BLOCK] @ gvals)
@@ -385,12 +381,12 @@ class TestFunction:
             )
         return 1.0  # circle factors: unimodular characters
 
-    def l1_norm_estimate(self, k_order=None, hermite_n=40):
-        """Quadrature estimate of the group L^1 norm."""
+    def l1_norm_estimate(self):
+        """Quadrature estimate of the group L^1 norm (40 Gauss-Hermite nodes per flat axis)."""
         K = self.pair.K
-        rule = K.quadrature(k_order if k_order else 2 * self.bandlimit + 6)
+        rule = K.quadrature(2 * self.bandlimit + 6)
         smax = max(t.g.sigma for t in self.terms)
-        x, w = np.polynomial.hermite_e.hermegauss(hermite_n)
+        x, w = np.polynomial.hermite_e.hermegauss(40)
         x = x * smax
         w = w * smax  # weight e^{-x^2/(2 smax^2)} dx
         axes = np.meshgrid(*([x] * self.pair.dim_p), indexing="ij")

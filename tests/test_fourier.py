@@ -21,6 +21,7 @@ from motionfields import (
     tau_matrix,
     transport_label,
 )
+from motionfields import fourier
 from motionfields.fourier import _pi_entries
 from motionfields.groups import CompactGroup
 
@@ -490,7 +491,8 @@ class TestClosedFormB:
 @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
 def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch):
     # a Gaussian flat factor is constant on the orbit, so induced entries are
-    # closed forms too, at single points and over a sampled field
+    # closed forms too, at single points and over a sampled field, and the
+    # basis copies drop out of them: no intertwiner product is formed
     pair = request.getfixturevalue(instance.lower())
     rng = np.random.default_rng([len(instance), 11])
     f = random_function(pair, rng, max_label=2, max_degree=0)  # ghat(0) != 0
@@ -508,7 +510,11 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch)
     def no_rule(self, order):
         raise AssertionError(f"quadrature rule of order {order} built on {self.name}")
 
+    def no_product(K, lam, Ts, S):
+        raise AssertionError(f"intertwiner product formed for K-type {lam}")
+
     monkeypatch.setattr(CompactGroup, "quadrature", no_rule)
+    monkeypatch.setattr(fourier, "_block_factor", no_product)
     for lam, ref in zip(lams, refs):
         op = tau_matrix(f, pair, lam)
         assert op.order == 0
@@ -595,6 +601,41 @@ class TestPiMu0:
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
         op = pi_mu0_matrix(f, m3, 2, 4)
         assert sorted({b[0] for b in op.block_index}) == [2, 3, 4]
+
+    POINTS = {  # regular, wall and zero points
+        "M2": [(1.1,), (0.0,)],
+        "M3": [(0.9,), (0.0,)],
+        "M2xM2": [(0.8, 1.3), (0.0, 0.9), (0.7, 0.0), (0.0, 0.0)],
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_gaussian_terms_scale_the_zero_point_blocks(self, instance, seed, request):
+        # a Gaussian g-hat is constant on the orbit, so each term of pi(f)
+        # is g-hat(H) / g-hat(0) times its zero-point operator on the same
+        # basis, at every H
+        pair = request.getfixturevalue(instance.lower())
+        rng = np.random.default_rng([seed, len(instance), 19])
+        f = random_function(pair, rng, max_degree=0)
+        lam_max = int(rng.integers(3, 5))
+        zero = np.zeros((1, pair.dim_p))
+        scale, d_rhos = 0.0, set()
+        # every stabilizer label of band <= 1: on M3 at H = 0 the stabilizer
+        # is SO(3) itself, and mu = 1 has d_rho = 3
+        for H in self.POINTS[instance]:
+            xi = pair.embed_a(H)[None]
+            for mu in stabilizer(pair, H).group.irrep_labels(1):
+                op = pi_matrix(f, pair, mu, H, lam_max)
+                d_rhos.add(op.basis.d_rho)
+                ref = sum(
+                    complex(t.g.fourier(xi)[0] / t.g.fourier(zero)[0])
+                    * pi_mu0_matrix(TestFunction(pair, [t]), pair, mu, lam_max, op.basis).matrix
+                    for t in f.terms
+                )
+                assert np.abs(op.matrix - ref).max() <= 1e-13 * np.abs(op.matrix).max()
+                scale = max(scale, np.abs(op.matrix).max())
+        assert scale > 1e-3  # the comparison is not vacuous
+        assert instance != "M3" or 3 in d_rhos
 
     def test_norm_is_max_block(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0), gauss_term(m3, 2, 1, 1, 0.3)])

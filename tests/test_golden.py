@@ -5,11 +5,16 @@ benchmark runs them, and compared with ``perfbench/golden`` by the
 benchmark's own rules (``perfbench/golden.py``: verdicts exact, CSV cells
 at relative tolerance 1e-9 with a floor of 1e-12 times the largest value,
 sweep norms at relative tolerance 1e-9).  A change that moves a number
-beyond those tolerances fails here.
+beyond those tolerances fails here.  One traced benchmark iteration runs
+too, so the names the trace wraps stay in place.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,3 +59,26 @@ def test_lambda_sweep_matches_golden(golden):
             }
         )
     assert golden.check_sweep(norms, "m3-lambda-sweep") == []
+
+
+def test_traced_benchmark_iteration(tmp_path):
+    # one traced iteration as the benchmark runs it, so that a rename of a
+    # traced name breaks here rather than in the benchmark's trace mode
+    root = PERFBENCH.parent
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "perfbench/worker.py", "--kind", "scenario",
+            "--input", "perfbench/workloads/m3-default.json", "--trace",
+            "--outdir", str(tmp_path / "out"), "--result", str(result),
+            "--spawn-ns", str(time.clock_gettime_ns(time.CLOCK_MONOTONIC)),
+        ],
+        cwd=root, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(result.read_text())
+    assert run["exit_code"] == 0
+    assert run["trace"]["fourier.pi_matrix"]["calls"] == 53
+    # the zero-point operators build their blocks without tau_matrix
+    assert run["trace"]["fourier.tau_matrix"]["calls"] == 6

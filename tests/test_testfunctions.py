@@ -1,7 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from motionfields import MatrixCoefficient, PolyGaussian, Term, TestFunction, testfunctions
+from motionfields import (
+    MatrixCoefficient,
+    PolyGaussian,
+    Term,
+    TestFunction,
+    pi_matrix,
+    stabilizer,
+    testfunctions,
+)
 
 
 def fourier_oracle_2d(g, xi, half_width=9.0, n=721):
@@ -77,6 +87,22 @@ class TestPolyGaussian:
             PolyGaussian(2, 0.0, {(0, 0): 1.0})
         with pytest.raises(ValueError):
             PolyGaussian(2, 1.0, {})
+
+    def test_numpy_multi_index_is_stored_as_int(self, m2):
+        # rng.multinomial gives numpy integers; the order recorded from the
+        # degree must still serialise
+        g = PolyGaussian(2, 1.0, {(np.int64(1), np.int64(0)): 1.0})
+        assert all(type(a) is int for alpha in g.poly for a in alpha)
+        f = TestFunction(m2, [Term(1.0, MatrixCoefficient(0), g)])
+        op = pi_matrix(f, m2, stabilizer(m2, (1.0,)).group.irrep_labels(0)[0], (1.0,), 2)
+        assert type(op.order) is int and op.order > 0
+        json.dumps(op.to_dict())
+
+    @pytest.mark.parametrize("alpha", [(-1, 0), (0, -2), (1.0, 0), (0.5, 0), ("1", 0)])
+    def test_multi_index_needs_nonnegative_integers(self, alpha):
+        # a negative entry made max_degree() -1 and g-hat that of a constant
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            PolyGaussian(2, 1.0, {alpha: 1.0, (0, 0): 1.0})
 
     def test_radial_builder(self):
         g = PolyGaussian.radial_poly(2, 1.0, [1.0, 2.0])
@@ -220,10 +246,10 @@ class TestTestFunction:
         extra_xi = rng.normal(size=(4, pair.dim_p))
         for args in ((None, None), (extra_k, extra_xi)):
             want, _, want_center = einsum_grid_sup(f, *args)
-            got, got_center = f._grid_sup(*args, 4)
+            got, got_center = f._grid_sup(*args)
             assert got == pytest.approx(want, rel=1e-14, abs=0)
             assert np.array_equal(got_center, want_center)
-        assert f.fhat2_sup() == f._grid_sup(None, None, 4)[0]
+        assert f.fhat2_sup() == f._grid_sup(None, None)[0]
 
     def test_sup_maximum_past_first_k_block(self, m2xm2):
         # as in test_sup_extra_k_candidate, on M2xM2: the peak is the extra
@@ -238,7 +264,7 @@ class TestTestFunction:
         extra_k = [(0.15, 0.0)]
         want, k_best, want_center = einsum_grid_sup(f, extra_k)
         assert k_best >= testfunctions.SUP_K_BLOCK
-        got, got_center = f._grid_sup(extra_k, None, 4)
+        got, got_center = f._grid_sup(extra_k, None)
         assert got == pytest.approx(want, rel=1e-14, abs=0)
         assert np.array_equal(got_center, want_center)
         assert f.fhat2_sup(extra_k=extra_k) == pytest.approx(8 * np.pi**2, rel=1e-12)
