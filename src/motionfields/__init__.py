@@ -50,7 +50,6 @@ from .induction import (
     branching_multiplicity,
     enumerate_irreps,
     full_group,
-    haar_quadrature,
     peter_weyl_basis,
     restriction_multiplicity,
 )

@@ -96,15 +96,11 @@ _PLOT_FILES = {
 }
 
 
-def emit_plot_data(report, samples, outdir):
+def emit_plot_data(report, outdir):
     """Two-column CSV per decay/continuity curve, from the check witnesses."""
     by_cond = {r.condition: r for r in report.reports}
-    written = []
     for name, (condition, header, row) in _PLOT_FILES.items():
-        path = outdir / name
-        _write_csv(path, header, [row(w) for w in by_cond[condition].witnesses])
-        written.append(path)
-    return written
+        _write_csv(outdir / name, header, [row(w) for w in by_cond[condition].witnesses])
 
 
 def run_convergence_queries(pair, queries):
@@ -142,7 +138,7 @@ def run_scenario(config: ScenarioConfig, outdir):
         ["grid", "stratum", "label", "H", "op_norm", "hs_norm"],
         _norms_rows(samples),
     )
-    emit_plot_data(report, samples, outdir)
+    emit_plot_data(report, outdir)
     return report, certificates
 
 

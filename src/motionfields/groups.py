@@ -124,6 +124,8 @@ class CompactGroup:
     # -- integration ------------------------------------------------------
     def quadrature(self, order):
         """The normalized-Haar rule of ``order``, built once per (group, order)."""
+        if order < 1:
+            raise ValueError("order must be positive")
         key = (self.name, int(order))
         if key not in _RULES:
             _RULES[key] = self._quadrature(order)

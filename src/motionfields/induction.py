@@ -41,13 +41,6 @@ def enumerate_irreps(group, cutoff):
     return [IrrepDescriptor(g, lab, g.irrep_dim(lab)) for lab in g.irrep_labels(cutoff)]
 
 
-def haar_quadrature(group, order):
-    if order < 1:
-        raise ValueError("order must be positive")
-    g = group.group if isinstance(group, StabilizerDescriptor) else group
-    return g.quadrature(order)
-
-
 def _as_label(irrep_or_label):
     return irrep_or_label.weight if isinstance(irrep_or_label, IrrepDescriptor) else irrep_or_label
 

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import NonRadialFlatFactor
 
-# k rows of the fhat2_sup grid evaluated per matrix product
-SUP_K_BLOCK = 64
-
 # polynomials as {multi-index tuple: complex coefficient}
 
 
@@ -186,27 +183,20 @@ class PolyGaussian:
     def max_degree(self):
         return max(sum(a) for a in self.poly)
 
-    def sup_abs_fourier(self):
-        """Grid-refined estimate of sup_xi |g-hat(xi)|: five rounds, each a third as wide."""
-        radius = (math.sqrt(2.0 * max(1, self.max_degree())) + 6.0) / self.sigma
-        center = np.zeros(self.dim)
-        width = radius
-        best = 0.0
-        pts_per_dim = 9 if self.dim <= 3 else 7
-        for _ in range(5):
-            axes = [
-                np.linspace(c - width, c + width, pts_per_dim) for c in center
-            ]
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-                -1, self.dim
-            )
-            vals = np.abs(self.fourier(grid))
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best = float(vals[i])
-                center = grid[i]
-            width /= 3.0
-        return max(best, float(np.abs(self.fourier(np.zeros((1, self.dim))))[0]))
+    def sup_bound(self):
+        """Closed-form upper bound on sup_xi |g-hat(xi)|.
+
+        With g-hat = a q(xi) exp(-sigma^2 |xi|^2 / 2), each monomial obeys
+        |xi^alpha| exp(-sigma^2 |xi|^2 / 2) <= prod_i (alpha_i / (e sigma^2))^(alpha_i / 2),
+        the product of the 1-D maxima at xi_i^2 = alpha_i / sigma^2 (0^0 = 1).
+        Exact for degree 0, where the sup sits at xi = 0.
+        """
+        amp = (2.0 * math.pi * self.sigma**2) ** (self.dim / 2.0)
+        es2 = math.e * self.sigma**2
+        return amp * sum(
+            abs(c) * math.prod((a / es2) ** (a / 2.0) for a in alpha)
+            for alpha, c in self._hat_poly.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -246,7 +236,7 @@ class TestFunction:
                     f"flat factor dim {t.g.dim} != instance dim {pair.dim_p}"
                 )
         self.bandlimit = max(pair.K.char_band(t.u.label) for t in self.terms)
-        self._sup = None  # fhat2_sup() with default arguments, once computed
+        self._sup = None  # fhat2_sup(), once computed
 
     def __add__(self, other):
         if other.pair is not self.pair and other.pair.name != self.pair.name:
@@ -294,117 +284,17 @@ class TestFunction:
             ],
         )
 
-    def _xi_candidates(self, extra_xi=None):
-        dim = self.pair.dim_p
-        pts = [np.zeros(dim)]
-        radius = max(
-            (math.sqrt(2.0 * max(1, t.g.max_degree())) + 6.0) / t.g.sigma
-            for t in self.terms
-        )
-        grid = np.linspace(-radius, radius, 9 if dim <= 3 else 7)
-        pts.append(np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim))
-        if extra_xi is not None and len(extra_xi):
-            pts.append(np.atleast_2d(np.asarray(extra_xi, dtype=float)))
-        return np.concatenate([np.atleast_2d(p) for p in pts], axis=0)
+    def fhat2_sup(self):
+        """Closed-form upper bound on sup over (k, xi) of |f-hat|, computed once.
 
-    def fhat2_sup(self, extra_k=None, extra_xi=None):
-        """Grid-refined estimate of the sup norm of the partial transform.
-
-        A single separable term factorizes, so the estimate multiplies the
-        per-factor suprema; several terms are maximized jointly on a
-        refining grid seeded with quadrature nodes and the per-term Gaussian
-        peaks (plus any caller-supplied candidates).  The estimate with
-        default arguments is computed once per function.
+        The entries of a unitary irrep have modulus at most 1, so the sum of
+        |c| times ``PolyGaussian.sup_bound`` over the terms bounds the sup.
+        For one term with a Gaussian flat factor and a diagonal entry u
+        (|u(e)| = 1) it is the sup itself, reached at (e, 0).
         """
-        if extra_k is None and extra_xi is None:
-            if self._sup is None:
-                self._sup = self._estimate_sup(None, None)
-            return self._sup
-        return self._estimate_sup(extra_k, extra_xi)
-
-    def _estimate_sup(self, extra_k, extra_xi):
-        if len(self.terms) == 1:
-            t = self.terms[0]
-            return abs(t.coeff) * self._sup_abs_u(t) * t.g.sup_abs_fourier()
-        return self._grid_sup(extra_k, extra_xi)[0]
-
-    def _grid_sup(self, extra_k, extra_xi):
-        """Refined grid maximum of |f-hat| over (k, xi), and the xi it was found at.
-
-        Each of the four rounds evaluates the grid as one matrix product per
-        block of ``SUP_K_BLOCK`` k rows, so memory holds one block, not the
-        whole grid; the strict > keeps the first maximum in C order of
-        (k, xi) as the refinement center.
-        """
-        K = self.pair.K
-        uvals = self._u_table(K.quadrature(2 * self.bandlimit + 8).params)  # (terms, n_k)
-        if extra_k:
-            uvals = np.concatenate([uvals, self._u_table(K.params_of(extra_k))], axis=1)
-        cu = (np.array([t.coeff for t in self.terms])[:, None] * uvals).T  # (n_k, terms)
-        xi = self._xi_candidates(extra_xi)
-        best = 0.0
-        center = xi[0]
-        width = None
-        for _ in range(4):
-            gvals = np.array([t.g.fourier(xi) for t in self.terms])  # (terms, n_xi)
-            for k0 in range(0, len(cu), SUP_K_BLOCK):
-                vals = np.abs(cu[k0 : k0 + SUP_K_BLOCK] @ gvals)
-                i = int(np.argmax(vals))
-                if vals.flat[i] > best:
-                    best = float(vals.flat[i])
-                    center = xi[i % len(xi)]
-            width = 0.5 if width is None else width / 3.0
-            axes = [np.linspace(c - width, c + width, 5) for c in center]
-            xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-                -1, self.pair.dim_p
-            )
-        return best, center
-
-    def fhat2_sup_bound(self):
-        """Rigorous upper bound: sum of per-term factor suprema."""
-        return sum(
-            abs(t.coeff) * self._sup_abs_u(t, upper=True) * t.g.sup_abs_fourier()
-            for t in self.terms
-        )
-
-    def _sup_abs_u(self, term, upper=False):
-        from .groups import RotationGroup3, wigner_d
-
-        K = self.pair.K
-        if isinstance(K, RotationGroup3):
-            if upper:
-                return 1.0
-            ell = int(term.u.label)
-            beta = np.linspace(0.0, np.pi, 721)
-            return float(
-                np.abs(wigner_d(ell, beta)[:, term.u.row, term.u.col]).max()
-            )
-        return 1.0  # circle factors: unimodular characters
-
-    def l1_norm_estimate(self):
-        """Quadrature estimate of the group L^1 norm (40 Gauss-Hermite nodes per flat axis)."""
-        K = self.pair.K
-        rule = K.quadrature(2 * self.bandlimit + 6)
-        smax = max(t.g.sigma for t in self.terms)
-        x, w = np.polynomial.hermite_e.hermegauss(40)
-        x = x * smax
-        w = w * smax  # weight e^{-x^2/(2 smax^2)} dx
-        axes = np.meshgrid(*([x] * self.pair.dim_p), indexing="ij")
-        X = np.stack([a.ravel() for a in axes], axis=-1)
-        W = np.prod(
-            np.stack(
-                [g.ravel() for g in np.meshgrid(*([w] * self.pair.dim_p), indexing="ij")]
-            ),
-            axis=0,
-        )
-        comp = np.exp(np.sum(X * X, axis=1) / (2.0 * smax**2))
-        coeffs = np.array([t.coeff for t in self.terms])
-        cu = coeffs * self._u_table(rule.params).T  # (n_k, terms)
-        gvals = np.array([t.g.value(X) for t in self.terms])  # (terms, n_X)
-        # one node at a time keeps memory at one X grid
-        return sum(
-            wk * float(np.abs(row @ gvals) @ (W * comp)) for wk, row in zip(rule.weights, cu)
-        )
+        if self._sup is None:
+            self._sup = sum(abs(t.coeff) * t.g.sup_bound() for t in self.terms)
+        return self._sup
 
     def describe(self):
         return {

@@ -1,7 +1,8 @@
 """Numerical certification of the defining operator-field conditions.
 
 Five checks mirror the membership conditions of the operator-field algebra:
-(1) a compactness proxy (Hilbert-Schmidt bound plus top-band tail mass),
+(1) a compactness proxy (Hilbert-Schmidt bound against the closed-form sup
+bound of the partial Fourier transform, plus top-band tail mass),
 (2) norm continuity along paths inside one stratum, (3) decay in the
 stabilizer weight at fixed flat parameter, (4) convergence to the
 block-diagonal zero-point operator along rays into the origin (uniformly
@@ -27,7 +28,6 @@ from .fourier import (
     pi_matrix,
     pi_mu0_matrix,
     sample_field,
-    tau_matrix,
 )
 from .induction import peter_weyl_basis, restriction_multiplicity, full_group
 from .pairs import classify_chamber_point, stabilizer
@@ -85,7 +85,13 @@ def _d_mu(pair, point):
 
 
 def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
-    """HS bound and top-band tail mass on every induced-stratum operator."""
+    """HS bound and top-band tail mass on every induced-stratum operator.
+
+    The bound is hs^2 <= d_mu * sup^2 * (1 + hs_slack), with sup the
+    closed-form bound ``TestFunction.fhat2_sup`` on |f-hat| over (k, xi)
+    that the sample records.  It lies above the true sup, so the check
+    cannot fail a function that meets the bound at the true sup.
+    """
     sup = float(sample.metadata.get("fhat2_sup", np.inf))
     witnesses = []
     ok = True
@@ -121,6 +127,7 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         bool(ok),
         witnesses,
         {"hs_slack": thresholds.hs_slack, "tail_mass": thresholds.tail_mass},
+        notes="sup is the closed-form bound sum_t |c_t| sup|g_t-hat|",
     )
 
 

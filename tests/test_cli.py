@@ -437,3 +437,27 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_all_gaussian_run_builds_no_k_rule(tmp_path):
+    # condition 1 bounds the sup in closed form, so a run whose terms are all
+    # Gaussian integrates nothing over K: m3-default, in a fresh interpreter,
+    # leaves no SO(3) rule in the shared rule cache
+    code = """
+import json, sys
+from motionfields import cli, groups
+cli.run_scenario(cli.load_scenario("m3-default"), sys.argv[1])
+print(json.dumps(sorted(groups._RULES)))
+print(json.dumps("numpy.polynomial" in sys.modules))
+"""
+    src = str(Path(motionfields.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rules, polynomial = map(json.loads, out.stdout.splitlines())
+    K = cli.load_scenario("m3-default").build_pair().K
+    assert rules and all(name != K.name for name, _ in rules), rules
+    assert not polynomial

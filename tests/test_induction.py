@@ -7,7 +7,6 @@ from motionfields import (
     build_instance,
     enumerate_irreps,
     full_group,
-    haar_quadrature,
     peter_weyl_basis,
     restriction_multiplicity,
     stabilizer,
@@ -117,12 +116,12 @@ class TestBranching:
 
 class TestQuadratureOp:
     def test_circle_equispaced(self):
-        rule = haar_quadrature(CircleGroup(), 8)
+        rule = CircleGroup().quadrature(8)
         assert len(rule) == 8 and np.allclose(rule.weights, 1 / 8)
 
     def test_so3_schur_norm(self):
         g = RotationGroup3()
-        rule = haar_quadrature(g, 6)
+        rule = g.quadrature(6)
         tab = g.irrep_node_table(1, rule)
         assert np.sum(rule.weights * np.abs(tab[:, 1, 1]) ** 2) == pytest.approx(
             1 / 3, abs=1e-12
@@ -130,12 +129,13 @@ class TestQuadratureOp:
 
     def test_product_tensor_weights(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
-        rule = haar_quadrature(g, 3)
+        rule = g.quadrature(3)
         assert np.allclose(rule.weights, 1 / 9)
 
     def test_order_guard(self):
-        with pytest.raises(ValueError):
-            haar_quadrature(CircleGroup(), 0)
+        for g in (CircleGroup(), RotationGroup3(), ProductGroup([CircleGroup(), CircleGroup()])):
+            with pytest.raises(ValueError, match="positive"):
+                g.quadrature(0)
 
 
 class TestPeterWeyl:

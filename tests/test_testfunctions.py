@@ -10,7 +10,6 @@ from motionfields import (
     TestFunction,
     pi_matrix,
     stabilizer,
-    testfunctions,
 )
 
 
@@ -24,18 +23,47 @@ def fourier_oracle_2d(g, xi, half_width=9.0, n=721):
     return np.sum(vals * np.exp(1j * (pts @ np.asarray(xi)))) * dx * dx
 
 
-def einsum_grid_sup(f, extra_k=None, extra_xi=None, rounds=4):
-    """Reference grid estimate: one einsum over the whole (k x xi) grid per round.
+def grid_sup_abs_fourier(g):
+    """Grid-refined estimate of sup_xi |g-hat(xi)|: five rounds, each a third as wide."""
+    radius = (np.sqrt(2.0 * max(1, g.max_degree())) + 6.0) / g.sigma
+    center, width, best = np.zeros(g.dim), radius, 0.0
+    for _ in range(5):
+        axes = [np.linspace(c - width, c + width, 9 if g.dim <= 3 else 7) for c in center]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
+        vals = np.abs(g.fourier(grid))
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, center = float(vals[i]), grid[i]
+        width /= 3.0
+    return max(best, float(np.abs(g.fourier(np.zeros((1, g.dim))))[0]))
 
-    Returns the value, and the k index and xi of the first maximum in C
-    order.
+
+def xi_candidates(f, extra_xi=None):
+    """xi = 0, a cube grid out past every term's Gaussian peak, and ``extra_xi``."""
+    dim = f.pair.dim_p
+    radius = max((np.sqrt(2.0 * max(1, t.g.max_degree())) + 6.0) / t.g.sigma for t in f.terms)
+    grid = np.linspace(-radius, radius, 9 if dim <= 3 else 7)
+    cube = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = [np.zeros((1, dim)), cube]
+    if extra_xi is not None and len(extra_xi):
+        pts.append(np.atleast_2d(np.asarray(extra_xi, dtype=float)))
+    return np.concatenate(pts, axis=0)
+
+
+def einsum_grid_sup(f, extra_k=None, extra_xi=None, rounds=4):
+    """Oracle grid estimate of sup |f-hat| over (k, xi), from below.
+
+    k runs over the nodes of a K rule of order 2 bandlimit + 8, then
+    ``extra_k``; xi starts at ``xi_candidates`` and is refined around the
+    best point, one einsum over the whole (k x xi) grid per round.  Returns
+    the value, and the k index and xi of the first maximum in C order.
     """
     K = f.pair.K
     uvals = f._u_table(K.quadrature(2 * f.bandlimit + 8).params)
     if extra_k:
         uvals = np.concatenate([uvals, f._u_table(K.params_of(extra_k))], axis=1)
     coeffs = np.array([t.coeff for t in f.terms])
-    xi = f._xi_candidates(extra_xi)
+    xi = xi_candidates(f, extra_xi)
     best, k_best, center, width = 0.0, None, xi[0], None
     for _ in range(rounds):
         gvals = np.array([t.g.fourier(xi) for t in f.terms])
@@ -49,16 +77,27 @@ def einsum_grid_sup(f, extra_k=None, extra_xi=None, rounds=4):
     return best, k_best, center
 
 
-def seeded_function(pair, rng):
-    """2-3 terms, labels of band <= 2, flat factors of degree <= 2."""
+def seeded_function(pair, rng, degree=None):
+    """2-3 terms, labels of band <= 2.
+
+    Flat factors are one monomial of degree <= 2, or with ``degree`` a
+    monomial of that degree plus one of lower degree.
+    """
     K, dim = pair.K, pair.dim_p
     labels = K.irrep_labels(2)
     terms = []
     for _ in range(int(rng.integers(2, 4))):
         lab = labels[int(rng.integers(len(labels)))]
         d = K.irrep_dim(lab)
-        alpha = tuple(rng.multinomial(int(rng.integers(0, 3)), [1 / dim] * dim))
-        flat = PolyGaussian(dim, float(rng.uniform(0.7, 1.2)), {alpha: complex(*rng.normal(size=2))})
+        if degree is None:
+            alpha = tuple(rng.multinomial(int(rng.integers(0, 3)), [1 / dim] * dim))
+            poly = {alpha: complex(*rng.normal(size=2))}
+        else:
+            poly = {tuple(rng.multinomial(degree, [1 / dim] * dim)): complex(*rng.normal(size=2))}
+            if degree:
+                low = tuple(rng.multinomial(int(rng.integers(degree)), [1 / dim] * dim))
+                poly[low] = complex(*rng.normal(size=2))
+        flat = PolyGaussian(dim, float(rng.uniform(0.7, 1.2)), poly)
         u = MatrixCoefficient(lab, int(rng.integers(d)), int(rng.integers(d)))
         terms.append(Term(complex(*rng.normal(size=2)), u, flat))
     return TestFunction(pair, terms)
@@ -124,10 +163,37 @@ class TestPolyGaussian:
                 PolyGaussian(dim, 0.9, poly, radial=True)
             assert not PolyGaussian(dim, 0.9, poly).radial
 
-    def test_sup_estimate_gaussian(self):
-        assert PolyGaussian.gaussian(2, 1.0).sup_abs_fourier() == pytest.approx(
-            2 * np.pi, rel=1e-9
-        )
+    def test_sup_bound_gaussian(self):
+        g = PolyGaussian.gaussian(2, 1.0)
+        assert g.sup_bound() == pytest.approx(2 * np.pi, rel=1e-12)
+        assert grid_sup_abs_fourier(g) == pytest.approx(g.sup_bound(), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.6, 1.0, 1.7])
+    def test_sup_bound_exact_for_one_coordinate(self, sigma):
+        # p = X_1 gives g-hat = a i sigma^2 xi_1 exp(-sigma^2 |xi|^2 / 2): one
+        # monomial, whose bound a sigma e^{-1/2} is reached at xi = (1/sigma, 0)
+        g = PolyGaussian(2, sigma, {(1, 0): 1.0})
+        peak = abs(g.fourier(np.array([[1.0 / sigma, 0.0]]))[0])
+        assert g.sup_bound() == pytest.approx(peak, rel=1e-12)
+        assert peak == pytest.approx(2 * np.pi * sigma**3 * np.exp(-0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sup_bound_above_dense_grid(self, seed):
+        # the refined grid fell up to 4% below the sup of degree 1-4 factors;
+        # the bound must lie above both it and a dense grid
+        rng = np.random.default_rng([seed, 29])
+        for _ in range(5):
+            sigma = float(rng.uniform(0.6, 1.5))
+            poly = {
+                tuple(rng.multinomial(int(rng.integers(1, 5)), [0.5, 0.5])):
+                    complex(*rng.normal(size=2))
+                for _ in range(int(rng.integers(1, 4)))
+            }
+            g = PolyGaussian(2, sigma, poly)
+            x = np.linspace(-6.0 / sigma, 6.0 / sigma, 401)
+            xi = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+            dense = float(np.abs(g.fourier(xi)).max())
+            assert max(dense, grid_sup_abs_fourier(g)) <= g.sup_bound() * (1 + 1e-12)
 
 
 class TestTestFunction:
@@ -214,15 +280,17 @@ class TestTestFunction:
                 Term(0.5, MatrixCoefficient(-1), PolyGaussian.gaussian(2, 2.0)),
             ],
         )
-        est = f.fhat2_sup()
-        assert est <= f.fhat2_sup_bound() + 1e-9
-        # both peaks at xi = 0 and the phases align on the diagonal
+        est = einsum_grid_sup(f)[0]
+        assert est <= f.fhat2_sup() * (1 + 1e-12)
+        # both peaks at xi = 0 and the phases align on the diagonal, so the
+        # bound is the sup
         assert est == pytest.approx(2 * np.pi + 0.5 * 8 * np.pi, rel=1e-6)
+        assert f.fhat2_sup() == pytest.approx(2 * np.pi + 0.5 * 8 * np.pi, rel=1e-12)
 
     def test_sup_extra_k_candidate(self, m2):
         # |f-hat(theta, 0)| = 2 pi |1 + e^{i(0.3 - 2 theta)}| peaks at theta = 0.15,
-        # which no node of the circle rule hits; passing it as a candidate
-        # recovers the exact sup 4 pi
+        # which no node of the circle rule hits: the grid estimate falls below
+        # the exact sup 4 pi unless given that candidate; the bound does not
         f = TestFunction(
             m2,
             [
@@ -230,30 +298,28 @@ class TestTestFunction:
                 Term(np.exp(0.3j), MatrixCoefficient(-1), PolyGaussian.gaussian(2, 1.0)),
             ],
         )
-        assert f.fhat2_sup() < 4 * np.pi - 1e-3
-        assert f.fhat2_sup(extra_k=[0.15]) == pytest.approx(4 * np.pi, rel=1e-12)
+        assert einsum_grid_sup(f)[0] < 4 * np.pi - 1e-3
+        assert einsum_grid_sup(f, extra_k=[0.15])[0] == pytest.approx(4 * np.pi, rel=1e-12)
         assert abs(f.partial_fourier(0.15, np.zeros(2))) == pytest.approx(4 * np.pi, rel=1e-12)
+        assert f.fhat2_sup() == pytest.approx(4 * np.pi, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
     def test_sup_grid_in_k_blocks(self, instance, seed, request):
-        # the blocked products sum over terms in another order than the
-        # einsum, so values may differ in the last bit; the center may not
+        # the oracle grid over the rule nodes, and over extra k and xi
+        # candidates, stays below the bound
         pair = request.getfixturevalue(instance.lower())
         rng = np.random.default_rng([seed, len(instance), 17])
         f = seeded_function(pair, rng)
         extra_k = [pair.K.random(rng) for _ in range(3)]
         extra_xi = rng.normal(size=(4, pair.dim_p))
         for args in ((None, None), (extra_k, extra_xi)):
-            want, _, want_center = einsum_grid_sup(f, *args)
-            got, got_center = f._grid_sup(*args)
-            assert got == pytest.approx(want, rel=1e-14, abs=0)
-            assert np.array_equal(got_center, want_center)
-        assert f.fhat2_sup() == f._grid_sup(None, None)[0]
+            assert 0 < einsum_grid_sup(f, *args)[0] <= f.fhat2_sup() * (1 + 1e-12)
+        assert f.fhat2_sup() == sum(abs(t.coeff) * t.g.sup_bound() for t in f.terms)
 
     def test_sup_maximum_past_first_k_block(self, m2xm2):
         # as in test_sup_extra_k_candidate, on M2xM2: the peak is the extra
-        # candidate, which follows the 144 rule nodes
+        # candidate, which follows the 144 rule nodes, and the bound is exact
         f = TestFunction(
             m2xm2,
             [
@@ -262,12 +328,32 @@ class TestTestFunction:
             ],
         )
         extra_k = [(0.15, 0.0)]
-        want, k_best, want_center = einsum_grid_sup(f, extra_k)
-        assert k_best >= testfunctions.SUP_K_BLOCK
-        got, got_center = f._grid_sup(extra_k, None)
-        assert got == pytest.approx(want, rel=1e-14, abs=0)
-        assert np.array_equal(got_center, want_center)
-        assert f.fhat2_sup(extra_k=extra_k) == pytest.approx(8 * np.pi**2, rel=1e-12)
+        want, k_best, _ = einsum_grid_sup(f, extra_k)
+        assert k_best == len(m2xm2.K.quadrature(2 * f.bandlimit + 8)) == 144
+        assert want == pytest.approx(8 * np.pi**2, rel=1e-12)
+        assert einsum_grid_sup(f)[0] < 8 * np.pi**2 - 1e-3
+        assert f.fhat2_sup() == pytest.approx(8 * np.pi**2, rel=1e-12)
+
+    @pytest.mark.parametrize("degree", range(5))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_grid_estimate_below_bound(self, instance, degree, request):
+        pair = request.getfixturevalue(instance.lower())
+        rng = np.random.default_rng([degree, len(instance), 23])
+        for _ in range(2):
+            f = seeded_function(pair, rng, degree)
+            assert einsum_grid_sup(f)[0] <= f.fhat2_sup() * (1 + 1e-12)
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_bound_exact_for_single_gaussian(self, instance, request):
+        # a diagonal entry has |u(e)| = 1 and a Gaussian peaks at xi = 0, so
+        # the oracle, given k = e, reaches the bound there
+        pair = request.getfixturevalue(instance.lower())
+        lab = pair.K.irrep_labels(2)[-1]
+        row = pair.K.irrep_dim(lab) - 1
+        g = PolyGaussian.gaussian(pair.dim_p, 0.8)
+        f = TestFunction(pair, [Term(0.6 - 0.3j, MatrixCoefficient(lab, row, row), g)])
+        est = einsum_grid_sup(f, extra_k=[pair.K.identity()])[0]
+        assert est == pytest.approx(f.fhat2_sup(), rel=1e-12)
 
     def test_addition(self, m2):
         f = TestFunction(m2, [Term(1.0, MatrixCoefficient(1), PolyGaussian.gaussian(2, 1.0))])
