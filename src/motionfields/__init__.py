@@ -26,6 +26,7 @@ from .errors import (
     EpsilonTooLarge,
     MixedInstance,
     MissingGamma2Data,
+    MissingSupBound,
     MotionFieldsError,
     NonRadialFlatFactor,
     PathCrossesStrata,
@@ -38,6 +39,7 @@ from .fourier import (
     TruncatedOperator,
     hs_norm,
     operator_norm,
+    pi_family,
     pi_matrix,
     pi_mu0_matrix,
     proven_order,

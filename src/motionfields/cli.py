@@ -26,7 +26,6 @@ from pathlib import Path
 from .config import ScenarioConfig, dump_json
 from .dual import converges, make_dual_point
 from .errors import ConfigError, MotionFieldsError
-from .fourier import hs_norm, operator_norm
 from .scenarios import BUNDLED_NAMES, bundled_scenario
 from .verifier import run_verification
 
@@ -72,8 +71,8 @@ def _norms_rows(samples):
                     p.stratum,
                     _label_str(p.label),
                     "(" + ";".join(_fmt(h) for h in p.H) + ")" if p.H else "0",
-                    _fmt(operator_norm(T)),
-                    _fmt(hs_norm(T)),
+                    _fmt(T.op_norm),
+                    _fmt(T.hs_norm),
                 )
             )
     return rows

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .induction import restriction_multiplicity
 from .pairs import (
-    classify_chamber_point,
+    as_coords,
     dominant_representative,
     stab_contained,
     stabilizer,
@@ -67,8 +67,14 @@ def transport_label(pair, w, H_from, label):
     node and the match is exact.  Results are kept per (instance, Weyl
     element, stabilizer structures, label).
     """
-    stab_from = stabilizer(pair, H_from)
-    stab_to = stabilizer(pair, w.apply(tuple(np.atleast_1d(H_from))))
+    H_from = as_coords(H_from)
+    return _transport(
+        pair, w, pair.stabilizer_of(H_from), pair.stabilizer_of(w.apply(H_from)), label
+    )
+
+
+def _transport(pair, w, stab_from, stab_to, label):
+    """``transport_label`` between two stabilizer descriptors."""
     key = (pair.name, w.name, stab_from.structure, stab_to.structure, label)
     if key in _TRANSPORTED:
         return _TRANSPORTED[key]
@@ -94,21 +100,24 @@ _TRANSPORTED = {}  # (pair, Weyl element, stabilizer structures, label) -> label
 
 
 def check_label(pair, label, H=None):
-    """The chamber point of ``H`` (None on the K-dual) once ``label`` fits it.
+    """(dominant H, Weyl element taking H there, its stabilizer) once ``label`` fits H.
 
-    The label must be an irrep label of the stabilizer of the dominant
-    representative of ``H``, or of K itself when ``H`` is None or zero;
-    StratumMismatch is raised otherwise.
+    None on the K-dual (``H`` None or zero).  The label must be an irrep
+    label of the stabilizer of the dominant representative of ``H``, or of
+    K itself when ``H`` is None or zero; StratumMismatch is raised
+    otherwise.  H is dominantised and classified here, once.
     """
-    if H is not None and np.linalg.norm(H) > pair.wall_tol:
-        point = classify_chamber_point(pair, H)
-        stab = stabilizer(pair, point.coords)
+    if H is not None:
+        H = as_coords(H)
+    if H is not None and math.hypot(*H) > pair.wall_tol:
+        dom, w = dominant_representative(pair, H)
+        stab = pair.stabilizer_of(dom)
         if not stab.group.validate_label(label):
             raise StratumMismatch(
                 f"{label!r} is not an irrep label of stabilizer {stab.structure} "
-                f"at H={point.coords} on {pair.name}"
+                f"at H={dom} on {pair.name}"
             )
-        return point
+        return dom, w, stab
     if not pair.K.validate_label(label):
         raise StratumMismatch(f"{label!r} is not a K-irrep label on {pair.name}")
     return None
@@ -123,14 +132,14 @@ def make_dual_point(pair, label, H=None):
     label of the stabilizer of the resulting point (see ``check_label``).
     """
     if H is not None:
-        H = tuple(float(c) for c in np.atleast_1d(H))
-    point = check_label(pair, label, H)
-    if point is None:
+        H = as_coords(H)
+    located = check_label(pair, label, H)
+    if located is None:
         return DualPoint(pair.name, GAMMA2, label, None)
-    _, w = dominant_representative(pair, H)
-    moved = transport_label(pair, w, H, label)
-    stratum = GAMMA0 if point.tag == "Regular" else GAMMA1
-    return DualPoint(pair.name, stratum, moved, point.coords)
+    dom, w, stab = located
+    moved = _transport(pair, w, pair.stabilizer_of(H), stab, label)
+    stratum = GAMMA1 if pair.wall_set(dom) else GAMMA0
+    return DualPoint(pair.name, stratum, moved, dom)
 
 
 def equivalent(pair, p1, p2, tol=1e-12):

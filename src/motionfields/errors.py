@@ -45,6 +45,10 @@ class MissingGamma2Data(MotionFieldsError):
     """Operator-field sample lacks the K-dual entries needed here."""
 
 
+class MissingSupBound(MotionFieldsError):
+    """Operator-field sample lacks the ``fhat2_sup`` bound that condition 1 needs."""
+
+
 class ConfigError(MotionFieldsError):
     """Scenario configuration failed validation."""
 

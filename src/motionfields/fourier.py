@@ -18,6 +18,12 @@ matrices (``CompactGroup.coefficient_sums``) at ``proven_order``, which
 integrates A exactly; on SO(3) the alpha and gamma sums are a frequency
 selection from a 2-D FFT of the orbit factor, leaving one Gauss-Legendre
 sum in beta.  ``order`` 0 records that no entry needed quadrature.
+
+The field is evaluated one family at a time: the induced points that share
+mu and a stabilizer share one basis, and ``pi_family`` forms all their
+operators as one (P, N, N) stack, with one ``_schur_blocks`` call for the
+Gaussian terms.  ``sample_field`` takes each family's operator and HS norms
+in one batched SVD and records them on the operators.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .dual import GAMMA2, DualPoint
 from .errors import QuadratureOrderTooLow
 from .induction import PeterWeylBasis, peter_weyl_basis
-from .pairs import stabilizer
+from .pairs import as_coords, stabilizer
 
 
 def proven_order(f, lam_band):
@@ -53,7 +59,9 @@ class TruncatedOperator:
     for K-dual entries the basis is the standard one of the single K-type.
     ``order`` is the quadrature order of the entries, 0 when no entry needs
     quadrature (all-Gaussian induced entries, K-dual entries and their
-    block sums).
+    block sums).  ``op_norm`` and ``hs_norm`` are those ``sample_field``
+    recorded for its read-only matrices, else taken from ``matrix`` on each
+    read.
     """
 
     matrix: np.ndarray
@@ -62,10 +70,19 @@ class TruncatedOperator:
     block_index: list
     basis: PeterWeylBasis | None = None
     point: DualPoint | None = None
+    _norms: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self):
         return self.matrix.shape[0]
+
+    @property
+    def op_norm(self):
+        return self._norms[0] if self._norms else operator_norm(self.matrix)
+
+    @property
+    def hs_norm(self):
+        return self._norms[1] if self._norms else hs_norm(self.matrix)
 
     def to_dict(self):
         """JSON-ready form; complex entries become [re, im] pairs."""
@@ -95,15 +112,32 @@ def block_diagonal(blocks):
 
 
 def operator_norm(T):
-    m = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
+    if isinstance(T, TruncatedOperator):
+        return T.op_norm
+    m = np.asarray(T)
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def hs_norm(T):
-    m = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
-    return float(np.linalg.norm(m))
+    if isinstance(T, TruncatedOperator):
+        return T.hs_norm
+    return float(np.linalg.norm(np.asarray(T)))
+
+
+def _record_norms(ops, stack):
+    """Record on ``ops``, the matrices of ``stack`` (P, N, N), their norms.
+
+    One batched SVD covers the stack: the operator norm is the largest
+    singular value and the HS norm the 2-norm of all of them, which needs
+    no temporary the size of the stack.  Each matrix is made read-only, so
+    a recorded norm cannot go stale.
+    """
+    s = np.linalg.svd(stack, compute_uv=False)
+    for T, a, b in zip(ops, s[:, 0].tolist(), np.linalg.norm(s, axis=1).tolist()):
+        T.matrix.flags.writeable = False
+        T._norms = (a, b)
 
 
 def _block_factor(K, lam, Ts, S):
@@ -112,27 +146,48 @@ def _block_factor(K, lam, Ts, S):
 
 
 def _schur_blocks(terms, K, blocks, xi):
-    """Block sum of coeff g-hat(xi) S[col] over ``terms``, one block per (lam, copy).
+    """Block sums of coeff g-hat(xi) S[col] over ``terms``, one stack per row of ``xi``.
 
-    S is the term's Schur sum at its row, which lives on the contragredient
-    bar of its label; a term whose bar is not among ``blocks`` (pairs of a
-    K-type and its copies, in basis order) adds nothing, and its g-hat is
+    ``xi`` has shape (P, dim_p) and the result (P, N, N), one block per
+    (lam, copy) of ``blocks`` (pairs of a K-type and its copies, in basis
+    order).  S is the term's Schur sum at its row, which lives on the
+    contragredient bar of its label.  Each term's g-hat is evaluated once
+    for the whole batch, and each K-type's sum is placed once per copy.  A
+    term whose bar is not among ``blocks`` adds nothing, and its g-hat is
     not evaluated.
     """
-    sums = {lam: np.zeros((K.irrep_dim(lam),) * 2, dtype=complex) for lam, _ in blocks}
+    xi = np.asarray(xi, dtype=float)
+    dims = {lam: K.irrep_dim(lam) for lam, _ in blocks}
+    sums = {}
     for t in terms:
         bar, S = K.schur_sum(t.u.label, t.u.row)
-        if bar in sums:
-            sums[bar] += t.coeff * complex(t.g.fourier(xi)[0]) * S[t.u.col]
-    return block_diagonal([sums[lam] for lam, copies in blocks for _ in copies])
+        if bar in dims:
+            c = t.coeff * t.g.fourier(xi)
+            sums[bar] = sums.get(bar, 0.0) + c[:, None, None] * S[t.u.col]
+    n = sum(dims[lam] * len(copies) for lam, copies in blocks)
+    out = np.zeros((len(xi), n, n), dtype=complex)
+    row = 0
+    for lam, copies in blocks:
+        d = dims[lam]
+        for _ in copies:
+            if lam in sums:
+                out[:, row : row + d, row : row + d] = sums[lam]
+            row += d
+    return out
 
 
-def _pi_entries(f, pair, basis, H, order):
-    """The entries <pi(f) psi_j, psi_i>, and the order of the rule they used (0 for none)."""
+def _pi_entries(f, pair, basis, Hs, order):
+    """The entries <pi(f) psi_j, psi_i> at every flat point of ``Hs`` on one basis.
+
+    Returns the (P, N, N) stack and the order of the rule the entries used
+    (0 for none).  Gaussian terms are one ``_schur_blocks`` call for all
+    points; the other terms are integrated point by point and added in.
+    """
     K = pair.K
+    Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
     # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal
     M = _schur_blocks(
-        [t for t in f.terms if not t.g.max_degree()], K, basis.blocks, pair.embed_a(H)
+        [t for t in f.terms if not t.g.max_degree()], K, basis.blocks, pair.embed_a(Hs)
     )
     cols, start = {}, 0  # lam -> (its basis columns, its copies)
     for lam, Ts in basis.blocks:
@@ -142,7 +197,7 @@ def _pi_entries(f, pair, basis, H, order):
     # integral into two single ones per r: A, the sums of g-hat on the orbit
     # at row i0, and B, the Schur sums at row j0, which vanish outside the
     # basis block of the contragredient K-type bar; a term whose bar is not
-    # in the basis contributes nothing
+    # in the basis contributes nothing.  B does not depend on H.
     quadrature_terms = []
     for t in f.terms:
         if not t.g.max_degree():
@@ -154,39 +209,54 @@ def _pi_entries(f, pair, basis, H, order):
     if not quadrature_terms:
         return M, 0
     rule = K.quadrature(order)
-    ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
-    sums = K.coefficient_sums(
-        rule, list(cols), [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in quadrature_terms]
-    )
-    for (t, bar_cols, B), s in zip(quadrature_terms, sums):
-        A = np.concatenate(
-            [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(basis.blocks, s)], axis=1
-        )
-        M[:, bar_cols] += t.coeff * np.einsum("ria,rja->ij", A, B.conj())
+    for H, MH in zip(Hs, M):
+        ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
+        requests = [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in quadrature_terms]
+        sums = K.coefficient_sums(rule, list(cols), requests)
+        for (t, bar_cols, B), s in zip(quadrature_terms, sums):
+            A = np.concatenate(
+                [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(basis.blocks, s)], axis=1
+            )
+            MH[:, bar_cols] += t.coeff * np.einsum("ria,rja->ij", A, B.conj())
     return M, rule.order
+
+
+def _basis_order(f, pair, basis):
+    return proven_order(f, max(pair.K.char_band(lam) for lam, _ in basis.blocks))
+
+
+def pi_family(f, pair, basis, Hs):
+    """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``.
+
+    The points of one family share mu and a stabilizer, hence the basis.
+    Returns the (P, N, N) stack of their matrices, in ``Hs`` order, and the
+    order of the rule the entries used: ``proven_order``, or 0 when no entry
+    needed one.
+    """
+    return _pi_entries(f, pair, basis, Hs, _basis_order(f, pair, basis))
 
 
 def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     """Truncated matrix of the induced-representation operator at (mu, H).
 
-    Entries are <pi(f) psi_j, psi_i> over the covariant basis cut at
-    ``lambda_max``.  Terms with a Gaussian flat factor (degree 0) are closed
-    forms; the others are integrated at ``proven_order`` for the basis
-    K-types, which is exact, and the rule is built only for them.  An
-    explicit ``order`` below the proven one raises QuadratureOrderTooLow.
-    ``order`` of the result is that of the rule, or 0 when no entry needed
-    one.  A prebuilt ``basis`` may be passed to share it across points with
-    the same stabilizer (e.g. along a ray toward zero).
+    The one-point case of ``pi_family``.  Entries are <pi(f) psi_j, psi_i>
+    over the covariant basis cut at ``lambda_max``.  Terms with a Gaussian
+    flat factor (degree 0) are closed forms; the others are integrated at
+    ``proven_order`` for the basis K-types, which is exact, and the rule is
+    built only for them.  An explicit ``order`` below the proven one raises
+    QuadratureOrderTooLow.  ``order`` of the result is that of the rule, or
+    0 when no entry needed one.  A prebuilt ``basis`` may be passed; by
+    default it is the shared basis of (mu, the stabilizer of H).
     """
-    H = tuple(float(c) for c in np.atleast_1d(H))
+    H = as_coords(H)
     if basis is None:
         basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    proven = proven_order(f, max(pair.K.char_band(lam) for lam, _ in basis.blocks))
+    proven = _basis_order(f, pair, basis)
     if order is not None and order < proven:
         raise QuadratureOrderTooLow(f"order {order} is below the proven order {proven}")
-    matrix, used = _pi_entries(f, pair, basis, H, proven if order is None else order)
+    stack, used = _pi_entries(f, pair, basis, [H], proven if order is None else order)
     return TruncatedOperator(
-        matrix=matrix,
+        matrix=stack[0],
         lambda_max=lambda_max,
         order=used,
         block_index=basis.block_index,
@@ -200,11 +270,11 @@ def tau_matrix(f, pair, lam, point=None):
 
     Each term contributes ghat(0) times int u(k) tau_lam(k) dk, its Schur
     sum (``CompactGroup.schur_sum``) at the term's column: zero unless lam
-    is the contragredient of the term's label.  This is a closed form, so no
-    quadrature is involved and ``order`` is 0.
+    is the contragredient of the term's label.  This is a closed form, the
+    one-point ``_schur_blocks`` at xi = 0, so ``order`` is 0.
     """
     return TruncatedOperator(
-        matrix=_schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros(pair.dim_p)),
+        matrix=_schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros((1, pair.dim_p)))[0],
         lambda_max=pair.K.char_band(lam),
         order=0,
         block_index=[(lam, 0, v) for v in range(pair.K.irrep_dim(lam))],
@@ -219,12 +289,13 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     operator, each K-type repeated per branching copy, so differences
     against pi_matrix along a ray toward zero are entrywise meaningful.
     Without ``basis`` that is the basis at the regular point H = (1, ..., 1).
-    The blocks are closed forms, so ``order`` is 0.
+    The blocks are the one-point ``_schur_blocks`` at xi = 0, so ``order``
+    is 0.
     """
     if basis is None:
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
     return TruncatedOperator(
-        matrix=_schur_blocks(f.terms, pair.K, basis.blocks, np.zeros(pair.dim_p)),
+        matrix=_schur_blocks(f.terms, pair.K, basis.blocks, np.zeros((1, pair.dim_p)))[0],
         lambda_max=lambda_max,
         order=0,
         block_index=basis.block_index,
@@ -245,29 +316,37 @@ class OperatorFieldSample:
 def sample_field(f, pair, grid, lambda_max):
     """Evaluate the Fourier-transform field of ``f`` on a grid of dual points.
 
-    Induced operators are integrated at their ``proven_order``; K-dual
-    entries are closed forms.  Induced-stratum points that share a weight
-    and a stabilizer share one covariant basis.
+    Induced-stratum points that share a weight and a stabilizer structure
+    form a family: one basis, one ``pi_family`` call for all of them, and
+    one batched SVD for their operator and HS norms, which each operator
+    records.  K-dual entries are closed forms, one per point.
+    ``operators`` follows the grid order; the metadata always carries the
+    ``fhat2_sup`` bound that condition 1 needs.
     """
     for p in grid:
         if p.pair_name != pair.name:
             raise ValueError(f"grid point {p} is not on instance {pair.name}")
-    bases = {}
+    families = {}  # (mu, stabilizer structure) -> its points, in grid order
     operators = {}
     for p in grid:
         if p.stratum == GAMMA2:
-            operators[p] = tau_matrix(f, pair, p.label, point=p)
-            continue
-        key = (p.label, stabilizer(pair, p.H).structure)
-        if key not in bases:
-            bases[key] = peter_weyl_basis(pair, p.label, p.H, lambda_max)
-        operators[p] = pi_matrix(
-            f, pair, p.label, p.H, lambda_max, basis=bases[key], point=p
-        )
+            T = operators[p] = tau_matrix(f, pair, p.label, point=p)
+            _record_norms([T], T.matrix[None])
+        else:
+            families.setdefault((p.label, stabilizer(pair, p.H).structure), []).append(p)
+    for (mu, _), pts in families.items():
+        basis = peter_weyl_basis(pair, mu, pts[0].H, lambda_max)
+        stack, order = pi_family(f, pair, basis, [p.H for p in pts])
+        ops = [
+            TruncatedOperator(m, lambda_max, order, basis.block_index, basis, p)
+            for p, m in zip(pts, stack)
+        ]
+        _record_norms(ops, stack)
+        operators.update(zip(pts, ops))
     return OperatorFieldSample(
         instance_name=pair.name,
         grid=tuple(grid),
-        operators=operators,
+        operators={p: operators[p] for p in grid},
         metadata={
             "function": f.describe(),
             "bandlimit": f.bandlimit,

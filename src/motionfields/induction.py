@@ -20,12 +20,13 @@ Analysis (2001).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyBasis
 from .groups import CompactGroup, IrrepDescriptor
-from .pairs import StabilizerDescriptor
+from .pairs import StabilizerDescriptor, as_coords
 
 
 def full_group(K: CompactGroup) -> StabilizerDescriptor:
@@ -85,26 +86,27 @@ class PeterWeylBasis:
 
     ``blocks`` lists (lambda, [T_1, ..., T_b]) in label order; the flat
     ``block_index`` records (lambda, copy, v) per basis vector, in block
-    order: lambda, then copy, then the vector index v inside H_lambda.
+    order: lambda, then copy, then the vector index v inside H_lambda.  A
+    basis depends on (instance, mu, stabilizer, lambda_max) only, so one
+    object serves every point of a stratum piece.
     """
 
     pair_name: str
     mu: object
-    H: tuple
     lambda_max: int
     stab: StabilizerDescriptor
     K: CompactGroup
     blocks: list
     d_rho: int
 
-    @property
+    @cached_property
     def block_index(self):
-        out = []
-        for lam, Ts in self.blocks:
-            d = self.K.irrep_dim(lam)
-            for c in range(len(Ts)):
-                out.extend((lam, c, v) for v in range(d))
-        return out
+        return [
+            (lam, c, v)
+            for lam, Ts in self.blocks
+            for c in range(len(Ts))
+            for v in range(self.K.irrep_dim(lam))
+        ]
 
     @property
     def size(self):
@@ -138,12 +140,16 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
     Blocks are ordered by K-type label, then intertwiner copy, then vector
     index; the block for lambda appears with multiplicity equal to the
     number of independent intertwiners (= the branching multiplicity of mu
-    in the restriction of lambda).
+    in the restriction of lambda).  H enters only through its stabilizer, so
+    the basis is built once per (instance, mu, stabilizer structure,
+    lambda_max) and shared.
     """
-    H = tuple(float(c) for c in np.atleast_1d(H))
-    stab = pair.stabilizer_of(H)
+    stab = pair.stabilizer_of(as_coords(H))
     if not stab.group.validate_label(mu):
         raise ValueError(f"label {mu!r} is not an irrep of stabilizer {stab.structure}")
+    key = (pair.name, mu, stab.structure, lambda_max)
+    if key in _BASES:
+        return _BASES[key]
     blocks = []
     for lam in pair.K.irrep_labels(lambda_max):
         Ts = intertwiners(pair.K, lam, stab, mu)
@@ -153,13 +159,16 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
         raise EmptyBasis(
             f"no K-type below {lambda_max} branches over mu={mu!r} on {pair.name}"
         )
-    return PeterWeylBasis(
+    _BASES[key] = PeterWeylBasis(
         pair_name=pair.name,
         mu=mu,
-        H=H,
         lambda_max=lambda_max,
         stab=stab,
         K=pair.K,
         blocks=blocks,
         d_rho=stab.group.irrep_dim(mu),
     )
+    return _BASES[key]
+
+
+_BASES = {}  # (instance, mu, stabilizer structure, lambda_max) -> PeterWeylBasis

@@ -15,7 +15,9 @@ so its overall scale is inert.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -112,9 +114,17 @@ class SymmetricPairDescriptor:
     def root_values(self, coords):
         return self.positive_roots @ np.asarray(coords, dtype=float)
 
+    @cached_property
+    def _root_rows(self):
+        return tuple(tuple(float(x) for x in r) for r in self.positive_roots)
+
+    def _root_floats(self, coords):
+        """``root_values`` as Python floats: at rank <= 2 numpy's call overhead dominates."""
+        return [sum(a * c for a, c in zip(r, coords)) for r in self._root_rows]
+
     def wall_set(self, coords):
-        vals = self.root_values(coords)
-        return tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= self.wall_tol))
+        vals = self._root_floats(coords)
+        return tuple(i for i, v in enumerate(vals) if abs(v) <= self.wall_tol)
 
     def zero_point(self):
         return tuple([0.0] * self.rank)
@@ -192,10 +202,10 @@ def _build_m2(wall_tol):
         X = np.asarray(X, dtype=float)
         return np.array([c * X[0] - s * X[1], s * X[0] + c * X[1]])
 
+    full, trivial = _full_circle(), _trivial_in(0.0)
+
     def stab(coords):
-        if abs(coords[0]) <= wall_tol:
-            return _full_circle()
-        return _trivial_in(0.0)
+        return full if abs(coords[0]) <= wall_tol else trivial
 
     def orbit_table(rule, coords):
         t = float(coords[0])
@@ -218,7 +228,7 @@ def _build_m2(wall_tol):
         adjoint_action=adjoint,
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
-        M=_trivial_in(0.0),
+        M=trivial,
         wall_tol=wall_tol,
     )
 
@@ -229,10 +239,10 @@ def _build_m3(wall_tol):
     def adjoint(k, X):
         return np.asarray(k) @ np.asarray(X, dtype=float)
 
+    full, circle = _full_so3(), _z_circle_in_so3()
+
     def stab(coords):
-        if abs(coords[0]) <= wall_tol:
-            return _full_so3()
-        return _z_circle_in_so3()
+        return full if abs(coords[0]) <= wall_tol else circle
 
     def orbit_table(rule, coords):
         t = float(coords[0])
@@ -259,7 +269,7 @@ def _build_m3(wall_tol):
         adjoint_action=adjoint,
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
-        M=_z_circle_in_so3(),
+        M=circle,
         wall_tol=wall_tol,
     )
 
@@ -277,12 +287,15 @@ def _build_m2xm2(wall_tol):
             out[2 * i + 1] = s * X[2 * i] + c * X[2 * i + 1]
         return out
 
+    full, trivial = _full_circle(), _trivial_in(0.0)
+    # one descriptor per wall pattern: which factor's coordinate vanishes
+    stabs = {
+        walls: _product_stab([full if w else trivial for w in walls], (0, 1), k_id)
+        for walls in itertools.product((False, True), repeat=2)
+    }
+
     def stab(coords):
-        factors = [
-            _full_circle() if abs(c) <= wall_tol else _trivial_in(0.0)
-            for c in coords
-        ]
-        return _product_stab(factors, (0, 1), k_id)
+        return stabs[tuple(abs(c) <= wall_tol for c in coords)]
 
     def orbit_table(rule, coords):
         t1, t2 = rule.params
@@ -314,7 +327,7 @@ def _build_m2xm2(wall_tol):
         adjoint_action=adjoint,
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
-        M=_product_stab([_trivial_in(0.0), _trivial_in(0.0)], (0, 1), k_id),
+        M=stabs[False, False],
         wall_tol=wall_tol,
     )
 
@@ -339,6 +352,13 @@ def build_instance(name, wall_tol=DEFAULT_WALL_TOL):
 # chamber operations
 
 
+def as_coords(coords):
+    """Flat coordinates as a tuple of Python floats; a scalar is rank 1."""
+    if not isinstance(coords, (tuple, list)):
+        coords = np.atleast_1d(coords)
+    return tuple(float(c) for c in coords)
+
+
 def dominant_representative(pair, coords):
     """The unique Weyl-orbit point in the closed positive chamber.
 
@@ -346,17 +366,17 @@ def dominant_representative(pair, coords):
     equal to the dominant point.  For points on walls several elements work;
     the first in the stored order is returned, so the output is deterministic.
     """
-    coords = tuple(float(c) for c in np.atleast_1d(coords))
+    coords = as_coords(coords)
     for w in pair.weyl_group:
         moved = w.apply(coords)
-        if np.all(pair.root_values(moved) >= -pair.wall_tol):
+        if all(v >= -pair.wall_tol for v in pair._root_floats(moved)):
             return moved, w
     raise AssertionError("no dominant representative found; broken Weyl data")
 
 
 def weyl_orbit(pair, coords, tol=1e-12):
     """All distinct Weyl images of the point (deduplicated within ``tol``)."""
-    coords = tuple(float(c) for c in np.atleast_1d(coords))
+    coords = as_coords(coords)
     out = []
     for w in pair.weyl_group:
         moved = w.apply(coords)
@@ -379,7 +399,7 @@ def classify_chamber_point(pair, coords):
 
 def stabilizer(pair, coords):
     """Stabilizer descriptor of the point; depends only on its wall pattern."""
-    return pair.stabilizer_of(tuple(float(c) for c in np.atleast_1d(coords)))
+    return pair.stabilizer_of(as_coords(coords))
 
 
 def adjoint_action(pair, k, X):

@@ -15,22 +15,16 @@ All verdict thresholds live in one configuration block for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .dual import GAMMA2, make_dual_point
-from .errors import MissingGamma2Data, PathCrossesStrata
-from .fourier import (
-    block_diagonal,
-    hs_norm,
-    operator_norm,
-    pi_matrix,
-    pi_mu0_matrix,
-    sample_field,
-)
+from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
+from .fourier import block_diagonal, pi_family, pi_mu0_matrix, sample_field
 from .induction import peter_weyl_basis, restriction_multiplicity, full_group
-from .pairs import classify_chamber_point, stabilizer
+from .pairs import as_coords, classify_chamber_point, stabilizer
 
 
 @dataclass(frozen=True)
@@ -90,16 +84,19 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
     The bound is hs^2 <= d_mu * sup^2 * (1 + hs_slack), with sup the
     closed-form bound ``TestFunction.fhat2_sup`` on |f-hat| over (k, xi)
     that the sample records.  It lies above the true sup, so the check
-    cannot fail a function that meets the bound at the true sup.
+    cannot fail a function that meets the bound at the true sup.  A sample
+    without it raises MissingSupBound: without a sup the check is vacuous.
     """
-    sup = float(sample.metadata.get("fhat2_sup", np.inf))
+    if "fhat2_sup" not in sample.metadata:
+        raise MissingSupBound("the sample metadata has no 'fhat2_sup' bound")
+    sup = float(sample.metadata["fhat2_sup"])
     witnesses = []
     ok = True
     for p, T in sample.operators.items():
         if p.stratum == GAMMA2:
             continue
         d_mu = _d_mu(pair, p)
-        hs2 = hs_norm(T) ** 2
+        hs2 = T.hs_norm**2
         bound = d_mu * sup**2 * (1.0 + thresholds.hs_slack)
         bands = [pair.K.char_band(lam) for lam, _, _ in T.block_index]
         top = max(bands)
@@ -179,18 +176,18 @@ def check_continuity(pair, sample, thresholds=Thresholds()):
             raise PathCrossesStrata(f"path leaves stratum {first} at {p}")
     if first[0] == GAMMA2:
         raise PathCrossesStrata("continuity paths live in the induced strata")
-    ops = [sample.operators[p] for p in pts]
-    H = [np.asarray(p.H) for p in pts]
-
-    def diffs(stride):
-        ds, hs = [], []
-        for i in range(0, len(pts) - stride, stride):
-            ds.append(operator_norm(ops[i + stride].matrix - ops[i].matrix))
-            hs.append(float(np.linalg.norm(H[i + stride] - H[i])))
-        return ds, hs
-
-    fine, steps_fine = diffs(1)
-    coarse, steps_coarse = diffs(2)
+    # the step differences, in one buffer normed by one batched SVD; a
+    # stride-2 difference is the sum of two steps, formed in place after
+    ops = [sample.operators[p].matrix for p in pts]
+    diff = np.empty((len(pts) - 1,) + ops[0].shape, dtype=complex)
+    for i, buf in enumerate(diff):
+        np.subtract(ops[i + 1], ops[i], out=buf)
+    fine = np.linalg.svd(diff, compute_uv=False)[:, 0].tolist()
+    for a, b in zip(diff[0::2], diff[1::2]):  # matrix by matrix: no overlap copy
+        a += b
+    coarse = np.linalg.svd(diff[0::2], compute_uv=False)[:, 0].tolist()
+    steps_fine = [math.dist(a.H, b.H) for a, b in zip(pts, pts[1:])]
+    steps_coarse = [math.dist(a.H, b.H) for a, b in zip(pts[0::2], pts[2::2])]
     ok, detail = judge_continuity(fine, coarse, steps_fine, steps_coarse, thresholds)
     return ConditionReport(
         2,
@@ -243,7 +240,7 @@ def check_mu_decay(pair, sample, thresholds=Thresholds()):
     by_abs = {}
     witnesses = []
     for p in pts:
-        n = operator_norm(sample.operators[p])
+        n = sample.operators[p].op_norm
         k = stab.group.char_band(p.label)
         by_abs[k] = max(by_abs.get(k, 0.0), n)
         witnesses.append({"mu": p.label, "norm": n})
@@ -275,28 +272,32 @@ def judge_h_ladder(deltas_by_mu, thresholds=Thresholds()):
     return bool(ok)
 
 
+def _distances(stack, ref):
+    """Operator norms of each matrix of ``stack`` minus ``ref``; ``stack`` is overwritten."""
+    for m in stack:  # in place and matrix by matrix: a broadcast would buffer
+        m -= ref
+    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+
+
 def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresholds()):
     """Distance from the induced operator to its zero-point block form.
 
     Rays are H0 * 2^{-j}, j = 0..levels; the covariant basis is built once
     per weight and shared across the ray, so differences are entrywise
-    meaningful.  The uniformity proxy aggregates the final rung over the
-    supplied weight list.
+    meaningful.  Each weight's ladder is one family: one ``pi_family``
+    stack, the zero-point operator subtracted in place and one batched SVD.
+    The uniformity proxy aggregates the final rung over the supplied weight
+    list.
     """
-    H0 = tuple(float(c) for c in np.atleast_1d(H0))
+    H0 = as_coords(H0)
+    rungs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)]
     deltas = {}
     witnesses = []
     for mu in mu_list:
         basis = peter_weyl_basis(pair, mu, H0, lambda_max)
         ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
-        ds = []
-        for j in range(levels + 1):
-            H = tuple(c * 2.0 ** (-j) for c in H0)
-            op = pi_matrix(f, pair, mu, H, lambda_max, basis=basis)
-            d = operator_norm(op.matrix - ref.matrix)
-            ds.append(d)
-            witnesses.append({"mu": mu, "j": j, "delta": d})
-        deltas[mu] = ds
+        deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
+        witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(
         4,
@@ -334,7 +335,7 @@ def check_lambda_decay(pair, sample, thresholds=Thresholds()):
     by_band = {}
     witnesses = []
     for p in pts:
-        n = operator_norm(sample.operators[p])
+        n = sample.operators[p].op_norm
         b = pair.K.char_band(p.label)
         by_band[b] = max(by_band.get(b, 0.0), n)
         witnesses.append({"lambda": p.label, "norm": n})
@@ -369,16 +370,16 @@ def field_at_zero(pair, sample, mu, stab=None):
     for p in sorted(pts, key=lambda q: (pair.K.char_band(q.label), str(q.label))):
         mult = restriction_multiplicity(full_group(pair.K), p.label, stab, mu)
         if mult > 0:
-            m = sample.operators[p].matrix
-            blocks.extend([m] * mult)
-            norm = max(norm, operator_norm(m))
+            T = sample.operators[p]
+            blocks.extend([T.matrix] * mult)
+            norm = max(norm, T.op_norm)
     return block_diagonal(blocks), norm
 
 
 def is_in_D0(sample, thresholds=Thresholds()):
     """Whether every K-dual entry vanishes (the ideal with zero boundary data)."""
     return all(
-        operator_norm(T) < thresholds.d0_norm
+        T.op_norm < thresholds.d0_norm
         for p, T in sample.operators.items()
         if p.stratum == GAMMA2
     )

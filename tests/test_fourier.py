@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from motionfields import (
     Term,
     TestFunction,
     adjoint_action,
+    check_h_to_zero,
     hs_norm,
     make_dual_point,
     operator_norm,
@@ -734,6 +737,102 @@ class TestSampleField:
             assert operator_norm(s_fg.operators[p]) <= (
                 operator_norm(s_f.operators[p]) + operator_norm(s_g.operators[p]) + 1e-12
             )
+
+
+class TestFamilies:
+    """The field formed one (mu, stabilizer) family at a time.
+
+    Each grid holds regular points and, on M2xM2, wall points, with several
+    flat points per family and several families per stratum piece.
+    """
+
+    GRIDS = {
+        "M2": [(0, (h,)) for h in (0.4, 0.9, 1.7)],
+        "M3": [(mu, (h,)) for mu in (-1, 0, 2) for h in (0.5, 1.1, 1.6)],
+        "M2xM2": [((0, 0), H) for H in ((0.5, 1.0), (1.2, 0.3), (0.8, 0.8))]
+        + [((0, m), (a, 0.0)) for m in (-1, 2) for a in (0.6, 1.3)]
+        + [((1, 0), (0.0, a)) for a in (0.7, 1.4)],
+    }
+    # (weights, H0) per ladder; the second M2xM2 ladder runs along a wall
+    LADDERS = {
+        "M2": [([0], (1.3,))],
+        "M3": [([-1, 0, 2], (1.2,))],
+        "M2xM2": [([(0, 0)], (0.9, 1.1)), ([(0, -1), (0, 2)], (1.1, 0.0))],
+    }
+    LAM_MAX = 3
+
+    @staticmethod
+    def function(pair, kind, seed):
+        """All-Gaussian terms, or those plus terms of degree 1-2."""
+        rng = np.random.default_rng([seed, len(pair.name), 23])
+        f = random_function(pair, rng, max_label=2, max_degree=0)
+        if kind == "mixed":
+            f = f + random_function(pair, rng, max_label=2, min_degree=1, max_degree=2)
+        return f
+
+    def sample(self, pair, f):
+        grid = [make_dual_point(pair, mu, H) for mu, H in self.GRIDS[pair.name]]
+        grid += [make_dual_point(pair, lam, None) for lam in pair.K.irrep_labels(1)]
+        return sample_field(f, pair, grid, self.LAM_MAX)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_sample_equals_one_point_operators(self, instance, seed, kind, request):
+        pair = request.getfixturevalue(instance.lower())
+        f = self.function(pair, kind, seed)
+        sample = self.sample(pair, f)
+        assert max(np.abs(T.matrix).max() for T in sample.operators.values()) > 1e-3
+        # mixed functions take the per-point quadrature at some family
+        assert any(T.order for T in sample.operators.values()) == (kind == "mixed")
+        for p, T in sample.operators.items():
+            if p.stratum == "gamma2":
+                one = tau_matrix(f, pair, p.label)
+            else:
+                assert T.basis is peter_weyl_basis(pair, p.label, p.H, self.LAM_MAX)
+                one = pi_matrix(f, pair, p.label, p.H, self.LAM_MAX, basis=T.basis)
+            assert (T.order, T.block_index) == (one.order, one.block_index)
+            assert np.abs(T.matrix - one.matrix).max() <= 1e-13 * np.abs(one.matrix).max()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_recorded_norms_are_those_of_the_operators(self, instance, seed, kind, request):
+        pair = request.getfixturevalue(instance.lower())
+        sample = self.sample(pair, self.function(pair, kind, seed))
+        for T in sample.operators.values():
+            assert T._norms is not None  # taken in the family's batch
+            assert T.op_norm == pytest.approx(operator_norm(T.matrix), rel=1e-12, abs=1e-14)
+            assert T.hs_norm == pytest.approx(hs_norm(T.matrix), rel=1e-12, abs=1e-14)
+            with pytest.raises(ValueError):  # read-only, so the norms cannot go stale
+                T.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_h_ladder_equals_rung_by_rung(self, instance, seed, kind, request):
+        pair = request.getfixturevalue(instance.lower())
+        f = self.function(pair, kind, seed)
+        levels = 4
+        for mus, H0 in self.LADDERS[instance]:
+            report = check_h_to_zero(f, pair, mus, H0, levels, self.LAM_MAX)
+            got = {(w["mu"], w["j"]): w["delta"] for w in report.witnesses}
+            assert len(got) == len(mus) * (levels + 1)
+            for mu in mus:
+                basis = peter_weyl_basis(pair, mu, H0, self.LAM_MAX)
+                ref = pi_mu0_matrix(f, pair, mu, self.LAM_MAX, basis=basis).matrix
+                for j in range(levels + 1):
+                    H = tuple(c * 2.0 ** (-j) for c in H0)
+                    op = pi_matrix(f, pair, mu, H, self.LAM_MAX, basis=basis)
+                    want = operator_norm(op.matrix - ref)
+                    assert got[mu, j] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_replaced_matrix_takes_its_own_norms(self, m3):
+        f = self.function(m3, "gaussian", 0)
+        T = next(iter(self.sample(m3, f).operators.values()))
+        U = dataclasses.replace(T, matrix=2.0 * T.matrix)
+        assert U.op_norm == pytest.approx(2.0 * T.op_norm, rel=1e-12)
+        assert U.hs_norm == pytest.approx(2.0 * T.hs_norm, rel=1e-12)
 
 
 class TestConvolution:

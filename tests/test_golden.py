@@ -79,6 +79,9 @@ def test_traced_benchmark_iteration(tmp_path):
     assert proc.returncode == 0, proc.stderr
     run = json.loads(result.read_text())
     assert run["exit_code"] == 0
-    assert run["trace"]["fourier.pi_matrix"]["calls"] == 53
+    # the field is formed one (mu, stabilizer) family at a time: no
+    # one-point operator, one sample_field per sample
+    assert run["trace"]["fourier.pi_matrix"]["calls"] == 0
+    assert run["trace"]["fourier.sample_field"]["calls"] == 3
     # the zero-point operators build their blocks without tau_matrix
     assert run["trace"]["fourier.tau_matrix"]["calls"] == 6

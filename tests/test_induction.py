@@ -190,6 +190,19 @@ class TestPeterWeyl:
             rhs = basis.evaluate(k) @ rho_inv.T
             assert np.abs(lhs - rhs).max() < 1e-9
 
+    def test_one_basis_per_stabilizer(self, m3, m2xm2):
+        # keyed by (instance, mu, stabilizer structure, lambda_max): the flat
+        # point enters only through its stabilizer
+        basis = peter_weyl_basis(m3, 1, (1.0,), 4)
+        assert peter_weyl_basis(m3, 1, (0.3,), 4) is basis
+        assert peter_weyl_basis(m3, 1, (-2.0,), 4) is basis
+        assert peter_weyl_basis(m3, 1, (1.0,), 5) is not basis
+        assert peter_weyl_basis(m3, 1, (0.0,), 4).stab.structure == "SO3"
+        wall = peter_weyl_basis(m2xm2, (0, 2), (1.0, 0.0), 3)
+        assert peter_weyl_basis(m2xm2, (0, 2), (2.5, 0.0), 3) is wall
+        assert basis.block_index is basis.block_index  # built once
+        assert not hasattr(basis, "H")
+
     def test_wall_basis_on_product(self, m2xm2):
         basis = peter_weyl_basis(m2xm2, (0, 2), (1.0, 0.0), 3)
         # one block per first-factor weight, second factor pinned by the label

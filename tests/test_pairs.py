@@ -225,3 +225,32 @@ class TestInvariants:
             reached, _ = m3.project_a(adjoint_action(m3, k, X))
             dom, _ = dominant_representative(m3, (np.linalg.norm(X),))
             assert abs(reached[0] - dom[0]) < 1e-6
+
+
+class TestStabilizerDescriptors:
+    # one descriptor per wall pattern, built with the instance
+    def test_rank_one(self, m2, m3):
+        for pair in (m2, m3):
+            regular = pair.stabilizer_of((1.0,))
+            assert regular is pair.stabilizer_of((-2.5,)) is pair.M
+            assert pair.stabilizer_of((0.0,)) is pair.stabilizer_of((1e-12,))
+            assert pair.stabilizer_of((0.0,)) is not regular
+
+    def test_product_wall_patterns(self, m2xm2):
+        seen = {}
+        for H in [(1.0, 2.0), (-0.5, 1.5), (0.0, 1.0), (0.0, -3.0), (2.0, 0.0), (0.0, 0.0)]:
+            walls = tuple(abs(c) <= m2xm2.wall_tol for c in H)
+            stab = m2xm2.stabilizer_of(H)
+            assert seen.setdefault(walls, stab) is stab
+        assert len({id(s) for s in seen.values()}) == 4
+        assert seen[False, False] is m2xm2.M
+        assert seen[True, False].structure == "Product(Torus(1), Trivial)"
+
+    def test_float_root_tests_match_numpy(self, m2xm2, rng):
+        for _ in range(50):
+            H = tuple(rng.choice([0.0, 1.0, -1.0], size=2) * rng.uniform(0.1, 2.0, size=2))
+            walls = tuple(np.flatnonzero(np.abs(m2xm2.root_values(H)) <= m2xm2.wall_tol))
+            assert m2xm2.wall_set(H) == walls
+            dom, w = dominant_representative(m2xm2, H)
+            assert np.all(m2xm2.root_values(dom) >= -m2xm2.wall_tol)
+            assert dom == w.apply(H)

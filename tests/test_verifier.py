@@ -4,6 +4,7 @@ import pytest
 from motionfields import (
     MatrixCoefficient,
     MissingGamma2Data,
+    MissingSupBound,
     PathCrossesStrata,
     PolyGaussian,
     Term,
@@ -23,6 +24,7 @@ from motionfields import (
     tau_matrix,
     verify_membership,
 )
+from motionfields import cli
 from motionfields.config import ScenarioConfig
 from motionfields.fourier import OperatorFieldSample, TruncatedOperator
 from motionfields.scenarios import bundled_scenario
@@ -88,6 +90,45 @@ class TestCompactness:
             if p.stratum != "gamma2"
         }
         assert check_compactness_proxy(m3, override_sample(sample, zeros)).passed
+
+    def test_sample_without_sup_is_refused(self, m3):
+        # without a sup the HS budget is vacuous: refused, not passed
+        _, sample = m3_field(m3)
+        assert "fhat2_sup" in sample.metadata
+        bare = OperatorFieldSample(
+            sample.instance_name, sample.grid, sample.operators,
+            {k: v for k, v in sample.metadata.items() if k != "fhat2_sup"},
+        )
+        with pytest.raises(MissingSupBound, match="fhat2_sup"):
+            check_compactness_proxy(m3, bare)
+
+
+def test_poisoned_sample_is_judged_on_its_own_norms(m3):
+    # operators rebuilt from a sample's matrices carry no recorded norms; the
+    # checks and the norms rows read the norms of the new matrices
+    f, sample = m3_field(m3)
+    mu_pts = [make_dual_point(m3, mu, (1.0,)) for mu in range(-3, 4)]
+    mu_sample = sample_field(f, m3, mu_pts, 4)
+    scaled = {}
+    for s in (sample, mu_sample):
+        scaled[s] = override_sample(s, {
+            p: TruncatedOperator(3.0 * T.matrix, T.lambda_max, T.order, T.block_index,
+                                 T.basis, T.point)
+            for p, T in s.operators.items()
+        })
+    induced = [p for p in sample.grid if p.stratum != "gamma2"]
+    for w, p in zip(check_compactness_proxy(m3, scaled[sample]).witnesses, induced):
+        assert w["hs_sq"] == pytest.approx(9.0 * sample.operators[p].hs_norm ** 2, rel=1e-12)
+    for w, p in zip(check_mu_decay(m3, scaled[mu_sample]).witnesses, mu_pts):
+        assert w["norm"] == pytest.approx(3.0 * mu_sample.operators[p].op_norm, rel=1e-12)
+    k_dual = [p for p in sample.grid if p.stratum == "gamma2"]
+    for w, p in zip(check_lambda_decay(m3, scaled[sample]).witnesses, k_dual):
+        assert w["norm"] == pytest.approx(3.0 * sample.operators[p].op_norm, rel=1e-12)
+    rows = cli._norms_rows({"main": scaled[sample]})
+    want = cli._norms_rows({"main": sample})
+    for row, ref in zip(rows, want):
+        assert float(row[4]) == pytest.approx(3.0 * float(ref[4]), rel=1e-10)
+        assert float(row[5]) == pytest.approx(3.0 * float(ref[5]), rel=1e-10)
 
 
 class TestContinuity:
