@@ -19,11 +19,20 @@ integrates A exactly; on SO(3) the alpha and gamma sums are a frequency
 selection from a 2-D FFT of the orbit factor, leaving one Gauss-Legendre
 sum in beta.  ``order`` 0 records that no entry needed quadrature.
 
+Selection rule: a term u g (u of the K-type l, g of degree d) has entries
+only in the columns of bar and in rows of band <= band(l) + d, the band of
+A.  So f lives in its window, the K-types of band <= W = max_t band(l_t) +
+d_t (``TestFunction.window``), exactly; it vanishes at weights mu over
+which no K-type of the window lies (the mu cut-off), and tau_lambda(f)
+unless lambda is the bar of a term.
+
 The field is evaluated one family at a time: the induced points that share
-mu and a stabilizer share one basis, and ``pi_family`` forms all their
-operators as one (P, N, N) stack, with one ``_schur_blocks`` call for the
-Gaussian terms.  ``sample_field`` takes each family's operator and HS norms
-in one batched SVD and records them on the operators.
+mu and a stabilizer share one basis, cut at min(lambda_max, W), and
+``pi_family`` forms all their operators as one (P, n, n) stack on it, with
+one ``_schur_blocks`` call for the Gaussian terms.  ``sample_field`` takes
+each family's norms in one batched SVD and records them on the operators,
+which hold the window matrix and basis.  ``pi_matrix`` keeps the basis cut
+at lambda_max and forms only the rows of its window K-types.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 
 from .dual import GAMMA2, DualPoint
 from .errors import QuadratureOrderTooLow
-from .induction import PeterWeylBasis, peter_weyl_basis
+from .induction import PeterWeylBasis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
 
@@ -43,12 +52,11 @@ def proven_order(f, lam_band):
 
     An entry integrand is u(k) tau_lam(k) g-hat(Ad(k)H), and g-hat(Ad(k)H)
     = C q(Ad(k)H) exp(-sigma^2 |H|^2 / 2), as Ad is orthogonal; q has the
-    degree of g's polynomial, which bounds its K-band.  A rule of order q is
-    exact up to band q on SO(3), but only up to q - 1 on a circle factor
-    (q nodes): hence the 1 +.
+    degree of g's polynomial, which bounds its K-band, and W = ``f.window``
+    bounds band(u) + deg q.  A rule of order q is exact up to band q on
+    SO(3), but only up to q - 1 on a circle factor (q nodes): hence the 1 +.
     """
-    K = f.pair.K
-    return 1 + lam_band + max(K.char_band(t.u.label) + t.g.max_degree() for t in f.terms)
+    return 1 + lam_band + f.window
 
 
 @dataclass(eq=False)
@@ -57,6 +65,9 @@ class TruncatedOperator:
 
     ``block_index`` lists (K-type label, copy, vector index) per basis row;
     for K-dual entries the basis is the standard one of the single K-type.
+    One of ``sample_field`` holds its window: ``basis`` is cut at
+    min(``lambda_max``, W), above which entries are zero, or is None (a 0 x 0
+    matrix) beyond the mu cut-off; ``lambda_max`` is the requested cutoff.
     ``order`` is the quadrature order of the entries, 0 when no entry needs
     quadrature (all-Gaussian induced entries, K-dual entries and their
     block sums).  ``op_norm`` and ``hs_norm`` are those ``sample_field``
@@ -99,14 +110,14 @@ class TruncatedOperator:
         }
 
 
-def block_diagonal(blocks):
-    """Square complex blocks placed along the diagonal, in order."""
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
+def block_diagonal(blocks, batch=()):
+    """Square blocks, of shape ``batch`` + (d, d) or an int d for zeros, along the diagonal."""
+    sizes = [b if isinstance(b, int) else b.shape[-1] for b in blocks]
+    out = np.zeros(tuple(batch) + (sum(sizes),) * 2, dtype=complex)
     row = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[row : row + d, row : row + d] = b
+    for b, d in zip(blocks, sizes):
+        if not isinstance(b, int):
+            out[..., row : row + d, row : row + d] = b
         row += d
     return out
 
@@ -126,15 +137,16 @@ def hs_norm(T):
     return float(np.linalg.norm(np.asarray(T)))
 
 
-def _record_norms(ops, stack):
+def _record_norms(ops, stack=None):
     """Record on ``ops``, the matrices of ``stack`` (P, N, N), their norms.
 
     One batched SVD covers the stack: the operator norm is the largest
     singular value and the HS norm the 2-norm of all of them, which needs
-    no temporary the size of the stack.  Each matrix is made read-only, so
-    a recorded norm cannot go stale.
+    no temporary the size of the stack.  Without ``stack`` the operators
+    are zero by a selection rule: norms 0, no SVD.  Each matrix is made
+    read-only, so a recorded norm cannot go stale.
     """
-    s = np.linalg.svd(stack, compute_uv=False)
+    s = np.zeros((len(ops), 1)) if stack is None else np.linalg.svd(stack, compute_uv=False)
     for T, a, b in zip(ops, s[:, 0].tolist(), np.linalg.norm(s, axis=1).tolist()):
         T.matrix.flags.writeable = False
         T._norms = (a, b)
@@ -164,16 +176,7 @@ def _schur_blocks(terms, K, blocks, xi):
         if bar in dims:
             c = t.coeff * t.g.fourier(xi)
             sums[bar] = sums.get(bar, 0.0) + c[:, None, None] * S[t.u.col]
-    n = sum(dims[lam] * len(copies) for lam, copies in blocks)
-    out = np.zeros((len(xi), n, n), dtype=complex)
-    row = 0
-    for lam, copies in blocks:
-        d = dims[lam]
-        for _ in copies:
-            if lam in sums:
-                out[:, row : row + d, row : row + d] = sums[lam]
-            row += d
-    return out
+    return block_diagonal([sums.get(lam, dims[lam]) for lam, Ts in blocks for _ in Ts], (len(xi),))
 
 
 def _pi_entries(f, pair, basis, Hs, order):
@@ -208,30 +211,35 @@ def _pi_entries(f, pair, basis, Hs, order):
             quadrature_terms.append((t, bar_cols, _block_factor(K, bar, bar_Ts, S)))
     if not quadrature_terms:
         return M, 0
+    # A has band <= W: only the rows of the window's K-types are nonzero
+    rows = [(lam, Ts) for lam, Ts in basis.blocks if K.char_band(lam) <= f.window]
+    at = np.concatenate([np.arange(cols[lam][0].start, cols[lam][0].stop) for lam, _ in rows])
     rule = K.quadrature(order)
     for H, MH in zip(Hs, M):
         ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
         requests = [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in quadrature_terms]
-        sums = K.coefficient_sums(rule, list(cols), requests)
+        sums = K.coefficient_sums(rule, [lam for lam, _ in rows], requests)
         for (t, bar_cols, B), s in zip(quadrature_terms, sums):
             A = np.concatenate(
-                [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(basis.blocks, s)], axis=1
+                [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(rows, s)], axis=1
             )
-            MH[:, bar_cols] += t.coeff * np.einsum("ria,rja->ij", A, B.conj())
+            MH[at, bar_cols] += t.coeff * np.einsum("ria,rja->ij", A, B.conj())
     return M, rule.order
 
 
 def _basis_order(f, pair, basis):
-    return proven_order(f, max(pair.K.char_band(lam) for lam, _ in basis.blocks))
+    """``proven_order`` for the K-types of ``basis`` in the window, the rows entries have."""
+    bands = [pair.K.char_band(lam) for lam, _ in basis.blocks]
+    return proven_order(f, max((b for b in bands if b <= f.window), default=0))
 
 
 def pi_family(f, pair, basis, Hs):
     """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``.
 
-    The points of one family share mu and a stabilizer, hence the basis.
-    Returns the (P, N, N) stack of their matrices, in ``Hs`` order, and the
-    order of the rule the entries used: ``proven_order``, or 0 when no entry
-    needed one.
+    The points of one family share mu and a stabilizer, hence the basis
+    (callers cut it at the window).  Returns the (P, N, N) stack of their
+    matrices, in ``Hs`` order, and the order of the rule the entries used:
+    ``proven_order``, or 0 when no entry needed one.
     """
     return _pi_entries(f, pair, basis, Hs, _basis_order(f, pair, basis))
 
@@ -240,13 +248,15 @@ def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
     """Truncated matrix of the induced-representation operator at (mu, H).
 
     The one-point case of ``pi_family``.  Entries are <pi(f) psi_j, psi_i>
-    over the covariant basis cut at ``lambda_max``.  Terms with a Gaussian
-    flat factor (degree 0) are closed forms; the others are integrated at
-    ``proven_order`` for the basis K-types, which is exact, and the rule is
-    built only for them.  An explicit ``order`` below the proven one raises
-    QuadratureOrderTooLow.  ``order`` of the result is that of the rule, or
-    0 when no entry needed one.  A prebuilt ``basis`` may be passed; by
-    default it is the shared basis of (mu, the stabilizer of H).
+    over the covariant basis cut at ``lambda_max``, formed only in the rows
+    of its window K-types (the rest is zero by the selection rule).  Terms
+    with a Gaussian flat factor (degree 0) are closed forms; the others are
+    integrated at ``proven_order`` for the window K-types, which is exact,
+    and the rule is built only for them.  An explicit ``order`` below the
+    proven one raises QuadratureOrderTooLow.  ``order`` of the result is
+    that of the rule, or 0 when no entry needed one.  A prebuilt ``basis``
+    may be passed; by default it is the shared basis of (mu, the
+    stabilizer of H).
     """
     H = as_coords(H)
     if basis is None:
@@ -317,40 +327,35 @@ def sample_field(f, pair, grid, lambda_max):
     """Evaluate the Fourier-transform field of ``f`` on a grid of dual points.
 
     Induced-stratum points that share a weight and a stabilizer structure
-    form a family: one basis, one ``pi_family`` call for all of them, and
-    one batched SVD for their operator and HS norms, which each operator
-    records.  K-dual entries are closed forms, one per point.
-    ``operators`` follows the grid order; the metadata always carries the
-    ``fhat2_sup`` bound that condition 1 needs.
+    form a family: one ``induction.window_basis``, one ``pi_family`` call
+    and one batched SVD for their norms, which each operator records with
+    its window matrix; nothing beyond the window is built.  K-dual entries
+    are closed forms, one per point.  Operators zero by a selection rule
+    record norms 0 with no SVD.  ``operators`` follows the grid order; the
+    metadata carries W and the ``fhat2_sup`` bound condition 1 needs.
     """
     for p in grid:
         if p.pair_name != pair.name:
             raise ValueError(f"grid point {p} is not on instance {pair.name}")
+    bars = {pair.K.schur_sum(t.u.label, t.u.row)[0] for t in f.terms}
     families = {}  # (mu, stabilizer structure) -> its points, in grid order
     operators = {}
     for p in grid:
         if p.stratum == GAMMA2:
             T = operators[p] = tau_matrix(f, pair, p.label, point=p)
-            _record_norms([T], T.matrix[None])
+            _record_norms([T], T.matrix[None] if p.label in bars else None)
         else:
             families.setdefault((p.label, stabilizer(pair, p.H).structure), []).append(p)
     for (mu, _), pts in families.items():
-        basis = peter_weyl_basis(pair, mu, pts[0].H, lambda_max)
-        stack, order = pi_family(f, pair, basis, [p.H for p in pts])
-        ops = [
-            TruncatedOperator(m, lambda_max, order, basis.block_index, basis, p)
-            for p, m in zip(pts, stack)
-        ]
-        _record_norms(ops, stack)
+        basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
+        if basis is None:  # beyond the mu cut-off: empty window matrices
+            stack, order, index = np.zeros((len(pts), 0, 0), complex), 0, []
+        else:
+            stack, order = pi_family(f, pair, basis, [p.H for p in pts])
+            index = basis.block_index
+        ops = [TruncatedOperator(m, lambda_max, order, index, basis, p) for p, m in zip(pts, stack)]
+        _record_norms(ops, None if basis is None else stack)
         operators.update(zip(pts, ops))
-    return OperatorFieldSample(
-        instance_name=pair.name,
-        grid=tuple(grid),
-        operators={p: operators[p] for p in grid},
-        metadata={
-            "function": f.describe(),
-            "bandlimit": f.bandlimit,
-            "fhat2_sup": f.fhat2_sup(),
-            "lambda_max": lambda_max,
-        },
-    )
+    metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
+                "fhat2_sup": f.fhat2_sup(), "lambda_max": lambda_max}
+    return OperatorFieldSample(pair.name, tuple(grid), {p: operators[p] for p in grid}, metadata)

@@ -175,11 +175,14 @@ class CompactGroup:
 
             S[r, v, b] = J[v, row] conj(J[b, r]) / d_label.
 
-        Returns (bar, S).
+        Returns (bar, S), computed once per (group, label, row); S is read-only.
         """
-        bar, J = self.contragredient(label)
-        S = np.einsum("v,br->rvb", J[:, row], J.conj()) / self.irrep_dim(label)
-        return bar, S
+        key = (self.name, label, row)
+        if key not in _SCHUR:
+            bar, J = self.contragredient(label)
+            S = np.einsum("v,br->rvb", J[:, row], J.conj()) / self.irrep_dim(label)
+            _SCHUR[key] = (bar, _freeze(S))
+        return _SCHUR[key]
 
     def _nodes_from_params(self, params):
         raise NotImplementedError
@@ -312,11 +315,6 @@ def euler_zyz(R):
         alpha = math.atan2(-R[1, 0], -R[0, 0])
         gamma = 0.0
     return alpha, beta, gamma
-
-
-def rotation_angle(R):
-    """Rotation angle in [0, pi] of an SO(3) element."""
-    return math.acos(min(1.0, max(-1.0, (float(np.trace(R)) - 1.0) / 2.0)))
 
 
 @lru_cache(maxsize=None)
@@ -543,6 +541,7 @@ class ProductGroup(CompactGroup):
 
 
 _RULES = {}  # (group name, order) -> QuadratureRule
+_SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
 
 
 def _freeze(x):

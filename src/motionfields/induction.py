@@ -112,10 +112,6 @@ class PeterWeylBasis:
     def size(self):
         return sum(self.K.irrep_dim(lam) * len(Ts) for lam, Ts in self.blocks)
 
-    def evaluate(self, k):
-        """All basis maps at one group element, shape (size, d_rho)."""
-        return self._values(self.K.params_of([k]))[:, 0]
-
     def node_table(self, rule):
         """Basis values at every node of ``rule``, shape (size, n, d_rho)."""
         return self._values(rule.params)
@@ -128,10 +124,6 @@ class PeterWeylBasis:
             sq = np.sqrt(self.K.irrep_dim(lam))
             rows.extend(sq * np.conj(np.einsum("nvb,ba->vna", tab, T)) for T in Ts)
         return np.concatenate(rows, axis=0)
-
-    def gram(self, rule):
-        tab = self.node_table(rule)
-        return np.einsum("ina,n,jna->ij", np.conj(tab), rule.weights, tab)
 
 
 def peter_weyl_basis(pair, mu, H, lambda_max):
@@ -169,6 +161,24 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
         d_rho=stab.group.irrep_dim(mu),
     )
     return _BASES[key]
+
+
+def branches_between(K, stab, mu, lo, hi):
+    """Whether a K-type of band in (lo, hi] branches over mu, by weight counts."""
+    labels = K.irrep_labels(hi)
+    return any(K.char_band(x) > lo and branching_multiplicity(K, x, stab, mu) for x in labels)
+
+
+def window_basis(pair, mu, H, lambda_max, window):
+    """The basis of (mu, H) cut at min(``lambda_max``, ``window``), or None if
+    that is empty (an operator living in it is zero) but the one at
+    ``lambda_max`` is not; EmptyBasis, as from ``peter_weyl_basis``, if both are."""
+    try:
+        return peter_weyl_basis(pair, mu, H, min(lambda_max, window))
+    except EmptyBasis:
+        if branches_between(pair.K, pair.stabilizer_of(as_coords(H)), mu, window, lambda_max):
+            return None
+        return peter_weyl_basis(pair, mu, H, lambda_max)  # raises, naming lambda_max
 
 
 _BASES = {}  # (instance, mu, stabilizer structure, lambda_max) -> PeterWeylBasis

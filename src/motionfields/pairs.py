@@ -100,13 +100,6 @@ class SymmetricPairDescriptor:
     def embed_a(self, coords):
         return np.asarray(coords, dtype=float) @ self.a_basis
 
-    def project_a(self, X):
-        """Coordinates of the a-component plus the orthogonal residual norm."""
-        X = np.asarray(X, dtype=float)
-        coords = self.a_basis @ X
-        residual = X - coords @ self.a_basis
-        return coords, float(np.linalg.norm(residual))
-
     def phi(self, coords, X):
         """The linear form <H, X> on p attached to the point H."""
         return float(self.embed_a(coords) @ self.inner_product @ np.asarray(X))

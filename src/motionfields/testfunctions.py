@@ -236,6 +236,8 @@ class TestFunction:
                     f"flat factor dim {t.g.dim} != instance dim {pair.dim_p}"
                 )
         self.bandlimit = max(pair.K.char_band(t.u.label) for t in self.terms)
+        # the selection-rule window: entries lie in K-types of band <= W (see fourier)
+        self.window = max(pair.K.char_band(t.u.label) + t.g.max_degree() for t in self.terms)
         self._sup = None  # fhat2_sup(), once computed
 
     def __add__(self, other):
@@ -254,13 +256,6 @@ class TestFunction:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         u = self._u_table(self.pair.K.params_of([k]))[:, 0]
         out = sum(t.coeff * ut * t.g.value(X) for t, ut in zip(self.terms, u))
-        return out if out.size > 1 else complex(out[0])
-
-    def partial_fourier(self, k, xi):
-        """f-hat in the flat variable: sum of c u(k) g-hat(xi)."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        u = self._u_table(self.pair.K.params_of([k]))[:, 0]
-        out = sum(t.coeff * ut * t.g.fourier(xi) for t, ut in zip(self.terms, u))
         return out if out.size > 1 else complex(out[0])
 
     def star(self):

@@ -23,7 +23,7 @@ import numpy as np
 from .dual import GAMMA2, make_dual_point
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
 from .fourier import block_diagonal, pi_family, pi_mu0_matrix, sample_field
-from .induction import peter_weyl_basis, restriction_multiplicity, full_group
+from .induction import branches_between, full_group, restriction_multiplicity, window_basis
 from .pairs import as_coords, classify_chamber_point, stabilizer
 
 
@@ -86,10 +86,15 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
     that the sample records.  It lies above the true sup, so the check
     cannot fail a function that meets the bound at the true sup.  A sample
     without it raises MissingSupBound: without a sup the check is vacuous.
+    The top band is that of the ``lambda_max`` truncation: when it lies
+    above a sampled operator's window, the tail fraction is exactly 0.
+    ``notes`` states W and whether lambda_max >= W (the truncation is exact).
     """
     if "fhat2_sup" not in sample.metadata:
         raise MissingSupBound("the sample metadata has no 'fhat2_sup' bound")
     sup = float(sample.metadata["fhat2_sup"])
+    W, lam_max = (sample.metadata.get(k) for k in ("window", "lambda_max"))
+    exact = None not in (W, lam_max) and lam_max >= W
     witnesses = []
     ok = True
     for p, T in sample.operators.items():
@@ -99,7 +104,9 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         hs2 = T.hs_norm**2
         bound = d_mu * sup**2 * (1.0 + thresholds.hs_slack)
         bands = [pair.K.char_band(lam) for lam, _, _ in T.block_index]
-        top = max(bands)
+        B = T.basis  # a top band above a sampled operator's window holds no entry
+        above = B is not None and branches_between(pair.K, B.stab, B.mu, B.lambda_max, T.lambda_max)
+        top = None if above else max(bands, default=None)
         idx = [i for i, b in enumerate(bands) if b == top]
         tail2 = float(
             np.linalg.norm(T.matrix[idx, :]) ** 2
@@ -109,22 +116,13 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         frac = tail2 / hs2 if hs2 > 0 else 0.0
         good = hs2 <= bound and frac < thresholds.tail_mass
         ok = ok and good
-        witnesses.append(
-            {
-                "point": _point_key(p),
-                "hs_sq": hs2,
-                "hs_bound": bound,
-                "tail_fraction": frac,
-                "passed": good,
-            }
-        )
+        witnesses.append({"point": _point_key(p), "hs_sq": hs2, "hs_bound": bound,
+                          "tail_fraction": frac, "passed": good})
+    limits = {"hs_slack": thresholds.hs_slack, "tail_mass": thresholds.tail_mass}
     return ConditionReport(
-        1,
-        "compactness-proxy",
-        bool(ok),
-        witnesses,
-        {"hs_slack": thresholds.hs_slack, "tail_mass": thresholds.tail_mass},
-        notes="sup is the closed-form bound sum_t |c_t| sup|g_t-hat|",
+        1, "compactness-proxy", bool(ok), witnesses, limits,
+        notes="sup is the closed-form bound sum_t |c_t| sup|g_t-hat|; window W="
+        f"{W}, lambda_max={lam_max}: truncation {'exact' if exact else 'not exact'}",
     )
 
 
@@ -182,10 +180,10 @@ def check_continuity(pair, sample, thresholds=Thresholds()):
     diff = np.empty((len(pts) - 1,) + ops[0].shape, dtype=complex)
     for i, buf in enumerate(diff):
         np.subtract(ops[i + 1], ops[i], out=buf)
-    fine = np.linalg.svd(diff, compute_uv=False)[:, 0].tolist()
+    fine = np.linalg.svd(diff, compute_uv=False).max(axis=1, initial=0.0).tolist()
     for a, b in zip(diff[0::2], diff[1::2]):  # matrix by matrix: no overlap copy
         a += b
-    coarse = np.linalg.svd(diff[0::2], compute_uv=False)[:, 0].tolist()
+    coarse = np.linalg.svd(diff[0::2], compute_uv=False).max(axis=1, initial=0.0).tolist()
     steps_fine = [math.dist(a.H, b.H) for a, b in zip(pts, pts[1:])]
     steps_coarse = [math.dist(a.H, b.H) for a, b in zip(pts[0::2], pts[2::2])]
     ok, detail = judge_continuity(fine, coarse, steps_fine, steps_coarse, thresholds)
@@ -283,28 +281,28 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
     """Distance from the induced operator to its zero-point block form.
 
     Rays are H0 * 2^{-j}, j = 0..levels; the covariant basis is built once
-    per weight and shared across the ray, so differences are entrywise
+    per weight, cut at the window of ``f`` (outside it both operators are
+    zero), and shared across the ray, so differences are entrywise
     meaningful.  Each weight's ladder is one family: one ``pi_family``
-    stack, the zero-point operator subtracted in place and one batched SVD.
-    The uniformity proxy aggregates the final rung over the supplied weight
-    list.
+    stack, the zero-point operator subtracted in place and one batched SVD;
+    beyond the mu cut-off the distances are 0.  The uniformity proxy
+    aggregates the final rung over the supplied weight list.
     """
     H0 = as_coords(H0)
     rungs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)]
     deltas = {}
     witnesses = []
     for mu in mu_list:
-        basis = peter_weyl_basis(pair, mu, H0, lambda_max)
-        ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
-        deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
+        basis = window_basis(pair, mu, H0, lambda_max, f.window)
+        if basis is None:  # beyond the mu cut-off: both operators are zero
+            deltas[mu] = [0.0] * len(rungs)
+        else:
+            ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
+            deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
         witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(
-        4,
-        "zero-point-convergence",
-        ok,
-        witnesses,
-        {"h_zero_delta": thresholds.h_zero_delta},
+        4, "zero-point-convergence", ok, witnesses, {"h_zero_delta": thresholds.h_zero_delta},
         notes=f"max final delta = {max(d[-1] for d in deltas.values()):.3g}",
     )
 

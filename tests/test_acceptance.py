@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 from test_fourier import kernel
+from test_pairs import project_a
 
 from motionfields import (
     MatrixCoefficient,
@@ -29,6 +30,7 @@ from motionfields import (
     make_dual_point,
     neighborhood_cross_check,
     operator_norm,
+    peter_weyl_basis,
     pi_matrix,
     sample_field,
     transport_label,
@@ -100,8 +102,8 @@ def test_02_adjoint_orbit_section():
             options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 500},
         )
         worst = max(worst, res.fun)
-        reached, _ = pair.project_a(
-            adjoint_action(pair, pair.K.from_euler(*res.x), X)
+        reached, _ = project_a(
+            pair, adjoint_action(pair, pair.K.from_euler(*res.x), X)
         )
         dom, _ = dominant_representative(pair, (float(np.linalg.norm(X)),))
         assert abs(reached[0] - dom[0]) < 1e-6
@@ -343,9 +345,11 @@ def _identity_fixture(pair, sample):
     ops = {}
     for p, T in sample.operators.items():
         if p.stratum != "gamma2":
+            # identity on the space cut at lambda_max; T holds its window only
+            B = peter_weyl_basis(pair, p.label, p.H, T.lambda_max)
             ops[p] = TruncatedOperator(
-                np.eye(T.size, dtype=complex), T.lambda_max, T.order,
-                T.block_index, T.basis, T.point,
+                np.eye(B.size, dtype=complex), T.lambda_max, T.order,
+                B.block_index, B, T.point,
             )
     merged = dict(sample.operators)
     merged.update(ops)
@@ -401,10 +405,11 @@ def test_10_verifier_discrimination_and_membership():
     const_ops = {}
     for p in mu_pts:
         T = mu_sample.operators[p]
-        M = np.zeros_like(T.matrix)
+        B = peter_weyl_basis(pair, p.label, p.H, T.lambda_max)  # beyond T's window
+        M = np.zeros((B.size, B.size), dtype=complex)
         M[0, 0] = 1.0
         const_ops[p] = TruncatedOperator(
-            M, T.lambda_max, T.order, T.block_index, T.basis, T.point
+            M, T.lambda_max, T.order, B.block_index, B, T.point
         )
     fx3 = OperatorFieldSample(
         mu_sample.instance_name, mu_sample.grid, const_ops, mu_sample.metadata

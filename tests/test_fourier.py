@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from motionfields import (
     EmptyBasis,
@@ -34,6 +35,14 @@ def gauss_term(pair, label, row=0, col=0, coeff=1.0, sigma=1.0):
                 PolyGaussian.gaussian(pair.dim_p, sigma))
 
 
+def partial_fourier(f, k, xi):
+    """f-hat in the flat variable at one element k: the sum of c u(k) g-hat(xi)."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    u = f._u_table(f.pair.K.params_of([k]))[:, 0]
+    out = sum(t.coeff * ut * t.g.fourier(xi) for t, ut in zip(f.terms, u))
+    return out if out.size > 1 else complex(out[0])
+
+
 def brute_pi_matrix(f, pair, basis, H, order):
     """Independent oracle: the naive K x K double quadrature."""
     rule = pair.K.quadrature(order)
@@ -45,12 +54,22 @@ def brute_pi_matrix(f, pair, basis, H, order):
     for a in range(len(w)):
         xi = adjoint_action(pair, nodes[a], Hp)
         for b in range(len(w)):
-            fh = f.partial_fourier(
-                pair.K.compose(nodes[a], pair.K.inverse(nodes[b])), xi
+            fh = partial_fourier(
+                f, pair.K.compose(nodes[a], pair.K.inverse(nodes[b])), xi
             )
             M += w[a] * w[b] * fh * np.einsum(
                 "ia,ja->ij", np.conj(Psi[:, a, :]), Psi[:, b, :]
             )
+    return M
+
+
+def placed(pair, T):
+    """A sampled operator's window matrix at its rows and columns in the basis
+    cut at its ``lambda_max``, matched by block index."""
+    full = peter_weyl_basis(pair, T.point.label, T.point.H, T.lambda_max)
+    at = [full.block_index.index(b) for b in T.block_index]
+    M = np.zeros((full.size, full.size), dtype=complex)
+    M[np.ix_(at, at)] = T.matrix
     return M
 
 
@@ -139,7 +158,7 @@ def kernel(f, pair, mu, H, h, k):
     out = np.zeros((d, d), dtype=complex)
     for w, s in zip(rule.weights, rule.nodes):
         elt = pair.K.compose(h, pair.K.compose(stab.embed(s), k_inv))
-        out += w * complex(f.partial_fourier(elt, xi)) * stab.group.irrep_matrix(mu, s)
+        out += w * complex(partial_fourier(f, elt, xi)) * stab.group.irrep_matrix(mu, s)
     return out
 
 
@@ -151,7 +170,7 @@ class TestKernel:
             h, k = m2.K.random(rng), m2.K.random(rng)
             got = kernel(f, m2, 0, H, h, k)
             xi = adjoint_action(m2, h, m2.embed_a(H))
-            expect = f.partial_fourier(m2.K.compose(h, m2.K.inverse(k)), xi)
+            expect = partial_fourier(f, m2.K.compose(h, m2.K.inverse(k)), xi)
             assert got.shape == (1, 1)
             assert got[0, 0] == pytest.approx(expect, abs=1e-12)
 
@@ -183,7 +202,10 @@ class TestPiMatrix:
             ],
         )
         op = pi_matrix(f, m2, 0, (1.3,), 3)
-        oracle = brute_pi_matrix(f, m2, op.basis, (1.3,), op.order)
+        # the entries used the order of the window |m| <= 2; the oracle takes
+        # the order exact on the whole basis, where rows |m| = 3 are zero
+        assert op.order == proven_order(f, 2)
+        oracle = brute_pi_matrix(f, m2, op.basis, (1.3,), proven_order(f, 3))
         assert np.abs(op.matrix - oracle).max() < 1e-12
 
     def test_m3_against_double_quadrature(self, m3):
@@ -452,7 +474,8 @@ class TestClosedFormB:
     }
 
     def check(self, pair, f, rng, lam_max, so3_at_zero=False):
-        """Compare at every point; returns the recorded orders and the proven ones."""
+        """Compare at every point; returns the recorded orders and the proven
+        ones of the window."""
         pairs, orders = [], []
         for H in self.POINTS[pair.name]:
             labels = stabilizer(pair, H).group.irrep_labels(1)
@@ -462,9 +485,11 @@ class TestClosedFormB:
                 mu = 1  # the stabilizer is SO(3) itself and d_rho = 3
             op = pi_matrix(f, pair, mu, H, lam_max)
             assert not so3 or op.basis.d_rho == 3
-            lam_band = max(pair.K.char_band(lam) for lam, _ in op.basis.blocks)
-            rule = pair.K.quadrature(proven_order(f, lam_band))
-            orders.append((op.order, rule.order))
+            bands = [pair.K.char_band(lam) for lam, _ in op.basis.blocks]
+            rule = pair.K.quadrature(proven_order(f, max(bands)))
+            # entries are formed on the window, the K-types of band <= W
+            window = [b for b in bands if b <= f.window]
+            orders.append((op.order, proven_order(f, max(window)) if window else 0))
             pairs.append((op.matrix, quadrature_b_pi_entries(f, pair, op.basis, H, rule)))
         # the closed form is exactly zero where quadrature leaves rounding
         # noise, so the scale is the largest entry over all points
@@ -782,17 +807,30 @@ class TestFamilies:
         pair = request.getfixturevalue(instance.lower())
         f = self.function(pair, kind, seed)
         sample = self.sample(pair, f)
-        assert max(np.abs(T.matrix).max() for T in sample.operators.values()) > 1e-3
+        # a family beyond the mu cut-off holds an empty window matrix
+        assert max(np.abs(T.matrix).max(initial=0.0) for T in sample.operators.values()) > 1e-3
         # mixed functions take the per-point quadrature at some family
         assert any(T.order for T in sample.operators.values()) == (kind == "mixed")
         for p, T in sample.operators.items():
             if p.stratum == "gamma2":
-                one = tau_matrix(f, pair, p.label)
+                one, M = tau_matrix(f, pair, p.label), T.matrix
+                assert T.block_index == one.block_index
             else:
-                assert T.basis is peter_weyl_basis(pair, p.label, p.H, self.LAM_MAX)
-                one = pi_matrix(f, pair, p.label, p.H, self.LAM_MAX, basis=T.basis)
-            assert (T.order, T.block_index) == (one.order, one.block_index)
-            assert np.abs(T.matrix - one.matrix).max() <= 1e-13 * np.abs(one.matrix).max()
+                # the sample holds the window; the one-point operator is on
+                # the basis cut at lambda_max, the window at its blocks
+                cut = min(self.LAM_MAX, f.window)
+                if T.basis is None:  # no K-type of the window over mu
+                    with pytest.raises(EmptyBasis):
+                        peter_weyl_basis(pair, p.label, p.H, cut)
+                else:
+                    assert T.basis is peter_weyl_basis(pair, p.label, p.H, cut)
+                one = pi_matrix(f, pair, p.label, p.H, self.LAM_MAX)
+                assert T.block_index == [
+                    b for b in one.block_index if pair.K.char_band(b[0]) <= cut
+                ]
+                M = placed(pair, T)
+            assert T.order == one.order
+            assert np.abs(M - one.matrix).max() <= 1e-13 * np.abs(one.matrix).max()
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
     @pytest.mark.parametrize("seed", range(2))
@@ -833,6 +871,125 @@ class TestFamilies:
         U = dataclasses.replace(T, matrix=2.0 * T.matrix)
         assert U.op_norm == pytest.approx(2.0 * T.op_norm, rel=1e-12)
         assert U.hs_norm == pytest.approx(2.0 * T.hs_norm, rel=1e-12)
+
+
+class TestSelectionWindow:
+    """The selection-rule window against references that know nothing of it.
+
+    The induced reference is the quadrature oracle ``quadrature_b_pi_entries``
+    on the basis cut at lambda_max, with a rule exact on that whole basis;
+    the K-dual reference is ``table_tau_matrix``.  Functions mix terms of
+    degree 0-3; points are regular and, on M2xM2, on both walls.
+    """
+
+    POINTS = {
+        "M2": [(1.1,), (0.6,)],
+        "M3": [(0.9,), (1.7,)],
+        "M2xM2": [(0.8, 1.3), (0.0, 0.9), (0.7, 0.0)],
+    }
+
+    @staticmethod
+    def function(pair, seed):
+        rng = np.random.default_rng([seed, len(pair.name), 29])
+        return random_function(pair, rng, max_label=1 if pair.name == "M2xM2" else 2,
+                               max_degree=3)
+
+    @staticmethod
+    def reference(f, pair, mu, H, lam_max):
+        """The oracle operator on the basis cut at ``lam_max``, and that basis."""
+        basis = peter_weyl_basis(pair, mu, H, lam_max)
+        top = max(pair.K.char_band(lam) for lam, _ in basis.blocks)
+        rule = pair.K.quadrature(proven_order(f, top))
+        return quadrature_b_pi_entries(f, pair, basis, H, rule), basis
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_support_cut_off_and_rank(self, instance, seed, request):
+        pair = request.getfixturevalue(instance.lower())
+        K, f = pair.K, self.function(pair, seed)
+        lam_max = f.window + 3
+        refs = []
+        for H in self.POINTS[instance]:
+            for mu in stabilizer(pair, H).group.irrep_labels(f.bandlimit + 2):
+                refs.append((mu,) + self.reference(f, pair, mu, H, lam_max))
+        scale = max(np.abs(M).max() for _, M, _ in refs)
+        assert scale > 1e-3  # the comparison is not vacuous
+        for mu, M, basis in refs:
+            outside = np.array([K.char_band(b[0]) > f.window for b in basis.block_index])
+            assert outside.any()
+            assert np.abs(M[outside]).max() <= 1e-13 * scale
+            assert np.abs(M[:, outside]).max() <= 1e-13 * scale
+            if basis.stab.group.char_band(mu) > f.bandlimit:  # the mu cut-off
+                assert np.abs(M).max() <= 1e-13 * scale
+            copies = {lam: len(Ts) for lam, Ts in basis.blocks}
+            bound = sum(basis.d_rho * copies.get(K.contragredient(t.u.label)[0], 0)
+                        for t in f.terms)
+            s = np.linalg.svd(M, compute_uv=False)
+            assert np.count_nonzero(s > 1e-10 * scale) <= bound
+
+    @pytest.mark.parametrize("offset", [-1, 2])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_sample_and_ladder_equal_the_oracle(self, instance, seed, offset, request):
+        # lambda_max above the window (offset 2) and below it (offset -1)
+        pair = request.getfixturevalue(instance.lower())
+        K, f = pair.K, self.function(pair, seed)
+        lam_max = max(f.window + offset, 0)
+        band = min(f.bandlimit + 2, lam_max)  # weights past the cut-off, none past lambda_max
+        grid = [make_dual_point(pair, mu, H) for H in self.POINTS[instance]
+                for mu in stabilizer(pair, H).group.irrep_labels(band)]
+        lams = K.irrep_labels(f.bandlimit + 1)
+        grid += [make_dual_point(pair, lam, None) for lam in lams]
+        sample = sample_field(f, pair, grid, lam_max)
+        got, want = [], []
+        for p, T in sample.operators.items():
+            if p.stratum == "gamma2":
+                order = 1 + K.char_band(p.label) + f.bandlimit
+                got.append(T.matrix)
+                want.append(table_tau_matrix(f, pair, p.label, order))
+            else:
+                got.append(placed(pair, T))
+                want.append(self.reference(f, pair, p.label, p.H, lam_max)[0])
+            assert T.op_norm == pytest.approx(operator_norm(want[-1]), rel=1e-13, abs=1e-13)
+            assert T.hs_norm == pytest.approx(hs_norm(want[-1]), rel=1e-13, abs=1e-13)
+        scale = max(np.abs(M).max() for M in want)
+        assert scale > 1e-3
+        for M, ref in zip(got, want):
+            assert np.abs(M - ref).max() <= 1e-13 * scale
+        # the ladder, on the last point (a wall on M2xM2), against the
+        # oracle minus the block sum of the reference K-dual entries
+        H0, levels = self.POINTS[instance][-1], 3
+        mus = stabilizer(pair, H0).group.irrep_labels(band)
+        report = check_h_to_zero(f, pair, mus, H0, levels, lam_max)
+        deltas = {(w["mu"], w["j"]): w["delta"] for w in report.witnesses}
+        for mu in mus:
+            basis = peter_weyl_basis(pair, mu, H0, lam_max)
+            zero = block_diag(*[
+                table_tau_matrix(f, pair, lam, 1 + K.char_band(lam) + f.bandlimit)
+                for lam, Ts in basis.blocks for _ in Ts
+            ])
+            for j in range(levels + 1):
+                H = tuple(c * 2.0 ** (-j) for c in H0)
+                want = operator_norm(self.reference(f, pair, mu, H, lam_max)[0] - zero)
+                assert deltas[mu, j] == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
+
+    def test_zero_family_and_empty_truncation(self, m3):
+        f = TestFunction(m3, [gauss_term(m3, 1, 0, 1)])  # W = 1
+        assert f.window == 1
+        grid = [make_dual_point(m3, mu, (1.2,)) for mu in (1, 2)]
+        sample = sample_field(f, m3, grid, 3)
+        zero = sample.operators[grid[1]]  # no K-type of band <= 1 over mu = 2
+        assert zero.basis is None and zero.matrix.shape == (0, 0)
+        assert (zero.op_norm, zero.hs_norm, zero.lambda_max) == (0.0, 0.0, 3)
+        assert sample.operators[grid[0]].basis is peter_weyl_basis(m3, 1, (1.2,), 1)
+        one = pi_matrix(f, m3, 2, (1.2,), 3)  # on the lambda_max basis, all zero
+        assert one.size == 5 + 7 and not one.matrix.any()
+        assert check_h_to_zero(f, m3, [2], (1.2,), 2, 3).witnesses[-1]["delta"] == 0.0
+        # a weight past lambda_max itself is still refused
+        with pytest.raises(EmptyBasis):
+            sample_field(f, m3, [make_dual_point(m3, 4, (1.2,))], 3)
+        with pytest.raises(EmptyBasis):
+            check_h_to_zero(f, m3, [4], (1.2,), 2, 3)
 
 
 class TestConvolution:
@@ -884,8 +1041,8 @@ class TestConvolution:
             val = 0j
             for w, k0 in zip(rule.weights, rule.nodes):
                 xi0 = adjoint_action(m2, m2.K.inverse(k0), np.asarray(xi))
-                val += w * f.partial_fourier(k0, xi) * g.partial_fourier(
-                    m2.K.compose(m2.K.inverse(k0), k), xi0
+                val += w * partial_fourier(f, k0, xi) * partial_fourier(
+                    g, m2.K.compose(m2.K.inverse(k0), k), xi0
                 )
             return val
 

@@ -85,3 +85,6 @@ def test_traced_benchmark_iteration(tmp_path):
     assert run["trace"]["fourier.sample_field"]["calls"] == 3
     # the zero-point operators build their blocks without tau_matrix
     assert run["trace"]["fourier.tau_matrix"]["calls"] == 6
+    # bases are built up to the selection-rule window W = 2, not to
+    # lambda_max 5 (7 for the weight sample): 106 calls before the window
+    assert run["trace"]["induction.intertwiners"]["calls"] == 33

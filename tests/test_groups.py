@@ -14,10 +14,14 @@ from motionfields.groups import (
     rot_x,
     rot_y,
     rot_z,
-    rotation_angle,
     wigner_d,
 )
 from motionfields.pairs import build_instance
+
+
+def rotation_angle(R):
+    """Rotation angle in [0, pi] of an SO(3) element."""
+    return math.acos(min(1.0, max(-1.0, (float(np.trace(R)) - 1.0) / 2.0)))
 
 
 class TestCircle:
@@ -383,3 +387,19 @@ class TestSchurSum:
                 for lam, Sq in zip(labels, quad):
                     expect = S if lam == bar else 0.0
                     assert np.abs(Sq - expect).max() <= 1e-14
+
+    @pytest.mark.parametrize("make_group", GROUPS)
+    def test_cached_by_identity_and_read_only(self, make_group):
+        # keyed by (group name, label, row): a second group object of the
+        # same name shares the arrays, which equal a fresh computation
+        for label in make_group().irrep_labels(2):
+            for row in range(make_group().irrep_dim(label)):
+                bar, S = make_group().schur_sum(label, row)
+                fresh_bar, J = make_group().contragredient(label)
+                fresh = np.einsum("v,br->rvb", J[:, row], J.conj()) / len(J)
+                assert bar == fresh_bar
+                assert np.array_equal(S, fresh)
+                assert make_group().schur_sum(label, row)[1] is S
+                assert not S.flags.writeable
+                with pytest.raises(ValueError):
+                    S[0, 0, 0] = 1.0

@@ -14,6 +14,13 @@ from motionfields import (
 from motionfields.pairs import stab_contained
 
 
+def project_a(pair, X):
+    """Coordinates of the a-component of X plus the orthogonal residual norm."""
+    X = np.asarray(X, dtype=float)
+    coords = pair.a_basis @ X
+    return coords, float(np.linalg.norm(X - coords @ pair.a_basis))
+
+
 class TestBuildInstance:
     def test_m3_shape(self, m3, rng):
         assert m3.rank == 1 and m3.dim_p == 3
@@ -24,13 +31,13 @@ class TestBuildInstance:
         hits = set()
         for w in m3.weyl_group:
             img = adjoint_action(m3, w.rep_in_k, H)
-            coords, res = m3.project_a(img)
+            coords, res = project_a(m3, img)
             assert res < 1e-12
             hits.add(round(coords[0], 9))
         assert hits == {2.0, -2.0}
         for _ in range(300):
             img = adjoint_action(m3, m3.K.random(rng), H)
-            coords, res = m3.project_a(img)
+            coords, res = project_a(m3, img)
             if res < 1e-6:  # lands on the line: must be one of the two hits
                 assert min(abs(coords[0] - 2.0), abs(coords[0] + 2.0)) < 1e-5
         assert len(hits) == len(m3.weyl_group)
@@ -222,7 +229,7 @@ class TestInvariants:
                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
             assert res.fun < 1e-8
             k = m3.K.from_euler(*res.x)
-            reached, _ = m3.project_a(adjoint_action(m3, k, X))
+            reached, _ = project_a(m3, adjoint_action(m3, k, X))
             dom, _ = dominant_representative(m3, (np.linalg.norm(X),))
             assert abs(reached[0] - dom[0]) < 1e-6
 

@@ -19,6 +19,7 @@ from motionfields import (
     is_in_D0,
     make_dual_point,
     operator_norm,
+    peter_weyl_basis,
     pi_mu0_matrix,
     sample_field,
     tau_matrix,
@@ -49,13 +50,20 @@ def override_sample(sample, new_ops):
     return OperatorFieldSample(sample.instance_name, sample.grid, ops, sample.metadata)
 
 
-def constant_operator(template, value=1.0):
+def constant_operator(template, value=1.0, pair=None):
+    """``value`` times the identity on the template's basis or, with ``pair``,
+    on the basis cut at its ``lambda_max``: a sampled template holds only
+    its selection-rule window."""
+    basis = template.basis
+    if pair is not None:
+        basis = peter_weyl_basis(pair, template.point.label, template.point.H,
+                                 template.lambda_max)
     return TruncatedOperator(
-        matrix=np.eye(template.size, dtype=complex) * value,
+        matrix=np.eye(basis.size, dtype=complex) * value,
         lambda_max=template.lambda_max,
         order=template.order,
-        block_index=template.block_index,
-        basis=template.basis,
+        block_index=basis.block_index,
+        basis=basis,
         point=template.point,
     )
 
@@ -70,7 +78,7 @@ class TestCompactness:
     def test_identity_field_fails_by_tail(self, m3):
         _, sample = m3_field(m3)
         bad = {
-            p: constant_operator(T)
+            p: constant_operator(T, pair=m3)
             for p, T in sample.operators.items()
             if p.stratum != "gamma2"
         }
