@@ -30,7 +30,6 @@ from .errors import (
     MotionFieldsError,
     NonRadialFlatFactor,
     PathCrossesStrata,
-    QuadratureOrderTooLow,
     StratumMismatch,
     UnknownInstance,
 )
@@ -46,12 +45,9 @@ from .fourier import (
     sample_field,
     tau_matrix,
 )
-from .groups import IrrepDescriptor, QuadratureRule
+from .groups import QuadratureRule
 from .induction import (
     PeterWeylBasis,
-    branching_multiplicity,
-    enumerate_irreps,
-    full_group,
     peter_weyl_basis,
     restriction_multiplicity,
 )

@@ -221,22 +221,9 @@ def _label_to_json(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def _complex_to_json(z):
-    return [z.real, z.imag]
-
-
 def _point_to_json(point):
     label, H = point
     return {"label": _label_to_json(label), "H": None if H is None else list(H)}
-
-
-def _term_to_json(t):
-    poly = {",".join(map(str, a)): _complex_to_json(c) for a, c in t.g.poly.items()}
-    return {
-        "coeff": _complex_to_json(t.coeff),
-        "u": {"label": _label_to_json(t.u.label), "row": t.u.row, "col": t.u.col},
-        "g": {"sigma": t.g.sigma, "poly": poly, "radial": t.g.radial},
-    }
 
 
 @dataclass
@@ -319,7 +306,7 @@ class ScenarioConfig:
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "instance": self.instance,
-            "test_function": {"terms": [_term_to_json(t) for t in self.terms]},
+            "test_function": {"terms": [t.to_json() for t in self.terms]},
             "cutoffs": {"lambda_max": plan.lambda_max},
             "grids": grids,
             "convergence_queries": queries,

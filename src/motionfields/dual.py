@@ -212,11 +212,9 @@ def in_neighborhood(pair, base, eps, candidate):
         )
     if _h_distance(pair, Hb, Hc) >= eps:
         return False
-    big_ctx = stabilizer(pair, Hb)
+    big = stabilizer(pair, Hb).group
     sub = stabilizer(pair, Hc)
-    return (
-        restriction_multiplicity(big_ctx, base.label, sub, candidate.label) > 0
-    )
+    return restriction_multiplicity(big, base.label, sub, candidate.label) > 0
 
 
 @dataclass
@@ -262,7 +260,7 @@ def converges(pair, seq, limit, h_tol=H_CONV_TOL):
             rec["stabilizer_contained"] = contained
             if contained:
                 mult = restriction_multiplicity(
-                    stabilizer(pair, H_lim),
+                    stabilizer(pair, H_lim).group,
                     limit.label,
                     stabilizer(pair, p.h_coords(pair)),
                     p.label,

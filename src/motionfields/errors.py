@@ -29,10 +29,6 @@ class EmptyBasis(MotionFieldsError):
     """No K-type below the cutoff branches over the requested irrep."""
 
 
-class QuadratureOrderTooLow(MotionFieldsError):
-    """Explicit quadrature order below the proven order of the operator."""
-
-
 class NonRadialFlatFactor(MotionFieldsError, ValueError):
     """Flat factor declared radial whose polynomial is not one in |X|^2."""
 

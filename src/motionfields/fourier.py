@@ -29,10 +29,12 @@ unless lambda is the bar of a term.
 The field is evaluated one family at a time: the induced points that share
 mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 ``pi_family`` forms all their operators as one (P, n, n) stack on it, with
-one ``_schur_blocks`` call for the Gaussian terms.  ``sample_field`` takes
-each family's norms in one batched SVD and records them on the operators,
-which hold the window matrix and basis.  ``pi_matrix`` keeps the basis cut
-at lambda_max and forms only the rows of its window K-types.
+one ``_schur_blocks`` call for the Gaussian terms; beyond the mu cut-off
+that basis is empty and the stack (P, 0, 0).  ``sample_field`` takes each
+family's norms in one batched SVD and records them on the operators, which
+hold the window matrix and basis.  ``pi_matrix`` keeps the basis cut at
+lambda_max, forms only the rows of its window K-types and records its
+norms, on their first read, from one SVD of the nonzero rows.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import GAMMA2, DualPoint
-from .errors import QuadratureOrderTooLow
 from .induction import PeterWeylBasis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
@@ -66,13 +67,13 @@ class TruncatedOperator:
     ``block_index`` lists (K-type label, copy, vector index) per basis row;
     for K-dual entries the basis is the standard one of the single K-type.
     One of ``sample_field`` holds its window: ``basis`` is cut at
-    min(``lambda_max``, W), above which entries are zero, or is None (a 0 x 0
-    matrix) beyond the mu cut-off; ``lambda_max`` is the requested cutoff.
-    ``order`` is the quadrature order of the entries, 0 when no entry needs
-    quadrature (all-Gaussian induced entries, K-dual entries and their
-    block sums).  ``op_norm`` and ``hs_norm`` are those ``sample_field``
-    recorded for its read-only matrices, else taken from ``matrix`` on each
-    read.
+    min(``lambda_max``, W), above which entries are zero, and is empty (a
+    0 x 0 matrix) beyond the mu cut-off; ``lambda_max`` is the requested
+    cutoff.  ``order`` is the quadrature order of the entries, 0 when no
+    entry needs quadrature (all-Gaussian induced entries, K-dual entries
+    and their block sums).  ``op_norm`` and ``hs_norm`` are those recorded
+    for a read-only matrix (by ``sample_field``, or on the first read of
+    one from ``pi_matrix``), else taken from ``matrix`` on each read.
     """
 
     matrix: np.ndarray
@@ -89,11 +90,19 @@ class TruncatedOperator:
 
     @property
     def op_norm(self):
-        return self._norms[0] if self._norms else operator_norm(self.matrix)
+        return self._norms[0] if self._recorded() else operator_norm(self.matrix)
 
     @property
     def hs_norm(self):
-        return self._norms[1] if self._norms else hs_norm(self.matrix)
+        return self._norms[1] if self._recorded() else hs_norm(self.matrix)
+
+    def _recorded(self):
+        """Whether norms are recorded; those of a read-only matrix are, on the
+        first read, from one SVD of its nonzero rows (the window rows of f)."""
+        m = self.matrix
+        if self._norms is None and not m.flags.writeable:
+            _record_norms([self], m[None, m.any(axis=1)])
+        return self._norms is not None
 
     def to_dict(self):
         """JSON-ready form; complex entries become [re, im] pairs."""
@@ -138,18 +147,20 @@ def hs_norm(T):
 
 
 def _record_norms(ops, stack=None):
-    """Record on ``ops``, the matrices of ``stack`` (P, N, N), their norms.
+    """Record on ``ops`` the norms of the matrices of ``stack`` (P, n, N).
 
-    One batched SVD covers the stack: the operator norm is the largest
-    singular value and the HS norm the 2-norm of all of them, which needs
-    no temporary the size of the stack.  Without ``stack`` the operators
-    are zero by a selection rule: norms 0, no SVD.  Each matrix is made
-    read-only, so a recorded norm cannot go stale.
+    ``stack`` holds each operator's matrix, or the rows of it that can be
+    nonzero.  One batched SVD covers the stack: the operator norm is the
+    largest singular value (0 for an empty matrix) and the HS norm the
+    2-norm of all of them, which needs no temporary the size of the stack.
+    Without ``stack`` the operators are zero by a selection rule: norms 0,
+    no SVD.  Each matrix is made read-only, so a recorded norm cannot go
+    stale.
     """
     s = np.zeros((len(ops), 1)) if stack is None else np.linalg.svd(stack, compute_uv=False)
-    for T, a, b in zip(ops, s[:, 0].tolist(), np.linalg.norm(s, axis=1).tolist()):
+    for T, a, b in zip(ops, s.max(axis=1, initial=0.0), np.linalg.norm(s, axis=1)):
         T.matrix.flags.writeable = False
-        T._norms = (a, b)
+        T._norms = (float(a), float(b))
 
 
 def _block_factor(K, lam, Ts, S):
@@ -244,35 +255,22 @@ def pi_family(f, pair, basis, Hs):
     return _pi_entries(f, pair, basis, Hs, _basis_order(f, pair, basis))
 
 
-def pi_matrix(f, pair, mu, H, lambda_max, order=None, basis=None, point=None):
+def pi_matrix(f, pair, mu, H, lambda_max):
     """Truncated matrix of the induced-representation operator at (mu, H).
 
-    The one-point case of ``pi_family``.  Entries are <pi(f) psi_j, psi_i>
-    over the covariant basis cut at ``lambda_max``, formed only in the rows
-    of its window K-types (the rest is zero by the selection rule).  Terms
-    with a Gaussian flat factor (degree 0) are closed forms; the others are
-    integrated at ``proven_order`` for the window K-types, which is exact,
-    and the rule is built only for them.  An explicit ``order`` below the
-    proven one raises QuadratureOrderTooLow.  ``order`` of the result is
-    that of the rule, or 0 when no entry needed one.  A prebuilt ``basis``
-    may be passed; by default it is the shared basis of (mu, the
-    stabilizer of H).
+    The one-point ``pi_family`` on the shared basis of (mu, the stabilizer
+    of H) cut at ``lambda_max``.  Entries are <pi(f) psi_j, psi_i>, formed
+    only in the rows of its window K-types (the rest is zero by the
+    selection rule).  Terms with a Gaussian flat factor (degree 0) are
+    closed forms; the others are integrated at ``proven_order`` for the
+    window K-types, which is exact, and ``order`` of the result is that of
+    the rule, or 0 when no entry needed one.  The matrix is read-only, so
+    its norms are recorded on the first read, from its nonzero rows.
     """
-    H = as_coords(H)
-    if basis is None:
-        basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    proven = _basis_order(f, pair, basis)
-    if order is not None and order < proven:
-        raise QuadratureOrderTooLow(f"order {order} is below the proven order {proven}")
-    stack, used = _pi_entries(f, pair, basis, [H], proven if order is None else order)
-    return TruncatedOperator(
-        matrix=stack[0],
-        lambda_max=lambda_max,
-        order=used,
-        block_index=basis.block_index,
-        basis=basis,
-        point=point,
-    )
+    basis = peter_weyl_basis(pair, mu, H, lambda_max)
+    stack, order = pi_family(f, pair, basis, [as_coords(H)])
+    stack.flags.writeable = False
+    return TruncatedOperator(stack[0], lambda_max, order, basis.block_index, basis)
 
 
 def tau_matrix(f, pair, lam, point=None):
@@ -329,9 +327,10 @@ def sample_field(f, pair, grid, lambda_max):
     Induced-stratum points that share a weight and a stabilizer structure
     form a family: one ``induction.window_basis``, one ``pi_family`` call
     and one batched SVD for their norms, which each operator records with
-    its window matrix; nothing beyond the window is built.  K-dual entries
-    are closed forms, one per point.  Operators zero by a selection rule
-    record norms 0 with no SVD.  ``operators`` follows the grid order; the
+    its window matrix; nothing beyond the window is built, and a family
+    beyond the mu cut-off holds 0 x 0 matrices on an empty basis.  K-dual
+    entries are closed forms, one per point; those zero by the selection
+    rule record norms 0 with no SVD.  ``operators`` follows the grid order; the
     metadata carries W and the ``fhat2_sup`` bound condition 1 needs.
     """
     for p in grid:
@@ -348,13 +347,10 @@ def sample_field(f, pair, grid, lambda_max):
             families.setdefault((p.label, stabilizer(pair, p.H).structure), []).append(p)
     for (mu, _), pts in families.items():
         basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
-        if basis is None:  # beyond the mu cut-off: empty window matrices
-            stack, order, index = np.zeros((len(pts), 0, 0), complex), 0, []
-        else:
-            stack, order = pi_family(f, pair, basis, [p.H for p in pts])
-            index = basis.block_index
-        ops = [TruncatedOperator(m, lambda_max, order, index, basis, p) for p, m in zip(pts, stack)]
-        _record_norms(ops, None if basis is None else stack)
+        stack, order = pi_family(f, pair, basis, [p.H for p in pts])
+        ops = [TruncatedOperator(m, lambda_max, order, basis.block_index, basis, p)
+               for p, m in zip(pts, stack)]
+        _record_norms(ops, stack)
         operators.update(zip(pts, ops))
     metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
                 "fhat2_sup": f.fhat2_sup(), "lambda_max": lambda_max}

@@ -21,15 +21,6 @@ from functools import lru_cache, reduce
 import numpy as np
 
 
-@dataclass(frozen=True)
-class IrrepDescriptor:
-    """An irreducible representation: owning group, weight label, dimension."""
-
-    group: "CompactGroup"
-    weight: object
-    dim: int
-
-
 @dataclass(eq=False)
 class QuadratureRule:
     """Nodes and positive weights realizing the normalized Haar integral.
@@ -134,10 +125,6 @@ class CompactGroup:
     def _quadrature(self, order):
         raise NotImplementedError
 
-    def irrep_node_table(self, label, rule):
-        """tau_label(k) at every node of ``rule``, shape (n, d, d)."""
-        return self.irrep_table(label, rule.params)
-
     def coefficient_sums(self, rule, lams, requests):
         """Weighted node sums of products of two irrep matrices.
 
@@ -152,7 +139,7 @@ class CompactGroup:
 
         def table(lab):
             if lab not in tabs:
-                tabs[lab] = self.irrep_node_table(lab, rule)
+                tabs[lab] = self.irrep_table(lab, rule.params)
             return tabs[lab]
 
         out = []

@@ -11,10 +11,10 @@ H_rho -> H_lambda.  Every shipped stabilizer is trivial, a coordinate
 subtorus of K's maximal torus, or all of K, so branching needs no
 quadrature: an intertwiner is a unit weight vector (``CompactGroup.weights``)
 whose weight restricts to rho (``StabilizerDescriptor.restrict``), or the
-identity on all of K (Schur's lemma), and multiplicities count weights.
-This is the weight-basis form of the SE(2)/SE(3) induced representations in
-Chirikjian & Kyatkin, Engineering Applications of Noncommutative Harmonic
-Analysis (2001).
+identity on all of K (Schur's lemma), and multiplicities count weights,
+in one place (``restriction_multiplicity``).  This is the weight-basis
+form of the SE(2)/SE(3) induced representations in Chirikjian & Kyatkin,
+Engineering Applications of Noncommutative Harmonic Analysis (2001).
 """
 
 from __future__ import annotations
@@ -25,45 +25,28 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyBasis
-from .groups import CompactGroup, IrrepDescriptor
+from .groups import CompactGroup
 from .pairs import StabilizerDescriptor, as_coords
 
 
-def full_group(K: CompactGroup) -> StabilizerDescriptor:
-    """K viewed as a subgroup of itself (identity embedding, Schur's lemma)."""
-    return StabilizerDescriptor(K.name, K, lambda s: s, lambda k: k, None)
+def restriction_multiplicity(group, big, sub, small):
+    """Multiplicity of the ``sub``-irrep ``small`` in the ``group``-irrep ``big``.
 
-
-def enumerate_irreps(group, cutoff):
-    """All irreps with weight magnitude at most ``cutoff``, sorted by label."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    g = group.group if isinstance(group, StabilizerDescriptor) else group
-    return [IrrepDescriptor(g, lab, g.irrep_dim(lab)) for lab in g.irrep_labels(cutoff)]
-
-
-def _as_label(irrep_or_label):
-    return irrep_or_label.weight if isinstance(irrep_or_label, IrrepDescriptor) else irrep_or_label
-
-
-def restriction_multiplicity(big_ctx, big, sub, small):
-    """Multiplicity of ``small`` in the restriction of ``big`` to ``sub``.
-
-    ``big_ctx`` is the subgroup of K carrying ``big`` (possibly K itself via
-    :func:`full_group`) and ``sub`` sits inside it.  If ``sub`` is all of K
-    this is Schur's lemma; otherwise it counts the weights of ``big`` that
-    restrict to ``small``.  Every shipped stabilizer reads its weights in the
-    coordinates of K's maximal torus, so ``sub.restrict`` applies to them.
+    ``group`` carries ``big`` (K, or a stabilizer's ``group``) and ``sub``
+    sits inside it.  This counts the weights of ``big`` that ``sub.restrict``
+    sends to ``small``: every shipped stabilizer reads its weights in the
+    coordinates of K's maximal torus.  Where ``sub.restrict`` is None, ``sub``
+    is all of K and this is Schur's lemma.  Frobenius reciprocity (the
+    K-types of an induced space) and the Fell topology both read this number.
     """
-    big, small = _as_label(big), _as_label(small)
     if sub.restrict is None:
         return int(big == small)
-    return sum(sub.restrict(w) == small for w in big_ctx.group.weights(big))
+    return len(_over(group, big, sub, small))
 
 
-def branching_multiplicity(K, big, sub, small):
-    """Multiplicity of the stabilizer irrep ``small`` in the K-irrep ``big``."""
-    return restriction_multiplicity(full_group(K), big, sub, small)
+def _over(group, big, sub, small):
+    """Positions of the weights of ``big`` that ``sub.restrict`` sends to ``small``."""
+    return [i for i, w in enumerate(group.weights(big)) if sub.restrict(w) == small]
 
 
 def intertwiners(K, lam, stab, mu):
@@ -76,8 +59,8 @@ def intertwiners(K, lam, stab, mu):
     d = K.irrep_dim(lam)
     unit = np.eye(d, dtype=complex)
     if stab.restrict is None:
-        return [unit / np.sqrt(d)] if lam == mu else []
-    return [unit[:, [i]] for i, w in enumerate(K.weights(lam)) if stab.restrict(w) == mu]
+        return [unit / np.sqrt(d)] * restriction_multiplicity(K, lam, stab, mu)
+    return [unit[:, [i]] for i in _over(K, lam, stab, mu)]
 
 
 @dataclass(eq=False)
@@ -112,19 +95,6 @@ class PeterWeylBasis:
     def size(self):
         return sum(self.K.irrep_dim(lam) * len(Ts) for lam, Ts in self.blocks)
 
-    def node_table(self, rule):
-        """Basis values at every node of ``rule``, shape (size, n, d_rho)."""
-        return self._values(rule.params)
-
-    def _values(self, params):
-        """Basis values at the elements ``params`` of K, shape (size, n, d_rho)."""
-        rows = []
-        for lam, Ts in self.blocks:
-            tab = self.K.irrep_table(lam, params)
-            sq = np.sqrt(self.K.irrep_dim(lam))
-            rows.extend(sq * np.conj(np.einsum("nvb,ba->vna", tab, T)) for T in Ts)
-        return np.concatenate(rows, axis=0)
-
 
 def peter_weyl_basis(pair, mu, H, lambda_max):
     """Basis of the induced space attached to (mu, H), cut at ``lambda_max``.
@@ -136,9 +106,7 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
     the basis is built once per (instance, mu, stabilizer structure,
     lambda_max) and shared.
     """
-    stab = pair.stabilizer_of(as_coords(H))
-    if not stab.group.validate_label(mu):
-        raise ValueError(f"label {mu!r} is not an irrep of stabilizer {stab.structure}")
+    stab = _stabilizer_over(pair, mu, H)
     key = (pair.name, mu, stab.structure, lambda_max)
     if key in _BASES:
         return _BASES[key]
@@ -164,21 +132,34 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
 
 
 def branches_between(K, stab, mu, lo, hi):
-    """Whether a K-type of band in (lo, hi] branches over mu, by weight counts."""
+    """Whether a K-type of band in (lo, hi] lies over mu, by weight counts."""
     labels = K.irrep_labels(hi)
-    return any(K.char_band(x) > lo and branching_multiplicity(K, x, stab, mu) for x in labels)
+    return any(K.char_band(x) > lo and restriction_multiplicity(K, x, stab, mu) for x in labels)
 
 
 def window_basis(pair, mu, H, lambda_max, window):
-    """The basis of (mu, H) cut at min(``lambda_max``, ``window``), or None if
-    that is empty (an operator living in it is zero) but the one at
-    ``lambda_max`` is not; EmptyBasis, as from ``peter_weyl_basis``, if both are."""
-    try:
-        return peter_weyl_basis(pair, mu, H, min(lambda_max, window))
-    except EmptyBasis:
-        if branches_between(pair.K, pair.stabilizer_of(as_coords(H)), mu, window, lambda_max):
-            return None
-        return peter_weyl_basis(pair, mu, H, lambda_max)  # raises, naming lambda_max
+    """The shared basis of (mu, H) cut at min(``lambda_max``, ``window``).
+
+    Weight counts decide first, so nothing is built for an empty window:
+    EmptyBasis, naming ``lambda_max``, when no K-type up to ``lambda_max``
+    lies over mu; an empty basis (no blocks, size 0) when none up to the cut
+    does, beyond the mu cut-off, where an operator living in it is zero.
+    """
+    stab = _stabilizer_over(pair, mu, H)
+    cut = min(lambda_max, window)
+    if branches_between(pair.K, stab, mu, -1, cut):
+        return peter_weyl_basis(pair, mu, H, cut)
+    if not branches_between(pair.K, stab, mu, cut, lambda_max):
+        raise EmptyBasis(f"no K-type below {lambda_max} branches over mu={mu!r} on {pair.name}")
+    return PeterWeylBasis(pair.name, mu, cut, stab, pair.K, [], stab.group.irrep_dim(mu))
+
+
+def _stabilizer_over(pair, mu, H):
+    """The stabilizer of H; ValueError unless ``mu`` is one of its irrep labels."""
+    stab = pair.stabilizer_of(as_coords(H))
+    if not stab.group.validate_label(mu):
+        raise ValueError(f"label {mu!r} is not an irrep of stabilizer {stab.structure}")
+    return stab
 
 
 _BASES = {}  # (instance, mu, stabilizer structure, lambda_max) -> PeterWeylBasis

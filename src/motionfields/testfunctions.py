@@ -199,6 +199,10 @@ class PolyGaussian:
         )
 
 
+def _complex_json(z):
+    return [float(np.real(z)), float(np.imag(z))]
+
+
 @dataclass(frozen=True)
 class MatrixCoefficient:
     """The factor u(k) = entry (row, col) of the K-irrep with this label."""
@@ -213,6 +217,17 @@ class Term:
     coeff: complex
     u: MatrixCoefficient
     g: PolyGaussian
+
+    def to_json(self):
+        """The term as scenario JSON: complex numbers as [re, im], labels as lists."""
+        u, g, label = self.u, self.g, self.u.label
+        return {
+            "coeff": _complex_json(self.coeff),
+            "u": {"label": list(label) if isinstance(label, tuple) else label,
+                  "row": u.row, "col": u.col},
+            "g": {"sigma": g.sigma, "radial": g.radial,
+                  "poly": {",".join(map(str, a)): _complex_json(c) for a, c in g.poly.items()}},
+        }
 
 
 class TestFunction:
@@ -292,21 +307,4 @@ class TestFunction:
         return self._sup
 
     def describe(self):
-        return {
-            "bandlimit": self.bandlimit,
-            "terms": [
-                {
-                    "coeff": [float(np.real(t.coeff)), float(np.imag(t.coeff))],
-                    "u": {"label": t.u.label, "row": t.u.row, "col": t.u.col},
-                    "g": {
-                        "sigma": t.g.sigma,
-                        "radial": t.g.radial,
-                        "poly": {
-                            ",".join(map(str, a)): [float(np.real(c)), float(np.imag(c))]
-                            for a, c in t.g.poly.items()
-                        },
-                    },
-                }
-                for t in self.terms
-            ],
-        }
+        return {"bandlimit": self.bandlimit, "terms": [t.to_json() for t in self.terms]}

@@ -23,7 +23,7 @@ import numpy as np
 from .dual import GAMMA2, make_dual_point
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
 from .fourier import block_diagonal, pi_family, pi_mu0_matrix, sample_field
-from .induction import branches_between, full_group, restriction_multiplicity, window_basis
+from .induction import branches_between, restriction_multiplicity, window_basis
 from .pairs import as_coords, classify_chamber_point, stabilizer
 
 
@@ -105,7 +105,7 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         bound = d_mu * sup**2 * (1.0 + thresholds.hs_slack)
         bands = [pair.K.char_band(lam) for lam, _, _ in T.block_index]
         B = T.basis  # a top band above a sampled operator's window holds no entry
-        above = B is not None and branches_between(pair.K, B.stab, B.mu, B.lambda_max, T.lambda_max)
+        above = branches_between(pair.K, B.stab, B.mu, B.lambda_max, T.lambda_max)
         top = None if above else max(bands, default=None)
         idx = [i for i, b in enumerate(bands) if b == top]
         tail2 = float(
@@ -274,7 +274,7 @@ def _distances(stack, ref):
     """Operator norms of each matrix of ``stack`` minus ``ref``; ``stack`` is overwritten."""
     for m in stack:  # in place and matrix by matrix: a broadcast would buffer
         m -= ref
-    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+    return np.linalg.svd(stack, compute_uv=False).max(axis=1, initial=0.0).tolist()
 
 
 def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresholds()):
@@ -285,8 +285,8 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
     zero), and shared across the ray, so differences are entrywise
     meaningful.  Each weight's ladder is one family: one ``pi_family``
     stack, the zero-point operator subtracted in place and one batched SVD;
-    beyond the mu cut-off the distances are 0.  The uniformity proxy
-    aggregates the final rung over the supplied weight list.
+    beyond the mu cut-off the basis is empty and the distances are 0.  The
+    uniformity proxy aggregates the final rung over the supplied weight list.
     """
     H0 = as_coords(H0)
     rungs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)]
@@ -294,11 +294,8 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
     witnesses = []
     for mu in mu_list:
         basis = window_basis(pair, mu, H0, lambda_max, f.window)
-        if basis is None:  # beyond the mu cut-off: both operators are zero
-            deltas[mu] = [0.0] * len(rungs)
-        else:
-            ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
-            deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
+        ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
+        deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
         witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(
@@ -366,7 +363,7 @@ def field_at_zero(pair, sample, mu, stab=None):
     blocks = []
     norm = 0.0
     for p in sorted(pts, key=lambda q: (pair.K.char_band(q.label), str(q.label))):
-        mult = restriction_multiplicity(full_group(pair.K), p.label, stab, mu)
+        mult = restriction_multiplicity(pair.K, p.label, stab, mu)
         if mult > 0:
             T = sample.operators[p]
             blocks.extend([T.matrix] * mult)

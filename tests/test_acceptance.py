@@ -127,7 +127,7 @@ def test_03_plancherel_engine():
                 coeffs.append((rng.normal() + 1j * rng.normal(), lab, int(i), int(j)))
             rule = group.quadrature(4 * band + 4)
             tabs = {
-                lab: group.irrep_node_table(lab, rule)
+                lab: group.irrep_table(lab, rule.params)
                 for lab in group.irrep_labels(2 * band)
             }
             vals = np.zeros(len(rule), dtype=complex)

@@ -227,7 +227,7 @@ class TestConverges:
         M = stabilizer(m3, (1.0,))
         for mu in range(-3, 4):
             for mun in range(-3, 4):
-                mult = restriction_multiplicity(M, mu, M, mun)
+                mult = restriction_multiplicity(M.group, mu, M, mun)
                 assert (mult > 0) == (mu == mun)
 
     @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from motionfields import (
     EmptyBasis,
     MatrixCoefficient,
     PolyGaussian,
-    QuadratureOrderTooLow,
     Term,
     TestFunction,
     adjoint_action,
@@ -28,6 +27,7 @@ from motionfields import (
 from motionfields import fourier
 from motionfields.fourier import _pi_entries
 from motionfields.groups import CompactGroup
+from test_induction import node_table
 
 
 def gauss_term(pair, label, row=0, col=0, coeff=1.0, sigma=1.0):
@@ -46,7 +46,7 @@ def partial_fourier(f, k, xi):
 def brute_pi_matrix(f, pair, basis, H, order):
     """Independent oracle: the naive K x K double quadrature."""
     rule = pair.K.quadrature(order)
-    Psi = basis.node_table(rule)
+    Psi = node_table(basis, rule)
     w, nodes = rule.weights, rule.nodes
     Hp = pair.embed_a(H)
     N = basis.size
@@ -91,11 +91,11 @@ def l1_norm_estimate(f):
 def table_tau_matrix(f, pair, lam, order):
     """Reference K-dual entry: the full-node-table contraction per term."""
     rule = pair.K.quadrature(order)
-    tab = pair.K.irrep_node_table(lam, rule)
+    tab = pair.K.irrep_table(lam, rule.params)
     zero = np.zeros((1, pair.dim_p))
     M = np.zeros(tab.shape[1:], dtype=complex)
     for term in f.terms:
-        uvals = pair.K.irrep_node_table(term.u.label, rule)[:, term.u.row, term.u.col]
+        uvals = pair.K.irrep_table(term.u.label, rule.params)[:, term.u.row, term.u.col]
         ghat0 = complex(term.g.fourier(zero)[0])
         M += term.coeff * ghat0 * np.einsum("n,nab->ab", rule.weights * uvals, tab)
     return M
@@ -210,7 +210,7 @@ class TestPiMatrix:
 
     def test_m3_against_double_quadrature(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 2)])
-        op = pi_matrix(f, m3, 0, (0.8,), 1, order=6)
+        op = pi_matrix(f, m3, 0, (0.8,), 1)
         oracle = brute_pi_matrix(f, m3, op.basis, (0.8,), 6)
         assert np.abs(op.matrix - oracle).max() < 1e-10
 
@@ -260,22 +260,16 @@ class TestPiMatrix:
         with pytest.raises(EmptyBasis):
             pi_matrix(f, m3, 6, (1.0,), 3)
 
-    def test_quadrature_order_guard(self, m2):
-        # an explicit order below the proven one is refused
-        f = TestFunction(m2, [gauss_term(m2, 6), gauss_term(m2, 5, coeff=0.9)])
-        with pytest.raises(QuadratureOrderTooLow):
-            pi_matrix(f, m2, 0, (1.0,), 6, order=3)
-
     def test_refinement_stability(self, m3):
         # bandlimited data: the retained block is unchanged under refinement
         f = TestFunction(m3, [gauss_term(m3, 2, 0, 1)])
         lam_max = 4
         op = pi_matrix(f, m3, 1, (1.0,), lam_max)
-        op2 = pi_matrix(
-            f, m3, 1, (1.0,), lam_max + 2, order=proven_order(f, lam_max) + 4
-        )
-        keep = [i for i, b in enumerate(op2.block_index) if b[0] <= lam_max]
-        sub = op2.matrix[np.ix_(keep, keep)]
+        basis2 = peter_weyl_basis(m3, 1, (1.0,), lam_max + 2)
+        rule = m3.K.quadrature(proven_order(f, lam_max) + 4)
+        op2 = quadrature_b_pi_entries(f, m3, basis2, (1.0,), rule)
+        keep = [i for i, b in enumerate(basis2.block_index) if b[0] <= lam_max]
+        sub = op2[np.ix_(keep, keep)]
         assert np.abs(sub - op.matrix).max() < 1e-8
 
     def test_weyl_translate_singular_values(self, m3, m2xm2, rng):
@@ -361,15 +355,8 @@ class TestFactorisedEntries:
         f = self.z10_function(m3, label)
         op = pi_matrix(f, m3, 0, (1.0,), lam_max)
         assert op.order == label + 10 + lam_max + 1
-        fine = pi_matrix(f, m3, 0, (1.0,), lam_max, order=60)
-        assert np.abs(op.matrix - fine.matrix).max() <= 1e-12 * np.abs(fine.matrix).max()
-
-    def test_order_guard_on_high_degree_flat_factor(self, m3):
-        # an order that ignores the degree of z^10 is refused
-        f = self.z10_function(m3, 1)
-        with pytest.raises(QuadratureOrderTooLow):
-            pi_matrix(f, m3, 0, (1.0,), 2, order=13)
-        assert pi_matrix(f, m3, 0, (1.0,), 2, order=14).order == 14
+        fine = quadrature_b_pi_entries(f, m3, op.basis, (1.0,), m3.K.quadrature(60))
+        assert np.abs(op.matrix - fine).max() <= 1e-12 * np.abs(fine).max()
 
 
 def random_function(pair, rng, max_label=3, max_degree=4, min_degree=0):
@@ -434,8 +421,8 @@ class TestProvenOrder:
             op = pi_matrix(f, pair, mu, H, lam_max)
             lam_band = max(K.char_band(lam) for lam, _ in op.basis.blocks)
             ref = self.band(f, lam_band) + 9
-            fine = pi_matrix(f, pair, mu, H, lam_max, order=ref)
-            self.assert_equal_entries(op.matrix, fine.matrix)
+            fine = quadrature_b_pi_entries(f, pair, op.basis, H, K.quadrature(ref))
+            self.assert_equal_entries(op.matrix, fine)
         for lam in K.irrep_labels(lam_max):
             op = tau_matrix(f, pair, lam)
             assert op.order == 0
@@ -819,7 +806,8 @@ class TestFamilies:
                 # the sample holds the window; the one-point operator is on
                 # the basis cut at lambda_max, the window at its blocks
                 cut = min(self.LAM_MAX, f.window)
-                if T.basis is None:  # no K-type of the window over mu
+                if not T.basis.blocks:  # no K-type of the window over mu
+                    assert T.basis.size == 0 and T.matrix.shape == (0, 0)
                     with pytest.raises(EmptyBasis):
                         peter_weyl_basis(pair, p.label, p.H, cut)
                 else:
@@ -861,7 +849,8 @@ class TestFamilies:
                 ref = pi_mu0_matrix(f, pair, mu, self.LAM_MAX, basis=basis).matrix
                 for j in range(levels + 1):
                     H = tuple(c * 2.0 ** (-j) for c in H0)
-                    op = pi_matrix(f, pair, mu, H, self.LAM_MAX, basis=basis)
+                    op = pi_matrix(f, pair, mu, H, self.LAM_MAX)
+                    assert op.basis is basis
                     want = operator_norm(op.matrix - ref)
                     assert got[mu, j] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
@@ -979,7 +968,7 @@ class TestSelectionWindow:
         grid = [make_dual_point(m3, mu, (1.2,)) for mu in (1, 2)]
         sample = sample_field(f, m3, grid, 3)
         zero = sample.operators[grid[1]]  # no K-type of band <= 1 over mu = 2
-        assert zero.basis is None and zero.matrix.shape == (0, 0)
+        assert not zero.basis.blocks and zero.basis.size == 0 and zero.matrix.shape == (0, 0)
         assert (zero.op_norm, zero.hs_norm, zero.lambda_max) == (0.0, 0.0, 3)
         assert sample.operators[grid[0]].basis is peter_weyl_basis(m3, 1, (1.2,), 1)
         one = pi_matrix(f, m3, 2, (1.2,), 3)  # on the lambda_max basis, all zero
@@ -990,6 +979,9 @@ class TestSelectionWindow:
             sample_field(f, m3, [make_dual_point(m3, 4, (1.2,))], 3)
         with pytest.raises(EmptyBasis):
             check_h_to_zero(f, m3, [4], (1.2,), 2, 3)
+        # a label that is no weight of the stabilizer is refused by name
+        with pytest.raises(ValueError, match="not an irrep"):
+            check_h_to_zero(f, m3, [1.5], (1.2,), 2, 3)
 
 
 class TestConvolution:
@@ -1024,8 +1016,9 @@ class TestConvolution:
         H = (1.1,)
         lam_max = 4
         op_f = pi_matrix(f, m2, 0, H, lam_max)
-        op_g = pi_matrix(g, m2, 0, H, lam_max, basis=op_f.basis)
-        op_c = pi_matrix(conv, m2, 0, H, lam_max, basis=op_f.basis)
+        op_g = pi_matrix(g, m2, 0, H, lam_max)
+        op_c = pi_matrix(conv, m2, 0, H, lam_max)
+        assert op_g.basis is op_f.basis and op_c.basis is op_f.basis
         assert operator_norm(op_c.matrix - op_f.matrix @ op_g.matrix) < 1e-9
 
     def test_polynomial_homomorphism_under_refinement(self, m2):
@@ -1049,9 +1042,10 @@ class TestConvolution:
         discrepancies = []
         for lam_max in (1, 3):
             op_f = pi_matrix(f, m2, 0, H, lam_max)
-            op_g = pi_matrix(g, m2, 0, H, lam_max, basis=op_f.basis)
+            op_g = pi_matrix(g, m2, 0, H, lam_max)
+            assert op_g.basis is op_f.basis
             rule = m2.K.quadrature(proven_order(f + g, lam_max) + 8)
-            Psi = op_f.basis.node_table(rule)
+            Psi = node_table(op_f.basis, rule)
             w, nodes = rule.weights, rule.nodes
             Hp = m2.embed_a(H)
             N = op_f.basis.size

@@ -4,9 +4,11 @@ The frozen inputs under ``perfbench/workloads`` are run here as the
 benchmark runs them, and compared with ``perfbench/golden`` by the
 benchmark's own rules (``perfbench/golden.py``: verdicts exact, CSV cells
 at relative tolerance 1e-9 with a floor of 1e-12 times the largest value,
-sweep norms at relative tolerance 1e-9).  A change that moves a number
-beyond those tolerances fails here.  One traced benchmark iteration runs
-too, so the names the trace wraps stay in place.
+sweep norms at relative tolerance 1e-9).  The bundled m2-default scenario,
+which no workload runs, is compared by the same rules with its artifacts
+under ``tests/golden``.  A change that moves a number beyond those
+tolerances fails here.  One traced benchmark iteration runs too, so the
+names the trace wraps stay in place.
 """
 
 import importlib.util
@@ -24,6 +26,7 @@ from motionfields.cli import load_scenario, run_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads"
+TESTS_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,13 @@ def test_scenario_matches_golden(workload, golden, tmp_path):
     report, _ = run_scenario(config, tmp_path)
     assert report.overall
     assert golden.check_scenario(tmp_path, workload) == []
+
+
+def test_bundled_m2_default_matches_golden(golden, tmp_path, monkeypatch):
+    report, _ = run_scenario(load_scenario("m2-default"), tmp_path)
+    assert report.overall
+    monkeypatch.setattr(golden, "GOLDEN_DIR", TESTS_GOLDEN)
+    assert golden.check_scenario(tmp_path, "m2-default") == []
 
 
 def test_lambda_sweep_matches_golden(golden):
@@ -59,6 +69,25 @@ def test_lambda_sweep_matches_golden(golden):
             }
         )
     assert golden.check_sweep(norms, "m3-lambda-sweep") == []
+
+
+def test_pi_matrix_records_the_norms_of_its_window_rows():
+    # on the sweep input only the rows of band <= W = 2 of the N x N matrix
+    # are nonzero; the norms pi_matrix records from them on the first read
+    # (outside the sweep's timed region) are those of the whole matrix
+    sweep = json.loads((WORKLOADS / "m3-lambda-sweep.json").read_text())
+    assert sweep["lambda_max"] == [8, 10, 12]
+    config = load_scenario(str(WORKLOADS / sweep["scenario"]))
+    pair = config.build_pair()
+    f = config.build_test_function(pair)
+    for lam in sweep["lambda_max"]:
+        op = fourier.pi_matrix(f, pair, sweep["mu"], tuple(sweep["H"]), lam)
+        with pytest.raises(ValueError):  # read-only, so the norms cannot go stale
+            op.matrix[0, 0] = 1.0
+        assert 0 < op.matrix.any(axis=1).sum() < op.size
+        assert op.op_norm == pytest.approx(fourier.operator_norm(op.matrix), rel=1e-12)
+        assert op._norms is not None  # recorded by that read
+        assert op.hs_norm == pytest.approx(fourier.hs_norm(op.matrix), rel=1e-12)
 
 
 def test_traced_benchmark_iteration(tmp_path):
@@ -86,5 +115,7 @@ def test_traced_benchmark_iteration(tmp_path):
     # the zero-point operators build their blocks without tau_matrix
     assert run["trace"]["fourier.tau_matrix"]["calls"] == 6
     # bases are built up to the selection-rule window W = 2, not to
-    # lambda_max 5 (7 for the weight sample): 106 calls before the window
-    assert run["trace"]["induction.intertwiners"]["calls"] == 33
+    # lambda_max 5 (7 for the weight sample): 106 calls before the window;
+    # and none for the weights |mu| >= 3 of the weight sample, whose window
+    # is empty by weight counts: 33 calls before
+    assert run["trace"]["induction.intertwiners"]["calls"] == 15

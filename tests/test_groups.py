@@ -182,7 +182,7 @@ class TestSO3:
     def test_quadrature_schur(self):
         g = RotationGroup3()
         rule = g.quadrature(8)
-        tabs = {l: g.irrep_node_table(l, rule) for l in (0, 1, 2, 3, 4)}
+        tabs = {l: g.irrep_table(l, rule.params) for l in (0, 1, 2, 3, 4)}
         # int |D^1_00|^2 = 1/3
         val = np.sum(rule.weights * np.abs(tabs[1][:, 1, 1]) ** 2)
         assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -205,7 +205,7 @@ class TestSO3:
     def test_node_table_matches_pointwise(self, rng):
         g = RotationGroup3()
         rule = g.quadrature(4)
-        tab = g.irrep_node_table(2, rule)
+        tab = g.irrep_table(2, rule.params)
         for idx in (0, 7, len(rule) - 1):
             direct = g.irrep_matrix(2, rule.nodes[idx])
             assert np.abs(tab[idx] - direct).max() < 1e-12
@@ -227,7 +227,7 @@ class TestProductAndTrivial:
     def test_product_node_table_consistent(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
         rule = g.quadrature(3)
-        tab = g.irrep_node_table((1, 2), rule)
+        tab = g.irrep_table((1, 2), rule.params)
         for i, node in enumerate(rule.nodes):
             assert tab[i, 0, 0] == pytest.approx(g.irrep_matrix((1, 2), node)[0, 0])
 
@@ -286,7 +286,7 @@ def test_plancherel_identity(make_group, band, rng):
     group = make_group()
     terms = _random_trig_poly(group, rng, band)
     rule = group.quadrature(4 * band + 4)
-    tabs = {lab: group.irrep_node_table(lab, rule) for lab in group.irrep_labels(2 * band)}
+    tabs = {lab: group.irrep_table(lab, rule.params) for lab in group.irrep_labels(2 * band)}
     vals = np.zeros(len(rule), dtype=complex)
     for c, lab, i, j in terms:
         vals += c * tabs[lab][:, i, j]
