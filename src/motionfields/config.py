@@ -7,11 +7,12 @@ malformed field raises a ``ConfigError`` naming it (for example
 ``grids.gamma0[0].mu``), so a bad document is refused before any work.
 
 Irrep labels appear in JSON as integers (rank-one instances) or integer
-lists (the product instance), and each grid or query label must be an irrep
-label of the stabilizer at its points (``dual.check_label``); flat points
-are lists of ``rank`` finite numbers; complex numbers are numbers or
-[re, im] pairs; polynomial multi-indices are comma-joined strings keying
-complex coefficients.
+lists (the product instance).  Each grid or query label must be an irrep
+label of the stabilizer at its points; the parser checks this by locating
+each point (``dual.make_dual_point``), which keeps the point for the run.
+Flat points are lists of ``rank`` finite numbers; complex numbers are
+numbers or [re, im] pairs; polynomial multi-indices are comma-joined
+strings keying complex coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dual import check_label
+from .dual import make_dual_point
 from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch
 from .pairs import INSTANCE_NAMES, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
@@ -78,7 +79,7 @@ def _label(where, x, pair=None, points=()):
         _require(_is_int(x), where, f"not an irrep label: {x!r}")
     for H in points:
         try:
-            check_label(pair, x, H)
+            make_dual_point(pair, x, H)
         except StratumMismatch as e:
             raise ConfigError(where, str(e)) from None
     return x

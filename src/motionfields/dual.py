@@ -2,7 +2,8 @@
 
 Points are stored in canonical form: the flat coordinate is replaced by its
 dominant representative and the stabilizer irrep label is transported along
-the Weyl element used, so equivalent inputs collapse to equal points.  The
+the Weyl element used, so equivalent inputs collapse to equal points.  Each
+point is located once per process and kept (``make_dual_point``).  The
 three strata are
 
 * ``gamma0`` -- regular dominant H with an irrep of the centralizer M,
@@ -58,14 +59,16 @@ class DualPoint:
 def transport_label(pair, w, H_from, label):
     """Label of the conjugated irrep when moving H by a Weyl element.
 
-    The stabilizers of ``H_from`` and ``w.H_from`` are identified by
-    conjugation with the stored representative of ``w``; the transported
-    label is the candidate whose character matches at the nodes of the
-    stabilizer's quadrature rule of order 2 band + 1.  That rule integrates
-    products of characters of band <= band exactly, so two distinct
-    candidates, orthonormal characters, differ by at least sqrt(2) at some
-    node and the match is exact.  Results are kept per (instance, Weyl
-    element, stabilizer structures, label).
+    The identity, first in every instance's ``weyl_group``, moves no label:
+    it is returned as it is, with no rule, table or character match.  For
+    another element the stabilizers of ``H_from`` and ``w.H_from`` are
+    identified by conjugation with the stored representative of ``w``; the
+    transported label is the candidate whose character matches at the nodes
+    of the stabilizer's quadrature rule of order 2 band + 1.  That rule
+    integrates products of characters of band <= band exactly, so two
+    distinct candidates, orthonormal characters, differ by at least sqrt(2)
+    at some node and the match is exact.  Results are kept per (instance,
+    Weyl element, stabilizer structures, label).
     """
     H_from = as_coords(H_from)
     return _transport(
@@ -75,6 +78,8 @@ def transport_label(pair, w, H_from, label):
 
 def _transport(pair, w, stab_from, stab_to, label):
     """``transport_label`` between two stabilizer descriptors."""
+    if w is pair.weyl_group[0]:  # the identity
+        return label
     key = (pair.name, w.name, stab_from.structure, stab_to.structure, label)
     if key in _TRANSPORTED:
         return _TRANSPORTED[key]
@@ -99,17 +104,28 @@ def _transport(pair, w, stab_from, stab_to, label):
 _TRANSPORTED = {}  # (pair, Weyl element, stabilizer structures, label) -> label
 
 
-def check_label(pair, label, H=None):
-    """(dominant H, Weyl element taking H there, its stabilizer) once ``label`` fits H.
+def make_dual_point(pair, label, H=None):
+    """Canonical dual point from raw data; the stratum is derived, not trusted.
 
-    None on the K-dual (``H`` None or zero).  The label must be an irrep
-    label of the stabilizer of the dominant representative of ``H``, or of
-    K itself when ``H`` is None or zero; StratumMismatch is raised
-    otherwise.  H is dominantised and classified here, once.
+    ``H`` may be any flat coordinate (or None / zero for the K-dual); it is
+    replaced by its dominant representative and the label transported
+    accordingly.  StratumMismatch is raised when the label is not an irrep
+    label of the stabilizer of that representative, or of K itself on the
+    K-dual.  Points are kept per (instance, wall tolerance, label, raw H),
+    so each is located once per process.  The label is keyed by its type and
+    repr: 1.0, True or [0, 0] equal a label or are unhashable, and must
+    still be refused after 1 or (0, 0) is kept.
     """
     if H is not None:
         H = as_coords(H)
-    if H is not None and math.hypot(*H) > pair.wall_tol:
+    key = (pair.name, pair.wall_tol, type(label), repr(label), H)
+    if key in _POINTS:
+        return _POINTS[key]
+    if H is None or math.hypot(*H) <= pair.wall_tol:
+        if not pair.K.validate_label(label):
+            raise StratumMismatch(f"{label!r} is not a K-irrep label on {pair.name}")
+        point = DualPoint(pair.name, GAMMA2, label, None)
+    else:
         dom, w = dominant_representative(pair, H)
         stab = pair.stabilizer_of(dom)
         if not stab.group.validate_label(label):
@@ -117,29 +133,14 @@ def check_label(pair, label, H=None):
                 f"{label!r} is not an irrep label of stabilizer {stab.structure} "
                 f"at H={dom} on {pair.name}"
             )
-        return dom, w, stab
-    if not pair.K.validate_label(label):
-        raise StratumMismatch(f"{label!r} is not a K-irrep label on {pair.name}")
-    return None
+        moved = _transport(pair, w, pair.stabilizer_of(H), stab, label)
+        stratum = GAMMA1 if pair.wall_set(dom) else GAMMA0
+        point = DualPoint(pair.name, stratum, moved, dom)
+    _POINTS[key] = point
+    return point
 
 
-def make_dual_point(pair, label, H=None):
-    """Canonical dual point from raw data; the stratum is derived, not trusted.
-
-    ``H`` may be any flat coordinate (or None / zero for the K-dual); it is
-    replaced by its dominant representative and the label transported
-    accordingly.  StratumMismatch is raised when the label is not an irrep
-    label of the stabilizer of the resulting point (see ``check_label``).
-    """
-    if H is not None:
-        H = as_coords(H)
-    located = check_label(pair, label, H)
-    if located is None:
-        return DualPoint(pair.name, GAMMA2, label, None)
-    dom, w, stab = located
-    moved = _transport(pair, w, pair.stabilizer_of(H), stab, label)
-    stratum = GAMMA1 if pair.wall_set(dom) else GAMMA0
-    return DualPoint(pair.name, stratum, moved, dom)
+_POINTS = {}  # (instance, wall tolerance, label type, label repr, raw H) -> DualPoint
 
 
 def equivalent(pair, p1, p2, tol=1e-12):
@@ -167,9 +168,10 @@ def weyl_action_on_pairs(pair, w, point):
     return make_dual_point(pair, raw_label, raw_H)
 
 
-def _h_distance(pair, H1, H2):
-    d = pair.embed_a(H1) - pair.embed_a(H2)
-    return float(np.sqrt(d @ pair.inner_product @ d))
+def _h_distances(pair, Hs, H):
+    """Distances from each flat point of ``Hs`` to ``H``, in one batch, as floats."""
+    d = pair.embed_a(Hs) - pair.embed_a(H)
+    return np.sqrt(np.einsum("ij,jk,ik->i", d, pair.inner_product, d)).tolist()
 
 
 def epsilon_threshold(pair, H):
@@ -210,7 +212,7 @@ def in_neighborhood(pair, base, eps, candidate):
             f"eps={eps} exceeds the stabilizer-containment threshold {thr:.3g} "
             f"at H={Hb} on {pair.name}"
         )
-    if _h_distance(pair, Hb, Hc) >= eps:
+    if _h_distances(pair, [Hc], Hb)[0] >= eps:
         return False
     big = stabilizer(pair, Hb).group
     sub = stabilizer(pair, Hc)
@@ -237,7 +239,10 @@ def converges(pair, seq, limit, h_tol=H_CONV_TOL):
     enough") is required on the final half: the member's stabilizer is
     contained in the limit's, and the limit's irrep restricted to it
     contains the member's irrep.  For a K-dual limit over a K-dual tail
-    this reduces to the sequence being eventually constant.
+    this reduces to the sequence being eventually constant.  The distances
+    are one numpy expression over the stacked flat points, and each
+    multiplicity is counted once per (member stabilizer structure, member
+    label).
     """
     if not seq:
         raise EmptySequence("convergence query needs at least one element")
@@ -247,30 +252,27 @@ def converges(pair, seq, limit, h_tol=H_CONV_TOL):
 
     n = len(seq)
     H_lim = limit.h_coords(pair)
-    dists = [_h_distance(pair, p.h_coords(pair), H_lim) for p in seq]
+    Hs = [p.h_coords(pair) for p in seq]
     tail_start = n - math.ceil(n / 2)
     quarter_start = n - max(1, math.ceil(n / 4))
 
-    evidence = []
+    dists = _h_distances(pair, Hs, H_lim)
+    evidence = [{"n": i, "distance": d} for i, d in enumerate(dists)]
+    big = stabilizer(pair, H_lim).group
+    mults = {}  # (member stabilizer structure, member label) -> multiplicity
     branch_ok = True
-    for i, p in enumerate(seq):
-        rec = {"n": i, "distance": dists[i]}
-        if i >= tail_start:
-            contained = stab_contained(pair, p.h_coords(pair), H_lim)
-            rec["stabilizer_contained"] = contained
-            if contained:
-                mult = restriction_multiplicity(
-                    stabilizer(pair, H_lim).group,
-                    limit.label,
-                    stabilizer(pair, p.h_coords(pair)),
-                    p.label,
-                )
-                rec["multiplicity"] = mult
-                if mult <= 0:
-                    branch_ok = False
-            else:
-                branch_ok = False
-        evidence.append(rec)
+    for rec, p, H in zip(evidence[tail_start:], seq[tail_start:], Hs[tail_start:]):
+        contained = stab_contained(pair, H, H_lim)
+        rec["stabilizer_contained"] = contained
+        if contained:
+            sub = stabilizer(pair, H)
+            key = (sub.structure, p.label)
+            if key not in mults:
+                mults[key] = restriction_multiplicity(big, limit.label, sub, p.label)
+            rec["multiplicity"] = mults[key]
+            branch_ok = branch_ok and mults[key] > 0
+        else:
+            branch_ok = False
 
     quarter = dists[quarter_start:]
     h_ok = float(np.mean(quarter)) < h_tol and all(

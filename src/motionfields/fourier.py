@@ -281,8 +281,14 @@ def tau_matrix(f, pair, lam, point=None):
     is the contragredient of the term's label.  This is a closed form, the
     one-point ``_schur_blocks`` at xi = 0, so ``order`` is 0.
     """
+    matrix = _schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros((1, pair.dim_p)))[0]
+    return _k_dual_operator(pair, lam, matrix, point)
+
+
+def _k_dual_operator(pair, lam, matrix, point=None):
+    """A K-dual entry on the standard basis of the K-type ``lam``."""
     return TruncatedOperator(
-        matrix=_schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros((1, pair.dim_p)))[0],
+        matrix=matrix,
         lambda_max=pair.K.char_band(lam),
         order=0,
         block_index=[(lam, 0, v) for v in range(pair.K.irrep_dim(lam))],
@@ -329,8 +335,9 @@ def sample_field(f, pair, grid, lambda_max):
     and one batched SVD for their norms, which each operator records with
     its window matrix; nothing beyond the window is built, and a family
     beyond the mu cut-off holds 0 x 0 matrices on an empty basis.  K-dual
-    entries are closed forms, one per point; those zero by the selection
-    rule record norms 0 with no SVD.  ``operators`` follows the grid order; the
+    entries are closed forms, one ``tau_matrix`` per point; those zero by
+    the selection rule are zero d x d matrices, built directly with norms 0
+    and no SVD.  ``operators`` follows the grid order; the
     metadata carries W and the ``fhat2_sup`` bound condition 1 needs.
     """
     for p in grid:
@@ -340,11 +347,15 @@ def sample_field(f, pair, grid, lambda_max):
     families = {}  # (mu, stabilizer structure) -> its points, in grid order
     operators = {}
     for p in grid:
-        if p.stratum == GAMMA2:
-            T = operators[p] = tau_matrix(f, pair, p.label, point=p)
-            _record_norms([T], T.matrix[None] if p.label in bars else None)
-        else:
+        if p.stratum != GAMMA2:
             families.setdefault((p.label, stabilizer(pair, p.H).structure), []).append(p)
+        elif p.label in bars:
+            T = operators[p] = tau_matrix(f, pair, p.label, point=p)
+            _record_norms([T], T.matrix[None])
+        else:  # zero by the selection rule
+            d = pair.K.irrep_dim(p.label)
+            T = operators[p] = _k_dual_operator(pair, p.label, np.zeros((d, d), complex), p)
+            _record_norms([T])
     for (mu, _), pts in families.items():
         basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
         stack, order = pi_family(f, pair, basis, [p.H for p in pts])

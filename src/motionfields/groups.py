@@ -197,7 +197,7 @@ class TrivialGroup(CompactGroup):
         return 1
 
     def validate_label(self, label):
-        return label == 0
+        return _is_weight(label) and label == 0
 
     def char_band(self, label):
         return 0
@@ -245,7 +245,7 @@ class CircleGroup(CompactGroup):
         return 1
 
     def validate_label(self, label):
-        return isinstance(label, (int, np.integer))
+        return _is_weight(label)
 
     def char_band(self, label):
         return abs(int(label))
@@ -375,7 +375,7 @@ class RotationGroup3(CompactGroup):
         return 2 * int(label) + 1
 
     def validate_label(self, label):
-        return isinstance(label, (int, np.integer)) and label >= 0
+        return _is_weight(label) and label >= 0
 
     def char_band(self, label):
         return int(label)
@@ -529,6 +529,11 @@ class ProductGroup(CompactGroup):
 
 _RULES = {}  # (group name, order) -> QuadratureRule
 _SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
+
+
+def _is_weight(x):
+    """An integer, not a bool: True == 1 and 1.0 == 1, but neither is a weight."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _freeze(x):

@@ -16,7 +16,7 @@ All verdict thresholds live in one configuration block for reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .dual import GAMMA2, make_dual_point
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
 from .fourier import block_diagonal, pi_family, pi_mu0_matrix, sample_field
 from .induction import branches_between, restriction_multiplicity, window_basis
-from .pairs import as_coords, classify_chamber_point, stabilizer
+from .pairs import as_coords, stabilizer
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ class ConditionReport:
     notes: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        """The fields by name; shallow, as ``dump_json`` rebuilds every witness anyway."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -162,11 +163,9 @@ def check_continuity(pair, sample, thresholds=Thresholds()):
     if len(pts) < 3 or len(pts) % 2 == 0:
         raise ValueError("continuity path needs an odd number (>= 3) of points")
 
-    def stratum_key(p):
-        if p.stratum == GAMMA2:
-            return (GAMMA2, (), p.label)
-        tag = classify_chamber_point(pair, p.H)
-        return (tag.tag, tag.walls, p.label)
+    def stratum_key(p):  # points are canonical: their H is dominant already
+        walls = () if p.stratum == GAMMA2 else pair.wall_set(p.H)
+        return (p.stratum, walls, p.label)
 
     first = stratum_key(pts[0])
     for p in pts:

@@ -9,7 +9,7 @@ import pytest
 from test_config_property import REPLACEMENTS, _mutate, _paths
 
 import motionfields
-from motionfields import cli
+from motionfields import cli, dual, pairs
 from motionfields.cli import main, run_scenario
 from motionfields.config import ScenarioConfig, dump_json
 from motionfields.errors import ConfigError
@@ -441,8 +441,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy
 
 def test_all_gaussian_run_builds_no_k_rule(tmp_path):
     # condition 1 bounds the sup in closed form, so a run whose terms are all
-    # Gaussian integrates nothing over K: m3-default, in a fresh interpreter,
-    # leaves no SO(3) rule in the shared rule cache
+    # Gaussian integrates nothing over K; and every point of m3-default is
+    # dominant already, so no label is transported by a character match on a
+    # stabilizer rule: in a fresh interpreter the run leaves no rule at all
     code = """
 import json, sys
 from motionfields import cli, groups
@@ -458,6 +459,29 @@ print(json.dumps("numpy.polynomial" in sys.modules))
     )
     assert out.returncode == 0, out.stderr
     rules, polynomial = map(json.loads, out.stdout.splitlines())
-    K = cli.load_scenario("m3-default").build_pair().K
-    assert rules and all(name != K.name for name, _ in rules), rules
+    assert rules == []
     assert not polynomial
+
+
+def test_run_locates_no_point_again(tmp_path, monkeypatch):
+    # the parser locates every grid and query point, and make_dual_point
+    # keeps them: the run dominantises, classifies and transports none
+    config = cli.load_scenario("m3-default")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [
+        (dual, "dominant_representative"),
+        (pairs, "dominant_representative"),
+        (pairs, "classify_chamber_point"),
+        (dual, "_transport"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report, _ = run_scenario(config, tmp_path)
+    assert report.overall
+    assert calls == []

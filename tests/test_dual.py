@@ -14,8 +14,9 @@ from motionfields import (
     transport_label,
     weyl_action_on_pairs,
 )
+from motionfields import dual
 from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
-from motionfields.pairs import stabilizer
+from motionfields.pairs import build_instance, dominant_representative, stabilizer
 
 
 def ray(pair, label, start, target, n=28):
@@ -50,6 +51,39 @@ class TestMakeDualPoint:
         with pytest.raises(StratumMismatch):
             make_dual_point(m2xm2, 5, (1.0, 0.0))  # wall stabilizer wants a pair
 
+    @pytest.mark.parametrize(
+        "instance,valid,invalid,H",
+        [
+            ("M3", 1, [True, 1.0], (1.0,)),
+            ("M3", 1, [True, 1.0], None),
+            ("M2", 0, [False, 0.0], (1.0,)),  # the trivial stabilizer's 0
+            ("M2xM2", (0, 0), [[0, 0], (0.0, 0), (False, 0)], (1.0, 2.0)),
+            ("M2xM2", (1, 0), [[1, 0], (1.0, 0), (True, 0)], (0.0, 1.0)),
+        ],
+    )
+    def test_near_labels_refused_whatever_is_kept(self, instance, valid, invalid, H,
+                                                  request, monkeypatch):
+        # points are kept per label and raw H; a label equal to a kept one
+        # (1.0 == True == 1) or unhashable ([0, 0]) must not reach its entry
+        pair = request.getfixturevalue(instance.lower())
+        monkeypatch.setattr(dual, "_POINTS", {})
+        for kept in (False, True):
+            if kept:
+                point = make_dual_point(pair, valid, H)
+                assert make_dual_point(pair, valid, H) is point
+            for label in invalid:
+                with pytest.raises(StratumMismatch):
+                    make_dual_point(pair, label, H)
+
+    def test_points_are_kept(self, m3, monkeypatch):
+        monkeypatch.setattr(dual, "_POINTS", {})
+        p = make_dual_point(m3, 1, (-2.0,))
+        assert make_dual_point(m3, 1, [-2.0]) is p  # the same raw H
+        # a rebuilt instance with the same wall tolerance shares the point
+        assert make_dual_point(build_instance("M3"), 1, (-2.0,)) is p
+        assert make_dual_point(build_instance("M3", wall_tol=1e-6), 1, (-2.0,)) == p
+        assert len(dual._POINTS) == 2
+
 
 class TestEquivalent:
     def test_same_orbit(self, m3):
@@ -82,6 +116,17 @@ class TestWeylAction:
     def test_identity(self, m3):
         p = make_dual_point(m3, 1, (2.0,))
         assert weyl_action_on_pairs(m3, m3.weyl_group[0], p) == p
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_identity_is_first(self, instance, request):
+        # transport skips weyl_group[0] as the identity, and a dominant H is
+        # taken to itself by it
+        pair = request.getfixturevalue(instance.lower())
+        w = pair.weyl_group[0]
+        assert np.array_equal(w.matrix, np.eye(pair.rank))
+        assert np.array_equal(np.asarray(w.rep_in_k), np.asarray(pair.K.identity()))
+        for H in [(1.0,) * pair.rank, (0.5,) + (0.0,) * (pair.rank - 1)]:
+            assert dominant_representative(pair, H) == (H, w)
 
     def test_product_orbit(self, m2xm2):
         p = make_dual_point(m2xm2, (0, 0), (1.0, 2.0))
@@ -125,6 +170,8 @@ class TestTransportLabel:
                 for w in pair.weyl_group:
                     got = transport_label(pair, w, H, label)
                     assert got == transport_label_reference(pair, w, H, label)
+                    if w is pair.weyl_group[0]:  # the identity moves no label
+                        assert got == label
                     # the memoised answer is the same
                     assert transport_label(pair, w, H, label) == got
 

@@ -7,7 +7,9 @@ at relative tolerance 1e-9 with a floor of 1e-12 times the largest value,
 sweep norms at relative tolerance 1e-9).  The bundled m2-default scenario,
 which no workload runs, is compared by the same rules with its artifacts
 under ``tests/golden``.  A change that moves a number beyond those
-tolerances fails here.  One traced benchmark iteration runs too, so the
+tolerances fails here.  The ``convergence.json`` of each scenario workload
+is also compared byte for byte with ``tests/golden``, as the benchmark's
+rules compare only its verdicts, not its evidence distances.  One traced benchmark iteration runs too, so the
 names the trace wraps stay in place.
 """
 
@@ -43,6 +45,8 @@ def test_scenario_matches_golden(workload, golden, tmp_path):
     report, _ = run_scenario(config, tmp_path)
     assert report.overall
     assert golden.check_scenario(tmp_path, workload) == []
+    want = TESTS_GOLDEN / workload / "convergence.json"
+    assert (tmp_path / "convergence.json").read_bytes() == want.read_bytes()
 
 
 def test_bundled_m2_default_matches_golden(golden, tmp_path, monkeypatch):
@@ -112,8 +116,12 @@ def test_traced_benchmark_iteration(tmp_path):
     # one-point operator, one sample_field per sample
     assert run["trace"]["fourier.pi_matrix"]["calls"] == 0
     assert run["trace"]["fourier.sample_field"]["calls"] == 3
-    # the zero-point operators build their blocks without tau_matrix
-    assert run["trace"]["fourier.tau_matrix"]["calls"] == 6
+    # the zero-point operators build their blocks without tau_matrix, and
+    # the K-dual entries zero by the selection rule (labels 0, 3, 4, 5 of
+    # the six) are built directly: one call per nonzero entry
+    assert run["trace"]["fourier.tau_matrix"]["calls"] == 2
+    # no rule at all: every point is dominant, so no label is transported
+    assert run["trace"]["groups.quadrature"]["calls"] == 0
     # bases are built up to the selection-rule window W = 2, not to
     # lambda_max 5 (7 for the weight sample): 106 calls before the window;
     # and none for the weights |mu| >= 3 of the weight sample, whose window
