@@ -12,18 +12,13 @@ from .dual import (
     ConvergenceCertificate,
     DualPoint,
     converges,
-    equivalent,
-    in_neighborhood,
     make_dual_point,
-    neighborhood_cross_check,
     transport_label,
-    weyl_action_on_pairs,
 )
 from .errors import (
     ConfigError,
     EmptyBasis,
     EmptySequence,
-    EpsilonTooLarge,
     MixedInstance,
     MissingGamma2Data,
     MissingSupBound,
@@ -52,16 +47,12 @@ from .induction import (
     restriction_multiplicity,
 )
 from .pairs import (
-    ChamberPoint,
     StabilizerDescriptor,
     SymmetricPairDescriptor,
     WeylElement,
-    adjoint_action,
     build_instance,
-    classify_chamber_point,
     dominant_representative,
     stabilizer,
-    weyl_orbit,
 )
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
 from .verifier import (
@@ -74,8 +65,6 @@ from .verifier import (
     check_h_to_zero,
     check_lambda_decay,
     check_mu_decay,
-    field_at_zero,
-    is_in_D0,
     run_verification,
     verify_membership,
 )

@@ -97,6 +97,13 @@ def _coords(where, x, rank):
     return tuple(float(v) for v in x)
 
 
+def _nonzero(where, x, pair):
+    """A flat point off the zero point: its norm exceeds the wall tolerance."""
+    H = _coords(where, x, pair.rank)
+    _require(math.hypot(*H) > pair.wall_tol, where, f"must be a nonzero point, got {list(H)!r}")
+    return H
+
+
 def _complex(where, x):
     pair = isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
     _require(_is_number(x) or pair, where, f"expected a number or [re, im], got {x!r}")
@@ -165,13 +172,12 @@ def _plan(doc, pair):
     for w, e in _items("grids.gamma0", grids.get("gamma0")):
         H = _coords(f"{w}.H", _key(w, e, "H"), rank)
         gamma0.append((_label(f"{w}.mu", _key(w, e, "mu"), pair, [H]), H))
-    H0 = _coords("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), rank)
     # every rung t H0 of a ray from zero is the zero point: condition 4 would be vacuous
-    _require(np.linalg.norm(H0) > pair.wall_tol, "grids.h_ladder.H0",
-             f"must be a nonzero point, got {list(H0)!r}")
+    H0 = _nonzero("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), pair)
     mu_grid = grids.get("mu_decay")
-    mu_H = None if mu_grid is None else _coords(
-        "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), rank
+    # condition 3 reads weights of a stabilizer of the induced strata, not K-labels
+    mu_H = None if mu_grid is None else _nonzero(
+        "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), pair
     )
     return VerificationPlan(
         lambda_max=_positive_int("cutoffs.lambda_max", cut.get("lambda_max")),

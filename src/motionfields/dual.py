@@ -2,9 +2,10 @@
 
 Points are stored in canonical form: the flat coordinate is replaced by its
 dominant representative and the stabilizer irrep label is transported along
-the Weyl element used, so equivalent inputs collapse to equal points.  Each
-point is located once per process and kept (``make_dual_point``).  The
-three strata are
+the Weyl element used, by the closed-form label map the instance stores with
+that element, so equivalent inputs collapse to equal points: two points are
+equivalent exactly when they are equal.  Each point is located once per
+process and kept (``make_dual_point``).  The three strata are
 
 * ``gamma0`` -- regular dominant H with an irrep of the centralizer M,
 * ``gamma1`` -- nonzero wall H with an irrep of its (larger) stabilizer,
@@ -14,8 +15,7 @@ Convergence of a finite sequence (read as the tail of an abstract one) is
 decided by a single rule covering all strata: the flat parts must converge
 numerically and, on the final half of the sequence, each member's
 stabilizer must sit inside the limit's and the limit's irrep must contain
-the member's irrep upon restriction.  A cross-check against brute-force
-neighborhood membership over a fixed radius grid is provided for tests.
+the member's irrep upon restriction.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptySequence,
-    EpsilonTooLarge,
-    MixedInstance,
-    StratumMismatch,
-)
+from .errors import EmptySequence, MixedInstance, StratumMismatch
 from .induction import restriction_multiplicity
 from .pairs import (
     as_coords,
@@ -59,49 +54,24 @@ class DualPoint:
 def transport_label(pair, w, H_from, label):
     """Label of the conjugated irrep when moving H by a Weyl element.
 
-    The identity, first in every instance's ``weyl_group``, moves no label:
-    it is returned as it is, with no rule, table or character match.  For
-    another element the stabilizers of ``H_from`` and ``w.H_from`` are
-    identified by conjugation with the stored representative of ``w``; the
-    transported label is the candidate whose character matches at the nodes
-    of the stabilizer's quadrature rule of order 2 band + 1.  That rule
-    integrates products of characters of band <= band exactly, so two
-    distinct candidates, orthonormal characters, differ by at least sqrt(2)
-    at some node and the match is exact.  Results are kept per (instance,
-    Weyl element, stabilizer structures, label).
+    Conjugation by the stored representative of ``w`` carries the stabilizer
+    of ``H_from`` onto that of ``w.H_from``.  Every stabilizer here is a
+    torus, trivial or all of K, so the conjugated irrep is given in closed
+    form: on a torus or the trivial group by the label map ``w.relabel``
+    that the instance writes beside ``w.rep_in_k`` (m -> -m for the M3
+    flip, the identity where K is abelian); on all of K the conjugation is
+    inner and fixes every label.  No rule, table or character match is used.
     """
     H_from = as_coords(H_from)
-    return _transport(
-        pair, w, pair.stabilizer_of(H_from), pair.stabilizer_of(w.apply(H_from)), label
-    )
+    return _transport(w, pair.stabilizer_of(H_from), label)
 
 
-def _transport(pair, w, stab_from, stab_to, label):
-    """``transport_label`` between two stabilizer descriptors."""
-    if w is pair.weyl_group[0]:  # the identity
-        return label
-    key = (pair.name, w.name, stab_from.structure, stab_to.structure, label)
-    if key in _TRANSPORTED:
-        return _TRANSPORTED[key]
-    kw = w.rep_in_k
-    kw_inv = pair.K.inverse(kw)
-    band = stab_from.group.char_band(label)
-    rule = stab_to.group.quadrature(2 * band + 1)
-    moved = [
-        stab_from.pullback(pair.K.compose(kw_inv, pair.K.compose(stab_to.embed(s), kw)))
-        for s in rule.nodes
-    ]
-    table = stab_from.group.irrep_table(label, stab_from.group.params_of(moved))
-    targets = np.trace(table, axis1=1, axis2=2)
-    for cand in stab_to.group.irrep_labels(band):
-        chars = np.trace(stab_to.group.irrep_table(cand, rule.params), axis1=1, axis2=2)
-        if np.all(np.abs(chars - targets) < 1e-8):
-            _TRANSPORTED[key] = cand
-            return cand
-    raise AssertionError(f"no transported label found for {label!r} under {w.name}")
+def _transport(w, stab, label):
+    """``transport_label`` given the stabilizer at either end of the move.
 
-
-_TRANSPORTED = {}  # (pair, Weyl element, stabilizer structures, label) -> label
+    Only whether it is all of K matters, and conjugation keeps that.
+    """
+    return label if stab.restrict is None else w.relabel(label)
 
 
 def make_dual_point(pair, label, H=None):
@@ -133,7 +103,7 @@ def make_dual_point(pair, label, H=None):
                 f"{label!r} is not an irrep label of stabilizer {stab.structure} "
                 f"at H={dom} on {pair.name}"
             )
-        moved = _transport(pair, w, pair.stabilizer_of(H), stab, label)
+        moved = _transport(w, stab, label)  # stab is conjugate to the stabilizer at H
         stratum = GAMMA1 if pair.wall_set(dom) else GAMMA0
         point = DualPoint(pair.name, stratum, moved, dom)
     _POINTS[key] = point
@@ -143,80 +113,10 @@ def make_dual_point(pair, label, H=None):
 _POINTS = {}  # (instance, wall tolerance, label type, label repr, raw H) -> DualPoint
 
 
-def equivalent(pair, p1, p2, tol=1e-12):
-    """Whether two points parametrize equivalent representations."""
-    if p1.pair_name != p2.pair_name:
-        raise MixedInstance(f"{p1.pair_name} vs {p2.pair_name}")
-    if p1.stratum != p2.stratum or p1.label != p2.label:
-        return False
-    if p1.H is None and p2.H is None:
-        return True
-    return max(abs(a - b) for a, b in zip(p1.H, p2.H)) <= tol
-
-
-def weyl_action_on_pairs(pair, w, point):
-    """Move a dual point by a Weyl element: (rho, H) -> (w.rho, w.H).
-
-    Points are stored canonically, so the moved pair is immediately reduced
-    back to its dominant form and the result is equivalent to the input
-    (the action is by construction trivial on equivalence classes).
-    """
-    if point.stratum == GAMMA2:
-        return point
-    raw_H = w.apply(point.H)
-    raw_label = transport_label(pair, w, point.H, point.label)
-    return make_dual_point(pair, raw_label, raw_H)
-
-
 def _h_distances(pair, Hs, H):
     """Distances from each flat point of ``Hs`` to ``H``, in one batch, as floats."""
     d = pair.embed_a(Hs) - pair.embed_a(H)
     return np.sqrt(np.einsum("ij,jk,ik->i", d, pair.inner_product, d)).tolist()
-
-
-def epsilon_threshold(pair, H):
-    """Largest radius below which every nearby point has a smaller stabilizer.
-
-    The distance from H to the wall of a positive root alpha is
-    |alpha(H)| / |alpha|; radii beyond the smallest such distance allow
-    points whose stabilizer is not contained in H's, breaking the
-    neighborhood-basis hypothesis.
-    """
-    vals = pair.root_values(H)
-    norms = np.linalg.norm(pair.positive_roots, axis=1)
-    dists = [
-        abs(v) / n
-        for v, n in zip(vals, norms)
-        if abs(v) > pair.wall_tol
-    ]
-    return min(dists) if dists else math.inf
-
-
-def in_neighborhood(pair, base, eps, candidate):
-    """Membership of ``candidate`` in the basic neighborhood of ``base``.
-
-    True iff the flat parts are within ``eps`` and the base's irrep
-    restricted to the candidate's stabilizer contains the candidate's irrep.
-    EpsilonTooLarge is raised when ``eps`` exceeds the containment threshold
-    of the base point.
-    """
-    if base.pair_name != candidate.pair_name:
-        raise MixedInstance(f"{base.pair_name} vs {candidate.pair_name}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    Hb = base.h_coords(pair)
-    Hc = candidate.h_coords(pair)
-    thr = epsilon_threshold(pair, Hb)
-    if eps > thr:
-        raise EpsilonTooLarge(
-            f"eps={eps} exceeds the stabilizer-containment threshold {thr:.3g} "
-            f"at H={Hb} on {pair.name}"
-        )
-    if _h_distances(pair, [Hc], Hb)[0] >= eps:
-        return False
-    big = stabilizer(pair, Hb).group
-    sub = stabilizer(pair, Hc)
-    return restriction_multiplicity(big, base.label, sub, candidate.label) > 0
 
 
 @dataclass
@@ -287,15 +187,3 @@ def converges(pair, seq, limit, h_tol=H_CONV_TOL):
         tail_index=quarter_start if verdict else None,
         evidence=evidence,
     )
-
-
-def neighborhood_cross_check(pair, seq, limit, eps_grid=(0.5, 0.1, 0.01)):
-    """Brute-force verdict: final half lies in every eps-neighborhood of the limit."""
-    if not seq:
-        raise EmptySequence("convergence query needs at least one element")
-    tail = seq[len(seq) - math.ceil(len(seq) / 2):]
-    for eps in eps_grid:
-        for p in tail:
-            if not in_neighborhood(pair, limit, eps, p):
-                return False
-    return True

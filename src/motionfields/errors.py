@@ -13,10 +13,6 @@ class StratumMismatch(MotionFieldsError):
     """Irrep label does not belong to the stabilizer of the given point."""
 
 
-class EpsilonTooLarge(MotionFieldsError):
-    """Neighborhood radius violates the stabilizer-containment hypothesis."""
-
-
 class MixedInstance(MotionFieldsError):
     """Dual points from different instances mixed in one query."""
 

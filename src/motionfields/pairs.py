@@ -1,4 +1,4 @@
-"""Concrete Riemannian-pair data: chambers, Weyl orbits, stabilizers.
+"""Concrete Riemannian-pair data: chambers, Weyl elements, stabilizers.
 
 Three instances ship:
 
@@ -16,6 +16,7 @@ so its overall scale is inert.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -38,11 +39,16 @@ DEFAULT_WALL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Orthogonal map on a-coordinates together with a representative in K."""
+    """Orthogonal map on a-coordinates together with a representative in K.
+
+    ``relabel`` is the map that conjugation by ``rep_in_k`` induces on the
+    irrep labels of the torus or trivial stabilizers of nonzero points.
+    """
 
     name: str
     matrix: tuple  # rows, as tuples, for hashability
     rep_in_k: object
+    relabel: Callable
 
     def apply(self, coords):
         return tuple(
@@ -50,17 +56,9 @@ class WeylElement:
         )
 
 
-@dataclass(frozen=True)
-class ChamberPoint:
-    """A point of the flat part, tagged by its stratum after dominantization.
-
-    ``tag`` is "Regular", "Wall" or "Zero"; ``walls`` lists the indices of
-    the positive roots vanishing at the point.
-    """
-
-    coords: tuple
-    tag: str
-    walls: tuple
+def _fixed(label):
+    """The label map of a conjugation that fixes every irrep."""
+    return label
 
 
 @dataclass(eq=False)
@@ -206,8 +204,8 @@ def _build_m2(wall_tol):
         return np.stack([t * np.cos(theta), t * np.sin(theta)], axis=1)
 
     weyl = (
-        WeylElement("id", ((1.0,),), 0.0),
-        WeylElement("flip", ((-1.0,),), float(np.pi)),
+        WeylElement("id", ((1.0,),), 0.0, _fixed),
+        WeylElement("flip", ((-1.0,),), float(np.pi), _fixed),  # K is abelian
     )
     return SymmetricPairDescriptor(
         name="M2",
@@ -247,8 +245,9 @@ def _build_m3(wall_tol):
         )
 
     weyl = (
-        WeylElement("id", ((1.0,),), np.eye(3)),
-        WeylElement("flip", ((-1.0,),), rot_x(np.pi)),
+        WeylElement("id", ((1.0,),), np.eye(3), _fixed),
+        # rot_x(pi) conjugates rot_z(theta) to rot_z(-theta): m -> -m
+        WeylElement("flip", ((-1.0,),), rot_x(np.pi), operator.neg),
     )
     return SymmetricPairDescriptor(
         name="M3",
@@ -304,6 +303,7 @@ def _build_m2xm2(wall_tol):
             f"({'flip' if s1 < 0 else 'id'},{'flip' if s2 < 0 else 'id'})",
             ((s1, 0.0), (0.0, s2)),
             (pi if s1 < 0 else 0.0, pi if s2 < 0 else 0.0),
+            _fixed,  # K is abelian
         )
         for s1 in (1.0, -1.0)
         for s2 in (1.0, -1.0)
@@ -367,36 +367,9 @@ def dominant_representative(pair, coords):
     raise AssertionError("no dominant representative found; broken Weyl data")
 
 
-def weyl_orbit(pair, coords, tol=1e-12):
-    """All distinct Weyl images of the point (deduplicated within ``tol``)."""
-    coords = as_coords(coords)
-    out = []
-    for w in pair.weyl_group:
-        moved = w.apply(coords)
-        if not any(
-            max(abs(a - b) for a, b in zip(moved, seen)) <= tol for seen in out
-        ):
-            out.append(moved)
-    return out
-
-
-def classify_chamber_point(pair, coords):
-    """Stratum tag of a flat point, computed on its dominant representative."""
-    dom, _ = dominant_representative(pair, coords)
-    if np.linalg.norm(dom) <= pair.wall_tol:
-        return ChamberPoint(pair.zero_point(), "Zero", pair.wall_set(pair.zero_point()))
-    walls = pair.wall_set(dom)
-    tag = "Wall" if walls else "Regular"
-    return ChamberPoint(dom, tag, walls)
-
-
 def stabilizer(pair, coords):
     """Stabilizer descriptor of the point; depends only on its wall pattern."""
     return pair.stabilizer_of(as_coords(coords))
-
-
-def adjoint_action(pair, k, X):
-    return pair.adjoint_action(k, X)
 
 
 def stab_contained(pair, coords_small, coords_big):

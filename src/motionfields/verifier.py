@@ -22,8 +22,8 @@ import numpy as np
 
 from .dual import GAMMA2, make_dual_point
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
-from .fourier import block_diagonal, pi_family, pi_mu0_matrix, sample_field
-from .induction import branches_between, restriction_multiplicity, window_basis
+from .fourier import pi_family, pi_mu0_matrix, sample_field
+from .induction import branches_between, window_basis
 from .pairs import as_coords, stabilizer
 
 
@@ -39,7 +39,6 @@ class Thresholds:
     h_zero_delta: float = 1e-2  # final-rung distance to the zero-point operator
     lambda_exact: float = 1e-6  # ceiling beyond the bandlimit (bandlimited case)
     lambda_general: float = 1e-3  # ceiling for the general decay reading
-    d0_norm: float = 1e-10  # K-dual norms below this count as zero
     monotone_slack: float = 1e-12
 
 
@@ -345,37 +344,6 @@ def check_lambda_decay(pair, sample, thresholds=Thresholds()):
             "lambda_general": thresholds.lambda_general,
         },
         notes=f"bandlimit={'unknown' if bandlimit is None else bandlimit}",
-    )
-
-
-# ---------------------------------------------------------------------------
-# zero-point assembly and the vanishing ideal
-
-
-def field_at_zero(pair, sample, mu, stab=None):
-    """Block sum of the K-dual entries branching over ``mu`` and its sup norm."""
-    pts = [p for p in sample.grid if p.stratum == GAMMA2]
-    if not pts:
-        raise MissingGamma2Data("sample carries no K-dual entries")
-    if stab is None:
-        stab = pair.M
-    blocks = []
-    norm = 0.0
-    for p in sorted(pts, key=lambda q: (pair.K.char_band(q.label), str(q.label))):
-        mult = restriction_multiplicity(pair.K, p.label, stab, mu)
-        if mult > 0:
-            T = sample.operators[p]
-            blocks.extend([T.matrix] * mult)
-            norm = max(norm, T.op_norm)
-    return block_diagonal(blocks), norm
-
-
-def is_in_D0(sample, thresholds=Thresholds()):
-    """Whether every K-dual entry vanishes (the ideal with zero boundary data)."""
-    return all(
-        T.op_norm < thresholds.d0_norm
-        for p, T in sample.operators.items()
-        if p.stratum == GAMMA2
     )
 
 

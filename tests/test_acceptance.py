@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from test_dual import neighborhood_cross_check
 from test_fourier import kernel
 from test_pairs import project_a
 
@@ -17,7 +18,6 @@ from motionfields import (
     PolyGaussian,
     Term,
     TestFunction,
-    adjoint_action,
     build_instance,
     check_compactness_proxy,
     check_continuity,
@@ -28,14 +28,12 @@ from motionfields import (
     dominant_representative,
     hs_norm,
     make_dual_point,
-    neighborhood_cross_check,
     operator_norm,
     peter_weyl_basis,
     pi_matrix,
     sample_field,
     transport_label,
     verify_membership,
-    weyl_orbit,
 )
 from motionfields.config import ScenarioConfig
 from motionfields.fourier import OperatorFieldSample, TruncatedOperator
@@ -72,7 +70,7 @@ def test_01_orbit_chamber_uniqueness():
             H = rng.normal(size=pair.rank)
             dominant = [
                 o
-                for o in weyl_orbit(pair, H)
+                for o in {w.apply(H) for w in pair.weyl_group}
                 if np.all(pair.root_values(o) >= -1e-12)
             ]
             assert len(dominant) == 1, (name, H)
@@ -89,7 +87,7 @@ def test_02_adjoint_orbit_section():
     coarse_angles = list(zip(*coarse.params))
 
     def dist(angles, X):
-        img = adjoint_action(pair, pair.K.from_euler(*angles), X)
+        img = pair.adjoint_action(pair.K.from_euler(*angles), X)
         t = max(0.0, float(img @ chamber_dir))
         return float(np.linalg.norm(img - t * chamber_dir))
 
@@ -103,7 +101,7 @@ def test_02_adjoint_orbit_section():
         )
         worst = max(worst, res.fun)
         reached, _ = project_a(
-            pair, adjoint_action(pair, pair.K.from_euler(*res.x), X)
+            pair, pair.adjoint_action(pair.K.from_euler(*res.x), X)
         )
         dom, _ = dominant_representative(pair, (float(np.linalg.norm(X)),))
         assert abs(reached[0] - dom[0]) < 1e-6

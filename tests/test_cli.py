@@ -34,12 +34,17 @@ BAD_DOCUMENTS = {
     "h_ladder_no_H0": ("m3-default", lambda d: d["grids"]["h_ladder"].pop("H0")),
     # a ladder on the zero point has every rung at zero: condition 4 is vacuous
     "h_ladder_H0_zero": ("m3-default", lambda d: d["grids"]["h_ladder"].update(H0=[0.0])),
+    # condition 3 reads stabilizer weights of the induced strata; at zero there are none
+    "mu_decay_H_zero": ("m3-default", lambda d: d["grids"].update(
+        mu_decay={"H": [0.0], "mu_values": [0, 1, 2]})),
     "gamma0_label_x": ("m3-default", lambda d: d["grids"]["gamma0"][0].update(mu="x")),
     "gamma2_label_x": ("m3-default", lambda d: d["grids"]["gamma2"].__setitem__(2, "x")),
     "cutoffs_list": ("m3-default", lambda d: d.update(cutoffs=[5])),
     "sigma_negative": ("m2-default", lambda d: _term(d)["g"].update(sigma=-1)),
     "label_pair_on_m2": ("m2-default", lambda d: _term(d)["u"].update(label=[1, 2])),
     "tolerance_inf": ("m2-default", lambda d: d.update(tolerances={"tail_mass": float("inf")})),
+    # no check reads a K-dual norm floor: the name is unknown
+    "tolerance_d0_norm": ("m2-default", lambda d: d.update(tolerances={"d0_norm": 1e-10})),
     # M2's regular stabilizer is trivial: its only irrep label is 0
     "gamma0_label_not_in_stabilizer": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(mu=1)),
     # each operator takes its proven quadrature order; the setting is gone
@@ -439,11 +444,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy
     assert out.stdout.strip() == "[]"
 
 
+def test_readme_library_tour_runs(tmp_path):
+    # the README's "Library tour" block runs as written, so a name it
+    # imports cannot leave the package while the README still shows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(motionfields.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", tour], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[1] == "True"  # the m3-default plan passes
+
+
 def test_all_gaussian_run_builds_no_k_rule(tmp_path):
     # condition 1 bounds the sup in closed form, so a run whose terms are all
-    # Gaussian integrates nothing over K; and every point of m3-default is
-    # dominant already, so no label is transported by a character match on a
-    # stabilizer rule: in a fresh interpreter the run leaves no rule at all
+    # Gaussian integrates nothing over K; and labels are transported by
+    # closed-form maps: in a fresh interpreter the run leaves no rule at all
     code = """
 import json, sys
 from motionfields import cli, groups
@@ -478,7 +497,6 @@ def test_run_locates_no_point_again(tmp_path, monkeypatch):
     for module, name in [
         (dual, "dominant_representative"),
         (pairs, "dominant_representative"),
-        (pairs, "classify_chamber_point"),
         (dual, "_transport"),
     ]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))

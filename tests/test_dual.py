@@ -1,22 +1,79 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import motionfields
 from motionfields import (
     EmptySequence,
-    EpsilonTooLarge,
     MixedInstance,
     StratumMismatch,
     converges,
-    equivalent,
-    in_neighborhood,
     make_dual_point,
-    neighborhood_cross_check,
+    restriction_multiplicity,
     transport_label,
-    weyl_action_on_pairs,
 )
 from motionfields import dual
 from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
 from motionfields.pairs import build_instance, dominant_representative, stabilizer
+
+
+# -- brute-force neighborhood oracle for ``converges`` -----------------------
+
+
+class EpsilonTooLarge(Exception):
+    """Neighborhood radius violates the stabilizer-containment hypothesis."""
+
+
+def epsilon_threshold(pair, H):
+    """Largest radius below which every nearby point has a smaller stabilizer.
+
+    The distance from H to the wall of a positive root alpha is
+    |alpha(H)| / |alpha|; radii beyond the smallest such distance allow
+    points whose stabilizer is not contained in H's, breaking the
+    neighborhood-basis hypothesis.
+    """
+    vals = pair.root_values(H)
+    norms = np.linalg.norm(pair.positive_roots, axis=1)
+    dists = [abs(v) / n for v, n in zip(vals, norms) if abs(v) > pair.wall_tol]
+    return min(dists) if dists else math.inf
+
+
+def in_neighborhood(pair, base, eps, candidate):
+    """Membership of ``candidate`` in the basic neighborhood of ``base``.
+
+    True iff the flat parts are within ``eps`` and the base's irrep
+    restricted to the candidate's stabilizer contains the candidate's irrep.
+    EpsilonTooLarge is raised when ``eps`` exceeds the containment threshold
+    of the base point.
+    """
+    Hb = base.h_coords(pair)
+    Hc = candidate.h_coords(pair)
+    thr = epsilon_threshold(pair, Hb)
+    if eps > thr:
+        raise EpsilonTooLarge(f"eps={eps} exceeds the threshold {thr:.3g} at H={Hb}")
+    d = pair.embed_a(Hc) - pair.embed_a(Hb)
+    if math.sqrt(d @ pair.inner_product @ d) >= eps:
+        return False
+    big = stabilizer(pair, Hb).group
+    sub = stabilizer(pair, Hc)
+    return restriction_multiplicity(big, base.label, sub, candidate.label) > 0
+
+
+def neighborhood_cross_check(pair, seq, limit, eps_grid=(0.5, 0.1, 0.01)):
+    """Brute-force verdict: final half lies in every eps-neighborhood of the limit."""
+    tail = seq[len(seq) - math.ceil(len(seq) / 2):]
+    return all(in_neighborhood(pair, limit, eps, p) for eps in eps_grid for p in tail)
+
+
+def weyl_move(pair, w, point):
+    """The point (w.rho, w.H) from raw data, located afresh."""
+    return make_dual_point(pair, transport_label(pair, w, point.H, point.label), w.apply(point.H))
 
 
 def ray(pair, label, start, target, n=28):
@@ -86,41 +143,40 @@ class TestMakeDualPoint:
 
 
 class TestEquivalent:
+    # canonical points are equal exactly when they are equivalent
     def test_same_orbit(self, m3):
         a = make_dual_point(m3, 1, (2.0,))
         b = make_dual_point(m3, -1, (-2.0,))
-        assert equivalent(m3, a, b)
+        assert a == b
 
     def test_distinct_weights(self, m3):
         a = make_dual_point(m3, 1, (2.0,))
         b = make_dual_point(m3, -1, (2.0,))
-        assert not equivalent(m3, a, b)
+        assert a != b
 
     def test_gamma2_by_label(self, m3):
-        assert equivalent(m3, make_dual_point(m3, 2, None), make_dual_point(m3, 2, None))
-        assert not equivalent(m3, make_dual_point(m3, 2, None), make_dual_point(m3, 3, None))
+        assert make_dual_point(m3, 2, None) == make_dual_point(m3, 2, (0.0,))
+        assert make_dual_point(m3, 2, None) != make_dual_point(m3, 3, None)
 
     def test_mixed_instance(self, m2, m3):
-        with pytest.raises(MixedInstance):
-            equivalent(m2, make_dual_point(m2, 0, (1.0,)), make_dual_point(m3, 0, (1.0,)))
+        assert make_dual_point(m2, 0, (1.0,)) != make_dual_point(m3, 0, (1.0,))
 
 
 class TestWeylAction:
     def test_flip_preserves_class(self, m3):
         p = make_dual_point(m3, 1, (2.0,))
         w = m3.weyl_group[1]
-        assert equivalent(m3, p, weyl_action_on_pairs(m3, w, p))
+        assert weyl_move(m3, w, p) == p
         # the underlying raw relabeling is the character flip
         assert transport_label(m3, w, (2.0,), 1) == -1
 
     def test_identity(self, m3):
         p = make_dual_point(m3, 1, (2.0,))
-        assert weyl_action_on_pairs(m3, m3.weyl_group[0], p) == p
+        assert weyl_move(m3, m3.weyl_group[0], p) == p
 
     @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
     def test_identity_is_first(self, instance, request):
-        # transport skips weyl_group[0] as the identity, and a dominant H is
-        # taken to itself by it
+        # a dominant H is taken to itself by weyl_group[0], which moves no label
         pair = request.getfixturevalue(instance.lower())
         w = pair.weyl_group[0]
         assert np.array_equal(w.matrix, np.eye(pair.rank))
@@ -131,7 +187,7 @@ class TestWeylAction:
     def test_product_orbit(self, m2xm2):
         p = make_dual_point(m2xm2, (0, 0), (1.0, 2.0))
         for w in m2xm2.weyl_group:
-            assert equivalent(m2xm2, p, weyl_action_on_pairs(m2xm2, w, p))
+            assert weyl_move(m2xm2, w, p) == p
 
 
 def transport_label_reference(pair, w, H_from, label):
@@ -154,7 +210,7 @@ def transport_label_reference(pair, w, H_from, label):
 
 
 class TestTransportLabel:
-    """Characters matched on a quadrature rule against random samples."""
+    """The closed-form label maps against characters matched at random samples."""
 
     POINTS = {  # regular and wall points, dominant or not
         "M2": [(1.3,), (-0.7,)],
@@ -172,8 +228,45 @@ class TestTransportLabel:
                     assert got == transport_label_reference(pair, w, H, label)
                     if w is pair.weyl_group[0]:  # the identity moves no label
                         assert got == label
-                    # the memoised answer is the same
+                    # a second call agrees
                     assert transport_label(pair, w, H, label) == got
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_zero_point_labels_are_fixed(self, instance, request):
+        # at H = 0 the stabilizer is all of K: conjugation by the Weyl
+        # representative is inner and fixes every K-label
+        pair = request.getfixturevalue(instance.lower())
+        zero = pair.zero_point()
+        for label in pair.K.irrep_labels(3):
+            for w in pair.weyl_group:
+                assert transport_label(pair, w, zero, label) == label
+                assert transport_label_reference(pair, w, zero, label) == label
+
+    def test_builds_no_quadrature_rule(self, tmp_path):
+        # in a fresh interpreter, so that no label transported earlier is kept:
+        # non-dominant points locate with no quadrature rule built
+        code = """
+import json
+from motionfields import build_instance, make_dual_point
+from motionfields.groups import CompactGroup
+
+def no_rule(self, order):
+    raise AssertionError(f"quadrature rule of order {order} built on {self.name}")
+
+CompactGroup.quadrature = no_rule
+m3, m2xm2 = build_instance("M3"), build_instance("M2xM2")
+points = [make_dual_point(m3, m, (-0.4,)) for m in range(-4, 5)]
+points += [make_dual_point(m2xm2, (-3, 0), (0.0, -2.0)), make_dual_point(m2xm2, (0, 2), (-1.5, 0.0))]
+print(json.dumps([[p.stratum, p.label, p.H] for p in points]))
+"""
+        src = str(Path(motionfields.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        expect = [[GAMMA0, -m, [0.4]] for m in range(-4, 5)]
+        expect += [[GAMMA1, [-3, 0], [0.0, 2.0]], [GAMMA1, [0, 2], [1.5, 0.0]]]
+        assert json.loads(out.stdout) == expect
 
 
 class TestNeighborhood:
@@ -262,8 +355,8 @@ class TestConverges:
         w = m3.weyl_group[1]
         seq = ray(m3, 1, (2.0,), (1.0,), 30)
         lim = make_dual_point(m3, 1, (1.0,))
-        moved = [weyl_action_on_pairs(m3, w, p) for p in seq]
-        mlim = weyl_action_on_pairs(m3, w, lim)
+        moved = [weyl_move(m3, w, p) for p in seq]
+        mlim = weyl_move(m3, w, lim)
         assert converges(m3, seq, lim).verdict == converges(m3, moved, mlim).verdict
 
     def test_regular_limit_degeneration(self, m3):

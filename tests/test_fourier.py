@@ -10,7 +10,6 @@ from motionfields import (
     PolyGaussian,
     Term,
     TestFunction,
-    adjoint_action,
     check_h_to_zero,
     hs_norm,
     make_dual_point,
@@ -52,7 +51,7 @@ def brute_pi_matrix(f, pair, basis, H, order):
     N = basis.size
     M = np.zeros((N, N), dtype=complex)
     for a in range(len(w)):
-        xi = adjoint_action(pair, nodes[a], Hp)
+        xi = pair.adjoint_action(nodes[a], Hp)
         for b in range(len(w)):
             fh = partial_fourier(
                 f, pair.K.compose(nodes[a], pair.K.inverse(nodes[b])), xi
@@ -169,7 +168,7 @@ class TestKernel:
         for _ in range(5):
             h, k = m2.K.random(rng), m2.K.random(rng)
             got = kernel(f, m2, 0, H, h, k)
-            xi = adjoint_action(m2, h, m2.embed_a(H))
+            xi = m2.adjoint_action(h, m2.embed_a(H))
             expect = partial_fourier(f, m2.K.compose(h, m2.K.inverse(k)), xi)
             assert got.shape == (1, 1)
             assert got[0, 0] == pytest.approx(expect, abs=1e-12)
@@ -1033,7 +1032,7 @@ class TestConvolution:
             rule = m2.K.quadrature(order)
             val = 0j
             for w, k0 in zip(rule.weights, rule.nodes):
-                xi0 = adjoint_action(m2, m2.K.inverse(k0), np.asarray(xi))
+                xi0 = m2.adjoint_action(m2.K.inverse(k0), np.asarray(xi))
                 val += w * partial_fourier(f, k0, xi) * partial_fourier(
                     g, m2.K.compose(m2.K.inverse(k0), k), xi0
                 )
@@ -1051,7 +1050,7 @@ class TestConvolution:
             N = op_f.basis.size
             M = np.zeros((N, N), dtype=complex)
             for a in range(len(w)):
-                xi = adjoint_action(m2, nodes[a], Hp)
+                xi = m2.adjoint_action(nodes[a], Hp)
                 for b in range(len(w)):
                     fh = conv_fhat2(m2.K.compose(nodes[a], m2.K.inverse(nodes[b])), xi)
                     M += w[a] * w[b] * fh * np.einsum(

@@ -4,14 +4,24 @@ from scipy.optimize import minimize
 
 from motionfields import (
     UnknownInstance,
-    adjoint_action,
     build_instance,
-    classify_chamber_point,
     dominant_representative,
+    make_dual_point,
     stabilizer,
-    weyl_orbit,
 )
+from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
 from motionfields.pairs import stab_contained
+
+
+def weyl_images(pair, H):
+    """The distinct Weyl images of a flat point."""
+    return {w.apply(H) for w in pair.weyl_group}
+
+
+def stratum(pair, H):
+    """The stratum of a point located with the trivial label of its stabilizer."""
+    label = (0,) * pair.rank if pair.rank > 1 else 0
+    return make_dual_point(pair, label, H).stratum
 
 
 def project_a(pair, X):
@@ -30,13 +40,13 @@ class TestBuildInstance:
         H = m3.embed_a((2.0,))
         hits = set()
         for w in m3.weyl_group:
-            img = adjoint_action(m3, w.rep_in_k, H)
+            img = m3.adjoint_action(w.rep_in_k, H)
             coords, res = project_a(m3, img)
             assert res < 1e-12
             hits.add(round(coords[0], 9))
         assert hits == {2.0, -2.0}
         for _ in range(300):
-            img = adjoint_action(m3, m3.K.random(rng), H)
+            img = m3.adjoint_action(m3.K.random(rng), H)
             coords, res = project_a(m3, img)
             if res < 1e-6:  # lands on the line: must be one of the two hits
                 assert min(abs(coords[0] - 2.0), abs(coords[0] + 2.0)) < 1e-5
@@ -46,9 +56,9 @@ class TestBuildInstance:
         assert m2xm2.rank == 2
         assert len(m2xm2.positive_roots) == 2
         # walls are the two half-axes
-        assert classify_chamber_point(m2xm2, (1.0, 0.0)).tag == "Wall"
-        assert classify_chamber_point(m2xm2, (0.0, 1.0)).tag == "Wall"
-        assert classify_chamber_point(m2xm2, (1.0, 1.0)).tag == "Regular"
+        assert stratum(m2xm2, (1.0, 0.0)) == GAMMA1
+        assert stratum(m2xm2, (0.0, 1.0)) == GAMMA1
+        assert stratum(m2xm2, (1.0, 1.0)) == GAMMA0
 
     def test_m2_shape(self, m2):
         assert m2.dim_p == 2
@@ -62,18 +72,20 @@ class TestBuildInstance:
 
 class TestClassify:
     def test_regular(self, m2xm2):
-        assert classify_chamber_point(m2xm2, (1.0, 1.0)).tag == "Regular"
+        assert stratum(m2xm2, (1.0, 1.0)) == GAMMA0
+        assert m2xm2.wall_set((1.0, 1.0)) == ()
 
     def test_wall_subset(self, m2xm2):
-        pt = classify_chamber_point(m2xm2, (1.0, 0.0))
-        assert pt.tag == "Wall" and pt.walls == (1,)
+        assert stratum(m2xm2, (1.0, 0.0)) == GAMMA1
+        assert m2xm2.wall_set((1.0, 0.0)) == (1,)
 
     def test_zero(self, m3):
-        assert classify_chamber_point(m3, (0.0,)).tag == "Zero"
+        assert stratum(m3, (0.0,)) == GAMMA2
 
     def test_classify_dominantizes_first(self, m2xm2):
-        pt = classify_chamber_point(m2xm2, (-1.0, 0.0))
-        assert pt.coords == (1.0, 0.0) and pt.tag == "Wall"
+        dom, _ = dominant_representative(m2xm2, (-1.0, 0.0))
+        assert dom == (1.0, 0.0) and m2xm2.wall_set(dom) == (1,)
+        assert make_dual_point(m2xm2, (0, 0), (-1.0, 0.0)).H == (1.0, 0.0)
 
 
 class TestDominant:
@@ -93,19 +105,23 @@ class TestDominant:
         # same dominant point from every orbit member, exactly
         for _ in range(50):
             H = tuple(rng.normal(size=2))
-            doms = {dominant_representative(m2xm2, o)[0] for o in weyl_orbit(m2xm2, H)}
+            doms = {dominant_representative(m2xm2, o)[0] for o in weyl_images(m2xm2, H)}
             assert len(doms) == 1
 
 
 class TestWeylOrbit:
+    # a point's Weyl images all have it as their dominant representative
     def test_m3(self, m3):
-        assert set(weyl_orbit(m3, (2.0,))) == {(2.0,), (-2.0,)}
+        assert weyl_images(m3, (2.0,)) == {(2.0,), (-2.0,)}
+        assert dominant_representative(m3, (-2.0,))[0] == (2.0,)
 
     def test_wall_orbit_collapses(self, m2xm2):
-        assert set(weyl_orbit(m2xm2, (1.0, 0.0))) == {(1.0, 0.0), (-1.0, 0.0)}
+        assert weyl_images(m2xm2, (1.0, 0.0)) == {(1.0, 0.0), (-1.0, 0.0)}
+        for o in weyl_images(m2xm2, (1.0, 0.0)):
+            assert dominant_representative(m2xm2, o)[0] == (1.0, 0.0)
 
     def test_regular_orbit_full(self, m2xm2):
-        assert len(weyl_orbit(m2xm2, (1.0, 2.0))) == 4
+        assert len(weyl_images(m2xm2, (1.0, 2.0))) == 4
 
 
 class TestStabilizer:
@@ -145,25 +161,25 @@ class TestLinearForm:
         for _ in range(10):
             H = tuple(rng.normal(size=2))
             X = rng.normal(size=4)
-            lhs = m2xm2.phi(w.apply(H), adjoint_action(m2xm2, w.rep_in_k, X))
+            lhs = m2xm2.phi(w.apply(H), m2xm2.adjoint_action(w.rep_in_k, X))
             assert lhs == pytest.approx(m2xm2.phi(H, X), abs=1e-12)
 
 
 class TestAdjoint:
     def test_m2_quarter_turn(self, m2):
-        got = adjoint_action(m2, np.pi / 2, (1.0, 0.0))
+        got = m2.adjoint_action(np.pi / 2, (1.0, 0.0))
         assert np.abs(got - np.array([0.0, 1.0])).max() < 1e-15
 
     def test_m3_identity(self, m3, rng):
         X = rng.normal(size=3)
-        assert np.abs(adjoint_action(m3, np.eye(3), X) - X).max() == 0.0
+        assert np.abs(m3.adjoint_action(np.eye(3), X) - X).max() == 0.0
 
     def test_norm_preserved(self, m3, rng):
         for _ in range(50):
             k = m3.K.random(rng)
             X = rng.normal(size=3)
             assert abs(
-                np.linalg.norm(adjoint_action(m3, k, X)) - np.linalg.norm(X)
+                np.linalg.norm(m3.adjoint_action(k, X)) - np.linalg.norm(X)
             ) < 1e-12
 
 
@@ -175,9 +191,9 @@ class TestInvariants:
             k = pair.K.random(rng)
             X, Y = rng.normal(size=pair.dim_p), rng.normal(size=pair.dim_p)
             lhs = (
-                adjoint_action(pair, k, X)
+                pair.adjoint_action(k, X)
                 @ pair.inner_product
-                @ adjoint_action(pair, k, Y)
+                @ pair.adjoint_action(k, Y)
             )
             assert abs(lhs - X @ pair.inner_product @ Y) < 1e-12
 
@@ -203,7 +219,7 @@ class TestInvariants:
         pair = build_instance(name)
         for _ in range(300):
             H = rng.normal(size=pair.rank)
-            orbit = weyl_orbit(pair, H)
+            orbit = weyl_images(pair, H)
             dominant = [
                 o for o in orbit if np.all(pair.root_values(o) >= -pair.wall_tol)
             ]
@@ -216,7 +232,7 @@ class TestInvariants:
 
         def dist(angles, X):
             k = m3.K.from_euler(*angles)
-            img = adjoint_action(m3, k, X)
+            img = m3.adjoint_action(k, X)
             t = max(0.0, float(img @ chamber_dir))
             return float(np.linalg.norm(img - t * chamber_dir))
 
@@ -229,7 +245,7 @@ class TestInvariants:
                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
             assert res.fun < 1e-8
             k = m3.K.from_euler(*res.x)
-            reached, _ = project_a(m3, adjoint_action(m3, k, X))
+            reached, _ = project_a(m3, m3.adjoint_action(k, X))
             dom, _ = dominant_representative(m3, (np.linalg.norm(X),))
             assert abs(reached[0] - dom[0]) < 1e-6
 

@@ -243,8 +243,6 @@ class TestTestFunction:
 
     def test_star_pointwise(self, m2, rng):
         # f*(k, X) = conj(f(k^{-1}, -Ad(k^{-1}) X)) pointwise on samples
-        from motionfields import adjoint_action
-
         f = TestFunction(
             m2,
             [
@@ -257,7 +255,7 @@ class TestTestFunction:
             k = m2.K.random(rng)
             X = rng.normal(size=2)
             kinv = m2.K.inverse(k)
-            expect = np.conj(f.value(kinv, -adjoint_action(m2, kinv, X)))
+            expect = np.conj(f.value(kinv, -m2.adjoint_action(kinv, X)))
             assert fs.value(k, X) == pytest.approx(expect, abs=1e-12)
 
     def test_star_requires_radial(self, m2):
