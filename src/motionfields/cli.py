@@ -12,8 +12,11 @@ convergence queries, and writes:
 
 Exit status: 0 overall pass, 1 overall fail, 2 invalid scenario document
 or tolerance override (refused before any work), 3 runtime error in a
-module.  Outputs are deterministic for a fixed
-scenario (floats printed at 12 significant digits).
+module or an artifact that cannot be written.  Outputs are deterministic
+for a fixed scenario: floats are printed at 12 significant digits, and
+the JSON files are written by ``config.dump_json``, whose bytes are fixed.
+Each file is written under a temporary name beside it and moved into
+place, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ def _fmt(x):
 def _write_text(path, text):
     """Write ``text`` under a temporary name beside ``path``, then move it there.
 
-    A failure leaves no partial file and keeps any previous ``path`` intact.
+    A failure leaves no partial file and keeps any previous ``path`` intact;
+    after a success the temporary name is gone with the move.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path, header, rows):

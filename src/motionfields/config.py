@@ -13,12 +13,16 @@ each point (``dual.make_dual_point``), which keeps the point for the run.
 Flat points are lists of ``rank`` finite numbers; complex numbers are
 numbers or [re, im] pairs; polynomial multi-indices are comma-joined
 strings keying complex coefficients.
+
+``dump_json`` writes the JSON artifacts of a run, in one recursive pass
+that rounds each float as it writes it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -330,24 +334,65 @@ class ScenarioConfig:
         return TestFunction(pair, self.terms)
 
 
-def round_floats(obj, sig=12):
-    """Recursively round floats to a fixed number of significant digits."""
-    if isinstance(obj, float):
-        if obj == 0.0 or not np.isfinite(obj):
-            return 0.0 if obj == 0.0 else obj
-        return float(f"{obj:.{sig}g}")
-    if isinstance(obj, dict):
-        return {k: round_floats(v, sig) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return round_floats(float(obj), sig)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+_escape = json.encoder.encode_basestring_ascii
 
 
-def dump_json(obj, sig=12):
-    return json.dumps(round_floats(obj, sig), sort_keys=True, indent=2) + "\n"
+def _float_json(x):
+    """A float at 12 significant digits, with ``json``'s names for NaN and +-inf."""
+    if math.isfinite(x):
+        return repr(float(f"{x:.12g}")) if x else "0.0"
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _plain(x):
+    """A numpy scalar or a subclass of a JSON type as the plain JSON type."""
+    if isinstance(x, (float, np.floating)):
+        return float(x)
+    if isinstance(x, dict):
+        return dict(x.items())
+    if isinstance(x, (list, tuple)):
+        return list(x)
+    if isinstance(x, (int, np.integer)):  # bool cannot be subclassed
+        return operator.index(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, str):
+        return str.__str__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json(x, pad):
+    """``x`` as JSON text; ``pad`` is the newline and indent of its own line."""
+    t = type(x)
+    if t is float:
+        return _float_json(x)
+    if t is str:
+        return _escape(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = pad + "  "  # a key that is not a str is a TypeError of _escape
+        items = [_escape(k) + ": " + _json(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+    if t is int:
+        return repr(x)
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    return _json(_plain(x), pad)
+
+
+def dump_json(obj):
+    """``obj`` as the artifact text: 2-space indent, sorted keys, ASCII escapes,
+    floats at 12 significant digits (+-0.0 as 0.0) and a final newline.
+
+    Tuples are written as lists and numpy scalars as the JSON type they
+    hold; any other type, or a key that is not a string, is a TypeError.
+    """
+    return _json(obj, "\n") + "\n"

@@ -334,7 +334,8 @@ def sample_field(f, pair, grid, lambda_max):
     form a family: one ``induction.window_basis``, one ``pi_family`` call
     and one batched SVD for their norms, which each operator records with
     its window matrix; nothing beyond the window is built, and a family
-    beyond the mu cut-off holds 0 x 0 matrices on an empty basis.  K-dual
+    beyond the mu cut-off holds 0 x 0 matrices on an empty basis, built
+    directly with norms 0, no ``pi_family`` call and no SVD.  K-dual
     entries are closed forms, one ``tau_matrix`` per point; those zero by
     the selection rule are zero d x d matrices, built directly with norms 0
     and no SVD.  ``operators`` follows the grid order; the
@@ -358,10 +359,13 @@ def sample_field(f, pair, grid, lambda_max):
             _record_norms([T])
     for (mu, _), pts in families.items():
         basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
-        stack, order = pi_family(f, pair, basis, [p.H for p in pts])
+        if basis.blocks:
+            stack, order = pi_family(f, pair, basis, [p.H for p in pts])
+        else:  # beyond the mu cut-off: zero 0 x 0 operators, no entries to form
+            stack, order = np.zeros((len(pts), 0, 0), complex), 0
         ops = [TruncatedOperator(m, lambda_max, order, basis.block_index, basis, p)
                for p, m in zip(pts, stack)]
-        _record_norms(ops, stack)
+        _record_norms(ops, stack if basis.blocks else None)
         operators.update(zip(pts, ops))
     metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
                 "fhat2_sup": f.fhat2_sup(), "lambda_max": lambda_max}

@@ -52,7 +52,7 @@ class ConditionReport:
     notes: str = ""
 
     def to_dict(self):
-        """The fields by name; shallow, as ``dump_json`` rebuilds every witness anyway."""
+        """The fields by name; shallow, as ``dump_json`` reads the witnesses as they are."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -283,8 +283,9 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
     zero), and shared across the ray, so differences are entrywise
     meaningful.  Each weight's ladder is one family: one ``pi_family``
     stack, the zero-point operator subtracted in place and one batched SVD;
-    beyond the mu cut-off the basis is empty and the distances are 0.  The
-    uniformity proxy aggregates the final rung over the supplied weight list.
+    beyond the mu cut-off the basis is empty and the distances are 0, with
+    no operator formed.  The uniformity proxy aggregates the final rung over
+    the supplied weight list.
     """
     H0 = as_coords(H0)
     rungs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)]
@@ -292,8 +293,11 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
     witnesses = []
     for mu in mu_list:
         basis = window_basis(pair, mu, H0, lambda_max, f.window)
-        ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
-        deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
+        if basis.blocks:
+            ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
+            deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
+        else:  # beyond the mu cut-off both operators are 0 x 0
+            deltas[mu] = [0.0] * len(rungs)
         witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(

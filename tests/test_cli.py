@@ -154,20 +154,23 @@ class TestConfig:
         assert err.value.field == "grids.gamma2[0]"
 
 
+ARTIFACTS = (
+    "reports.json",
+    "convergence.json",
+    "norms.csv",
+    "mu_decay.csv",
+    "lambda_decay.csv",
+    "h_ladder.csv",
+    "continuity.csv",
+)
+
+
 class TestRun:
     def test_m2_run_emits_artifacts(self, tmp_path):
         cfg = ScenarioConfig.from_dict(bundled_scenario("m2-default"))
         report, certs = run_scenario(cfg, tmp_path)
         assert report.overall
-        for fname in (
-            "reports.json",
-            "convergence.json",
-            "norms.csv",
-            "mu_decay.csv",
-            "lambda_decay.csv",
-            "h_ladder.csv",
-            "continuity.csv",
-        ):
+        for fname in ARTIFACTS:
             assert (tmp_path / fname).exists()
         # trivial-stabilizer instance: the weight-decay grid is empty and
         # its curve file carries only the header
@@ -215,6 +218,16 @@ class TestRun:
             for path in outdir.iterdir():
                 assert path.read_bytes() == before[path.name]
         assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
+    def test_successful_run_leaves_only_the_artifacts(self, tmp_path, monkeypatch):
+        # every temp is moved into place, so none is left and none is unlinked
+        unlinked = []
+        monkeypatch.setattr(
+            cli.Path, "unlink", lambda path, missing_ok=False: unlinked.append(path)
+        )
+        run_scenario(ScenarioConfig.from_dict(bundled_scenario("m2-default")), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACTS)
+        assert unlinked == []
 
     def test_gamma1_certificates_present(self, tmp_path):
         cfg = ScenarioConfig.from_dict(bundled_scenario("m2xm2-gamma1"))
