@@ -36,11 +36,9 @@ from .fourier import (
     pi_family,
     pi_matrix,
     pi_mu0_matrix,
-    proven_order,
     sample_field,
     tau_matrix,
 )
-from .groups import QuadratureRule
 from .induction import (
     PeterWeylBasis,
     peter_weyl_basis,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -49,7 +50,10 @@ def _is_int(x):
 
 
 def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or float that a float can hold: a larger int overflows every float use."""
+    if isinstance(x, float):
+        return True
+    return _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _obj(where, x):
@@ -166,7 +170,7 @@ def _plan(doc, pair):
     cut, grids = _obj("cutoffs", doc.get("cutoffs", {})), _obj("grids", doc.get("grids", {}))
     order = cut.get("order")  # null in older documents
     _require(order is None, "cutoffs.order",
-             f"not a setting: each operator uses its proven order, got {order!r}")
+             f"not a setting: entries are closed forms, with no quadrature order, got {order!r}")
     cont, ladder = _key("grids", grids, "continuity"), _key("grids", grids, "h_ladder")
     path = _items("grids.continuity.path", _key("grids.continuity", cont, "path"))
     _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
@@ -275,8 +279,8 @@ class ScenarioConfig:
     def from_json(cls, text):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError("<json>", str(e)) from None
+        except (ValueError, RecursionError) as e:  # a JSONDecodeError, or an int too long
+            raise ConfigError("<json>", str(e) or "nested too deeply") from None
         return cls.from_dict(doc)
 
     def override_tolerances(self, overrides):

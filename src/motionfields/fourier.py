@@ -1,23 +1,24 @@
 """Group Fourier transform as truncated operator matrices.
 
 The induced operator acts by pi(f) Psi(h) = int_K fhat2(h k^{-1}, Ad(h) H)
-Psi(k) dk.  Matrix entries against the covariant basis are product-rule
-double integrals over K x K.  For separable terms the kernel factorizes
-through matrix coefficients, so every entry is a sum over r of products
-A B of two single integrals of a term coefficient against a basis block.
-B is the closed-form Schur sum (``CompactGroup.schur_sum``), zero outside
-the block of the term's contragredient K-type bar.  A carries the orbit
-factor g-hat(Ad(k) H).  Where that is a constant g-hat(xi), A is a Schur
-sum too and the basis copies drop out: the term adds coeff g-hat(xi)
-S[col] to each copy of bar.  ``_schur_blocks`` forms that block sum, the
-one closed form here.  It covers Gaussian flat factors (degree 0) at every
-H, with xi = H as Ad is orthogonal, and every term at H = 0: the K-dual
-entries tau_lambda(f) and the zero-point operator, their block sum over
-the branching copies.  Other terms take A as a node sum of two irrep
-matrices (``CompactGroup.coefficient_sums``) at ``proven_order``, which
-integrates A exactly; on SO(3) the alpha and gamma sums are a frequency
-selection from a 2-D FFT of the orbit factor, leaving one Gauss-Legendre
-sum in beta.  ``order`` 0 records that no entry needed quadrature.
+Psi(k) dk.  Matrix entries against the covariant basis are double
+integrals over K x K.  For separable terms the kernel factorizes through
+matrix coefficients, so every entry is a sum over r of products A B of two
+single integrals of a term coefficient against a basis block.  Both are
+closed forms; no entry is a node sum.  B is the Schur sum
+(``CompactGroup.schur_sum``), zero outside the block of the term's
+contragredient K-type bar.  A carries the orbit factor g-hat(Ad(k) H).
+Where that is a constant g-hat(xi), A is a Schur sum too and the basis
+copies drop out: the term adds coeff g-hat(xi) S[col] to each copy of bar.
+``_schur_blocks`` forms that block sum.  It covers Gaussian flat factors
+(degree 0) at every H, with xi = H as Ad is orthogonal, and every term at
+H = 0: the K-dual entries tau_lambda(f) and the zero-point operator, their
+block sum over the branching copies.  For the other terms g-hat(Ad(k)H) is
+a Gaussian in |H| times a polynomial in matrix coefficients of K
+(``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
+three matrix coefficients (``CompactGroup.gaunt``: Kronecker deltas on
+SO(2), products of two 3j symbols on SO(3)); ``_orbit_sums`` forms it for
+all points of a family at once.
 
 Selection rule: a term u g (u of the K-type l, g of degree d) has entries
 only in the columns of bar and in rows of band <= band(l) + d, the band of
@@ -29,12 +30,13 @@ unless lambda is the bar of a term.
 The field is evaluated one family at a time: the induced points that share
 mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 ``pi_family`` forms all their operators as one (P, n, n) stack on it, with
-one ``_schur_blocks`` call for the Gaussian terms; beyond the mu cut-off
-that basis is empty and the stack (P, 0, 0).  ``sample_field`` takes each
-family's norms in one batched SVD and records them on the operators, which
-hold the window matrix and basis.  ``pi_matrix`` keeps the basis cut at
-lambda_max, forms only the rows of its window K-types and records its
-norms, on their first read, from one SVD of the nonzero rows.
+one ``_schur_blocks`` call for the Gaussian terms and one ``_orbit_sums``
+call per other term; beyond the mu cut-off that basis is empty and the
+stack (P, 0, 0).  ``sample_field`` takes each family's norms in one
+batched SVD and records them on the operators, which hold the window
+matrix and basis.  ``pi_matrix`` keeps the basis cut at lambda_max, forms
+only the rows of its window K-types and records its norms, on their first
+read, from one SVD of the nonzero rows.
 """
 
 from __future__ import annotations
@@ -48,18 +50,6 @@ from .induction import PeterWeylBasis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
 
-def proven_order(f, lam_band):
-    """The order that integrates entries against K-types of band <= ``lam_band`` exactly.
-
-    An entry integrand is u(k) tau_lam(k) g-hat(Ad(k)H), and g-hat(Ad(k)H)
-    = C q(Ad(k)H) exp(-sigma^2 |H|^2 / 2), as Ad is orthogonal; q has the
-    degree of g's polynomial, which bounds its K-band, and W = ``f.window``
-    bounds band(u) + deg q.  A rule of order q is exact up to band q on
-    SO(3), but only up to q - 1 on a circle factor (q nodes): hence the 1 +.
-    """
-    return 1 + lam_band + f.window
-
-
 @dataclass(eq=False)
 class TruncatedOperator:
     """Matrix of an operator in an explicit finite basis.
@@ -69,16 +59,13 @@ class TruncatedOperator:
     One of ``sample_field`` holds its window: ``basis`` is cut at
     min(``lambda_max``, W), above which entries are zero, and is empty (a
     0 x 0 matrix) beyond the mu cut-off; ``lambda_max`` is the requested
-    cutoff.  ``order`` is the quadrature order of the entries, 0 when no
-    entry needs quadrature (all-Gaussian induced entries, K-dual entries
-    and their block sums).  ``op_norm`` and ``hs_norm`` are those recorded
+    cutoff.  ``op_norm`` and ``hs_norm`` are those recorded
     for a read-only matrix (by ``sample_field``, or on the first read of
     one from ``pi_matrix``), else taken from ``matrix`` on each read.
     """
 
     matrix: np.ndarray
     lambda_max: int
-    order: int
     block_index: list
     basis: PeterWeylBasis | None = None
     point: DualPoint | None = None
@@ -108,7 +95,6 @@ class TruncatedOperator:
         """JSON-ready form; complex entries become [re, im] pairs."""
         return {
             "lambda_max": self.lambda_max,
-            "order": self.order,
             "block_index": [
                 [list(lam) if isinstance(lam, tuple) else lam, c, v]
                 for lam, c, v in self.block_index
@@ -164,8 +150,8 @@ def _record_norms(ops, stack=None):
 
 
 def _block_factor(K, lam, Ts, S):
-    """sqrt(d_lam) S T for every copy T of one basis block, stacked: (r, d_lam * copies, d_rho)."""
-    return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=1)
+    """sqrt(d_lam) S T for every copy T of one basis block: (..., r, d_lam * copies, d_rho)."""
+    return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
 
 
 def _schur_blocks(terms, K, blocks, xi):
@@ -190,12 +176,33 @@ def _schur_blocks(terms, K, blocks, xi):
     return block_diagonal([sums.get(lam, dims[lam]) for lam, Ts in blocks for _ in Ts], (len(xi),))
 
 
-def _pi_entries(f, pair, basis, Hs, order):
-    """The entries <pi(f) psi_j, psi_i> at every flat point of ``Hs`` on one basis.
+def _orbit_sums(t, K, lams, Hs):
+    """A[lam][p, r, v, b] = int g-hat(Ad(k)H_p) tau_l(k)[row, r] tau_lam(k)[v, b] dk.
 
-    Returns the (P, N, N) stack and the order of the rule the entries used
-    (0 for none).  Gaussian terms are one ``_schur_blocks`` call for all
-    points; the other terms are integrated point by point and added in.
+    g-hat(Ad(k)H) = a exp(-sigma^2 |H|^2 / 2) q(Ad(k)H), as Ad is orthogonal.
+    q(Ad(k)H) = sum c_key(H) tau_J(k)[a, e] (``CompactGroup.orbit_expansion``),
+    so A is the c-weighted sum of ``CompactGroup.gaunt`` over the keys, for
+    all points at once.
+    """
+    g, Hs = t.g, np.asarray(Hs, dtype=float)
+    c = {}
+    for alpha, q in g._hat_poly.items():
+        for key, v in K.orbit_expansion(alpha, Hs).items():
+            c[key] = c.get(key, 0.0) + q * v
+    amp = (2.0 * np.pi * g.sigma**2) ** (g.dim / 2.0)
+    C = np.array(list(c.values())) * amp * np.exp(-g.sigma**2 * np.sum(Hs * Hs, axis=1) / 2.0)
+    gaunts = (np.array([K.gaunt(key, t.u.label, t.u.row, lam) for key in c]) for lam in lams)
+    return [np.tensordot(C, G, axes=(0, 0)) for G in gaunts]
+
+
+def pi_family(f, pair, basis, Hs):
+    """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``.
+
+    The points of one family share mu and a stabilizer, hence the basis
+    (callers cut it at the window).  Returns the (P, N, N) stack of their
+    entries <pi(f) psi_j, psi_i>, in ``Hs`` order.  Gaussian terms are one
+    ``_schur_blocks`` call for all points; each other term adds its A B
+    products (``_orbit_sums``), also for all points at once.
     """
     K = pair.K
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
@@ -208,51 +215,28 @@ def _pi_entries(f, pair, basis, Hs, order):
         cols[lam] = (slice(start, start + K.irrep_dim(lam) * len(Ts)), Ts)
         start = cols[lam][0].stop
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
-    # integral into two single ones per r: A, the sums of g-hat on the orbit
-    # at row i0, and B, the Schur sums at row j0, which vanish outside the
-    # basis block of the contragredient K-type bar; a term whose bar is not
-    # in the basis contributes nothing.  B does not depend on H.
-    quadrature_terms = []
+    # integral into two single ones per r: A, the integrals of g-hat on the
+    # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
+    # the basis block of the contragredient K-type bar; a term whose bar is
+    # not in the basis contributes nothing.  B does not depend on H.
+    poly_terms = []
     for t in f.terms:
-        if not t.g.max_degree():
-            continue
-        bar, S = K.schur_sum(t.u.label, t.u.col)
-        if bar in cols:
-            bar_cols, bar_Ts = cols[bar]
-            quadrature_terms.append((t, bar_cols, _block_factor(K, bar, bar_Ts, S)))
-    if not quadrature_terms:
-        return M, 0
+        if t.g.max_degree():
+            bar, S = K.schur_sum(t.u.label, t.u.col)
+            if bar in cols:
+                poly_terms.append((t, cols[bar][0], _block_factor(K, bar, cols[bar][1], S)))
+    if not poly_terms:
+        return M
     # A has band <= W: only the rows of the window's K-types are nonzero
     rows = [(lam, Ts) for lam, Ts in basis.blocks if K.char_band(lam) <= f.window]
     at = np.concatenate([np.arange(cols[lam][0].start, cols[lam][0].stop) for lam, _ in rows])
-    rule = K.quadrature(order)
-    for H, MH in zip(Hs, M):
-        ad = pair.ad_orbit_table(rule, H)  # (n, dim_p)
-        requests = [(t.g.fourier(ad), t.u.label, t.u.row) for t, _, _ in quadrature_terms]
-        sums = K.coefficient_sums(rule, [lam for lam, _ in rows], requests)
-        for (t, bar_cols, B), s in zip(quadrature_terms, sums):
-            A = np.concatenate(
-                [_block_factor(K, lam, Ts, Sa) for (lam, Ts), Sa in zip(rows, s)], axis=1
-            )
-            MH[at, bar_cols] += t.coeff * np.einsum("ria,rja->ij", A, B.conj())
-    return M, rule.order
-
-
-def _basis_order(f, pair, basis):
-    """``proven_order`` for the K-types of ``basis`` in the window, the rows entries have."""
-    bands = [pair.K.char_band(lam) for lam, _ in basis.blocks]
-    return proven_order(f, max((b for b in bands if b <= f.window), default=0))
-
-
-def pi_family(f, pair, basis, Hs):
-    """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``.
-
-    The points of one family share mu and a stabilizer, hence the basis
-    (callers cut it at the window).  Returns the (P, N, N) stack of their
-    matrices, in ``Hs`` order, and the order of the rule the entries used:
-    ``proven_order``, or 0 when no entry needed one.
-    """
-    return _pi_entries(f, pair, basis, Hs, _basis_order(f, pair, basis))
+    for t, bar_cols, B in poly_terms:
+        sums = _orbit_sums(t, K, [lam for lam, _ in rows], Hs)
+        A = np.concatenate(
+            [_block_factor(K, lam, Ts, S) for (lam, Ts), S in zip(rows, sums)], axis=-2
+        )
+        M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
+    return M
 
 
 def pi_matrix(f, pair, mu, H, lambda_max):
@@ -261,16 +245,13 @@ def pi_matrix(f, pair, mu, H, lambda_max):
     The one-point ``pi_family`` on the shared basis of (mu, the stabilizer
     of H) cut at ``lambda_max``.  Entries are <pi(f) psi_j, psi_i>, formed
     only in the rows of its window K-types (the rest is zero by the
-    selection rule).  Terms with a Gaussian flat factor (degree 0) are
-    closed forms; the others are integrated at ``proven_order`` for the
-    window K-types, which is exact, and ``order`` of the result is that of
-    the rule, or 0 when no entry needed one.  The matrix is read-only, so
-    its norms are recorded on the first read, from its nonzero rows.
+    selection rule).  The matrix is read-only, so its norms are recorded
+    on the first read, from its nonzero rows.
     """
     basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    stack, order = pi_family(f, pair, basis, [as_coords(H)])
+    stack = pi_family(f, pair, basis, [as_coords(H)])
     stack.flags.writeable = False
-    return TruncatedOperator(stack[0], lambda_max, order, basis.block_index, basis)
+    return TruncatedOperator(stack[0], lambda_max, basis.block_index, basis)
 
 
 def tau_matrix(f, pair, lam, point=None):
@@ -278,8 +259,8 @@ def tau_matrix(f, pair, lam, point=None):
 
     Each term contributes ghat(0) times int u(k) tau_lam(k) dk, its Schur
     sum (``CompactGroup.schur_sum``) at the term's column: zero unless lam
-    is the contragredient of the term's label.  This is a closed form, the
-    one-point ``_schur_blocks`` at xi = 0, so ``order`` is 0.
+    is the contragredient of the term's label.  This is the one-point
+    ``_schur_blocks`` at xi = 0.
     """
     matrix = _schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros((1, pair.dim_p)))[0]
     return _k_dual_operator(pair, lam, matrix, point)
@@ -290,7 +271,6 @@ def _k_dual_operator(pair, lam, matrix, point=None):
     return TruncatedOperator(
         matrix=matrix,
         lambda_max=pair.K.char_band(lam),
-        order=0,
         block_index=[(lam, 0, v) for v in range(pair.K.irrep_dim(lam))],
         point=point,
     )
@@ -303,15 +283,13 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     operator, each K-type repeated per branching copy, so differences
     against pi_matrix along a ray toward zero are entrywise meaningful.
     Without ``basis`` that is the basis at the regular point H = (1, ..., 1).
-    The blocks are the one-point ``_schur_blocks`` at xi = 0, so ``order``
-    is 0.
+    The blocks are the one-point ``_schur_blocks`` at xi = 0.
     """
     if basis is None:
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
     return TruncatedOperator(
         matrix=_schur_blocks(f.terms, pair.K, basis.blocks, np.zeros((1, pair.dim_p)))[0],
         lambda_max=lambda_max,
-        order=0,
         block_index=basis.block_index,
         basis=basis,
     )
@@ -360,10 +338,10 @@ def sample_field(f, pair, grid, lambda_max):
     for (mu, _), pts in families.items():
         basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
         if basis.blocks:
-            stack, order = pi_family(f, pair, basis, [p.H for p in pts])
+            stack = pi_family(f, pair, basis, [p.H for p in pts])
         else:  # beyond the mu cut-off: zero 0 x 0 operators, no entries to form
-            stack, order = np.zeros((len(pts), 0, 0), complex), 0
-        ops = [TruncatedOperator(m, lambda_max, order, basis.block_index, basis, p)
+            stack = np.zeros((len(pts), 0, 0), complex)
+        ops = [TruncatedOperator(m, lambda_max, basis.block_index, basis, p)
                for p, m in zip(pts, stack)]
         _record_norms(ops, stack if basis.blocks else None)
         operators.update(zip(pts, ops))

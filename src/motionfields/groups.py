@@ -5,51 +5,29 @@ the circle, a 3x3 rotation matrix for SO(3), ``()`` for the trivial group,
 and tuples of factor elements for products.  Irreps are addressed by integer
 weights (SO(2): m in Z; SO(3): ell >= 0; products: tuples).  Each group
 evaluates its irreps in one vectorised method, ``irrep_table``, at elements
-given in the parameter form of its quadrature rules (angles, Euler triples,
-tuples of factor parameters); single irrep matrices, characters and node
-tables are rows, traces and calls of it.  Groups also build normalized-Haar
-quadrature rules on themselves.
+given in parameter form (angles, Euler triples, tuples of factor
+parameters); single irrep matrices and characters are a row and a trace of
+it.
+
+Haar integrals are closed forms, never node sums.  ``schur_sum`` integrates
+two matrix coefficients (Schur orthogonality).  K acts on its defining space
+(the plane, R^3, their sums), and ``orbit_expansion`` writes a monomial of
+the orbit point k (t e_0) in matrix coefficients of K: e^{i n theta} on
+SO(2), D^J_{M0} on SO(3) by the Clebsch-Gordan product rule.  ``gaunt``
+integrates three matrix coefficients: a Kronecker delta on SO(2), two Wigner
+3j symbols on SO(3), factor by factor on products.  The Clebsch-Gordan
+coefficients follow from the Racah formula in integer arithmetic
+(Varshalovich, Moskalev & Khersonskii, Quantum Theory of Angular Momentum,
+1988).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-
-
-@dataclass(eq=False)
-class QuadratureRule:
-    """Nodes and positive weights realizing the normalized Haar integral.
-
-    ``params`` holds the raw parametrization arrays (angles, Euler triples)
-    used for vectorized tabulation; ``nodes`` are the corresponding group
-    elements.  A rule that is a tensor grid also keeps its 1-D ``axes``;
-    ``params`` and ``weights`` then run over the grid in C order.  Rules are
-    shared (``CompactGroup.quadrature``), so their arrays and nodes are read-only.
-    """
-
-    group: "CompactGroup"
-    order: int
-    weights: np.ndarray
-    params: object
-    axes: tuple | None = None
-    _nodes: tuple = field(default=None, repr=False)
-
-    def __post_init__(self):
-        _freeze((self.weights, self.params, self.axes))
-
-    @property
-    def nodes(self):
-        if self._nodes is None:
-            self._nodes = _freeze(tuple(self.group._nodes_from_params(self.params)))
-        return self._nodes
-
-    def __len__(self):
-        return len(self.weights)
 
 
 class CompactGroup:
@@ -81,7 +59,7 @@ class CompactGroup:
         raise NotImplementedError
 
     def char_band(self, label):
-        """Max weight magnitude occurring in the irrep (quadrature sizing)."""
+        """Max weight magnitude occurring in the irrep."""
         raise NotImplementedError
 
     def weights(self, label):
@@ -96,8 +74,10 @@ class CompactGroup:
     def irrep_table(self, label, params):
         """tau_label at n elements given as ``params``, shape (n, d, d).
 
-        ``params`` has the form of ``QuadratureRule.params``.  This is the
-        one place where a concrete group evaluates its irreps.
+        ``params`` is an array of n angles (SO(2), and n entries for the
+        trivial group), a triple of n-arrays of z-y-z Euler angles (SO(3)), or
+        a tuple of factor params (products).  This is the one place where a
+        concrete group evaluates its irreps.
         """
         raise NotImplementedError
 
@@ -112,53 +92,12 @@ class CompactGroup:
     def character(self, label, elt):
         return complex(np.trace(self.irrep_matrix(label, elt)))
 
-    # -- integration ------------------------------------------------------
-    def quadrature(self, order):
-        """The normalized-Haar rule of ``order``, built once per (group, order)."""
-        if order < 1:
-            raise ValueError("order must be positive")
-        key = (self.name, int(order))
-        if key not in _RULES:
-            _RULES[key] = self._quadrature(order)
-        return _RULES[key]
-
-    def _quadrature(self, order):
-        raise NotImplementedError
-
-    def coefficient_sums(self, rule, lams, requests):
-        """Weighted node sums of products of two irrep matrices.
-
-        For each request ``(g, label, row)``, with ``g`` a value per node of
-        ``rule``, and each K-type ``lam`` in ``lams`` this is
-
-            S[r, v, b] = sum_n w_n g_n tau_label(k_n)[row, r] tau_lam(k_n)[v, b].
-
-        Returns one list of S arrays (in ``lams`` order) per request.
-        """
-        tabs = {}
-
-        def table(lab):
-            if lab not in tabs:
-                tabs[lab] = self.irrep_table(lab, rule.params)
-            return tabs[lab]
-
-        out = []
-        for g, label, row in requests:
-            u = (rule.weights * g)[:, None] * table(label)[:, row, :]  # (n, r)
-            out.append(
-                [
-                    np.tensordot(u, table(lam), axes=(0, 0))  # (r, v, b)
-                    for lam in lams
-                ]
-            )
-        return out
-
     def schur_sum(self, label, row):
-        """The Haar integrals of ``coefficient_sums`` with g = 1, in closed form.
+        """The Haar integrals of two matrix coefficients, in closed form.
 
-        int tau_label(k)[row, r] tau_lam(k)[v, b] dk vanishes unless lam is
-        the contragredient ``bar`` of ``label``; there Schur orthogonality
-        against tau_bar = J conj(tau_label) J^H gives
+        S[r, v, b] = int tau_label(k)[row, r] tau_lam(k)[v, b] dk vanishes
+        unless lam is the contragredient ``bar`` of ``label``; there Schur
+        orthogonality against tau_bar = J conj(tau_label) J^H gives
 
             S[r, v, b] = J[v, row] conj(J[b, r]) / d_label.
 
@@ -171,7 +110,31 @@ class CompactGroup:
             _SCHUR[key] = (bar, _freeze(S))
         return _SCHUR[key]
 
-    def _nodes_from_params(self, params):
+    # -- the orbit of K in its defining space -------------------------------
+    space_dim = 0  # dimension of the defining space
+
+    def orbit_expansion(self, alpha, t):
+        """The monomial X^alpha of the orbit point X = k (t e_0), in matrix coefficients.
+
+        e_0 is the base point of each factor's defining space (e_x of the
+        plane, e_z of R^3) and ``t`` has shape (P, factors).  Returns a dict
+        mapping (J, a) to c of shape (P,) with X^alpha = sum c tau_J(k)[a, e]:
+        e is the column of J's base vector (``gaunt``).
+        """
+        raise NotImplementedError
+
+    def gaunt(self, key, label, row, lam):
+        """int tau_J(k)[a, e] tau_label(k)[row, r] tau_lam(k)[v, b] dk as an (r, v, b) array.
+
+        ``key`` is (J, a) of ``orbit_expansion``; computed once per
+        (group, key, label, row, lam) and read-only.
+        """
+        k = (self.name, key, label, row, lam)
+        if k not in _GAUNT:
+            _GAUNT[k] = _freeze(self._gaunt(key, label, row, lam))
+        return _GAUNT[k]
+
+    def _gaunt(self, key, label, row, lam):
         raise NotImplementedError
 
 
@@ -213,12 +176,6 @@ class TrivialGroup(CompactGroup):
 
     def params_of(self, elts):
         return np.zeros(len(elts))
-
-    def _quadrature(self, order):
-        return QuadratureRule(self, order, np.ones(1), np.zeros(1))
-
-    def _nodes_from_params(self, params):
-        return [()] * len(params)
 
 
 class CircleGroup(CompactGroup):
@@ -262,13 +219,20 @@ class CircleGroup(CompactGroup):
     def params_of(self, elts):
         return np.array(elts, dtype=float)
 
-    def _quadrature(self, order):
-        n = max(int(order), 1)
-        theta = 2.0 * np.pi * np.arange(n) / n
-        return QuadratureRule(self, order, np.full(n, 1.0 / n), theta)
+    space_dim = 2
 
-    def _nodes_from_params(self, params):
-        return [float(t) for t in params]
+    def orbit_expansion(self, alpha, t):
+        """(cos, sin) = ((z + 1/z) / 2, (z - 1/z) / 2i) with z = e^{i theta}: a Laurent product."""
+        c = np.ones(1, dtype=complex)
+        for coord, power in zip(_CIRCLE_COORDS, alpha):
+            for _ in range(power):
+                c = np.convolve(c, coord)
+        d = sum(alpha)
+        scale = t[:, 0] ** d
+        return {(n - d, 0): cn * scale for n, cn in enumerate(c) if cn}
+
+    def _gaunt(self, key, label, row, lam):
+        return np.full((1, 1, 1), float(key[0] + label + lam == 0))
 
 
 def rot_z(angle):
@@ -405,56 +369,29 @@ class RotationGroup3(CompactGroup):
     def params_of(self, elts):
         return tuple(np.array([euler_zyz(R) for R in elts], dtype=float).reshape(-1, 3).T)
 
-    def _quadrature(self, order):
-        """Product rule exact for matrix-coefficient products of total degree <= order.
+    space_dim = 3
 
-        Equispaced angles in alpha and gamma kill Fourier modes up to the
-        order; Gauss-Legendre in cos(beta) handles the Jacobi-polynomial part.
+    def orbit_expansion(self, alpha, t):
+        """(x, y, z) = R e_z in the m = 0 column of D^1 (``_so3_monomial``)."""
+        scale = t[:, 0] ** sum(alpha)
+        return {key: c * scale for key, c in _so3_monomial(tuple(alpha))}
+
+    def _gaunt(self, key, label, row, lam):
+        """int D^J_{M0} D^ell_{m_row m_r} D^lam_{m_v m_b} dk, with m = index - ell:
+
+            3j(ell J lam; m_row M m_v) 3j(ell J lam; m_r 0 m_b),
+
+        nonzero only at m_v = -m_row - M and m_b = -m_r.
         """
-        q = max(int(order), 1)
-        n_ang = q + 1
-        n_beta = q // 2 + 1
-        ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        xb, wb = np.polynomial.legendre.leggauss(n_beta)
-        beta = np.arccos(xb)
-        A, B, G = np.meshgrid(ang, beta, ang, indexing="ij")
-        WB = np.broadcast_to(wb[None, :, None], A.shape)
-        weights = (WB / (2.0 * n_ang * n_ang)).ravel()
-        params = (A.ravel(), B.ravel(), G.ravel())
-        return QuadratureRule(self, order, weights, params, axes=(ang, beta, ang))
-
-    def coefficient_sums(self, rule, lams, requests):
-        """The product-rule sums of the base class, Euler-factorised.
-
-        Both factors are e^{-i m' alpha} d(beta) e^{-i m gamma}, so at each
-        beta node the sums over the equispaced alpha and gamma axes of the
-        rule pick one frequency of the 2-D DFT of g (aliasing included), and
-        what is left is one Gauss-Legendre sum over beta of little-d
-        products.
-        """
-        alpha, beta, gamma = rule.axes
-        shape = (len(alpha), len(beta), len(gamma))
-        w_beta = rule.weights.reshape(shape).sum(axis=(0, 2))
-        d = [wigner_d(int(lam), beta) for lam in lams]
-        out = []
-        for g, label, row in requests:
-            ell = int(label)
-            ghat = np.fft.fft2(np.reshape(g, shape), axes=(0, 2)) / (shape[0] * shape[2])
-            u = w_beta[:, None] * wigner_d(ell, beta)[:, row, :]  # (q, r)
-            m_r = np.arange(-ell, ell + 1)
-            sums = []
-            for lam, d_lam in zip(lams, d):
-                m = np.arange(-int(lam), int(lam) + 1)
-                ka = (row - ell + m) % shape[0]  # alpha frequency per v
-                kg = (m_r[:, None] + m[None, :]) % shape[2]  # gamma frequency per (r, b)
-                sel = ghat[ka[None, :, None], :, kg[:, None, :]]  # (r, v, b, q)
-                sums.append(np.einsum("qr,qvb,rvbq->rvb", u, d_lam, sel))
-            out.append(sums)
+        (J, a), ell, lam = key, int(label), int(lam)
+        out = np.zeros((2 * ell + 1, 2 * lam + 1, 2 * lam + 1))
+        m_row, M = row - ell, a - J
+        m_v = -m_row - M
+        if abs(m_v) <= lam:
+            first = wigner_3j(ell, J, lam, m_row, M, m_v)
+            for m in range(-min(ell, lam), min(ell, lam) + 1):
+                out[m + ell, m_v + lam, lam - m] = first * wigner_3j(ell, J, lam, m, 0, -m)
         return out
-
-    def _nodes_from_params(self, params):
-        alpha, beta, gamma = params
-        return [self.from_euler(a, b, g) for a, b, g in zip(alpha, beta, gamma)]
 
 
 class ProductGroup(CompactGroup):
@@ -463,6 +400,7 @@ class ProductGroup(CompactGroup):
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.name = " x ".join(f.name for f in self.factors)
+        self.space_dim = sum(f.space_dim for f in self.factors)
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)
@@ -515,20 +453,100 @@ class ProductGroup(CompactGroup):
     def params_of(self, elts):
         return tuple(f.params_of([e[i] for e in elts]) for i, f in enumerate(self.factors))
 
-    def _quadrature(self, order):
-        """Tensor rule in C order; ``params`` holds each factor's node-aligned params."""
-        rules = [f.quadrature(order) for f in self.factors]
-        idx = np.indices([len(r) for r in rules]).reshape(len(rules), -1)
-        weights = np.prod([r.weights[i] for r, i in zip(rules, idx)], axis=0)
-        params = tuple(_take(r.params, i) for r, i in zip(rules, idx))
-        return QuadratureRule(self, order, weights, params)
+    def orbit_expansion(self, alpha, t):
+        """Factor by factor: each takes its chunk of ``alpha`` and its column of ``t``.
 
-    def _nodes_from_params(self, params):
-        return list(zip(*(f._nodes_from_params(p) for f, p in zip(self.factors, params))))
+        Keys are (labels, a) with a the C-order (kron) index of the factors' a.
+        """
+        out, start = {((), 0): 1.0}, 0
+        for i, f in enumerate(self.factors):
+            part = f.orbit_expansion(alpha[start : start + f.space_dim], t[:, i : i + 1])
+            start += f.space_dim
+            out = {
+                (J + (Jf,), a * f.irrep_dim(Jf) + af): c * cf
+                for (J, a), c in out.items()
+                for (Jf, af), cf in part.items()
+            }
+        return out
+
+    def _gaunt(self, key, label, row, lam):
+        """The kron, in C order on each of r, v and b, of the factors' arrays."""
+        J, a = key
+        a = np.unravel_index(a, [f.irrep_dim(x) for f, x in zip(self.factors, J)])
+        row = np.unravel_index(row, [f.irrep_dim(x) for f, x in zip(self.factors, label)])
+        out = np.ones((1, 1, 1))
+        for f, Jf, af, lf, rf, mf in zip(self.factors, J, a, label, row, lam):
+            g = f.gaunt((Jf, int(af)), lf, int(rf), mf)
+            (p, q, r), (x, y, z) = out.shape, g.shape
+            out = np.einsum("pqr,xyz->pxqyrz", out, g).reshape(p * x, q * y, r * z)
+        return out
 
 
-_RULES = {}  # (group name, order) -> QuadratureRule
 _SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
+_GAUNT = {}  # (group name, key, label, row, lam) -> (r, v, b) array of gaunt
+
+# cos and sin of theta as Laurent coefficients of z^-1, z^0, z^1
+_CIRCLE_COORDS = (np.array([0.5, 0.0, 0.5]), np.array([0.5j, 0.0, -0.5j]))
+# x, y, z of R e_z as coefficients of D^1_{m0}, m = -1, 0, 1
+_SO3_COORDS = (
+    {-1: math.sqrt(0.5), 1: -math.sqrt(0.5)},
+    {-1: -1j * math.sqrt(0.5), 1: -1j * math.sqrt(0.5)},
+    {0: 1.0},
+)
+
+
+@lru_cache(maxsize=None)
+def clebsch_gordan(j1, m1, j2, m2, j, m):
+    """<j1 m1 j2 m2 | j m> for integer spins, by the Racah formula.
+
+    The alternating sum is formed exactly over the lcm of its denominators,
+    and only the final square root is a float.
+    """
+    inside = abs(m1) <= j1 and abs(m2) <= j2 and abs(m) <= j
+    if m != m1 + m2 or not (abs(j1 - j2) <= j <= j1 + j2 and inside):
+        return 0.0
+    f = math.factorial
+    ks = range(max(0, j2 - j - m1, j1 - j + m2), min(j1 + j2 - j, j1 - m1, j2 + m2) + 1)
+    dens = [
+        f(k) * f(j1 + j2 - j - k) * f(j1 - m1 - k) * f(j2 + m2 - k)
+        * f(j - j2 + m1 + k) * f(j - j1 - m2 + k)
+        for k in ks
+    ]
+    den = math.lcm(*dens)
+    s = sum((-1) ** k * (den // d) for k, d in zip(ks, dens))
+    num = (
+        (2 * j + 1) * f(j + j1 - j2) * f(j - j1 + j2) * f(j1 + j2 - j)
+        * f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
+    )
+    return math.copysign(math.sqrt(num * s * s / (f(j1 + j2 + j + 1) * den * den)), s)
+
+
+def wigner_3j(j1, j2, j3, m1, m2, m3):
+    """(j1 j2 j3; m1 m2 m3) = (-1)^(j1 - j2 - m3) <j1 m1 j2 m2 | j3 -m3> / sqrt(2 j3 + 1)."""
+    sign = -1.0 if (j1 - j2 - m3) % 2 else 1.0
+    return sign * clebsch_gordan(j1, m1, j2, m2, j3, -m3) / math.sqrt(2 * j3 + 1)
+
+
+@lru_cache(maxsize=None)
+def _so3_monomial(alpha):
+    """x^a y^b z^c of R e_z as pairs ((J, M + J), c), with x^a y^b z^c = sum c D^J_{M0}(R).
+
+    One D^1 factor at a time, by D^J_{M0} D^1_{m0} = sum_J' <J M 1 m|J' M+m>
+    <J 0 1 0|J' 0> D^J'_{M+m,0}; the second coefficient vanishes at J' = J.
+    """
+    out = {(0, 0): 1.0}  # (J, M) -> c
+    for coord, power in zip(_SO3_COORDS, alpha):
+        for _ in range(power):
+            nxt = {}
+            for (J, M), c in out.items():
+                for m, v in coord.items():
+                    for J2 in (J - 1, J + 1):
+                        w = clebsch_gordan(J, M, 1, m, J2, M + m)
+                        w *= clebsch_gordan(J, 0, 1, 0, J2, 0)
+                        if w:
+                            nxt[J2, M + m] = nxt.get((J2, M + m), 0.0) + c * v * w
+            out = nxt
+    return tuple(((J, M + J), c) for (J, M), c in out.items() if c)
 
 
 def _is_weight(x):
@@ -537,17 +555,7 @@ def _is_weight(x):
 
 
 def _freeze(x):
-    """Make the numpy arrays in a nest of tuples read-only; returns ``x``."""
-    if isinstance(x, tuple):
-        for item in x:
-            _freeze(item)
-    elif isinstance(x, np.ndarray):
-        x.setflags(write=False)
+    """Make the array ``x`` read-only; returns it."""
+    x.setflags(write=False)
     return x
 
-
-def _take(params, idx):
-    """The params of the elements ``idx``: an array, or a tuple of params."""
-    if isinstance(params, tuple):
-        return tuple(_take(p, idx) for p in params)
-    return params[idx]

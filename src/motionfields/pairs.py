@@ -91,7 +91,7 @@ class SymmetricPairDescriptor:
     a_basis: np.ndarray  # (rank, dim_p): orthonormal rows embedding a into p
     adjoint_action: Callable  # (k, X in p) -> ndarray
     stabilizer_of: Callable  # coords -> StabilizerDescriptor
-    ad_orbit_table: Callable  # (rule, coords) -> (n_nodes, dim_p)
+    ad_orbit_table: Callable  # (rule, coords) -> Ad(k)H at a rule's nodes, for quadrature oracles
     M: StabilizerDescriptor  # centralizer of the flat, = stabilizer of regular points
     wall_tol: float = DEFAULT_WALL_TOL
 

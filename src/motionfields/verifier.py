@@ -295,7 +295,7 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
         basis = window_basis(pair, mu, H0, lambda_max, f.window)
         if basis.blocks:
             ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
-            deltas[mu] = _distances(pi_family(f, pair, basis, rungs)[0], ref.matrix)
+            deltas[mu] = _distances(pi_family(f, pair, basis, rungs), ref.matrix)
         else:  # beyond the mu cut-off both operators are 0 x 0
             deltas[mu] = [0.0] * len(rungs)
         witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from quadrature import quadrature
 from scipy.optimize import minimize
 from test_dual import neighborhood_cross_check
 from test_fourier import kernel
@@ -83,7 +84,7 @@ def test_02_adjoint_orbit_section():
     pair = build_instance("M3")
     rng = np.random.default_rng(12)
     chamber_dir = pair.embed_a((1.0,))
-    coarse = pair.K.quadrature(4)
+    coarse = quadrature(pair.K, 4)
     coarse_angles = list(zip(*coarse.params))
 
     def dist(angles, X):
@@ -123,7 +124,7 @@ def test_03_plancherel_engine():
                 d = group.irrep_dim(lab)
                 i, j = rng.integers(0, d, size=2)
                 coeffs.append((rng.normal() + 1j * rng.normal(), lab, int(i), int(j)))
-            rule = group.quadrature(4 * band + 4)
+            rule = quadrature(group, 4 * band + 4)
             tabs = {
                 lab: group.irrep_table(lab, rule.params)
                 for lab in group.irrep_labels(2 * band)
@@ -346,7 +347,7 @@ def _identity_fixture(pair, sample):
             # identity on the space cut at lambda_max; T holds its window only
             B = peter_weyl_basis(pair, p.label, p.H, T.lambda_max)
             ops[p] = TruncatedOperator(
-                np.eye(B.size, dtype=complex), T.lambda_max, T.order,
+                np.eye(B.size, dtype=complex), T.lambda_max,
                 B.block_index, B, T.point,
             )
     merged = dict(sample.operators)
@@ -390,7 +391,7 @@ def test_10_verifier_discrimination_and_membership():
     low = [i for i, b in enumerate(T.block_index) if b[0] == T.block_index[0][0]]
     bump[np.ix_(low, low)] = 1.5 * np.eye(len(low))
     poisoned[pts[4]] = TruncatedOperator(
-        T.matrix + bump, T.lambda_max, T.order, T.block_index,
+        T.matrix + bump, T.lambda_max, T.block_index,
         T.basis, T.point,
     )
     fx2 = OperatorFieldSample(path.instance_name, path.grid, poisoned, path.metadata)
@@ -407,7 +408,7 @@ def test_10_verifier_discrimination_and_membership():
         M = np.zeros((B.size, B.size), dtype=complex)
         M[0, 0] = 1.0
         const_ops[p] = TruncatedOperator(
-            M, T.lambda_max, T.order, B.block_index, B, T.point
+            M, T.lambda_max, B.block_index, B, T.point
         )
     fx3 = OperatorFieldSample(
         mu_sample.instance_name, mu_sample.grid, const_ops, mu_sample.metadata
@@ -425,7 +426,7 @@ def test_10_verifier_discrimination_and_membership():
         T = good.operators[p]
         if p.stratum == "gamma2":
             const_g2[p] = TruncatedOperator(
-                np.eye(T.size, dtype=complex) * 0.5, T.lambda_max, T.order,
+                np.eye(T.size, dtype=complex) * 0.5, T.lambda_max,
                 T.block_index, T.basis, T.point,
             )
     merged = dict(good.operators)

@@ -47,8 +47,13 @@ BAD_DOCUMENTS = {
     "tolerance_d0_norm": ("m2-default", lambda d: d.update(tolerances={"d0_norm": 1e-10})),
     # M2's regular stabilizer is trivial: its only irrep label is 0
     "gamma0_label_not_in_stabilizer": ("m2-default", lambda d: d["grids"]["gamma0"][0].update(mu=1)),
-    # each operator takes its proven quadrature order; the setting is gone
+    # entries are closed forms with no quadrature order; the setting is gone
     "cutoffs_order": ("m2-default", lambda d: d["cutoffs"].update(order=7)),
+    # an int too large for a float overflows every float conversion of it
+    "h_ladder_H0_huge_int": ("m2-default", lambda d: d["grids"]["h_ladder"].update(H0=[10**400])),
+    "coeff_huge_int": ("m2-default", lambda d: _term(d).update(coeff=10**400)),
+    "sigma_huge_int": ("m2-default", lambda d: _term(d)["g"].update(sigma=10**400)),
+    "tolerance_huge_int": ("m2-default", lambda d: d.update(tolerances={"hs_slack": 10**400})),
     # star() is exact only for radial flat factors, so the flag is checked
     "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
 }
@@ -320,6 +325,17 @@ class TestMain:
         assert f"run failed: cannot write artifacts to {out}" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys):
+        # json.loads recurses once per bracket, so 200,000 of them raise
+        # RecursionError, not a JSONDecodeError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error: <json>" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_scenario_exits_2(self, kind, tmp_path, capsys):
         path = tmp_path / "scenario"
@@ -472,27 +488,41 @@ def test_readme_library_tour_runs(tmp_path):
     assert out.stdout.splitlines()[1] == "True"  # the m3-default plan passes
 
 
-def test_all_gaussian_run_builds_no_k_rule(tmp_path):
-    # condition 1 bounds the sup in closed form, so a run whose terms are all
-    # Gaussian integrates nothing over K; and labels are transported by
-    # closed-form maps: in a fresh interpreter the run leaves no rule at all
+def _loaded_after_run(scenario, outdir):
+    """The modules of ``HEAVY_MODULES`` a fresh interpreter holds after one run."""
     code = """
 import json, sys
-from motionfields import cli, groups
-cli.run_scenario(cli.load_scenario("m3-default"), sys.argv[1])
-print(json.dumps(sorted(groups._RULES)))
-print(json.dumps("numpy.polynomial" in sys.modules))
+from motionfields import cli
+cli.run_scenario(cli.load_scenario(sys.argv[1]), sys.argv[2])
+print(json.dumps([m for m in sys.argv[3:] if m in sys.modules]))
 """
     src = str(Path(motionfields.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "out")],
+        [sys.executable, "-c", code, scenario, str(outdir), *HEAVY_MODULES],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    rules, polynomial = map(json.loads, out.stdout.splitlines())
-    assert rules == []
-    assert not polynomial
+    return json.loads(out.stdout)
+
+
+# no run path needs them: node rules, symbolic or exact-rational arithmetic
+HEAVY_MODULES = ("numpy.polynomial", "numpy.fft", "scipy", "sympy", "fractions", "decimal")
+
+
+def test_all_gaussian_run_builds_no_k_rule(tmp_path):
+    # condition 1 bounds the sup in closed form, so a run whose terms are all
+    # Gaussian integrates nothing over K; and labels are transported by
+    # closed-form maps: a run builds no rule, nor loads what one needs
+    assert not hasattr(motionfields.groups, "_RULES")
+    assert _loaded_after_run("m3-default", tmp_path / "out") == []
+
+
+def test_degree_one_run_loads_no_heavy_modules(tmp_path):
+    # degree >= 1 entries are Gaunt sums whose Clebsch-Gordan coefficients
+    # are formed in integers: no rule, no fractions, no scipy or sympy
+    scenario = Path(__file__).resolve().parent / "golden" / "m3-poly" / "scenario.json"
+    assert _loaded_after_run(str(scenario), tmp_path / "out") == []
 
 
 def test_run_locates_no_point_again(tmp_path, monkeypatch):

@@ -6,10 +6,15 @@ benchmark's own rules (``perfbench/golden.py``: verdicts exact, CSV cells
 at relative tolerance 1e-9 with a floor of 1e-12 times the largest value,
 sweep norms at relative tolerance 1e-9).  The bundled m2-default scenario,
 which no workload runs, is compared by the same rules with its artifacts
-under ``tests/golden``.  A change that moves a number beyond those
-tolerances fails here.  The ``convergence.json`` of each scenario workload
-is also compared byte for byte with ``tests/golden``, as the benchmark's
-rules compare only its verdicts, not its evidence distances.  One traced benchmark iteration runs too, so the
+under ``tests/golden``, and so are two scenarios with flat factors of
+degree 1-3 (``m3-poly``; ``m2xm2-poly``, whose degree-2 term is also read
+at wall points), whose inputs sit beside their artifacts: their goldens
+were recorded when such entries were node sums of a quadrature rule, so
+they pin the closed forms that replaced them.  A change that moves a
+number beyond those tolerances fails here.  The ``convergence.json`` of
+each scenario workload is also compared byte for byte with
+``tests/golden``, as the benchmark's rules compare only its verdicts, not
+its evidence distances.  One traced benchmark iteration runs too, so the
 names the trace wraps stay in place.
 """
 
@@ -54,6 +59,14 @@ def test_bundled_m2_default_matches_golden(golden, tmp_path, monkeypatch):
     assert report.overall
     monkeypatch.setattr(golden, "GOLDEN_DIR", TESTS_GOLDEN)
     assert golden.check_scenario(tmp_path, "m2-default") == []
+
+
+@pytest.mark.parametrize("name", ["m3-poly", "m2xm2-poly"])
+def test_degree_one_scenario_matches_golden(name, golden, tmp_path, monkeypatch):
+    report, _ = run_scenario(load_scenario(str(TESTS_GOLDEN / name / "scenario.json")), tmp_path)
+    assert report.overall
+    monkeypatch.setattr(golden, "GOLDEN_DIR", TESTS_GOLDEN)
+    assert golden.check_scenario(tmp_path, name) == []
 
 
 def test_lambda_sweep_matches_golden(golden):
@@ -120,8 +133,8 @@ def test_traced_benchmark_iteration(tmp_path):
     # the K-dual entries zero by the selection rule (labels 0, 3, 4, 5 of
     # the six) are built directly: one call per nonzero entry
     assert run["trace"]["fourier.tau_matrix"]["calls"] == 2
-    # no rule at all: every point is dominant, so no label is transported
-    assert run["trace"]["groups.quadrature"]["calls"] == 0
+    # no rule at all: src has no rule builder left for the trace to wrap
+    assert "groups.quadrature" not in run["trace"]
     # bases are built up to the selection-rule window W = 2, not to
     # lambda_max 5 (7 for the weight sample): 106 calls before the window;
     # and none for the weights |mu| >= 3 of the weight sample, whose window

@@ -10,13 +10,16 @@ from motionfields.groups import (
     ProductGroup,
     RotationGroup3,
     TrivialGroup,
+    clebsch_gordan,
     euler_zyz,
     rot_x,
     rot_y,
     rot_z,
+    wigner_3j,
     wigner_d,
 )
 from motionfields.pairs import build_instance
+from quadrature import coefficient_sums, nodes_from_params, quadrature
 
 
 def rotation_angle(R):
@@ -31,7 +34,7 @@ class TestCircle:
         assert g.character(-2, 1.1) == pytest.approx(np.exp(-2.2j))
 
     def test_quadrature_nodes(self):
-        rule = CircleGroup().quadrature(8)
+        rule = quadrature(CircleGroup(), 8)
         assert len(rule) == 8
         assert np.allclose(rule.weights, 1.0 / 8)
         # exactness: modes below the order integrate to 0, mode 0 to 1
@@ -181,7 +184,7 @@ class TestSO3:
 
     def test_quadrature_schur(self):
         g = RotationGroup3()
-        rule = g.quadrature(8)
+        rule = quadrature(g, 8)
         tabs = {l: g.irrep_table(l, rule.params) for l in (0, 1, 2, 3, 4)}
         # int |D^1_00|^2 = 1/3
         val = np.sum(rule.weights * np.abs(tabs[1][:, 1, 1]) ** 2)
@@ -204,7 +207,7 @@ class TestSO3:
 
     def test_node_table_matches_pointwise(self, rng):
         g = RotationGroup3()
-        rule = g.quadrature(4)
+        rule = quadrature(g, 4)
         tab = g.irrep_table(2, rule.params)
         for idx in (0, 7, len(rule) - 1):
             direct = g.irrep_matrix(2, rule.nodes[idx])
@@ -214,7 +217,7 @@ class TestSO3:
 class TestProductAndTrivial:
     def test_product_rule_weights_multiply(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
-        rule = g.quadrature(4)
+        rule = quadrature(g, 4)
         assert len(rule) == 16
         assert np.allclose(rule.weights, 1.0 / 16)
         assert rule.weights.sum() == pytest.approx(1.0)
@@ -226,7 +229,7 @@ class TestProductAndTrivial:
 
     def test_product_node_table_consistent(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
-        rule = g.quadrature(3)
+        rule = quadrature(g, 3)
         tab = g.irrep_table((1, 2), rule.params)
         for i, node in enumerate(rule.nodes):
             assert tab[i, 0, 0] == pytest.approx(g.irrep_matrix((1, 2), node)[0, 0])
@@ -234,7 +237,7 @@ class TestProductAndTrivial:
     def test_trivial(self):
         g = TrivialGroup()
         assert g.irrep_labels(5) == [0]
-        rule = g.quadrature(3)
+        rule = quadrature(g, 3)
         assert len(rule) == 1 and rule.weights[0] == 1.0
 
 
@@ -246,17 +249,17 @@ class TestQuadratureCache:
 
     @pytest.mark.parametrize("make_group", GROUPS)
     def test_one_rule_per_group_and_order(self, make_group):
-        rule = make_group().quadrature(5)
+        rule = quadrature(make_group(), 5)
         # a second instance of the same group gets the same rule
-        assert make_group().quadrature(5) is rule
-        assert make_group().quadrature(6) is not rule
+        assert quadrature(make_group(), 5) is rule
+        assert quadrature(make_group(), 6) is not rule
         assert rule.order == 5
 
     @pytest.mark.parametrize("make_group", GROUPS)
     def test_rule_arrays_are_read_only(self, make_group):
-        rule = make_group().quadrature(4)
+        rule = quadrature(make_group(), 4)
         arrays = [rule.weights]
-        todo = [rule.params, rule.axes, rule.nodes]
+        todo = [rule.params]
         while todo:
             x = todo.pop()
             if isinstance(x, tuple):
@@ -285,7 +288,7 @@ def test_plancherel_identity(make_group, band, rng):
     """L2 norm equals the weighted HS mass of the integrated irreps."""
     group = make_group()
     terms = _random_trig_poly(group, rng, band)
-    rule = group.quadrature(4 * band + 4)
+    rule = quadrature(group, 4 * band + 4)
     tabs = {lab: group.irrep_table(lab, rule.params) for lab in group.irrep_labels(2 * band)}
     vals = np.zeros(len(rule), dtype=complex)
     for c, lab, i, j in terms:
@@ -342,8 +345,8 @@ class TestSinglePath:
         group = pair.K if H is None else pair.stabilizer_of(H).group
         elts = [group.random(rng) for _ in range(5)]
         params = group.params_of(elts)
-        # params_of inverts _nodes_from_params
-        again = group.params_of(group._nodes_from_params(params))
+        # params_of inverts the oracle's nodes_from_params
+        again = group.params_of(nodes_from_params(group, params))
         assert np.abs(_flat(again) - _flat(params)).max() < 1e-12
         for label in group.irrep_labels(2):
             table = group.irrep_table(label, params)
@@ -378,10 +381,10 @@ class TestSchurSum:
         group = make_group()
         labels = group.irrep_labels(5)
         for label in labels:
-            rule = group.quadrature(1 + group.char_band(label) + 5)
+            rule = quadrature(group, 1 + group.char_band(label) + 5)
             rows = range(group.irrep_dim(label))
             ones = np.ones(len(rule))
-            sums = group.coefficient_sums(rule, labels, [(ones, label, row) for row in rows])
+            sums = coefficient_sums(group, rule, labels, [(ones, label, row) for row in rows])
             for row, quad in zip(rows, sums):
                 bar, S = group.schur_sum(label, row)
                 for lam, Sq in zip(labels, quad):
@@ -403,3 +406,114 @@ class TestSchurSum:
                 assert not S.flags.writeable
                 with pytest.raises(ValueError):
                     S[0, 0, 0] = 1.0
+
+
+def base_col(group, J):
+    """The column of ``orbit_expansion``'s coefficients: that of the weight-0 vector."""
+    if isinstance(group, ProductGroup):
+        dims = [f.irrep_dim(x) for f, x in zip(group.factors, J)]
+        return int(np.ravel_multi_index([base_col(f, x) for f, x in zip(group.factors, J)], dims))
+    return int(J) if isinstance(group, RotationGroup3) else 0
+
+
+class TestClebschGordan:
+    @pytest.mark.parametrize("j1,j2", [(0, 2), (1, 1), (2, 1), (3, 2), (2, 3)])
+    def test_reduces_the_tensor_product(self, j1, j2, rng):
+        # D^j1 (x) D^j2 = C (sum_J D^J) C^T with C[(m1, m2), (J, M)] = <j1 m1 j2 m2|J M>,
+        # checked against the Wigner-d evaluation of the irreps
+        g = RotationGroup3()
+        Js = range(abs(j1 - j2), j1 + j2 + 1)
+        C = np.array([
+            [clebsch_gordan(j1, m1, j2, m2, J, M) for J in Js for M in range(-J, J + 1)]
+            for m1 in range(-j1, j1 + 1) for m2 in range(-j2, j2 + 1)
+        ])
+        assert np.abs(C @ C.T - np.eye(len(C))).max() < 1e-14
+        for _ in range(3):
+            R = g.random(rng)
+            blocks = [g.irrep_matrix(J, R) for J in Js]
+            total = np.zeros((len(C), len(C)), dtype=complex)
+            at = 0
+            for B in blocks:
+                total[at:at + len(B), at:at + len(B)] = B
+                at += len(B)
+            lhs = np.kron(g.irrep_matrix(j1, R), g.irrep_matrix(j2, R))
+            assert np.abs(lhs - C @ total @ C.T).max() < 1e-12
+
+    def test_3j_values_and_symmetries(self):
+        # (j m j -m | 0 0) = (-1)^(j - m) / sqrt(2j + 1) and the 3j phase
+        for j in range(4):
+            for m in range(-j, j + 1):
+                want = (-1) ** (j - m) / np.sqrt(2 * j + 1)
+                assert clebsch_gordan(j, m, j, -m, 0, 0) == pytest.approx(want, abs=1e-15)
+                assert wigner_3j(j, j, 0, m, -m, 0) == pytest.approx(want, abs=1e-15)
+        assert wigner_3j(1, 1, 2, 0, 0, 0) == pytest.approx(np.sqrt(2 / 15), abs=1e-15)
+        # an odd permutation of the columns multiplies by (-1)^(j1 + j2 + j3)
+        for args in [(1, 2, 2, 1, -1, 0), (2, 3, 4, -2, 1, 1), (1, 1, 1, 1, 0, -1)]:
+            j1, j2, j3, m1, m2, m3 = args
+            sign = (-1) ** (j1 + j2 + j3)
+            assert wigner_3j(j2, j1, j3, m2, m1, m3) == pytest.approx(
+                sign * wigner_3j(*args), abs=1e-15)
+            assert wigner_3j(j2, j3, j1, m2, m3, m1) == pytest.approx(wigner_3j(*args), abs=1e-15)
+
+    def test_large_spins_stay_exact(self):
+        # the alternating Racah sum is formed in integers: no cancellation
+        # error at spins where a float sum would lose every digit
+        total = sum(clebsch_gordan(30, m, 30, -m, 30, 0) ** 2 for m in range(-30, 31))
+        assert total == pytest.approx(1.0, abs=1e-14)
+
+
+ORBIT_INSTANCES = ["M2", "M3", "M2xM2"]
+
+
+def poly_monomials(dim, degree):
+    return [a for a in np.ndindex(*([degree + 1] * dim)) if sum(a) <= degree]
+
+
+class TestOrbitExpansion:
+    @pytest.mark.parametrize("instance", ORBIT_INSTANCES)
+    def test_matches_the_adjoint_action(self, instance, rng):
+        # sum c tau_J(k)[a, e] is the monomial of Ad(k)H, the instance's action
+        pair = build_instance(instance)
+        K = pair.K
+        Hs = rng.normal(size=(3, pair.rank))
+        for _ in range(3):
+            k = K.random(rng)
+            X = np.array([pair.adjoint_action(k, pair.embed_a(H)) for H in Hs])
+            for alpha in poly_monomials(pair.dim_p, 4 if pair.dim_p < 4 else 2):
+                got = sum(
+                    c * K.irrep_matrix(J, k)[a, base_col(K, J)]
+                    for (J, a), c in K.orbit_expansion(alpha, Hs).items()
+                )
+                want = np.prod(X ** np.array(alpha), axis=1)
+                assert np.abs(got - want).max() < 1e-12
+
+
+GAUNT_GROUPS = [CircleGroup, RotationGroup3, lambda: ProductGroup([CircleGroup(), CircleGroup()])]
+
+
+class TestGaunt:
+    @pytest.mark.parametrize("make_group", GAUNT_GROUPS)
+    def test_matches_node_sums(self, make_group):
+        # int tau_J[a, e] tau_label[row, r] tau_lam[v, b] dk against the
+        # exact product rule, every key of band <= 2, label and lam of band <= 2
+        group = make_group()
+        rule = quadrature(group, 7)
+        labels = group.irrep_labels(2)
+        for J in labels:
+            col = base_col(group, J)
+            for a in range(group.irrep_dim(J)):
+                g = group.irrep_table(J, rule.params)[:, a, col]
+                for label in labels:
+                    rows = range(group.irrep_dim(label))
+                    sums = coefficient_sums(group, rule, labels, [(g, label, row) for row in rows])
+                    for row, per_lam in zip(rows, sums):
+                        for lam, S in zip(labels, per_lam):
+                            got = group.gaunt((J, a), label, row, lam)
+                            assert np.abs(got - S).max() < 1e-13
+
+    def test_cached_and_read_only(self):
+        g = RotationGroup3()
+        A = g.gaunt((1, 0), 2, 1, 3)
+        assert RotationGroup3().gaunt((1, 0), 2, 1, 3) is A
+        with pytest.raises(ValueError):
+            A[0, 0, 0] = 1.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from quadrature import quadrature
 from scipy.optimize import minimize
 
 from motionfields import (
@@ -236,7 +237,7 @@ class TestInvariants:
             t = max(0.0, float(img @ chamber_dir))
             return float(np.linalg.norm(img - t * chamber_dir))
 
-        coarse = m3.K.quadrature(4)
+        coarse = quadrature(m3.K, 4)
         coarse_angles = list(zip(*coarse.params))
         for _ in range(20):
             X = rng.normal(size=3)

@@ -11,6 +11,7 @@ from motionfields import (
     pi_matrix,
     stabilizer,
 )
+from quadrature import quadrature
 from test_fourier import partial_fourier
 
 
@@ -60,7 +61,7 @@ def einsum_grid_sup(f, extra_k=None, extra_xi=None, rounds=4):
     the value, and the k index and xi of the first maximum in C order.
     """
     K = f.pair.K
-    uvals = f._u_table(K.quadrature(2 * f.bandlimit + 8).params)
+    uvals = f._u_table(quadrature(K, 2 * f.bandlimit + 8).params)
     if extra_k:
         uvals = np.concatenate([uvals, f._u_table(K.params_of(extra_k))], axis=1)
     coeffs = np.array([t.coeff for t in f.terms])
@@ -129,13 +130,13 @@ class TestPolyGaussian:
             PolyGaussian(2, 1.0, {})
 
     def test_numpy_multi_index_is_stored_as_int(self, m2):
-        # rng.multinomial gives numpy integers; the order recorded from the
-        # degree must still serialise
+        # rng.multinomial gives numpy integers; the degree read from them
+        # feeds the window and the orbit expansion, which must stay ints
         g = PolyGaussian(2, 1.0, {(np.int64(1), np.int64(0)): 1.0})
         assert all(type(a) is int for alpha in g.poly for a in alpha)
         f = TestFunction(m2, [Term(1.0, MatrixCoefficient(0), g)])
         op = pi_matrix(f, m2, stabilizer(m2, (1.0,)).group.irrep_labels(0)[0], (1.0,), 2)
-        assert type(op.order) is int and op.order > 0
+        assert type(f.window) is int and f.window == 1
         json.dumps(op.to_dict())
 
     @pytest.mark.parametrize("alpha", [(-1, 0), (0, -2), (1.0, 0), (0.5, 0), ("1", 0)])
@@ -328,7 +329,7 @@ class TestTestFunction:
         )
         extra_k = [(0.15, 0.0)]
         want, k_best, _ = einsum_grid_sup(f, extra_k)
-        assert k_best == len(m2xm2.K.quadrature(2 * f.bandlimit + 8)) == 144
+        assert k_best == len(quadrature(m2xm2.K, 2 * f.bandlimit + 8)) == 144
         assert want == pytest.approx(8 * np.pi**2, rel=1e-12)
         assert einsum_grid_sup(f)[0] < 8 * np.pi**2 - 1e-3
         assert f.fhat2_sup() == pytest.approx(8 * np.pi**2, rel=1e-12)
