@@ -23,6 +23,7 @@ from .errors import (
     MissingGamma2Data,
     MissingSupBound,
     MotionFieldsError,
+    NonFiniteEntries,
     NonRadialFlatFactor,
     PathCrossesStrata,
     StratumMismatch,

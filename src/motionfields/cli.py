@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, dump_json
-from .dual import converges, make_dual_point
+from .dual import converges
 from .errors import ConfigError, MotionFieldsError
 from .scenarios import BUNDLED_NAMES, bundled_scenario
 from .verifier import run_verification
@@ -111,9 +111,7 @@ def run_convergence_queries(pair, queries):
     """One certificate per parsed query (see ``ScenarioConfig.queries``)."""
     out = []
     for name, limit, sequence in queries:
-        limit = make_dual_point(pair, *limit)
-        seq = [make_dual_point(pair, *pt) for pt in sequence]
-        cert = converges(pair, seq, limit)
+        cert = converges(pair, sequence, limit)
         out.append(
             {
                 "name": name,

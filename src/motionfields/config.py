@@ -9,7 +9,8 @@ malformed field raises a ``ConfigError`` naming it (for example
 Irrep labels appear in JSON as integers (rank-one instances) or integer
 lists (the product instance).  Each grid or query label must be an irrep
 label of the stabilizer at its points; the parser checks this by locating
-each point (``dual.make_dual_point``), which keeps the point for the run.
+each point (``dual.make_dual_point``), and the plan and the queries hold
+the located points, so the run locates none again.
 Flat points are lists of ``rank`` finite numbers; complex numbers are
 numbers or [re, im] pairs; polynomial multi-indices are comma-joined
 strings keying complex coefficients.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dual import make_dual_point
 from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch
-from .pairs import INSTANCE_NAMES, build_instance
+from .pairs import INSTANCE_NAMES, WALL_TOL, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
 from .verifier import Thresholds, VerificationPlan
 
@@ -79,22 +80,26 @@ def _positive_int(where, x):
     return x
 
 
-def _label(where, x, pair=None, points=()):
-    """An irrep label; with ``pair``, one of the stabilizer at each point (None: K)."""
+def _label(where, x):
+    """An irrep label: an integer or a nonempty list of integers."""
     if isinstance(x, list) and x and all(map(_is_int, x)):
-        x = tuple(x)
-    else:
-        _require(_is_int(x), where, f"not an irrep label: {x!r}")
-    for H in points:
-        try:
-            make_dual_point(pair, x, H)
-        except StratumMismatch as e:
-            raise ConfigError(where, str(e)) from None
+        return tuple(x)
+    _require(_is_int(x), where, f"not an irrep label: {x!r}")
     return x
 
 
-def _labels(where, x, pair, points):
-    return [_label(w, v, pair, points) for w, v in _items(where, x)]
+def _located(where, x, pair, Hs):
+    """The dual points of the label ``x`` at each flat point of ``Hs`` (None: K)."""
+    label = _label(where, x)
+    try:
+        return [make_dual_point(pair, label, H) for H in Hs]
+    except StratumMismatch as e:
+        raise ConfigError(where, str(e)) from None
+
+
+def _located_each(where, x, pair, H):
+    """The dual point at ``H`` of each label of the list ``x``."""
+    return [_located(w, v, pair, [H])[0] for w, v in _items(where, x)]
 
 
 def _coords(where, x, rank):
@@ -108,7 +113,7 @@ def _coords(where, x, rank):
 def _nonzero(where, x, pair):
     """A flat point off the zero point: its norm exceeds the wall tolerance."""
     H = _coords(where, x, pair.rank)
-    _require(math.hypot(*H) > pair.wall_tol, where, f"must be a nonzero point, got {list(H)!r}")
+    _require(math.hypot(*H) > WALL_TOL, where, f"must be a nonzero point, got {list(H)!r}")
     return H
 
 
@@ -148,6 +153,8 @@ def _term(where, t, dim):
         flat = PolyGaussian(dim, float(sigma), poly, radial=radial)
     except NonRadialFlatFactor as e:
         raise ConfigError(f"{where}.g.radial", str(e)) from None
+    except OverflowError:
+        raise ConfigError(f"{where}.g.sigma", f"its square overflows a float, got {sigma!r}") from None
     except ValueError as e:
         raise ConfigError(f"{where}.g", str(e)) from None
     return Term(coeff, MatrixCoefficient(label, row, col), flat)
@@ -158,9 +165,14 @@ def _terms(tf, pair):
     entries = _items(where, _key("test_function", tf, "terms"))
     terms = tuple(_term(w, t, pair.dim_p) for w, t in entries)
     try:
-        TestFunction(pair, terms)  # labels and indices against the instance
+        f = TestFunction(pair, terms)  # labels and indices against the instance
     except ValueError as e:
         raise ConfigError(where, str(e)) from None
+    try:  # condition 1 bounds each HS norm by d_mu sup^2
+        sup2 = f.fhat2_sup() ** 2
+    except ArithmeticError:  # an overflow, or a sigma so small that e sigma^2 is 0
+        sup2 = math.inf
+    _require(math.isfinite(sup2), where, "the sup bound of |f-hat|, squared, is not a finite float")
     return terms
 
 
@@ -176,10 +188,10 @@ def _plan(doc, pair):
     _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
              "needs an odd number (>= 3) of points")
     path = [_coords(w, h, rank) for w, h in path]
-    gamma0 = []
+    grid = []
     for w, e in _items("grids.gamma0", grids.get("gamma0")):
         H = _coords(f"{w}.H", _key(w, e, "H"), rank)
-        gamma0.append((_label(f"{w}.mu", _key(w, e, "mu"), pair, [H]), H))
+        grid += _located(f"{w}.mu", _key(w, e, "mu"), pair, [H])
     # every rung t H0 of a ray from zero is the zero point: condition 4 would be vacuous
     H0 = _nonzero("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), pair)
     mu_grid = grids.get("mu_decay")
@@ -187,38 +199,37 @@ def _plan(doc, pair):
     mu_H = None if mu_grid is None else _nonzero(
         "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), pair
     )
+    lambda_max = _positive_int("cutoffs.lambda_max", cut.get("lambda_max"))
+    grid += _located_each("grids.gamma2", grids.get("gamma2"), pair, None)
+    path = _located("grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path)
+    ladder_mus = []  # the labels as given: the rays are formed at H0 as given
+    for w, mu in _items("grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus")):
+        _located(w, mu, pair, [H0])
+        ladder_mus.append(_label(w, mu))
     return VerificationPlan(
-        lambda_max=_positive_int("cutoffs.lambda_max", cut.get("lambda_max")),
-        gamma0_grid=gamma0,
-        gamma2_lambdas=_labels("grids.gamma2", grids.get("gamma2"), pair, [None]),
-        continuity_mu=_label(
-            "grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path
-        ),
-        continuity_path=path,
-        h_ladder_mus=_labels(
-            "grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus"), pair, [H0]
-        ),
+        lambda_max=lambda_max,
+        grid=grid,
+        path=path,
+        h_ladder_mus=ladder_mus,
         h_ladder_H0=H0,
         h_ladder_levels=_positive_int(
             "grids.h_ladder.levels", _key("grids.h_ladder", ladder, "levels")
         ),
-        mu_values=None if mu_grid is None else _labels(
-            "grids.mu_decay.mu_values", _key("grids.mu_decay", mu_grid, "mu_values"),
-            pair, [mu_H],
+        mu_points=None if mu_grid is None else _located_each(
+            "grids.mu_decay.mu_values", _key("grids.mu_decay", mu_grid, "mu_values"), pair, mu_H
         ),
-        mu_decay_H=mu_H,
     )
 
 
 def _point(where, pt, pair):
-    """A dual point of a convergence query: (label, flat point or None)."""
+    """A dual point of a convergence query."""
     H = _obj(where, pt).get("H")
     H = None if H is None else _coords(f"{where}.H", H, pair.rank)
-    return _label(f"{where}.label", _key(where, pt, "label"), pair, [H]), H
+    return _located(f"{where}.label", _key(where, pt, "label"), pair, [H])[0]
 
 
 def _queries(queries, pair):
-    """Convergence queries as (name, limit, sequence) with parsed points."""
+    """Convergence queries as (name, limit, sequence) of located points."""
     out = []
     for i, (where, q) in enumerate(_items("convergence_queries", queries, empty_ok=True)):
         name = _obj(where, q).get("name", f"query-{i}")
@@ -236,9 +247,8 @@ def _label_to_json(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def _point_to_json(point):
-    label, H = point
-    return {"label": _label_to_json(label), "H": None if H is None else list(H)}
+def _point_to_json(p):
+    return {"label": _label_to_json(p.label), "H": None if p.H is None else list(p.H)}
 
 
 @dataclass
@@ -248,7 +258,7 @@ class ScenarioConfig:
     terms: tuple  # Term objects of the test function
     plan: VerificationPlan
     thresholds: Thresholds
-    queries: tuple  # (name, limit, sequence); points are (label, H or None)
+    queries: tuple  # (name, limit, sequence) of DualPoints
     output_dir: str | None = None
 
     # -- construction -------------------------------------------------------
@@ -294,13 +304,18 @@ class ScenarioConfig:
         self.thresholds = replace(self.thresholds, **_tolerances("override-tolerance", tol))
 
     def to_dict(self):
-        plan = self.plan
+        """The document, written from the located points: each H dominant and
+        its label moved with it, the grid's K-dual points under ``gamma2`` and
+        the path under its first point's label.  A document already in that
+        form, as the bundled ones are, is written back as it is."""
+        plan, pair = self.plan, self.build_pair()
         grids = {
-            "gamma0": [{"mu": _label_to_json(mu), "H": list(H)} for mu, H in plan.gamma0_grid],
-            "gamma2": [_label_to_json(x) for x in plan.gamma2_lambdas],
+            "gamma0": [{"mu": _label_to_json(p.label), "H": list(p.H)}
+                       for p in plan.grid if p.H is not None],
+            "gamma2": [_label_to_json(p.label) for p in plan.grid if p.H is None],
             "continuity": {
-                "mu": _label_to_json(plan.continuity_mu),
-                "path": [list(h) for h in plan.continuity_path],
+                "mu": _label_to_json(plan.path[0].label),
+                "path": [list(p.h_coords(pair)) for p in plan.path],
             },
             "h_ladder": {
                 "mus": [_label_to_json(m) for m in plan.h_ladder_mus],
@@ -308,10 +323,10 @@ class ScenarioConfig:
                 "levels": plan.h_ladder_levels,
             },
         }
-        if plan.mu_values is not None:
+        if plan.mu_points is not None:
             grids["mu_decay"] = {
-                "H": list(plan.mu_decay_H),
-                "mu_values": [_label_to_json(m) for m in plan.mu_values],
+                "H": list(plan.mu_points[0].H),
+                "mu_values": [_label_to_json(p.label) for p in plan.mu_points],
             }
         queries = [
             {"name": n, "limit": _point_to_json(lim), "sequence": list(map(_point_to_json, seq))}

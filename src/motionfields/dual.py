@@ -4,8 +4,7 @@ Points are stored in canonical form: the flat coordinate is replaced by its
 dominant representative and the stabilizer irrep label is transported along
 the Weyl element used, by the closed-form label map the instance stores with
 that element, so equivalent inputs collapse to equal points: two points are
-equivalent exactly when they are equal.  Each point is located once per
-process and kept (``make_dual_point``).  The three strata are
+equivalent exactly when they are equal.  The three strata are
 
 * ``gamma0`` -- regular dominant H with an irrep of the centralizer M,
 * ``gamma1`` -- nonzero wall H with an irrep of its (larger) stabilizer,
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import EmptySequence, MixedInstance, StratumMismatch
 from .induction import restriction_multiplicity
 from .pairs import (
+    WALL_TOL,
     as_coords,
     dominant_representative,
     stab_contained,
@@ -81,36 +81,22 @@ def make_dual_point(pair, label, H=None):
     replaced by its dominant representative and the label transported
     accordingly.  StratumMismatch is raised when the label is not an irrep
     label of the stabilizer of that representative, or of K itself on the
-    K-dual.  Points are kept per (instance, wall tolerance, label, raw H),
-    so each is located once per process.  The label is keyed by its type and
-    repr: 1.0, True or [0, 0] equal a label or are unhashable, and must
-    still be refused after 1 or (0, 0) is kept.
+    K-dual; a label of another type that compares equal (1.0, True) is not one.
     """
-    if H is not None:
-        H = as_coords(H)
-    key = (pair.name, pair.wall_tol, type(label), repr(label), H)
-    if key in _POINTS:
-        return _POINTS[key]
-    if H is None or math.hypot(*H) <= pair.wall_tol:
+    H = None if H is None else as_coords(H)
+    if H is None or math.hypot(*H) <= WALL_TOL:
         if not pair.K.validate_label(label):
             raise StratumMismatch(f"{label!r} is not a K-irrep label on {pair.name}")
-        point = DualPoint(pair.name, GAMMA2, label, None)
-    else:
-        dom, w = dominant_representative(pair, H)
-        stab = pair.stabilizer_of(dom)
-        if not stab.group.validate_label(label):
-            raise StratumMismatch(
-                f"{label!r} is not an irrep label of stabilizer {stab.structure} "
-                f"at H={dom} on {pair.name}"
-            )
-        moved = _transport(w, stab, label)  # stab is conjugate to the stabilizer at H
-        stratum = GAMMA1 if pair.wall_set(dom) else GAMMA0
-        point = DualPoint(pair.name, stratum, moved, dom)
-    _POINTS[key] = point
-    return point
-
-
-_POINTS = {}  # (instance, wall tolerance, label type, label repr, raw H) -> DualPoint
+        return DualPoint(pair.name, GAMMA2, label, None)
+    dom, w = dominant_representative(pair, H)
+    stab = pair.stabilizer_of(dom)
+    if not stab.group.validate_label(label):
+        raise StratumMismatch(
+            f"{label!r} is not an irrep label of stabilizer {stab.structure} "
+            f"at H={dom} on {pair.name}"
+        )
+    moved = _transport(w, stab, label)  # stab is conjugate to the stabilizer at H
+    return DualPoint(pair.name, GAMMA1 if pair.wall_set(dom) else GAMMA0, moved, dom)
 
 
 def _h_distances(pair, Hs, H):
@@ -125,16 +111,12 @@ class ConvergenceCertificate:
     tail_index: int | None
     evidence: list = field(default_factory=list)
 
-    @property
-    def converges(self):
-        return self.verdict
 
-
-def converges(pair, seq, limit, h_tol=H_CONV_TOL):
+def converges(pair, seq, limit):
     """Decide Fell convergence of a finite tail toward ``limit``.
 
     The numeric reading of "H_n converges": over the last quarter of the
-    sequence, distances to the limit have mean below ``h_tol`` and are
+    sequence, distances to the limit have mean below ``H_CONV_TOL`` and are
     non-increasing.  The representation-theoretic clause ("for n large
     enough") is required on the final half: the member's stabilizer is
     contained in the limit's, and the limit's irrep restricted to it
@@ -175,7 +157,7 @@ def converges(pair, seq, limit, h_tol=H_CONV_TOL):
             branch_ok = False
 
     quarter = dists[quarter_start:]
-    h_ok = float(np.mean(quarter)) < h_tol and all(
+    h_ok = float(np.mean(quarter)) < H_CONV_TOL and all(
         b <= a + 1e-15 for a, b in zip(quarter, quarter[1:])
     )
     verdict = bool(h_ok and branch_ok)

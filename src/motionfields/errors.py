@@ -29,6 +29,10 @@ class NonRadialFlatFactor(MotionFieldsError, ValueError):
     """Flat factor declared radial whose polynomial is not one in |X|^2."""
 
 
+class NonFiniteEntries(MotionFieldsError):
+    """Operator entries overflow a float: f-hat is too large at the point."""
+
+
 class PathCrossesStrata(MotionFieldsError):
     """Continuity path leaves the stratum it started in."""
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import GAMMA2, DualPoint
+from .errors import NonFiniteEntries
 from .induction import PeterWeylBasis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
@@ -203,6 +204,8 @@ def pi_family(f, pair, basis, Hs):
     entries <pi(f) psi_j, psi_i>, in ``Hs`` order.  Gaussian terms are one
     ``_schur_blocks`` call for all points; each other term adds its A B
     products (``_orbit_sums``), also for all points at once.
+    NonFiniteEntries names the first point where those overflow a float; a
+    Gaussian term's entries are bounded by ``TestFunction.fhat2_sup``.
     """
     K = pair.K
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
@@ -230,12 +233,17 @@ def pi_family(f, pair, basis, Hs):
     # A has band <= W: only the rows of the window's K-types are nonzero
     rows = [(lam, Ts) for lam, Ts in basis.blocks if K.char_band(lam) <= f.window]
     at = np.concatenate([np.arange(cols[lam][0].start, cols[lam][0].stop) for lam, _ in rows])
-    for t, bar_cols, B in poly_terms:
-        sums = _orbit_sums(t, K, [lam for lam, _ in rows], Hs)
-        A = np.concatenate(
-            [_block_factor(K, lam, Ts, S) for (lam, Ts), S in zip(rows, sums)], axis=-2
-        )
-        M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
+        for t, bar_cols, B in poly_terms:
+            sums = _orbit_sums(t, K, [lam for lam, _ in rows], Hs)
+            A = np.concatenate(
+                [_block_factor(K, lam, Ts, S) for (lam, Ts), S in zip(rows, sums)], axis=-2
+            )
+            M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
+    bad = ~np.isfinite(M).all(axis=(1, 2))
+    if bad.any():  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
+        H = tuple(Hs[bad.argmax()].tolist())
+        raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float")
     return M
 
 

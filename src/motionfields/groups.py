@@ -415,10 +415,7 @@ class ProductGroup(CompactGroup):
         return tuple(f.random(rng) for f in self.factors)
 
     def irrep_labels(self, cutoff):
-        labels = [[]]
-        for f in self.factors:
-            labels = [prefix + [w] for prefix in labels for w in f.irrep_labels(cutoff)]
-        return [tuple(lab) for lab in labels]
+        return list(itertools.product(*(f.irrep_labels(cutoff) for f in self.factors)))
 
     def irrep_dim(self, label):
         return int(np.prod([f.irrep_dim(w) for f, w in zip(self.factors, label)]))

@@ -34,7 +34,7 @@ from .groups import (
     rot_z,
 )
 
-DEFAULT_WALL_TOL = 1e-9
+WALL_TOL = 1e-9  # absolute tolerance on root values
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class SymmetricPairDescriptor:
     stabilizer_of: Callable  # coords -> StabilizerDescriptor
     ad_orbit_table: Callable  # (rule, coords) -> Ad(k)H at a rule's nodes, for quadrature oracles
     M: StabilizerDescriptor  # centralizer of the flat, = stabilizer of regular points
-    wall_tol: float = DEFAULT_WALL_TOL
 
     def embed_a(self, coords):
         return np.asarray(coords, dtype=float) @ self.a_basis
@@ -115,7 +114,7 @@ class SymmetricPairDescriptor:
 
     def wall_set(self, coords):
         vals = self._root_floats(coords)
-        return tuple(i for i, v in enumerate(vals) if abs(v) <= self.wall_tol)
+        return tuple(i for i, v in enumerate(vals) if abs(v) <= WALL_TOL)
 
     def zero_point(self):
         return tuple([0.0] * self.rank)
@@ -185,7 +184,7 @@ def _product_stab(factors, positions, k_identity):
 # instances
 
 
-def _build_m2(wall_tol):
+def _build_m2():
     K = CircleGroup()
 
     def adjoint(theta, X):
@@ -196,7 +195,7 @@ def _build_m2(wall_tol):
     full, trivial = _full_circle(), _trivial_in(0.0)
 
     def stab(coords):
-        return full if abs(coords[0]) <= wall_tol else trivial
+        return full if abs(coords[0]) <= WALL_TOL else trivial
 
     def orbit_table(rule, coords):
         t = float(coords[0])
@@ -220,11 +219,10 @@ def _build_m2(wall_tol):
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
         M=trivial,
-        wall_tol=wall_tol,
     )
 
 
-def _build_m3(wall_tol):
+def _build_m3():
     K = RotationGroup3()
 
     def adjoint(k, X):
@@ -233,7 +231,7 @@ def _build_m3(wall_tol):
     full, circle = _full_so3(), _z_circle_in_so3()
 
     def stab(coords):
-        return full if abs(coords[0]) <= wall_tol else circle
+        return full if abs(coords[0]) <= WALL_TOL else circle
 
     def orbit_table(rule, coords):
         t = float(coords[0])
@@ -262,11 +260,10 @@ def _build_m3(wall_tol):
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
         M=circle,
-        wall_tol=wall_tol,
     )
 
 
-def _build_m2xm2(wall_tol):
+def _build_m2xm2():
     K = ProductGroup([CircleGroup(), CircleGroup()])
     k_id = K.identity()
 
@@ -287,7 +284,7 @@ def _build_m2xm2(wall_tol):
     }
 
     def stab(coords):
-        return stabs[tuple(abs(c) <= wall_tol for c in coords)]
+        return stabs[tuple(abs(c) <= WALL_TOL for c in coords)]
 
     def orbit_table(rule, coords):
         t1, t2 = rule.params
@@ -321,7 +318,6 @@ def _build_m2xm2(wall_tol):
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
         M=stabs[False, False],
-        wall_tol=wall_tol,
     )
 
 
@@ -330,7 +326,7 @@ _BUILDERS = {"M2": _build_m2, "M3": _build_m3, "M2xM2": _build_m2xm2}
 INSTANCE_NAMES = tuple(sorted(_BUILDERS))
 
 
-def build_instance(name, wall_tol=DEFAULT_WALL_TOL):
+def build_instance(name):
     """Instantiate one of the shipped pairs by name ("M2", "M3", "M2xM2")."""
     try:
         builder = _BUILDERS[name]
@@ -338,7 +334,7 @@ def build_instance(name, wall_tol=DEFAULT_WALL_TOL):
         raise UnknownInstance(
             f"unknown instance {name!r}; available: {', '.join(INSTANCE_NAMES)}"
         ) from None
-    return builder(wall_tol)
+    return builder()
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,7 @@ def dominant_representative(pair, coords):
     coords = as_coords(coords)
     for w in pair.weyl_group:
         moved = w.apply(coords)
-        if all(v >= -pair.wall_tol for v in pair._root_floats(moved)):
+        if all(v >= -WALL_TOL for v in pair._root_floats(moved)):
             return moved, w
     raise AssertionError("no dominant representative found; broken Weyl data")
 

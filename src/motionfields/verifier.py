@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dual import GAMMA2, make_dual_point
+from .dual import GAMMA2
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
 from .fourier import pi_family, pi_mu0_matrix, sample_field
 from .induction import branches_between, window_basis
@@ -360,15 +360,12 @@ class VerificationPlan:
     """Grids for the five condition checks on one instance."""
 
     lambda_max: int
-    gamma0_grid: list  # (mu, H) pairs
-    gamma2_lambdas: list
-    continuity_mu: object
-    continuity_path: list  # H values, odd count
-    h_ladder_mus: list
+    grid: list  # DualPoints for conditions 1 and 5
+    path: list  # DualPoints along the continuity path, odd count
+    h_ladder_mus: list  # labels at h_ladder_H0, as given
     h_ladder_H0: object
     h_ladder_levels: int
-    mu_values: list | None = None  # stabilizer weights for condition 3
-    mu_decay_H: object = None
+    mu_points: list | None = None  # DualPoints at one H for condition 3
 
 
 def run_verification(f, pair, plan, thresholds=Thresholds()):
@@ -381,26 +378,18 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
     reports = []
     samples = {}
 
-    grid = [make_dual_point(pair, mu, H) for mu, H in plan.gamma0_grid]
-    grid += [make_dual_point(pair, lam, None) for lam in plan.gamma2_lambdas]
-    sample = sample_field(f, pair, grid, plan.lambda_max)
+    sample = sample_field(f, pair, plan.grid, plan.lambda_max)
     samples["main"] = sample
     reports.append(check_compactness_proxy(pair, sample, thresholds))
 
-    path_pts = [
-        make_dual_point(pair, plan.continuity_mu, H) for H in plan.continuity_path
-    ]
-    path_sample = sample_field(f, pair, path_pts, plan.lambda_max)
+    path_sample = sample_field(f, pair, plan.path, plan.lambda_max)
     samples["path"] = path_sample
     reports.append(check_continuity(pair, path_sample, thresholds))
 
-    if plan.mu_values:
-        mu_pts = [
-            make_dual_point(pair, mu, plan.mu_decay_H) for mu in plan.mu_values
-        ]
-        stab = stabilizer(pair, plan.mu_decay_H)
-        band = max(stab.group.char_band(mu) for mu in plan.mu_values)
-        mu_sample = sample_field(f, pair, mu_pts, max(plan.lambda_max, band + 2))
+    if plan.mu_points:
+        stab = stabilizer(pair, plan.mu_points[0].H)
+        band = max(stab.group.char_band(p.label) for p in plan.mu_points)
+        mu_sample = sample_field(f, pair, plan.mu_points, max(plan.lambda_max, band + 2))
         samples["mu"] = mu_sample
         reports.append(check_mu_decay(pair, mu_sample, thresholds))
     else:

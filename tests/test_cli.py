@@ -9,7 +9,7 @@ import pytest
 from test_config_property import REPLACEMENTS, _mutate, _paths
 
 import motionfields
-from motionfields import cli, dual, pairs
+from motionfields import cli, config, dual, pairs
 from motionfields.cli import main, run_scenario
 from motionfields.config import ScenarioConfig, dump_json
 from motionfields.errors import ConfigError
@@ -53,6 +53,12 @@ BAD_DOCUMENTS = {
     "h_ladder_H0_huge_int": ("m2-default", lambda d: d["grids"]["h_ladder"].update(H0=[10**400])),
     "coeff_huge_int": ("m2-default", lambda d: _term(d).update(coeff=10**400)),
     "sigma_huge_int": ("m2-default", lambda d: _term(d)["g"].update(sigma=10**400)),
+    # sigma^2 overflows a float; e sigma^2 underflows to 0 in the sup bound
+    "sigma_square_overflows": ("m2-default", lambda d: _term(d)["g"].update(sigma=1e200)),
+    "sigma_square_underflows": ("m2-default", lambda d: _term(d)["g"].update(sigma=1e-200)),
+    # fhat2_sup is 3.8e217 at degree 200, and condition 1 squares it
+    "sup_bound_square_overflows": ("m2-default", lambda d: _term(d).update(
+        g={"sigma": 1.0, "poly": {"200,0": 1}, "radial": False})),
     "tolerance_huge_int": ("m2-default", lambda d: d.update(tolerances={"hs_slack": 10**400})),
     # star() is exact only for radial flat factors, so the flag is checked
     "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
@@ -127,6 +133,12 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(doc)
         assert err.value.field == "test_function.terms[1].g.radial"
+        name, edit = BAD_DOCUMENTS["sup_bound_square_overflows"]
+        doc = bundled_scenario(name)
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "test_function.terms"
 
     def test_grid_errors_are_field_scoped(self):
         doc = bundled_scenario("m3-default")
@@ -314,6 +326,20 @@ class TestMain:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+
+    def test_non_finite_entries_exit_3(self, tmp_path, capsys):
+        # at |H| = 1e6 a degree-60 flat factor overflows and meets its Gaussian
+        # factor 0: inf * 0 entries, named by their family's mu and H
+        doc = bundled_scenario("m2-default")
+        _term(doc)["g"] = {"sigma": 1.0, "poly": {"60,0": 1}, "radial": False}
+        doc["grids"]["gamma0"].append({"mu": 0, "H": [1e6]})
+        path = tmp_path / "doc.json"
+        path.write_text(dump_json(doc))
+        assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "run failed: NonFiniteEntries: entries of pi(f) at mu=0, H=(1000000.0,) "
+            "overflow a float"
+        ]
 
     @pytest.mark.parametrize("kind", ["file", "below-file"])
     def test_unwritable_output_dir_exits_3(self, kind, tmp_path, capsys):
@@ -526,9 +552,9 @@ def test_degree_one_run_loads_no_heavy_modules(tmp_path):
 
 
 def test_run_locates_no_point_again(tmp_path, monkeypatch):
-    # the parser locates every grid and query point, and make_dual_point
-    # keeps them: the run dominantises, classifies and transports none
-    config = cli.load_scenario("m3-default")
+    # the parser locates every grid and query point, and the plan and the
+    # queries hold them: the run makes, dominantises and transports none
+    scenario = cli.load_scenario("m3-default")
     calls = []
 
     def counted(name, fn):
@@ -541,8 +567,8 @@ def test_run_locates_no_point_again(tmp_path, monkeypatch):
         (dual, "dominant_representative"),
         (pairs, "dominant_representative"),
         (dual, "_transport"),
-    ]:
+    ] + [(m, "make_dual_point") for m in (dual, config, motionfields)]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    report, _ = run_scenario(config, tmp_path)
+    report, _ = run_scenario(scenario, tmp_path)
     assert report.overall
     assert calls == []

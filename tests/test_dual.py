@@ -18,9 +18,11 @@ from motionfields import (
     restriction_multiplicity,
     transport_label,
 )
-from motionfields import dual
 from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
-from motionfields.pairs import build_instance, dominant_representative, stabilizer
+from motionfields.config import ScenarioConfig
+from motionfields.pairs import WALL_TOL, build_instance, dominant_representative, stabilizer
+from motionfields.scenarios import bundled_scenario
+from motionfields.verifier import run_verification
 
 
 # -- brute-force neighborhood oracle for ``converges`` -----------------------
@@ -40,7 +42,7 @@ def epsilon_threshold(pair, H):
     """
     vals = pair.root_values(H)
     norms = np.linalg.norm(pair.positive_roots, axis=1)
-    dists = [abs(v) / n for v, n in zip(vals, norms) if abs(v) > pair.wall_tol]
+    dists = [abs(v) / n for v, n in zip(vals, norms) if abs(v) > WALL_TOL]
     return min(dists) if dists else math.inf
 
 
@@ -118,28 +120,25 @@ class TestMakeDualPoint:
             ("M2xM2", (1, 0), [[1, 0], (1.0, 0), (True, 0)], (0.0, 1.0)),
         ],
     )
-    def test_near_labels_refused_whatever_is_kept(self, instance, valid, invalid, H,
-                                                  request, monkeypatch):
-        # points are kept per label and raw H; a label equal to a kept one
-        # (1.0 == True == 1) or unhashable ([0, 0]) must not reach its entry
+    def test_near_labels_refused_whatever_is_kept(self, instance, valid, invalid, H, request):
+        # a label equal to a valid one (1.0 == True == 1) or unhashable
+        # ([0, 0]) is refused, before and after the valid point is made
         pair = request.getfixturevalue(instance.lower())
-        monkeypatch.setattr(dual, "_POINTS", {})
-        for kept in (False, True):
-            if kept:
-                point = make_dual_point(pair, valid, H)
-                assert make_dual_point(pair, valid, H) is point
+        for made in (False, True):
+            if made:
+                assert make_dual_point(pair, valid, H).label == valid
             for label in invalid:
                 with pytest.raises(StratumMismatch):
                     make_dual_point(pair, label, H)
 
-    def test_points_are_kept(self, m3, monkeypatch):
-        monkeypatch.setattr(dual, "_POINTS", {})
-        p = make_dual_point(m3, 1, (-2.0,))
-        assert make_dual_point(m3, 1, [-2.0]) is p  # the same raw H
-        # a rebuilt instance with the same wall tolerance shares the point
-        assert make_dual_point(build_instance("M3"), 1, (-2.0,)) is p
-        assert make_dual_point(build_instance("M3", wall_tol=1e-6), 1, (-2.0,)) == p
-        assert len(dual._POINTS) == 2
+    def test_points_are_kept(self):
+        # the plan holds the parser's points, and the run samples those objects
+        cfg = ScenarioConfig.from_dict(bundled_scenario("m3-default"))
+        plan, pair = cfg.plan, cfg.build_pair()
+        _, samples = run_verification(cfg.build_test_function(pair), pair, plan)
+        for name, points in (("main", plan.grid), ("path", plan.path), ("mu", plan.mu_points)):
+            assert len(samples[name].grid) == len(points)
+            assert all(a is b for a, b in zip(samples[name].grid, points))
 
 
 class TestEquivalent:

@@ -222,6 +222,10 @@ class TestProductAndTrivial:
         assert np.allclose(rule.weights, 1.0 / 16)
         assert rule.weights.sum() == pytest.approx(1.0)
 
+    def test_product_labels_in_c_order(self):
+        g = ProductGroup([CircleGroup(), RotationGroup3()])
+        assert g.irrep_labels(1) == [(-1, 0), (-1, 1), (0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_product_matrix_is_kron(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
         val = g.irrep_matrix((2, -1), (0.3, 0.7))[0, 0]

@@ -11,7 +11,7 @@ from motionfields import (
     stabilizer,
 )
 from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
-from motionfields.pairs import stab_contained
+from motionfields.pairs import WALL_TOL, stab_contained
 
 
 def weyl_images(pair, H):
@@ -222,7 +222,7 @@ class TestInvariants:
             H = rng.normal(size=pair.rank)
             orbit = weyl_images(pair, H)
             dominant = [
-                o for o in orbit if np.all(pair.root_values(o) >= -pair.wall_tol)
+                o for o in orbit if np.all(pair.root_values(o) >= -WALL_TOL)
             ]
             assert len(dominant) == 1
 
@@ -263,7 +263,7 @@ class TestStabilizerDescriptors:
     def test_product_wall_patterns(self, m2xm2):
         seen = {}
         for H in [(1.0, 2.0), (-0.5, 1.5), (0.0, 1.0), (0.0, -3.0), (2.0, 0.0), (0.0, 0.0)]:
-            walls = tuple(abs(c) <= m2xm2.wall_tol for c in H)
+            walls = tuple(abs(c) <= WALL_TOL for c in H)
             stab = m2xm2.stabilizer_of(H)
             assert seen.setdefault(walls, stab) is stab
         assert len({id(s) for s in seen.values()}) == 4
@@ -273,8 +273,8 @@ class TestStabilizerDescriptors:
     def test_float_root_tests_match_numpy(self, m2xm2, rng):
         for _ in range(50):
             H = tuple(rng.choice([0.0, 1.0, -1.0], size=2) * rng.uniform(0.1, 2.0, size=2))
-            walls = tuple(np.flatnonzero(np.abs(m2xm2.root_values(H)) <= m2xm2.wall_tol))
+            walls = tuple(np.flatnonzero(np.abs(m2xm2.root_values(H)) <= WALL_TOL))
             assert m2xm2.wall_set(H) == walls
             dom, w = dominant_representative(m2xm2, H)
-            assert np.all(m2xm2.root_values(dom) >= -m2xm2.wall_tol)
+            assert np.all(m2xm2.root_values(dom) >= -WALL_TOL)
             assert dom == w.apply(H)
