@@ -27,6 +27,7 @@ from .errors import (
     NonRadialFlatFactor,
     PathCrossesStrata,
     StratumMismatch,
+    SupBoundOverflow,
     UnknownInstance,
 )
 from .fourier import (

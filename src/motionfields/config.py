@@ -10,7 +10,8 @@ Irrep labels appear in JSON as integers (rank-one instances) or integer
 lists (the product instance).  Each grid or query label must be an irrep
 label of the stabilizer at its points; the parser checks this by locating
 each point (``dual.make_dual_point``), and the plan and the queries hold
-the located points, so the run locates none again.
+the located points, so the run locates none again.  The continuity path
+must keep one induced stratum, wall set and label (``verifier.path_break``).
 Flat points are lists of ``rank`` finite numbers; complex numbers are
 numbers or [re, im] pairs; polynomial multi-indices are comma-joined
 strings keying complex coefficients.
@@ -30,10 +31,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dual import make_dual_point
-from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch
+from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch, SupBoundOverflow
 from .pairs import INSTANCE_NAMES, WALL_TOL, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
-from .verifier import Thresholds, VerificationPlan
+from .verifier import Thresholds, VerificationPlan, path_break
 
 SCHEMA_VERSION = 1
 
@@ -169,10 +170,9 @@ def _terms(tf, pair):
     except ValueError as e:
         raise ConfigError(where, str(e)) from None
     try:  # condition 1 bounds each HS norm by d_mu sup^2
-        sup2 = f.fhat2_sup() ** 2
-    except ArithmeticError:  # an overflow, or a sigma so small that e sigma^2 is 0
-        sup2 = math.inf
-    _require(math.isfinite(sup2), where, "the sup bound of |f-hat|, squared, is not a finite float")
+        f.fhat2_sup()
+    except SupBoundOverflow as e:
+        raise ConfigError(where, str(e)) from None
     return terms
 
 
@@ -202,6 +202,9 @@ def _plan(doc, pair):
     lambda_max = _positive_int("cutoffs.lambda_max", cut.get("lambda_max"))
     grid += _located_each("grids.gamma2", grids.get("gamma2"), pair, None)
     path = _located("grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path)
+    broken = path_break(pair, path)  # the check condition 2 makes, before any work
+    if broken:
+        raise ConfigError(f"grids.continuity.path[{broken[0]}]", broken[1])
     ladder_mus = []  # the labels as given: the rays are formed at H0 as given
     for w, mu in _items("grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus")):
         _located(w, mu, pair, [H0])

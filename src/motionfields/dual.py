@@ -58,8 +58,8 @@ def transport_label(pair, w, H_from, label):
     of ``H_from`` onto that of ``w.H_from``.  Every stabilizer here is a
     torus, trivial or all of K, so the conjugated irrep is given in closed
     form: on a torus or the trivial group by the label map ``w.relabel``
-    that the instance writes beside ``w.rep_in_k`` (m -> -m for the M3
-    flip, the identity where K is abelian); on all of K the conjugation is
+    that the instance writes with ``w`` (m -> -m for the M3 flip, the
+    identity where K is abelian); on all of K the conjugation is
     inner and fixes every label.  No rule, table or character match is used.
     """
     H_from = as_coords(H_from)
@@ -99,12 +99,6 @@ def make_dual_point(pair, label, H=None):
     return DualPoint(pair.name, GAMMA1 if pair.wall_set(dom) else GAMMA0, moved, dom)
 
 
-def _h_distances(pair, Hs, H):
-    """Distances from each flat point of ``Hs`` to ``H``, in one batch, as floats."""
-    d = pair.embed_a(Hs) - pair.embed_a(H)
-    return np.sqrt(np.einsum("ij,jk,ik->i", d, pair.inner_product, d)).tolist()
-
-
 @dataclass
 class ConvergenceCertificate:
     verdict: bool
@@ -138,7 +132,8 @@ def converges(pair, seq, limit):
     tail_start = n - math.ceil(n / 2)
     quarter_start = n - max(1, math.ceil(n / 4))
 
-    dists = _h_distances(pair, Hs, H_lim)
+    d = np.asarray(Hs, dtype=float) - np.asarray(H_lim, dtype=float)
+    dists = np.sqrt(np.einsum("ij,ij->i", d, d)).tolist()  # Euclidean
     evidence = [{"n": i, "distance": d} for i, d in enumerate(dists)]
     big = stabilizer(pair, H_lim).group
     mults = {}  # (member stabilizer structure, member label) -> multiplicity

@@ -33,6 +33,10 @@ class NonFiniteEntries(MotionFieldsError):
     """Operator entries overflow a float: f-hat is too large at the point."""
 
 
+class SupBoundOverflow(MotionFieldsError):
+    """The closed-form sup bound of |f-hat|, squared, is not a finite float."""
+
+
 class PathCrossesStrata(MotionFieldsError):
     """Continuity path leaves the stratum it started in."""
 

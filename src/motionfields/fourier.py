@@ -330,6 +330,7 @@ def sample_field(f, pair, grid, lambda_max):
     for p in grid:
         if p.pair_name != pair.name:
             raise ValueError(f"grid point {p} is not on instance {pair.name}")
+    sup = f.fhat2_sup()  # SupBoundOverflow before any entry is formed
     bars = {pair.K.schur_sum(t.u.label, t.u.row)[0] for t in f.terms}
     families = {}  # (mu, stabilizer structure) -> its points, in grid order
     operators = {}
@@ -354,5 +355,5 @@ def sample_field(f, pair, grid, lambda_max):
         _record_norms(ops, stack if basis.blocks else None)
         operators.update(zip(pts, ops))
     metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
-                "fhat2_sup": f.fhat2_sup(), "lambda_max": lambda_max}
+                "fhat2_sup": sup, "lambda_max": lambda_max}
     return OperatorFieldSample(pair.name, tuple(grid), {p: operators[p] for p in grid}, metadata)

@@ -1,13 +1,11 @@
 """Compact groups used as K and as stabilizer factors.
 
-Groups are small value-like objects.  Elements are plain data: an angle for
-the circle, a 3x3 rotation matrix for SO(3), ``()`` for the trivial group,
-and tuples of factor elements for products.  Irreps are addressed by integer
-weights (SO(2): m in Z; SO(3): ell >= 0; products: tuples).  Each group
-evaluates its irreps in one vectorised method, ``irrep_table``, at elements
-given in parameter form (angles, Euler triples, tuples of factor
-parameters); single irrep matrices and characters are a row and a trace of
-it.
+Groups are small value-like objects that hold the label algebra of their
+irreps and nothing pointwise: no run evaluates a group element.  Irreps are
+addressed by integer weights (SO(2): m in Z; SO(3): ell >= 0; products:
+tuples of factor labels, their matrices the kron of the factors' in C
+order).  SO(3)'s irrep ell is D^ell in the z-y-z convention, on the basis
+e_m, m = -ell..ell.
 
 Haar integrals are closed forms, never node sums.  ``schur_sum`` integrates
 two matrix coefficients (Schur orthogonality).  K acts on its defining space
@@ -31,22 +29,9 @@ import numpy as np
 
 
 class CompactGroup:
-    """Common interface; concrete groups override everything that matters."""
+    """The label algebra of a compact group; concrete groups override it."""
 
     name = "?"
-
-    # -- elements ---------------------------------------------------------
-    def identity(self):
-        raise NotImplementedError
-
-    def compose(self, a, b):
-        raise NotImplementedError
-
-    def inverse(self, a):
-        raise NotImplementedError
-
-    def random(self, rng):
-        raise NotImplementedError
 
     # -- irreps -----------------------------------------------------------
     def irrep_labels(self, cutoff):
@@ -70,27 +55,6 @@ class CompactGroup:
         """(bar, J): the label of the conjugate irrep and a unitary J with
         tau_bar(k) = J conj(tau_label(k)) J^H for every k."""
         raise NotImplementedError
-
-    def irrep_table(self, label, params):
-        """tau_label at n elements given as ``params``, shape (n, d, d).
-
-        ``params`` is an array of n angles (SO(2), and n entries for the
-        trivial group), a triple of n-arrays of z-y-z Euler angles (SO(3)), or
-        a tuple of factor params (products).  This is the one place where a
-        concrete group evaluates its irreps.
-        """
-        raise NotImplementedError
-
-    def params_of(self, elts):
-        """The ``params`` form of a list of elements."""
-        raise NotImplementedError
-
-    def irrep_matrix(self, label, elt):
-        """tau_label(elt): a one-element ``irrep_table``."""
-        return self.irrep_table(label, self.params_of([elt]))[0]
-
-    def character(self, label, elt):
-        return complex(np.trace(self.irrep_matrix(label, elt)))
 
     def schur_sum(self, label, row):
         """The Haar integrals of two matrix coefficients, in closed form.
@@ -141,18 +105,6 @@ class CompactGroup:
 class TrivialGroup(CompactGroup):
     name = "Trivial"
 
-    def identity(self):
-        return ()
-
-    def compose(self, a, b):
-        return ()
-
-    def inverse(self, a):
-        return ()
-
-    def random(self, rng):
-        return ()
-
     def irrep_labels(self, cutoff):
         return [0]
 
@@ -171,29 +123,11 @@ class TrivialGroup(CompactGroup):
     def contragredient(self, label):
         return 0, np.ones((1, 1))
 
-    def irrep_table(self, label, params):
-        return np.ones((len(params), 1, 1), dtype=complex)
-
-    def params_of(self, elts):
-        return np.zeros(len(elts))
-
 
 class CircleGroup(CompactGroup):
-    """SO(2), elements are angles; irrep m acts by exp(i m theta)."""
+    """SO(2); irrep m acts by exp(i m theta) at the rotation by theta."""
 
     name = "SO(2)"
-
-    def identity(self):
-        return 0.0
-
-    def compose(self, a, b):
-        return float(np.mod(a + b, 2.0 * np.pi))
-
-    def inverse(self, a):
-        return float(np.mod(-a, 2.0 * np.pi))
-
-    def random(self, rng):
-        return float(rng.uniform(0.0, 2.0 * np.pi))
 
     def irrep_labels(self, cutoff):
         return list(range(-cutoff, cutoff + 1))
@@ -213,12 +147,6 @@ class CircleGroup(CompactGroup):
     def contragredient(self, label):
         return -int(label), np.ones((1, 1))
 
-    def irrep_table(self, label, params):
-        return np.exp(1j * label * params)[:, None, None]
-
-    def params_of(self, elts):
-        return np.array(elts, dtype=float)
-
     space_dim = 2
 
     def orbit_expansion(self, alpha, t):
@@ -235,102 +163,10 @@ class CircleGroup(CompactGroup):
         return np.full((1, 1, 1), float(key[0] + label + lam == 0))
 
 
-def rot_z(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_y(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_x(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def euler_zyz(R):
-    """Extract (alpha, beta, gamma) with R = Rz(alpha) Ry(beta) Rz(gamma)."""
-    r22 = min(1.0, max(-1.0, float(R[2, 2])))
-    # atan2 keeps full precision near beta = 0 and pi, where acos(r22)
-    # loses half the digits
-    beta = math.atan2(math.hypot(R[0, 2], R[1, 2]), r22)
-    if abs(r22) < 1.0 - 1e-12:
-        alpha = math.atan2(R[1, 2], R[0, 2])
-        gamma = math.atan2(R[2, 1], -R[2, 0])
-    elif r22 > 0.0:  # beta ~ 0: R = Rz(alpha + gamma)
-        alpha = math.atan2(R[1, 0], R[0, 0])
-        gamma = 0.0
-    else:  # beta ~ pi: R = Rz(alpha - gamma) Ry(pi)
-        alpha = math.atan2(-R[1, 0], -R[0, 0])
-        gamma = 0.0
-    return alpha, beta, gamma
-
-
-@lru_cache(maxsize=None)
-def _jy_eigenvectors(ell):
-    """Unitary V with J_y = V diag(m) V^H, m = -ell..ell, and V^H (read-only).
-
-    J_y is the tridiagonal Hermitian matrix of (J+ - J-)/(2i) in the basis
-    |m>, from <m+1|J+|m> = sqrt(ell(ell+1) - m(m+1)); its eigenvalues are
-    exactly -ell..ell, which eigh returns in ascending order.
-    """
-    m = np.arange(-ell, ell)
-    up = np.sqrt(ell * (ell + 1) - m * (m + 1.0))
-    jy = (np.diag(up, -1) - np.diag(up, 1)) / 2j
-    V = np.linalg.eigh(jy)[1]
-    Vh = V.conj().T.copy()
-    V.setflags(write=False)
-    Vh.setflags(write=False)
-    return V, Vh
-
-
-def wigner_d(ell, beta):
-    """Little-d matrices d^ell(beta), shape (len(beta), 2ell+1, 2ell+1).
-
-    Row/column indices run over m', m = -ell..ell.  Entries follow the
-    z-y-z convention D^ell_{m'm}(a,b,c) = e^{-i m' a} d^ell_{m'm}(b) e^{-i m c}.
-    d^ell(beta) = exp(-i beta J_y) is evaluated from the exact
-    diagonalisation of J_y (Feng, Wang, Yang & Jin, Phys. Rev. E 92,
-    043307, 2015): one batched product over all beta.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    ell = int(ell)
-    V, Vh = _jy_eigenvectors(ell)
-    m = np.arange(-ell, ell + 1)
-    phase = np.exp(-1j * np.outer(beta, m))
-    return ((V * phase[:, None, :]) @ Vh).real
-
-
 class RotationGroup3(CompactGroup):
-    """SO(3), elements are 3x3 rotation matrices; irrep ell has dim 2ell+1."""
+    """SO(3); irrep ell has dim 2ell+1."""
 
     name = "SO(3)"
-
-    def identity(self):
-        return np.eye(3)
-
-    def compose(self, a, b):
-        return a @ b
-
-    def inverse(self, a):
-        return a.T.copy()
-
-    def random(self, rng):
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        w, x, y, z = q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    def from_euler(self, alpha, beta, gamma):
-        return rot_z(alpha) @ rot_y(beta) @ rot_z(gamma)
 
     def irrep_labels(self, cutoff):
         return list(range(0, cutoff + 1))
@@ -355,19 +191,6 @@ class RotationGroup3(CompactGroup):
         J = np.zeros((2 * ell + 1, 2 * ell + 1))
         J[2 * ell - a, a] = (-1.0) ** (a - ell)
         return ell, J
-
-    def irrep_table(self, label, params):
-        alpha, beta, gamma = params
-        ell = int(label)
-        ub, inv = np.unique(beta, return_inverse=True)
-        d = wigner_d(ell, ub)[inv]
-        m = np.arange(-ell, ell + 1)
-        ea = np.exp(-1j * np.outer(alpha, m))
-        eg = np.exp(-1j * np.outer(gamma, m))
-        return ea[:, :, None] * d * eg[:, None, :]
-
-    def params_of(self, elts):
-        return tuple(np.array([euler_zyz(R) for R in elts], dtype=float).reshape(-1, 3).T)
 
     space_dim = 3
 
@@ -395,24 +218,12 @@ class RotationGroup3(CompactGroup):
 
 
 class ProductGroup(CompactGroup):
-    """Direct product; elements and irrep labels are tuples over the factors."""
+    """Direct product; irrep labels are tuples over the factors."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.name = " x ".join(f.name for f in self.factors)
         self.space_dim = sum(f.space_dim for f in self.factors)
-
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def compose(self, a, b):
-        return tuple(f.compose(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def inverse(self, a):
-        return tuple(f.inverse(x) for f, x in zip(self.factors, a))
-
-    def random(self, rng):
-        return tuple(f.random(rng) for f in self.factors)
 
     def irrep_labels(self, cutoff):
         return list(itertools.product(*(f.irrep_labels(cutoff) for f in self.factors)))
@@ -431,24 +242,13 @@ class ProductGroup(CompactGroup):
         return max(f.char_band(w) for f, w in zip(self.factors, label))
 
     def weights(self, label):
-        """Tuples of factor weights, in the kron (C) order of ``irrep_table``."""
+        """Tuples of factor weights, in the kron (C) order of the factor bases."""
         return list(itertools.product(*(f.weights(w) for f, w in zip(self.factors, label))))
 
     def contragredient(self, label):
-        """Factor by factor, with J the kron of the factors' in the C order of ``irrep_table``."""
+        """Factor by factor, with J the kron of the factors' in C order."""
         bars, Js = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
         return tuple(bars), reduce(np.kron, Js)
-
-    def irrep_table(self, label, params):
-        tables = [f.irrep_table(w, p) for f, w, p in zip(self.factors, label, params)]
-        out = tables[0]
-        for t in tables[1:]:  # kron of the factor matrices, node by node
-            n, (a, b), (c, d) = len(t), out.shape[1:], t.shape[1:]
-            out = np.einsum("nab,ncd->nacbd", out, t).reshape(n, a * c, b * d)
-        return out
-
-    def params_of(self, elts):
-        return tuple(f.params_of([e[i] for e in elts]) for i, f in enumerate(self.factors))
 
     def orbit_expansion(self, alpha, t):
         """Factor by factor: each takes its chunk of ``alpha`` and its column of ``t``.

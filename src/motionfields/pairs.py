@@ -8,9 +8,10 @@ Three instances ship:
 * ``M2xM2`` -- K = SO(2)^2 on R^2 + R^2, rank 2; the positive chamber is the
   open quadrant and its walls make the singular stratum non-empty.
 
-Coordinates on the flat part are Euclidean in a fixed orthonormal basis;
-the invariant form enters every predicate only through relative distances,
-so its overall scale is inert.
+Coordinates on p and on the flat part are Euclidean in a fixed
+orthonormal basis, so the invariant form is the dot product.  A pair holds
+the label algebra a run uses: roots, Weyl elements with their label maps,
+and stabilizers with their restriction maps on torus weights.
 """
 
 from __future__ import annotations
@@ -24,30 +25,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnknownInstance
-from .groups import (
-    CircleGroup,
-    CompactGroup,
-    ProductGroup,
-    RotationGroup3,
-    TrivialGroup,
-    rot_x,
-    rot_z,
-)
+from .groups import CircleGroup, CompactGroup, ProductGroup, RotationGroup3, TrivialGroup
 
 WALL_TOL = 1e-9  # absolute tolerance on root values
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Orthogonal map on a-coordinates together with a representative in K.
+    """Orthogonal map on a-coordinates together with its label map.
 
-    ``relabel`` is the map that conjugation by ``rep_in_k`` induces on the
-    irrep labels of the torus or trivial stabilizers of nonzero points.
+    ``relabel`` is the map that conjugation by a representative of the
+    element in K induces on the irrep labels of the torus or trivial
+    stabilizers of nonzero points.
     """
 
     name: str
     matrix: tuple  # rows, as tuples, for hashability
-    rep_in_k: object
     relabel: Callable
 
     def apply(self, coords):
@@ -63,19 +56,15 @@ def _fixed(label):
 
 @dataclass(eq=False)
 class StabilizerDescriptor:
-    """A closed connected subgroup of K with explicit embedding.
+    """A closed connected subgroup of K, by its branching.
 
-    ``pullback`` is the partial inverse of ``embed``; it raises ValueError
-    on elements outside the subgroup (tolerance 1e-8).  ``restrict`` maps a
-    torus weight of K (``CompactGroup.weights``) to the stabilizer label it
-    restricts to; it is None for a stabilizer that is all of K, which
-    branches by Schur's lemma.
+    ``restrict`` maps a torus weight of K (``CompactGroup.weights``) to the
+    stabilizer label it restricts to; it is None for a stabilizer that is
+    all of K, which branches by Schur's lemma.
     """
 
     structure: str
     group: CompactGroup
-    embed: Callable
-    pullback: Callable
     restrict: Callable | None
 
 
@@ -86,30 +75,23 @@ class SymmetricPairDescriptor:
     rank: int
     positive_roots: np.ndarray  # (n_roots, rank), acting by dot product
     weyl_group: tuple
-    inner_product: np.ndarray  # (dim_p, dim_p)
     K: CompactGroup
     a_basis: np.ndarray  # (rank, dim_p): orthonormal rows embedding a into p
-    adjoint_action: Callable  # (k, X in p) -> ndarray
     stabilizer_of: Callable  # coords -> StabilizerDescriptor
-    ad_orbit_table: Callable  # (rule, coords) -> Ad(k)H at a rule's nodes, for quadrature oracles
+    # (rule, coords) -> Ad(k)H at a rule's nodes, for the quadrature oracle;
+    # kept because the benchmark's tracer wraps it after every build_instance
+    ad_orbit_table: Callable
     M: StabilizerDescriptor  # centralizer of the flat, = stabilizer of regular points
 
     def embed_a(self, coords):
         return np.asarray(coords, dtype=float) @ self.a_basis
-
-    def phi(self, coords, X):
-        """The linear form <H, X> on p attached to the point H."""
-        return float(self.embed_a(coords) @ self.inner_product @ np.asarray(X))
-
-    def root_values(self, coords):
-        return self.positive_roots @ np.asarray(coords, dtype=float)
 
     @cached_property
     def _root_rows(self):
         return tuple(tuple(float(x) for x in r) for r in self.positive_roots)
 
     def _root_floats(self, coords):
-        """``root_values`` as Python floats: at rank <= 2 numpy's call overhead dominates."""
+        """The positive roots at ``coords``, as Python floats (rank <= 2: no numpy)."""
         return [sum(a * c for a, c in zip(r, coords)) for r in self._root_rows]
 
     def wall_set(self, coords):
@@ -124,60 +106,24 @@ class SymmetricPairDescriptor:
 # stabilizer builders
 
 
-def _trivial_in(identity_elt):
-    g = TrivialGroup()
-    return StabilizerDescriptor(
-        "Trivial",
-        g,
-        lambda s, e=identity_elt: e,
-        lambda k: (),
-        lambda w: 0,
-    )
+def _trivial():
+    return StabilizerDescriptor("Trivial", TrivialGroup(), lambda w: 0)
 
 
-def _full_circle():
-    g = CircleGroup()
-    return StabilizerDescriptor("Torus(1)", g, lambda s: s, lambda k: k, lambda w: w)
+def _circle():
+    """The circle: all of an SO(2) factor, or the z-rotations in SO(3) (weight m to m)."""
+    return StabilizerDescriptor("Torus(1)", CircleGroup(), lambda w: w)
 
 
-def _z_circle_in_so3():
-    g = CircleGroup()
-
-    def pull(R):
-        if abs(R[2, 2] - 1.0) > 1e-8 or abs(R[0, 2]) > 1e-8 or abs(R[1, 2]) > 1e-8:
-            raise ValueError("element is not a z-axis rotation")
-        return float(np.arctan2(R[1, 0], R[0, 0]) % (2.0 * np.pi))
-
-    return StabilizerDescriptor("Torus(1)", g, rot_z, pull, lambda w: w)
-
-
-def _full_so3():
-    g = RotationGroup3()
-    return StabilizerDescriptor("SO3", g, lambda s: s, lambda k: k, None)
-
-
-def _product_stab(factors, positions, k_identity):
-    """Factorwise stabilizer of a product instance.
-
-    ``factors`` are per-factor StabilizerDescriptors; ``positions`` maps the
-    product element slots into K's element tuple.
-    """
+def _product_stab(factors):
+    """Factorwise stabilizer of a product instance, one factor per factor of K."""
     g = ProductGroup([f.group for f in factors])
     structure = "Product(" + ", ".join(f.structure for f in factors) + ")"
 
-    def embed(s):
-        out = list(k_identity)
-        for slot, f, part in zip(positions, factors, s):
-            out[slot] = f.embed(part)
-        return tuple(out)
-
-    def pull(k):
-        return tuple(f.pullback(k[slot]) for slot, f in zip(positions, factors))
-
     def restrict(w):
-        return tuple(f.restrict(w[slot]) for slot, f in zip(positions, factors))
+        return tuple(f.restrict(x) for f, x in zip(factors, w))
 
-    return StabilizerDescriptor(structure, g, embed, pull, restrict)
+    return StabilizerDescriptor(structure, g, restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +131,10 @@ def _product_stab(factors, positions, k_identity):
 
 
 def _build_m2():
-    K = CircleGroup()
-
-    def adjoint(theta, X):
-        c, s = np.cos(theta), np.sin(theta)
-        X = np.asarray(X, dtype=float)
-        return np.array([c * X[0] - s * X[1], s * X[0] + c * X[1]])
-
-    full, trivial = _full_circle(), _trivial_in(0.0)
+    circle, trivial = _circle(), _trivial()
 
     def stab(coords):
-        return full if abs(coords[0]) <= WALL_TOL else trivial
+        return circle if abs(coords[0]) <= WALL_TOL else trivial
 
     def orbit_table(rule, coords):
         t = float(coords[0])
@@ -203,8 +142,8 @@ def _build_m2():
         return np.stack([t * np.cos(theta), t * np.sin(theta)], axis=1)
 
     weyl = (
-        WeylElement("id", ((1.0,),), 0.0, _fixed),
-        WeylElement("flip", ((-1.0,),), float(np.pi), _fixed),  # K is abelian
+        WeylElement("id", ((1.0,),), _fixed),
+        WeylElement("flip", ((-1.0,),), _fixed),  # K is abelian
     )
     return SymmetricPairDescriptor(
         name="M2",
@@ -212,10 +151,8 @@ def _build_m2():
         rank=1,
         positive_roots=np.array([[1.0]]),
         weyl_group=weyl,
-        inner_product=np.eye(2),
-        K=K,
+        K=CircleGroup(),
         a_basis=np.array([[1.0, 0.0]]),
-        adjoint_action=adjoint,
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
         M=trivial,
@@ -223,12 +160,7 @@ def _build_m2():
 
 
 def _build_m3():
-    K = RotationGroup3()
-
-    def adjoint(k, X):
-        return np.asarray(k) @ np.asarray(X, dtype=float)
-
-    full, circle = _full_so3(), _z_circle_in_so3()
+    full, circle = StabilizerDescriptor("SO3", RotationGroup3(), None), _circle()
 
     def stab(coords):
         return full if abs(coords[0]) <= WALL_TOL else circle
@@ -243,9 +175,9 @@ def _build_m3():
         )
 
     weyl = (
-        WeylElement("id", ((1.0,),), np.eye(3), _fixed),
-        # rot_x(pi) conjugates rot_z(theta) to rot_z(-theta): m -> -m
-        WeylElement("flip", ((-1.0,),), rot_x(np.pi), operator.neg),
+        WeylElement("id", ((1.0,),), _fixed),
+        # represented by rot_x(pi), which conjugates rot_z(theta) to rot_z(-theta): m -> -m
+        WeylElement("flip", ((-1.0,),), operator.neg),
     )
     return SymmetricPairDescriptor(
         name="M3",
@@ -253,10 +185,8 @@ def _build_m3():
         rank=1,
         positive_roots=np.array([[1.0]]),
         weyl_group=weyl,
-        inner_product=np.eye(3),
-        K=K,
+        K=RotationGroup3(),
         a_basis=np.array([[0.0, 0.0, 1.0]]),
-        adjoint_action=adjoint,
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
         M=circle,
@@ -264,22 +194,10 @@ def _build_m3():
 
 
 def _build_m2xm2():
-    K = ProductGroup([CircleGroup(), CircleGroup()])
-    k_id = K.identity()
-
-    def adjoint(k, X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty(4)
-        for i, theta in enumerate(k):
-            c, s = np.cos(theta), np.sin(theta)
-            out[2 * i] = c * X[2 * i] - s * X[2 * i + 1]
-            out[2 * i + 1] = s * X[2 * i] + c * X[2 * i + 1]
-        return out
-
-    full, trivial = _full_circle(), _trivial_in(0.0)
+    circle, trivial = _circle(), _trivial()
     # one descriptor per wall pattern: which factor's coordinate vanishes
     stabs = {
-        walls: _product_stab([full if w else trivial for w in walls], (0, 1), k_id)
+        walls: _product_stab([circle if w else trivial for w in walls])
         for walls in itertools.product((False, True), repeat=2)
     }
 
@@ -294,12 +212,10 @@ def _build_m2xm2():
             axis=1,
         )
 
-    pi = float(np.pi)
     weyl = tuple(
         WeylElement(
             f"({'flip' if s1 < 0 else 'id'},{'flip' if s2 < 0 else 'id'})",
             ((s1, 0.0), (0.0, s2)),
-            (pi if s1 < 0 else 0.0, pi if s2 < 0 else 0.0),
             _fixed,  # K is abelian
         )
         for s1 in (1.0, -1.0)
@@ -311,10 +227,8 @@ def _build_m2xm2():
         rank=2,
         positive_roots=np.array([[1.0, 0.0], [0.0, 1.0]]),
         weyl_group=weyl,
-        inner_product=np.eye(4),
-        K=K,
+        K=ProductGroup([CircleGroup(), CircleGroup()]),
         a_basis=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
-        adjoint_action=adjoint,
         stabilizer_of=stab,
         ad_orbit_table=orbit_table,
         M=stabs[False, False],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonRadialFlatFactor
+from .errors import NonRadialFlatFactor, SupBoundOverflow
 
 # polynomials as {multi-index tuple: complex coefficient}
 
@@ -161,11 +161,6 @@ class PolyGaussian:
                 total[b] = total.get(b, 0.0) + c * v
         return _poly_clean(total, tol=0.0)
 
-    def value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r2 = np.sum(X * X, axis=1)
-        return poly_eval(self.poly, X) * np.exp(-r2 / (2.0 * self.sigma**2))
-
     def fourier(self, xi):
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         r2 = np.sum(xi * xi, axis=1)
@@ -260,19 +255,6 @@ class TestFunction:
             raise ValueError("cannot add test functions on different instances")
         return TestFunction(self.pair, self.terms + other.terms)
 
-    def _u_table(self, params):
-        """u of every term at the elements ``params`` of K, shape (terms, n)."""
-        K = self.pair.K
-        return np.array(
-            [K.irrep_table(t.u.label, params)[:, t.u.row, t.u.col] for t in self.terms]
-        )
-
-    def value(self, k, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        u = self._u_table(self.pair.K.params_of([k]))[:, 0]
-        out = sum(t.coeff * ut * t.g.value(X) for t, ut in zip(self.terms, u))
-        return out if out.size > 1 else complex(out[0])
-
     def star(self):
         """The involution f*(k, X) = conj(f(k^{-1}, -Ad(k^{-1}) X)).
 
@@ -300,10 +282,26 @@ class TestFunction:
         The entries of a unitary irrep have modulus at most 1, so the sum of
         |c| times ``PolyGaussian.sup_bound`` over the terms bounds the sup.
         For one term with a Gaussian flat factor and a diagonal entry u
-        (|u(e)| = 1) it is the sup itself, reached at (e, 0).
+        (|u(e)| = 1) it is the sup itself, reached at (e, 0).  Condition 1
+        squares it: SupBoundOverflow, naming the largest term, is raised
+        when that square is not a finite float.
         """
         if self._sup is None:
-            self._sup = sum(abs(t.coeff) * t.g.sup_bound() for t in self.terms)
+            parts = []  # |c| sup|g-hat| per term
+            for t in self.terms:
+                try:
+                    parts.append(abs(t.coeff) * t.g.sup_bound())
+                except ArithmeticError:  # an overflow, or e sigma^2 underflowing to 0
+                    parts.append(math.inf)
+            sup = sum(parts)
+            if not sup * sup < math.inf:
+                i = parts.index(max(parts))
+                raise SupBoundOverflow(
+                    f"the sup bound of |f-hat|, squared, is not a finite float: term {i} "
+                    f"(u {self.terms[i].u.label!r}, flat degree {self.terms[i].g.max_degree()}) "
+                    f"bounds |f-hat| by {parts[i]:.3g}"
+                )
+            self._sup = sup
         return self._sup
 
     def describe(self):

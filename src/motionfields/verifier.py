@@ -151,27 +151,42 @@ def judge_continuity(diffs_fine, diffs_coarse, steps_fine, steps_coarse,
     return bool(lip_ok and halve_ok), detail
 
 
+def path_break(pair, pts):
+    """(i, reason) for the first point of a continuity path off its stratum, or None.
+
+    A point's stratum is its stratum tag, wall set and label (points are
+    canonical: their H is dominant already), and every point must share
+    that of the first, which must be an induced stratum.  The scenario
+    parser refuses such a path, and ``check_continuity`` raises on it.
+    """
+
+    def stratum_key(p):
+        walls = () if p.stratum == GAMMA2 else pair.wall_set(p.H)
+        return (p.stratum, walls, p.label)
+
+    first = stratum_key(pts[0])
+    for i, p in enumerate(pts):
+        if stratum_key(p) != first:
+            return i, f"path leaves the stratum {first} of its first point at {p}"
+    if first[0] == GAMMA2:
+        return 0, "continuity paths live in the induced strata"
+    return None
+
+
 def check_continuity(pair, sample, thresholds=Thresholds()):
     """Norm continuity along a discretized path inside one stratum.
 
     The grid order of the sample is the path order; the point count must be
     odd so the half-resolution path is well-defined.  PathCrossesStrata is
-    raised when the stratum tag or wall set changes along the path.
+    raised when the stratum tag, wall set or label changes along the path
+    (``path_break``).
     """
     pts = list(sample.grid)
     if len(pts) < 3 or len(pts) % 2 == 0:
         raise ValueError("continuity path needs an odd number (>= 3) of points")
-
-    def stratum_key(p):  # points are canonical: their H is dominant already
-        walls = () if p.stratum == GAMMA2 else pair.wall_set(p.H)
-        return (p.stratum, walls, p.label)
-
-    first = stratum_key(pts[0])
-    for p in pts:
-        if stratum_key(p) != first:
-            raise PathCrossesStrata(f"path leaves stratum {first} at {p}")
-    if first[0] == GAMMA2:
-        raise PathCrossesStrata("continuity paths live in the induced strata")
+    broken = path_break(pair, pts)
+    if broken:
+        raise PathCrossesStrata(broken[1])
     # the step differences, in one buffer normed by one batched SVD; a
     # stride-2 difference is the sum of two steps, formed in place after
     ops = [sample.operators[p].matrix for p in pts]

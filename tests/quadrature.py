@@ -23,6 +23,7 @@ so tests can check them against an independent computation:
 from dataclasses import dataclass
 
 import numpy as np
+import pointwise as pw
 
 from motionfields.groups import CircleGroup, ProductGroup, RotationGroup3
 
@@ -32,7 +33,7 @@ class QuadratureRule:
     """Nodes and positive weights realizing the normalized Haar integral.
 
     ``params`` holds the parameter arrays of the nodes in the form
-    ``irrep_table`` reads (angles, Euler triples, tuples of factor params);
+    ``pointwise.irrep_table`` reads (angles, Euler triples, tuples of factor params);
     ``nodes`` are the group elements.
     """
 
@@ -88,7 +89,7 @@ def nodes_from_params(group, params):
     if isinstance(group, ProductGroup):
         return list(zip(*(nodes_from_params(f, p) for f, p in zip(group.factors, params))))
     if isinstance(group, RotationGroup3):
-        return [group.from_euler(a, b, g) for a, b, g in zip(*params)]
+        return [pw.from_euler(a, b, g) for a, b, g in zip(*params)]
     if isinstance(group, CircleGroup):
         return [float(t) for t in params]
     return [()] * len(params)
@@ -122,7 +123,7 @@ def coefficient_sums(group, rule, lams, requests):
 
     def table(lab):
         if lab not in tabs:
-            tabs[lab] = group.irrep_table(lab, rule.params)
+            tabs[lab] = pw.irrep_table(group, lab, rule.params)
         return tabs[lab]
 
     out = []

@@ -7,6 +7,7 @@ captured output) and asserts both the property and its runtime budget.
 import time
 
 import numpy as np
+import pointwise as pw
 import pytest
 from quadrature import quadrature
 from scipy.optimize import minimize
@@ -72,7 +73,7 @@ def test_01_orbit_chamber_uniqueness():
             dominant = [
                 o
                 for o in {w.apply(H) for w in pair.weyl_group}
-                if np.all(pair.root_values(o) >= -1e-12)
+                if np.all(pw.root_values(pair, o) >= -1e-12)
             ]
             assert len(dominant) == 1, (name, H)
     dt = time.perf_counter() - t0
@@ -88,7 +89,7 @@ def test_02_adjoint_orbit_section():
     coarse_angles = list(zip(*coarse.params))
 
     def dist(angles, X):
-        img = pair.adjoint_action(pair.K.from_euler(*angles), X)
+        img = pw.adjoint(pair, pw.from_euler(*angles), X)
         t = max(0.0, float(img @ chamber_dir))
         return float(np.linalg.norm(img - t * chamber_dir))
 
@@ -102,7 +103,7 @@ def test_02_adjoint_orbit_section():
         )
         worst = max(worst, res.fun)
         reached, _ = project_a(
-            pair, pair.adjoint_action(pair.K.from_euler(*res.x), X)
+            pair, pw.adjoint(pair, pw.from_euler(*res.x), X)
         )
         dom, _ = dominant_representative(pair, (float(np.linalg.norm(X)),))
         assert abs(reached[0] - dom[0]) < 1e-6
@@ -126,7 +127,7 @@ def test_03_plancherel_engine():
                 coeffs.append((rng.normal() + 1j * rng.normal(), lab, int(i), int(j)))
             rule = quadrature(group, 4 * band + 4)
             tabs = {
-                lab: group.irrep_table(lab, rule.params)
+                lab: pw.irrep_table(group, lab, rule.params)
                 for lab in group.irrep_labels(2 * band)
             }
             vals = np.zeros(len(rule), dtype=complex)
@@ -180,7 +181,7 @@ def test_05_kernel_bound():
     rng = np.random.default_rng(15)
     worst = 0.0
     for _ in range(100):
-        h, k = pair.K.random(rng), pair.K.random(rng)
+        h, k = pw.random(pair.K, rng), pw.random(pair.K, rng)
         mu = int(rng.integers(-3, 4))
         H = (float(rng.uniform(0.1, 2.0)),)
         val = operator_norm(kernel(f, pair, mu, H, h, k))

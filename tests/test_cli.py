@@ -60,6 +60,12 @@ BAD_DOCUMENTS = {
     "sup_bound_square_overflows": ("m2-default", lambda d: _term(d).update(
         g={"sigma": 1.0, "poly": {"200,0": 1}, "radial": False})),
     "tolerance_huge_int": ("m2-default", lambda d: d.update(tolerances={"hs_slack": 10**400})),
+    # the flip carries path[0]'s label 1 to -1, off the label of the rest of the path
+    "path_label_flips": ("m3-default", lambda d: d["grids"]["continuity"]["path"].__setitem__(
+        0, [-1.0])),
+    # a path on the zero point lies in no induced stratum
+    "path_on_zero": ("m3-default", lambda d: d["grids"]["continuity"].update(
+        path=[[0.0]] * 3)),
     # star() is exact only for radial flat factors, so the flag is checked
     "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
 }
@@ -151,6 +157,21 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(doc)
         assert err.value.field == "grids.continuity.path[4]"
+
+    @pytest.mark.parametrize("case,field", [
+        ("path_label_flips", "grids.continuity.path[1]"),
+        ("path_on_zero", "grids.continuity.path[0]"),
+    ])
+    def test_path_off_one_stratum_is_field_scoped(self, case, field):
+        # the check condition 2 makes, at parse time: the document to_dict
+        # would write from a path read under its first point's label is
+        # never written
+        name, edit = BAD_DOCUMENTS[case]
+        doc = bundled_scenario(name)
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == field
 
     def test_stabilizer_label_errors_are_field_scoped(self):
         doc = bundled_scenario("m2-default")

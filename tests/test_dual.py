@@ -23,6 +23,7 @@ from motionfields.config import ScenarioConfig
 from motionfields.pairs import WALL_TOL, build_instance, dominant_representative, stabilizer
 from motionfields.scenarios import bundled_scenario
 from motionfields.verifier import run_verification
+import pointwise as pw
 
 
 # -- brute-force neighborhood oracle for ``converges`` -----------------------
@@ -40,7 +41,7 @@ def epsilon_threshold(pair, H):
     points whose stabilizer is not contained in H's, breaking the
     neighborhood-basis hypothesis.
     """
-    vals = pair.root_values(H)
+    vals = pw.root_values(pair, H)
     norms = np.linalg.norm(pair.positive_roots, axis=1)
     dists = [abs(v) / n for v, n in zip(vals, norms) if abs(v) > WALL_TOL]
     return min(dists) if dists else math.inf
@@ -59,8 +60,7 @@ def in_neighborhood(pair, base, eps, candidate):
     thr = epsilon_threshold(pair, Hb)
     if eps > thr:
         raise EpsilonTooLarge(f"eps={eps} exceeds the threshold {thr:.3g} at H={Hb}")
-    d = pair.embed_a(Hc) - pair.embed_a(Hb)
-    if math.sqrt(d @ pair.inner_product @ d) >= eps:
+    if math.dist(pair.embed_a(Hc), pair.embed_a(Hb)) >= eps:
         return False
     big = stabilizer(pair, Hb).group
     sub = stabilizer(pair, Hc)
@@ -179,7 +179,7 @@ class TestWeylAction:
         pair = request.getfixturevalue(instance.lower())
         w = pair.weyl_group[0]
         assert np.array_equal(w.matrix, np.eye(pair.rank))
-        assert np.array_equal(np.asarray(w.rep_in_k), np.asarray(pair.K.identity()))
+        assert np.array_equal(np.asarray(pw.weyl_rep(pair, w)), np.asarray(pw.identity(pair.K)))
         for H in [(1.0,) * pair.rank, (0.5,) + (0.0,) * (pair.rank - 1)]:
             assert dominant_representative(pair, H) == (H, w)
 
@@ -193,16 +193,17 @@ def transport_label_reference(pair, w, H_from, label):
     """The transported label from characters matched at three random elements."""
     stab_from = stabilizer(pair, H_from)
     stab_to = stabilizer(pair, w.apply(tuple(np.atleast_1d(H_from))))
-    kw = w.rep_in_k
-    kw_inv = pair.K.inverse(kw)
-    samples = [stab_to.group.random(np.random.default_rng(7 + i)) for i in range(3)]
+    kw = pw.weyl_rep(pair, w)
+    kw_inv = pw.inverse(pair.K, kw)
+    samples = [pw.random(stab_to.group, np.random.default_rng(7 + i)) for i in range(3)]
     moved = [
-        stab_from.pullback(pair.K.compose(kw_inv, pair.K.compose(stab_to.embed(s), kw)))
+        pw.pullback(pair.K, stab_from.group, pw.compose(
+            pair.K, kw_inv, pw.compose(pair.K, pw.embed(pair.K, stab_to.group, s), kw)))
         for s in samples
     ]
-    targets = [stab_from.group.character(label, m) for m in moved]
+    targets = [pw.character(stab_from.group, label, m) for m in moved]
     for cand in stab_to.group.irrep_labels(stab_from.group.char_band(label)):
-        chars = [stab_to.group.character(cand, s) for s in samples]
+        chars = [pw.character(stab_to.group, cand, s) for s in samples]
         if np.allclose(chars, targets, atol=1e-8, rtol=0):
             return cand
     raise AssertionError(f"no transported label found for {label!r} under {w.name}")

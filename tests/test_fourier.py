@@ -25,6 +25,7 @@ from motionfields import (
 )
 from motionfields import fourier
 from motionfields.groups import CompactGroup
+import pointwise as pw
 from quadrature import coefficient_sums, pi_entries, proven_order, quadrature, refuse_node_rules
 from test_induction import node_table
 
@@ -37,7 +38,7 @@ def gauss_term(pair, label, row=0, col=0, coeff=1.0, sigma=1.0):
 def partial_fourier(f, k, xi):
     """f-hat in the flat variable at one element k: the sum of c u(k) g-hat(xi)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    u = f._u_table(f.pair.K.params_of([k]))[:, 0]
+    u = pw.u_table(f, pw.params_of(f.pair.K, [k]))[:, 0]
     out = sum(t.coeff * ut * t.g.fourier(xi) for t, ut in zip(f.terms, u))
     return out if out.size > 1 else complex(out[0])
 
@@ -51,10 +52,10 @@ def brute_pi_matrix(f, pair, basis, H, order):
     N = basis.size
     M = np.zeros((N, N), dtype=complex)
     for a in range(len(w)):
-        xi = pair.adjoint_action(nodes[a], Hp)
+        xi = pw.adjoint(pair, nodes[a], Hp)
         for b in range(len(w)):
             fh = partial_fourier(
-                f, pair.K.compose(nodes[a], pair.K.inverse(nodes[b])), xi
+                f, pw.compose(pair.K, nodes[a], pw.inverse(pair.K, nodes[b])), xi
             )
             M += w[a] * w[b] * fh * np.einsum(
                 "ia,ja->ij", np.conj(Psi[:, a, :]), Psi[:, b, :]
@@ -82,19 +83,19 @@ def l1_norm_estimate(f):
     X = np.stack([a.ravel() for a in np.meshgrid(*([x] * pair.dim_p), indexing="ij")], axis=-1)
     W = np.prod([a.ravel() for a in np.meshgrid(*([w] * pair.dim_p), indexing="ij")], axis=0)
     comp = np.exp(np.sum(X * X, axis=1) / (2.0 * smax**2))
-    cu = np.array([t.coeff for t in f.terms]) * f._u_table(rule.params).T  # (n_k, terms)
-    gvals = np.array([t.g.value(X) for t in f.terms])  # (terms, n_X)
+    cu = np.array([t.coeff for t in f.terms]) * pw.u_table(f, rule.params).T  # (n_k, terms)
+    gvals = np.array([pw.g_value(t.g, X) for t in f.terms])  # (terms, n_X)
     return sum(wk * float(np.abs(row @ gvals) @ (W * comp)) for wk, row in zip(rule.weights, cu))
 
 
 def table_tau_matrix(f, pair, lam, order):
     """Reference K-dual entry: the full-node-table contraction per term."""
     rule = quadrature(pair.K, order)
-    tab = pair.K.irrep_table(lam, rule.params)
+    tab = pw.irrep_table(pair.K, lam, rule.params)
     zero = np.zeros((1, pair.dim_p))
     M = np.zeros(tab.shape[1:], dtype=complex)
     for term in f.terms:
-        uvals = pair.K.irrep_table(term.u.label, rule.params)[:, term.u.row, term.u.col]
+        uvals = pw.irrep_table(pair.K, term.u.label, rule.params)[:, term.u.row, term.u.col]
         ghat0 = complex(term.g.fourier(zero)[0])
         M += term.coeff * ghat0 * np.einsum("n,nab->ab", rule.weights * uvals, tab)
     return M
@@ -121,13 +122,13 @@ def kernel(f, pair, mu, H, h, k):
     stab = stabilizer(pair, H)
     band = f.bandlimit + stab.group.char_band(mu)
     rule = quadrature(stab.group, 2 * band + 4)
-    xi = pair.adjoint_action(h, pair.embed_a(H))
-    k_inv = pair.K.inverse(k)
+    xi = pw.adjoint(pair, h, pair.embed_a(H))
+    k_inv = pw.inverse(pair.K, k)
     d = stab.group.irrep_dim(mu)
     out = np.zeros((d, d), dtype=complex)
     for w, s in zip(rule.weights, rule.nodes):
-        elt = pair.K.compose(h, pair.K.compose(stab.embed(s), k_inv))
-        out += w * complex(partial_fourier(f, elt, xi)) * stab.group.irrep_matrix(mu, s)
+        elt = pw.compose(pair.K, h, pw.compose(pair.K, pw.embed(pair.K, stab.group, s), k_inv))
+        out += w * complex(partial_fourier(f, elt, xi)) * pw.irrep_matrix(stab.group, mu, s)
     return out
 
 
@@ -136,10 +137,10 @@ class TestKernel:
         f = TestFunction(m2, [gauss_term(m2, 2), gauss_term(m2, -1, sigma=0.8)])
         H = (1.2,)
         for _ in range(5):
-            h, k = m2.K.random(rng), m2.K.random(rng)
+            h, k = pw.random(m2.K, rng), pw.random(m2.K, rng)
             got = kernel(f, m2, 0, H, h, k)
-            xi = m2.adjoint_action(h, m2.embed_a(H))
-            expect = partial_fourier(f, m2.K.compose(h, m2.K.inverse(k)), xi)
+            xi = pw.adjoint(m2, h, m2.embed_a(H))
+            expect = partial_fourier(f, pw.compose(m2.K, h, pw.inverse(m2.K, k)), xi)
             assert got.shape == (1, 1)
             assert got[0, 0] == pytest.approx(expect, abs=1e-12)
 
@@ -148,7 +149,7 @@ class TestKernel:
         f = TestFunction(m3, [gauss_term(m3, 2, 1, 3), gauss_term(m3, 1, 0, 0, 0.5)])
         sup = f.fhat2_sup()
         for _ in range(40):
-            h, k = m3.K.random(rng), m3.K.random(rng)
+            h, k = pw.random(m3.K, rng), pw.random(m3.K, rng)
             mu = int(rng.integers(-3, 4))
             H = (float(rng.uniform(0.1, 2.0)),)
             val = operator_norm(kernel(f, m3, mu, H, h, k))
@@ -157,7 +158,7 @@ class TestKernel:
     def test_vanishes_beyond_bandlimit(self, m3, rng):
         f = TestFunction(m3, [gauss_term(m3, 2, 0, 1)])
         for mu in (3, 4, -3):
-            h, k = m3.K.random(rng), m3.K.random(rng)
+            h, k = pw.random(m3.K, rng), pw.random(m3.K, rng)
             assert operator_norm(kernel(f, m3, mu, (1.0,), h, k)) < 1e-12
 
 
@@ -1025,9 +1026,9 @@ class TestConvolution:
             rule = quadrature(m2.K, order)
             val = 0j
             for w, k0 in zip(rule.weights, rule.nodes):
-                xi0 = m2.adjoint_action(m2.K.inverse(k0), np.asarray(xi))
+                xi0 = pw.adjoint(m2, pw.inverse(m2.K, k0), np.asarray(xi))
                 val += w * partial_fourier(f, k0, xi) * partial_fourier(
-                    g, m2.K.compose(m2.K.inverse(k0), k), xi0
+                    g, pw.compose(m2.K, pw.inverse(m2.K, k0), k), xi0
                 )
             return val
 
@@ -1043,9 +1044,9 @@ class TestConvolution:
             N = op_f.basis.size
             M = np.zeros((N, N), dtype=complex)
             for a in range(len(w)):
-                xi = m2.adjoint_action(nodes[a], Hp)
+                xi = pw.adjoint(m2, nodes[a], Hp)
                 for b in range(len(w)):
-                    fh = conv_fhat2(m2.K.compose(nodes[a], m2.K.inverse(nodes[b])), xi)
+                    fh = conv_fhat2(pw.compose(m2.K, nodes[a], pw.inverse(m2.K, nodes[b])), xi)
                     M += w[a] * w[b] * fh * np.einsum(
                         "ia,ja->ij", np.conj(Psi[:, a, :]), Psi[:, b, :]
                     )

@@ -133,8 +133,10 @@ def test_traced_benchmark_iteration(tmp_path):
     # the K-dual entries zero by the selection rule (labels 0, 3, 4, 5 of
     # the six) are built directly: one call per nonzero entry
     assert run["trace"]["fourier.tau_matrix"]["calls"] == 2
-    # no rule at all: src has no rule builder left for the trace to wrap
+    # no rule at all: src has no rule builder left for the trace to wrap;
+    # and no element model, so no irrep is evaluated at a group element
     assert "groups.quadrature" not in run["trace"]
+    assert "groups.irrep_matrix" not in run["trace"]
     # bases are built up to the selection-rule window W = 2, not to
     # lambda_max 5 (7 for the weight sample): 106 calls before the window;
     # and none for the weights |mu| >= 3 of the weight sample, whose window

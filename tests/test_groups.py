@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
+from motionfields import groups
 from motionfields.groups import (
     CircleGroup,
+    CompactGroup,
     ProductGroup,
     RotationGroup3,
     TrivialGroup,
     clebsch_gordan,
-    euler_zyz,
-    rot_x,
-    rot_y,
-    rot_z,
     wigner_3j,
-    wigner_d,
 )
-from motionfields.pairs import build_instance
+from motionfields.testfunctions import PolyGaussian, TestFunction
+from motionfields.pairs import StabilizerDescriptor, SymmetricPairDescriptor, WeylElement, build_instance
+import pointwise as pw
+from pointwise import euler_zyz, rot_x, rot_y, rot_z, wigner_d
 from quadrature import coefficient_sums, nodes_from_params, quadrature
 
 
@@ -30,8 +30,8 @@ def rotation_angle(R):
 class TestCircle:
     def test_irrep_values(self):
         g = CircleGroup()
-        assert g.irrep_matrix(3, 0.4)[0, 0] == pytest.approx(np.exp(0.4j * 3))
-        assert g.character(-2, 1.1) == pytest.approx(np.exp(-2.2j))
+        assert pw.irrep_matrix(g, 3, 0.4)[0, 0] == pytest.approx(np.exp(0.4j * 3))
+        assert pw.character(g, -2, 1.1) == pytest.approx(np.exp(-2.2j))
 
     def test_quadrature_nodes(self):
         rule = quadrature(CircleGroup(), 8)
@@ -44,7 +44,7 @@ class TestCircle:
 
     def test_compose_inverse(self):
         g = CircleGroup()
-        a = g.compose(5.0, g.inverse(5.0))
+        a = pw.compose(g, 5.0, pw.inverse(g, 5.0))
         assert a == pytest.approx(0.0)
 
 
@@ -123,33 +123,33 @@ class TestWignerD:
     def test_euler_round_trip(self, rng):
         g = RotationGroup3()
         for _ in range(25):
-            R = g.random(rng)
+            R = pw.random(g, rng)
             a, b, c = euler_zyz(R)
-            assert np.abs(g.from_euler(a, b, c) - R).max() < 1e-12
+            assert np.abs(pw.from_euler(a, b, c) - R).max() < 1e-12
         # gimbal cases
         for R in (np.eye(3), rot_z(0.7), rot_y(np.pi), rot_z(0.4) @ rot_y(np.pi)):
             a, b, c = euler_zyz(R)
-            assert np.abs(g.from_euler(a, b, c) - R).max() < 1e-12
+            assert np.abs(pw.from_euler(a, b, c) - R).max() < 1e-12
 
 
 class TestSO3:
     def test_identity_matrix(self, rng):
         g = RotationGroup3()
-        assert np.abs(g.irrep_matrix(1, np.eye(3)) - np.eye(3)).max() < 1e-14
+        assert np.abs(pw.irrep_matrix(g, 1, np.eye(3)) - np.eye(3)).max() < 1e-14
 
     def test_unitary(self, rng):
         g = RotationGroup3()
         for ell in (0, 1, 3, 8):
-            U = g.irrep_matrix(ell, g.random(rng))
+            U = pw.irrep_matrix(g, ell, pw.random(g, rng))
             assert np.abs(U @ U.conj().T - np.eye(2 * ell + 1)).max() < 1e-10
 
     def test_homomorphism(self, rng):
         g = RotationGroup3()
         for _ in range(8):
-            a, b = g.random(rng), g.random(rng)
+            a, b = pw.random(g, rng), pw.random(g, rng)
             for ell in (1, 2, 5):
-                lhs = g.irrep_matrix(ell, a) @ g.irrep_matrix(ell, b)
-                rhs = g.irrep_matrix(ell, g.compose(a, b))
+                lhs = pw.irrep_matrix(g, ell, a) @ pw.irrep_matrix(g, ell, b)
+                rhs = pw.irrep_matrix(g, ell, pw.compose(g, a, b))
                 assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_ell_one_trace_is_rotation_trace(self, rng):
@@ -157,35 +157,35 @@ class TestSO3:
         # 3x3 rotation matrix itself
         g = RotationGroup3()
         for _ in range(10):
-            R = g.random(rng)
-            assert g.character(1, R) == pytest.approx(np.trace(R), abs=1e-10)
+            R = pw.random(g, rng)
+            assert pw.character(g, 1, R) == pytest.approx(np.trace(R), abs=1e-10)
 
     def test_character_dirichlet(self, rng):
         # oracle: sum of weight exponentials at the rotation angle
         g = RotationGroup3()
         for _ in range(6):
-            R = g.random(rng)
+            R = pw.random(g, rng)
             theta = rotation_angle(R)
             for ell in (0, 1, 2, 4):
                 oracle = sum(np.exp(1j * m * theta) for m in range(-ell, ell + 1))
-                assert g.character(ell, R) == pytest.approx(oracle, abs=1e-9)
+                assert pw.character(g, ell, R) == pytest.approx(oracle, abs=1e-9)
 
     def test_character_at_identity(self):
         g = RotationGroup3()
         for ell in range(5):
-            assert g.character(ell, np.eye(3)) == pytest.approx(2 * ell + 1)
+            assert pw.character(g, ell, np.eye(3)) == pytest.approx(2 * ell + 1)
 
     def test_axis_rotation_trace(self):
         # rotation by theta about a fixed axis: trace of the dim-3 irrep
         g = RotationGroup3()
         theta = 0.9
         axis_rot = rot_x(theta)
-        assert g.character(1, axis_rot) == pytest.approx(1 + 2 * np.cos(theta))
+        assert pw.character(g, 1, axis_rot) == pytest.approx(1 + 2 * np.cos(theta))
 
     def test_quadrature_schur(self):
         g = RotationGroup3()
         rule = quadrature(g, 8)
-        tabs = {l: g.irrep_table(l, rule.params) for l in (0, 1, 2, 3, 4)}
+        tabs = {l: pw.irrep_table(g, l, rule.params) for l in (0, 1, 2, 3, 4)}
         # int |D^1_00|^2 = 1/3
         val = np.sum(rule.weights * np.abs(tabs[1][:, 1, 1]) ** 2)
         assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -208,9 +208,9 @@ class TestSO3:
     def test_node_table_matches_pointwise(self, rng):
         g = RotationGroup3()
         rule = quadrature(g, 4)
-        tab = g.irrep_table(2, rule.params)
+        tab = pw.irrep_table(g, 2, rule.params)
         for idx in (0, 7, len(rule) - 1):
-            direct = g.irrep_matrix(2, rule.nodes[idx])
+            direct = pw.irrep_matrix(g, 2, rule.nodes[idx])
             assert np.abs(tab[idx] - direct).max() < 1e-12
 
 
@@ -228,15 +228,15 @@ class TestProductAndTrivial:
 
     def test_product_matrix_is_kron(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
-        val = g.irrep_matrix((2, -1), (0.3, 0.7))[0, 0]
+        val = pw.irrep_matrix(g, (2, -1), (0.3, 0.7))[0, 0]
         assert val == pytest.approx(np.exp(1j * (2 * 0.3 - 0.7)))
 
     def test_product_node_table_consistent(self):
         g = ProductGroup([CircleGroup(), CircleGroup()])
         rule = quadrature(g, 3)
-        tab = g.irrep_table((1, 2), rule.params)
+        tab = pw.irrep_table(g, (1, 2), rule.params)
         for i, node in enumerate(rule.nodes):
-            assert tab[i, 0, 0] == pytest.approx(g.irrep_matrix((1, 2), node)[0, 0])
+            assert tab[i, 0, 0] == pytest.approx(pw.irrep_matrix(g, (1, 2), node)[0, 0])
 
     def test_trivial(self):
         g = TrivialGroup()
@@ -293,7 +293,7 @@ def test_plancherel_identity(make_group, band, rng):
     group = make_group()
     terms = _random_trig_poly(group, rng, band)
     rule = quadrature(group, 4 * band + 4)
-    tabs = {lab: group.irrep_table(lab, rule.params) for lab in group.irrep_labels(2 * band)}
+    tabs = {lab: pw.irrep_table(group, lab, rule.params) for lab in group.irrep_labels(2 * band)}
     vals = np.zeros(len(rule), dtype=complex)
     for c, lab, i, j in terms:
         vals += c * tabs[lab][:, i, j]
@@ -334,30 +334,46 @@ SINGLE_PATH_GROUPS = [
 ]
 
 
-class TestSinglePath:
-    """Every irrep value comes from the one table method of its group."""
+# the pointwise model of K and of the pairs, which lives in tests/pointwise.py
+MOVED_METHODS = {
+    "identity", "compose", "inverse", "random", "irrep_table", "params_of",
+    "irrep_matrix", "character", "from_euler", "irrep_node_table",
+}
+MOVED_FIELDS = {"embed", "pullback", "rep_in_k", "adjoint_action", "inner_product", "phi",
+                "root_values"}
 
-    def test_concrete_groups_define_only_the_table(self):
-        for cls in (TrivialGroup, CircleGroup, RotationGroup3, ProductGroup):
-            defined = set(vars(cls))
-            assert {"irrep_table", "params_of"} <= defined
-            assert not {"irrep_matrix", "character", "irrep_node_table"} & defined
+
+class TestSinglePath:
+    """src holds only the label algebra; every irrep value comes from the oracle's table."""
+
+    def test_src_holds_no_element_model(self):
+        for cls in (CompactGroup, TrivialGroup, CircleGroup, RotationGroup3, ProductGroup):
+            assert not MOVED_METHODS & set(vars(cls)), cls
+        for name in ("rot_x", "rot_y", "rot_z", "euler_zyz", "_jy_eigenvectors", "wigner_d"):
+            assert not hasattr(groups, name)
+        for cls in (StabilizerDescriptor, WeylElement, SymmetricPairDescriptor):
+            fields = set(cls.__dataclass_fields__) | set(vars(cls))
+            assert not MOVED_FIELDS & fields, cls
+        for cls in (TestFunction, PolyGaussian):
+            assert not {"value", "_u_table"} & set(vars(cls)), cls
+        # the one pointwise field left: the benchmark's tracer wraps it
+        assert "ad_orbit_table" in SymmetricPairDescriptor.__dataclass_fields__
 
     @pytest.mark.parametrize("instance,H", SINGLE_PATH_GROUPS)
     def test_matrix_is_a_table_row_and_character_matches_oracle(self, instance, H, rng):
         pair = build_instance(instance)
         group = pair.K if H is None else pair.stabilizer_of(H).group
-        elts = [group.random(rng) for _ in range(5)]
-        params = group.params_of(elts)
+        elts = [pw.random(group, rng) for _ in range(5)]
+        params = pw.params_of(group, elts)
         # params_of inverts the oracle's nodes_from_params
-        again = group.params_of(nodes_from_params(group, params))
+        again = pw.params_of(group, nodes_from_params(group, params))
         assert np.abs(_flat(again) - _flat(params)).max() < 1e-12
         for label in group.irrep_labels(2):
-            table = group.irrep_table(label, params)
+            table = pw.irrep_table(group, label, params)
             assert table.shape == (5, group.irrep_dim(label), group.irrep_dim(label))
             for elt, row in zip(elts, table):
-                assert np.abs(group.irrep_matrix(label, elt) - row).max() < 1e-12
-                assert group.character(label, elt) == pytest.approx(
+                assert np.abs(pw.irrep_matrix(group, label, elt) - row).max() < 1e-12
+                assert pw.character(group, label, elt) == pytest.approx(
                     character_oracle(group, label, elt), abs=1e-10
                 )
 
@@ -371,12 +387,12 @@ class TestSchurSum:
     @pytest.mark.parametrize("make_group", GROUPS)
     def test_contragredient_conjugates_the_irrep(self, make_group, rng):
         group = make_group()
-        params = group.params_of([group.random(rng) for _ in range(4)])
+        params = pw.params_of(group, [pw.random(group, rng) for _ in range(4)])
         for label in group.irrep_labels(3):
             bar, J = group.contragredient(label)
             assert np.abs(J @ J.conj().T - np.eye(len(J))).max() < 1e-15
-            expect = J @ np.conj(group.irrep_table(label, params)) @ J.conj().T
-            assert np.abs(group.irrep_table(bar, params) - expect).max() < 1e-12
+            expect = J @ np.conj(pw.irrep_table(group, label, params)) @ J.conj().T
+            assert np.abs(pw.irrep_table(group, bar, params) - expect).max() < 1e-12
 
     @pytest.mark.parametrize("make_group", GROUPS)
     def test_matches_coefficient_sums_with_unit_orbit_factor(self, make_group):
@@ -433,14 +449,14 @@ class TestClebschGordan:
         ])
         assert np.abs(C @ C.T - np.eye(len(C))).max() < 1e-14
         for _ in range(3):
-            R = g.random(rng)
-            blocks = [g.irrep_matrix(J, R) for J in Js]
+            R = pw.random(g, rng)
+            blocks = [pw.irrep_matrix(g, J, R) for J in Js]
             total = np.zeros((len(C), len(C)), dtype=complex)
             at = 0
             for B in blocks:
                 total[at:at + len(B), at:at + len(B)] = B
                 at += len(B)
-            lhs = np.kron(g.irrep_matrix(j1, R), g.irrep_matrix(j2, R))
+            lhs = np.kron(pw.irrep_matrix(g, j1, R), pw.irrep_matrix(g, j2, R))
             assert np.abs(lhs - C @ total @ C.T).max() < 1e-12
 
     def test_3j_values_and_symmetries(self):
@@ -481,11 +497,11 @@ class TestOrbitExpansion:
         K = pair.K
         Hs = rng.normal(size=(3, pair.rank))
         for _ in range(3):
-            k = K.random(rng)
-            X = np.array([pair.adjoint_action(k, pair.embed_a(H)) for H in Hs])
+            k = pw.random(K, rng)
+            X = np.array([pw.adjoint(pair, k, pair.embed_a(H)) for H in Hs])
             for alpha in poly_monomials(pair.dim_p, 4 if pair.dim_p < 4 else 2):
                 got = sum(
-                    c * K.irrep_matrix(J, k)[a, base_col(K, J)]
+                    c * pw.irrep_matrix(K, J, k)[a, base_col(K, J)]
                     for (J, a), c in K.orbit_expansion(alpha, Hs).items()
                 )
                 want = np.prod(X ** np.array(alpha), axis=1)
@@ -506,7 +522,7 @@ class TestGaunt:
         for J in labels:
             col = base_col(group, J)
             for a in range(group.irrep_dim(J)):
-                g = group.irrep_table(J, rule.params)[:, a, col]
+                g = pw.irrep_table(group, J, rule.params)[:, a, col]
                 for label in labels:
                     rows = range(group.irrep_dim(label))
                     sums = coefficient_sums(group, rule, labels, [(g, label, row) for row in rows])

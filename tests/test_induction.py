@@ -9,6 +9,7 @@ from motionfields import (
     stabilizer,
 )
 from motionfields.groups import CircleGroup, CompactGroup, ProductGroup, RotationGroup3
+import pointwise as pw
 from quadrature import quadrature, refuse_node_rules
 from motionfields.induction import intertwiners
 from motionfields.pairs import StabilizerDescriptor, stab_contained
@@ -25,8 +26,8 @@ def weight_branching(ell, m):
 
 
 def full_group(K):
-    """K as a subgroup of itself: identity embedding, Schur's lemma."""
-    return StabilizerDescriptor(K.name, K, lambda s: s, lambda k: k, None)
+    """K as a subgroup of itself: Schur's lemma."""
+    return StabilizerDescriptor(K.name, K, None)
 
 
 class TestEnumerate:
@@ -54,23 +55,23 @@ class TestIrrepMatrixAndCharacter:
     def test_circle_scalar(self):
         lab = CircleGroup().irrep_labels(3)[-1]
         assert lab == 3
-        assert CircleGroup().irrep_matrix(lab, 0.5)[0, 0] == pytest.approx(np.exp(1.5j))
+        assert pw.irrep_matrix(CircleGroup(), lab, 0.5)[0, 0] == pytest.approx(np.exp(1.5j))
 
     def test_so3_identity(self):
-        assert np.abs(RotationGroup3().irrep_matrix(1, np.eye(3)) - np.eye(3)).max() < 1e-14
+        assert np.abs(pw.irrep_matrix(RotationGroup3(), 1, np.eye(3)) - np.eye(3)).max() < 1e-14
 
     def test_character_trace_consistency(self, rng):
         g = RotationGroup3()
         for lab in g.irrep_labels(3):
-            k = g.random(rng)
-            assert g.character(lab, k) == pytest.approx(
-                np.trace(g.irrep_matrix(lab, k)), abs=1e-10
+            k = pw.random(g, rng)
+            assert pw.character(g, lab, k) == pytest.approx(
+                np.trace(pw.irrep_matrix(g, lab, k)), abs=1e-10
             )
 
     def test_character_identity_dim(self):
         g = RotationGroup3()
         for lab in g.irrep_labels(4):
-            assert g.character(lab, np.eye(3)) == pytest.approx(g.irrep_dim(lab))
+            assert pw.character(g, lab, np.eye(3)) == pytest.approx(g.irrep_dim(lab))
 
 
 class TestBranching:
@@ -97,25 +98,22 @@ class TestBranching:
         # of K) with an undersized rule: the Gauss-Legendre part is inexact
         # and the character integral lands far from an integer
         stab0 = stabilizer(m3, (0.0,))
-        val = restriction_reference(full_group(m3.K), 4, stab0, 1, order=2)
+        val = restriction_reference(m3.K, m3.K, 4, stab0.group, 1, order=2)
         assert abs(val - round(val.real)) > 1e-3
         assert restriction_multiplicity(m3.K, 4, stab0, 1) == 0
 
     def test_conjugated_embedding_invariance(self, m3, rng):
         # the weight rule reads only the standard embedding; the oracle on a
         # conjugated one must give the same multiplicities
-        stab = stabilizer(m3, (1.0,))
-        k0 = m3.K.random(rng)
-        conj = StabilizerDescriptor(
-            stab.structure,
-            stab.group,
-            lambda s: m3.K.compose(k0, m3.K.compose(stab.embed(s), m3.K.inverse(k0))),
-            None,
-            stab.restrict,
-        )
+        K, stab = m3.K, stabilizer(m3, (1.0,))
+        k0 = pw.random(K, rng)
+
+        def conj(s):
+            return pw.compose(K, k0, pw.compose(K, pw.embed(K, stab.group, s), pw.inverse(K, k0)))
+
         for ell in range(4):
             for m in range(-4, 5):
-                ref = restriction_reference(full_group(m3.K), ell, conj, m)
+                ref = restriction_reference(K, K, ell, stab.group, m, embed=conj)
                 assert abs(restriction_multiplicity(m3.K, ell, stab, m) - ref) < 1e-12
 
 
@@ -127,7 +125,7 @@ class TestQuadratureOp:
     def test_so3_schur_norm(self):
         g = RotationGroup3()
         rule = quadrature(g, 6)
-        tab = g.irrep_table(1, rule.params)
+        tab = pw.irrep_table(g, 1, rule.params)
         assert np.sum(rule.weights * np.abs(tab[:, 1, 1]) ** 2) == pytest.approx(
             1 / 3, abs=1e-12
         )
@@ -147,7 +145,7 @@ def basis_values(basis, params):
     """The basis maps at the elements ``params`` of K, shape (size, n, d_rho)."""
     rows = []
     for lam, Ts in basis.blocks:
-        tab = basis.K.irrep_table(lam, params)
+        tab = pw.irrep_table(basis.K, lam, params)
         sq = np.sqrt(basis.K.irrep_dim(lam))
         rows.extend(sq * np.conj(np.einsum("nvb,ba->vna", tab, T)) for T in Ts)
     return np.concatenate(rows, axis=0)
@@ -160,7 +158,7 @@ def node_table(basis, rule):
 
 def evaluate(basis, k):
     """All basis maps at one group element, shape (size, d_rho)."""
-    return basis_values(basis, basis.K.params_of([k]))[:, 0]
+    return basis_values(basis, pw.params_of(basis.K, [k]))[:, 0]
 
 
 def gram(basis, rule):
@@ -214,10 +212,10 @@ class TestPeterWeyl:
         basis = peter_weyl_basis(m3, mu, (1.0,), 4)
         stab = basis.stab
         for _ in range(12):
-            k = m3.K.random(rng)
-            s = stab.group.random(rng)
-            lhs = evaluate(basis, m3.K.compose(k, stab.embed(s)))
-            rho_inv = stab.group.irrep_matrix(mu, stab.group.inverse(s))
+            k = pw.random(m3.K, rng)
+            s = pw.random(stab.group, rng)
+            lhs = evaluate(basis, pw.compose(m3.K, k, pw.embed(m3.K, stab.group, s)))
+            rho_inv = pw.irrep_matrix(stab.group, mu, pw.inverse(stab.group, s))
             rhs = evaluate(basis, k) @ rho_inv.T
             assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -246,20 +244,25 @@ def intertwiners_reference(K, lam, stab, mu):
     rule = quadrature(stab.group, K.char_band(lam) + stab.group.char_band(mu) + 2)
     P = np.zeros((d_lam * d_mu, d_lam * d_mu), dtype=complex)
     for w, s in zip(rule.weights, rule.nodes):
-        tau = K.irrep_matrix(lam, stab.embed(s))
-        rho = stab.group.irrep_matrix(mu, s)
+        tau = pw.irrep_matrix(K, lam, pw.embed(K, stab.group, s))
+        rho = pw.irrep_matrix(stab.group, mu, s)
         P += w * np.kron(tau, rho.conj())
     evals, evecs = np.linalg.eigh((P + P.conj().T) / 2.0)
     return [evecs[:, i].reshape(d_lam, d_mu) for i in np.flatnonzero(evals > 0.5)]
 
 
-def restriction_reference(big_ctx, big, sub, small, order=None):
-    """Character inner product over ``sub`` by quadrature, all nodes at once."""
-    band = big_ctx.group.char_band(big) + sub.group.char_band(small) + 2
-    rule = quadrature(sub.group, band if order is None else order)
-    inside = big_ctx.group.params_of([big_ctx.pullback(sub.embed(s)) for s in rule.nodes])
-    chi_big = np.trace(big_ctx.group.irrep_table(big, inside), axis1=1, axis2=2)
-    chi_small = np.trace(sub.group.irrep_table(small, rule.params), axis1=1, axis2=2)
+def restriction_reference(K, big_group, big, sub, small, order=None, embed=None):
+    """Character inner product over the subgroup ``sub`` of ``big_group`` <= K by quadrature.
+
+    ``sub`` sits in K by ``embed`` (default: ``pointwise.embed``), and in
+    ``big_group`` by the pullback from K; all nodes at once.
+    """
+    embed = embed or (lambda s: pw.embed(K, sub, s))
+    band = big_group.char_band(big) + sub.char_band(small) + 2
+    rule = quadrature(sub, band if order is None else order)
+    inside = pw.params_of(big_group, [pw.pullback(K, big_group, embed(s)) for s in rule.nodes])
+    chi_big = np.trace(pw.irrep_table(big_group, big, inside), axis1=1, axis2=2)
+    chi_small = np.trace(pw.irrep_table(sub, small, rule.params), axis1=1, axis2=2)
     return complex(np.sum(rule.weights * chi_big * np.conj(chi_small)))
 
 
@@ -290,12 +293,11 @@ class TestTablesMatchPerNodeReference:
     @pytest.mark.parametrize("instance,H,cutoff", REFERENCE_CASES)
     def test_restriction_multiplicity(self, instance, H, cutoff):
         pair = build_instance(instance)
-        big_ctx = full_group(pair.K)
         sub = stabilizer(pair, H)
         for big in pair.K.irrep_labels(cutoff):
             for small in sub.group.irrep_labels(cutoff):
-                ref = restriction_reference(big_ctx, big, sub, small)
-                assert abs(restriction_multiplicity(big_ctx.group, big, sub, small) - ref) < 1e-12
+                ref = restriction_reference(pair.K, pair.K, big, sub.group, small)
+                assert abs(restriction_multiplicity(pair.K, big, sub, small) - ref) < 1e-12
 
 
 INSTANCES = ["M2", "M3", "M2xM2"]
@@ -323,7 +325,7 @@ def test_stabilizer_restriction_matches_oracle(instance):
     for sub, big_ctx in contained_pairs(pair):
         for big in big_ctx.group.irrep_labels(4):
             for small in sub.group.irrep_labels(4):
-                ref = restriction_reference(big_ctx, big, sub, small)
+                ref = restriction_reference(pair.K, big_ctx.group, big, sub.group, small)
                 assert abs(restriction_multiplicity(big_ctx.group, big, sub, small) - ref) < 1e-12
 
 

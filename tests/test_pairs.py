@@ -1,4 +1,5 @@
 import numpy as np
+import pointwise as pw
 import pytest
 from quadrature import quadrature
 from scipy.optimize import minimize
@@ -41,13 +42,13 @@ class TestBuildInstance:
         H = m3.embed_a((2.0,))
         hits = set()
         for w in m3.weyl_group:
-            img = m3.adjoint_action(w.rep_in_k, H)
+            img = pw.adjoint(m3, pw.weyl_rep(m3, w), H)
             coords, res = project_a(m3, img)
             assert res < 1e-12
             hits.add(round(coords[0], 9))
         assert hits == {2.0, -2.0}
         for _ in range(300):
-            img = m3.adjoint_action(m3.K.random(rng), H)
+            img = pw.adjoint(m3, pw.random(m3.K, rng), H)
             coords, res = project_a(m3, img)
             if res < 1e-6:  # lands on the line: must be one of the two hits
                 assert min(abs(coords[0] - 2.0), abs(coords[0] + 2.0)) < 1e-5
@@ -154,7 +155,7 @@ class TestLinearForm:
         for _ in range(10):
             H = (float(rng.uniform(0.1, 2.0)),)
             X = rng.normal(size=3)
-            assert m3.phi(H, X) == pytest.approx(H[0] * X[2], abs=1e-14)
+            assert pw.phi(m3, H, X) == pytest.approx(H[0] * X[2], abs=1e-14)
 
     def test_phi_weyl_covariance(self, m2xm2, rng):
         # phi_{wH}(wX) = phi_H(X) since the form is invariant
@@ -162,25 +163,25 @@ class TestLinearForm:
         for _ in range(10):
             H = tuple(rng.normal(size=2))
             X = rng.normal(size=4)
-            lhs = m2xm2.phi(w.apply(H), m2xm2.adjoint_action(w.rep_in_k, X))
-            assert lhs == pytest.approx(m2xm2.phi(H, X), abs=1e-12)
+            lhs = pw.phi(m2xm2, w.apply(H), pw.adjoint(m2xm2, pw.weyl_rep(m2xm2, w), X))
+            assert lhs == pytest.approx(pw.phi(m2xm2, H, X), abs=1e-12)
 
 
 class TestAdjoint:
     def test_m2_quarter_turn(self, m2):
-        got = m2.adjoint_action(np.pi / 2, (1.0, 0.0))
+        got = pw.adjoint(m2, np.pi / 2, (1.0, 0.0))
         assert np.abs(got - np.array([0.0, 1.0])).max() < 1e-15
 
     def test_m3_identity(self, m3, rng):
         X = rng.normal(size=3)
-        assert np.abs(m3.adjoint_action(np.eye(3), X) - X).max() == 0.0
+        assert np.abs(pw.adjoint(m3, np.eye(3), X) - X).max() == 0.0
 
     def test_norm_preserved(self, m3, rng):
         for _ in range(50):
-            k = m3.K.random(rng)
+            k = pw.random(m3.K, rng)
             X = rng.normal(size=3)
             assert abs(
-                np.linalg.norm(m3.adjoint_action(k, X)) - np.linalg.norm(X)
+                np.linalg.norm(pw.adjoint(m3, k, X)) - np.linalg.norm(X)
             ) < 1e-12
 
 
@@ -189,14 +190,10 @@ class TestInvariants:
     def test_inner_product_invariance(self, name, rng):
         pair = build_instance(name)
         for _ in range(30):
-            k = pair.K.random(rng)
+            k = pw.random(pair.K, rng)
             X, Y = rng.normal(size=pair.dim_p), rng.normal(size=pair.dim_p)
-            lhs = (
-                pair.adjoint_action(k, X)
-                @ pair.inner_product
-                @ pair.adjoint_action(k, Y)
-            )
-            assert abs(lhs - X @ pair.inner_product @ Y) < 1e-12
+            lhs = pw.adjoint(pair, k, X) @ pw.adjoint(pair, k, Y)
+            assert abs(lhs - X @ Y) < 1e-12
 
     @pytest.mark.parametrize("name", ["M2", "M3", "M2xM2"])
     def test_weyl_group_closed_and_permutes_roots(self, name):
@@ -222,7 +219,7 @@ class TestInvariants:
             H = rng.normal(size=pair.rank)
             orbit = weyl_images(pair, H)
             dominant = [
-                o for o in orbit if np.all(pair.root_values(o) >= -WALL_TOL)
+                o for o in orbit if np.all(pw.root_values(pair, o) >= -WALL_TOL)
             ]
             assert len(dominant) == 1
 
@@ -232,8 +229,8 @@ class TestInvariants:
         chamber_dir = m3.embed_a((1.0,))
 
         def dist(angles, X):
-            k = m3.K.from_euler(*angles)
-            img = m3.adjoint_action(k, X)
+            k = pw.from_euler(*angles)
+            img = pw.adjoint(m3, k, X)
             t = max(0.0, float(img @ chamber_dir))
             return float(np.linalg.norm(img - t * chamber_dir))
 
@@ -245,8 +242,8 @@ class TestInvariants:
             res = minimize(dist, x0=np.array(best), args=(X,), method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
             assert res.fun < 1e-8
-            k = m3.K.from_euler(*res.x)
-            reached, _ = project_a(m3, m3.adjoint_action(k, X))
+            k = pw.from_euler(*res.x)
+            reached, _ = project_a(m3, pw.adjoint(m3, k, X))
             dom, _ = dominant_representative(m3, (np.linalg.norm(X),))
             assert abs(reached[0] - dom[0]) < 1e-6
 
@@ -273,8 +270,8 @@ class TestStabilizerDescriptors:
     def test_float_root_tests_match_numpy(self, m2xm2, rng):
         for _ in range(50):
             H = tuple(rng.choice([0.0, 1.0, -1.0], size=2) * rng.uniform(0.1, 2.0, size=2))
-            walls = tuple(np.flatnonzero(np.abs(m2xm2.root_values(H)) <= WALL_TOL))
+            walls = tuple(np.flatnonzero(np.abs(pw.root_values(m2xm2, H)) <= WALL_TOL))
             assert m2xm2.wall_set(H) == walls
             dom, w = dominant_representative(m2xm2, H)
-            assert np.all(m2xm2.root_values(dom) >= -WALL_TOL)
+            assert np.all(pw.root_values(m2xm2, dom) >= -WALL_TOL)
             assert dom == w.apply(H)

@@ -11,6 +11,7 @@ from motionfields import (
     pi_matrix,
     stabilizer,
 )
+import pointwise as pw
 from quadrature import quadrature
 from test_fourier import partial_fourier
 
@@ -21,7 +22,7 @@ def fourier_oracle_2d(g, xi, half_width=9.0, n=721):
     dx = x[1] - x[0]
     XX, YY = np.meshgrid(x, x, indexing="ij")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=-1)
-    vals = g.value(pts)
+    vals = pw.g_value(g, pts)
     return np.sum(vals * np.exp(1j * (pts @ np.asarray(xi)))) * dx * dx
 
 
@@ -61,9 +62,9 @@ def einsum_grid_sup(f, extra_k=None, extra_xi=None, rounds=4):
     the value, and the k index and xi of the first maximum in C order.
     """
     K = f.pair.K
-    uvals = f._u_table(quadrature(K, 2 * f.bandlimit + 8).params)
+    uvals = pw.u_table(f, quadrature(K, 2 * f.bandlimit + 8).params)
     if extra_k:
-        uvals = np.concatenate([uvals, f._u_table(K.params_of(extra_k))], axis=1)
+        uvals = np.concatenate([uvals, pw.u_table(f, pw.params_of(K, extra_k))], axis=1)
     coeffs = np.array([t.coeff for t in f.terms])
     xi = xi_candidates(f, extra_xi)
     best, k_best, center, width = 0.0, None, xi[0], None
@@ -148,7 +149,7 @@ class TestPolyGaussian:
     def test_radial_builder(self):
         g = PolyGaussian.radial_poly(2, 1.0, [1.0, 2.0])
         X = np.array([[1.0, 2.0]])
-        assert g.value(X)[0] == pytest.approx((1 + 2 * 5) * np.exp(-2.5))
+        assert pw.g_value(g, X)[0] == pytest.approx((1 + 2 * 5) * np.exp(-2.5))
         assert g.radial
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -253,11 +254,11 @@ class TestTestFunction:
         )
         fs = f.star()
         for _ in range(10):
-            k = m2.K.random(rng)
+            k = pw.random(m2.K, rng)
             X = rng.normal(size=2)
-            kinv = m2.K.inverse(k)
-            expect = np.conj(f.value(kinv, -m2.adjoint_action(kinv, X)))
-            assert fs.value(k, X) == pytest.approx(expect, abs=1e-12)
+            kinv = pw.inverse(m2.K, k)
+            expect = np.conj(pw.value(f, kinv, -pw.adjoint(m2, kinv, X)))
+            assert pw.value(fs, k, X) == pytest.approx(expect, abs=1e-12)
 
     def test_star_requires_radial(self, m2):
         f = TestFunction(
@@ -311,7 +312,7 @@ class TestTestFunction:
         pair = request.getfixturevalue(instance.lower())
         rng = np.random.default_rng([seed, len(instance), 17])
         f = seeded_function(pair, rng)
-        extra_k = [pair.K.random(rng) for _ in range(3)]
+        extra_k = [pw.random(pair.K, rng) for _ in range(3)]
         extra_xi = rng.normal(size=(4, pair.dim_p))
         for args in ((None, None), (extra_k, extra_xi)):
             assert 0 < einsum_grid_sup(f, *args)[0] <= f.fhat2_sup() * (1 + 1e-12)
@@ -352,7 +353,7 @@ class TestTestFunction:
         row = pair.K.irrep_dim(lab) - 1
         g = PolyGaussian.gaussian(pair.dim_p, 0.8)
         f = TestFunction(pair, [Term(0.6 - 0.3j, MatrixCoefficient(lab, row, row), g)])
-        est = einsum_grid_sup(f, extra_k=[pair.K.identity()])[0]
+        est = einsum_grid_sup(f, extra_k=[pw.identity(pair.K)])[0]
         assert est == pytest.approx(f.fhat2_sup(), rel=1e-12)
 
     def test_addition(self, m2):

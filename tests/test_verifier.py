@@ -20,10 +20,12 @@ from motionfields import (
     peter_weyl_basis,
     pi_mu0_matrix,
     restriction_multiplicity,
+    run_verification,
     sample_field,
     tau_matrix,
     verify_membership,
 )
+from motionfields.errors import SupBoundOverflow
 from motionfields import cli
 from motionfields.config import ScenarioConfig
 from motionfields.fourier import OperatorFieldSample, TruncatedOperator
@@ -107,6 +109,17 @@ class TestCompactness:
         )
         with pytest.raises(MissingSupBound, match="fhat2_sup"):
             check_compactness_proxy(m3, bare)
+
+    def test_sup_bound_overflow_names_the_term(self):
+        # a function built without the parser: its bound, 3.8e217 at degree
+        # 200, squared overflows a float, refused by the parser's own check
+        cfg = ScenarioConfig.from_dict(bundled_scenario("m2-default"))
+        pair = cfg.build_pair()
+        t = cfg.terms[0]
+        huge = Term(t.coeff, t.u, PolyGaussian(2, 1.0, {(200, 0): 1.0}))
+        f = TestFunction(pair, (huge,) + cfg.terms[1:])
+        with pytest.raises(SupBoundOverflow, match="term 0 .*flat degree 200"):
+            run_verification(f, pair, cfg.plan, cfg.thresholds)
 
 
 def test_poisoned_sample_is_judged_on_its_own_norms(m3):
