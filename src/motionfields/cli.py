@@ -12,11 +12,12 @@ convergence queries, and writes:
 
 Exit status: 0 overall pass, 1 overall fail, 2 invalid scenario document
 or tolerance override (refused before any work), 3 runtime error in a
-module or an artifact that cannot be written.  Outputs are deterministic
-for a fixed scenario: floats are printed at 12 significant digits, and
-the JSON files are written by ``config.dump_json``, whose bytes are fixed.
-Each file is written under a temporary name beside it and moved into
-place, so a failed run leaves no partial file.
+module, an array too large to allocate or an artifact that cannot be
+written.  Outputs are deterministic for a fixed scenario: floats are
+printed at 12 significant digits, and the JSON files are written by
+``config.dump_json``, whose bytes are fixed.  Each file is written under
+a temporary name beside it and moved into place, so a failed run leaves
+no partial file.
 """
 
 from __future__ import annotations
@@ -217,6 +218,9 @@ def main(argv=None):
         report, certificates = run_scenario(config, outdir)
     except MotionFieldsError as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # numpy raises a private subclass of it
+        print(f"run failed: MemoryError: {e}", file=sys.stderr)
         return 3
     except OSError as e:  # the artifact writes are the run's only file access
         print(f"run failed: cannot write artifacts to {outdir}: {e}", file=sys.stderr)

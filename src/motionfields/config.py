@@ -11,7 +11,8 @@ lists (the product instance).  Each grid or query label must be an irrep
 label of the stabilizer at its points; the parser checks this by locating
 each point (``dual.make_dual_point``), and the plan and the queries hold
 the located points, so the run locates none again.  The continuity path
-must keep one induced stratum, wall set and label (``verifier.path_break``).
+must keep one induced stratum, wall set and label, and take no step of
+length 0 (``verifier.path_break``).
 Flat points are lists of ``rank`` finite numbers; complex numbers are
 numbers or [re, im] pairs; polynomial multi-indices are comma-joined
 strings keying complex coefficients.

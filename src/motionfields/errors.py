@@ -38,7 +38,7 @@ class SupBoundOverflow(MotionFieldsError):
 
 
 class PathCrossesStrata(MotionFieldsError):
-    """Continuity path leaves the stratum it started in."""
+    """Continuity path leaves the stratum it started in, or takes a step of length 0."""
 
 
 class MissingGamma2Data(MotionFieldsError):

@@ -10,15 +10,14 @@ closed forms; no entry is a node sum.  B is the Schur sum
 contragredient K-type bar.  A carries the orbit factor g-hat(Ad(k) H).
 Where that is a constant g-hat(xi), A is a Schur sum too and the basis
 copies drop out: the term adds coeff g-hat(xi) S[col] to each copy of bar.
-``_schur_blocks`` forms that block sum.  It covers Gaussian flat factors
-(degree 0) at every H, with xi = H as Ad is orthogonal, and every term at
-H = 0: the K-dual entries tau_lambda(f) and the zero-point operator, their
-block sum over the branching copies.  For the other terms g-hat(Ad(k)H) is
+``_schur_blocks`` forms that block sum for Gaussian flat factors (degree
+0), with xi = H as Ad is orthogonal.  For the other terms g-hat(Ad(k)H) is
 a Gaussian in |H| times a polynomial in matrix coefficients of K
 (``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
 three matrix coefficients (``CompactGroup.gaunt``: Kronecker deltas on
 SO(2), products of two 3j symbols on SO(3)); ``_orbit_sums`` forms it for
-all points of a family at once.
+all points of a family at once.  At H = 0 these give the K-dual entry
+tau_lambda(f), on ``induction.k_type_basis``, and the zero-point operator.
 
 Selection rule: a term u g (u of the K-type l, g of degree d) has entries
 only in the columns of bar and in rows of band <= band(l) + d, the band of
@@ -47,7 +46,7 @@ import numpy as np
 
 from .dual import GAMMA2, DualPoint
 from .errors import NonFiniteEntries
-from .induction import PeterWeylBasis, peter_weyl_basis, window_basis
+from .induction import PeterWeylBasis, k_type_basis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
 
@@ -56,7 +55,7 @@ class TruncatedOperator:
     """Matrix of an operator in an explicit finite basis.
 
     ``block_index`` lists (K-type label, copy, vector index) per basis row;
-    for K-dual entries the basis is the standard one of the single K-type.
+    a K-dual entry's basis is the K-type's own (``induction.k_type_basis``).
     One of ``sample_field`` holds its window: ``basis`` is cut at
     min(``lambda_max``, W), above which entries are zero, and is empty (a
     0 x 0 matrix) beyond the mu cut-off; ``lambda_max`` is the requested
@@ -106,25 +105,10 @@ class TruncatedOperator:
         }
 
 
-def block_diagonal(blocks, batch=()):
-    """Square blocks, of shape ``batch`` + (d, d) or an int d for zeros, along the diagonal."""
-    sizes = [b if isinstance(b, int) else b.shape[-1] for b in blocks]
-    out = np.zeros(tuple(batch) + (sum(sizes),) * 2, dtype=complex)
-    row = 0
-    for b, d in zip(blocks, sizes):
-        if not isinstance(b, int):
-            out[..., row : row + d, row : row + d] = b
-        row += d
-    return out
-
-
 def operator_norm(T):
     if isinstance(T, TruncatedOperator):
         return T.op_norm
-    m = np.asarray(T)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(np.linalg.svd(np.asarray(T), compute_uv=False).max(initial=0.0))
 
 
 def hs_norm(T):
@@ -133,18 +117,17 @@ def hs_norm(T):
     return float(np.linalg.norm(np.asarray(T)))
 
 
-def _record_norms(ops, stack=None):
+def _record_norms(ops, stack):
     """Record on ``ops`` the norms of the matrices of ``stack`` (P, n, N).
 
     ``stack`` holds each operator's matrix, or the rows of it that can be
-    nonzero.  One batched SVD covers the stack: the operator norm is the
-    largest singular value (0 for an empty matrix) and the HS norm the
-    2-norm of all of them, which needs no temporary the size of the stack.
-    Without ``stack`` the operators are zero by a selection rule: norms 0,
-    no SVD.  Each matrix is made read-only, so a recorded norm cannot go
-    stale.
+    nonzero (none, n = 0, where a selection rule zeroes the operator).  One
+    batched SVD covers the stack: the operator norm is the largest singular
+    value (0 for an empty matrix) and the HS norm the 2-norm of all of
+    them, which needs no temporary the size of the stack.  Each matrix is
+    made read-only, so a recorded norm cannot go stale.
     """
-    s = np.zeros((len(ops), 1)) if stack is None else np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(stack, compute_uv=False)
     for T, a, b in zip(ops, s.max(axis=1, initial=0.0), np.linalg.norm(s, axis=1)):
         T.matrix.flags.writeable = False
         T._norms = (float(a), float(b))
@@ -156,7 +139,7 @@ def _block_factor(K, lam, Ts, S):
 
 
 def _schur_blocks(terms, K, blocks, xi):
-    """Block sums of coeff g-hat(xi) S[col] over ``terms``, one stack per row of ``xi``.
+    """Block sums of coeff g-hat(xi) S[col] over Gaussian ``terms``, one stack per row of ``xi``.
 
     ``xi`` has shape (P, dim_p) and the result (P, N, N), one block per
     (lam, copy) of ``blocks`` (pairs of a K-type and its copies, in basis
@@ -174,7 +157,15 @@ def _schur_blocks(terms, K, blocks, xi):
         if bar in dims:
             c = t.coeff * t.g.fourier(xi)
             sums[bar] = sums.get(bar, 0.0) + c[:, None, None] * S[t.u.col]
-    return block_diagonal([sums.get(lam, dims[lam]) for lam, Ts in blocks for _ in Ts], (len(xi),))
+    N = sum(dims[lam] * len(Ts) for lam, Ts in blocks)
+    M, row = np.zeros((len(xi), N, N), dtype=complex), 0
+    for lam, Ts in blocks:
+        d = dims[lam]
+        for _ in Ts:
+            if lam in sums:
+                M[:, row : row + d, row : row + d] = sums[lam]
+            row += d
+    return M
 
 
 def _orbit_sums(t, K, lams, Hs):
@@ -200,9 +191,10 @@ def pi_family(f, pair, basis, Hs):
     """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``.
 
     The points of one family share mu and a stabilizer, hence the basis
-    (callers cut it at the window).  Returns the (P, N, N) stack of their
-    entries <pi(f) psi_j, psi_i>, in ``Hs`` order.  Gaussian terms are one
-    ``_schur_blocks`` call for all points; each other term adds its A B
+    (callers cut it at the window; H = 0 is the zero point).  Returns the
+    (P, N, N) stack of their entries <pi(f) psi_j, psi_i>, in ``Hs`` order
+    (N = 0 on an empty basis).  Gaussian terms are one ``_schur_blocks``
+    call for all points; each other term adds its A B
     products (``_orbit_sums``), also for all points at once.
     NonFiniteEntries names the first point where those overflow a float; a
     Gaussian term's entries are bounded by ``TestFunction.fhat2_sup``.
@@ -262,45 +254,31 @@ def pi_matrix(f, pair, mu, H, lambda_max):
     return TruncatedOperator(stack[0], lambda_max, basis.block_index, basis)
 
 
-def tau_matrix(f, pair, lam, point=None):
-    """The K-dual entry: integral of fhat2(k, 0) against the K-irrep.
+def tau_matrix(f, pair, lam):
+    """The K-dual entry: integral of fhat2(k, 0) against the K-irrep ``lam``.
 
-    Each term contributes ghat(0) times int u(k) tau_lam(k) dk, its Schur
-    sum (``CompactGroup.schur_sum``) at the term's column: zero unless lam
-    is the contragredient of the term's label.  This is the one-point
-    ``_schur_blocks`` at xi = 0.
+    The one-point ``pi_family`` at H = 0 on ``induction.k_type_basis``: each
+    term contributes ghat(0) times its Schur sum, zero unless lam is the
+    contragredient of the term's label.
     """
-    matrix = _schur_blocks(f.terms, pair.K, [(lam, [None])], np.zeros((1, pair.dim_p)))[0]
-    return _k_dual_operator(pair, lam, matrix, point)
-
-
-def _k_dual_operator(pair, lam, matrix, point=None):
-    """A K-dual entry on the standard basis of the K-type ``lam``."""
-    return TruncatedOperator(
-        matrix=matrix,
-        lambda_max=pair.K.char_band(lam),
-        block_index=[(lam, 0, v) for v in range(pair.K.irrep_dim(lam))],
-        point=point,
-    )
+    basis = k_type_basis(pair, lam)
+    matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
+    return TruncatedOperator(matrix, basis.lambda_max, basis.block_index, basis)
 
 
 def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
-    """Matrix of the zero-point operator: block sum of tau_lambda(f).
+    """Matrix of the zero-point operator: the one-point ``pi_family`` at H = 0.
 
-    Blocks follow the covariant-basis order of the companion induced
-    operator, each K-type repeated per branching copy, so differences
-    against pi_matrix along a ray toward zero are entrywise meaningful.
-    Without ``basis`` that is the basis at the regular point H = (1, ..., 1).
-    The blocks are the one-point ``_schur_blocks`` at xi = 0.
+    Its basis is that of the companion induced operator, so differences
+    against pi_matrix along a ray toward zero are entrywise meaningful; on
+    it the operator is the block sum of tau_lambda(f), each K-type repeated
+    per branching copy.  Without ``basis`` that is the basis at the regular
+    point H = (1, ..., 1).
     """
     if basis is None:
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
-    return TruncatedOperator(
-        matrix=_schur_blocks(f.terms, pair.K, basis.blocks, np.zeros((1, pair.dim_p)))[0],
-        lambda_max=lambda_max,
-        block_index=basis.block_index,
-        basis=basis,
-    )
+    matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
+    return TruncatedOperator(matrix, lambda_max, basis.block_index, basis)
 
 
 @dataclass(eq=False)
@@ -320,17 +298,18 @@ def sample_field(f, pair, grid, lambda_max):
     form a family: one ``induction.window_basis``, one ``pi_family`` call
     and one batched SVD for their norms, which each operator records with
     its window matrix; nothing beyond the window is built, and a family
-    beyond the mu cut-off holds 0 x 0 matrices on an empty basis, built
-    directly with norms 0, no ``pi_family`` call and no SVD.  K-dual
-    entries are closed forms, one ``tau_matrix`` per point; those zero by
-    the selection rule are zero d x d matrices, built directly with norms 0
-    and no SVD.  ``operators`` follows the grid order; the
-    metadata carries W and the ``fhat2_sup`` bound condition 1 needs.
+    beyond the mu cut-off holds 0 x 0 matrices on an empty basis.  A K-dual
+    label is a one-point family at H = 0 on its K-type: one ``tau_matrix``
+    where a term's bar is the label, else, by the selection rule, a zero
+    matrix with no nonzero row to take norms of.  ``operators`` follows the
+    grid order; the metadata carries W and the ``fhat2_sup`` bound.
     """
     for p in grid:
         if p.pair_name != pair.name:
             raise ValueError(f"grid point {p} is not on instance {pair.name}")
     sup = f.fhat2_sup()  # SupBoundOverflow before any entry is formed
+    # each K-dual label is a one-point family: by the selection rule only
+    # the bars of the terms pay a pi_family call
     bars = {pair.K.schur_sum(t.u.label, t.u.row)[0] for t in f.terms}
     families = {}  # (mu, stabilizer structure) -> its points, in grid order
     operators = {}
@@ -338,21 +317,20 @@ def sample_field(f, pair, grid, lambda_max):
         if p.stratum != GAMMA2:
             families.setdefault((p.label, stabilizer(pair, p.H).structure), []).append(p)
         elif p.label in bars:
-            T = operators[p] = tau_matrix(f, pair, p.label, point=p)
+            T = operators[p] = tau_matrix(f, pair, p.label)
+            T.point = p
             _record_norms([T], T.matrix[None])
-        else:  # zero by the selection rule
-            d = pair.K.irrep_dim(p.label)
-            T = operators[p] = _k_dual_operator(pair, p.label, np.zeros((d, d), complex), p)
-            _record_norms([T])
+        else:
+            B = k_type_basis(pair, p.label)
+            M = np.zeros((B.size, B.size), complex)
+            T = operators[p] = TruncatedOperator(M, B.lambda_max, B.block_index, B, p)
+            _record_norms([T], M[None, :0])
     for (mu, _), pts in families.items():
         basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
-        if basis.blocks:
-            stack = pi_family(f, pair, basis, [p.H for p in pts])
-        else:  # beyond the mu cut-off: zero 0 x 0 operators, no entries to form
-            stack = np.zeros((len(pts), 0, 0), complex)
+        stack = pi_family(f, pair, basis, [p.H for p in pts])
         ops = [TruncatedOperator(m, lambda_max, basis.block_index, basis, p)
                for p, m in zip(pts, stack)]
-        _record_norms(ops, stack if basis.blocks else None)
+        _record_norms(ops, stack)
         operators.update(zip(pts, ops))
     metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
                 "fhat2_sup": sup, "lambda_max": lambda_max}

@@ -131,6 +131,18 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
     return _BASES[key]
 
 
+def k_type_basis(pair, lam):
+    """The basis of the K-dual point ``lam``, the induced space at H = 0.
+
+    Its stabilizer is K: one block, lam, with the Schur intertwiner I / sqrt(d)
+    of ``intertwiners``, cut at band(lam).
+    """
+    K, d = pair.K, pair.K.irrep_dim(lam)
+    blocks = [(lam, [np.eye(d, dtype=complex) / np.sqrt(d)])]
+    stab = pair.stabilizer_of(pair.zero_point())
+    return PeterWeylBasis(pair.name, lam, K.char_band(lam), stab, K, blocks, d)
+
+
 def branches_between(K, stab, mu, lo, hi):
     """Whether a K-type of band in (lo, hi] lies over mu, by weight counts."""
     labels = K.irrep_labels(hi)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import GAMMA2
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
-from .fourier import pi_family, pi_mu0_matrix, sample_field
+from .fourier import pi_family, sample_field
 from .induction import branches_between, window_basis
 from .pairs import as_coords, stabilizer
 
@@ -85,14 +85,14 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
     closed-form bound ``TestFunction.fhat2_sup`` on |f-hat| over (k, xi)
     that the sample records.  It lies above the true sup, so the check
     cannot fail a function that meets the bound at the true sup.  A sample
-    without it raises MissingSupBound: without a sup the check is vacuous.
+    without it (a float >= 0 with a finite square) raises MissingSupBound.
     The top band is that of the ``lambda_max`` truncation: when it lies
     above a sampled operator's window, the tail fraction is exactly 0.
     ``notes`` states W and whether lambda_max >= W (the truncation is exact).
     """
-    if "fhat2_sup" not in sample.metadata:
-        raise MissingSupBound("the sample metadata has no 'fhat2_sup' bound")
-    sup = float(sample.metadata["fhat2_sup"])
+    sup = sample.metadata.get("fhat2_sup")
+    if not (isinstance(sup, float) and 0.0 <= sup and sup * sup < math.inf):
+        raise MissingSupBound(f"no 'fhat2_sup' bound (a float >= 0, finite squared), got {sup!r}")
     W, lam_max = (sample.metadata.get(k) for k in ("window", "lambda_max"))
     exact = None not in (W, lam_max) and lam_max >= W
     witnesses = []
@@ -152,12 +152,13 @@ def judge_continuity(diffs_fine, diffs_coarse, steps_fine, steps_coarse,
 
 
 def path_break(pair, pts):
-    """(i, reason) for the first point of a continuity path off its stratum, or None.
+    """(i, reason) for the first point where a continuity path breaks, or None.
 
     A point's stratum is its stratum tag, wall set and label (points are
     canonical: their H is dominant already), and every point must share
-    that of the first, which must be an induced stratum.  The scenario
-    parser refuses such a path, and ``check_continuity`` raises on it.
+    that of the first, which must be an induced stratum, and none may equal
+    the one or two before it (a step of length 0).  The scenario parser
+    refuses such a path, and ``check_continuity`` raises on it.
     """
 
     def stratum_key(p):
@@ -170,6 +171,9 @@ def path_break(pair, pts):
             return i, f"path leaves the stratum {first} of its first point at {p}"
     if first[0] == GAMMA2:
         return 0, "continuity paths live in the induced strata"
+    for i, p in enumerate(pts):
+        if p in pts[max(i - 2, 0):i]:
+            return i, f"path repeats {p} within two steps: a step of length 0"
     return None
 
 
@@ -178,8 +182,8 @@ def check_continuity(pair, sample, thresholds=Thresholds()):
 
     The grid order of the sample is the path order; the point count must be
     odd so the half-resolution path is well-defined.  PathCrossesStrata is
-    raised when the stratum tag, wall set or label changes along the path
-    (``path_break``).
+    raised when the stratum tag, wall set or label changes along the path,
+    or a step of either resolution has length 0 (``path_break``).
     """
     pts = list(sample.grid)
     if len(pts) < 3 or len(pts) % 2 == 0:
@@ -283,36 +287,29 @@ def judge_h_ladder(deltas_by_mu, thresholds=Thresholds()):
     return bool(ok)
 
 
-def _distances(stack, ref):
-    """Operator norms of each matrix of ``stack`` minus ``ref``; ``stack`` is overwritten."""
-    for m in stack:  # in place and matrix by matrix: a broadcast would buffer
-        m -= ref
-    return np.linalg.svd(stack, compute_uv=False).max(axis=1, initial=0.0).tolist()
-
-
 def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresholds()):
     """Distance from the induced operator to its zero-point block form.
 
     Rays are H0 * 2^{-j}, j = 0..levels; the covariant basis is built once
     per weight, cut at the window of ``f`` (outside it both operators are
     zero), and shared across the ray, so differences are entrywise
-    meaningful.  Each weight's ladder is one family: one ``pi_family``
-    stack, the zero-point operator subtracted in place and one batched SVD;
-    beyond the mu cut-off the basis is empty and the distances are 0, with
-    no operator formed.  The uniformity proxy aggregates the final rung over
-    the supplied weight list.
+    meaningful.  Each weight's rungs and the zero point are one family: one
+    ``pi_family`` stack, its last matrix (the zero-point operator)
+    subtracted in place and one batched SVD, of 0 x 0 matrices beyond the
+    mu cut-off.  The uniformity proxy aggregates the final rung over the
+    supplied weight list.
     """
     H0 = as_coords(H0)
-    rungs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)]
+    points = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)] + [pair.zero_point()]
     deltas = {}
     witnesses = []
     for mu in mu_list:
         basis = window_basis(pair, mu, H0, lambda_max, f.window)
-        if basis.blocks:
-            ref = pi_mu0_matrix(f, pair, mu, lambda_max, basis=basis)
-            deltas[mu] = _distances(pi_family(f, pair, basis, rungs), ref.matrix)
-        else:  # beyond the mu cut-off both operators are 0 x 0
-            deltas[mu] = [0.0] * len(rungs)
+        stack = pi_family(f, pair, basis, points)
+        rungs, ref = stack[:-1], stack[-1]
+        for m in rungs:  # in place and matrix by matrix: a broadcast would buffer
+            m -= ref
+        deltas[mu] = np.linalg.svd(rungs, compute_uv=False).max(axis=1, initial=0.0).tolist()
         witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(

@@ -66,6 +66,16 @@ BAD_DOCUMENTS = {
     # a path on the zero point lies in no induced stratum
     "path_on_zero": ("m3-default", lambda d: d["grids"]["continuity"].update(
         path=[[0.0]] * 3)),
+    # a point equal to the one two before it: the half-resolution step is 0,
+    # a division by zero in condition 2's Lipschitz estimate
+    "path_returns": ("m3-default", lambda d: d["grids"]["continuity"].update(
+        path=[[1.0], [1.5], [1.0]])),
+    # a point equal to the one before it: a full-resolution step is 0
+    "path_stands_still": ("m3-default", lambda d: d["grids"]["continuity"].update(
+        path=[[1.0], [1.0], [1.5]])),
+    # the flip carries [-1.0] with label 0 to [1.0]: located points are compared
+    "path_flips_back": ("m3-default", lambda d: d["grids"]["continuity"].update(
+        path=[[1.0], [-1.0], [1.5]], mu=0)),
     # star() is exact only for radial flat factors, so the flag is checked
     "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
 }
@@ -161,6 +171,9 @@ class TestConfig:
     @pytest.mark.parametrize("case,field", [
         ("path_label_flips", "grids.continuity.path[1]"),
         ("path_on_zero", "grids.continuity.path[0]"),
+        ("path_returns", "grids.continuity.path[2]"),
+        ("path_stands_still", "grids.continuity.path[1]"),
+        ("path_flips_back", "grids.continuity.path[1]"),
     ])
     def test_path_off_one_stratum_is_field_scoped(self, case, field):
         # the check condition 2 makes, at parse time: the document to_dict
@@ -361,6 +374,20 @@ class TestMain:
             "run failed: NonFiniteEntries: entries of pi(f) at mu=0, H=(1000000.0,) "
             "overflow a float"
         ]
+
+    def test_unallocatable_array_exits_3(self, tmp_path, capsys):
+        # the K-type 10**8 of SO(3) has dimension d = 2 * 10**8 + 1: its
+        # d x d matrix, 568 PiB, lies beyond any 57-bit address space, so
+        # the allocation is refused at once and no memory is used
+        doc = bundled_scenario("m3-default")
+        doc["grids"]["gamma2"].append(10**8)
+        path = tmp_path / "doc.json"
+        path.write_text(dump_json(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: MemoryError: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["file", "below-file"])
     def test_unwritable_output_dir_exits_3(self, kind, tmp_path, capsys):

@@ -129,9 +129,11 @@ def test_traced_benchmark_iteration(tmp_path):
     # one-point operator, one sample_field per sample
     assert run["trace"]["fourier.pi_matrix"]["calls"] == 0
     assert run["trace"]["fourier.sample_field"]["calls"] == 3
-    # the zero-point operators build their blocks without tau_matrix, and
-    # the K-dual entries zero by the selection rule (labels 0, 3, 4, 5 of
-    # the six) are built directly: one call per nonzero entry
+    # the zero-point operators are the last matrices of the ladders'
+    # pi_family stacks, with no pi_mu0_matrix or tau_matrix call; the K-dual
+    # entries zero by the selection rule (labels 0, 3, 4, 5 of the six) are
+    # built directly: one tau_matrix call per nonzero entry
+    assert run["trace"]["fourier.pi_mu0_matrix"]["calls"] == 0
     assert run["trace"]["fourier.tau_matrix"]["calls"] == 2
     # no rule at all: src has no rule builder left for the trace to wrap;
     # and no element model, so no irrep is evaluated at a group element

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,18 @@ class TestCompactness:
         with pytest.raises(MissingSupBound, match="fhat2_sup"):
             check_compactness_proxy(m3, bare)
 
+    @pytest.mark.parametrize("sup", [1e200, float("nan"), -5.0])
+    def test_sup_that_is_no_bound_is_refused(self, m3, sup):
+        # 1e200 squared overflows a float, nan compares false, and a
+        # negative sup would pass a zero field: each is refused by name
+        _, sample = m3_field(m3)
+        bad = OperatorFieldSample(
+            sample.instance_name, sample.grid, sample.operators,
+            {**sample.metadata, "fhat2_sup": sup},
+        )
+        with pytest.raises(MissingSupBound, match=re.escape(f"got {sup!r}")):
+            check_compactness_proxy(m3, bad)
+
     def test_sup_bound_overflow_names_the_term(self):
         # a function built without the parser: its bound, 3.8e217 at degree
         # 200, squared overflows a float, refused by the parser's own check
@@ -171,6 +185,12 @@ class TestContinuity:
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
         pts = [make_dual_point(m3, 0, (h,)) for h in (1.0, 0.5, 1e-12, 0.5, 1.0)]
         with pytest.raises(PathCrossesStrata):
+            check_continuity(m3, sample_field(f, m3, pts, 2))
+
+    def test_zero_step_guarded(self, m3):
+        f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
+        pts = [make_dual_point(m3, 0, (h,)) for h in (1.0, 1.5, 1.0)]
+        with pytest.raises(PathCrossesStrata, match="step of length 0"):
             check_continuity(m3, sample_field(f, m3, pts, 2))
 
     def test_wall_path_on_product(self, m2xm2):
