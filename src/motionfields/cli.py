@@ -11,13 +11,13 @@ convergence queries, and writes:
   ``continuity.csv``    -- two-column curve data extracted from witnesses
 
 Exit status: 0 overall pass, 1 overall fail, 2 invalid scenario document
-or tolerance override (refused before any work), 3 runtime error in a
-module, an array too large to allocate or an artifact that cannot be
-written.  Outputs are deterministic for a fixed scenario: floats are
-printed at 12 significant digits, and the JSON files are written by
-``config.dump_json``, whose bytes are fixed.  Each file is written under
-a temporary name beside it and moved into place, so a failed run leaves
-no partial file.
+or tolerance override (refused before any work), 3 a module's error, an
+array too large to allocate, a label too large for numpy or Python or an
+unwritable artifact, told in one line.  Outputs are deterministic for a
+fixed scenario: floats are printed at 12 significant digits, and the JSON
+files are written by ``config.dump_json``, whose bytes are fixed.  Each
+file is written under a temporary name beside it and moved into place, so
+a failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def main(argv=None):
     )
     try:
         report, certificates = run_scenario(config, outdir)
-    except MotionFieldsError as e:
+    except (MotionFieldsError, ValueError, OverflowError) as e:  # the last two: a huge label
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except MemoryError as e:  # numpy raises a private subclass of it

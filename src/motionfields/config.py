@@ -10,7 +10,9 @@ Irrep labels appear in JSON as integers (rank-one instances) or integer
 lists (the product instance).  Each grid or query label must be an irrep
 label of the stabilizer at its points; the parser checks this by locating
 each point (``dual.make_dual_point``), and the plan and the queries hold
-the located points, so the run locates none again.  The continuity path
+the located points, so the run locates none again.  A weight of the grid,
+path or ladder must lie under a K-type of band <= ``lambda_max``, by the
+weight count ``induction.window_basis`` makes.  The continuity path
 must keep one induced stratum, wall set and label, and take no step of
 length 0 (``verifier.path_break``).
 Flat points are lists of ``rank`` finite numbers; complex numbers are
@@ -33,6 +35,7 @@ import numpy as np
 
 from .dual import make_dual_point
 from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch, SupBoundOverflow
+from .induction import branches_between
 from .pairs import INSTANCE_NAMES, WALL_TOL, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
 from .verifier import Thresholds, VerificationPlan, path_break
@@ -97,6 +100,16 @@ def _located(where, x, pair, Hs):
         return [make_dual_point(pair, label, H) for H in Hs]
     except StratumMismatch as e:
         raise ConfigError(where, str(e)) from None
+
+
+def _below(where, pair, mu, H, lambda_max):
+    """Refuse a weight over which no K-type up to ``lambda_max`` lies: its space is empty."""
+    try:
+        over = branches_between(pair.K, pair.stabilizer_of(H), mu, -1, lambda_max)
+    except (OverflowError, MemoryError):  # Python's list of the K-types, or of one's weights
+        raise ConfigError("cutoffs.lambda_max", "too large to list the K-types up to it") from None
+    _require(over, where, f"no K-type below {lambda_max} branches over mu={mu!r} on "
+             f"{pair.name}: a weight beyond cutoffs.lambda_max")
 
 
 def _located_each(where, x, pair, H):
@@ -189,10 +202,12 @@ def _plan(doc, pair):
     _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
              "needs an odd number (>= 3) of points")
     path = [_coords(w, h, rank) for w, h in path]
+    lambda_max = _positive_int("cutoffs.lambda_max", cut.get("lambda_max"))
     grid = []
     for w, e in _items("grids.gamma0", grids.get("gamma0")):
         H = _coords(f"{w}.H", _key(w, e, "H"), rank)
         grid += _located(f"{w}.mu", _key(w, e, "mu"), pair, [H])
+        _below(f"{w}.mu", pair, grid[-1].label, grid[-1].H, lambda_max)
     # every rung t H0 of a ray from zero is the zero point: condition 4 would be vacuous
     H0 = _nonzero("grids.h_ladder.H0", _key("grids.h_ladder", ladder, "H0"), pair)
     mu_grid = grids.get("mu_decay")
@@ -200,16 +215,17 @@ def _plan(doc, pair):
     mu_H = None if mu_grid is None else _nonzero(
         "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), pair
     )
-    lambda_max = _positive_int("cutoffs.lambda_max", cut.get("lambda_max"))
     grid += _located_each("grids.gamma2", grids.get("gamma2"), pair, None)
     path = _located("grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path)
     broken = path_break(pair, path)  # the check condition 2 makes, before any work
     if broken:
         raise ConfigError(f"grids.continuity.path[{broken[0]}]", broken[1])
+    _below("grids.continuity.mu", pair, path[0].label, path[0].H, lambda_max)
     ladder_mus = []  # the labels as given: the rays are formed at H0 as given
     for w, mu in _items("grids.h_ladder.mus", _key("grids.h_ladder", ladder, "mus")):
         _located(w, mu, pair, [H0])
         ladder_mus.append(_label(w, mu))
+        _below(w, pair, ladder_mus[-1], H0, lambda_max)
     return VerificationPlan(
         lambda_max=lambda_max,
         grid=grid,

@@ -31,16 +31,18 @@ mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 ``pi_family`` forms all their operators as one (P, n, n) stack on it, with
 one ``_schur_blocks`` call for the Gaussian terms and one ``_orbit_sums``
 call per other term; beyond the mu cut-off that basis is empty and the
-stack (P, 0, 0).  ``sample_field`` takes each family's norms in one
-batched SVD and records them on the operators, which hold the window
-matrix and basis.  ``pi_matrix`` keeps the basis cut at lambda_max, forms
-only the rows of its window K-types and records its norms, on their first
-read, from one SVD of the nonzero rows.
+stack (P, 0, 0).  The basis holds the block layout (``columns``), which
+both read.  A ``TruncatedOperator`` holds a read-only matrix, its basis
+and its norms, taken once by ``stack_norms``: ``sample_field`` takes each
+family's in one batched SVD, and any other operator's are taken on the
+first read, from one SVD of its nonzero rows.  ``pi_matrix`` keeps the
+basis cut at lambda_max and forms only the rows of its window K-types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,61 +56,73 @@ from .pairs import as_coords, stabilizer
 class TruncatedOperator:
     """Matrix of an operator in an explicit finite basis.
 
-    ``block_index`` lists (K-type label, copy, vector index) per basis row;
-    a K-dual entry's basis is the K-type's own (``induction.k_type_basis``).
-    One of ``sample_field`` holds its window: ``basis`` is cut at
-    min(``lambda_max``, W), above which entries are zero, and is empty (a
-    0 x 0 matrix) beyond the mu cut-off; ``lambda_max`` is the requested
-    cutoff.  ``op_norm`` and ``hs_norm`` are those recorded
-    for a read-only matrix (by ``sample_field``, or on the first read of
-    one from ``pi_matrix``), else taken from ``matrix`` on each read.
+    ``basis`` holds the layout (``block_index``: K-type label, copy and
+    vector index per row); a K-dual entry's basis is the K-type's own
+    (``induction.k_type_basis``).  One of ``sample_field`` holds its window:
+    ``basis`` is cut at min(``lambda_max``, W), above which entries are
+    zero, and is empty (a 0 x 0 matrix) beyond the mu cut-off;
+    ``lambda_max`` is the requested cutoff.  The matrix is made read-only
+    here, so ``op_norm`` and ``hs_norm`` are taken once: by
+    ``sample_field``'s batch for a family, else on the first read, from its
+    nonzero rows (the window rows of f).
     """
 
     matrix: np.ndarray
     lambda_max: int
-    block_index: list
-    basis: PeterWeylBasis | None = None
+    basis: PeterWeylBasis
     point: DualPoint | None = None
-    _norms: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
+
+    @property
+    def block_index(self):
+        return self.basis.block_index
 
     @property
     def size(self):
         return self.matrix.shape[0]
 
+    @cached_property
+    def _norms(self):  # unless sample_field has set them
+        (a,), (b,) = stack_norms(self.matrix[None, self.matrix.any(axis=1)])
+        return float(a), float(b)
+
     @property
     def op_norm(self):
-        return self._norms[0] if self._recorded() else operator_norm(self.matrix)
+        return self._norms[0]
 
     @property
     def hs_norm(self):
-        return self._norms[1] if self._recorded() else hs_norm(self.matrix)
-
-    def _recorded(self):
-        """Whether norms are recorded; those of a read-only matrix are, on the
-        first read, from one SVD of its nonzero rows (the window rows of f)."""
-        m = self.matrix
-        if self._norms is None and not m.flags.writeable:
-            _record_norms([self], m[None, m.any(axis=1)])
-        return self._norms is not None
+        return self._norms[1]
 
     def to_dict(self):
         """JSON-ready form; complex entries become [re, im] pairs."""
         return {
             "lambda_max": self.lambda_max,
-            "block_index": [
-                [list(lam) if isinstance(lam, tuple) else lam, c, v]
-                for lam, c, v in self.block_index
-            ],
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ],
+            "block_index": [[list(lam) if isinstance(lam, tuple) else lam, c, v]
+                            for lam, c, v in self.block_index],
+            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix],
         }
+
+
+def stack_norms(stack):
+    """(operator norms, HS norms) of the matrices of ``stack`` (P, n, N).
+
+    A matrix may be given by the rows of it that can be nonzero (none, n =
+    0, where a selection rule zeroes the operator).  One batched SVD covers
+    the stack: the operator norm is the largest singular value (0 for an
+    empty matrix) and the HS norm the 2-norm of all of them, which needs no
+    temporary the size of the stack.
+    """
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s.max(axis=1, initial=0.0), np.linalg.norm(s, axis=1)
 
 
 def operator_norm(T):
     if isinstance(T, TruncatedOperator):
         return T.op_norm
-    return float(np.linalg.svd(np.asarray(T), compute_uv=False).max(initial=0.0))
+    return float(stack_norms(np.asarray(T)[None])[0][0])
 
 
 def hs_norm(T):
@@ -117,54 +131,31 @@ def hs_norm(T):
     return float(np.linalg.norm(np.asarray(T)))
 
 
-def _record_norms(ops, stack):
-    """Record on ``ops`` the norms of the matrices of ``stack`` (P, n, N).
-
-    ``stack`` holds each operator's matrix, or the rows of it that can be
-    nonzero (none, n = 0, where a selection rule zeroes the operator).  One
-    batched SVD covers the stack: the operator norm is the largest singular
-    value (0 for an empty matrix) and the HS norm the 2-norm of all of
-    them, which needs no temporary the size of the stack.  Each matrix is
-    made read-only, so a recorded norm cannot go stale.
-    """
-    s = np.linalg.svd(stack, compute_uv=False)
-    for T, a, b in zip(ops, s.max(axis=1, initial=0.0), np.linalg.norm(s, axis=1)):
-        T.matrix.flags.writeable = False
-        T._norms = (float(a), float(b))
-
-
 def _block_factor(K, lam, Ts, S):
     """sqrt(d_lam) S T for every copy T of one basis block: (..., r, d_lam * copies, d_rho)."""
     return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
 
 
-def _schur_blocks(terms, K, blocks, xi):
+def _schur_blocks(terms, basis, xi):
     """Block sums of coeff g-hat(xi) S[col] over Gaussian ``terms``, one stack per row of ``xi``.
 
-    ``xi`` has shape (P, dim_p) and the result (P, N, N), one block per
-    (lam, copy) of ``blocks`` (pairs of a K-type and its copies, in basis
-    order).  S is the term's Schur sum at its row, which lives on the
-    contragredient bar of its label.  Each term's g-hat is evaluated once
-    for the whole batch, and each K-type's sum is placed once per copy.  A
-    term whose bar is not among ``blocks`` adds nothing, and its g-hat is
-    not evaluated.
+    ``xi`` has shape (P, dim_p) and the result (P, N, N) on ``basis``.  S is
+    the term's Schur sum at its row, which lives on the contragredient bar
+    of its label: the term adds its block to each copy of bar, within
+    ``basis.columns[bar]``.  Each term's g-hat is evaluated once for the
+    whole batch; a term whose bar is not in the basis adds nothing, and its
+    g-hat is not evaluated.
     """
     xi = np.asarray(xi, dtype=float)
-    dims = {lam: K.irrep_dim(lam) for lam, _ in blocks}
-    sums = {}
+    K, cols = basis.K, basis.columns
+    M = np.zeros((len(xi), basis.size, basis.size), dtype=complex)
     for t in terms:
         bar, S = K.schur_sum(t.u.label, t.u.row)
-        if bar in dims:
-            c = t.coeff * t.g.fourier(xi)
-            sums[bar] = sums.get(bar, 0.0) + c[:, None, None] * S[t.u.col]
-    N = sum(dims[lam] * len(Ts) for lam, Ts in blocks)
-    M, row = np.zeros((len(xi), N, N), dtype=complex), 0
-    for lam, Ts in blocks:
-        d = dims[lam]
-        for _ in Ts:
-            if lam in sums:
-                M[:, row : row + d, row : row + d] = sums[lam]
-            row += d
+        if bar in cols:
+            block = (t.coeff * t.g.fourier(xi))[:, None, None] * S[t.u.col]
+            d = K.irrep_dim(bar)
+            for i in range(cols[bar].start, cols[bar].stop, d):
+                M[:, i : i + d, i : i + d] += block
     return M
 
 
@@ -202,13 +193,8 @@ def pi_family(f, pair, basis, Hs):
     K = pair.K
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
     # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal
-    M = _schur_blocks(
-        [t for t in f.terms if not t.g.max_degree()], K, basis.blocks, pair.embed_a(Hs)
-    )
-    cols, start = {}, 0  # lam -> (its basis columns, its copies)
-    for lam, Ts in basis.blocks:
-        cols[lam] = (slice(start, start + K.irrep_dim(lam) * len(Ts)), Ts)
-        start = cols[lam][0].stop
+    M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, pair.embed_a(Hs))
+    cols, copies = basis.columns, dict(basis.blocks)
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
     # integral into two single ones per r: A, the integrals of g-hat on the
     # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
@@ -219,18 +205,16 @@ def pi_family(f, pair, basis, Hs):
         if t.g.max_degree():
             bar, S = K.schur_sum(t.u.label, t.u.col)
             if bar in cols:
-                poly_terms.append((t, cols[bar][0], _block_factor(K, bar, cols[bar][1], S)))
+                poly_terms.append((t, cols[bar], _block_factor(K, bar, copies[bar], S)))
     if not poly_terms:
         return M
     # A has band <= W: only the rows of the window's K-types are nonzero
-    rows = [(lam, Ts) for lam, Ts in basis.blocks if K.char_band(lam) <= f.window]
-    at = np.concatenate([np.arange(cols[lam][0].start, cols[lam][0].stop) for lam, _ in rows])
+    rows = [lam for lam in cols if K.char_band(lam) <= f.window]
+    at = np.concatenate([np.arange(basis.size)[cols[lam]] for lam in rows])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
         for t, bar_cols, B in poly_terms:
-            sums = _orbit_sums(t, K, [lam for lam, _ in rows], Hs)
-            A = np.concatenate(
-                [_block_factor(K, lam, Ts, S) for (lam, Ts), S in zip(rows, sums)], axis=-2
-            )
+            A = np.concatenate([_block_factor(K, lam, copies[lam], S)
+                                for lam, S in zip(rows, _orbit_sums(t, K, rows, Hs))], axis=-2)
             M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
     bad = ~np.isfinite(M).all(axis=(1, 2))
     if bad.any():  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
@@ -245,13 +229,11 @@ def pi_matrix(f, pair, mu, H, lambda_max):
     The one-point ``pi_family`` on the shared basis of (mu, the stabilizer
     of H) cut at ``lambda_max``.  Entries are <pi(f) psi_j, psi_i>, formed
     only in the rows of its window K-types (the rest is zero by the
-    selection rule).  The matrix is read-only, so its norms are recorded
-    on the first read, from its nonzero rows.
+    selection rule).  No norm is taken here: they are taken on the first
+    read, from the nonzero rows.
     """
     basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    stack = pi_family(f, pair, basis, [as_coords(H)])
-    stack.flags.writeable = False
-    return TruncatedOperator(stack[0], lambda_max, basis.block_index, basis)
+    return TruncatedOperator(pi_family(f, pair, basis, [as_coords(H)])[0], lambda_max, basis)
 
 
 def tau_matrix(f, pair, lam):
@@ -263,7 +245,7 @@ def tau_matrix(f, pair, lam):
     """
     basis = k_type_basis(pair, lam)
     matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
-    return TruncatedOperator(matrix, basis.lambda_max, basis.block_index, basis)
+    return TruncatedOperator(matrix, basis.lambda_max, basis)
 
 
 def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
@@ -278,7 +260,7 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     if basis is None:
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
     matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
-    return TruncatedOperator(matrix, lambda_max, basis.block_index, basis)
+    return TruncatedOperator(matrix, lambda_max, basis)
 
 
 @dataclass(eq=False)
@@ -296,12 +278,12 @@ def sample_field(f, pair, grid, lambda_max):
 
     Induced-stratum points that share a weight and a stabilizer structure
     form a family: one ``induction.window_basis``, one ``pi_family`` call
-    and one batched SVD for their norms, which each operator records with
-    its window matrix; nothing beyond the window is built, and a family
-    beyond the mu cut-off holds 0 x 0 matrices on an empty basis.  A K-dual
-    label is a one-point family at H = 0 on its K-type: one ``tau_matrix``
-    where a term's bar is the label, else, by the selection rule, a zero
-    matrix with no nonzero row to take norms of.  ``operators`` follows the
+    and one batched SVD for their norms, which each operator holds with its
+    window matrix; nothing beyond the window is built, and a family beyond
+    the mu cut-off holds 0 x 0 matrices on an empty basis.  A K-dual label
+    is a one-point family at H = 0 on its K-type: one ``tau_matrix`` where
+    a term's bar is the label, else, by the selection rule, a zero matrix;
+    its norms are taken when they are read.  ``operators`` follows the
     grid order; the metadata carries W and the ``fhat2_sup`` bound.
     """
     for p in grid:
@@ -319,19 +301,15 @@ def sample_field(f, pair, grid, lambda_max):
         elif p.label in bars:
             T = operators[p] = tau_matrix(f, pair, p.label)
             T.point = p
-            _record_norms([T], T.matrix[None])
         else:
             B = k_type_basis(pair, p.label)
-            M = np.zeros((B.size, B.size), complex)
-            T = operators[p] = TruncatedOperator(M, B.lambda_max, B.block_index, B, p)
-            _record_norms([T], M[None, :0])
+            operators[p] = TruncatedOperator(np.zeros((B.size,) * 2, complex), B.lambda_max, B, p)
     for (mu, _), pts in families.items():
         basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
         stack = pi_family(f, pair, basis, [p.H for p in pts])
-        ops = [TruncatedOperator(m, lambda_max, basis.block_index, basis, p)
-               for p, m in zip(pts, stack)]
-        _record_norms(ops, stack)
-        operators.update(zip(pts, ops))
+        for p, m, a, b in zip(pts, stack, *stack_norms(stack)):
+            T = operators[p] = TruncatedOperator(m, lambda_max, basis, p)
+            T._norms = (float(a), float(b))
     metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
                 "fhat2_sup": sup, "lambda_max": lambda_max}
     return OperatorFieldSample(pair.name, tuple(grid), {p: operators[p] for p in grid}, metadata)

@@ -67,9 +67,10 @@ def intertwiners(K, lam, stab, mu):
 class PeterWeylBasis:
     """Orthonormal basis of the covariant-map space, cut at a K-type level.
 
-    ``blocks`` lists (lambda, [T_1, ..., T_b]) in label order; the flat
-    ``block_index`` records (lambda, copy, v) per basis vector, in block
-    order: lambda, then copy, then the vector index v inside H_lambda.  A
+    ``blocks`` lists (lambda, [T_1, ..., T_b]) in label order, and the basis
+    runs lambda, then copy, then vector index v in H_lambda: the layout
+    that operators read, as ``columns`` (lambda -> the slice its copies
+    span) or as ``block_index`` ((lambda, copy, v) per basis vector).  A
     basis depends on (instance, mu, stabilizer, lambda_max) only, so one
     object serves every point of a stratum piece.
     """
@@ -84,16 +85,20 @@ class PeterWeylBasis:
 
     @cached_property
     def block_index(self):
-        return [
-            (lam, c, v)
-            for lam, Ts in self.blocks
-            for c in range(len(Ts))
-            for v in range(self.K.irrep_dim(lam))
-        ]
+        return [(lam, c, v) for lam, Ts in self.blocks
+                for c in range(len(Ts)) for v in range(self.K.irrep_dim(lam))]
+
+    @cached_property
+    def columns(self):
+        cols, start = {}, 0
+        for lam, Ts in self.blocks:
+            cols[lam] = slice(start, start + self.K.irrep_dim(lam) * len(Ts))
+            start = cols[lam].stop
+        return cols
 
     @property
     def size(self):
-        return sum(self.K.irrep_dim(lam) * len(Ts) for lam, Ts in self.blocks)
+        return max((c.stop for c in self.columns.values()), default=0)
 
 
 def peter_weyl_basis(pair, mu, H, lambda_max):
@@ -144,8 +149,8 @@ def k_type_basis(pair, lam):
 
 
 def branches_between(K, stab, mu, lo, hi):
-    """Whether a K-type of band in (lo, hi] lies over mu, by weight counts."""
-    labels = K.irrep_labels(hi)
+    """Whether a K-type of band in (lo, hi] lies over mu, by weight counts, the top first."""
+    labels = reversed(K.irrep_labels(hi))
     return any(K.char_band(x) > lo and restriction_multiplicity(K, x, stab, mu) for x in labels)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import GAMMA2
 from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
-from .fourier import pi_family, sample_field
+from .fourier import pi_family, sample_field, stack_norms
 from .induction import branches_between, window_basis
 from .pairs import as_coords, stabilizer
 
@@ -197,10 +197,10 @@ def check_continuity(pair, sample, thresholds=Thresholds()):
     diff = np.empty((len(pts) - 1,) + ops[0].shape, dtype=complex)
     for i, buf in enumerate(diff):
         np.subtract(ops[i + 1], ops[i], out=buf)
-    fine = np.linalg.svd(diff, compute_uv=False).max(axis=1, initial=0.0).tolist()
+    fine = stack_norms(diff)[0].tolist()
     for a, b in zip(diff[0::2], diff[1::2]):  # matrix by matrix: no overlap copy
         a += b
-    coarse = np.linalg.svd(diff[0::2], compute_uv=False).max(axis=1, initial=0.0).tolist()
+    coarse = stack_norms(diff[0::2])[0].tolist()
     steps_fine = [math.dist(a.H, b.H) for a, b in zip(pts, pts[1:])]
     steps_coarse = [math.dist(a.H, b.H) for a, b in zip(pts[0::2], pts[2::2])]
     ok, detail = judge_continuity(fine, coarse, steps_fine, steps_coarse, thresholds)
@@ -309,7 +309,7 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
         rungs, ref = stack[:-1], stack[-1]
         for m in rungs:  # in place and matrix by matrix: a broadcast would buffer
             m -= ref
-        deltas[mu] = np.linalg.svd(rungs, compute_uv=False).max(axis=1, initial=0.0).tolist()
+        deltas[mu] = stack_norms(rungs)[0].tolist()
         witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(

@@ -349,7 +349,7 @@ def _identity_fixture(pair, sample):
             B = peter_weyl_basis(pair, p.label, p.H, T.lambda_max)
             ops[p] = TruncatedOperator(
                 np.eye(B.size, dtype=complex), T.lambda_max,
-                B.block_index, B, T.point,
+                B, T.point,
             )
     merged = dict(sample.operators)
     merged.update(ops)
@@ -392,7 +392,7 @@ def test_10_verifier_discrimination_and_membership():
     low = [i for i, b in enumerate(T.block_index) if b[0] == T.block_index[0][0]]
     bump[np.ix_(low, low)] = 1.5 * np.eye(len(low))
     poisoned[pts[4]] = TruncatedOperator(
-        T.matrix + bump, T.lambda_max, T.block_index,
+        T.matrix + bump, T.lambda_max,
         T.basis, T.point,
     )
     fx2 = OperatorFieldSample(path.instance_name, path.grid, poisoned, path.metadata)
@@ -409,7 +409,7 @@ def test_10_verifier_discrimination_and_membership():
         M = np.zeros((B.size, B.size), dtype=complex)
         M[0, 0] = 1.0
         const_ops[p] = TruncatedOperator(
-            M, T.lambda_max, B.block_index, B, T.point
+            M, T.lambda_max, B, T.point
         )
     fx3 = OperatorFieldSample(
         mu_sample.instance_name, mu_sample.grid, const_ops, mu_sample.metadata
@@ -428,7 +428,7 @@ def test_10_verifier_discrimination_and_membership():
         if p.stratum == "gamma2":
             const_g2[p] = TruncatedOperator(
                 np.eye(T.size, dtype=complex) * 0.5, T.lambda_max,
-                T.block_index, T.basis, T.point,
+                T.basis, T.point,
             )
     merged = dict(good.operators)
     merged.update(const_g2)

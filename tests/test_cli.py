@@ -16,8 +16,8 @@ from motionfields.errors import ConfigError
 from motionfields.scenarios import BUNDLED_NAMES, bundled_scenario
 
 
-def _query(doc):
-    return doc["convergence_queries"][0]
+def _query(doc, i=0):
+    return doc["convergence_queries"][i]
 
 
 def _term(doc):
@@ -76,6 +76,13 @@ BAD_DOCUMENTS = {
     # the flip carries [-1.0] with label 0 to [1.0]: located points are compared
     "path_flips_back": ("m3-default", lambda d: d["grids"]["continuity"].update(
         path=[[1.0], [-1.0], [1.5]], mu=0)),
+    # no K-type of band <= lambda_max = 5 lies over the weight 7: the space is empty
+    "gamma0_mu_beyond_lambda_max": ("m3-default", lambda d: d["grids"]["gamma0"].append(
+        {"mu": 7, "H": [1.0]})),
+    "continuity_mu_beyond_lambda_max": ("m3-default", lambda d: d["grids"]["continuity"].update(
+        mu=7)),
+    "h_ladder_mu_beyond_lambda_max": ("m3-default", lambda d: d["grids"]["h_ladder"].update(
+        mus=[0, 1, 7])),
     # star() is exact only for radial flat factors, so the flag is checked
     "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
 }
@@ -185,6 +192,21 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(doc)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("case,field", [
+        ("gamma0_mu_beyond_lambda_max", "grids.gamma0[6].mu"),
+        ("continuity_mu_beyond_lambda_max", "grids.continuity.mu"),
+        ("h_ladder_mu_beyond_lambda_max", "grids.h_ladder.mus[2]"),
+    ])
+    def test_weight_beyond_lambda_max_is_field_scoped(self, case, field):
+        name, edit = BAD_DOCUMENTS[case]
+        doc = bundled_scenario(name)
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == field
+        assert "no K-type below 5 branches over mu=7" in str(err.value)
+        assert "cutoffs.lambda_max" in str(err.value)
 
     def test_stabilizer_label_errors_are_field_scoped(self):
         doc = bundled_scenario("m2-default")
@@ -388,6 +410,46 @@ class TestMain:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("run failed: MemoryError: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("lambda_max,error", [(10**30, None), (10**9, MemoryError)])
+    def test_lambda_max_too_large_to_list_exits_2(self, lambda_max, error, tmp_path, capsys,
+                                                  monkeypatch):
+        # Python cannot size the list of 10**30 K-types; that of 10**9 it cannot
+        # allocate under a memory limit, stood in for here by the error itself
+        if error:
+            def refuse(*args):
+                raise error()
+            monkeypatch.setattr(config, "branches_between", refuse)
+        doc = bundled_scenario("m3-default")
+        doc["cutoffs"]["lambda_max"] = lambda_max
+        path = tmp_path / "doc.json"
+        path.write_text(dump_json(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: cutoffs.lambda_max: too large to list the K-types up to it"
+        ]
+
+    @pytest.mark.parametrize("edit", [
+        # numpy refuses the d x d identity of the K-type 10**10 of SO(3)
+        lambda d: d["grids"]["gamma2"].append(10**10),
+        # condition 3 cuts at band 10**30 + 2: more K-types than a list holds
+        lambda d: d["grids"]["mu_decay"]["mu_values"].append(10**30),
+        # the K-type 10**30 has more weights than a list holds
+        lambda d: _query(d, 1)["limit"].update(label=10**30),
+    ], ids=["k_dual_label", "mu_decay_weight", "query_limit_label"])
+    def test_label_too_large_for_numpy_exits_3(self, edit, tmp_path, capsys):
+        doc = bundled_scenario("m3-default")
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(dump_json(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("run failed: "), err
+        assert err[0].split(":")[1].strip() in ("ValueError", "OverflowError"), err
 
     @pytest.mark.parametrize("kind", ["file", "below-file"])
     def test_unwritable_output_dir_exits_3(self, kind, tmp_path, capsys):

@@ -24,6 +24,8 @@ from motionfields import (
     transport_label,
 )
 from motionfields import fourier
+from motionfields.cli import load_scenario
+from motionfields.induction import k_type_basis
 from motionfields.groups import CompactGroup
 import pointwise as pw
 from quadrature import coefficient_sums, pi_entries, proven_order, quadrature, refuse_node_rules
@@ -670,10 +672,10 @@ class TestPiMu0:
 
 
 class TestNorms:
-    def test_identity(self):
+    def test_identity(self, m3):
         from motionfields import TruncatedOperator
 
-        T = TruncatedOperator(np.eye(3, dtype=complex), 1, [(0, 0, v) for v in range(3)])
+        T = TruncatedOperator(np.eye(3, dtype=complex), 1, k_type_basis(m3, 1))
         assert operator_norm(T) == pytest.approx(1.0)
         assert hs_norm(T) == pytest.approx(np.sqrt(3))
 
@@ -820,11 +822,22 @@ class TestFamilies:
         pair = request.getfixturevalue(instance.lower())
         sample = self.sample(pair, self.function(pair, kind, seed))
         for T in sample.operators.values():
-            assert T._norms is not None  # taken in the family's batch
             assert T.op_norm == pytest.approx(operator_norm(T.matrix), rel=1e-12, abs=1e-14)
             assert T.hs_norm == pytest.approx(hs_norm(T.matrix), rel=1e-12, abs=1e-14)
             with pytest.raises(ValueError):  # read-only, so the norms cannot go stale
                 T.matrix[0, 0] = 1.0
+
+    def test_one_svd_per_family(self, monkeypatch):
+        # m3-default's main grid: two induced families, each normed by one
+        # batched SVD; the six K-dual entries take theirs when read
+        config = load_scenario("m3-default")
+        pair = config.build_pair()
+        f = config.build_test_function(pair)
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        sample = sample_field(f, pair, config.plan.grid, config.plan.lambda_max)
+        assert len(calls) == 2
+        assert sum(p.stratum == "gamma2" for p in sample.grid) == 6
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
     @pytest.mark.parametrize("seed", range(2))

@@ -26,6 +26,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from motionfields import fourier
@@ -88,7 +89,7 @@ def test_lambda_sweep_matches_golden(golden):
     assert golden.check_sweep(norms, "m3-lambda-sweep") == []
 
 
-def test_pi_matrix_records_the_norms_of_its_window_rows():
+def test_pi_matrix_records_the_norms_of_its_window_rows(monkeypatch):
     # on the sweep input only the rows of band <= W = 2 of the N x N matrix
     # are nonzero; the norms pi_matrix records from them on the first read
     # (outside the sweep's timed region) are those of the whole matrix
@@ -97,14 +98,19 @@ def test_pi_matrix_records_the_norms_of_its_window_rows():
     config = load_scenario(str(WORKLOADS / sweep["scenario"]))
     pair = config.build_pair()
     f = config.build_test_function(pair)
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     for lam in sweep["lambda_max"]:
+        calls.clear()
         op = fourier.pi_matrix(f, pair, sweep["mu"], tuple(sweep["H"]), lam)
+        assert not calls  # no SVD inside the call the sweep times
         with pytest.raises(ValueError):  # read-only, so the norms cannot go stale
             op.matrix[0, 0] = 1.0
         assert 0 < op.matrix.any(axis=1).sum() < op.size
-        assert op.op_norm == pytest.approx(fourier.operator_norm(op.matrix), rel=1e-12)
-        assert op._norms is not None  # recorded by that read
-        assert op.hs_norm == pytest.approx(fourier.hs_norm(op.matrix), rel=1e-12)
+        norms = op.op_norm, op.hs_norm
+        assert len(calls) == 1  # one SVD, on the first read
+        assert norms[0] == pytest.approx(fourier.operator_norm(op.matrix), rel=1e-12)
+        assert norms[1] == pytest.approx(fourier.hs_norm(op.matrix), rel=1e-12)
 
 
 def test_traced_benchmark_iteration(tmp_path):

@@ -11,6 +11,7 @@ from motionfields import (
 from motionfields.groups import CircleGroup, CompactGroup, ProductGroup, RotationGroup3
 import pointwise as pw
 from quadrature import quadrature, refuse_node_rules
+from motionfields import induction
 from motionfields.induction import intertwiners
 from motionfields.pairs import StabilizerDescriptor, stab_contained
 
@@ -115,6 +116,16 @@ class TestBranching:
             for m in range(-4, 5):
                 ref = restriction_reference(K, K, ell, stab.group, m, embed=conj)
                 assert abs(restriction_multiplicity(m3.K, ell, stab, m) - ref) < 1e-12
+
+
+    def test_branches_between_counts_the_top_k_type_first(self, m3, monkeypatch):
+        # the top K-type lies over every torus weight of band <= its own, so
+        # one weight count decides; a scan from band 0 makes about 10**4
+        m, count, calls = 10**4, induction.restriction_multiplicity, []
+        monkeypatch.setattr(induction, "restriction_multiplicity",
+                            lambda *a: calls.append(a[1]) or count(*a))
+        assert induction.branches_between(m3.K, stabilizer(m3, (1.0,)), m, 2, m + 2)
+        assert calls == [m + 2]
 
 
 class TestQuadratureOp:
@@ -231,6 +242,16 @@ class TestPeterWeyl:
         assert peter_weyl_basis(m2xm2, (0, 2), (2.5, 0.0), 3) is wall
         assert basis.block_index is basis.block_index  # built once
         assert not hasattr(basis, "H")
+
+    def test_columns_span_each_k_type(self, m3, m2xm2):
+        # each K-type's copies span one slice of the basis, in block order
+        for basis in (peter_weyl_basis(m3, 1, (1.0,), 4),
+                      peter_weyl_basis(m2xm2, (0, 2), (1.0, 0.0), 3)):
+            assert list(basis.columns) == [lam for lam, _ in basis.blocks]
+            for lam, cols in basis.columns.items():
+                at = [i for i, b in enumerate(basis.block_index) if b[0] == lam]
+                assert at == list(range(basis.size)[cols])
+            assert basis.size == len(basis.block_index)
 
     def test_wall_basis_on_product(self, m2xm2):
         basis = peter_weyl_basis(m2xm2, (0, 2), (1.0, 0.0), 3)

@@ -64,7 +64,6 @@ def constant_operator(template, value=1.0, pair=None):
     return TruncatedOperator(
         matrix=np.eye(basis.size, dtype=complex) * value,
         lambda_max=template.lambda_max,
-        block_index=basis.block_index,
         basis=basis,
         point=template.point,
     )
@@ -145,7 +144,7 @@ def test_poisoned_sample_is_judged_on_its_own_norms(m3):
     scaled = {}
     for s in (sample, mu_sample):
         scaled[s] = override_sample(s, {
-            p: TruncatedOperator(3.0 * T.matrix, T.lambda_max, T.block_index, T.basis, T.point)
+            p: TruncatedOperator(3.0 * T.matrix, T.lambda_max, T.basis, T.point)
             for p, T in s.operators.items()
         })
     induced = [p for p in sample.grid if p.stratum != "gamma2"]
