@@ -32,7 +32,8 @@ mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 one ``_schur_blocks`` call for the Gaussian terms and one ``_orbit_sums``
 call per other term; beyond the mu cut-off that basis is empty and the
 stack (P, 0, 0).  The basis holds the block layout (``columns``), which
-both read.  A ``TruncatedOperator`` holds a read-only matrix, its basis
+both read, and branching counts; only ``_block_factor`` forms intertwiners
+(degree >= 1).  A ``TruncatedOperator`` holds a read-only matrix, its basis
 and its norms, taken once by ``stack_norms``: ``sample_field`` takes each
 family's in one batched SVD, and any other operator's are taken on the
 first read, from one SVD of its nonzero rows.  ``pi_matrix`` keeps the
@@ -48,7 +49,7 @@ import numpy as np
 
 from .dual import GAMMA2, DualPoint
 from .errors import NonFiniteEntries
-from .induction import PeterWeylBasis, k_type_basis, peter_weyl_basis, window_basis
+from .induction import PeterWeylBasis, intertwiners, k_type_basis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
 
@@ -131,9 +132,10 @@ def hs_norm(T):
     return float(np.linalg.norm(np.asarray(T)))
 
 
-def _block_factor(K, lam, Ts, S):
-    """sqrt(d_lam) S T for every copy T of one basis block: (..., r, d_lam * copies, d_rho)."""
-    return np.concatenate([np.sqrt(K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
+def _block_factor(basis, lam, S):
+    """sqrt(d_lam) S T per intertwiner T of ``basis`` at lam: (..., r, d_lam * copies, d_rho)."""
+    Ts = intertwiners(basis.K, lam, basis.stab, basis.mu)
+    return np.concatenate([np.sqrt(basis.K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
 
 
 def _schur_blocks(terms, basis, xi):
@@ -194,7 +196,7 @@ def pi_family(f, pair, basis, Hs):
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
     # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal
     M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, pair.embed_a(Hs))
-    cols, copies = basis.columns, dict(basis.blocks)
+    cols = basis.columns
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
     # integral into two single ones per r: A, the integrals of g-hat on the
     # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
@@ -205,7 +207,7 @@ def pi_family(f, pair, basis, Hs):
         if t.g.max_degree():
             bar, S = K.schur_sum(t.u.label, t.u.col)
             if bar in cols:
-                poly_terms.append((t, cols[bar], _block_factor(K, bar, copies[bar], S)))
+                poly_terms.append((t, cols[bar], _block_factor(basis, bar, S)))
     if not poly_terms:
         return M
     # A has band <= W: only the rows of the window's K-types are nonzero
@@ -213,7 +215,7 @@ def pi_family(f, pair, basis, Hs):
     at = np.concatenate([np.arange(basis.size)[cols[lam]] for lam in rows])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
         for t, bar_cols, B in poly_terms:
-            A = np.concatenate([_block_factor(K, lam, copies[lam], S)
+            A = np.concatenate([_block_factor(basis, lam, S)
                                 for lam, S in zip(rows, _orbit_sums(t, K, rows, Hs))], axis=-2)
             M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
     bad = ~np.isfinite(M).all(axis=(1, 2))

@@ -12,9 +12,11 @@ subtorus of K's maximal torus, or all of K, so branching needs no
 quadrature: an intertwiner is a unit weight vector (``CompactGroup.weights``)
 whose weight restricts to rho (``StabilizerDescriptor.restrict``), or the
 identity on all of K (Schur's lemma), and multiplicities count weights,
-in one place (``restriction_multiplicity``).  This is the weight-basis
-form of the SE(2)/SE(3) induced representations in Chirikjian & Kyatkin,
-Engineering Applications of Noncommutative Harmonic Analysis (2001).
+in one place (``restriction_multiplicity``).  A basis holds the counts;
+``fourier`` forms intertwiners only where it multiplies by them.  This
+is the weight-basis form of the SE(2)/SE(3) induced representations in
+Chirikjian & Kyatkin, Engineering Applications of Noncommutative Harmonic
+Analysis (2001).
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ def intertwiners(K, lam, stab, mu):
 class PeterWeylBasis:
     """Orthonormal basis of the covariant-map space, cut at a K-type level.
 
-    ``blocks`` lists (lambda, [T_1, ..., T_b]) in label order, and the basis
-    runs lambda, then copy, then vector index v in H_lambda: the layout
-    that operators read, as ``columns`` (lambda -> the slice its copies
-    span) or as ``block_index`` ((lambda, copy, v) per basis vector).  A
-    basis depends on (instance, mu, stabilizer, lambda_max) only, so one
-    object serves every point of a stratum piece.
+    ``blocks`` lists (lambda, copies) in label order, copies the branching
+    multiplicity of mu in lambda; the basis runs lambda, then copy (the
+    c-th of ``intertwiners``), then v in H_lambda, the layout operators read
+    as ``columns`` (lambda -> the slice its copies span) or ``block_index``
+    ((lambda, copy, v) per basis vector).  A basis depends on (instance, mu,
+    stabilizer, lambda_max) only: the points of a stratum piece share one.
     """
 
     pair_name: str
@@ -85,14 +87,14 @@ class PeterWeylBasis:
 
     @cached_property
     def block_index(self):
-        return [(lam, c, v) for lam, Ts in self.blocks
-                for c in range(len(Ts)) for v in range(self.K.irrep_dim(lam))]
+        return [(lam, c, v) for lam, copies in self.blocks
+                for c in range(copies) for v in range(self.K.irrep_dim(lam))]
 
     @cached_property
     def columns(self):
         cols, start = {}, 0
-        for lam, Ts in self.blocks:
-            cols[lam] = slice(start, start + self.K.irrep_dim(lam) * len(Ts))
+        for lam, copies in self.blocks:
+            cols[lam] = slice(start, start + self.K.irrep_dim(lam) * copies)
             start = cols[lam].stop
         return cols
 
@@ -106,20 +108,18 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
 
     Blocks are ordered by K-type label, then intertwiner copy, then vector
     index; the block for lambda appears with multiplicity equal to the
-    number of independent intertwiners (= the branching multiplicity of mu
-    in the restriction of lambda).  H enters only through its stabilizer, so
-    the basis is built once per (instance, mu, stabilizer structure,
-    lambda_max) and shared.
+    branching multiplicity of mu in the restriction of lambda, a weight
+    count: no intertwiner is formed here.  H enters only through its
+    stabilizer, so the basis is built once per (instance, mu, stabilizer
+    structure, lambda_max) and shared.
     """
     stab = _stabilizer_over(pair, mu, H)
     key = (pair.name, mu, stab.structure, lambda_max)
     if key in _BASES:
         return _BASES[key]
-    blocks = []
-    for lam in pair.K.irrep_labels(lambda_max):
-        Ts = intertwiners(pair.K, lam, stab, mu)
-        if Ts:
-            blocks.append((lam, Ts))
+    counts = ((lam, restriction_multiplicity(pair.K, lam, stab, mu))
+              for lam in pair.K.irrep_labels(lambda_max))
+    blocks = [(lam, copies) for lam, copies in counts if copies]
     if not blocks:
         raise EmptyBasis(
             f"no K-type below {lambda_max} branches over mu={mu!r} on {pair.name}"
@@ -139,13 +139,11 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
 def k_type_basis(pair, lam):
     """The basis of the K-dual point ``lam``, the induced space at H = 0.
 
-    Its stabilizer is K: one block, lam, with the Schur intertwiner I / sqrt(d)
-    of ``intertwiners``, cut at band(lam).
+    Its stabilizer is K: one block, lam, once (Schur's lemma; its intertwiner
+    is I / sqrt(d) in ``intertwiners``), cut at band(lam).
     """
-    K, d = pair.K, pair.K.irrep_dim(lam)
-    blocks = [(lam, [np.eye(d, dtype=complex) / np.sqrt(d)])]
-    stab = pair.stabilizer_of(pair.zero_point())
-    return PeterWeylBasis(pair.name, lam, K.char_band(lam), stab, K, blocks, d)
+    K, stab = pair.K, pair.stabilizer_of(pair.zero_point())
+    return PeterWeylBasis(pair.name, lam, K.char_band(lam), stab, K, [(lam, 1)], K.irrep_dim(lam))
 
 
 def branches_between(K, stab, mu, lo, hi):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,26 @@ def m2xm2():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def patch_everywhere(monkeypatch):
+    """``patch(fn, new)`` sets ``new`` in every motionfields module holding ``fn``.
+
+    A name imported from another module is a second reference, which a
+    patch of the defining module alone would miss.  Returns the names of
+    the modules patched.
+    """
+
+    def patch(fn, new):
+        held = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "motionfields":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, new)
+                    held.append(name)
+        return held
+
+    return patch

@@ -15,7 +15,8 @@ so tests can check them against an independent computation:
 * ``proven_order``: the order that integrates every induced entry of f
   against K-types of band <= lam_band exactly.
 * ``pi_entries``: the induced entries at one point with both factors by
-  node sums, the orbit factor from ``pair.ad_orbit_table``.
+  node sums, the orbit factor from ``pair.ad_orbit_table``, each basis
+  copy by its intertwiner (``induction.intertwiners``).
 * ``refuse_node_rules``: makes the numpy routines a node rule needs raise,
   for tests that check a path builds none.
 """
@@ -26,6 +27,7 @@ import numpy as np
 import pointwise as pw
 
 from motionfields.groups import CircleGroup, ProductGroup, RotationGroup3
+from motionfields.induction import intertwiners
 
 
 @dataclass(eq=False)
@@ -157,7 +159,8 @@ def pi_entries(f, pair, basis, H, rule):
     def factor(sums):
         return np.concatenate(
             [np.sqrt(K.irrep_dim(lam)) * (S @ T)
-             for (lam, Ts), S in zip(basis.blocks, sums) for T in Ts],
+             for (lam, _), S in zip(basis.blocks, sums)
+             for T in intertwiners(K, lam, basis.stab, basis.mu)],
             axis=1,
         )
 

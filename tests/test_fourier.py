@@ -23,7 +23,7 @@ from motionfields import (
     tau_matrix,
     transport_label,
 )
-from motionfields import fourier
+from motionfields import fourier, induction
 from motionfields.cli import load_scenario
 from motionfields.induction import k_type_basis
 from motionfields.groups import CompactGroup
@@ -523,10 +523,12 @@ def test_src_builds_no_quadrature_rule():
 
 
 @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
-def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch):
+def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
+                                                 patch_everywhere):
     # a Gaussian flat factor is constant on the orbit, so induced entries are
     # closed forms too, at single points and over a sampled field, and the
-    # basis copies drop out of them: no intertwiner product is formed
+    # basis copies drop out of them: no intertwiner is formed, let alone a
+    # product with one
     pair = request.getfixturevalue(instance.lower())
     rng = np.random.default_rng([len(instance), 11])
     f = random_function(pair, rng, max_label=2, max_degree=0)  # ghat(0) != 0
@@ -539,12 +541,16 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch)
     grid = [make_dual_point(pair, mu, H), make_dual_point(pair, mu, (0.4,) * pair.rank),
             make_dual_point(pair, lams[1], None)]
 
-    def no_product(K, lam, Ts, S):
+    def no_product(basis, lam, S):
         raise AssertionError(f"intertwiner product formed for K-type {lam}")
+
+    def no_intertwiner(K, lam, stab, mu):
+        raise AssertionError(f"intertwiner formed for K-type {lam}")
 
     assert not hasattr(CompactGroup, "quadrature")
     refuse_node_rules(monkeypatch)
     monkeypatch.setattr(fourier, "_block_factor", no_product)
+    assert "motionfields.fourier" in patch_everywhere(induction.intertwiners, no_intertwiner)
     for lam, ref in zip(lams, refs):
         op = tau_matrix(f, pair, lam)
         assert np.abs(op.matrix - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
@@ -916,7 +922,7 @@ class TestSelectionWindow:
             assert np.abs(M[:, outside]).max() <= 1e-13 * scale
             if basis.stab.group.char_band(mu) > f.bandlimit:  # the mu cut-off
                 assert np.abs(M).max() <= 1e-13 * scale
-            copies = {lam: len(Ts) for lam, Ts in basis.blocks}
+            copies = dict(basis.blocks)
             bound = sum(basis.d_rho * copies.get(K.contragredient(t.u.label)[0], 0)
                         for t in f.terms)
             s = np.linalg.svd(M, compute_uv=False)
@@ -961,7 +967,7 @@ class TestSelectionWindow:
             basis = peter_weyl_basis(pair, mu, H0, lam_max)
             zero = block_diag(*[
                 table_tau_matrix(f, pair, lam, 1 + K.char_band(lam) + f.bandlimit)
-                for lam, Ts in basis.blocks for _ in Ts
+                for lam, copies in basis.blocks for _ in range(copies)
             ])
             for j in range(levels + 1):
                 H = tuple(c * 2.0 ** (-j) for c in H0)

@@ -14,10 +14,14 @@ they pin the closed forms that replaced them.  A change that moves a
 number beyond those tolerances fails here.  The ``convergence.json`` of
 each scenario workload is also compared byte for byte with
 ``tests/golden``, as the benchmark's rules compare only its verdicts, not
-its evidence distances.  One traced benchmark iteration runs too, so the
-names the trace wraps stay in place.
+its evidence distances.  Every artifact of those five scenarios is
+pinned byte for byte as well, by its SHA-256 in
+``tests/golden/artifacts.sha256``: a change meant to leave the numbers
+alone must leave that manifest alone.  One traced benchmark iteration runs
+too, so the names the trace wraps stay in place.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -29,12 +33,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionfields import fourier
+from motionfields import fourier, induction
 from motionfields.cli import load_scenario, run_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads"
 TESTS_GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = {  # name -> the spec load_scenario reads
+    "m2-default": "m2-default",
+    "m3-default": str(WORKLOADS / "m3-default.json"),
+    "m2xm2-gamma1": str(WORKLOADS / "m2xm2-gamma1.json"),
+    "m3-poly": str(TESTS_GOLDEN / "m3-poly" / "scenario.json"),
+    "m2xm2-poly": str(TESTS_GOLDEN / "m2xm2-poly" / "scenario.json"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +79,35 @@ def test_degree_one_scenario_matches_golden(name, golden, tmp_path, monkeypatch)
     assert report.overall
     monkeypatch.setattr(golden, "GOLDEN_DIR", TESTS_GOLDEN)
     assert golden.check_scenario(tmp_path, name) == []
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_artifacts_match_manifest(name, tmp_path):
+    run_scenario(load_scenario(SCENARIOS[name]), tmp_path)
+    want = {}
+    for line in (TESTS_GOLDEN / "artifacts.sha256").read_text().splitlines():
+        digest, path = line.split()
+        scenario, artifact = path.split("/")
+        if scenario == name:
+            want[artifact] = digest
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert len(want) == 7 and got == want
+
+
+def test_m3_default_bases_are_cut_at_the_window(patch_everywhere, tmp_path):
+    # the field is formed on bases cut at the selection-rule window W = 2,
+    # not at lambda_max 5 (7 for the weight sample)
+    config = load_scenario(SCENARIOS["m3-default"])
+    assert config.build_test_function(config.build_pair()).window == 2 < config.plan.lambda_max
+    cuts, build = [], induction.peter_weyl_basis
+
+    def spy(pair, mu, H, lambda_max):
+        cuts.append(lambda_max)
+        return build(pair, mu, H, lambda_max)
+
+    patch_everywhere(build, spy)
+    assert run_scenario(config, tmp_path)[0].overall
+    assert cuts and max(cuts) <= 2
 
 
 def test_lambda_sweep_matches_golden(golden):
@@ -145,8 +185,8 @@ def test_traced_benchmark_iteration(tmp_path):
     # and no element model, so no irrep is evaluated at a group element
     assert "groups.quadrature" not in run["trace"]
     assert "groups.irrep_matrix" not in run["trace"]
-    # bases are built up to the selection-rule window W = 2, not to
-    # lambda_max 5 (7 for the weight sample): 106 calls before the window;
-    # and none for the weights |mu| >= 3 of the weight sample, whose window
-    # is empty by weight counts: 33 calls before
-    assert run["trace"]["induction.intertwiners"]["calls"] == 15
+    # a basis holds branching counts and only a term of degree >= 1
+    # multiplies by intertwiners, so this Gaussian field forms none (the
+    # cut of its bases: test_m3_default_bases_are_cut_at_the_window)
+    assert run["trace"]["induction.intertwiners"]["calls"] == 0
+    assert run["trace"]["induction.peter_weyl_basis"]["calls"] > 0

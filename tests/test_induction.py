@@ -155,9 +155,10 @@ class TestQuadratureOp:
 def basis_values(basis, params):
     """The basis maps at the elements ``params`` of K, shape (size, n, d_rho)."""
     rows = []
-    for lam, Ts in basis.blocks:
+    for lam, _ in basis.blocks:
         tab = pw.irrep_table(basis.K, lam, params)
         sq = np.sqrt(basis.K.irrep_dim(lam))
+        Ts = intertwiners(basis.K, lam, basis.stab, basis.mu)
         rows.extend(sq * np.conj(np.einsum("nvb,ba->vna", tab, T)) for T in Ts)
     return np.concatenate(rows, axis=0)
 
@@ -190,7 +191,7 @@ class TestPeterWeyl:
 
     def test_m3_mu0_block_sizes(self, m3):
         basis = peter_weyl_basis(m3, 0, (1.0,), 4)
-        sizes = {lam: m3.K.irrep_dim(lam) * len(Ts) for lam, Ts in basis.blocks}
+        sizes = {lam: m3.K.irrep_dim(lam) * copies for lam, copies in basis.blocks}
         assert sizes == {l: 2 * l + 1 for l in range(5)}
 
     def test_m3_mu2_blocks_start_at_two(self, m3):
@@ -301,11 +302,13 @@ class TestTablesMatchPerNodeReference:
     def test_intertwiners(self, instance, H, cutoff):
         pair = build_instance(instance)
         stab = stabilizer(pair, H)
-        for lam in pair.K.irrep_labels(cutoff):
-            for mu in stab.group.irrep_labels(cutoff):
+        for mu in stab.group.irrep_labels(cutoff):
+            # the basis holds the branching counts, the copies of each K-type
+            copies = dict(peter_weyl_basis(pair, mu, H, cutoff).blocks)
+            for lam in pair.K.irrep_labels(cutoff):
                 got = intertwiners(pair.K, lam, stab, mu)
                 ref = intertwiners_reference(pair.K, lam, stab, mu)
-                assert len(got) == len(ref)
+                assert len(got) == len(ref) == copies.get(lam, 0)
                 for T, R in zip(got, ref):
                     phase = np.vdot(R, T)  # each T is fixed up to a unit phase
                     assert abs(abs(phase) - 1.0) < 1e-12
