@@ -104,12 +104,16 @@ def _located(where, x, pair, Hs):
 
 def _below(where, pair, mu, H, lambda_max):
     """Refuse a weight over which no K-type up to ``lambda_max`` lies: its space is empty."""
-    try:
-        over = branches_between(pair.K, pair.stabilizer_of(H), mu, -1, lambda_max)
-    except (OverflowError, MemoryError):  # Python's list of the K-types, or of one's weights
-        raise ConfigError("cutoffs.lambda_max", "too large to list the K-types up to it") from None
+    over = branches_between(pair.K, pair.stabilizer_of(H), mu, -1, lambda_max)
     _require(over, where, f"no K-type below {lambda_max} branches over mu={mu!r} on "
              f"{pair.name}: a weight beyond cutoffs.lambda_max")
+
+
+def _indexable(where, pair, lam):
+    """Refuse a K-type whose d x d complex matrix has more bytes than numpy can index."""
+    d = pair.K.irrep_dim(lam)
+    _require(16 * d * d <= np.iinfo(np.intp).max, where,
+             f"the K-type {lam!r} has dimension {d}: its d x d matrix is too big for numpy")
 
 
 def _located_each(where, x, pair, H):
@@ -215,7 +219,9 @@ def _plan(doc, pair):
     mu_H = None if mu_grid is None else _nonzero(
         "grids.mu_decay.H", _key("grids.mu_decay", mu_grid, "H"), pair
     )
-    grid += _located_each("grids.gamma2", grids.get("gamma2"), pair, None)
+    for w, lam in _items("grids.gamma2", grids.get("gamma2")):
+        grid += _located(w, lam, pair, [None])
+        _indexable(w, pair, grid[-1].label)
     path = _located("grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path)
     broken = path_break(pair, path)  # the check condition 2 makes, before any work
     if broken:

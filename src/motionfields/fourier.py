@@ -8,11 +8,13 @@ single integrals of a term coefficient against a basis block.  Both are
 closed forms; no entry is a node sum.  B is the Schur sum
 (``CompactGroup.schur_sum``), zero outside the block of the term's
 contragredient K-type bar.  A carries the orbit factor g-hat(Ad(k) H).
-Where that is a constant g-hat(xi), A is a Schur sum too and the basis
-copies drop out: the term adds coeff g-hat(xi) S[col] to each copy of bar.
-``_schur_blocks`` forms that block sum for Gaussian flat factors (degree
-0), with xi = H as Ad is orthogonal.  For the other terms g-hat(Ad(k)H) is
-a Gaussian in |H| times a polynomial in matrix coefficients of K
+For a Gaussian flat factor (degree 0) that is a constant, a function of
+|H| alone as Ad is orthogonal (``_envelope``); then A is a Schur sum too
+and the basis copies drop out: the term adds coeff g-hat(H) times the
+rank-one J[:, row] J[:, col]^H / d of its contragredient (bar, J) to each
+copy of bar.  ``_schur_blocks`` forms that block sum, with no Schur sum
+tensor and no polynomial evaluation.  For the other terms g-hat(Ad(k)H)
+is the envelope of |H| times a polynomial in matrix coefficients of K
 (``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
 three matrix coefficients (``CompactGroup.gaunt``: Kronecker deltas on
 SO(2), products of two 3j symbols on SO(3)); ``_orbit_sums`` forms it for
@@ -32,12 +34,13 @@ mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 one ``_schur_blocks`` call for the Gaussian terms and one ``_orbit_sums``
 call per other term; beyond the mu cut-off that basis is empty and the
 stack (P, 0, 0).  The basis holds the block layout (``columns``), which
-both read, and branching counts; only ``_block_factor`` forms intertwiners
-(degree >= 1).  A ``TruncatedOperator`` holds a read-only matrix, its basis
-and its norms, taken once by ``stack_norms``: ``sample_field`` takes each
-family's in one batched SVD, and any other operator's are taken on the
-first read, from one SVD of its nonzero rows.  ``pi_matrix`` keeps the
-basis cut at lambda_max and forms only the rows of its window K-types.
+both read, and branching counts; only ``_block_factor`` multiplies by
+intertwiners (degree >= 1), which the basis forms once per K-type.  A
+``TruncatedOperator`` holds a read-only matrix, its basis and its norms,
+taken once by ``stack_norms``: ``sample_field`` takes each family's in one
+batched SVD, and any other operator's are taken on the first read, from
+one SVD of its nonzero rows.  ``pi_matrix`` keeps the basis cut at
+lambda_max and forms only the rows of its window K-types.
 """
 
 from __future__ import annotations
@@ -134,28 +137,40 @@ def hs_norm(T):
 
 def _block_factor(basis, lam, S):
     """sqrt(d_lam) S T per intertwiner T of ``basis`` at lam: (..., r, d_lam * copies, d_rho)."""
-    Ts = intertwiners(basis.K, lam, basis.stab, basis.mu)
+    Ts = basis.intertwiners_of(lam)
     return np.concatenate([np.sqrt(basis.K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
 
 
-def _schur_blocks(terms, basis, xi):
-    """Block sums of coeff g-hat(xi) S[col] over Gaussian ``terms``, one stack per row of ``xi``.
+def _envelope(g, c, Hs):
+    """c (2 pi sigma^2)^{dim/2} exp(-sigma^2 |H|^2 / 2) at each point of ``Hs`` (P, rank).
 
-    ``xi`` has shape (P, dim_p) and the result (P, N, N) on ``basis``.  S is
-    the term's Schur sum at its row, which lives on the contragredient bar
-    of its label: the term adds its block to each copy of bar, within
-    ``basis.columns[bar]``.  Each term's g-hat is evaluated once for the
-    whole batch; a term whose bar is not in the basis adds nothing, and its
-    g-hat is not evaluated.
+    The Gaussian factor of g-hat(Ad(k) H): it depends on |H| alone, as Ad is
+    orthogonal and the rows of ``a_basis`` are orthonormal.
     """
-    xi = np.asarray(xi, dtype=float)
+    amp = (2.0 * np.pi * g.sigma**2) ** (g.dim / 2.0)
+    return c * amp * np.exp(-g.sigma**2 * np.sum(Hs * Hs, axis=1) / 2.0)
+
+
+def _schur_blocks(terms, basis, Hs):
+    """Block sums of the Gaussian ``terms`` on ``basis``, one matrix per point of ``Hs``.
+
+    ``Hs`` holds flat coordinates, shape (P, rank), and the result is (P, N,
+    N).  A Gaussian g-hat is constant on the orbit of H: its value is
+    c_0 times the envelope of |H| (``_envelope``), c_0 its constant
+    coefficient.  By Schur orthogonality the term then adds coeff g-hat(H)
+    times the rank-one J[:, row] J[:, col]^H / d_bar to each copy of the
+    contragredient bar of its label, within ``basis.columns[bar]``, with
+    (bar, J) = ``CompactGroup.contragredient``.  A term whose bar is not in
+    the basis adds nothing, and its g-hat is not evaluated.
+    """
     K, cols = basis.K, basis.columns
-    M = np.zeros((len(xi), basis.size, basis.size), dtype=complex)
+    M = np.zeros((len(Hs), basis.size, basis.size), dtype=complex)
     for t in terms:
-        bar, S = K.schur_sum(t.u.label, t.u.row)
+        bar, J = K.contragredient(t.u.label)
         if bar in cols:
-            block = (t.coeff * t.g.fourier(xi))[:, None, None] * S[t.u.col]
-            d = K.irrep_dim(bar)
+            ghat, d = _envelope(t.g, t.g._hat_poly[(0,) * t.g.dim], Hs), len(J)
+            rank_one = J[:, t.u.row, None] * J[:, t.u.col].conj() / d
+            block = (t.coeff * ghat)[:, None, None] * rank_one
             for i in range(cols[bar].start, cols[bar].stop, d):
                 M[:, i : i + d, i : i + d] += block
     return M
@@ -164,18 +179,17 @@ def _schur_blocks(terms, basis, xi):
 def _orbit_sums(t, K, lams, Hs):
     """A[lam][p, r, v, b] = int g-hat(Ad(k)H_p) tau_l(k)[row, r] tau_lam(k)[v, b] dk.
 
-    g-hat(Ad(k)H) = a exp(-sigma^2 |H|^2 / 2) q(Ad(k)H), as Ad is orthogonal.
+    g-hat(Ad(k)H) = q(Ad(k)H) times the envelope of |H| (``_envelope``).
     q(Ad(k)H) = sum c_key(H) tau_J(k)[a, e] (``CompactGroup.orbit_expansion``),
     so A is the c-weighted sum of ``CompactGroup.gaunt`` over the keys, for
     all points at once.
     """
-    g, Hs = t.g, np.asarray(Hs, dtype=float)
+    g = t.g
     c = {}
     for alpha, q in g._hat_poly.items():
         for key, v in K.orbit_expansion(alpha, Hs).items():
             c[key] = c.get(key, 0.0) + q * v
-    amp = (2.0 * np.pi * g.sigma**2) ** (g.dim / 2.0)
-    C = np.array(list(c.values())) * amp * np.exp(-g.sigma**2 * np.sum(Hs * Hs, axis=1) / 2.0)
+    C = _envelope(g, np.array(list(c.values())), Hs)
     gaunts = (np.array([K.gaunt(key, t.u.label, t.u.row, lam) for key in c]) for lam in lams)
     return [np.tensordot(C, G, axes=(0, 0)) for G in gaunts]
 
@@ -192,11 +206,9 @@ def pi_family(f, pair, basis, Hs):
     NonFiniteEntries names the first point where those overflow a float; a
     Gaussian term's entries are bounded by ``TestFunction.fhat2_sup``.
     """
-    K = pair.K
+    K, cols = pair.K, basis.columns
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
-    # a Gaussian g-hat is constant on the orbit, as Ad is orthogonal
-    M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, pair.embed_a(Hs))
-    cols = basis.columns
+    M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, Hs)
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
     # integral into two single ones per r: A, the integrals of g-hat on the
     # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
@@ -294,7 +306,7 @@ def sample_field(f, pair, grid, lambda_max):
     sup = f.fhat2_sup()  # SupBoundOverflow before any entry is formed
     # each K-dual label is a one-point family: by the selection rule only
     # the bars of the terms pay a pi_family call
-    bars = {pair.K.schur_sum(t.u.label, t.u.row)[0] for t in f.terms}
+    bars = {pair.K.contragredient(t.u.label)[0] for t in f.terms}
     families = {}  # (mu, stabilizer structure) -> its points, in grid order
     operators = {}
     for p in grid:

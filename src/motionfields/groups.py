@@ -5,7 +5,9 @@ irreps and nothing pointwise: no run evaluates a group element.  Irreps are
 addressed by integer weights (SO(2): m in Z; SO(3): ell >= 0; products:
 tuples of factor labels, their matrices the kron of the factors' in C
 order).  SO(3)'s irrep ell is D^ell in the z-y-z convention, on the basis
-e_m, m = -ell..ell.
+e_m, m = -ell..ell.  How often a torus weight occurs in an irrep, and in
+the irreps of which bands, are closed forms (``weight_multiplicity``,
+``weight_bands``); ``weights`` lists them, where positions are needed.
 
 Haar integrals are closed forms, never node sums.  ``schur_sum`` integrates
 two matrix coefficients (Schur orthogonality).  K acts on its defining space
@@ -51,9 +53,30 @@ class CompactGroup:
         """Torus weight of each standard basis vector of the irrep, in basis order."""
         raise NotImplementedError
 
+    def weight_multiplicity(self, label, w):
+        """How often the torus weight ``w`` occurs in ``weights(label)``, in closed form."""
+        raise NotImplementedError
+
+    def weight_bands(self, w):
+        """The bands of the irreps in which the torus weight ``w`` occurs, in closed form.
+
+        An integer interval (lo, hi), hi possibly inf, or None if there are none.
+        """
+        raise NotImplementedError
+
     def contragredient(self, label):
         """(bar, J): the label of the conjugate irrep and a unitary J with
-        tau_bar(k) = J conj(tau_label(k)) J^H for every k."""
+        tau_bar(k) = J conj(tau_label(k)) J^H for every k.
+
+        Computed once per (group, label); J is read-only.
+        """
+        key = (self.name, label)
+        if key not in _CONTRAGREDIENT:
+            bar, J = self._contragredient(label)
+            _CONTRAGREDIENT[key] = (bar, _freeze(J))
+        return _CONTRAGREDIENT[key]
+
+    def _contragredient(self, label):
         raise NotImplementedError
 
     def schur_sum(self, label, row):
@@ -120,7 +143,7 @@ class TrivialGroup(CompactGroup):
     def weights(self, label):
         return [0]
 
-    def contragredient(self, label):
+    def _contragredient(self, label):
         return 0, np.ones((1, 1))
 
 
@@ -144,7 +167,13 @@ class CircleGroup(CompactGroup):
     def weights(self, label):
         return [label]
 
-    def contragredient(self, label):
+    def weight_multiplicity(self, label, w):
+        return int(label == w)
+
+    def weight_bands(self, w):
+        return abs(w), abs(w)
+
+    def _contragredient(self, label):
         return -int(label), np.ones((1, 1))
 
     space_dim = 2
@@ -184,12 +213,19 @@ class RotationGroup3(CompactGroup):
         """rot_z(theta) acts on e_m (m = -ell..ell) by e^{-i m theta}: weight -m."""
         return list(range(int(label), -int(label) - 1, -1))
 
-    def contragredient(self, label):
+    def weight_multiplicity(self, label, w):
+        return int(abs(w) <= label)
+
+    def weight_bands(self, w):
+        """Every ell >= |w| holds the weight w."""
+        return abs(w), math.inf
+
+    def _contragredient(self, label):
         """conj(D^ell_{m'm}) = (-1)^(m'-m) D^ell_{-m',-m}: J[2ell - a, a] = (-1)^(a - ell)."""
         ell = int(label)
-        a = np.arange(2 * ell + 1)
         J = np.zeros((2 * ell + 1, 2 * ell + 1))
-        J[2 * ell - a, a] = (-1.0) ** (a - ell)
+        for a in range(2 * ell + 1):  # scalar writes: a term's ell is small
+            J[2 * ell - a, a] = (-1.0) ** (a - ell)
         return ell, J
 
     space_dim = 3
@@ -229,7 +265,7 @@ class ProductGroup(CompactGroup):
         return list(itertools.product(*(f.irrep_labels(cutoff) for f in self.factors)))
 
     def irrep_dim(self, label):
-        return int(np.prod([f.irrep_dim(w) for f, w in zip(self.factors, label)]))
+        return math.prod(f.irrep_dim(w) for f, w in zip(self.factors, label))
 
     def validate_label(self, label):
         return (
@@ -245,7 +281,7 @@ class ProductGroup(CompactGroup):
         """Tuples of factor weights, in the kron (C) order of the factor bases."""
         return list(itertools.product(*(f.weights(w) for f, w in zip(self.factors, label))))
 
-    def contragredient(self, label):
+    def _contragredient(self, label):
         """Factor by factor, with J the kron of the factors' in C order."""
         bars, Js = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
         return tuple(bars), reduce(np.kron, Js)
@@ -279,6 +315,7 @@ class ProductGroup(CompactGroup):
         return out
 
 
+_CONTRAGREDIENT = {}  # (group name, label) -> (bar, J) of contragredient
 _SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
 _GAUNT = {}  # (group name, key, label, row, lam) -> (r, v, b) array of gaunt
 

@@ -9,11 +9,14 @@ orthonormal basis is assembled K-type by K-type from matrix coefficients
 where T runs over a Hilbert-Schmidt-orthonormal set of intertwiners
 H_rho -> H_lambda.  Every shipped stabilizer is trivial, a coordinate
 subtorus of K's maximal torus, or all of K, so branching needs no
-quadrature: an intertwiner is a unit weight vector (``CompactGroup.weights``)
-whose weight restricts to rho (``StabilizerDescriptor.restrict``), or the
-identity on all of K (Schur's lemma), and multiplicities count weights,
-in one place (``restriction_multiplicity``).  A basis holds the counts;
-``fourier`` forms intertwiners only where it multiplies by them.  This
+quadrature and no list: each stabilizer states in closed form how often
+rho occurs in lambda (``StabilizerDescriptor.count``, read by
+``restriction_multiplicity``) and the bands of the K-types over rho
+(``StabilizerDescriptor.bands``, read by ``branches_between``).  An
+intertwiner is a unit weight vector (``CompactGroup.weights``) whose
+weight restricts to rho (``StabilizerDescriptor.restrict``), or the
+identity on all of K (Schur's lemma).  A basis holds the counts and forms
+a K-type's intertwiners once, where ``fourier`` multiplies by them.  This
 is the weight-basis form of the SE(2)/SE(3) induced representations in
 Chirikjian & Kyatkin, Engineering Applications of Noncommutative Harmonic
 Analysis (2001).
@@ -21,7 +24,7 @@ Analysis (2001).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,20 +38,12 @@ def restriction_multiplicity(group, big, sub, small):
     """Multiplicity of the ``sub``-irrep ``small`` in the ``group``-irrep ``big``.
 
     ``group`` carries ``big`` (K, or a stabilizer's ``group``) and ``sub``
-    sits inside it.  This counts the weights of ``big`` that ``sub.restrict``
-    sends to ``small``: every shipped stabilizer reads its weights in the
-    coordinates of K's maximal torus.  Where ``sub.restrict`` is None, ``sub``
-    is all of K and this is Schur's lemma.  Frobenius reciprocity (the
-    K-types of an induced space) and the Fell topology both read this number.
+    sits inside it.  The count is ``sub``'s closed form
+    (``StabilizerDescriptor.count``), O(1) in the labels.  Frobenius
+    reciprocity (the K-types of an induced space) and the Fell topology
+    both read this number.
     """
-    if sub.restrict is None:
-        return int(big == small)
-    return len(_over(group, big, sub, small))
-
-
-def _over(group, big, sub, small):
-    """Positions of the weights of ``big`` that ``sub.restrict`` sends to ``small``."""
-    return [i for i, w in enumerate(group.weights(big)) if sub.restrict(w) == small]
+    return sub.count(group, big, small)
 
 
 def intertwiners(K, lam, stab, mu):
@@ -62,7 +57,7 @@ def intertwiners(K, lam, stab, mu):
     unit = np.eye(d, dtype=complex)
     if stab.restrict is None:
         return [unit / np.sqrt(d)] * restriction_multiplicity(K, lam, stab, mu)
-    return [unit[:, [i]] for i in _over(K, lam, stab, mu)]
+    return [unit[:, [i]] for i, w in enumerate(K.weights(lam)) if stab.restrict(w) == mu]
 
 
 @dataclass(eq=False)
@@ -71,10 +66,11 @@ class PeterWeylBasis:
 
     ``blocks`` lists (lambda, copies) in label order, copies the branching
     multiplicity of mu in lambda; the basis runs lambda, then copy (the
-    c-th of ``intertwiners``), then v in H_lambda, the layout operators read
-    as ``columns`` (lambda -> the slice its copies span) or ``block_index``
-    ((lambda, copy, v) per basis vector).  A basis depends on (instance, mu,
-    stabilizer, lambda_max) only: the points of a stratum piece share one.
+    c-th of ``intertwiners_of(lambda)``), then v in H_lambda, the layout
+    operators read as ``columns`` (lambda -> the slice its copies span) or
+    ``block_index`` ((lambda, copy, v) per basis vector).  A basis depends
+    on (instance, mu, stabilizer, lambda_max) only: the points of a stratum
+    piece share one.
     """
 
     pair_name: str
@@ -84,6 +80,13 @@ class PeterWeylBasis:
     K: CompactGroup
     blocks: list
     d_rho: int
+    _intertwiners: dict = field(default_factory=dict, init=False, repr=False)  # lam -> its list
+
+    def intertwiners_of(self, lam):
+        """``intertwiners`` of the K-type lam, formed once per basis, where a product needs them."""
+        if lam not in self._intertwiners:
+            self._intertwiners[lam] = intertwiners(self.K, lam, self.stab, self.mu)
+        return self._intertwiners[lam]
 
     @cached_property
     def block_index(self):
@@ -108,10 +111,10 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
 
     Blocks are ordered by K-type label, then intertwiner copy, then vector
     index; the block for lambda appears with multiplicity equal to the
-    branching multiplicity of mu in the restriction of lambda, a weight
-    count: no intertwiner is formed here.  H enters only through its
-    stabilizer, so the basis is built once per (instance, mu, stabilizer
-    structure, lambda_max) and shared.
+    branching multiplicity of mu in the restriction of lambda, the
+    stabilizer's closed form: no weight is listed and no intertwiner formed
+    here.  H enters only through its stabilizer, so the basis is built once
+    per (instance, mu, stabilizer structure, lambda_max) and shared.
     """
     stab = _stabilizer_over(pair, mu, H)
     key = (pair.name, mu, stab.structure, lambda_max)
@@ -147,15 +150,16 @@ def k_type_basis(pair, lam):
 
 
 def branches_between(K, stab, mu, lo, hi):
-    """Whether a K-type of band in (lo, hi] lies over mu, by weight counts, the top first."""
-    labels = reversed(K.irrep_labels(hi))
-    return any(K.char_band(x) > lo and restriction_multiplicity(K, x, stab, mu) for x in labels)
+    """Whether a K-type of band in (lo, hi] lies over mu: the stabilizer's bands over mu meet it."""
+    bands = stab.bands(K, mu)
+    return bands is not None and max(bands[0], lo + 1) <= min(bands[1], hi)
 
 
 def window_basis(pair, mu, H, lambda_max, window):
     """The shared basis of (mu, H) cut at min(``lambda_max``, ``window``).
 
-    Weight counts decide first, so nothing is built for an empty window:
+    The stabilizer's bands over mu decide first, so nothing is built for an
+    empty window:
     EmptyBasis, naming ``lambda_max``, when no K-type up to ``lambda_max``
     lies over mu; an empty basis (no blocks, size 0) when none up to the cut
     does, beyond the mu cut-off, where an operator living in it is zero.

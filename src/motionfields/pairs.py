@@ -11,12 +11,14 @@ Three instances ship:
 Coordinates on p and on the flat part are Euclidean in a fixed
 orthonormal basis, so the invariant form is the dot product.  A pair holds
 the label algebra a run uses: roots, Weyl elements with their label maps,
-and stabilizers with their restriction maps on torus weights.
+and stabilizers with their branching in closed form and their restriction
+maps on torus weights.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,16 +58,23 @@ def _fixed(label):
 
 @dataclass(eq=False)
 class StabilizerDescriptor:
-    """A closed connected subgroup of K, by its branching.
+    """A closed connected subgroup of K, by its branching, in closed form.
 
-    ``restrict`` maps a torus weight of K (``CompactGroup.weights``) to the
-    stabilizer label it restricts to; it is None for a stabilizer that is
-    all of K, which branches by Schur's lemma.
+    ``count(group, lam, mu)`` is the multiplicity of the stabilizer irrep mu
+    in the irrep lam of ``group``, which contains the stabilizer (K, or a
+    larger stabilizer); ``bands(group, mu)`` is the set of bands of the
+    irreps of ``group`` over mu, an integer interval (lo, hi) with hi
+    possibly inf, or None when it is empty.  ``restrict`` maps a torus
+    weight of K (``CompactGroup.weights``) to the stabilizer label it
+    restricts to, where an intertwiner needs the positions; it is None for
+    a stabilizer that is all of K, which branches by Schur's lemma.
     """
 
     structure: str
     group: CompactGroup
     restrict: Callable | None
+    count: Callable
+    bands: Callable
 
 
 @dataclass(eq=False)
@@ -107,23 +116,57 @@ class SymmetricPairDescriptor:
 
 
 def _trivial():
-    return StabilizerDescriptor("Trivial", TrivialGroup(), lambda w: 0)
+    """Every weight restricts to 0: lam holds mu = 0 d_lam times, and every K-type lies over it."""
+    return StabilizerDescriptor(
+        "Trivial", TrivialGroup(), lambda w: 0,
+        lambda G, lam, mu: G.irrep_dim(lam) * int(mu == 0),
+        lambda G, mu: (0, math.inf) if mu == 0 else None,
+    )
 
 
 def _circle():
-    """The circle: all of an SO(2) factor, or the z-rotations in SO(3) (weight m to m)."""
-    return StabilizerDescriptor("Torus(1)", CircleGroup(), lambda w: w)
+    """The circle: all of an SO(2) factor, or the z-rotations in SO(3) (weight m to m).
+
+    mu occurs in lam as often as the weight mu does: once in SO(2)'s irrep mu,
+    once in each of SO(3)'s irreps of ell >= |mu|.
+    """
+    return StabilizerDescriptor(
+        "Torus(1)", CircleGroup(), lambda w: w,
+        lambda G, lam, mu: G.weight_multiplicity(lam, mu),
+        lambda G, mu: G.weight_bands(mu),
+    )
+
+
+def _whole(structure, group):
+    """All of K, by Schur's lemma: lam holds mu once if they are equal, and only then."""
+    return StabilizerDescriptor(
+        structure, group, None,
+        lambda G, lam, mu: int(lam == mu),
+        lambda G, mu: (G.char_band(mu),) * 2,
+    )
 
 
 def _product_stab(factors):
-    """Factorwise stabilizer of a product instance, one factor per factor of K."""
+    """Factorwise stabilizer of a product instance, one factor per factor of K.
+
+    Counts multiply; a K-type's band is the max of its factors', so the bands
+    over mu are the interval from the max of the factors' lowest bands to the
+    max of their highest.
+    """
     g = ProductGroup([f.group for f in factors])
     structure = "Product(" + ", ".join(f.structure for f in factors) + ")"
 
     def restrict(w):
         return tuple(f.restrict(x) for f, x in zip(factors, w))
 
-    return StabilizerDescriptor(structure, g, restrict)
+    def count(G, lam, mu):
+        return math.prod(f.count(h, x, m) for f, h, x, m in zip(factors, G.factors, lam, mu))
+
+    def bands(G, mu):
+        each = [f.bands(h, m) for f, h, m in zip(factors, G.factors, mu)]
+        return None if None in each else tuple(map(max, zip(*each)))
+
+    return StabilizerDescriptor(structure, g, restrict, count, bands)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +203,7 @@ def _build_m2():
 
 
 def _build_m3():
-    full, circle = StabilizerDescriptor("SO3", RotationGroup3(), None), _circle()
+    full, circle = _whole("SO3", RotationGroup3()), _circle()
 
     def stab(coords):
         return full if abs(coords[0]) <= WALL_TOL else circle

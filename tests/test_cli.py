@@ -83,6 +83,9 @@ BAD_DOCUMENTS = {
         mu=7)),
     "h_ladder_mu_beyond_lambda_max": ("m3-default", lambda d: d["grids"]["h_ladder"].update(
         mus=[0, 1, 7])),
+    # numpy cannot index the 16 d^2 bytes of the K-type 10**10's d x d matrix
+    "gamma2_label_too_large_for_numpy": ("m3-default", lambda d: d["grids"]["gamma2"].append(
+        10**10)),
     # star() is exact only for radial flat factors, so the flag is checked
     "radial_not_r2": ("m2-default", lambda d: _term(d)["g"].update(poly={"1,0": [1.0, 0.0]})),
 }
@@ -207,6 +210,19 @@ class TestConfig:
         assert err.value.field == field
         assert "no K-type below 5 branches over mu=7" in str(err.value)
         assert "cutoffs.lambda_max" in str(err.value)
+
+    def test_k_dual_label_too_large_for_numpy_is_field_scoped(self):
+        name, edit = BAD_DOCUMENTS["gamma2_label_too_large_for_numpy"]
+        doc = bundled_scenario(name)
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.field == "grids.gamma2[6]"
+        assert "dimension 20000000001" in str(err.value)
+        # the K-type 10**8 fits numpy's index: its allocation fails at run time
+        doc = bundled_scenario(name)
+        doc["grids"]["gamma2"].append(10**8)
+        ScenarioConfig.from_dict(doc)
 
     def test_stabilizer_label_errors_are_field_scoped(self):
         doc = bundled_scenario("m2-default")
@@ -411,45 +427,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("run failed: MemoryError: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("lambda_max,error", [(10**30, None), (10**9, MemoryError)])
-    def test_lambda_max_too_large_to_list_exits_2(self, lambda_max, error, tmp_path, capsys,
-                                                  monkeypatch):
-        # Python cannot size the list of 10**30 K-types; that of 10**9 it cannot
-        # allocate under a memory limit, stood in for here by the error itself
-        if error:
-            def refuse(*args):
-                raise error()
-            monkeypatch.setattr(config, "branches_between", refuse)
-        doc = bundled_scenario("m3-default")
-        doc["cutoffs"]["lambda_max"] = lambda_max
-        path = tmp_path / "doc.json"
-        path.write_text(dump_json(doc))
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 2
-        assert not out.exists()
-        assert capsys.readouterr().err.splitlines() == [
-            "configuration error: cutoffs.lambda_max: too large to list the K-types up to it"
-        ]
-
     @pytest.mark.parametrize("edit", [
-        # numpy refuses the d x d identity of the K-type 10**10 of SO(3)
-        lambda d: d["grids"]["gamma2"].append(10**10),
-        # condition 3 cuts at band 10**30 + 2: more K-types than a list holds
+        # the run lists no K-type up to lambda_max: its bases are cut at the
+        # window and branching counts are closed forms
+        lambda d: d["cutoffs"].update(lambda_max=10**30),
+        # condition 3 asks whether a K-type of band in (W, 10**30 + 2] lies
+        # over the weight, a closed form
         lambda d: d["grids"]["mu_decay"]["mu_values"].append(10**30),
-        # the K-type 10**30 has more weights than a list holds
+        # the limit's branching count lists none of the K-type's weights
         lambda d: _query(d, 1)["limit"].update(label=10**30),
-    ], ids=["k_dual_label", "mu_decay_weight", "query_limit_label"])
-    def test_label_too_large_for_numpy_exits_3(self, edit, tmp_path, capsys):
+    ], ids=["lambda_max", "mu_decay_weight", "query_limit_label"])
+    def test_labels_beyond_any_list_run(self, edit, tmp_path, capsys):
         doc = bundled_scenario("m3-default")
         edit(doc)
         path = tmp_path / "doc.json"
         path.write_text(dump_json(doc))
         out = tmp_path / "out"
-        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 3
-        assert not out.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("run failed: "), err
-        assert err[0].split(":")[1].strip() in ("ValueError", "OverflowError"), err
+        assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        conditions = [line for line in lines if line.startswith("condition ")]
+        assert len(conditions) == 5 and all(line.endswith(": PASS") for line in conditions)
+        assert (out / "reports.json").exists()
 
     @pytest.mark.parametrize("kind", ["file", "below-file"])
     def test_unwritable_output_dir_exits_3(self, kind, tmp_path, capsys):

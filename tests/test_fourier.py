@@ -27,6 +27,7 @@ from motionfields import fourier, induction
 from motionfields.cli import load_scenario
 from motionfields.induction import k_type_basis
 from motionfields.groups import CompactGroup
+from motionfields.pairs import SymmetricPairDescriptor
 import pointwise as pw
 from quadrature import coefficient_sums, pi_entries, proven_order, quadrature, refuse_node_rules
 from test_induction import node_table
@@ -560,6 +561,51 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
     assert np.abs(op.matrix).max() > 0
     sample = sample_field(f, pair, grid, 2)
     assert all(np.isfinite(sample.operators[p].op_norm) for p in grid)
+
+
+@pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+def test_gaussian_entries_form_no_schur_tensor(instance, request, monkeypatch, patch_everywhere):
+    # a Gaussian term adds its envelope at |H| times a rank-one block of the
+    # contragredient: no Schur sum tensor, no g-hat polynomial and no
+    # embedded xi, at single points or over a sampled field
+    pair = request.getfixturevalue(instance.lower())
+    f = random_function(pair, np.random.default_rng([len(instance), 12]), max_label=2,
+                        max_degree=0)
+    mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
+    H = (0.9,) * pair.rank
+    lam = pair.K.irrep_labels(2)[1]
+    grid = [make_dual_point(pair, mu, H), make_dual_point(pair, mu, (0.4,) * pair.rank),
+            make_dual_point(pair, lam, None)]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on a Gaussian-only path")
+        return call
+
+    for cls, attr in [(CompactGroup, "schur_sum"), (PolyGaussian, "fourier"),
+                      (SymmetricPairDescriptor, "embed_a")]:
+        patch_everywhere(vars(cls)[attr], refuse(attr))  # any alias of the function
+        monkeypatch.setattr(cls, attr, refuse(attr))
+    assert np.abs(pi_matrix(f, pair, mu, H, 2).matrix).max() > 0
+    assert np.abs(pi_mu0_matrix(f, pair, mu, 2).matrix).max() > 0
+    tau_matrix(f, pair, lam)
+    sample = sample_field(f, pair, grid, 2)
+    assert all(np.isfinite(sample.operators[p].op_norm) for p in grid)
+
+
+def test_a_family_forms_each_intertwiner_once(m3, patch_everywhere):
+    # two degree >= 1 terms on one basis: the intertwiners of a K-type
+    # depend on the basis alone, so each window K-type's are formed once
+    g = PolyGaussian(3, 0.9, {(0, 0, 1): 1.0, (1, 0, 0): 0.5})
+    f = TestFunction(m3, [Term(1.0, MatrixCoefficient(1, 0, 2), g),
+                          Term(0.5j, MatrixCoefficient(2, 1, 1), g)])
+    basis = dataclasses.replace(peter_weyl_basis(m3, 0, (1.0,), 4))  # none formed yet
+    formed, original = [], induction.intertwiners
+    patch_everywhere(original, lambda K, lam, stab, mu: formed.append(lam) or original(
+        K, lam, stab, mu))
+    M = fourier.pi_family(f, m3, basis, [(0.5,), (1.0,)])
+    assert np.abs(M).max() > 0
+    assert sorted(formed) == list(range(f.window + 1))
 
 
 class TestTauMatrix:

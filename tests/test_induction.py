@@ -8,12 +8,14 @@ from motionfields import (
     restriction_multiplicity,
     stabilizer,
 )
-from motionfields.groups import CircleGroup, CompactGroup, ProductGroup, RotationGroup3
+from motionfields.groups import (
+    CircleGroup, CompactGroup, ProductGroup, RotationGroup3, TrivialGroup,
+)
 import pointwise as pw
 from quadrature import quadrature, refuse_node_rules
 from motionfields import induction
 from motionfields.induction import intertwiners
-from motionfields.pairs import StabilizerDescriptor, stab_contained
+from motionfields.pairs import stab_contained
 
 
 def weight_count_dim(ell):
@@ -24,11 +26,6 @@ def weight_count_dim(ell):
 def weight_branching(ell, m):
     """Independent oracle for the rotation-to-circle restriction."""
     return 1 if abs(m) <= ell else 0
-
-
-def full_group(K):
-    """K as a subgroup of itself: Schur's lemma."""
-    return StabilizerDescriptor(K.name, K, None)
 
 
 class TestEnumerate:
@@ -89,7 +86,7 @@ class TestBranching:
         assert restriction_multiplicity(m3.K, 3, stab, 2) == 1
 
     def test_self_restriction_schur(self, m3):
-        fk = full_group(m3.K)
+        fk = stabilizer(m3, (0.0,))  # K as a subgroup of itself: Schur's lemma
         for a in range(3):
             for b in range(3):
                 assert restriction_multiplicity(m3.K, a, fk, b) == (1 if a == b else 0)
@@ -118,14 +115,28 @@ class TestBranching:
                 assert abs(restriction_multiplicity(m3.K, ell, stab, m) - ref) < 1e-12
 
 
-    def test_branches_between_counts_the_top_k_type_first(self, m3, monkeypatch):
-        # the top K-type lies over every torus weight of band <= its own, so
-        # one weight count decides; a scan from band 0 makes about 10**4
-        m, count, calls = 10**4, induction.restriction_multiplicity, []
-        monkeypatch.setattr(induction, "restriction_multiplicity",
-                            lambda *a: calls.append(a[1]) or count(*a))
-        assert induction.branches_between(m3.K, stabilizer(m3, (1.0,)), m, 2, m + 2)
-        assert calls == [m + 2]
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_branching_lists_no_k_type(self, instance, monkeypatch):
+        # closed forms: at band 10**9 no K-type and no weight is listed
+        pair, top = build_instance(instance), 10**9
+
+        def label(group):  # an irrep of band 10**9, or the trivial group's 0
+            if isinstance(group, ProductGroup):
+                return tuple(label(f) for f in group.factors)
+            return 0 if isinstance(group, TrivialGroup) else top
+
+        def refuse(*args):
+            raise AssertionError("a list of K-types or weights was made")
+
+        stabs = [stabilizer(pair, H) for H in shipped_points(instance)]
+        for cls in (TrivialGroup, CircleGroup, RotationGroup3, ProductGroup):
+            monkeypatch.setattr(cls, "irrep_labels", refuse)
+            monkeypatch.setattr(cls, "weights", refuse)
+        for stab in stabs:
+            mu = label(stab.group)
+            assert induction.branches_between(pair.K, stab, mu, -1, top)
+            assert not induction.branches_between(pair.K, stab, mu, top, top)
+            assert induction.restriction_multiplicity(pair.K, label(pair.K), stab, mu) == 1
 
 
 class TestQuadratureOp:
@@ -340,6 +351,41 @@ def contained_pairs(pair):
         for big in pts
         if stab_contained(pair, small, big)
     ]
+
+
+def weight_count(K, lam, stab, mu):
+    """Oracle: the weights of lam that ``stab.restrict`` sends to mu, listed (all of K: Schur)."""
+    if stab.restrict is None:
+        return int(lam == mu)
+    return sum(stab.restrict(w) == mu for w in K.weights(lam))
+
+
+# every stabilizer the pairs build: M2's circle and trivial group, M3's SO(3)
+# and torus, and the four wall patterns of M2xM2
+STABILIZER_POINTS = [
+    ("M2", (0.0,)), ("M2", (1.0,)), ("M3", (0.0,)), ("M3", (1.0,)),
+    ("M2xM2", (1.0, 1.0)), ("M2xM2", (1.0, 0.0)), ("M2xM2", (0.0, 1.0)), ("M2xM2", (0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("instance,H", STABILIZER_POINTS, ids=[
+    "M2-circle", "M2-trivial", "M3-SO3", "M3-torus",
+    "M2xM2-regular", "M2xM2-wall2", "M2xM2-wall1", "M2xM2-zero",
+])
+def test_closed_form_branching_matches_weight_counts(instance, H):
+    # counts for K-types up to band 8 and weights |mu| <= 10; the bands over
+    # mu, up to 10, against every window (lo, hi] with -1 <= lo < hi <= 10
+    pair = build_instance(instance)
+    K, stab = pair.K, stabilizer(pair, H)
+    for mu in stab.group.irrep_labels(10):
+        counts = {lam: weight_count(K, lam, stab, mu) for lam in K.irrep_labels(10)}
+        for lam in K.irrep_labels(8):
+            assert restriction_multiplicity(K, lam, stab, mu) == counts[lam], (lam, mu)
+        bands = {K.char_band(lam) for lam, c in counts.items() if c}
+        for hi in range(11):
+            for lo in range(-1, hi):
+                expect = any(lo < b <= hi for b in bands)
+                assert induction.branches_between(K, stab, mu, lo, hi) == expect, (mu, lo, hi)
 
 
 @pytest.mark.parametrize("instance", INSTANCES)
