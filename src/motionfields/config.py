@@ -14,7 +14,7 @@ the located points, so the run locates none again.  A weight of the grid,
 path or ladder must lie under a K-type of band <= ``lambda_max``, by the
 weight count ``induction.window_basis`` makes.  The continuity path
 must keep one induced stratum, wall set and label, and take no step of
-length 0 (``verifier.path_break``).
+length 0 (``fourier.path_break``).
 Flat points are lists of ``rank`` finite numbers; complex numbers are
 numbers or [re, im] pairs; polynomial multi-indices are comma-joined
 strings keying complex coefficients.
@@ -35,10 +35,11 @@ import numpy as np
 
 from .dual import make_dual_point
 from .errors import ConfigError, NonRadialFlatFactor, StratumMismatch, SupBoundOverflow
+from .fourier import VerificationPlan, path_break
 from .induction import branches_between
 from .pairs import INSTANCE_NAMES, WALL_TOL, build_instance
 from .testfunctions import MatrixCoefficient, PolyGaussian, Term, TestFunction
-from .verifier import Thresholds, VerificationPlan, path_break
+from .verifier import Thresholds
 
 SCHEMA_VERSION = 1
 

@@ -30,7 +30,14 @@ class NonRadialFlatFactor(MotionFieldsError, ValueError):
 
 
 class NonFiniteEntries(MotionFieldsError):
-    """Operator entries overflow a float: f-hat is too large at the point."""
+    """Operator entries overflow a float: f-hat is too large at the point.
+
+    ``index`` is that point's place among the points of its family.
+    """
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 class SupBoundOverflow(MotionFieldsError):

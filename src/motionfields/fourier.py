@@ -32,15 +32,19 @@ The field is evaluated one family at a time: the induced points that share
 mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 ``pi_family`` forms all their operators as one (P, n, n) stack on it, with
 one ``_schur_blocks`` call for the Gaussian terms and one ``_orbit_sums``
-call per other term; beyond the mu cut-off that basis is empty and the
-stack (P, 0, 0).  The basis holds the block layout (``columns``), which
+call per other term; beyond the mu cut-off that basis is empty and no
+stack is formed.  The basis holds the block layout (``columns``), which
 both read, and branching counts; only ``_block_factor`` multiplies by
 intertwiners (degree >= 1), which the basis forms once per K-type.  A
 ``TruncatedOperator`` holds a read-only matrix, its basis and its norms,
-taken once by ``stack_norms``: ``sample_field`` takes each family's in one
-batched SVD, and any other operator's are taken on the first read, from
-one SVD of its nonzero rows.  ``pi_matrix`` keeps the basis cut at
-lambda_max and forms only the rows of its window K-types.
+taken once by ``stack_norms``.  ``sample_field`` reads a whole
+``VerificationPlan`` in one pass: the points of its grid, path, weight
+sample and h-ladder (zero points included) that share a family are one
+stack, a point two readings share is formed once, and every norm the five
+checks read, of operators, path steps and ladder deltas, comes from one
+batched SVD per matrix shape.  Any other operator's norms are taken on the
+first read, from one SVD of its nonzero rows.  ``pi_matrix`` keeps the
+basis cut at lambda_max and forms only the rows of its window K-types.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .dual import GAMMA2, DualPoint
-from .errors import NonFiniteEntries
+from .errors import MotionFieldsError, NonFiniteEntries, PathCrossesStrata
 from .induction import PeterWeylBasis, intertwiners, k_type_basis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
@@ -233,7 +237,8 @@ def pi_family(f, pair, basis, Hs):
     bad = ~np.isfinite(M).all(axis=(1, 2))
     if bad.any():  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
         H = tuple(Hs[bad.argmax()].tolist())
-        raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float")
+        raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float",
+                               int(bad.argmax()))
     return M
 
 
@@ -277,53 +282,250 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     return TruncatedOperator(matrix, lambda_max, basis)
 
 
+
+
 @dataclass(eq=False)
 class OperatorFieldSample:
-    """A finite grid of dual points with attached truncated operators."""
+    """A finite grid of dual points with attached truncated operators.
+
+    ``steps`` reads the grid as a continuity path: the operator norms of its
+    step differences at full and at half resolution (``step_differences``).
+    ``sample_field`` sets them for a plan's path in its batch; any other
+    sample takes them on the first read.
+    """
 
     instance_name: str
     grid: tuple
     operators: dict
     metadata: dict = field(default_factory=dict)
 
+    @cached_property
+    def steps(self):  # unless sample_field has set them
+        fine, coarse = step_differences([self.operators[p].matrix for p in self.grid])
+        return stack_norms(fine)[0].tolist(), stack_norms(coarse)[0].tolist()
+
+
+@dataclass
+class VerificationPlan:
+    """Where the five condition checks read the field on one instance."""
+
+    lambda_max: int
+    grid: list  # DualPoints for conditions 1 and 5
+    path: list  # DualPoints along the continuity path, odd count
+    h_ladder_mus: list  # labels at h_ladder_H0, as given
+    h_ladder_H0: object
+    h_ladder_levels: int
+    mu_points: list | None = None  # DualPoints at one H for condition 3
+
+
+def path_break(pair, pts):
+    """(i, reason) for the first point where a continuity path breaks, or None.
+
+    A point's stratum is its stratum tag, wall set and label (points are
+    canonical: their H is dominant already), and every point must share
+    that of the first, which must be an induced stratum, and none may equal
+    the one or two before it (a step of length 0).  The scenario parser
+    refuses such a path, and ``check_path`` raises on it.
+    """
+
+    def stratum_key(p):
+        walls = () if p.stratum == GAMMA2 else pair.wall_set(p.H)
+        return (p.stratum, walls, p.label)
+
+    first = stratum_key(pts[0])
+    for i, p in enumerate(pts):
+        if stratum_key(p) != first:
+            return i, f"path leaves the stratum {first} of its first point at {p}"
+    if first[0] == GAMMA2:
+        return 0, "continuity paths live in the induced strata"
+    for i, p in enumerate(pts):
+        if p in pts[max(i - 2, 0):i]:
+            return i, f"path repeats {p} within two steps: a step of length 0"
+    return None
+
+
+def check_path(pair, pts):
+    """ValueError unless ``pts`` has an odd count >= 3; PathCrossesStrata where ``path_break`` finds a break.
+
+    Its points then share one stratum piece, hence one basis: their
+    matrices have one shape.
+    """
+    if len(pts) < 3 or len(pts) % 2 == 0:
+        raise ValueError("continuity path needs an odd number (>= 3) of points")
+    broken = path_break(pair, pts)
+    if broken:
+        raise PathCrossesStrata(f"path: {broken[1]}")
+
+
+def step_differences(ops):
+    """(fine, coarse): the step differences of a path's matrices ``ops``, each stack in a new buffer.
+
+    A stride-2 difference is the sum of the two steps it spans.
+    """
+    fine = np.empty((len(ops) - 1,) + ops[0].shape, dtype=complex)
+    for i, buf in enumerate(fine):
+        np.subtract(ops[i + 1], ops[i], out=buf)
+    coarse = np.empty((len(fine) // 2,) + ops[0].shape, dtype=complex)
+    for i, buf in enumerate(coarse):
+        np.add(fine[2 * i], fine[2 * i + 1], out=buf)
+    return fine, coarse
+
+
+def _norms_by_shape(mats):
+    """(operator, HS) norms of each matrix of ``mats``: one ``stack_norms`` call per shape.
+
+    A matrix with no entry (0 x 0, or given by its nonzero rows and having
+    none) has norms (0, 0) without an SVD, the value ``stack_norms`` gives it.
+    """
+    shapes, norms = {}, [(0.0, 0.0)] * len(mats)
+    for i, m in enumerate(mats):
+        if m.size:
+            shapes.setdefault(m.shape, []).append(i)
+    for at in shapes.values():
+        op, hs = stack_norms(np.stack([mats[i] for i in at]))
+        for i, a, b in zip(at, op.tolist(), hs.tolist()):
+            norms[i] = (a, b)
+    return norms
+
+
+def _named(e, stage, mu, H, lambda_max):
+    """``e`` again, its message led by the reading, the point and the lambda_max it came from."""
+    at = f"lambda={mu!r}" if H is None else f"mu={mu!r}, H={H}"
+    return type(e)(f"{stage} at {at}, lambda_max={lambda_max}: {e}")
+
+
+class _Family:
+    """The points on one basis: a stack with one row per distinct H, in order of first request.
+
+    ``live``: formed by ``pi_family``, else zero; ``whole``: normed whole,
+    else by its nonzero rows; ``asked``: (reading, mu, H, lambda_max) of
+    each row's first request; ``first``: the index of its first row among
+    the normed matrices.
+    """
+
+    def __init__(self, basis, live, whole):
+        self.basis, self.live, self.whole = basis, live, whole
+        self.rows, self.asked, self.stack, self.first = {}, [], None, 0
+
+    def row(self, H, asked):
+        if H not in self.rows:
+            self.rows[H] = len(self.asked)
+            self.asked.append(asked)
+        return self.rows[H]
+
 
 def sample_field(f, pair, grid, lambda_max):
-    """Evaluate the Fourier-transform field of ``f`` on a grid of dual points.
+    """Evaluate the Fourier-transform field of ``f`` at dual points, in one pass.
 
-    Induced-stratum points that share a weight and a stabilizer structure
-    form a family: one ``induction.window_basis``, one ``pi_family`` call
-    and one batched SVD for their norms, which each operator holds with its
-    window matrix; nothing beyond the window is built, and a family beyond
-    the mu cut-off holds 0 x 0 matrices on an empty basis.  A K-dual label
-    is a one-point family at H = 0 on its K-type: one ``tau_matrix`` where
-    a term's bar is the label, else, by the selection rule, a zero matrix;
-    its norms are taken when they are read.  ``operators`` follows the
-    grid order; the metadata carries W and the ``fhat2_sup`` bound.
+    ``grid`` is a list of dual points read at ``lambda_max``, and the result
+    their ``OperatorFieldSample``; or a ``VerificationPlan``, read at its
+    own lambda_max (its weight points at max(lambda_max, their top band +
+    2)), and the result maps "main", "path" and, if it has them, "mu" to
+    the samples of its grid, path and weight points, and "h_ladder" to (mu,
+    [||pi(mu, H0 2^-j) - pi0|| for j = 0..levels]) per ladder weight.
+
+    Every induced point of every reading joins the family of its weight,
+    stabilizer structure and window cut min(lambda_max, W): one
+    ``window_basis`` and one ``pi_family`` stack, a row per distinct H
+    (no call beyond the mu cut-off, where the basis is empty).  A ladder's
+    rungs and zero point (H = 0) join the family of its weight at H0; a
+    K-dual label is a one-point family at H = 0 on ``k_type_basis``,
+    formed only where a term's bar is the label (else zero, by the
+    selection rule).  The stacks are read-only, the path's steps
+    (``step_differences``) and the ladder's deltas new buffers, and every
+    norm a check reads, of operators (K-dual entries by their nonzero
+    rows), steps and deltas, comes from one ``stack_norms`` call per
+    matrix shape.  EmptyBasis, NonFiniteEntries and a refused label name
+    the reading ("main grid", "path", "mu points", "h-ladder"), the point
+    and its lambda_max; ``operators`` follow the grid order, and the
+    metadata carries W and the ``fhat2_sup`` bound.
     """
-    for p in grid:
-        if p.pair_name != pair.name:
-            raise ValueError(f"grid point {p} is not on instance {pair.name}")
+    plan = grid if isinstance(grid, VerificationPlan) else VerificationPlan(
+        lambda_max, list(grid), [], [], None, 0)
+    lam = plan.lambda_max
+    readings = [("main", "main grid", plan.grid, lam), ("path", "path", plan.path, lam)]
+    if plan.mu_points:
+        group = stabilizer(pair, plan.mu_points[0].H).group
+        band = max(group.char_band(p.label) for p in plan.mu_points)
+        readings.append(("mu", "mu points", plan.mu_points, max(lam, band + 2)))
+    for _, _, pts, _ in readings:
+        for p in pts:
+            if p.pair_name != pair.name:
+                raise ValueError(f"grid point {p} is not on instance {pair.name}")
     sup = f.fhat2_sup()  # SupBoundOverflow before any entry is formed
-    # each K-dual label is a one-point family: by the selection rule only
-    # the bars of the terms pay a pi_family call
-    bars = {pair.K.contragredient(t.u.label)[0] for t in f.terms}
-    families = {}  # (mu, stabilizer structure) -> its points, in grid order
-    operators = {}
-    for p in grid:
-        if p.stratum != GAMMA2:
-            families.setdefault((p.label, stabilizer(pair, p.H).structure), []).append(p)
-        elif p.label in bars:
-            T = operators[p] = tau_matrix(f, pair, p.label)
-            T.point = p
-        else:
-            B = k_type_basis(pair, p.label)
-            operators[p] = TruncatedOperator(np.zeros((B.size,) * 2, complex), B.lambda_max, B, p)
-    for (mu, _), pts in families.items():
-        basis = window_basis(pair, mu, pts[0].H, lambda_max, f.window)
-        stack = pi_family(f, pair, basis, [p.H for p in pts])
-        for p, m, a, b in zip(pts, stack, *stack_norms(stack)):
-            T = operators[p] = TruncatedOperator(m, lambda_max, basis, p)
-            T._norms = (float(a), float(b))
-    metadata = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
-                "fhat2_sup": sup, "lambda_max": lambda_max}
-    return OperatorFieldSample(pair.name, tuple(grid), {p: operators[p] for p in grid}, metadata)
+    if plan.path:
+        check_path(pair, plan.path)
+    zero, bars = pair.zero_point(), {pair.K.contragredient(t.u.label)[0] for t in f.terms}
+    families, bases = {}, {}  # key -> _Family; (mu, structure, lambda_max) -> window basis
+
+    def family(stage, mu, H, lam_r):
+        """The family of (mu, H) read at ``lam_r``; H None is the K-dual point mu."""
+        try:
+            if H is None:
+                key = (GAMMA2, mu)
+                if key not in families:
+                    families[key] = _Family(k_type_basis(pair, mu), mu in bars, False)
+                return families[key]
+            structure = stabilizer(pair, H).structure
+            if (mu, structure, lam_r) not in bases:
+                bases[mu, structure, lam_r] = window_basis(pair, mu, H, lam_r, f.window)
+            basis = bases[mu, structure, lam_r]
+            return families.setdefault((mu, structure, basis.lambda_max), _Family(basis, True, True))
+        except (MotionFieldsError, ValueError) as e:
+            raise _named(e, stage, mu, H, lam_r) from None
+
+    placed = {}  # reading -> (family, row) per point
+    for name, stage, pts, lam_r in readings:
+        placed[name] = [(fam, fam.row(zero if p.H is None else p.H, (stage, p.label, p.H, lam_r)))
+                        for p in pts for fam in [family(stage, p.label, p.H, lam_r)]]
+    ladder = []
+    if plan.h_ladder_mus:
+        H0 = as_coords(plan.h_ladder_H0)
+        Hs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(plan.h_ladder_levels + 1)]
+        for mu in plan.h_ladder_mus:
+            fam = family("h-ladder", mu, H0, lam)
+            ladder.append((mu, fam, [fam.row(H, ("h-ladder", mu, H, lam)) for H in Hs + [zero]]))
+
+    mats = []  # every matrix whose norms a check reads
+    for fam in families.values():
+        basis, Hs = fam.basis, list(fam.rows)
+        if basis.size and fam.live:
+            try:
+                fam.stack = pi_family(f, pair, basis, Hs)
+            except NonFiniteEntries as e:
+                raise _named(e, *fam.asked[e.index]) from None
+        else:  # beyond the mu cut-off, or a K-dual label that is no term's bar
+            fam.stack = np.zeros((len(Hs), basis.size, basis.size), dtype=complex)
+        fam.stack.flags.writeable = False
+        fam.first = len(mats)
+        mats.extend(fam.stack if fam.whole else (m[m.any(axis=1)] for m in fam.stack))
+    # the path's steps and each ladder weight's deltas to its zero point
+    diffs = list(step_differences([fam.stack[r] for fam, r in placed["path"]])) if plan.path else []
+    for _, fam, rows in ladder:
+        diffs.append(np.empty((len(rows) - 1,) + fam.stack.shape[1:], dtype=complex))
+        for buf, r in zip(diffs[-1], rows):
+            np.subtract(fam.stack[r], fam.stack[rows[-1]], out=buf)
+    at = len(mats)
+    for d in diffs:
+        mats.extend(d)
+    norms = _norms_by_shape(mats)
+    left = iter(a for a, _ in norms[at:])  # the differences' operator norms, in order
+    diff_norms = [[next(left) for _ in d] for d in diffs]
+
+    common = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
+              "fhat2_sup": sup}
+    out = {}
+    for name, _, pts, lam_r in readings:
+        operators = {}
+        for p, (fam, r) in zip(pts, placed[name]):
+            T = operators[p] = TruncatedOperator(
+                fam.stack[r], fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p)
+            T._norms = norms[fam.first + r]
+        out[name] = OperatorFieldSample(pair.name, tuple(pts), operators,
+                                        dict(common, lambda_max=lam_r))
+    if plan.path:
+        out["path"].steps = tuple(diff_norms[:2])
+    if not isinstance(grid, VerificationPlan):
+        return out["main"]
+    out["h_ladder"] = [(mu, d) for (mu, _, _), d in zip(ladder, diff_norms[len(diffs) - len(ladder):])]
+    return out

@@ -6,8 +6,9 @@ addressed by integer weights (SO(2): m in Z; SO(3): ell >= 0; products:
 tuples of factor labels, their matrices the kron of the factors' in C
 order).  SO(3)'s irrep ell is D^ell in the z-y-z convention, on the basis
 e_m, m = -ell..ell.  How often a torus weight occurs in an irrep, and in
-the irreps of which bands, are closed forms (``weight_multiplicity``,
-``weight_bands``); ``weights`` lists them, where positions are needed.
+the irreps of which bands, and at which positions of the irrep's basis,
+are closed forms (``weight_multiplicity``, ``weight_bands``,
+``weight_positions``); ``weights`` lists them, for the tests' oracles.
 
 Haar integrals are closed forms, never node sums.  ``schur_sum`` integrates
 two matrix coefficients (Schur orthogonality).  K acts on its defining space
@@ -53,9 +54,13 @@ class CompactGroup:
         """Torus weight of each standard basis vector of the irrep, in basis order."""
         raise NotImplementedError
 
-    def weight_multiplicity(self, label, w):
-        """How often the torus weight ``w`` occurs in ``weights(label)``, in closed form."""
+    def weight_positions(self, label, w):
+        """The indices of the torus weight ``w`` in ``weights(label)``, in closed form, in order."""
         raise NotImplementedError
+
+    def weight_multiplicity(self, label, w):
+        """How often the torus weight ``w`` occurs in ``weights(label)``."""
+        return len(self.weight_positions(label, w))
 
     def weight_bands(self, w):
         """The bands of the irreps in which the torus weight ``w`` occurs, in closed form.
@@ -167,8 +172,8 @@ class CircleGroup(CompactGroup):
     def weights(self, label):
         return [label]
 
-    def weight_multiplicity(self, label, w):
-        return int(label == w)
+    def weight_positions(self, label, w):
+        return [0] if label == w else []
 
     def weight_bands(self, w):
         return abs(w), abs(w)
@@ -213,8 +218,9 @@ class RotationGroup3(CompactGroup):
         """rot_z(theta) acts on e_m (m = -ell..ell) by e^{-i m theta}: weight -m."""
         return list(range(int(label), -int(label) - 1, -1))
 
-    def weight_multiplicity(self, label, w):
-        return int(abs(w) <= label)
+    def weight_positions(self, label, w):
+        """e_m has weight -m, so the weight w sits at index ell - w."""
+        return [int(label) - w] if abs(w) <= label else []
 
     def weight_bands(self, w):
         """Every ell >= |w| holds the weight w."""

@@ -13,9 +13,10 @@ quadrature and no list: each stabilizer states in closed form how often
 rho occurs in lambda (``StabilizerDescriptor.count``, read by
 ``restriction_multiplicity``) and the bands of the K-types over rho
 (``StabilizerDescriptor.bands``, read by ``branches_between``).  An
-intertwiner is a unit weight vector (``CompactGroup.weights``) whose
-weight restricts to rho (``StabilizerDescriptor.restrict``), or the
-identity on all of K (Schur's lemma).  A basis holds the counts and forms
+intertwiner is a unit weight vector whose weight restricts to rho, at the
+positions the stabilizer gives in closed form
+(``StabilizerDescriptor.positions``), or the identity on all of K (Schur's
+lemma).  A basis holds the counts and forms
 a K-type's intertwiners once, where ``fourier`` multiplies by them.  This
 is the weight-basis form of the SE(2)/SE(3) induced representations in
 Chirikjian & Kyatkin, Engineering Applications of Noncommutative Harmonic
@@ -51,13 +52,14 @@ def intertwiners(K, lam, stab, mu):
 
     If the stabilizer is all of K this is Schur's lemma: I / sqrt(d_lam) when
     lam == mu, else none.  Otherwise mu is one-dimensional and they are the
-    (d_lam x 1) unit columns e_i whose weight restricts to mu, in index order.
+    (d_lam x 1) unit columns e_i whose weight restricts to mu, in index order:
+    the stabilizer's closed-form ``positions``, with no weight listed.
     """
     d = K.irrep_dim(lam)
     unit = np.eye(d, dtype=complex)
-    if stab.restrict is None:
+    if stab.positions is None:
         return [unit / np.sqrt(d)] * restriction_multiplicity(K, lam, stab, mu)
-    return [unit[:, [i]] for i, w in enumerate(K.weights(lam)) if stab.restrict(w) == mu]
+    return [unit[:, [i]] for i in stab.positions(K, lam, mu)]
 
 
 @dataclass(eq=False)

@@ -66,8 +66,10 @@ class StabilizerDescriptor:
     irreps of ``group`` over mu, an integer interval (lo, hi) with hi
     possibly inf, or None when it is empty.  ``restrict`` maps a torus
     weight of K (``CompactGroup.weights``) to the stabilizer label it
-    restricts to, where an intertwiner needs the positions; it is None for
-    a stabilizer that is all of K, which branches by Schur's lemma.
+    restricts to; ``positions(K, lam, mu)`` lists, in index order, the
+    basis vectors of lam whose weight restricts to mu, in closed form,
+    where an intertwiner needs them.  Both are None for a stabilizer that
+    is all of K, which branches by Schur's lemma.
     """
 
     structure: str
@@ -75,6 +77,7 @@ class StabilizerDescriptor:
     restrict: Callable | None
     count: Callable
     bands: Callable
+    positions: Callable | None
 
 
 @dataclass(eq=False)
@@ -121,6 +124,7 @@ def _trivial():
         "Trivial", TrivialGroup(), lambda w: 0,
         lambda G, lam, mu: G.irrep_dim(lam) * int(mu == 0),
         lambda G, mu: (0, math.inf) if mu == 0 else None,
+        lambda G, lam, mu: range(G.irrep_dim(lam) if mu == 0 else 0),
     )
 
 
@@ -134,6 +138,7 @@ def _circle():
         "Torus(1)", CircleGroup(), lambda w: w,
         lambda G, lam, mu: G.weight_multiplicity(lam, mu),
         lambda G, mu: G.weight_bands(mu),
+        lambda G, lam, mu: G.weight_positions(lam, mu),
     )
 
 
@@ -143,6 +148,7 @@ def _whole(structure, group):
         structure, group, None,
         lambda G, lam, mu: int(lam == mu),
         lambda G, mu: (G.char_band(mu),) * 2,
+        None,
     )
 
 
@@ -166,7 +172,13 @@ def _product_stab(factors):
         each = [f.bands(h, m) for f, h, m in zip(factors, G.factors, mu)]
         return None if None in each else tuple(map(max, zip(*each)))
 
-    return StabilizerDescriptor(structure, g, restrict, count, bands)
+    def positions(G, lam, mu):  # the kron (C-order) index of the factors' positions
+        out = [0]
+        for f, h, x, m in zip(factors, G.factors, lam, mu):
+            out = [i * h.irrep_dim(x) + j for i in out for j in f.positions(h, x, m)]
+        return out
+
+    return StabilizerDescriptor(structure, g, restrict, count, bands, positions)
 
 
 # ---------------------------------------------------------------------------

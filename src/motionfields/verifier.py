@@ -9,6 +9,9 @@ block-diagonal zero-point operator along rays into the origin (uniformly
 over a finite weight list), and (5) decay along the K-dual.  Each check
 separates the measurement from the verdict: ``judge_*`` functions decide on
 plain witness data, so adversarial fixtures can exercise them directly.
+``run_verification`` measures once: ``fourier.sample_field`` reads the
+whole plan in one pass (one ``pi_family`` stack per family, one batched SVD
+per matrix shape), and each check judges what that pass returns.
 
 All verdict thresholds live in one configuration block for reproducibility.
 """
@@ -21,10 +24,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dual import GAMMA2
-from .errors import MissingGamma2Data, MissingSupBound, PathCrossesStrata
-from .fourier import pi_family, sample_field, stack_norms
-from .induction import branches_between, window_basis
-from .pairs import as_coords, stabilizer
+from .errors import MissingGamma2Data, MissingSupBound
+from .fourier import VerificationPlan, check_path, sample_field
+from .induction import branches_between
+from .pairs import stabilizer
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,13 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         above = branches_between(pair.K, B.stab, B.mu, B.lambda_max, T.lambda_max)
         top = None if above else max(bands, default=None)
         idx = [i for i, b in enumerate(bands) if b == top]
-        tail2 = float(
-            np.linalg.norm(T.matrix[idx, :]) ** 2
-            + np.linalg.norm(T.matrix[:, idx]) ** 2
-            - np.linalg.norm(T.matrix[np.ix_(idx, idx)]) ** 2
-        )
+        tail2 = 0.0  # no row in the top band: exactly 0, with no norm taken
+        if idx:
+            tail2 = float(
+                np.linalg.norm(T.matrix[idx, :]) ** 2
+                + np.linalg.norm(T.matrix[:, idx]) ** 2
+                - np.linalg.norm(T.matrix[np.ix_(idx, idx)]) ** 2
+            )
         frac = tail2 / hs2 if hs2 > 0 else 0.0
         good = hs2 <= bound and frac < thresholds.tail_mass
         ok = ok and good
@@ -151,56 +156,19 @@ def judge_continuity(diffs_fine, diffs_coarse, steps_fine, steps_coarse,
     return bool(lip_ok and halve_ok), detail
 
 
-def path_break(pair, pts):
-    """(i, reason) for the first point where a continuity path breaks, or None.
-
-    A point's stratum is its stratum tag, wall set and label (points are
-    canonical: their H is dominant already), and every point must share
-    that of the first, which must be an induced stratum, and none may equal
-    the one or two before it (a step of length 0).  The scenario parser
-    refuses such a path, and ``check_continuity`` raises on it.
-    """
-
-    def stratum_key(p):
-        walls = () if p.stratum == GAMMA2 else pair.wall_set(p.H)
-        return (p.stratum, walls, p.label)
-
-    first = stratum_key(pts[0])
-    for i, p in enumerate(pts):
-        if stratum_key(p) != first:
-            return i, f"path leaves the stratum {first} of its first point at {p}"
-    if first[0] == GAMMA2:
-        return 0, "continuity paths live in the induced strata"
-    for i, p in enumerate(pts):
-        if p in pts[max(i - 2, 0):i]:
-            return i, f"path repeats {p} within two steps: a step of length 0"
-    return None
-
-
 def check_continuity(pair, sample, thresholds=Thresholds()):
     """Norm continuity along a discretized path inside one stratum.
 
     The grid order of the sample is the path order; the point count must be
-    odd so the half-resolution path is well-defined.  PathCrossesStrata is
-    raised when the stratum tag, wall set or label changes along the path,
-    or a step of either resolution has length 0 (``path_break``).
+    odd so the half-resolution path is well-defined.  PathCrossesStrata,
+    naming the path, is raised when the stratum tag, wall set or label
+    changes along the path, or a step of either resolution has length 0
+    (``fourier.check_path``).  The step norms are the sample's ``steps``:
+    a plan's path has them from ``sample_field``'s batch.
     """
     pts = list(sample.grid)
-    if len(pts) < 3 or len(pts) % 2 == 0:
-        raise ValueError("continuity path needs an odd number (>= 3) of points")
-    broken = path_break(pair, pts)
-    if broken:
-        raise PathCrossesStrata(broken[1])
-    # the step differences, in one buffer normed by one batched SVD; a
-    # stride-2 difference is the sum of two steps, formed in place after
-    ops = [sample.operators[p].matrix for p in pts]
-    diff = np.empty((len(pts) - 1,) + ops[0].shape, dtype=complex)
-    for i, buf in enumerate(diff):
-        np.subtract(ops[i + 1], ops[i], out=buf)
-    fine = stack_norms(diff)[0].tolist()
-    for a, b in zip(diff[0::2], diff[1::2]):  # matrix by matrix: no overlap copy
-        a += b
-    coarse = stack_norms(diff[0::2])[0].tolist()
+    check_path(pair, pts)
+    fine, coarse = sample.steps
     steps_fine = [math.dist(a.H, b.H) for a, b in zip(pts, pts[1:])]
     steps_coarse = [math.dist(a.H, b.H) for a, b in zip(pts[0::2], pts[2::2])]
     ok, detail = judge_continuity(fine, coarse, steps_fine, steps_coarse, thresholds)
@@ -293,24 +261,20 @@ def check_h_to_zero(f, pair, mu_list, H0, levels, lambda_max, thresholds=Thresho
     Rays are H0 * 2^{-j}, j = 0..levels; the covariant basis is built once
     per weight, cut at the window of ``f`` (outside it both operators are
     zero), and shared across the ray, so differences are entrywise
-    meaningful.  Each weight's rungs and the zero point are one family: one
-    ``pi_family`` stack, its last matrix (the zero-point operator)
-    subtracted in place and one batched SVD, of 0 x 0 matrices beyond the
-    mu cut-off.  The uniformity proxy aggregates the final rung over the
-    supplied weight list.
+    meaningful.  The ladder is ``sample_field``'s pass over a plan with
+    this ladder alone: each weight's rungs and the zero point are one
+    family, its deltas to the zero-point operator are formed in a new
+    buffer, and they are 0 x 0 beyond the mu cut-off.  The uniformity proxy
+    aggregates the final rung over the supplied weight list.
     """
-    H0 = as_coords(H0)
-    points = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(levels + 1)] + [pair.zero_point()]
-    deltas = {}
-    witnesses = []
-    for mu in mu_list:
-        basis = window_basis(pair, mu, H0, lambda_max, f.window)
-        stack = pi_family(f, pair, basis, points)
-        rungs, ref = stack[:-1], stack[-1]
-        for m in rungs:  # in place and matrix by matrix: a broadcast would buffer
-            m -= ref
-        deltas[mu] = stack_norms(rungs)[0].tolist()
-        witnesses.extend({"mu": mu, "j": j, "delta": d} for j, d in enumerate(deltas[mu]))
+    plan = VerificationPlan(lambda_max, [], [], list(mu_list), H0, levels)
+    return _zero_point_report(sample_field(f, pair, plan, lambda_max)["h_ladder"], thresholds)
+
+
+def _zero_point_report(ladder, thresholds):
+    """Condition 4's report on ``sample_field``'s (mu, deltas) per ladder weight."""
+    deltas = dict(ladder)
+    witnesses = [{"mu": mu, "j": j, "delta": d} for mu, ds in ladder for j, d in enumerate(ds)]
     ok = judge_h_ladder(deltas, thresholds)
     return ConditionReport(
         4, "zero-point-convergence", ok, witnesses, {"h_zero_delta": thresholds.h_zero_delta},
@@ -367,59 +331,25 @@ def check_lambda_decay(pair, sample, thresholds=Thresholds()):
 # aggregated membership verification
 
 
-@dataclass
-class VerificationPlan:
-    """Grids for the five condition checks on one instance."""
-
-    lambda_max: int
-    grid: list  # DualPoints for conditions 1 and 5
-    path: list  # DualPoints along the continuity path, odd count
-    h_ladder_mus: list  # labels at h_ladder_H0, as given
-    h_ladder_H0: object
-    h_ladder_levels: int
-    mu_points: list | None = None  # DualPoints at one H for condition 3
-
-
 def run_verification(f, pair, plan, thresholds=Thresholds()):
     """Run conditions 1-5 on the Fourier field of ``f`` over ``plan``'s grids.
 
-    Returns the aggregated report together with the computed samples
-    (keys "main", "path", "mu") so callers can export per-point norms.
-    Plans come from scenarios: ``ScenarioConfig.from_dict(doc).plan``.
+    The field is read in one pass, ``sample_field`` over the whole plan,
+    and each check judges what it returns.  Returns the aggregated report
+    together with the computed samples (keys "main", "path", "mu") so
+    callers can export per-point norms.  Plans come from scenarios:
+    ``ScenarioConfig.from_dict(doc).plan``.
     """
-    reports = []
-    samples = {}
-
-    sample = sample_field(f, pair, plan.grid, plan.lambda_max)
-    samples["main"] = sample
-    reports.append(check_compactness_proxy(pair, sample, thresholds))
-
-    path_sample = sample_field(f, pair, plan.path, plan.lambda_max)
-    samples["path"] = path_sample
-    reports.append(check_continuity(pair, path_sample, thresholds))
-
-    if plan.mu_points:
-        stab = stabilizer(pair, plan.mu_points[0].H)
-        band = max(stab.group.char_band(p.label) for p in plan.mu_points)
-        mu_sample = sample_field(f, pair, plan.mu_points, max(plan.lambda_max, band + 2))
-        samples["mu"] = mu_sample
-        reports.append(check_mu_decay(pair, mu_sample, thresholds))
-    else:
-        samples["mu"] = sample  # trivial-stabilizer family: vacuous by design
-        reports.append(check_mu_decay(pair, sample, thresholds))
-
-    reports.append(
-        check_h_to_zero(
-            f,
-            pair,
-            plan.h_ladder_mus,
-            plan.h_ladder_H0,
-            plan.h_ladder_levels,
-            plan.lambda_max,
-            thresholds=thresholds,
-        )
-    )
-    reports.append(check_lambda_decay(pair, sample, thresholds))
+    samples = sample_field(f, pair, plan, plan.lambda_max)
+    ladder = samples.pop("h_ladder")
+    samples.setdefault("mu", samples["main"])  # trivial-stabilizer family: vacuous by design
+    reports = [
+        check_compactness_proxy(pair, samples["main"], thresholds),
+        check_continuity(pair, samples["path"], thresholds),
+        check_mu_decay(pair, samples["mu"], thresholds),
+        _zero_point_report(ladder, thresholds),
+        check_lambda_decay(pair, samples["main"], thresholds),
+    ]
 
     overall = all(r.passed for r in reports)
     report = MembershipReport(

@@ -401,7 +401,8 @@ class TestMain:
 
     def test_non_finite_entries_exit_3(self, tmp_path, capsys):
         # at |H| = 1e6 a degree-60 flat factor overflows and meets its Gaussian
-        # factor 0: inf * 0 entries, named by their family's mu and H
+        # factor 0: inf * 0 entries, named by their reading, point and
+        # lambda_max, and by their family's mu and H
         doc = bundled_scenario("m2-default")
         _term(doc)["g"] = {"sigma": 1.0, "poly": {"60,0": 1}, "radial": False}
         doc["grids"]["gamma0"].append({"mu": 0, "H": [1e6]})
@@ -409,8 +410,8 @@ class TestMain:
         path.write_text(dump_json(doc))
         assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "run failed: NonFiniteEntries: entries of pi(f) at mu=0, H=(1000000.0,) "
-            "overflow a float"
+            "run failed: NonFiniteEntries: main grid at mu=0, H=(1000000.0,), lambda_max=5: "
+            "entries of pi(f) at mu=0, H=(1000000.0,) overflow a float"
         ]
 
     def test_unallocatable_array_exits_3(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from motionfields import (
     tau_matrix,
     transport_label,
 )
+from motionfields import VerificationPlan, check_continuity, run_verification
 from motionfields import fourier, induction
 from motionfields.cli import load_scenario
 from motionfields.induction import k_type_basis
@@ -879,17 +880,19 @@ class TestFamilies:
             with pytest.raises(ValueError):  # read-only, so the norms cannot go stale
                 T.matrix[0, 0] = 1.0
 
-    def test_one_svd_per_family(self, monkeypatch):
-        # m3-default's main grid: two induced families, each normed by one
-        # batched SVD; the six K-dual entries take theirs when read
+    def test_one_svd_per_shape(self, monkeypatch):
+        # m3-default's main grid: two induced families (9 x 9 and 8 x 8) and
+        # two nonzero K-dual entries (one nonzero row of 5 and of 3), one
+        # batched SVD per shape; the four zero entries take none
         config = load_scenario("m3-default")
         pair = config.build_pair()
         f = config.build_test_function(pair)
         calls, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         sample = sample_field(f, pair, config.plan.grid, config.plan.lambda_max)
-        assert len(calls) == 2
+        assert len(calls) == 4
         assert sum(p.stratum == "gamma2" for p in sample.grid) == 6
+        assert sum(T.op_norm == 0.0 for T in sample.operators.values()) == 4
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
     @pytest.mark.parametrize("seed", range(2))
@@ -918,6 +921,76 @@ class TestFamilies:
         U = dataclasses.replace(T, matrix=2.0 * T.matrix)
         assert U.op_norm == pytest.approx(2.0 * T.op_norm, rel=1e-12)
         assert U.hs_norm == pytest.approx(2.0 * T.hs_norm, rel=1e-12)
+
+
+class TestOnePass:
+    """A plan read in one ``sample_field`` pass equals its readings taken one by one.
+
+    Readings share points: a path point, a weight point and the first two
+    rungs of the ladder lie on the main grid, so a family of the pass holds
+    rows that several readings read.  Gaussian entries are bitwise equal;
+    a degree >= 1 term's may move in the last bits with the size of its
+    family (GEMM summation order), within 1e-15 of the largest norm.
+    """
+
+    PLANS = {  # grid (mu, H); path (mu, Hs); weight points (H, mus) or None; ladder (mus, H0)
+        "M2": ([(0, (h,)) for h in (0.5, 1.0, 1.5)], (0, [(1.0 + 0.125 * i,) for i in range(5)]),
+               None, ([0], (1.0,))),
+        "M3": ([(mu, (h,)) for mu in (-1, 0, 2) for h in (0.5, 1.0, 1.5)],
+               (0, [(1.0 + 0.125 * i,) for i in range(5)]), ((1.0,), range(-3, 4)),
+               ([-1, 0, 2], (1.0,))),
+        "M2xM2": ([((0, 0), H) for H in ((0.5, 1.0), (1.0, 1.0))]
+                  + [((0, m), (a, 0.0)) for m in (-1, 2) for a in (0.5, 1.0)],
+                  ((0, 2), [(1.0 + 0.125 * i, 0.0) for i in range(5)]),
+                  ((1.0, 0.0), [(0, m) for m in range(-3, 4)]), ([(0, -1), (0, 2)], (1.0, 0.0))),
+    }
+
+    def plan(self, pair):
+        grid, (path_mu, path), mu_pts, (mus, H0) = self.PLANS[pair.name]
+        return VerificationPlan(
+            lambda_max=TestFamilies.LAM_MAX,
+            grid=[make_dual_point(pair, mu, H) for mu, H in grid]
+            + [make_dual_point(pair, lam, None) for lam in pair.K.irrep_labels(1)],
+            path=[make_dual_point(pair, path_mu, H) for H in path],
+            h_ladder_mus=mus, h_ladder_H0=H0, h_ladder_levels=3,
+            mu_points=mu_pts and [make_dual_point(pair, mu, mu_pts[0]) for mu in mu_pts[1]],
+        )
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_plan_pass_equals_readings_one_by_one(self, instance, seed, kind, request):
+        pair = request.getfixturevalue(instance.lower())
+        f, plan = TestFamilies.function(pair, kind, seed), self.plan(pair)
+        report, samples = run_verification(f, pair, plan)
+        alone = {name: sample_field(f, pair, pts, plan.lambda_max)
+                 for name, pts in (("main", plan.grid), ("path", plan.path))}
+        if plan.mu_points:
+            group = stabilizer(pair, plan.mu_points[0].H).group
+            top = max(group.char_band(p.label) for p in plan.mu_points)
+            alone["mu"] = sample_field(f, pair, plan.mu_points, max(plan.lambda_max, top + 2))
+        steps = check_continuity(pair, alone["path"]).witnesses
+        ladder = check_h_to_zero(f, pair, plan.h_ladder_mus, plan.h_ladder_H0,
+                                 plan.h_ladder_levels, plan.lambda_max).witnesses
+        scale = max(T.op_norm for s in alone.values() for T in s.operators.values())
+        assert scale > 1e-3 and len(samples) == len(alone) + (not plan.mu_points)
+        tol = 0.0 if kind == "gaussian" else 1e-15 * scale
+
+        def same(a, b):
+            assert np.abs(np.asarray(a) - np.asarray(b)).max(initial=0.0) <= tol
+
+        for name, sample in alone.items():
+            assert samples[name].grid == sample.grid
+            for p in sample.grid:
+                T, U = samples[name].operators[p], sample.operators[p]
+                assert (T.lambda_max, T.block_index) == (U.lambda_max, U.block_index)
+                same(T.matrix, U.matrix)
+                same([T.op_norm, T.hs_norm], [U.op_norm, U.hs_norm])
+        got = {r.condition: r.witnesses for r in report.reports}
+        assert [w["step"] for w in got[2]] == [w["step"] for w in steps]
+        same([w["difference"] for w in got[2]], [w["difference"] for w in steps])
+        assert [(w["mu"], w["j"]) for w in got[4]] == [(w["mu"], w["j"]) for w in ladder]
+        same([w["delta"] for w in got[4]], [w["delta"] for w in ladder])
 
 
 class TestSelectionWindow:

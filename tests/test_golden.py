@@ -110,6 +110,27 @@ def test_m3_default_bases_are_cut_at_the_window(patch_everywhere, tmp_path):
     assert cuts and max(cuts) <= 2
 
 
+def test_m3_default_run_forms_each_family_once(patch_everywhere, monkeypatch, tmp_path):
+    # one field pass over the plan: five induced families with a K-type in
+    # the window (mu = -2..2; the ladder and the path join them) and the two
+    # nonzero K-dual entries, one pi_family call each; one SVD per matrix
+    # shape; no norm beside stack_norms', as lambda_max > W leaves
+    # condition 1 no top-band row (separate passes made 19, 25 and 43)
+    calls = dict.fromkeys(["pi_family", "svd", "norm"], 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    patch_everywhere(fourier.pi_family, counted("pi_family", fourier.pi_family))
+    for name in ("svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert run_scenario(load_scenario(SCENARIOS["m3-default"]), tmp_path)[0].overall
+    assert calls["pi_family"] <= 7 and calls["svd"] <= 7 and calls["norm"] <= 7, calls
+
+
 def test_lambda_sweep_matches_golden(golden):
     sweep = json.loads((WORKLOADS / "m3-lambda-sweep.json").read_text())
     config = load_scenario(str(WORKLOADS / sweep["scenario"]))
@@ -172,15 +193,17 @@ def test_traced_benchmark_iteration(tmp_path):
     run = json.loads(result.read_text())
     assert run["exit_code"] == 0
     # the field is formed one (mu, stabilizer) family at a time: no
-    # one-point operator, one sample_field per sample
+    # one-point operator, and one sample_field pass for the whole plan,
+    # the h-ladder included, so check_h_to_zero is not called
     assert run["trace"]["fourier.pi_matrix"]["calls"] == 0
-    assert run["trace"]["fourier.sample_field"]["calls"] == 3
-    # the zero-point operators are the last matrices of the ladders'
-    # pi_family stacks, with no pi_mu0_matrix or tau_matrix call; the K-dual
-    # entries zero by the selection rule (labels 0, 3, 4, 5 of the six) are
-    # built directly: one tau_matrix call per nonzero entry
+    assert run["trace"]["fourier.sample_field"]["calls"] == 1
+    assert run["trace"]["verifier.check_h_to_zero"]["calls"] == 0
+    # the zero-point operators are rows of the ladders' families and the
+    # K-dual entries one-point families of the same pass, with no
+    # pi_mu0_matrix or tau_matrix call; the entries zero by the selection
+    # rule (labels 0, 3, 4, 5 of the six) are formed by no pi_family call
     assert run["trace"]["fourier.pi_mu0_matrix"]["calls"] == 0
-    assert run["trace"]["fourier.tau_matrix"]["calls"] == 2
+    assert run["trace"]["fourier.tau_matrix"]["calls"] == 0
     # no rule at all: src has no rule builder left for the trace to wrap;
     # and no element model, so no irrep is evaluated at a group element
     assert "groups.quadrature" not in run["trace"]

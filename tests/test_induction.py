@@ -388,6 +388,36 @@ def test_closed_form_branching_matches_weight_counts(instance, H):
                 assert induction.branches_between(K, stab, mu, lo, hi) == expect, (mu, lo, hi)
 
 
+@pytest.mark.parametrize("instance,H", STABILIZER_POINTS, ids=[
+    "M2-circle", "M2-trivial", "M3-SO3", "M3-torus",
+    "M2xM2-regular", "M2xM2-wall2", "M2xM2-wall1", "M2xM2-zero",
+])
+def test_closed_form_positions_match_weight_listing(instance, H, monkeypatch):
+    # an intertwiner is the unit column at a closed-form position: SO(3)'s
+    # one index of weight mu, SO(2)'s index 0, on products the kron index
+    # of the factors' positions; all of K is Schur's I / sqrt(d)
+    pair = build_instance(instance)
+    K, stab = pair.K, stabilizer(pair, H)
+    cases = [(lam, mu) for mu in stab.group.irrep_labels(6) for lam in K.irrep_labels(6)]
+    listed = [None if stab.restrict is None else
+              [i for i, w in enumerate(K.weights(lam)) if stab.restrict(w) == mu]
+              for lam, mu in cases]
+
+    def refuse(*args):
+        raise AssertionError("a list of weights was made")
+
+    for cls in (TrivialGroup, CircleGroup, RotationGroup3, ProductGroup):
+        monkeypatch.setattr(cls, "weights", refuse)
+    assert any(listed) or stab.restrict is None
+    for (lam, mu), at in zip(cases, listed):
+        d, Ts = K.irrep_dim(lam), intertwiners(K, lam, stab, mu)
+        if at is None:
+            assert len(Ts) == int(lam == mu) and all(np.allclose(T, np.eye(d) / np.sqrt(d)) for T in Ts)
+        else:
+            assert list(stab.positions(K, lam, mu)) == at
+            assert np.array_equal(np.hstack([np.zeros((d, 0))] + Ts), np.eye(d)[:, at])
+
+
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_stabilizer_restriction_matches_oracle(instance):
     # dual's calls: big_ctx is a stabilizer, not K, and sub sits inside it

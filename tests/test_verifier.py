@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from motionfields import (
+    EmptyBasis,
     MatrixCoefficient,
     MissingGamma2Data,
     MissingSupBound,
+    NonFiniteEntries,
     PathCrossesStrata,
     PolyGaussian,
     Term,
     TestFunction,
     Thresholds,
+    VerificationPlan,
     check_compactness_proxy,
     check_continuity,
     check_h_to_zero,
@@ -199,6 +202,56 @@ class TestContinuity:
         pts = [make_dual_point(m2xm2, (0, 2), (1.0 + 0.125 * i, 0.0)) for i in range(9)]
         sample = sample_field(f, m2xm2, pts, 4)
         assert check_continuity(m2xm2, sample).passed
+
+
+class TestStageErrors:
+    """An error of the one field pass names its reading, the point and its lambda_max.
+
+    The plans are built by hand, past the scenario parser that refuses
+    these readings before any work.
+    """
+
+    @staticmethod
+    def plan(pair, H, **readings):
+        at = [make_dual_point(pair, 0, h) for h in H]
+        base = dict(lambda_max=3, grid=at[:1], path=at, h_ladder_mus=[0], h_ladder_H0=H[0],
+                    h_ladder_levels=2, mu_points=at[:1])
+        return VerificationPlan(**{**base, **readings})
+
+    @pytest.mark.parametrize("stage,reading", [
+        ("main grid", "grid"), ("path", "path"), ("h-ladder", "h_ladder_mus")])
+    def test_empty_basis_names_its_reading(self, m3, stage, reading):
+        # no K-type of band <= 3 lies over mu = 4; the weight sample cannot
+        # meet this, as it is read at lambda_max >= its top band + 2
+        f = TestFunction(m3, [gauss_term(m3, 1)])
+        H = [(1.0,), (1.25,), (1.5,)]
+        bad = [4] if reading == "h_ladder_mus" else [make_dual_point(m3, 4, h) for h in H]
+        plan = self.plan(m3, H, **{reading: bad})
+        want = f"{stage} at mu=4, H=(1.0,), lambda_max=3: no K-type below 3 branches over mu=4"
+        with pytest.raises(EmptyBasis, match=re.escape(want)):
+            run_verification(f, m3, plan)
+
+    @pytest.mark.parametrize("stage,reading", [
+        ("main grid", "grid"), ("path", "path"), ("mu points", "mu_points"),
+        ("h-ladder", "h_ladder_H0")])
+    def test_non_finite_entries_name_their_reading(self, m2, stage, reading):
+        # at |H| = 1e6 a degree-60 flat factor overflows against its Gaussian
+        # factor 0; the other readings lie at |H| <= 1.5, in the same family
+        f = TestFunction(m2, [Term(1.0, MatrixCoefficient(0, 0, 0),
+                                   PolyGaussian(2, 1.0, {(60, 0): 1.0}))])
+        far = [(1e6,), (1e6 + 0.5,), (1e6 + 1.0,)]
+        bad = far[0] if reading == "h_ladder_H0" else [make_dual_point(m2, 0, h) for h in far]
+        plan = self.plan(m2, [(1.0,), (1.25,), (1.5,)], **{reading: bad})
+        want = (f"{stage} at mu=0, H=(1000000.0,), lambda_max=3: "
+                "entries of pi(f) at mu=0, H=(1000000.0,) overflow a float")
+        with pytest.raises(NonFiniteEntries, match=re.escape(want)):
+            run_verification(f, m2, plan)
+
+    def test_broken_path_names_the_path(self, m3):
+        f = TestFunction(m3, [gauss_term(m3, 1)])
+        plan = self.plan(m3, [(1.0,), (1.25,), (1.0,)])
+        with pytest.raises(PathCrossesStrata, match="^path: path repeats .* a step of length 0"):
+            run_verification(f, m3, plan)
 
 
 class TestMuDecay:
