@@ -381,8 +381,11 @@ def _norms_by_shape(mats):
     for i, m in enumerate(mats):
         if m.size:
             shapes.setdefault(m.shape, []).append(i)
-    for at in shapes.values():
-        op, hs = stack_norms(np.stack([mats[i] for i in at]))
+    for shape, at in shapes.items():
+        stack = np.empty((len(at),) + shape, dtype=complex)
+        for j, i in enumerate(at):
+            stack[j] = mats[i]
+        op, hs = stack_norms(stack)
         for i, a, b in zip(at, op.tolist(), hs.tolist()):
             norms[i] = (a, b)
     return norms
