@@ -402,13 +402,13 @@ class _Family:
 
     ``live``: formed by ``pi_family``, else zero; ``whole``: normed whole,
     else by its nonzero rows; ``asked``: (reading, mu, H, lambda_max) of
-    each row's first request; ``first``: the index of its first row among
-    the normed matrices.
+    each row's first request; ``normed``: row -> its place among the
+    matrices normed, for the rows a reading holds as operators.
     """
 
     def __init__(self, basis, live, whole):
         self.basis, self.live, self.whole = basis, live, whole
-        self.rows, self.asked, self.stack, self.first = {}, [], None, 0
+        self.rows, self.asked, self.stack, self.normed = {}, [], None, {}
 
     def row(self, H, asked):
         if H not in self.rows:
@@ -489,7 +489,6 @@ def sample_field(f, pair, grid, lambda_max):
             fam = family("h-ladder", mu, H0, lam)
             ladder.append((mu, fam, [fam.row(H, ("h-ladder", mu, H, lam)) for H in Hs + [zero]]))
 
-    mats = []  # every matrix whose norms a check reads
     for fam in families.values():
         basis, Hs = fam.basis, list(fam.rows)
         if basis.size and fam.live:
@@ -500,8 +499,12 @@ def sample_field(f, pair, grid, lambda_max):
         else:  # beyond the mu cut-off, or a K-dual label that is no term's bar
             fam.stack = np.zeros((len(Hs), basis.size, basis.size), dtype=complex)
         fam.stack.flags.writeable = False
-        fam.first = len(mats)
-        mats.extend(fam.stack if fam.whole else (m[m.any(axis=1)] for m in fam.stack))
+    mats = []  # every matrix whose norms a check reads: the readings' operators, once each
+    for name, _, _, _ in readings:
+        for fam, r in placed[name]:
+            if r not in fam.normed:
+                fam.normed[r], m = len(mats), fam.stack[r]
+                mats.append(m if fam.whole else m[m.any(axis=1)])
     # the path's steps and each ladder weight's deltas to its zero point
     diffs = list(step_differences([fam.stack[r] for fam, r in placed["path"]])) if plan.path else []
     for _, fam, rows in ladder:
@@ -523,7 +526,7 @@ def sample_field(f, pair, grid, lambda_max):
         for p, (fam, r) in zip(pts, placed[name]):
             T = operators[p] = TruncatedOperator(
                 fam.stack[r], fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p)
-            T._norms = norms[fam.first + r]
+            T._norms = norms[fam.normed[r]]
         out[name] = OperatorFieldSample(pair.name, tuple(pts), operators,
                                         dict(common, lambda_max=lam_r))
     if plan.path:
