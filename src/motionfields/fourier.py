@@ -49,6 +49,7 @@ basis cut at lambda_max and forms only the rows of its window K-types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,7 +57,7 @@ import numpy as np
 
 from .dual import GAMMA2, DualPoint
 from .errors import MotionFieldsError, NonFiniteEntries, PathCrossesStrata
-from .induction import PeterWeylBasis, intertwiners, k_type_basis, peter_weyl_basis, window_basis
+from .induction import PeterWeylBasis, k_type_basis, peter_weyl_basis, window_basis
 from .pairs import as_coords, stabilizer
 
 
@@ -145,55 +146,57 @@ def _block_factor(basis, lam, S):
     return np.concatenate([np.sqrt(basis.K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
 
 
-def _envelope(g, c, Hs):
-    """c (2 pi sigma^2)^{dim/2} exp(-sigma^2 |H|^2 / 2) at each point of ``Hs`` (P, rank).
+def _envelope(g, r2):
+    """(2 pi sigma^2)^{dim/2} exp(-sigma^2 r2 / 2): the Gaussian factor of g-hat(Ad(k) H), r2 = |H|^2.
 
-    The Gaussian factor of g-hat(Ad(k) H): it depends on |H| alone, as Ad is
-    orthogonal and the rows of ``a_basis`` are orthonormal.
+    It depends on |H| alone, as Ad is orthogonal and the rows of ``a_basis``
+    are orthonormal.  A float, one point at a time.
     """
-    amp = (2.0 * np.pi * g.sigma**2) ** (g.dim / 2.0)
-    return c * amp * np.exp(-g.sigma**2 * np.sum(Hs * Hs, axis=1) / 2.0)
+    return (2.0 * math.pi * g.sigma**2) ** (g.dim / 2.0) * math.exp(-g.sigma**2 * r2 / 2.0)
 
 
-def _schur_blocks(terms, basis, Hs):
-    """Block sums of the Gaussian ``terms`` on ``basis``, one matrix per point of ``Hs``.
+def _schur_blocks(terms, basis, r2):
+    """Block sums of the Gaussian ``terms`` on ``basis``, one matrix per point.
 
-    ``Hs`` holds flat coordinates, shape (P, rank), and the result is (P, N,
-    N).  A Gaussian g-hat is constant on the orbit of H: its value is
-    c_0 times the envelope of |H| (``_envelope``), c_0 its constant
-    coefficient.  By Schur orthogonality the term then adds coeff g-hat(H)
-    times the rank-one J[:, row] J[:, col]^H / d_bar to each copy of the
-    contragredient bar of its label, within ``basis.columns[bar]``, with
-    (bar, J) = ``CompactGroup.contragredient``.  A term whose bar is not in
-    the basis adds nothing, and its g-hat is not evaluated.
+    ``r2`` holds |H|^2 per point, and the result is (P, N, N).  A Gaussian
+    g-hat is constant on the orbit of H: its value is c_0 times the
+    envelope of |H| (``_envelope``), c_0 its constant coefficient.  By Schur
+    orthogonality the term then adds coeff g-hat(H) times J[:, row]
+    J[:, col]^H / d_bar to each copy of the contragredient bar of its label,
+    within ``basis.columns[bar]``, with (bar, J) =
+    ``CompactGroup.contragredient``.  J is a signed permutation, so that is
+    a matrix unit: one entry, at (a, b) in the copy, with a and b the rows
+    of the nonzeros of J's columns row and col, and weight J[a, row]
+    conj(J[b, col]) / d_bar.  A term whose bar is not in the basis adds
+    nothing, and its g-hat is not evaluated.
     """
     K, cols = basis.K, basis.columns
-    M = np.zeros((len(Hs), basis.size, basis.size), dtype=complex)
+    M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
     for t in terms:
-        bar, J = K.contragredient(t.u.label)
+        bar, _, units = K.contragredient(t.u.label)
         if bar in cols:
-            ghat, d = _envelope(t.g, t.g._hat_poly[(0,) * t.g.dim], Hs), len(J)
-            rank_one = J[:, t.u.row, None] * J[:, t.u.col].conj() / d
-            block = (t.coeff * ghat)[:, None, None] * rank_one
+            (a, x), (b, y), d = units[t.u.row], units[t.u.col], len(units)
+            c0, w = t.g._hat_poly[(0,) * t.g.dim], x * y.conjugate() / d
+            unit = np.array([(t.coeff * (c0 * _envelope(t.g, s))) * w for s in r2])
             for i in range(cols[bar].start, cols[bar].stop, d):
-                M[:, i : i + d, i : i + d] += block
+                M[:, i + a, i + b] += unit
     return M
 
 
-def _orbit_sums(t, K, lams, Hs):
+def _orbit_sums(t, K, lams, Hs, r2):
     """A[lam][p, r, v, b] = int g-hat(Ad(k)H_p) tau_l(k)[row, r] tau_lam(k)[v, b] dk.
 
-    g-hat(Ad(k)H) = q(Ad(k)H) times the envelope of |H| (``_envelope``).
-    q(Ad(k)H) = sum c_key(H) tau_J(k)[a, e] (``CompactGroup.orbit_expansion``),
-    so A is the c-weighted sum of ``CompactGroup.gaunt`` over the keys, for
-    all points at once.
+    g-hat(Ad(k)H) = q(Ad(k)H) times the envelope of |H| (``_envelope``, from
+    ``r2`` = |H|^2 per point).  q(Ad(k)H) = sum c_key(H) tau_J(k)[a, e]
+    (``CompactGroup.orbit_expansion``), so A is the c-weighted sum of
+    ``CompactGroup.gaunt`` over the keys, for all points at once.
     """
     g = t.g
     c = {}
     for alpha, q in g._hat_poly.items():
         for key, v in K.orbit_expansion(alpha, Hs).items():
             c[key] = c.get(key, 0.0) + q * v
-    C = _envelope(g, np.array(list(c.values())), Hs)
+    C = np.array(list(c.values())) * [_envelope(g, s) for s in r2]
     gaunts = (np.array([K.gaunt(key, t.u.label, t.u.row, lam) for key in c]) for lam in lams)
     return [np.tensordot(C, G, axes=(0, 0)) for G in gaunts]
 
@@ -212,7 +215,8 @@ def pi_family(f, pair, basis, Hs):
     """
     K, cols = pair.K, basis.columns
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
-    M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, Hs)
+    r2 = [sum(h * h for h in H) for H in Hs.tolist()]  # |H|^2, the envelope's argument
+    M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
     # integral into two single ones per r: A, the integrals of g-hat on the
     # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
@@ -232,7 +236,7 @@ def pi_family(f, pair, basis, Hs):
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
         for t, bar_cols, B in poly_terms:
             A = np.concatenate([_block_factor(basis, lam, S)
-                                for lam, S in zip(rows, _orbit_sums(t, K, rows, Hs))], axis=-2)
+                                for lam, S in zip(rows, _orbit_sums(t, K, rows, Hs, r2))], axis=-2)
             M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
     bad = ~np.isfinite(M).all(axis=(1, 2))
     if bad.any():  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian

@@ -70,15 +70,26 @@ class CompactGroup:
         raise NotImplementedError
 
     def contragredient(self, label):
-        """(bar, J): the label of the conjugate irrep and a unitary J with
-        tau_bar(k) = J conj(tau_label(k)) J^H for every k.
+        """(bar, J, units): the label of the conjugate irrep, a unitary J with
+        tau_bar(k) = J conj(tau_label(k)) J^H for every k, and per column c
+        of J the (row, entry) of its one nonzero.
 
-        Computed once per (group, label); J is read-only.
+        J is a signed permutation on every group here: [[1]] on the trivial
+        group and SO(2), the signed anti-diagonal on SO(3), their kron on
+        products.  So J[:, row] J[:, col]^H is a matrix unit, which
+        ``fourier._schur_blocks`` writes as one entry.  Computed once per
+        (group, label), where ValueError is raised if J is not a signed
+        permutation; J is read-only.
         """
         key = (self.name, label)
         if key not in _CONTRAGREDIENT:
             bar, J = self._contragredient(label)
-            _CONTRAGREDIENT[key] = (bar, _freeze(J))
+            units = [[(a, x) for a, x in enumerate(col) if x] for col in J.T.tolist()]
+            if not (all(len(u) == 1 and u[0][1] in (1, -1) for u in units)
+                    and sorted(u[0][0] for u in units) == list(range(len(J)))):
+                raise ValueError(f"J of the contragredient of {label!r} on {self.name} "
+                                 "is not a signed permutation")
+            _CONTRAGREDIENT[key] = (bar, _freeze(J), tuple(u for (u,) in units))
         return _CONTRAGREDIENT[key]
 
     def _contragredient(self, label):
@@ -97,7 +108,7 @@ class CompactGroup:
         """
         key = (self.name, label, row)
         if key not in _SCHUR:
-            bar, J = self.contragredient(label)
+            bar, J, _ = self.contragredient(label)
             S = np.einsum("v,br->rvb", J[:, row], J.conj()) / self.irrep_dim(label)
             _SCHUR[key] = (bar, _freeze(S))
         return _SCHUR[key]
@@ -289,7 +300,7 @@ class ProductGroup(CompactGroup):
 
     def _contragredient(self, label):
         """Factor by factor, with J the kron of the factors' in C order."""
-        bars, Js = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
+        bars, Js, _ = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
         return tuple(bars), reduce(np.kron, Js)
 
     def orbit_expansion(self, alpha, t):
@@ -321,7 +332,7 @@ class ProductGroup(CompactGroup):
         return out
 
 
-_CONTRAGREDIENT = {}  # (group name, label) -> (bar, J) of contragredient
+_CONTRAGREDIENT = {}  # (group name, label) -> (bar, J, units) of contragredient
 _SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
 _GAUNT = {}  # (group name, key, label, row, lam) -> (r, v, b) array of gaunt
 

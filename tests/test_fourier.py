@@ -26,7 +26,7 @@ from motionfields import (
 from motionfields import VerificationPlan, check_continuity, run_verification
 from motionfields import fourier, induction
 from motionfields.cli import load_scenario
-from motionfields.induction import k_type_basis
+from motionfields.induction import PeterWeylBasis, k_type_basis
 from motionfields.groups import CompactGroup
 from motionfields.pairs import SymmetricPairDescriptor
 import pointwise as pw
@@ -549,10 +549,16 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
     def no_intertwiner(K, lam, stab, mu):
         raise AssertionError(f"intertwiner formed for K-type {lam}")
 
+    def no_intertwiners_of(basis, lam):
+        raise AssertionError(f"intertwiners of K-type {lam} read from the basis")
+
     assert not hasattr(CompactGroup, "quadrature")
     refuse_node_rules(monkeypatch)
+    # fourier reaches intertwiners through the basis only, in _block_factor
+    assert "intertwiners_of" in fourier._block_factor.__code__.co_names
     monkeypatch.setattr(fourier, "_block_factor", no_product)
-    assert "motionfields.fourier" in patch_everywhere(induction.intertwiners, no_intertwiner)
+    monkeypatch.setattr(PeterWeylBasis, "intertwiners_of", no_intertwiners_of)
+    patch_everywhere(induction.intertwiners, no_intertwiner)
     for lam, ref in zip(lams, refs):
         op = tau_matrix(f, pair, lam)
         assert np.abs(op.matrix - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)

@@ -389,7 +389,7 @@ class TestSchurSum:
         group = make_group()
         params = pw.params_of(group, [pw.random(group, rng) for _ in range(4)])
         for label in group.irrep_labels(3):
-            bar, J = group.contragredient(label)
+            bar, J, _ = group.contragredient(label)
             assert np.abs(J @ J.conj().T - np.eye(len(J))).max() < 1e-15
             expect = J @ np.conj(pw.irrep_table(group, label, params)) @ J.conj().T
             assert np.abs(pw.irrep_table(group, bar, params) - expect).max() < 1e-12
@@ -418,7 +418,7 @@ class TestSchurSum:
         for label in make_group().irrep_labels(2):
             for row in range(make_group().irrep_dim(label)):
                 bar, S = make_group().schur_sum(label, row)
-                fresh_bar, J = make_group().contragredient(label)
+                fresh_bar, J, _ = make_group().contragredient(label)
                 fresh = np.einsum("v,br->rvb", J[:, row], J.conj()) / len(J)
                 assert bar == fresh_bar
                 assert np.array_equal(S, fresh)
