@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import EmptySequence, MixedInstance, StratumMismatch
 from .induction import restriction_multiplicity
-from .pairs import (
-    WALL_TOL,
-    as_coords,
-    dominant_representative,
-    stab_contained,
-    stabilizer,
-)
+from .pairs import WALL_TOL, as_coords, dominant_representative, stabilizer
 
 H_CONV_TOL = 1e-6
 
@@ -115,10 +109,10 @@ def converges(pair, seq, limit):
     enough") is required on the final half: the member's stabilizer is
     contained in the limit's, and the limit's irrep restricted to it
     contains the member's irrep.  For a K-dual limit over a K-dual tail
-    this reduces to the sequence being eventually constant.  The distances
-    are one numpy expression over the stacked flat points, and each
-    multiplicity is counted once per (member stabilizer structure, member
-    label).
+    this reduces to the sequence being eventually constant.  Containment is
+    the wall-set inclusion of ``pairs.stab_contained``, with the limit's wall
+    set taken once per query and each member's once; each multiplicity is
+    counted once per (member stabilizer structure, member label).
     """
     if not seq:
         raise EmptySequence("convergence query needs at least one element")
@@ -132,14 +126,14 @@ def converges(pair, seq, limit):
     tail_start = n - math.ceil(n / 2)
     quarter_start = n - max(1, math.ceil(n / 4))
 
-    d = np.asarray(Hs, dtype=float) - np.asarray(H_lim, dtype=float)
-    dists = np.sqrt(np.einsum("ij,ij->i", d, d)).tolist()  # Euclidean
+    dists = [math.sqrt(sum((a - b) * (a - b) for a, b in zip(H, H_lim))) for H in Hs]
     evidence = [{"n": i, "distance": d} for i, d in enumerate(dists)]
     big = stabilizer(pair, H_lim).group
+    big_walls = set(pair.wall_set(H_lim))
     mults = {}  # (member stabilizer structure, member label) -> multiplicity
     branch_ok = True
     for rec, p, H in zip(evidence[tail_start:], seq[tail_start:], Hs[tail_start:]):
-        contained = stab_contained(pair, H, H_lim)
+        contained = set(pair.wall_set(H)) <= big_walls  # pairs.stab_contained
         rec["stabilizer_contained"] = contained
         if contained:
             sub = stabilizer(pair, H)

@@ -10,16 +10,18 @@ closed forms; no entry is a node sum.  B is the Schur sum
 contragredient K-type bar.  A carries the orbit factor g-hat(Ad(k) H).
 For a Gaussian flat factor (degree 0) that is a constant, a function of
 |H| alone as Ad is orthogonal (``_envelope``); then A is a Schur sum too
-and the basis copies drop out: the term adds coeff g-hat(H) times the
-rank-one J[:, row] J[:, col]^H / d of its contragredient (bar, J) to each
-copy of bar.  ``_schur_blocks`` forms that block sum, with no Schur sum
-tensor and no polynomial evaluation.  For the other terms g-hat(Ad(k)H)
-is the envelope of |H| times a polynomial in matrix coefficients of K
-(``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
-three matrix coefficients (``CompactGroup.gaunt``: Kronecker deltas on
-SO(2), products of two 3j symbols on SO(3)); ``_orbit_sums`` forms it for
-all points of a family at once.  At H = 0 these give the K-dual entry
-tau_lambda(f), on ``induction.k_type_basis``, and the zero-point operator.
+and the basis copies drop out: the term adds coeff g-hat(H) times
+J[:, row] J[:, col]^H / d of its contragredient (bar, J) to each copy of
+bar.  J is a signed permutation (``CompactGroup.contragredient``), so that
+is a matrix unit, and ``_schur_blocks`` writes it as one entry per copy,
+with no block, Schur sum tensor or polynomial evaluation.  For the other
+terms g-hat(Ad(k)H) is the envelope of |H| times a polynomial in matrix
+coefficients of K (``CompactGroup.orbit_expansion``), so A is a sum of
+Gaunt integrals of three matrix coefficients (``CompactGroup.gaunt``:
+Kronecker deltas on SO(2), products of two 3j symbols on SO(3));
+``_orbit_sums`` forms it for all points of a family at once.  At H = 0
+these give the K-dual entry tau_lambda(f), on ``induction.k_type_basis``,
+and the zero-point operator.
 
 Selection rule: a term u g (u of the K-type l, g of degree d) has entries
 only in the columns of bar and in rows of band <= band(l) + d, the band of
@@ -147,16 +149,16 @@ def _block_factor(basis, lam, S):
 
 
 def _envelope(g, r2):
-    """(2 pi sigma^2)^{dim/2} exp(-sigma^2 r2 / 2): the Gaussian factor of g-hat(Ad(k) H), r2 = |H|^2.
+    """(2 pi sigma^2)^{dim/2} exp(-sigma^2 r2 / 2) at r2 = |H|^2, a float.
 
-    It depends on |H| alone, as Ad is orthogonal and the rows of ``a_basis``
-    are orthonormal.  A float, one point at a time.
+    The Gaussian factor of g-hat(Ad(k) H): it depends on |H| alone, as Ad is
+    orthogonal and the rows of ``a_basis`` are orthonormal.
     """
     return (2.0 * math.pi * g.sigma**2) ** (g.dim / 2.0) * math.exp(-g.sigma**2 * r2 / 2.0)
 
 
 def _schur_blocks(terms, basis, r2):
-    """Block sums of the Gaussian ``terms`` on ``basis``, one matrix per point.
+    """The entries of the Gaussian ``terms`` on ``basis``, one matrix per point.
 
     ``r2`` holds |H|^2 per point, and the result is (P, N, N).  A Gaussian
     g-hat is constant on the orbit of H: its value is c_0 times the

@@ -166,8 +166,13 @@ def check_continuity(pair, sample, thresholds=Thresholds()):
     (``fourier.check_path``).  The step norms are the sample's ``steps``:
     a plan's path has them from ``sample_field``'s batch.
     """
+    check_path(pair, list(sample.grid))
+    return _continuity_report(sample, thresholds)
+
+
+def _continuity_report(sample, thresholds):
+    """Condition 2's report on a path sample whose path ``fourier.check_path`` has passed."""
     pts = list(sample.grid)
-    check_path(pair, pts)
     fine, coarse = sample.steps
     steps_fine = [math.dist(a.H, b.H) for a, b in zip(pts, pts[1:])]
     steps_coarse = [math.dist(a.H, b.H) for a, b in zip(pts[0::2], pts[2::2])]
@@ -335,17 +340,20 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
     """Run conditions 1-5 on the Fourier field of ``f`` over ``plan``'s grids.
 
     The field is read in one pass, ``sample_field`` over the whole plan,
-    and each check judges what it returns.  Returns the aggregated report
+    and each check judges what it returns; the path is checked once, by
+    ``fourier.check_path`` in that pass.  Returns the aggregated report
     together with the computed samples (keys "main", "path", "mu") so
     callers can export per-point norms.  Plans come from scenarios:
     ``ScenarioConfig.from_dict(doc).plan``.
     """
+    if not plan.path:  # sample_field checks a plan's path where it has one
+        check_path(pair, plan.path)
     samples = sample_field(f, pair, plan, plan.lambda_max)
     ladder = samples.pop("h_ladder")
     samples.setdefault("mu", samples["main"])  # trivial-stabilizer family: vacuous by design
     reports = [
         check_compactness_proxy(pair, samples["main"], thresholds),
-        check_continuity(pair, samples["path"], thresholds),
+        _continuity_report(samples["path"], thresholds),
         check_mu_decay(pair, samples["mu"], thresholds),
         _zero_point_report(ladder, thresholds),
         check_lambda_decay(pair, samples["main"], thresholds),

@@ -20,7 +20,14 @@ from motionfields import (
 )
 from motionfields.dual import GAMMA0, GAMMA1, GAMMA2
 from motionfields.config import ScenarioConfig
-from motionfields.pairs import WALL_TOL, build_instance, dominant_representative, stabilizer
+from motionfields.pairs import (
+    WALL_TOL,
+    SymmetricPairDescriptor,
+    build_instance,
+    dominant_representative,
+    stab_contained,
+    stabilizer,
+)
 from motionfields.scenarios import bundled_scenario
 from motionfields.verifier import run_verification
 import pointwise as pw
@@ -386,6 +393,28 @@ class TestConverges:
         cert = converges(m3, seq, lim)
         brute = neighborhood_cross_check(m3, seq, lim)
         assert cert.verdict == brute == expect
+
+    @pytest.mark.parametrize("instance,label,start,target,limit_label,limit_H", [
+        ("M3", 1, (2.0,), (1.0,), 1, (1.0,)),
+        ("M3", 2, (1.0,), (0.0,), 3, None),
+        ("M2xM2", (0, 0), (1.5, 0.5), (1.0, 0.0), (0, 2), (1.0, 0.0)),
+        ("M2xM2", (0, 2), (1.5, 0.0), (1.0, 0.0), (0, 0), (1.0, 0.5)),  # not contained
+    ])
+    def test_one_wall_set_per_member_and_limit(self, instance, label, start, target,
+                                               limit_label, limit_H, request, monkeypatch):
+        # the limit's wall set is taken once per query and each member's of
+        # the final half once; containment reads as stab_contained
+        pair = request.getfixturevalue(instance.lower())
+        seq = ray(pair, label, start, target, 28)
+        lim = make_dual_point(pair, limit_label, limit_H)
+        calls, wall_set = [], SymmetricPairDescriptor.wall_set
+        monkeypatch.setattr(SymmetricPairDescriptor, "wall_set",
+                            lambda self, coords: calls.append(coords) or wall_set(self, coords))
+        cert = converges(pair, seq, lim)
+        assert len(calls) == 1 + 14
+        monkeypatch.undo()
+        contained = [stab_contained(pair, p.h_coords(pair), lim.h_coords(pair)) for p in seq[14:]]
+        assert [rec["stabilizer_contained"] for rec in cert.evidence[14:]] == contained
 
     def test_stuck_sequence_diverges_both_ways(self, m3):
         # distances pinned at 0.7 > every grid radius: both deciders say no

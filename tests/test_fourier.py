@@ -600,6 +600,93 @@ def test_gaussian_entries_form_no_schur_tensor(instance, request, monkeypatch, p
     assert all(np.isfinite(sample.operators[p].op_norm) for p in grid)
 
 
+def dense_schur_blocks(terms, basis, r2):
+    """The dense form of ``fourier._schur_blocks``: per term, the rank-one
+    J[:, row] J[:, col]^H / d times coeff c_0 envelope, broadcast over the
+    points and added to each copy of bar as a whole d x d block."""
+    K, cols = basis.K, basis.columns
+    M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
+    for t in terms:
+        bar, J, _ = K.contragredient(t.u.label)
+        if bar in cols:
+            c0, d = t.g._hat_poly[(0,) * t.g.dim], len(J)
+            ghat = np.array([c0 * fourier._envelope(t.g, s) for s in r2])
+            rank_one = J[:, t.u.row, None] * J[:, t.u.col].conj() / d
+            block = (t.coeff * ghat)[:, None, None] * rank_one
+            for i in range(cols[bar].start, cols[bar].stop, d):
+                M[:, i : i + d, i : i + d] += block
+    return M
+
+
+class TestMatrixUnits:
+    """``_schur_blocks`` writes one entry per copy: bit for bit the dense rank-one sum."""
+
+    # (label, row, col, coeff, sigma, constant of g) per term: three terms
+    # on one unit (accumulation order), one more on its bar, and a term of
+    # band 3, whose bar lies above every basis here
+    SHARED = [(0.7 - 0.2j, 0.8, 1.3), (-1.3 + 0.4j, 1.1, 0.6), (0.1 + 0.9j, 0.7, 0.3)]
+    TERMS = {
+        "M2": [(1, 0, 0, *c) for c in SHARED]
+        + [(-1, 0, 0, 0.25j, 0.9, -0.7), (-2, 0, 0, -0.45, 1.2, 1.0), (3, 0, 0, 1.1, 1.0, 1.0)],
+        "M3": [(2, 0, 1, *c) for c in SHARED]
+        + [(2, 3, 3, 0.25j, 0.9, -0.7), (1, 2, 0, -0.45, 1.2, 1.0), (3, 1, 4, 1.1, 1.0, 1.0)],
+        "M2xM2": [((1, -1), 0, 0, *c) for c in SHARED]
+        + [((0, 2), 0, 0, 0.25j, 0.9, -0.7), ((3, 0), 0, 0, 1.1, 1.0, 1.0)],
+    }
+
+    def function(self, pair):
+        dim = pair.dim_p
+        return TestFunction(pair, [Term(c, MatrixCoefficient(lam, row, col),
+                                        PolyGaussian(dim, sigma, {(0,) * dim: g0}))
+                                   for lam, row, col, c, sigma, g0 in self.TERMS[pair.name]])
+
+    @staticmethod
+    def points(pair):
+        # P = 4, H = 0 first
+        return [pair.zero_point(), (0.5,) * pair.rank, (1.25, 0.75)[: pair.rank],
+                (3.0,) * pair.rank]
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_equals_the_dense_blocks_with_repeated_copies(self, instance, request):
+        pair = request.getfixturevalue(instance.lower())
+        f, K = self.function(pair), pair.K
+        bars = {K.contragredient(t.u.label)[0] for t in f.terms}
+        # a hand-made layout: two or three copies of each bar of band <= 2
+        blocks = [(lam, 2 + (i % 2) if lam in bars else 1)
+                  for i, lam in enumerate(K.irrep_labels(2))]
+        basis = induction.PeterWeylBasis(pair.name, None, 2, pair.M, K, blocks, 1)
+        assert max(c for lam, c in blocks if lam in bars) >= 2
+        r2 = [sum(h * h for h in H) for H in self.points(pair)]
+        M = fourier._schur_blocks(f.terms, basis, r2)
+        ref = dense_schur_blocks(f.terms, basis, r2)
+        assert M.shape == ref.shape == (4, basis.size, basis.size)
+        assert np.count_nonzero(ref) > 0
+        assert M.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_families_equal_the_dense_blocks(self, instance, request):
+        # the Gaussian-only stack of pi_family, on an induced basis and on
+        # the K-dual bases of the bars
+        pair = request.getfixturevalue(instance.lower())
+        f = self.function(pair)
+        mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
+        Hs = self.points(pair)
+        r2 = [sum(h * h for h in H) for H in Hs]
+        bases = [peter_weyl_basis(pair, mu, (1.0,) * pair.rank, 2)]
+        bases += [k_type_basis(pair, pair.K.contragredient(t.u.label)[0]) for t in f.terms]
+        for basis in bases:
+            M = fourier.pi_family(f, pair, basis, Hs)
+            assert M.tobytes() == dense_schur_blocks(f.terms, basis, r2).tobytes()
+
+    def test_envelope_is_the_closed_form(self):
+        for dim, sigma in [(2, 0.8), (3, 1.1), (4, 0.5)]:
+            g = PolyGaussian.gaussian(dim, sigma)
+            for r2 in (0.0, 0.25, 1.5625, 36.0):
+                expect = (2 * np.pi * sigma**2) ** (dim / 2) * np.exp(-sigma**2 * r2 / 2)
+                assert fourier._envelope(g, r2) == pytest.approx(expect, rel=1e-15)
+            assert fourier._envelope(g, 0.0) == (2 * np.pi * sigma**2) ** (dim / 2)
+
+
 def test_a_family_forms_each_intertwiner_once(m3, patch_everywhere):
     # two degree >= 1 terms on one basis: the intertwiners of a K-type
     # depend on the basis alone, so each window K-type's are formed once

@@ -428,6 +428,43 @@ class TestSchurSum:
                     S[0, 0, 0] = 1.0
 
 
+class TestSignedPermutation:
+    """Every contragredient J is a signed permutation, and its units record it."""
+
+    CASES = [(CircleGroup(), range(-6, 7)), (RotationGroup3(), range(9)), (TrivialGroup(), [0]),
+             (ProductGroup([CircleGroup(), CircleGroup()]),
+              ProductGroup([CircleGroup(), CircleGroup()]).irrep_labels(3))]
+
+    @pytest.mark.parametrize("group,labels", CASES, ids=lambda x: getattr(x, "name", ""))
+    def test_one_signed_unit_per_row_and_column(self, group, labels):
+        for label in labels:
+            bar, J, units = group.contragredient(label)
+            d = group.irrep_dim(label)
+            assert J.shape == (d, d) and group.irrep_dim(bar) == d
+            assert ((J != 0).sum(axis=0) == 1).all() and ((J != 0).sum(axis=1) == 1).all()
+            assert set(J[J != 0].tolist()) <= {1.0, -1.0}
+            assert len(units) == d
+            for c, (a, x) in enumerate(units):
+                assert J[a, c] == x and np.count_nonzero(J[:, c]) == 1
+
+    @pytest.mark.parametrize("J", [
+        np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]),
+        np.array([[1.0, 0.0], [0.0, 1j]]),  # monomial, but not signed
+        np.array([[1.0, 0.0], [1.0, 0.0]]),  # a column with two nonzeros, one with none
+        np.array([[0.0, 0.0], [1.0, 1.0]]),  # a row with two
+    ], ids=["rotation", "phase", "column", "row"])
+    def test_other_unitaries_raise_when_cached(self, J):
+        class Stub(CompactGroup):
+            name = "stub with a non-signed-permutation J"
+
+            def _contragredient(self, label):
+                return label, J.copy()
+
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            Stub().contragredient(0)
+        assert (Stub.name, 0) not in groups._CONTRAGREDIENT
+
+
 def base_col(group, J):
     """The column of ``orbit_expansion``'s coefficients: that of the weight-0 vector."""
     if isinstance(group, ProductGroup):

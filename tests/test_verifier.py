@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -33,7 +34,7 @@ from motionfields import (
 from motionfields.errors import SupBoundOverflow
 from motionfields import cli
 from motionfields.config import ScenarioConfig
-from motionfields.fourier import OperatorFieldSample, TruncatedOperator
+from motionfields.fourier import OperatorFieldSample, TruncatedOperator, check_path
 from motionfields.scenarios import bundled_scenario
 from motionfields.verifier import judge_h_ladder, judge_lambda_decay, judge_mu_decay
 
@@ -412,6 +413,25 @@ class TestMembership:
         )
         report = verify_membership(f, m2xm2, bundled_plan("m2xm2-gamma1"))
         assert report.overall
+
+    def test_run_checks_the_path_once(self, m3, patch_everywhere):
+        # sample_field's pass checks the path; condition 2 judges its sample
+        f = TestFunction(m3, [gauss_term(m3, 2, 1, 3), gauss_term(m3, 1, 0, 0, 0.5, 0.8)])
+        plan, calls = bundled_plan("m3-default"), []
+
+        def counted(pair, pts):
+            calls.append(len(pts))
+            return check_path(pair, pts)
+
+        patch_everywhere(check_path, counted)
+        assert verify_membership(f, m3, plan).overall
+        assert calls == [len(plan.path)]
+
+    def test_run_without_a_path_raises(self, m3):
+        f = TestFunction(m3, [gauss_term(m3, 1)])
+        plan = dataclasses.replace(bundled_plan("m3-default"), path=[])
+        with pytest.raises(ValueError, match="odd number"):
+            run_verification(f, m3, plan)
 
     def test_adversarial_injection_fails_condition_two(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
