@@ -433,9 +433,9 @@ class TestSignedPermutation:
 
     CASES = [(CircleGroup(), range(-6, 7)), (RotationGroup3(), range(9)), (TrivialGroup(), [0]),
              (ProductGroup([CircleGroup(), CircleGroup()]),
-              ProductGroup([CircleGroup(), CircleGroup()]).irrep_labels(3))]
+              [(m, n) for m in range(-3, 4) for n in range(-3, 4)])]
 
-    @pytest.mark.parametrize("group,labels", CASES, ids=lambda x: getattr(x, "name", ""))
+    @pytest.mark.parametrize("group,labels", CASES, ids=[g.name for g, _ in CASES])
     def test_one_signed_unit_per_row_and_column(self, group, labels):
         for label in labels:
             bar, J, units = group.contragredient(label)
