@@ -654,7 +654,7 @@ class TestMatrixUnits:
         # a hand-made layout: two or three copies of each bar of band <= 2
         blocks = [(lam, 2 + (i % 2) if lam in bars else 1)
                   for i, lam in enumerate(K.irrep_labels(2))]
-        basis = induction.PeterWeylBasis(pair.name, None, 2, pair.M, K, blocks, 1)
+        basis = PeterWeylBasis(pair.name, None, 2, pair.M, K, blocks, 1)
         assert max(c for lam, c in blocks if lam in bars) >= 2
         r2 = [sum(h * h for h in H) for H in self.points(pair)]
         M = fourier._schur_blocks(f.terms, basis, r2)
