@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import EmptySequence, MixedInstance, StratumMismatch
 from .induction import restriction_multiplicity
 from .pairs import WALL_TOL, as_coords, dominant_representative, stabilizer
@@ -110,9 +108,11 @@ def converges(pair, seq, limit):
     contained in the limit's, and the limit's irrep restricted to it
     contains the member's irrep.  For a K-dual limit over a K-dual tail
     this reduces to the sequence being eventually constant.  Containment is
-    the wall-set inclusion of ``pairs.stab_contained``, with the limit's wall
-    set taken once per query and each member's once; each multiplicity is
-    counted once per (member stabilizer structure, member label).
+    the wall-set inclusion (its oracle is ``stab_contained`` in
+    tests/pointwise.py), with the limit's wall set taken once per query
+    and each member's once; each multiplicity is counted once per (member
+    stabilizer structure, member label).  The mean distance is
+    ``math.fsum``'s, correctly rounded.
     """
     if not seq:
         raise EmptySequence("convergence query needs at least one element")
@@ -133,7 +133,7 @@ def converges(pair, seq, limit):
     mults = {}  # (member stabilizer structure, member label) -> multiplicity
     branch_ok = True
     for rec, p, H in zip(evidence[tail_start:], seq[tail_start:], Hs[tail_start:]):
-        contained = set(pair.wall_set(H)) <= big_walls  # pairs.stab_contained
+        contained = set(pair.wall_set(H)) <= big_walls  # the stabilizers' inclusion
         rec["stabilizer_contained"] = contained
         if contained:
             sub = stabilizer(pair, H)
@@ -146,7 +146,7 @@ def converges(pair, seq, limit):
             branch_ok = False
 
     quarter = dists[quarter_start:]
-    h_ok = float(np.mean(quarter)) < H_CONV_TOL and all(
+    h_ok = math.fsum(quarter) / len(quarter) < H_CONV_TOL and all(
         b <= a + 1e-15 for a, b in zip(quarter, quarter[1:])
     )
     verdict = bool(h_ok and branch_ok)

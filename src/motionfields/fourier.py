@@ -11,10 +11,11 @@ contragredient K-type bar.  A carries the orbit factor g-hat(Ad(k) H).
 For a Gaussian flat factor (degree 0) that is a constant, a function of
 |H| alone as Ad is orthogonal (``_envelope``); then A is a Schur sum too
 and the basis copies drop out: the term adds coeff g-hat(H) times
-J[:, row] J[:, col]^H / d of its contragredient (bar, J) to each copy of
-bar.  J is a signed permutation (``CompactGroup.contragredient``), so that
-is a matrix unit, and ``_schur_blocks`` writes it as one entry per copy,
-with no block, Schur sum tensor or polynomial evaluation.  For the other
+J[:, row] J[:, col]^H / d to each copy of its contragredient bar.  J is a
+signed permutation, given by its units, (row, sign) per column: (bar,
+units) is ``CompactGroup.contragredient``.  So that is a matrix unit, and
+``_schur_blocks`` writes it as one entry per copy, with no array but the
+stack: no block, Schur sum tensor or polynomial evaluation.  For the other
 terms g-hat(Ad(k)H) is the envelope of |H| times a polynomial in matrix
 coefficients of K (``CompactGroup.orbit_expansion``), so A is a sum of
 Gaunt integrals of three matrix coefficients (``CompactGroup.gaunt``:
@@ -165,23 +166,28 @@ def _schur_blocks(terms, basis, r2):
     envelope of |H| (``_envelope``), c_0 its constant coefficient.  By Schur
     orthogonality the term then adds coeff g-hat(H) times J[:, row]
     J[:, col]^H / d_bar to each copy of the contragredient bar of its label,
-    within ``basis.columns[bar]``, with (bar, J) =
+    within ``basis.columns[bar]``, with (bar, units) =
     ``CompactGroup.contragredient``.  J is a signed permutation, so that is
-    a matrix unit: one entry, at (a, b) in the copy, with a and b the rows
-    of the nonzeros of J's columns row and col, and weight J[a, row]
-    conj(J[b, col]) / d_bar.  A term whose bar is not in the basis adds
-    nothing, and its g-hat is not evaluated.
+    a matrix unit: one entry, at (a, b) in the copy, with (a, x) and (b, y)
+    the units of columns row and col, and weight x conj(y) / d_bar.  Each
+    entry's P values are summed in Python, from 0j in term order, and
+    written once per copy; the stack is the one array formed.  A term whose
+    bar is not in the basis adds nothing, and its g-hat is not evaluated.
     """
     K, cols = basis.K, basis.columns
-    M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
+    entries = {}  # (bar, d_bar, a, b) -> the entry's value per point
     for t in terms:
-        bar, _, units = K.contragredient(t.u.label)
+        bar, units = K.contragredient(t.u.label)
         if bar in cols:
             (a, x), (b, y), d = units[t.u.row], units[t.u.col], len(units)
             c0, w = t.g._hat_poly[(0,) * t.g.dim], x * y.conjugate() / d
-            unit = np.array([(t.coeff * (c0 * _envelope(t.g, s))) * w for s in r2])
-            for i in range(cols[bar].start, cols[bar].stop, d):
-                M[:, i + a, i + b] += unit
+            values = entries.setdefault((bar, d, a, b), [0j] * len(r2))
+            for p, s in enumerate(r2):
+                values[p] += (t.coeff * (c0 * _envelope(t.g, s))) * w
+    M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
+    for (bar, d, a, b), values in entries.items():
+        for i in range(cols[bar].start, cols[bar].stop, d):
+            M[:, i + a, i + b] = values
     return M
 
 
@@ -210,14 +216,16 @@ def pi_family(f, pair, basis, Hs):
     (callers cut it at the window; H = 0 is the zero point).  Returns the
     (P, N, N) stack of their entries <pi(f) psi_j, psi_i>, in ``Hs`` order
     (N = 0 on an empty basis).  Gaussian terms are one ``_schur_blocks``
-    call for all points; each other term adds its A B
-    products (``_orbit_sums``), also for all points at once.
-    NonFiniteEntries names the first point where those overflow a float; a
-    Gaussian term's entries are bounded by ``TestFunction.fhat2_sup``.
+    call for all points; each other term adds its A B products
+    (``_orbit_sums``), also for all points at once.  ValueError is raised
+    unless every point has ``pair.rank`` coordinates.  NonFiniteEntries
+    names the first point where those overflow a float; a Gaussian term's
+    entries are bounded by ``TestFunction.fhat2_sup``.
     """
     K, cols = pair.K, basis.columns
-    Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
-    r2 = [sum(h * h for h in H) for H in Hs.tolist()]  # |H|^2, the envelope's argument
+    if any(len(H) != pair.rank for H in Hs):
+        raise ValueError(f"flat points {Hs!r} are not all of rank {pair.rank}, that of {pair.name}")
+    r2 = [sum(h * h for h in map(float, H)) for H in Hs]  # |H|^2, the envelope's argument
     M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
     # integral into two single ones per r: A, the integrals of g-hat on the
@@ -232,6 +240,7 @@ def pi_family(f, pair, basis, Hs):
                 poly_terms.append((t, cols[bar], _block_factor(basis, bar, S)))
     if not poly_terms:
         return M
+    Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
     # A has band <= W: only the rows of the window's K-types are nonzero
     rows = [lam for lam in cols if K.char_band(lam) <= f.window]
     at = np.concatenate([np.arange(basis.size)[cols[lam]] for lam in rows])

@@ -70,26 +70,26 @@ class CompactGroup:
         raise NotImplementedError
 
     def contragredient(self, label):
-        """(bar, J, units): the label of the conjugate irrep, a unitary J with
-        tau_bar(k) = J conj(tau_label(k)) J^H for every k, and per column c
-        of J the (row, entry) of its one nonzero.
+        """(bar, units): the label of the conjugate irrep and, per column c
+        of the unitary J with tau_bar(k) = J conj(tau_label(k)) J^H for every
+        k, units[c] = (row, sign) of its one nonzero.
 
-        J is a signed permutation on every group here: [[1]] on the trivial
-        group and SO(2), the signed anti-diagonal on SO(3), their kron on
-        products.  So J[:, row] J[:, col]^H is a matrix unit, which
-        ``fourier._schur_blocks`` writes as one entry.  Computed once per
-        (group, label), where ValueError is raised if J is not a signed
-        permutation; J is read-only.
+        J is a signed permutation on every group here, and the units are
+        its closed form: ((0, 1.0),) on the trivial group and SO(2), (2ell -
+        a, (-1)^(a - ell)) on SO(3), their kron on products.  So J[:, row]
+        J[:, col]^H is a matrix unit, which ``fourier._schur_blocks`` writes
+        as one entry, and J itself (``signed_permutation``) is formed only
+        for a Schur sum.  Computed once per (group, label), where ValueError
+        is raised unless the rows are a permutation and every sign is +-1.
         """
         key = (self.name, label)
         if key not in _CONTRAGREDIENT:
-            bar, J = self._contragredient(label)
-            units = [[(a, x) for a, x in enumerate(col) if x] for col in J.T.tolist()]
-            if not (all(len(u) == 1 and u[0][1] in (1, -1) for u in units)
-                    and sorted(u[0][0] for u in units) == list(range(len(J)))):
+            bar, units = self._contragredient(label)
+            if not (sorted(a for a, _ in units) == list(range(len(units)))
+                    and all(x in (1, -1) for _, x in units)):
                 raise ValueError(f"J of the contragredient of {label!r} on {self.name} "
                                  "is not a signed permutation")
-            _CONTRAGREDIENT[key] = (bar, _freeze(J), tuple(u for (u,) in units))
+            _CONTRAGREDIENT[key] = (bar, tuple(units))
         return _CONTRAGREDIENT[key]
 
     def _contragredient(self, label):
@@ -108,7 +108,8 @@ class CompactGroup:
         """
         key = (self.name, label, row)
         if key not in _SCHUR:
-            bar, J, _ = self.contragredient(label)
+            bar, units = self.contragredient(label)
+            J = signed_permutation(units)
             S = np.einsum("v,br->rvb", J[:, row], J.conj()) / self.irrep_dim(label)
             _SCHUR[key] = (bar, _freeze(S))
         return _SCHUR[key]
@@ -160,7 +161,7 @@ class TrivialGroup(CompactGroup):
         return [0]
 
     def _contragredient(self, label):
-        return 0, np.ones((1, 1))
+        return 0, ((0, 1.0),)
 
 
 class CircleGroup(CompactGroup):
@@ -190,7 +191,7 @@ class CircleGroup(CompactGroup):
         return abs(w), abs(w)
 
     def _contragredient(self, label):
-        return -int(label), np.ones((1, 1))
+        return -int(label), ((0, 1.0),)
 
     space_dim = 2
 
@@ -240,10 +241,7 @@ class RotationGroup3(CompactGroup):
     def _contragredient(self, label):
         """conj(D^ell_{m'm}) = (-1)^(m'-m) D^ell_{-m',-m}: J[2ell - a, a] = (-1)^(a - ell)."""
         ell = int(label)
-        J = np.zeros((2 * ell + 1, 2 * ell + 1))
-        for a in range(2 * ell + 1):  # scalar writes: a term's ell is small
-            J[2 * ell - a, a] = (-1.0) ** (a - ell)
-        return ell, J
+        return ell, tuple((2 * ell - a, (-1.0) ** (a - ell)) for a in range(2 * ell + 1))
 
     space_dim = 3
 
@@ -299,9 +297,12 @@ class ProductGroup(CompactGroup):
         return list(itertools.product(*(f.weights(w) for f, w in zip(self.factors, label))))
 
     def _contragredient(self, label):
-        """Factor by factor, with J the kron of the factors' in C order."""
-        bars, Js, _ = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
-        return tuple(bars), reduce(np.kron, Js)
+        """Factor by factor, with J the kron of the factors' in C order: the
+        unit of column a d_2 + b is at row a' d_2 + b' with sign x y, for
+        factor units (a', x) and (b', y)."""
+        bars, units = zip(*(f.contragredient(w) for f, w in zip(self.factors, label)))
+        return tuple(bars), reduce(
+            lambda u, v: tuple((a * len(v) + b, x * y) for a, x in u for b, y in v), units)
 
     def orbit_expansion(self, alpha, t):
         """Factor by factor: each takes its chunk of ``alpha`` and its column of ``t``.
@@ -332,7 +333,7 @@ class ProductGroup(CompactGroup):
         return out
 
 
-_CONTRAGREDIENT = {}  # (group name, label) -> (bar, J, units) of contragredient
+_CONTRAGREDIENT = {}  # (group name, label) -> (bar, units) of contragredient
 _SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
 _GAUNT = {}  # (group name, key, label, row, lam) -> (r, v, b) array of gaunt
 
@@ -398,6 +399,14 @@ def _so3_monomial(alpha):
                             nxt[J2, M + m] = nxt.get((J2, M + m), 0.0) + c * v * w
             out = nxt
     return tuple(((J, M + J), c) for (J, M), c in out.items() if c)
+
+
+def signed_permutation(units):
+    """The matrix J of ``CompactGroup.contragredient``'s units: J[row, c] = sign at units[c]."""
+    J = np.zeros((len(units), len(units)))
+    for c, (a, x) in enumerate(units):
+        J[a, c] = x
+    return J
 
 
 def _is_weight(x):

@@ -335,12 +335,3 @@ def dominant_representative(pair, coords):
 def stabilizer(pair, coords):
     """Stabilizer descriptor of the point; depends only on its wall pattern."""
     return pair.stabilizer_of(as_coords(coords))
-
-
-def stab_contained(pair, coords_small, coords_big):
-    """Whether the stabilizer of the first point sits inside the second's.
-
-    For the shipped instances the stabilizer grows exactly with the set of
-    vanishing positive roots, so containment is a wall-set inclusion.
-    """
-    return set(pair.wall_set(coords_small)) <= set(pair.wall_set(coords_big))

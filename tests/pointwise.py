@@ -8,8 +8,8 @@ factor elements for products.  ``irrep_table`` evaluates an irrep at n
 elements in parameter form (angles, z-y-z Euler triples, tuples of factor
 params; ``params_of``), by Wigner-d on SO(3).  ``adjoint`` is K acting on
 p; ``embed`` and ``pullback`` carry a stabilizer into K and back;
-``weyl_rep`` represents a Weyl element in K; ``value`` evaluates a test
-function.
+``weyl_rep`` represents a Weyl element in K; ``stab_contained`` compares
+two points' stabilizers; ``value`` evaluates a test function.
 """
 
 import math
@@ -236,6 +236,16 @@ def root_values(pair, coords):
 def phi(pair, coords, X):
     """The linear form <H, X> on p attached to the point H."""
     return float(pair.embed_a(coords) @ np.asarray(X))
+
+
+def stab_contained(pair, coords_small, coords_big):
+    """Whether the stabilizer of the first point sits inside the second's.
+
+    For the shipped instances the stabilizer grows exactly with the set of
+    vanishing positive roots, so containment is a wall-set inclusion: the
+    oracle of the one ``dual.converges`` takes.
+    """
+    return set(pair.wall_set(coords_small)) <= set(pair.wall_set(coords_big))
 
 
 # -- test functions --------------------------------------------------------------

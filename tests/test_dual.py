@@ -25,7 +25,6 @@ from motionfields.pairs import (
     SymmetricPairDescriptor,
     build_instance,
     dominant_representative,
-    stab_contained,
     stabilizer,
 )
 from motionfields.scenarios import bundled_scenario
@@ -403,7 +402,7 @@ class TestConverges:
     def test_one_wall_set_per_member_and_limit(self, instance, label, start, target,
                                                limit_label, limit_H, request, monkeypatch):
         # the limit's wall set is taken once per query and each member's of
-        # the final half once; containment reads as stab_contained
+        # the final half once; containment reads as pointwise's stab_contained
         pair = request.getfixturevalue(instance.lower())
         seq = ray(pair, label, start, target, 28)
         lim = make_dual_point(pair, limit_label, limit_H)
@@ -413,7 +412,8 @@ class TestConverges:
         cert = converges(pair, seq, lim)
         assert len(calls) == 1 + 14
         monkeypatch.undo()
-        contained = [stab_contained(pair, p.h_coords(pair), lim.h_coords(pair)) for p in seq[14:]]
+        contained = [pw.stab_contained(pair, p.h_coords(pair), lim.h_coords(pair))
+                     for p in seq[14:]]
         assert [rec["stabilizer_contained"] for rec in cert.evidence[14:]] == contained
 
     def test_stuck_sequence_diverges_both_ways(self, m3):

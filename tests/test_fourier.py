@@ -1,4 +1,5 @@
 import dataclasses
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,10 @@ from motionfields import (
     transport_label,
 )
 from motionfields import VerificationPlan, check_continuity, run_verification
-from motionfields import fourier, induction
+from motionfields import fourier, groups, induction
 from motionfields.cli import load_scenario
 from motionfields.induction import PeterWeylBasis, k_type_basis
-from motionfields.groups import CompactGroup
+from motionfields.groups import CompactGroup, signed_permutation
 from motionfields.pairs import SymmetricPairDescriptor
 import pointwise as pw
 from quadrature import coefficient_sums, pi_entries, proven_order, quadrature, refuse_node_rules
@@ -607,8 +608,9 @@ def dense_schur_blocks(terms, basis, r2):
     K, cols = basis.K, basis.columns
     M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
     for t in terms:
-        bar, J, _ = K.contragredient(t.u.label)
+        bar, units = K.contragredient(t.u.label)
         if bar in cols:
+            J = signed_permutation(units)
             c0, d = t.g._hat_poly[(0,) * t.g.dim], len(J)
             ghat = np.array([c0 * fourier._envelope(t.g, s) for s in r2])
             rank_one = J[:, t.u.row, None] * J[:, t.u.col].conj() / d
@@ -678,6 +680,31 @@ class TestMatrixUnits:
             M = fourier.pi_family(f, pair, basis, Hs)
             assert M.tobytes() == dense_schur_blocks(f.terms, basis, r2).tobytes()
 
+    @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+    def test_a_gaussian_family_forms_no_array_but_the_stack(self, instance, request,
+                                                            monkeypatch):
+        # with the contragredients uncached and fourier's and groups' numpy
+        # cut down to np.zeros, the Gaussian-only stacks of one and four
+        # points (H = 0 among them) are byte for byte those of the real run
+        pair = request.getfixturevalue(instance.lower())
+        f = self.function(pair)
+        mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
+        bases = [peter_weyl_basis(pair, mu, (1.0,) * pair.rank, 2)]
+        bases += [k_type_basis(pair, pair.K.contragredient(t.u.label)[0]) for t in f.terms]
+        point_sets = [[pair.zero_point()], [(0.5,) * pair.rank], self.points(pair)]
+
+        def stacks():
+            return [fourier.pi_family(f, pair, basis, Hs).tobytes()
+                    for basis in bases for Hs in point_sets]
+
+        expect = stacks()
+        monkeypatch.setattr(groups, "_CONTRAGREDIENT", {})
+        zeros_only = types.SimpleNamespace(zeros=np.zeros)
+        monkeypatch.setattr(fourier, "np", zeros_only)
+        monkeypatch.setattr(groups, "np", zeros_only)
+        assert stacks() == expect
+        assert {(pair.K.name, t.u.label) for t in f.terms} <= set(groups._CONTRAGREDIENT)
+
     def test_envelope_is_the_closed_form(self):
         for dim, sigma in [(2, 0.8), (3, 1.1), (4, 0.5)]:
             g = PolyGaussian.gaussian(dim, sigma)
@@ -685,6 +712,14 @@ class TestMatrixUnits:
                 expect = (2 * np.pi * sigma**2) ** (dim / 2) * np.exp(-sigma**2 * r2 / 2)
                 assert fourier._envelope(g, r2) == pytest.approx(expect, rel=1e-15)
             assert fourier._envelope(g, 0.0) == (2 * np.pi * sigma**2) ** (dim / 2)
+
+
+@pytest.mark.parametrize("Hs", [[(0.5, 1.0)], [(0.5,), ()]], ids=["long", "short"])
+def test_a_family_refuses_points_of_another_rank(m3, Hs):
+    # M3 has rank 1: a point with two coordinates is not two points
+    f = TestFunction(m3, [gauss_term(m3, 1)])
+    with pytest.raises(ValueError, match="not all of rank 1"):
+        fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), 2), Hs)
 
 
 def test_a_family_forms_each_intertwiner_once(m3, patch_everywhere):

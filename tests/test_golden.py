@@ -17,8 +17,9 @@ each scenario workload is also compared byte for byte with
 its evidence distances.  Every artifact of those five scenarios is
 pinned byte for byte as well, by its SHA-256 in
 ``tests/golden/artifacts.sha256``: a change meant to leave the numbers
-alone must leave that manifest alone.  One traced benchmark iteration runs
-too, so the names the trace wraps stay in place.
+alone must leave that manifest alone.  One traced benchmark iteration of
+each kind (scenario and sweep) runs too, so the names the trace wraps stay
+in place.
 """
 
 import hashlib
@@ -174,23 +175,27 @@ def test_pi_matrix_records_the_norms_of_its_window_rows(monkeypatch):
         assert norms[1] == pytest.approx(fourier.hs_norm(op.matrix), rel=1e-12)
 
 
-def test_traced_benchmark_iteration(tmp_path):
-    # one traced iteration as the benchmark runs it, so that a rename of a
-    # traced name breaks here rather than in the benchmark's trace mode
-    root = PERFBENCH.parent
+def traced_worker(tmp_path, kind, workload):
+    """The result of one traced worker iteration of ``workload``, in a fresh interpreter."""
     result = tmp_path / "result.json"
     proc = subprocess.run(
         [
-            sys.executable, "perfbench/worker.py", "--kind", "scenario",
-            "--input", "perfbench/workloads/m3-default.json", "--trace",
+            sys.executable, "perfbench/worker.py", "--kind", kind,
+            "--input", f"perfbench/workloads/{workload}.json", "--trace",
             "--outdir", str(tmp_path / "out"), "--result", str(result),
             "--spawn-ns", str(time.clock_gettime_ns(time.CLOCK_MONOTONIC)),
         ],
-        cwd=root, capture_output=True, text=True, timeout=300,
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    run = json.loads(result.read_text())
+    return json.loads(result.read_text())
+
+
+def test_traced_benchmark_iteration(tmp_path):
+    # one traced iteration as the benchmark runs it, so that a rename of a
+    # traced name breaks here rather than in the benchmark's trace mode
+    run = traced_worker(tmp_path, "scenario", "m3-default")
     assert run["exit_code"] == 0
     # the field is formed one (mu, stabilizer) family at a time: no
     # one-point operator, and one sample_field pass for the whole plan,
@@ -213,3 +218,15 @@ def test_traced_benchmark_iteration(tmp_path):
     # cut of its bases: test_m3_default_bases_are_cut_at_the_window)
     assert run["trace"]["induction.intertwiners"]["calls"] == 0
     assert run["trace"]["induction.peter_weyl_basis"]["calls"] > 0
+
+
+def test_traced_sweep_iteration(tmp_path, golden):
+    # the sweep's three pi_matrix calls, traced: its Gaussian field forms
+    # no intertwiner and evaluates no g-hat polynomial
+    run = traced_worker(tmp_path, "sweep", "m3-lambda-sweep")
+    assert golden.check_sweep(run["norms"], "m3-lambda-sweep") == []
+    trace = run["trace"]
+    assert trace["fourier.pi_matrix"]["calls"] == 3
+    assert trace["fourier.pi_matrix"]["max_N"] == 168
+    for name in ("induction.intertwiners", "testfunctions.PolyGaussian.fourier"):
+        assert trace[name]["calls"] == 0

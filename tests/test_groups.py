@@ -13,6 +13,7 @@ from motionfields.groups import (
     RotationGroup3,
     TrivialGroup,
     clebsch_gordan,
+    signed_permutation,
     wigner_3j,
 )
 from motionfields.testfunctions import PolyGaussian, TestFunction
@@ -389,7 +390,8 @@ class TestSchurSum:
         group = make_group()
         params = pw.params_of(group, [pw.random(group, rng) for _ in range(4)])
         for label in group.irrep_labels(3):
-            bar, J, _ = group.contragredient(label)
+            bar, units = group.contragredient(label)
+            J = signed_permutation(units)
             assert np.abs(J @ J.conj().T - np.eye(len(J))).max() < 1e-15
             expect = J @ np.conj(pw.irrep_table(group, label, params)) @ J.conj().T
             assert np.abs(pw.irrep_table(group, bar, params) - expect).max() < 1e-12
@@ -418,7 +420,8 @@ class TestSchurSum:
         for label in make_group().irrep_labels(2):
             for row in range(make_group().irrep_dim(label)):
                 bar, S = make_group().schur_sum(label, row)
-                fresh_bar, J, _ = make_group().contragredient(label)
+                fresh_bar, units = make_group().contragredient(label)
+                J = signed_permutation(units)
                 fresh = np.einsum("v,br->rvb", J[:, row], J.conj()) / len(J)
                 assert bar == fresh_bar
                 assert np.array_equal(S, fresh)
@@ -429,7 +432,7 @@ class TestSchurSum:
 
 
 class TestSignedPermutation:
-    """Every contragredient J is a signed permutation, and its units record it."""
+    """Every contragredient J is a signed permutation, given by its units."""
 
     CASES = [(CircleGroup(), range(-6, 7)), (RotationGroup3(), range(9)), (TrivialGroup(), [0]),
              (ProductGroup([CircleGroup(), CircleGroup()]),
@@ -438,27 +441,40 @@ class TestSignedPermutation:
     @pytest.mark.parametrize("group,labels", CASES, ids=[g.name for g, _ in CASES])
     def test_one_signed_unit_per_row_and_column(self, group, labels):
         for label in labels:
-            bar, J, units = group.contragredient(label)
+            bar, units = group.contragredient(label)
             d = group.irrep_dim(label)
-            assert J.shape == (d, d) and group.irrep_dim(bar) == d
+            assert group.irrep_dim(bar) == d and len(units) == d
+            assert sorted(a for a, _ in units) == list(range(d))
+            # Python numbers, so that no entry of a Gaussian term needs numpy
+            assert all(type(a) is int and type(x) is float and abs(x) == 1.0 for a, x in units)
+            J = signed_permutation(units)
+            assert J.shape == (d, d)
             assert ((J != 0).sum(axis=0) == 1).all() and ((J != 0).sum(axis=1) == 1).all()
-            assert set(J[J != 0].tolist()) <= {1.0, -1.0}
-            assert len(units) == d
             for c, (a, x) in enumerate(units):
-                assert J[a, c] == x and np.count_nonzero(J[:, c]) == 1
+                assert J[a, c] == x
 
-    @pytest.mark.parametrize("J", [
-        np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]),
-        np.array([[1.0, 0.0], [0.0, 1j]]),  # monomial, but not signed
-        np.array([[1.0, 0.0], [1.0, 0.0]]),  # a column with two nonzeros, one with none
-        np.array([[0.0, 0.0], [1.0, 1.0]]),  # a row with two
-    ], ids=["rotation", "phase", "column", "row"])
-    def test_other_unitaries_raise_when_cached(self, J):
+    @pytest.mark.parametrize("factors", [(CircleGroup, CircleGroup), (RotationGroup3, CircleGroup),
+                                         (RotationGroup3, RotationGroup3)],
+                             ids=["SO(2) x SO(2)", "SO(3) x SO(2)", "SO(3) x SO(3)"])
+    def test_product_units_are_the_kron(self, factors):
+        group = ProductGroup([F() for F in factors])
+        for label in group.irrep_labels(3):
+            Js = [signed_permutation(f.contragredient(w)[1]) for f, w in zip(group.factors, label)]
+            J = signed_permutation(group.contragredient(label)[1])
+            assert np.array_equal(J, np.kron(*Js))
+
+    @pytest.mark.parametrize("units", [
+        ((0, 1.0), (0, -1.0)),  # a repeated row
+        ((0, 1.0), (2, 1.0)),  # a missing row
+        ((1, 1.0), (0, 1j)),  # monomial, but not signed
+        ((1, 0.5), (0, 1.0)),  # not unitary
+    ], ids=["row", "missing", "phase", "half"])
+    def test_other_unitaries_raise_when_cached(self, units):
         class Stub(CompactGroup):
             name = "stub with a non-signed-permutation J"
 
             def _contragredient(self, label):
-                return label, J.copy()
+                return label, units
 
         with pytest.raises(ValueError, match="not a signed permutation"):
             Stub().contragredient(0)

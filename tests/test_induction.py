@@ -15,7 +15,6 @@ import pointwise as pw
 from quadrature import quadrature, refuse_node_rules
 from motionfields import induction
 from motionfields.induction import intertwiners
-from motionfields.pairs import stab_contained
 
 
 def weight_count_dim(ell):
@@ -349,7 +348,7 @@ def contained_pairs(pair):
         (stabilizer(pair, small), stabilizer(pair, big))
         for small in pts
         for big in pts
-        if stab_contained(pair, small, big)
+        if pw.stab_contained(pair, small, big)
     ]
 
 
