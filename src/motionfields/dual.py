@@ -61,9 +61,10 @@ def transport_label(pair, w, H_from, label):
 def _transport(w, stab, label):
     """``transport_label`` given the stabilizer at either end of the move.
 
-    Only whether it is all of K matters, and conjugation keeps that.
+    Only whether it is all of K matters (the one kind of stabilizer with no
+    ``positions``), and conjugation keeps that.
     """
-    return label if stab.restrict is None else w.relabel(label)
+    return label if stab.positions is None else w.relabel(label)
 
 
 def make_dual_point(pair, label, H=None):

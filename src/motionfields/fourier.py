@@ -5,24 +5,25 @@ Psi(k) dk.  Matrix entries against the covariant basis are double
 integrals over K x K.  For separable terms the kernel factorizes through
 matrix coefficients, so every entry is a sum over r of products A B of two
 single integrals of a term coefficient against a basis block.  Both are
-closed forms; no entry is a node sum.  B is the Schur sum
-(``CompactGroup.schur_sum``), zero outside the block of the term's
-contragredient K-type bar.  A carries the orbit factor g-hat(Ad(k) H).
-For a Gaussian flat factor (degree 0) that is a constant, a function of
-|H| alone as Ad is orthogonal (``_envelope``); then A is a Schur sum too
-and the basis copies drop out: the term adds coeff g-hat(H) times
-J[:, row] J[:, col]^H / d to each copy of its contragredient bar.  J is a
-signed permutation, given by its units, (row, sign) per column: (bar,
-units) is ``CompactGroup.contragredient``.  So that is a matrix unit, and
-``_schur_blocks`` writes it as one entry per copy, with no array but the
-stack: no block, Schur sum tensor or polynomial evaluation.  For the other
-terms g-hat(Ad(k)H) is the envelope of |H| times a polynomial in matrix
-coefficients of K (``CompactGroup.orbit_expansion``), so A is a sum of
-Gaunt integrals of three matrix coefficients (``CompactGroup.gaunt``:
-Kronecker deltas on SO(2), products of two 3j symbols on SO(3));
-``_orbit_sums`` forms it for all points of a family at once.  At H = 0
-these give the K-dual entry tau_lambda(f), on ``induction.k_type_basis``,
-and the zero-point operator.
+closed forms, given by their nonzeros; no entry is a node sum.  B is a
+Schur sum, zero outside the block of the term's contragredient K-type bar:
+(bar, units) is ``CompactGroup.contragredient``, J a signed permutation
+given by its units, (row, sign) per column.  A carries the orbit factor
+g-hat(Ad(k) H).  For a Gaussian flat factor (degree 0) that is a constant,
+a function of |H| alone as Ad is orthogonal (``_envelope``); then A is a
+Schur sum too and the basis copies drop out: the term adds coeff g-hat(H)
+times J[:, row] J[:, col]^H / d to each copy of its contragredient bar.
+That is a matrix unit, and ``_schur_blocks`` writes it as one entry per
+copy, with no array but the stack: no block, Schur sum or polynomial
+evaluation.  For the other terms g-hat(Ad(k)H) is the envelope of |H|
+times a polynomial in matrix coefficients of K
+(``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
+three matrix coefficients (``CompactGroup.gaunt``, a band: Kronecker deltas
+on SO(2), products of two 3j symbols on SO(3)); ``_orbit_sums`` adds the
+bands for all points of a family at once.  B is read off the units
+(``_unit_factor``): one column per copy of bar, a signed row permutation of
+the copy's intertwiner.  At H = 0 these give the K-dual entry
+tau_lambda(f), on ``induction.k_type_basis``, and the zero-point operator.
 
 Selection rule: a term u g (u of the K-type l, g of degree d) has entries
 only in the columns of bar and in rows of band <= band(l) + d, the band of
@@ -149,6 +150,21 @@ def _block_factor(basis, lam, S):
     return np.concatenate([np.sqrt(basis.K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
 
 
+def _unit_factor(basis, bar, units, col):
+    """B of a degree >= 1 term at column ``col``, gathered from the units of its contragredient bar.
+
+    The Schur sum S[r, v, b] = J[v, col] J[b, r] / d is x0 y_r / d at v =
+    v0, b = pi(r), for (v0, x0) = units[col] and (pi(r), y_r) = units[r],
+    and 0 elsewhere; so sqrt(d) S T_c is nonzero only in row v0 of copy c
+    of bar, where it is sqrt(d) (x0 y_r / d) T_c[pi(r)].  Returns those
+    rows, (copies, r, d_rho).
+    """
+    d, (_, x0) = len(units), units[col]
+    w = np.array([x0 * y / d for _, y in units])[:, None]
+    perm = [a for a, _ in units]
+    return np.array([math.sqrt(d) * (w * T[perm]) for T in basis.intertwiners_of(bar)])
+
+
 def _envelope(g, r2):
     """(2 pi sigma^2)^{dim/2} exp(-sigma^2 r2 / 2) at r2 = |H|^2, a float.
 
@@ -196,8 +212,10 @@ def _orbit_sums(t, K, lams, Hs, r2):
 
     g-hat(Ad(k)H) = q(Ad(k)H) times the envelope of |H| (``_envelope``, from
     ``r2`` = |H|^2 per point).  q(Ad(k)H) = sum c_key(H) tau_J(k)[a, e]
-    (``CompactGroup.orbit_expansion``), so A is the c-weighted sum of
-    ``CompactGroup.gaunt`` over the keys, for all points at once.
+    (``CompactGroup.orbit_expansion``), so A is the c-weighted sum of the
+    Gaunt bands over the keys (``CompactGroup.gaunt``): each key adds
+    C[key] (x) its values at its band's indices, for all points at once,
+    and no zero of a band is summed.
     """
     g = t.g
     c = {}
@@ -205,8 +223,15 @@ def _orbit_sums(t, K, lams, Hs, r2):
         for key, v in K.orbit_expansion(alpha, Hs).items():
             c[key] = c.get(key, 0.0) + q * v
     C = np.array(list(c.values())) * [_envelope(g, s) for s in r2]
-    gaunts = (np.array([K.gaunt(key, t.u.label, t.u.row, lam) for key in c]) for lam in lams)
-    return [np.tensordot(C, G, axes=(0, 0)) for G in gaunts]
+    d, out = K.irrep_dim(t.u.label), []
+    for lam in lams:
+        A = np.zeros((len(r2), d, K.irrep_dim(lam), K.irrep_dim(lam)), dtype=complex)
+        for key, Ck in zip(c, C):
+            r, v, b, values = K.gaunt(key, t.u.label, t.u.row, lam)
+            if len(values):
+                A[:, r, v, b] += np.multiply.outer(Ck, values)
+        out.append(A)
+    return out
 
 
 def pi_family(f, pair, basis, Hs):
@@ -216,8 +241,9 @@ def pi_family(f, pair, basis, Hs):
     (callers cut it at the window; H = 0 is the zero point).  Returns the
     (P, N, N) stack of their entries <pi(f) psi_j, psi_i>, in ``Hs`` order
     (N = 0 on an empty basis).  Gaussian terms are one ``_schur_blocks``
-    call for all points; each other term adds its A B products
-    (``_orbit_sums``), also for all points at once.  ValueError is raised
+    call for all points; each other term adds its A B products, A from
+    ``_orbit_sums`` for all points at once and B from the units
+    (``_unit_factor``), into one column per copy of bar.  ValueError is raised
     unless every point has ``pair.rank`` coordinates.  NonFiniteEntries
     names the first point where those overflow a float; a Gaussian term's
     entries are bounded by ``TestFunction.fhat2_sup``.
@@ -230,14 +256,16 @@ def pi_family(f, pair, basis, Hs):
     # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
     # integral into two single ones per r: A, the integrals of g-hat on the
     # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
-    # the basis block of the contragredient K-type bar; a term whose bar is
-    # not in the basis contributes nothing.  B does not depend on H.
+    # column v0 of each copy of the contragredient K-type bar, v0 the row of
+    # column j0's unit; a term whose bar is not in the basis contributes
+    # nothing.  B does not depend on H.
     poly_terms = []
     for t in f.terms:
         if t.g.max_degree():
-            bar, S = K.schur_sum(t.u.label, t.u.col)
+            bar, units = K.contragredient(t.u.label)
             if bar in cols:
-                poly_terms.append((t, cols[bar], _block_factor(basis, bar, S)))
+                bar_cols = slice(cols[bar].start + units[t.u.col][0], cols[bar].stop, len(units))
+                poly_terms.append((t, bar_cols, _unit_factor(basis, bar, units, t.u.col)))
     if not poly_terms:
         return M
     Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
@@ -248,7 +276,7 @@ def pi_family(f, pair, basis, Hs):
         for t, bar_cols, B in poly_terms:
             A = np.concatenate([_block_factor(basis, lam, S)
                                 for lam, S in zip(rows, _orbit_sums(t, K, rows, Hs, r2))], axis=-2)
-            M[:, at, bar_cols] += t.coeff * np.einsum("pria,rja->pij", A, B.conj())
+            M[:, at, bar_cols] += t.coeff * np.einsum("pria,cra->pic", A, B.conj())
     bad = ~np.isfinite(M).all(axis=(1, 2))
     if bad.any():  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
         H = tuple(Hs[bad.argmax()].tolist())

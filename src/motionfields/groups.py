@@ -8,15 +8,17 @@ order).  SO(3)'s irrep ell is D^ell in the z-y-z convention, on the basis
 e_m, m = -ell..ell.  How often a torus weight occurs in an irrep, and in
 the irreps of which bands, and at which positions of the irrep's basis,
 are closed forms (``weight_multiplicity``, ``weight_bands``,
-``weight_positions``); ``weights`` lists them, for the tests' oracles.
+``weight_positions``); no weight is listed.
 
-Haar integrals are closed forms, never node sums.  ``schur_sum`` integrates
-two matrix coefficients (Schur orthogonality).  K acts on its defining space
-(the plane, R^3, their sums), and ``orbit_expansion`` writes a monomial of
-the orbit point k (t e_0) in matrix coefficients of K: e^{i n theta} on
-SO(2), D^J_{M0} on SO(3) by the Clebsch-Gordan product rule.  ``gaunt``
-integrates three matrix coefficients: a Kronecker delta on SO(2), two Wigner
-3j symbols on SO(3), factor by factor on products.  The Clebsch-Gordan
+Haar integrals are closed forms, never node sums, given by their nonzeros.
+Two matrix coefficients integrate by Schur orthogonality against the
+contragredient, whose J is a signed permutation (``contragredient``: its
+units).  K acts on its defining space (the plane, R^3, their sums), and
+``orbit_expansion`` writes a monomial of the orbit point k (t e_0) in matrix
+coefficients of K: e^{i n theta} on SO(2), D^J_{M0} on SO(3) by the
+Clebsch-Gordan product rule.  ``gaunt`` integrates three matrix
+coefficients, as a band: a Kronecker delta on SO(2), two Wigner 3j symbols
+on SO(3), the kron of the factors' bands on products.  The Clebsch-Gordan
 coefficients follow from the Racah formula in integer arithmetic
 (Varshalovich, Moskalev & Khersonskii, Quantum Theory of Angular Momentum,
 1988).
@@ -50,16 +52,12 @@ class CompactGroup:
         """Max weight magnitude occurring in the irrep."""
         raise NotImplementedError
 
-    def weights(self, label):
-        """Torus weight of each standard basis vector of the irrep, in basis order."""
-        raise NotImplementedError
-
     def weight_positions(self, label, w):
-        """The indices of the torus weight ``w`` in ``weights(label)``, in closed form, in order."""
+        """The indices of the irrep's basis vectors of torus weight ``w``, in closed form, in order."""
         raise NotImplementedError
 
     def weight_multiplicity(self, label, w):
-        """How often the torus weight ``w`` occurs in ``weights(label)``."""
+        """How often the torus weight ``w`` occurs in the irrep."""
         return len(self.weight_positions(label, w))
 
     def weight_bands(self, w):
@@ -76,10 +74,12 @@ class CompactGroup:
 
         J is a signed permutation on every group here, and the units are
         its closed form: ((0, 1.0),) on the trivial group and SO(2), (2ell -
-        a, (-1)^(a - ell)) on SO(3), their kron on products.  So J[:, row]
-        J[:, col]^H is a matrix unit, which ``fourier._schur_blocks`` writes
-        as one entry, and J itself (``signed_permutation``) is formed only
-        for a Schur sum.  Computed once per (group, label), where ValueError
+        a, (-1)^(a - ell)) on SO(3), their kron on products.  They give the
+        Schur sums in closed form: int tau_label(k)[row, r] tau_lam(k)[v, b]
+        dk vanishes unless lam = bar, v is the row of column row's unit and
+        b that of column r's, where it is the product of their signs over
+        d_label.  ``fourier`` reads the units for both factors of an entry;
+        no J is formed.  Computed once per (group, label), where ValueError
         is raised unless the rows are a permutation and every sign is +-1.
         """
         key = (self.name, label)
@@ -95,25 +95,6 @@ class CompactGroup:
     def _contragredient(self, label):
         raise NotImplementedError
 
-    def schur_sum(self, label, row):
-        """The Haar integrals of two matrix coefficients, in closed form.
-
-        S[r, v, b] = int tau_label(k)[row, r] tau_lam(k)[v, b] dk vanishes
-        unless lam is the contragredient ``bar`` of ``label``; there Schur
-        orthogonality against tau_bar = J conj(tau_label) J^H gives
-
-            S[r, v, b] = J[v, row] conj(J[b, r]) / d_label.
-
-        Returns (bar, S), computed once per (group, label, row); S is read-only.
-        """
-        key = (self.name, label, row)
-        if key not in _SCHUR:
-            bar, units = self.contragredient(label)
-            J = signed_permutation(units)
-            S = np.einsum("v,br->rvb", J[:, row], J.conj()) / self.irrep_dim(label)
-            _SCHUR[key] = (bar, _freeze(S))
-        return _SCHUR[key]
-
     # -- the orbit of K in its defining space -------------------------------
     space_dim = 0  # dimension of the defining space
 
@@ -128,14 +109,18 @@ class CompactGroup:
         raise NotImplementedError
 
     def gaunt(self, key, label, row, lam):
-        """int tau_J(k)[a, e] tau_label(k)[row, r] tau_lam(k)[v, b] dk as an (r, v, b) array.
+        """The nonzeros of int tau_J(k)[a, e] tau_label(k)[row, r] tau_lam(k)[v, b] dk.
 
-        ``key`` is (J, a) of ``orbit_expansion``; computed once per
-        (group, key, label, row, lam) and read-only.
+        ``key`` is (J, a) of ``orbit_expansion``.  Over (r, v, b) the
+        integral is a band: one v, fixed by the key and ``row``, and one b
+        per r.  Returns (r, v, b, values), the nonzero values at (r[i], v,
+        b[i]) with r increasing (v is 0 where there are none); computed once
+        per (group, key, label, row, lam), the arrays read-only.
         """
         k = (self.name, key, label, row, lam)
         if k not in _GAUNT:
-            _GAUNT[k] = _freeze(self._gaunt(key, label, row, lam))
+            r, v, b, values = self._gaunt(key, label, row, lam)
+            _GAUNT[k] = (_freeze(r), v, _freeze(b), _freeze(values))
         return _GAUNT[k]
 
     def _gaunt(self, key, label, row, lam):
@@ -157,9 +142,6 @@ class TrivialGroup(CompactGroup):
     def char_band(self, label):
         return 0
 
-    def weights(self, label):
-        return [0]
-
     def _contragredient(self, label):
         return 0, ((0, 1.0),)
 
@@ -180,9 +162,6 @@ class CircleGroup(CompactGroup):
 
     def char_band(self, label):
         return abs(int(label))
-
-    def weights(self, label):
-        return [label]
 
     def weight_positions(self, label, w):
         return [0] if label == w else []
@@ -206,7 +185,8 @@ class CircleGroup(CompactGroup):
         return {(n - d, 0): cn * scale for n, cn in enumerate(c) if cn}
 
     def _gaunt(self, key, label, row, lam):
-        return np.full((1, 1, 1), float(key[0] + label + lam == 0))
+        """A Kronecker delta: 1 at (0, 0, 0) where the three weights sum to 0."""
+        return _band(0, [(0, 0, float(key[0] + label + lam == 0))])
 
 
 class RotationGroup3(CompactGroup):
@@ -226,12 +206,8 @@ class RotationGroup3(CompactGroup):
     def char_band(self, label):
         return int(label)
 
-    def weights(self, label):
-        """rot_z(theta) acts on e_m (m = -ell..ell) by e^{-i m theta}: weight -m."""
-        return list(range(int(label), -int(label) - 1, -1))
-
     def weight_positions(self, label, w):
-        """e_m has weight -m, so the weight w sits at index ell - w."""
+        """rot_z(theta) acts on e_m (m = -ell..ell) by e^{-i m theta}, so the weight w is at ell - w."""
         return [int(label) - w] if abs(w) <= label else []
 
     def weight_bands(self, w):
@@ -255,17 +231,16 @@ class RotationGroup3(CompactGroup):
 
             3j(ell J lam; m_row M m_v) 3j(ell J lam; m_r 0 m_b),
 
-        nonzero only at m_v = -m_row - M and m_b = -m_r.
+        nonzero only at m_v = -m_row - M and m_b = -m_r: at most 2 min(ell,
+        lam) + 1 entries, b = lam + ell - r.
         """
         (J, a), ell, lam = key, int(label), int(lam)
-        out = np.zeros((2 * ell + 1, 2 * lam + 1, 2 * lam + 1))
         m_row, M = row - ell, a - J
         m_v = -m_row - M
-        if abs(m_v) <= lam:
-            first = wigner_3j(ell, J, lam, m_row, M, m_v)
-            for m in range(-min(ell, lam), min(ell, lam) + 1):
-                out[m + ell, m_v + lam, lam - m] = first * wigner_3j(ell, J, lam, m, 0, -m)
-        return out
+        first = wigner_3j(ell, J, lam, m_row, M, m_v)  # 0 unless |m_v| <= lam
+        ms = range(-min(ell, lam), min(ell, lam) + 1) if first else ()
+        entries = [(m + ell, lam - m, first * wigner_3j(ell, J, lam, m, 0, -m)) for m in ms]
+        return _band(m_v + lam, entries)
 
 
 class ProductGroup(CompactGroup):
@@ -292,10 +267,6 @@ class ProductGroup(CompactGroup):
     def char_band(self, label):
         return max(f.char_band(w) for f, w in zip(self.factors, label))
 
-    def weights(self, label):
-        """Tuples of factor weights, in the kron (C) order of the factor bases."""
-        return list(itertools.product(*(f.weights(w) for f, w in zip(self.factors, label))))
-
     def _contragredient(self, label):
         """Factor by factor, with J the kron of the factors' in C order: the
         unit of column a d_2 + b is at row a' d_2 + b' with sign x y, for
@@ -321,21 +292,22 @@ class ProductGroup(CompactGroup):
         return out
 
     def _gaunt(self, key, label, row, lam):
-        """The kron, in C order on each of r, v and b, of the factors' arrays."""
+        """The kron, in C order on each of r, v and b, of the factors' bands."""
         J, a = key
         a = np.unravel_index(a, [f.irrep_dim(x) for f, x in zip(self.factors, J)])
         row = np.unravel_index(row, [f.irrep_dim(x) for f, x in zip(self.factors, label)])
-        out = np.ones((1, 1, 1))
-        for f, Jf, af, lf, rf, mf in zip(self.factors, J, a, label, row, lam):
-            g = f.gaunt((Jf, int(af)), lf, int(rf), mf)
-            (p, q, r), (x, y, z) = out.shape, g.shape
-            out = np.einsum("pqr,xyz->pxqyrz", out, g).reshape(p * x, q * y, r * z)
-        return out
+        entries, v = [(0, 0, 1.0)], 0  # (r, b, value)
+        for f, Jf, af, lf, rowf, mf in zip(self.factors, J, a, label, row, lam):
+            rf, vf, bf, xf = f.gaunt((Jf, int(af)), lf, int(rowf), mf)
+            d_r, d_b = f.irrep_dim(lf), f.irrep_dim(mf)
+            entries = [(r * d_r + s, b * d_b + c, x * y) for r, b, x in entries
+                       for s, c, y in zip(rf.tolist(), bf.tolist(), xf.tolist())]
+            v = v * d_b + vf
+        return _band(v, entries)
 
 
 _CONTRAGREDIENT = {}  # (group name, label) -> (bar, units) of contragredient
-_SCHUR = {}  # (group name, label, row) -> (bar, S) of schur_sum
-_GAUNT = {}  # (group name, key, label, row, lam) -> (r, v, b) array of gaunt
+_GAUNT = {}  # (group name, key, label, row, lam) -> (r, v, b, values) band of gaunt
 
 # cos and sin of theta as Laurent coefficients of z^-1, z^0, z^1
 _CIRCLE_COORDS = (np.array([0.5, 0.0, 0.5]), np.array([0.5j, 0.0, -0.5j]))
@@ -401,12 +373,11 @@ def _so3_monomial(alpha):
     return tuple(((J, M + J), c) for (J, M), c in out.items() if c)
 
 
-def signed_permutation(units):
-    """The matrix J of ``CompactGroup.contragredient``'s units: J[row, c] = sign at units[c]."""
-    J = np.zeros((len(units), len(units)))
-    for c, (a, x) in enumerate(units):
-        J[a, c] = x
-    return J
+def _band(v, entries):
+    """The band (r, v, b, values) of the (r, b, value) ``entries`` of nonzero value (v 0 if none)."""
+    entries = [e for e in entries if e[2]]
+    rb = np.array([e[:2] for e in entries], dtype=int).reshape(-1, 2)
+    return rb[:, 0], v if entries else 0, rb[:, 1], np.array([e[2] for e in entries], dtype=float)
 
 
 def _is_weight(x):

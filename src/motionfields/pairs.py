@@ -11,8 +11,7 @@ Three instances ship:
 Coordinates on p and on the flat part are Euclidean in a fixed
 orthonormal basis, so the invariant form is the dot product.  A pair holds
 the label algebra a run uses: roots, Weyl elements with their label maps,
-and stabilizers with their branching in closed form and their restriction
-maps on torus weights.
+and stabilizers with their branching in closed form.
 """
 
 from __future__ import annotations
@@ -64,17 +63,14 @@ class StabilizerDescriptor:
     in the irrep lam of ``group``, which contains the stabilizer (K, or a
     larger stabilizer); ``bands(group, mu)`` is the set of bands of the
     irreps of ``group`` over mu, an integer interval (lo, hi) with hi
-    possibly inf, or None when it is empty.  ``restrict`` maps a torus
-    weight of K (``CompactGroup.weights``) to the stabilizer label it
-    restricts to; ``positions(K, lam, mu)`` lists, in index order, the
-    basis vectors of lam whose weight restricts to mu, in closed form,
-    where an intertwiner needs them.  Both are None for a stabilizer that
-    is all of K, which branches by Schur's lemma.
+    possibly inf, or None when it is empty.  ``positions(K, lam, mu)``
+    lists, in index order, the basis vectors of lam whose torus weight
+    restricts to mu, in closed form, where an intertwiner needs them; it is
+    None for a stabilizer that is all of K, which branches by Schur's lemma.
     """
 
     structure: str
     group: CompactGroup
-    restrict: Callable | None
     count: Callable
     bands: Callable
     positions: Callable | None
@@ -121,7 +117,7 @@ class SymmetricPairDescriptor:
 def _trivial():
     """Every weight restricts to 0: lam holds mu = 0 d_lam times, and every K-type lies over it."""
     return StabilizerDescriptor(
-        "Trivial", TrivialGroup(), lambda w: 0,
+        "Trivial", TrivialGroup(),
         lambda G, lam, mu: G.irrep_dim(lam) * int(mu == 0),
         lambda G, mu: (0, math.inf) if mu == 0 else None,
         lambda G, lam, mu: range(G.irrep_dim(lam) if mu == 0 else 0),
@@ -135,7 +131,7 @@ def _circle():
     once in each of SO(3)'s irreps of ell >= |mu|.
     """
     return StabilizerDescriptor(
-        "Torus(1)", CircleGroup(), lambda w: w,
+        "Torus(1)", CircleGroup(),
         lambda G, lam, mu: G.weight_multiplicity(lam, mu),
         lambda G, mu: G.weight_bands(mu),
         lambda G, lam, mu: G.weight_positions(lam, mu),
@@ -145,7 +141,7 @@ def _circle():
 def _whole(structure, group):
     """All of K, by Schur's lemma: lam holds mu once if they are equal, and only then."""
     return StabilizerDescriptor(
-        structure, group, None,
+        structure, group,
         lambda G, lam, mu: int(lam == mu),
         lambda G, mu: (G.char_band(mu),) * 2,
         None,
@@ -162,9 +158,6 @@ def _product_stab(factors):
     g = ProductGroup([f.group for f in factors])
     structure = "Product(" + ", ".join(f.structure for f in factors) + ")"
 
-    def restrict(w):
-        return tuple(f.restrict(x) for f, x in zip(factors, w))
-
     def count(G, lam, mu):
         return math.prod(f.count(h, x, m) for f, h, x, m in zip(factors, G.factors, lam, mu))
 
@@ -178,7 +171,7 @@ def _product_stab(factors):
             out = [i * h.irrep_dim(x) + j for i in out for j in f.positions(h, x, m)]
         return out
 
-    return StabilizerDescriptor(structure, g, restrict, count, bands, positions)
+    return StabilizerDescriptor(structure, g, count, bands, positions)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,14 @@ elements in parameter form (angles, z-y-z Euler triples, tuples of factor
 params; ``params_of``), by Wigner-d on SO(3).  ``adjoint`` is K acting on
 p; ``embed`` and ``pullback`` carry a stabilizer into K and back;
 ``weyl_rep`` represents a Weyl element in K; ``stab_contained`` compares
-two points' stabilizers; ``value`` evaluates a test function.
+two points' stabilizers; ``value`` evaluates a test function.  It also
+keeps the listings that src's closed forms replaced: ``weights`` lists an
+irrep's torus weights and ``restrict`` maps one to a stabilizer label (the
+oracles of the closed-form branching), and ``signed_permutation`` forms the
+matrix J of a contragredient's units.
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -176,6 +181,28 @@ def character(group, label, elt):
     return complex(np.trace(irrep_matrix(group, label, elt)))
 
 
+def weights(group, label):
+    """The torus weight of each standard basis vector of the irrep, in basis order.
+
+    rot_z(theta) acts on SO(3)'s e_m (m = -ell..ell) by e^{-i m theta}, so
+    e_m has weight -m; products list tuples of factor weights in the kron
+    (C) order of the factor bases.
+    """
+    if isinstance(group, ProductGroup):
+        return list(itertools.product(*(weights(f, w) for f, w in zip(group.factors, label))))
+    if isinstance(group, RotationGroup3):
+        return list(range(int(label), -int(label) - 1, -1))
+    return [label] if isinstance(group, CircleGroup) else [0]
+
+
+def signed_permutation(units):
+    """The matrix J of ``CompactGroup.contragredient``'s units: J[row, c] = sign at units[c]."""
+    J = np.zeros((len(units), len(units)))
+    for c, (a, x) in enumerate(units):
+        J[a, c] = x
+    return J
+
+
 # -- the pair: K acting on p, stabilizers and Weyl representatives --------------
 
 
@@ -236,6 +263,21 @@ def root_values(pair, coords):
 def phi(pair, coords, X):
     """The linear form <H, X> on p attached to the point H."""
     return float(pair.embed_a(coords) @ np.asarray(X))
+
+
+def restrict(group, w):
+    """The label of the stabilizer ``group`` that the torus weight ``w`` of K restricts to.
+
+    For every stabilizer but all of K (which branches by Schur's lemma): a
+    circle, all of an SO(2) factor or SO(3)'s z-rotations, keeps the
+    weight, the trivial group sends it to 0, and products go factor by
+    factor.
+    """
+    if isinstance(group, ProductGroup):
+        return tuple(restrict(f, x) for f, x in zip(group.factors, w))
+    if isinstance(group, RotationGroup3):
+        raise ValueError("all of K restricts no weight: it branches by Schur's lemma")
+    return w if isinstance(group, CircleGroup) else 0
 
 
 def stab_contained(pair, coords_small, coords_big):

@@ -28,9 +28,10 @@ from motionfields import VerificationPlan, check_continuity, run_verification
 from motionfields import fourier, groups, induction
 from motionfields.cli import load_scenario
 from motionfields.induction import PeterWeylBasis, k_type_basis
-from motionfields.groups import CompactGroup, signed_permutation
+from motionfields.groups import CompactGroup
 from motionfields.pairs import SymmetricPairDescriptor
 import pointwise as pw
+from pointwise import signed_permutation
 from quadrature import coefficient_sums, pi_entries, proven_order, quadrature, refuse_node_rules
 from test_induction import node_table
 
@@ -518,6 +519,48 @@ class TestClosedFormOracle:
             assert np.abs(M - ref).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
+def test_degree_one_families_sum_gaunt_bands_without_tensordot(instance, request, monkeypatch):
+    # the degree >= 1 entries add each key's Gaunt band at its indices and
+    # read B off the contragredient's units: with tensordot refused in
+    # fourier's numpy, families at regular points, on walls and at the zero
+    # point equal the quadrature route, and every SO(3) band formed holds
+    # at most 2 min(ell, lam) + 1 entries
+    pair = request.getfixturevalue(instance.lower())
+    K = pair.K
+    f = random_function(pair, np.random.default_rng([len(instance), 41]), max_label=2,
+                        min_degree=1, max_degree=3)
+    lam_max = f.window + 1
+    rule = quadrature(K, proven_order(f, lam_max))
+    families = {  # points sharing a stabilizer, hence a basis
+        "M2": [[(1.3,), (0.4,)], [(0.0,)]],
+        "M3": [[(0.9,), (2.1,)], [(0.0,)]],
+        "M2xM2": [[(0.8, 1.3), (1.1, 0.5)], [(0.0, 0.9)], [(0.7, 0.0)], [(0.0, 0.0)]],
+    }[instance]
+    refs = [(Hs, mu, [pi_entries(f, pair, basis, H, rule) for H in Hs], basis)
+            for Hs in families for mu in stabilizer(pair, Hs[0]).group.irrep_labels(1)
+            for basis in [peter_weyl_basis(pair, mu, Hs[0], lam_max)]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensordot called")
+
+    no_tensordot = types.SimpleNamespace(**{k: getattr(np, k) for k in dir(np) if k != "tensordot"})
+    no_tensordot.tensordot = refuse
+    monkeypatch.setattr(fourier, "np", no_tensordot)
+    monkeypatch.setattr(groups, "_GAUNT", {})
+    got = [fourier.pi_family(f, pair, basis, Hs) for Hs, _, _, basis in refs]
+    scale = max(np.abs(ref).max() for _, _, stack, _ in refs for ref in stack)
+    assert scale > 1e-3  # the comparison is not vacuous
+    for M, (Hs, mu, stack, _) in zip(got, refs):
+        for m, ref in zip(M, stack):
+            assert np.abs(m - ref).max() <= 1e-12 * scale, (Hs, mu)
+    assert groups._GAUNT
+    for (name, _, label, _, lam), (r, v, b, values) in groups._GAUNT.items():
+        assert len(r) == len(b) == len(values) and (values != 0).all()
+        if name == "SO(3)":
+            assert len(values) <= 2 * min(label, lam) + 1
+
+
 def test_src_builds_no_quadrature_rule():
     src = Path(fourier.__file__).parent
     text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
@@ -555,7 +598,8 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
 
     assert not hasattr(CompactGroup, "quadrature")
     refuse_node_rules(monkeypatch)
-    # fourier reaches intertwiners through the basis only, in _block_factor
+    # fourier reaches intertwiners through the basis only: in _block_factor
+    # (A) and _unit_factor (B), both of degree >= 1 terms alone
     assert "intertwiners_of" in fourier._block_factor.__code__.co_names
     monkeypatch.setattr(fourier, "_block_factor", no_product)
     monkeypatch.setattr(PeterWeylBasis, "intertwiners_of", no_intertwiners_of)
@@ -574,8 +618,9 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
 @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
 def test_gaussian_entries_form_no_schur_tensor(instance, request, monkeypatch, patch_everywhere):
     # a Gaussian term adds its envelope at |H| times a rank-one block of the
-    # contragredient: no Schur sum tensor, no g-hat polynomial and no
-    # embedded xi, at single points or over a sampled field
+    # contragredient: no Schur sum tensor (src has none), no Gaunt band, no
+    # g-hat polynomial and no embedded xi, at single points or over a
+    # sampled field
     pair = request.getfixturevalue(instance.lower())
     f = random_function(pair, np.random.default_rng([len(instance), 12]), max_label=2,
                         max_degree=0)
@@ -590,7 +635,8 @@ def test_gaussian_entries_form_no_schur_tensor(instance, request, monkeypatch, p
             raise AssertionError(f"{name} called on a Gaussian-only path")
         return call
 
-    for cls, attr in [(CompactGroup, "schur_sum"), (PolyGaussian, "fourier"),
+    assert not hasattr(CompactGroup, "schur_sum")
+    for cls, attr in [(CompactGroup, "gaunt"), (PolyGaussian, "fourier"),
                       (SymmetricPairDescriptor, "embed_a")]:
         patch_everywhere(vars(cls)[attr], refuse(attr))  # any alias of the function
         monkeypatch.setattr(cls, attr, refuse(attr))

@@ -13,13 +13,12 @@ from motionfields.groups import (
     RotationGroup3,
     TrivialGroup,
     clebsch_gordan,
-    signed_permutation,
     wigner_3j,
 )
 from motionfields.testfunctions import PolyGaussian, TestFunction
 from motionfields.pairs import StabilizerDescriptor, SymmetricPairDescriptor, WeylElement, build_instance
 import pointwise as pw
-from pointwise import euler_zyz, rot_x, rot_y, rot_z, wigner_d
+from pointwise import euler_zyz, rot_x, rot_y, rot_z, signed_permutation, wigner_d
 from quadrature import coefficient_sums, nodes_from_params, quadrature
 
 
@@ -338,10 +337,10 @@ SINGLE_PATH_GROUPS = [
 # the pointwise model of K and of the pairs, which lives in tests/pointwise.py
 MOVED_METHODS = {
     "identity", "compose", "inverse", "random", "irrep_table", "params_of",
-    "irrep_matrix", "character", "from_euler", "irrep_node_table",
+    "irrep_matrix", "character", "from_euler", "irrep_node_table", "weights",
 }
 MOVED_FIELDS = {"embed", "pullback", "rep_in_k", "adjoint_action", "inner_product", "phi",
-                "root_values"}
+                "root_values", "restrict"}
 
 
 class TestSinglePath:
@@ -350,7 +349,8 @@ class TestSinglePath:
     def test_src_holds_no_element_model(self):
         for cls in (CompactGroup, TrivialGroup, CircleGroup, RotationGroup3, ProductGroup):
             assert not MOVED_METHODS & set(vars(cls)), cls
-        for name in ("rot_x", "rot_y", "rot_z", "euler_zyz", "_jy_eigenvectors", "wigner_d"):
+        for name in ("rot_x", "rot_y", "rot_z", "euler_zyz", "_jy_eigenvectors", "wigner_d",
+                     "signed_permutation"):
             assert not hasattr(groups, name)
         for cls in (StabilizerDescriptor, WeylElement, SymmetricPairDescriptor):
             fields = set(cls.__dataclass_fields__) | set(vars(cls))
@@ -377,6 +377,17 @@ class TestSinglePath:
                 assert pw.character(group, label, elt) == pytest.approx(
                     character_oracle(group, label, elt), abs=1e-10
                 )
+
+
+def schur_tensor(group, label, row):
+    """(bar, S): S[r, v, b] = J[v, row] conj(J[b, r]) / d, J from the contragredient's units.
+
+    The dense Schur sums of two matrix coefficients, which ``fourier`` reads
+    off the units without forming them.
+    """
+    bar, units = group.contragredient(label)
+    J = signed_permutation(units)
+    return bar, np.einsum("v,br->rvb", J[:, row], J.conj()) / len(J)
 
 
 class TestSchurSum:
@@ -408,27 +419,24 @@ class TestSchurSum:
             ones = np.ones(len(rule))
             sums = coefficient_sums(group, rule, labels, [(ones, label, row) for row in rows])
             for row, quad in zip(rows, sums):
-                bar, S = group.schur_sum(label, row)
+                bar, S = schur_tensor(group, label, row)
                 for lam, Sq in zip(labels, quad):
                     expect = S if lam == bar else 0.0
                     assert np.abs(Sq - expect).max() <= 1e-14
 
     @pytest.mark.parametrize("make_group", GROUPS)
     def test_cached_by_identity_and_read_only(self, make_group):
-        # keyed by (group name, label, row): a second group object of the
-        # same name shares the arrays, which equal a fresh computation
+        # the one cache of the Schur sums is the contragredient's, keyed by
+        # (group name, label): a second group object of the same name shares
+        # the units, which equal a fresh computation and are immutable
         for label in make_group().irrep_labels(2):
-            for row in range(make_group().irrep_dim(label)):
-                bar, S = make_group().schur_sum(label, row)
-                fresh_bar, units = make_group().contragredient(label)
-                J = signed_permutation(units)
-                fresh = np.einsum("v,br->rvb", J[:, row], J.conj()) / len(J)
-                assert bar == fresh_bar
-                assert np.array_equal(S, fresh)
-                assert make_group().schur_sum(label, row)[1] is S
-                assert not S.flags.writeable
-                with pytest.raises(ValueError):
-                    S[0, 0, 0] = 1.0
+            bar, units = make_group().contragredient(label)
+            fresh_bar, fresh = make_group()._contragredient(label)
+            assert bar == fresh_bar and units == tuple(fresh)
+            assert make_group().contragredient(label)[1] is units
+            assert isinstance(units, tuple) and all(isinstance(u, tuple) for u in units)
+            with pytest.raises(TypeError):
+                units[0] = (0, 1.0)
 
 
 class TestSignedPermutation:
@@ -564,6 +572,25 @@ class TestOrbitExpansion:
 GAUNT_GROUPS = [CircleGroup, RotationGroup3, lambda: ProductGroup([CircleGroup(), CircleGroup()])]
 
 
+def densify(group, label, lam, band):
+    """The (r, v, b) array of a Gaunt band (r, v, b, values), checked to be one.
+
+    A band holds one v, one b per r (b = lam + ell - r on SO(3)), r
+    increasing, and no zero value: at most 2 min(ell, lam) + 1 entries on
+    SO(3), and one on the torus.
+    """
+    r, v, b, values = band
+    assert len(r) == len(b) == len(values) and (values != 0).all()
+    assert (np.diff(r) > 0).all() and type(v) is int and 0 <= v < group.irrep_dim(lam)
+    if isinstance(group, RotationGroup3):
+        assert len(values) <= 2 * min(label, lam) + 1 and (b == lam + label - r).all()
+    else:
+        assert len(values) <= 1
+    out = np.zeros((group.irrep_dim(label),) + (group.irrep_dim(lam),) * 2)
+    out[r, v, b] = values
+    return out
+
+
 class TestGaunt:
     @pytest.mark.parametrize("make_group", GAUNT_GROUPS)
     def test_matches_node_sums(self, make_group):
@@ -581,12 +608,16 @@ class TestGaunt:
                     sums = coefficient_sums(group, rule, labels, [(g, label, row) for row in rows])
                     for row, per_lam in zip(rows, sums):
                         for lam, S in zip(labels, per_lam):
-                            got = group.gaunt((J, a), label, row, lam)
+                            got = densify(group, label, lam, group.gaunt((J, a), label, row, lam))
                             assert np.abs(got - S).max() < 1e-13
 
     def test_cached_and_read_only(self):
         g = RotationGroup3()
-        A = g.gaunt((1, 0), 2, 1, 3)
-        assert RotationGroup3().gaunt((1, 0), 2, 1, 3) is A
-        with pytest.raises(ValueError):
-            A[0, 0, 0] = 1.0
+        band = g.gaunt((1, 0), 2, 1, 3)
+        assert RotationGroup3().gaunt((1, 0), 2, 1, 3) is band
+        r, v, b, values = band
+        assert len(values) > 0
+        for array in (r, b, values):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
