@@ -19,10 +19,12 @@ evaluation.  For the other terms g-hat(Ad(k)H) is the envelope of |H|
 times a polynomial in matrix coefficients of K
 (``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
 three matrix coefficients (``CompactGroup.gaunt``, a band: Kronecker deltas
-on SO(2), products of two 3j symbols on SO(3)); ``_orbit_sums`` adds the
-bands for all points of a family at once.  B is read off the units
-(``_unit_factor``): one column per copy of bar, a signed row permutation of
-the copy's intertwiner.  At H = 0 these give the K-dual entry
+on SO(2), products of two 3j symbols on SO(3)), and B is read off the
+units.  Each intertwiner is a unit at the positions its copy selects
+(``PeterWeylBasis.positions``), so each (Gaunt key, r) meets at most one
+copy of a K-type and one of bar: ``_gaunt_entries`` gives a term's
+entries as a scatter of their nonzeros, for all points of a family at
+once, and forms no intertwiner.  At H = 0 these give the K-dual entry
 tau_lambda(f), on ``induction.k_type_basis``, and the zero-point operator.
 
 Selection rule: a term u g (u of the K-type l, g of degree d) has entries
@@ -35,11 +37,10 @@ unless lambda is the bar of a term.
 The field is evaluated one family at a time: the induced points that share
 mu and a stabilizer share one basis, cut at min(lambda_max, W), and
 ``pi_family`` forms all their operators as one (P, n, n) stack on it, with
-one ``_schur_blocks`` call for the Gaussian terms and one ``_orbit_sums``
+one ``_schur_blocks`` call for the Gaussian terms and one ``_gaunt_entries``
 call per other term; beyond the mu cut-off that basis is empty and no
 stack is formed.  The basis holds the block layout (``columns``), which
-both read, and branching counts; only ``_block_factor`` multiplies by
-intertwiners (degree >= 1), which the basis forms once per K-type.  A
+both read, the branching counts and the copies' positions.  A
 ``TruncatedOperator`` holds a read-only matrix, its basis and its norms,
 taken once by ``stack_norms``.  ``sample_field`` reads a whole
 ``VerificationPlan`` in one pass: the points of its grid, path, weight
@@ -144,27 +145,6 @@ def hs_norm(T):
     return float(np.linalg.norm(np.asarray(T)))
 
 
-def _block_factor(basis, lam, S):
-    """sqrt(d_lam) S T per intertwiner T of ``basis`` at lam: (..., r, d_lam * copies, d_rho)."""
-    Ts = basis.intertwiners_of(lam)
-    return np.concatenate([np.sqrt(basis.K.irrep_dim(lam)) * (S @ T) for T in Ts], axis=-2)
-
-
-def _unit_factor(basis, bar, units, col):
-    """B of a degree >= 1 term at column ``col``, gathered from the units of its contragredient bar.
-
-    The Schur sum S[r, v, b] = J[v, col] J[b, r] / d is x0 y_r / d at v =
-    v0, b = pi(r), for (v0, x0) = units[col] and (pi(r), y_r) = units[r],
-    and 0 elsewhere; so sqrt(d) S T_c is nonzero only in row v0 of copy c
-    of bar, where it is sqrt(d) (x0 y_r / d) T_c[pi(r)].  Returns those
-    rows, (copies, r, d_rho).
-    """
-    d, (_, x0) = len(units), units[col]
-    w = np.array([x0 * y / d for _, y in units])[:, None]
-    perm = [a for a, _ in units]
-    return np.array([math.sqrt(d) * (w * T[perm]) for T in basis.intertwiners_of(bar)])
-
-
 def _envelope(g, r2):
     """(2 pi sigma^2)^{dim/2} exp(-sigma^2 r2 / 2) at r2 = |H|^2, a float.
 
@@ -189,6 +169,7 @@ def _schur_blocks(terms, basis, r2):
     entry's P values are summed in Python, from 0j in term order, and
     written once per copy; the stack is the one array formed.  A term whose
     bar is not in the basis adds nothing, and its g-hat is not evaluated.
+    Returns the stack and, per point, whether its entries are all finite.
     """
     K, cols = basis.K, basis.columns
     entries = {}  # (bar, d_bar, a, b) -> the entry's value per point
@@ -204,34 +185,57 @@ def _schur_blocks(terms, basis, r2):
     for (bar, d, a, b), values in entries.items():
         for i in range(cols[bar].start, cols[bar].stop, d):
             M[:, i + a, i + b] = values
-    return M
+    return M, [all(math.isfinite(v[p].real) and math.isfinite(v[p].imag) for v in entries.values())
+               for p in range(len(r2))]
 
 
-def _orbit_sums(t, K, lams, Hs, r2):
-    """A[lam][p, r, v, b] = int g-hat(Ad(k)H_p) tau_l(k)[row, r] tau_lam(k)[v, b] dk.
+def _gaunt_entries(t, basis, rows, Hs, r2):
+    """The nonzeros of the degree >= 1 term ``t`` on ``basis``: (i, j, values), values (P, n).
 
-    g-hat(Ad(k)H) = q(Ad(k)H) times the envelope of |H| (``_envelope``, from
-    ``r2`` = |H|^2 per point).  q(Ad(k)H) = sum c_key(H) tau_J(k)[a, e]
-    (``CompactGroup.orbit_expansion``), so A is the c-weighted sum of the
-    Gaunt bands over the keys (``CompactGroup.gaunt``): each key adds
-    C[key] (x) its values at its band's indices, for all points at once,
-    and no zero of a band is summed.
+    With u(h k^{-1}) = sum_r tau(h)[row, r] conj(tau(k)[col, r]) and psi =
+    sqrt(d_lam) T* tau_lam(k^{-1}) v, an entry is a sum over r of A, the
+    integral of g-hat(Ad(k)H) tau_l(k)[row, r] against a copy of a window
+    K-type lam (``rows``), times B, the Schur sum of tau_l(k)[col, r]
+    against a copy of bar.  g-hat(Ad(k)H) is sum_key C[key](H)
+    tau_J(k)[a, e] times the envelope of |H| (``orbit_expansion``,
+    ``_envelope``), and each key's Gaunt band (``CompactGroup.gaunt``) has
+    one v and one b per r.  With (v0, x0) = units[col] and (pi(r), y_r) =
+    units[r] of the contragredient, B is x0 y_r / d_bar at row v0 and index
+    pi(r) of bar.  A copy's intertwiner is a unit at each of its
+    ``PeterWeylBasis.positions``, over sqrt(d_rho).  So (key, r) meets at
+    most one copy c' of lam, that of position b_r, and one copy c of bar,
+    that of position pi(r), and adds sqrt(d_lam d_bar) / d_rho (x0 y_r /
+    d_bar) C[key](H) times its band value at row (lam, c', v), column (bar,
+    c, v0), if the two positions stand for one vector of H_mu.  The weights
+    are summed per entry and key first, so the values are one product of
+    those weights with C, and no zero is summed or written.
     """
-    g = t.g
+    K, cols, d_rho = basis.K, basis.columns, basis.d_rho
+    bar, units = K.contragredient(t.u.label)
+    d, (v0, x0) = len(units), units[t.u.col]
     c = {}
-    for alpha, q in g._hat_poly.items():
+    for alpha, q in t.g._hat_poly.items():
         for key, v in K.orbit_expansion(alpha, Hs).items():
             c[key] = c.get(key, 0.0) + q * v
-    C = np.array(list(c.values())) * [_envelope(g, s) for s in r2]
-    d, out = K.irrep_dim(t.u.label), []
-    for lam in lams:
-        A = np.zeros((len(r2), d, K.irrep_dim(lam), K.irrep_dim(lam)), dtype=complex)
-        for key, Ck in zip(c, C):
+    at = {b: divmod(n, d_rho) for n, b in enumerate(basis.positions(bar))}
+    over = {r: (cols[bar].start + at[b][0] * d + v0, at[b][1], x0 * y / d)  # r -> (j, a, B)
+            for r, (b, y) in enumerate(units) if b in at}
+    weights = {}  # (i, j) -> {key index: weight}
+    for lam in rows:
+        at = {b: divmod(n, d_rho) for n, b in enumerate(basis.positions(lam))}
+        start, d_lam = cols[lam].start, K.irrep_dim(lam)
+        scale = math.sqrt(d_lam * d) / d_rho
+        for k, key in enumerate(c):
             r, v, b, values = K.gaunt(key, t.u.label, t.u.row, lam)
-            if len(values):
-                A[:, r, v, b] += np.multiply.outer(Ck, values)
-        out.append(A)
-    return out
+            for r, b, x in zip(r.tolist(), b.tolist(), values.tolist()):
+                if r in over and b in at and at[b][1] == over[r][1]:
+                    j, _, w = over[r]
+                    e = weights.setdefault((start + at[b][0] * d_lam + v, j), {})
+                    e[k] = e.get(k, 0.0) + scale * w * x
+    V = np.array([[e.get(k, 0.0) for k in range(len(c))] for e in weights.values()])
+    C = np.array(list(c.values())) * [_envelope(t.g, s) for s in r2]
+    i, j = np.array(list(weights), dtype=int).reshape(-1, 2).T
+    return i, j, (V.reshape(-1, len(c)) @ C).T
 
 
 def pi_family(f, pair, basis, Hs):
@@ -241,47 +245,34 @@ def pi_family(f, pair, basis, Hs):
     (callers cut it at the window; H = 0 is the zero point).  Returns the
     (P, N, N) stack of their entries <pi(f) psi_j, psi_i>, in ``Hs`` order
     (N = 0 on an empty basis).  Gaussian terms are one ``_schur_blocks``
-    call for all points; each other term adds its A B products, A from
-    ``_orbit_sums`` for all points at once and B from the units
-    (``_unit_factor``), into one column per copy of bar.  ValueError is raised
-    unless every point has ``pair.rank`` coordinates.  NonFiniteEntries
-    names the first point where those overflow a float; a Gaussian term's
-    entries are bounded by ``TestFunction.fhat2_sup``.
+    call for all points; each other term whose bar is in the basis adds its
+    nonzeros (``_gaunt_entries``), in the window rows, for all points at
+    once.  ValueError is raised unless every point has ``pair.rank``
+    coordinates.  NonFiniteEntries names the first point where the entries
+    written, once summed, overflow a float; no other entry is read.
     """
     K, cols = pair.K, basis.columns
     if any(len(H) != pair.rank for H in Hs):
         raise ValueError(f"flat points {Hs!r} are not all of rank {pair.rank}, that of {pair.name}")
     r2 = [sum(h * h for h in map(float, H)) for H in Hs]  # |H|^2, the envelope's argument
-    M = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
-    # u(h k^{-1}) = sum_r tau[h, i0, r] conj(tau[k, j0, r]) splits the K x K
-    # integral into two single ones per r: A, the integrals of g-hat on the
-    # orbit at row i0, and B, the Schur sums at row j0, which vanish outside
-    # column v0 of each copy of the contragredient K-type bar, v0 the row of
-    # column j0's unit; a term whose bar is not in the basis contributes
-    # nothing.  B does not depend on H.
-    poly_terms = []
-    for t in f.terms:
-        if t.g.max_degree():
-            bar, units = K.contragredient(t.u.label)
-            if bar in cols:
-                bar_cols = slice(cols[bar].start + units[t.u.col][0], cols[bar].stop, len(units))
-                poly_terms.append((t, bar_cols, _unit_factor(basis, bar, units, t.u.col)))
-    if not poly_terms:
-        return M
-    Hs = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
-    # A has band <= W: only the rows of the window's K-types are nonzero
-    rows = [lam for lam in cols if K.char_band(lam) <= f.window]
-    at = np.concatenate([np.arange(basis.size)[cols[lam]] for lam in rows])
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
-        for t, bar_cols, B in poly_terms:
-            A = np.concatenate([_block_factor(basis, lam, S)
-                                for lam, S in zip(rows, _orbit_sums(t, K, rows, Hs, r2))], axis=-2)
-            M[:, at, bar_cols] += t.coeff * np.einsum("pria,cra->pic", A, B.conj())
-    bad = ~np.isfinite(M).all(axis=(1, 2))
-    if bad.any():  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
-        H = tuple(Hs[bad.argmax()].tolist())
-        raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float",
-                               int(bad.argmax()))
+    M, finite = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
+    poly_terms = [t for t in f.terms
+                  if t.g.max_degree() and K.contragredient(t.u.label)[0] in cols]
+    if poly_terms:
+        # A has band <= W: only the rows of the window's K-types are nonzero
+        rows = [lam for lam in cols if K.char_band(lam) <= f.window]
+        points, written = np.asarray(Hs, dtype=float).reshape(-1, pair.rank), []
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
+            for t in poly_terms:
+                i, j, values = _gaunt_entries(t, basis, rows, points, r2)
+                M[:, i, j] += t.coeff * values
+                written.append((i, j))
+            i, j = (np.concatenate(x) for x in zip(*written))
+            finite = [a and b for a, b in zip(finite, np.isfinite(M[:, i, j]).all(axis=1).tolist())]
+    if not all(finite):  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
+        p = finite.index(False)
+        H = tuple(map(float, Hs[p]))
+        raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float", p)
     return M
 
 
@@ -323,8 +314,6 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
     matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
     return TruncatedOperator(matrix, lambda_max, basis)
-
-
 
 
 @dataclass(eq=False)

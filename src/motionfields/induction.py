@@ -16,16 +16,16 @@ rho occurs in lambda (``StabilizerDescriptor.count``, read by
 intertwiner is a unit weight vector whose weight restricts to rho, at the
 positions the stabilizer gives in closed form
 (``StabilizerDescriptor.positions``), or the identity on all of K (Schur's
-lemma).  A basis holds the counts and forms
-a K-type's intertwiners once, where ``fourier`` multiplies by them.  This
-is the weight-basis form of the SE(2)/SE(3) induced representations in
-Chirikjian & Kyatkin, Engineering Applications of Noncommutative Harmonic
-Analysis (2001).
+lemma).  So a basis holds the counts and gives each K-type's copies as the
+positions they select (``PeterWeylBasis.positions``), which ``fourier``
+reads; no run forms an intertwiner.  This is the weight-basis form of the
+SE(2)/SE(3) induced representations in Chirikjian & Kyatkin, Engineering
+Applications of Noncommutative Harmonic Analysis (2001).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,7 +53,10 @@ def intertwiners(K, lam, stab, mu):
     If the stabilizer is all of K this is Schur's lemma: I / sqrt(d_lam) when
     lam == mu, else none.  Otherwise mu is one-dimensional and they are the
     (d_lam x 1) unit columns e_i whose weight restricts to mu, in index order:
-    the stabilizer's closed-form ``positions``, with no weight listed.
+    the stabilizer's closed-form ``positions``, with no weight listed.  The
+    package calls this nowhere, as ``PeterWeylBasis.positions`` gives the
+    same copies: it is the tests' oracle of those positions, and a name the
+    benchmark's tracer wraps.
     """
     d = K.irrep_dim(lam)
     unit = np.eye(d, dtype=complex)
@@ -67,12 +70,12 @@ class PeterWeylBasis:
     """Orthonormal basis of the covariant-map space, cut at a K-type level.
 
     ``blocks`` lists (lambda, copies) in label order, copies the branching
-    multiplicity of mu in lambda; the basis runs lambda, then copy (the
-    c-th of ``intertwiners_of(lambda)``), then v in H_lambda, the layout
-    operators read as ``columns`` (lambda -> the slice its copies span) or
-    ``block_index`` ((lambda, copy, v) per basis vector).  A basis depends
-    on (instance, mu, stabilizer, lambda_max) only: the points of a stratum
-    piece share one.
+    multiplicity of mu in lambda; the basis runs lambda, then copy (an
+    intertwiner, given by the ``positions`` it selects), then v in
+    H_lambda, the layout operators read as ``columns`` (lambda -> the slice
+    its copies span) or ``block_index`` ((lambda, copy, v) per basis
+    vector).  A basis depends on (instance, mu, stabilizer, lambda_max)
+    only: the points of a stratum piece share one.
     """
 
     pair_name: str
@@ -82,13 +85,18 @@ class PeterWeylBasis:
     K: CompactGroup
     blocks: list
     d_rho: int
-    _intertwiners: dict = field(default_factory=dict, init=False, repr=False)  # lam -> its list
 
-    def intertwiners_of(self, lam):
-        """``intertwiners`` of the K-type lam, formed once per basis, where a product needs them."""
-        if lam not in self._intertwiners:
-            self._intertwiners[lam] = intertwiners(self.K, lam, self.stab, self.mu)
-        return self._intertwiners[lam]
+    def positions(self, lam):
+        """The vector indices of the K-type lam that its copies select, d_rho per copy.
+
+        Copy c maps the a-th basis vector of H_mu to the unit vector at
+        ``positions(lam)[c d_rho + a]`` of H_lam, over sqrt(d_rho): a unit
+        column at the stabilizer's ``positions`` (d_rho = 1), or, on all of
+        K, I / sqrt(d) at lam = mu, the identity.
+        """
+        if self.stab.positions is None:
+            return range(self.K.irrep_dim(lam) if lam == self.mu else 0)
+        return self.stab.positions(self.K, lam, self.mu)
 
     @cached_property
     def block_index(self):
@@ -114,9 +122,9 @@ def peter_weyl_basis(pair, mu, H, lambda_max):
     Blocks are ordered by K-type label, then intertwiner copy, then vector
     index; the block for lambda appears with multiplicity equal to the
     branching multiplicity of mu in the restriction of lambda, the
-    stabilizer's closed form: no weight is listed and no intertwiner formed
-    here.  H enters only through its stabilizer, so the basis is built once
-    per (instance, mu, stabilizer structure, lambda_max) and shared.
+    stabilizer's closed form: no weight is listed and no intertwiner formed.
+    H enters only through its stabilizer, so the basis is built once per
+    (instance, mu, stabilizer structure, lambda_max) and shared.
     """
     stab = _stabilizer_over(pair, mu, H)
     key = (pair.name, mu, stab.structure, lambda_max)
@@ -145,7 +153,7 @@ def k_type_basis(pair, lam):
     """The basis of the K-dual point ``lam``, the induced space at H = 0.
 
     Its stabilizer is K: one block, lam, once (Schur's lemma; its intertwiner
-    is I / sqrt(d) in ``intertwiners``), cut at band(lam).
+    is I / sqrt(d), whose ``positions`` are the identity), cut at band(lam).
     """
     K, stab = pair.K, pair.stabilizer_of(pair.zero_point())
     return PeterWeylBasis(pair.name, lam, K.char_band(lam), stab, K, [(lam, 1)], K.irrep_dim(lam))

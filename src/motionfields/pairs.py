@@ -65,8 +65,9 @@ class StabilizerDescriptor:
     irreps of ``group`` over mu, an integer interval (lo, hi) with hi
     possibly inf, or None when it is empty.  ``positions(K, lam, mu)``
     lists, in index order, the basis vectors of lam whose torus weight
-    restricts to mu, in closed form, where an intertwiner needs them; it is
-    None for a stabilizer that is all of K, which branches by Schur's lemma.
+    restricts to mu, in closed form: the copies of a basis
+    (``PeterWeylBasis.positions``); it is None for a stabilizer that is all
+    of K, which branches by Schur's lemma.
     """
 
     structure: str

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import types
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from motionfields import (
 from motionfields import VerificationPlan, check_continuity, run_verification
 from motionfields import fourier, groups, induction
 from motionfields.cli import load_scenario
-from motionfields.induction import PeterWeylBasis, k_type_basis
+from motionfields.errors import NonFiniteEntries
+from motionfields.induction import PeterWeylBasis, k_type_basis, window_basis
 from motionfields.groups import CompactGroup
 from motionfields.pairs import SymmetricPairDescriptor
 import pointwise as pw
@@ -573,8 +575,8 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
                                                  patch_everywhere):
     # a Gaussian flat factor is constant on the orbit, so induced entries are
     # closed forms too, at single points and over a sampled field, and the
-    # basis copies drop out of them: no intertwiner is formed, let alone a
-    # product with one
+    # basis copies drop out of them: no intertwiner is formed, and no Gaunt
+    # scatter is reached
     pair = request.getfixturevalue(instance.lower())
     rng = np.random.default_rng([len(instance), 11])
     f = random_function(pair, rng, max_label=2, max_degree=0)  # ghat(0) != 0
@@ -587,22 +589,16 @@ def test_k_dual_entries_build_no_quadrature_rule(instance, request, monkeypatch,
     grid = [make_dual_point(pair, mu, H), make_dual_point(pair, mu, (0.4,) * pair.rank),
             make_dual_point(pair, lams[1], None)]
 
-    def no_product(basis, lam, S):
-        raise AssertionError(f"intertwiner product formed for K-type {lam}")
+    def no_scatter(t, *args):
+        raise AssertionError(f"Gaunt entries formed for the term {t}")
 
     def no_intertwiner(K, lam, stab, mu):
         raise AssertionError(f"intertwiner formed for K-type {lam}")
 
-    def no_intertwiners_of(basis, lam):
-        raise AssertionError(f"intertwiners of K-type {lam} read from the basis")
-
     assert not hasattr(CompactGroup, "quadrature")
+    assert not hasattr(PeterWeylBasis, "intertwiners_of")
     refuse_node_rules(monkeypatch)
-    # fourier reaches intertwiners through the basis only: in _block_factor
-    # (A) and _unit_factor (B), both of degree >= 1 terms alone
-    assert "intertwiners_of" in fourier._block_factor.__code__.co_names
-    monkeypatch.setattr(fourier, "_block_factor", no_product)
-    monkeypatch.setattr(PeterWeylBasis, "intertwiners_of", no_intertwiners_of)
+    monkeypatch.setattr(fourier, "_gaunt_entries", no_scatter)
     patch_everywhere(induction.intertwiners, no_intertwiner)
     for lam, ref in zip(lams, refs):
         op = tau_matrix(f, pair, lam)
@@ -705,7 +701,7 @@ class TestMatrixUnits:
         basis = PeterWeylBasis(pair.name, None, 2, pair.M, K, blocks, 1)
         assert max(c for lam, c in blocks if lam in bars) >= 2
         r2 = [sum(h * h for h in H) for H in self.points(pair)]
-        M = fourier._schur_blocks(f.terms, basis, r2)
+        M, _ = fourier._schur_blocks(f.terms, basis, r2)
         ref = dense_schur_blocks(f.terms, basis, r2)
         assert M.shape == ref.shape == (4, basis.size, basis.size)
         assert np.count_nonzero(ref) > 0
@@ -768,19 +764,64 @@ def test_a_family_refuses_points_of_another_rank(m3, Hs):
         fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), 2), Hs)
 
 
-def test_a_family_forms_each_intertwiner_once(m3, patch_everywhere):
-    # two degree >= 1 terms on one basis: the intertwiners of a K-type
-    # depend on the basis alone, so each window K-type's are formed once
-    g = PolyGaussian(3, 0.9, {(0, 0, 1): 1.0, (1, 0, 0): 0.5})
-    f = TestFunction(m3, [Term(1.0, MatrixCoefficient(1, 0, 2), g),
-                          Term(0.5j, MatrixCoefficient(2, 1, 1), g)])
-    basis = dataclasses.replace(peter_weyl_basis(m3, 0, (1.0,), 4))  # none formed yet
-    formed, original = [], induction.intertwiners
-    patch_everywhere(original, lambda K, lam, stab, mu: formed.append(lam) or original(
-        K, lam, stab, mu))
-    M = fourier.pi_family(f, m3, basis, [(0.5,), (1.0,)])
-    assert np.abs(M).max() > 0
-    assert sorted(formed) == list(range(f.window + 1))
+def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywhere):
+    # degree 1-3 families on all three instances, at regular points, walls
+    # and the zero point: each copy is the positions it selects, so no
+    # intertwiner is formed, and a family writes only its nonzeros (at H =
+    # 0 only the constant of g-hat's polynomial is left, so there some
+    # entries written are 0)
+    def no_intertwiner(K, lam, stab, mu):
+        raise AssertionError(f"intertwiner formed for K-type {lam}")
+
+    patch_everywhere(induction.intertwiners, no_intertwiner)
+    written, scatter = [], fourier._gaunt_entries  # (i, j) per entry written
+
+    def recorded(*args):
+        i, j, values = scatter(*args)
+        written.extend(zip(i.tolist(), j.tolist()))
+        return i, j, values
+
+    monkeypatch.setattr(fourier, "_gaunt_entries", recorded)
+    walls = {"M2xM2": [(0.0, 1.3), (0.7, 0.0)]}
+    for pair in (m2, m3, m2xm2):
+        rng = np.random.default_rng([len(pair.name), 13])
+        f = random_function(pair, rng, max_label=2, max_degree=3, min_degree=1)
+        const = (0,) * pair.dim_p  # so that the zero point's entries are not all 0
+        f = TestFunction(pair, [Term(t.coeff, t.u, PolyGaussian(t.g.dim, t.g.sigma,
+                                                                {**t.g.poly, const: 0.5}))
+                                for t in f.terms])
+        families = [(window_basis(pair, mu, H, 4, f.window), [H, tuple(2 * h for h in H),
+                                                               pair.zero_point()])
+                    for H in [(0.8,) * pair.rank] + walls.get(pair.name, [])
+                    for mu in stabilizer(pair, H).group.irrep_labels(1)]
+        families += [(k_type_basis(pair, lam), [pair.zero_point()])
+                     for lam in pair.K.irrep_labels(2)]
+        nonzero = zero = 0
+        for basis, Hs in families:
+            del written[:]
+            M = fourier.pi_family(f, pair, basis, Hs)
+            at = set(zip(*(x.tolist() for x in np.nonzero(M.any(axis=0)))))
+            assert at == set(written) if len(Hs) > 1 else at <= set(written)
+            nonzero += len(at)
+            zero += np.count_nonzero(M[-1])
+        assert nonzero > 0 and zero > 0, pair.name
+    # the degree-3 family of one term at lambda_max 24: 15 entries per point
+    L = 24
+    g = PolyGaussian(3, 1.0, {(1, 1, 1): 1.0, (3, 0, 0): 0.5, (0, 0, 0): 0.2})
+    f = TestFunction(m3, [Term(1.0, MatrixCoefficient(L - 3, 0, 0), g)])
+    del written[:]
+    M = fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), L),
+                          [(0.3 + 0.25 * i,) for i in range(9)])
+    assert len(written) == 15
+    assert [np.count_nonzero(m) for m in M] == [15] * 9
+
+
+def test_gaussian_entries_that_overflow_are_refused(m3):
+    # a Gaussian-only family: 1e308 times the envelope overflows at every point
+    f = TestFunction(m3, [gauss_term(m3, 0, coeff=1e308)])
+    want = "entries of pi(f) at mu=0, H=(0.5,) overflow a float"
+    with pytest.raises(NonFiniteEntries, match=re.escape(want)):
+        pi_matrix(f, m3, 0, (0.5,), 2)
 
 
 class TestTauMatrix:

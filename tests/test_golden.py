@@ -213,9 +213,9 @@ def test_traced_benchmark_iteration(tmp_path):
     # and no element model, so no irrep is evaluated at a group element
     assert "groups.quadrature" not in run["trace"]
     assert "groups.irrep_matrix" not in run["trace"]
-    # a basis holds branching counts and only a term of degree >= 1
-    # multiplies by intertwiners, so this Gaussian field forms none (the
-    # cut of its bases: test_m3_default_bases_are_cut_at_the_window)
+    # a basis holds branching counts and its copies' positions, so no run
+    # forms an intertwiner (the cut of its bases:
+    # test_m3_default_bases_are_cut_at_the_window)
     assert run["trace"]["induction.intertwiners"]["calls"] == 0
     assert run["trace"]["induction.peter_weyl_basis"]["calls"] > 0
 
