@@ -217,9 +217,10 @@ def _gaunt_entries(t, basis, rows, Hs, r2):
     for alpha, q in t.g._hat_poly.items():
         for key, v in K.orbit_expansion(alpha, Hs).items():
             c[key] = c.get(key, 0.0) + q * v
-    at = {b: divmod(n, d_rho) for n, b in enumerate(basis.positions(bar))}
-    over = {r: (cols[bar].start + at[b][0] * d + v0, at[b][1], x0 * y / d)  # r -> (j, a, B)
-            for r, (b, y) in enumerate(units) if b in at}
+    # b -> (copy c, vector a of H_mu) of bar; r -> (column j, a, the value of B)
+    at_bar = {b: divmod(n, d_rho) for n, b in enumerate(basis.positions(bar))}
+    over = {r: (cols[bar].start + at_bar[b][0] * d + v0, at_bar[b][1], x0 * y / d)
+            for r, (b, y) in enumerate(units) if b in at_bar}
     weights = {}  # (i, j) -> {key index: weight}
     for lam in rows:
         at = {b: divmod(n, d_rho) for n, b in enumerate(basis.positions(lam))}
