@@ -66,7 +66,6 @@ from .verifier import (
     check_lambda_decay,
     check_mu_decay,
     run_verification,
-    verify_membership,
 )
 
 __version__ = "0.1.0"

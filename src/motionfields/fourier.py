@@ -41,14 +41,13 @@ one ``_schur_blocks`` call for the Gaussian terms and one ``_gaunt_entries``
 call per other term; beyond the mu cut-off that basis is empty and no
 stack is formed.  The basis holds the block layout (``columns``), which
 both read, the branching counts and the copies' positions.  A
-``TruncatedOperator`` holds a read-only matrix, its basis and its norms,
-taken once by ``stack_norms``.  ``sample_field`` reads a whole
-``VerificationPlan`` in one pass: the points of its grid, path, weight
-sample and h-ladder (zero points included) that share a family are one
-stack, a point two readings share is formed once, and every norm the five
-checks read, of operators, path steps and ladder deltas, comes from one
-batched SVD per matrix shape.  Any other operator's norms are taken on the
-first read, from one SVD of its nonzero rows.  ``pi_matrix`` keeps the
+``TruncatedOperator`` holds a read-only matrix, its basis and its norms.
+Every norm is taken once, on the support of a family (``on_support``).
+``sample_field`` reads a whole ``VerificationPlan`` in one pass: the points
+of its grid, path, weight sample and h-ladder (zero points included) that
+share a family are one stack, a point two readings share is formed once,
+and every norm the five checks read, of operators, path steps and ladder
+deltas, comes from one batched SVD per shape.  ``pi_matrix`` keeps the
 basis cut at lambda_max and forms only the rows of its window K-types.
 """
 
@@ -76,9 +75,9 @@ class TruncatedOperator:
     ``basis`` is cut at min(``lambda_max``, W), above which entries are
     zero, and is empty (a 0 x 0 matrix) beyond the mu cut-off;
     ``lambda_max`` is the requested cutoff.  The matrix is made read-only
-    here, so ``op_norm`` and ``hs_norm`` are taken once: by
-    ``sample_field``'s batch for a family, else on the first read, from its
-    nonzero rows (the window rows of f).
+    here, so ``op_norm`` and ``hs_norm`` are taken once, on a support
+    (``on_support``): by ``sample_field``'s batch on its family's, else on
+    the first read, on the matrix's own.
     """
 
     matrix: np.ndarray
@@ -99,7 +98,7 @@ class TruncatedOperator:
 
     @cached_property
     def _norms(self):  # unless sample_field has set them
-        (a,), (b,) = stack_norms(self.matrix[None, self.matrix.any(axis=1)])
+        (a,), (b,) = stack_norms(on_support(self.matrix[None]))
         return float(a), float(b)
 
     @property
@@ -120,14 +119,24 @@ class TruncatedOperator:
         }
 
 
-def stack_norms(stack):
-    """(operator norms, HS norms) of the matrices of ``stack`` (P, n, N).
+def on_support(stack):
+    """``stack`` (P, N, N) on its support: the rows and columns where some matrix of it is nonzero.
 
-    A matrix may be given by the rows of it that can be nonzero (none, n =
-    0, where a selection rule zeroes the operator).  One batched SVD covers
-    the stack: the operator norm is the largest singular value (0 for an
-    empty matrix) and the HS norm the 2-norm of all of them, which needs no
-    temporary the size of the stack.
+    The singular values other than 0 of a matrix are those of its cut, where
+    all norms are taken; an all-zero stack has the empty support, (P, 0, 0).
+    """
+    nonzero = stack.any(axis=0)
+    return stack[:, nonzero.any(axis=1)][:, :, nonzero.any(axis=0)]
+
+
+def stack_norms(stack):
+    """(operator norms, HS norms) of the matrices of ``stack`` (P, n, m), on a support.
+
+    The support (``on_support``) is empty, n = m = 0, where a selection rule
+    zeroes the operator.  One batched SVD covers the stack: the operator
+    norm is the largest singular value (0 for an empty matrix) and the HS
+    norm the 2-norm of all of them, which needs no temporary the size of the
+    stack.
     """
     s = np.linalg.svd(stack, compute_uv=False)
     return s.max(axis=1, initial=0.0), np.linalg.norm(s, axis=1)
@@ -206,9 +215,10 @@ def _gaunt_entries(t, basis, rows, Hs, r2):
     most one copy c' of lam, that of position b_r, and one copy c of bar,
     that of position pi(r), and adds sqrt(d_lam d_bar) / d_rho (x0 y_r /
     d_bar) C[key](H) times its band value at row (lam, c', v), column (bar,
-    c, v0), if the two positions stand for one vector of H_mu.  The weights
-    are summed per entry and key first, so the values are one product of
-    those weights with C, and no zero is summed or written.
+    c, v0), if the two positions stand for one vector of H_mu.  Keys whose C
+    is 0 at every point (at H = 0, all of degree >= 1) are dropped, and the
+    weights summed per entry and key first, so the values are one product
+    of those weights with C, and no zero is summed or written.
     """
     K, cols, d_rho = basis.K, basis.columns, basis.d_rho
     bar, units = K.contragredient(t.u.label)
@@ -217,6 +227,7 @@ def _gaunt_entries(t, basis, rows, Hs, r2):
     for alpha, q in t.g._hat_poly.items():
         for key, v in K.orbit_expansion(alpha, Hs).items():
             c[key] = c.get(key, 0.0) + q * v
+    c = {key: v for key, v in c.items() if v.any()}
     # b -> (copy c, vector a of H_mu) of bar; r -> (column j, a, the value of B)
     at_bar = {b: divmod(n, d_rho) for n, b in enumerate(basis.positions(bar))}
     over = {r: (cols[bar].start + at_bar[b][0] * d + v0, at_bar[b][1], x0 * y / d)
@@ -234,9 +245,9 @@ def _gaunt_entries(t, basis, rows, Hs, r2):
                     e = weights.setdefault((start + at[b][0] * d_lam + v, j), {})
                     e[k] = e.get(k, 0.0) + scale * w * x
     V = np.array([[e.get(k, 0.0) for k in range(len(c))] for e in weights.values()])
-    C = np.array(list(c.values())) * [_envelope(t.g, s) for s in r2]
+    C = np.array(list(c.values())).reshape(len(c), len(r2)) * [_envelope(t.g, s) for s in r2]
     i, j = np.array(list(weights), dtype=int).reshape(-1, 2).T
-    return i, j, (V.reshape(-1, len(c)) @ C).T
+    return i, j, (V.reshape(len(weights), len(c)) @ C).T
 
 
 def pi_family(f, pair, basis, Hs):
@@ -284,7 +295,7 @@ def pi_matrix(f, pair, mu, H, lambda_max):
     of H) cut at ``lambda_max``.  Entries are <pi(f) psi_j, psi_i>, formed
     only in the rows of its window K-types (the rest is zero by the
     selection rule).  No norm is taken here: they are taken on the first
-    read, from the nonzero rows.
+    read, on the matrix's support.
     """
     basis = peter_weyl_basis(pair, mu, H, lambda_max)
     return TruncatedOperator(pi_family(f, pair, basis, [as_coords(H)])[0], lambda_max, basis)
@@ -322,9 +333,9 @@ class OperatorFieldSample:
     """A finite grid of dual points with attached truncated operators.
 
     ``steps`` reads the grid as a continuity path: the operator norms of its
-    step differences at full and at half resolution (``step_differences``).
-    ``sample_field`` sets them for a plan's path in its batch; any other
-    sample takes them on the first read.
+    step differences at full and at half resolution (``step_differences``),
+    on the support of its matrices.  ``sample_field`` sets them for a plan's
+    path in its batch; any other sample takes them on the first read.
     """
 
     instance_name: str
@@ -334,7 +345,8 @@ class OperatorFieldSample:
 
     @cached_property
     def steps(self):  # unless sample_field has set them
-        fine, coarse = step_differences([self.operators[p].matrix for p in self.grid])
+        ops = np.stack([self.operators[p].matrix for p in self.grid])
+        fine, coarse = step_differences(on_support(ops))
         return stack_norms(fine)[0].tolist(), stack_norms(coarse)[0].tolist()
 
 
@@ -391,34 +403,27 @@ def check_path(pair, pts):
 
 
 def step_differences(ops):
-    """(fine, coarse): the step differences of a path's matrices ``ops``, each stack in a new buffer.
+    """(fine, coarse): the step differences of a path's matrices, the stack ``ops``, as new arrays.
 
     A stride-2 difference is the sum of the two steps it spans.
     """
-    fine = np.empty((len(ops) - 1,) + ops[0].shape, dtype=complex)
-    for i, buf in enumerate(fine):
-        np.subtract(ops[i + 1], ops[i], out=buf)
-    coarse = np.empty((len(fine) // 2,) + ops[0].shape, dtype=complex)
-    for i, buf in enumerate(coarse):
-        np.add(fine[2 * i], fine[2 * i + 1], out=buf)
-    return fine, coarse
+    fine = np.diff(ops, axis=0)
+    return fine, fine[:-1:2] + fine[1::2]
 
 
 def _norms_by_shape(mats):
     """(operator, HS) norms of each matrix of ``mats``: one ``stack_norms`` call per shape.
 
-    A matrix with no entry (0 x 0, or given by its nonzero rows and having
-    none) has norms (0, 0) without an SVD, the value ``stack_norms`` gives it.
+    The matrices are given on their families' supports; one with no entry
+    (an empty support) has norms (0, 0) without an SVD, the value
+    ``stack_norms`` gives it.
     """
     shapes, norms = {}, [(0.0, 0.0)] * len(mats)
     for i, m in enumerate(mats):
         if m.size:
             shapes.setdefault(m.shape, []).append(i)
-    for shape, at in shapes.items():
-        stack = np.empty((len(at),) + shape, dtype=complex)
-        for j, i in enumerate(at):
-            stack[j] = mats[i]
-        op, hs = stack_norms(stack)
+    for at in shapes.values():
+        op, hs = stack_norms(np.stack([mats[i] for i in at]))
         for i, a, b in zip(at, op.tolist(), hs.tolist()):
             norms[i] = (a, b)
     return norms
@@ -433,15 +438,15 @@ def _named(e, stage, mu, H, lambda_max):
 class _Family:
     """The points on one basis: a stack with one row per distinct H, in order of first request.
 
-    ``live``: formed by ``pi_family``, else zero; ``whole``: normed whole,
-    else by its nonzero rows; ``asked``: (reading, mu, H, lambda_max) of
-    each row's first request; ``normed``: row -> its place among the
+    ``live``: formed by ``pi_family``, else zero; ``asked``: (reading, mu,
+    H, lambda_max) of each row's first request; ``block``: the stack on its
+    support, empty unless formed; ``normed``: row -> its place among the
     matrices normed, for the rows a reading holds as operators.
     """
 
-    def __init__(self, basis, live, whole):
-        self.basis, self.live, self.whole = basis, live, whole
-        self.rows, self.asked, self.stack, self.normed = {}, [], None, {}
+    def __init__(self, basis, live):
+        self.basis, self.live = basis, live
+        self.rows, self.asked, self.stack, self.block, self.normed = {}, [], None, None, {}
 
     def row(self, H, asked):
         if H not in self.rows:
@@ -467,13 +472,13 @@ def sample_field(f, pair, grid, lambda_max):
     rungs and zero point (H = 0) join the family of its weight at H0; a
     K-dual label is a one-point family at H = 0 on ``k_type_basis``,
     formed only where a term's bar is the label (else zero, by the
-    selection rule).  The stacks are read-only, the path's steps
-    (``step_differences``) and the ladder's deltas new buffers, and every
-    norm a check reads, of operators (K-dual entries by their nonzero
-    rows), steps and deltas, comes from one ``stack_norms`` call per
-    matrix shape.  EmptyBasis, NonFiniteEntries and a refused label name
-    the reading ("main grid", "path", "mu points", "h-ladder"), the point
-    and its lambda_max; ``operators`` follow the grid order, and the
+    selection rule).  The stacks are read-only.  Each formed family takes
+    its support once (``on_support``), one not formed has the empty one,
+    and the operators, the path's steps (``step_differences``) and the
+    ladder's deltas are normed on it, with one ``stack_norms`` call per
+    shape.  EmptyBasis, NonFiniteEntries and a refused label name the
+    reading ("main grid", "path", "mu points", "h-ladder"), the point and
+    its lambda_max; ``operators`` follow the grid order, and the
     metadata carries W and the ``fhat2_sup`` bound.
     """
     plan = grid if isinstance(grid, VerificationPlan) else VerificationPlan(
@@ -500,13 +505,13 @@ def sample_field(f, pair, grid, lambda_max):
             if H is None:
                 key = (GAMMA2, mu)
                 if key not in families:
-                    families[key] = _Family(k_type_basis(pair, mu), mu in bars, False)
+                    families[key] = _Family(k_type_basis(pair, mu), mu in bars)
                 return families[key]
             structure = stabilizer(pair, H).structure
             if (mu, structure, lam_r) not in bases:
                 bases[mu, structure, lam_r] = window_basis(pair, mu, H, lam_r, f.window)
             basis = bases[mu, structure, lam_r]
-            return families.setdefault((mu, structure, basis.lambda_max), _Family(basis, True, True))
+            return families.setdefault((mu, structure, basis.lambda_max), _Family(basis, True))
         except (MotionFieldsError, ValueError) as e:
             raise _named(e, stage, mu, H, lam_r) from None
 
@@ -529,21 +534,21 @@ def sample_field(f, pair, grid, lambda_max):
                 fam.stack = pi_family(f, pair, basis, Hs)
             except NonFiniteEntries as e:
                 raise _named(e, *fam.asked[e.index]) from None
-        else:  # beyond the mu cut-off, or a K-dual label that is no term's bar
+            fam.block = on_support(fam.stack)
+        else:  # beyond the mu cut-off, or a K-dual label that is no term's bar: no scan
             fam.stack = np.zeros((len(Hs), basis.size, basis.size), dtype=complex)
+            fam.block = fam.stack[:, :0, :0]
         fam.stack.flags.writeable = False
     mats = []  # every matrix whose norms a check reads: the readings' operators, once each
     for name, _, _, _ in readings:
         for fam, r in placed[name]:
             if r not in fam.normed:
-                fam.normed[r], m = len(mats), fam.stack[r]
-                mats.append(m if fam.whole else m[m.any(axis=1)])
-    # the path's steps and each ladder weight's deltas to its zero point
-    diffs = list(step_differences([fam.stack[r] for fam, r in placed["path"]])) if plan.path else []
-    for _, fam, rows in ladder:
-        diffs.append(np.empty((len(rows) - 1,) + fam.stack.shape[1:], dtype=complex))
-        for buf, r in zip(diffs[-1], rows):
-            np.subtract(fam.stack[r], fam.stack[rows[-1]], out=buf)
+                fam.normed[r] = len(mats)
+                mats.append(fam.block[r])
+    # the path's steps (one family: check_path) and each ladder weight's deltas to its zero point
+    path = [fam.block[r] for fam, r in placed["path"]]
+    diffs = list(step_differences(np.stack(path))) if path else []
+    diffs += [fam.block[rows[:-1]] - fam.block[rows[-1]] for _, fam, rows in ladder]
     at = len(mats)
     for d in diffs:
         mats.extend(d)

@@ -372,12 +372,6 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
     return report, samples
 
 
-def verify_membership(f, pair, plan, thresholds=Thresholds()):
-    """Run conditions 1-5 on the Fourier field of ``f`` and aggregate."""
-    report, _ = run_verification(f, pair, plan, thresholds)
-    return report
-
-
 def _point_key(p):
     return {
         "stratum": p.stratum,

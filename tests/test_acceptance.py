@@ -33,9 +33,9 @@ from motionfields import (
     operator_norm,
     peter_weyl_basis,
     pi_matrix,
+    run_verification,
     sample_field,
     transport_label,
-    verify_membership,
 )
 from motionfields.config import ScenarioConfig
 from motionfields.fourier import OperatorFieldSample, TruncatedOperator
@@ -368,7 +368,7 @@ def test_10_verifier_discrimination_and_membership():
     for name in BUNDLED_NAMES:
         cfg = ScenarioConfig.from_dict(bundled_scenario(name))
         p = cfg.build_pair()
-        rep = verify_membership(cfg.build_test_function(p), p, cfg.plan)
+        rep = run_verification(cfg.build_test_function(p), p, cfg.plan)[0]
         assert rep.overall, name
 
     # (b) adversarial fixtures, one per condition; each trips only its own

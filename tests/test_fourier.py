@@ -768,17 +768,18 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
     # degree 1-3 families on all three instances, at regular points, walls
     # and the zero point: each copy is the positions it selects, so no
     # intertwiner is formed, and a family writes only its nonzeros (at H =
-    # 0 only the constant of g-hat's polynomial is left, so there some
-    # entries written are 0)
+    # 0 only the Gaunt keys of degree 0 are left, and the rest is not
+    # walked, so there too every entry written is nonzero)
     def no_intertwiner(K, lam, stab, mu):
         raise AssertionError(f"intertwiner formed for K-type {lam}")
 
     patch_everywhere(induction.intertwiners, no_intertwiner)
-    written, scatter = [], fourier._gaunt_entries  # (i, j) per entry written
+    written, at_zero, scatter = [], [], fourier._gaunt_entries  # (i, j) per entry written
 
     def recorded(*args):
         i, j, values = scatter(*args)
         written.extend(zip(i.tolist(), j.tolist()))
+        at_zero.extend(values[-1].tolist())  # the values at the family's last point
         return i, j, values
 
     monkeypatch.setattr(fourier, "_gaunt_entries", recorded)
@@ -794,14 +795,16 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
                                                                pair.zero_point()])
                     for H in [(0.8,) * pair.rank] + walls.get(pair.name, [])
                     for mu in stabilizer(pair, H).group.irrep_labels(1)]
+        families += [(basis, [pair.zero_point()]) for basis, _ in families]
         families += [(k_type_basis(pair, lam), [pair.zero_point()])
                      for lam in pair.K.irrep_labels(2)]
         nonzero = zero = 0
         for basis, Hs in families:
-            del written[:]
+            del written[:], at_zero[:]
             M = fourier.pi_family(f, pair, basis, Hs)
             at = set(zip(*(x.tolist() for x in np.nonzero(M.any(axis=0)))))
-            assert at == set(written) if len(Hs) > 1 else at <= set(written)
+            assert at == set(written)
+            assert all(at_zero) or len(Hs) > 1  # a family at H = 0 alone writes no 0
             nonzero += len(at)
             zero += np.count_nonzero(M[-1])
         assert nonzero > 0 and zero > 0, pair.name
@@ -814,6 +817,19 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
                           [(0.3 + 0.25 * i,) for i in range(9)])
     assert len(written) == 15
     assert [np.count_nonzero(m) for m in M] == [15] * 9
+    # at H = 0 only the Gaunt key of degree 0 is left: one entry, at the
+    # zero point and in the K-dual entry of the term's bar, not 15 and 4
+    for basis in (peter_weyl_basis(m3, 0, (1.0,), L), k_type_basis(m3, L - 3)):
+        del written[:], at_zero[:]
+        M = fourier.pi_family(f, m3, basis, [m3.zero_point()])
+        assert len(written) == 1 and all(at_zero) and np.count_nonzero(M) == 1
+    # g = x_1: g-hat vanishes at 0, so no key is left and nothing is written
+    f = TestFunction(m3, [Term(1.0, MatrixCoefficient(2), PolyGaussian(3, 1.0, {(1, 0, 0): 1.0}))])
+    for basis in (peter_weyl_basis(m3, 0, (1.0,), 4), k_type_basis(m3, 2)):
+        del written[:]
+        M = fourier.pi_family(f, m3, basis, [m3.zero_point()])
+        assert not written and not M.any()
+    assert tau_matrix(f, m3, 2).op_norm == 0.0
 
 
 def test_gaussian_entries_that_overflow_are_refused(m3):
@@ -1037,15 +1053,25 @@ class TestFamilies:
         "M3": [([-1, 0, 2], (1.2,))],
         "M2xM2": [([(0, 0)], (0.9, 1.1)), ([(0, -1), (0, 2)], (1.1, 0.0))],
     }
+    # continuity paths; the M2xM2 paths run in the chamber and along each wall
+    PATHS = {
+        "M2": [[(0.5 + 0.25 * i,) for i in range(5)]],
+        "M3": [[(0.5 + 0.25 * i,) for i in range(5)]],
+        "M2xM2": [[(0.5 + 0.25 * i, 1.0) for i in range(5)],
+                  [(0.5 + 0.25 * i, 0.0) for i in range(5)],
+                  [(0.0, 0.5 + 0.25 * i) for i in range(5)]],
+    }
     LAM_MAX = 3
 
     @staticmethod
     def function(pair, kind, seed):
-        """All-Gaussian terms, or those plus terms of degree 1-2."""
+        """All-Gaussian terms, or those plus terms of degree 1-2 ("mixed") or of degree 3 ("cubic")."""
         rng = np.random.default_rng([seed, len(pair.name), 23])
         f = random_function(pair, rng, max_label=2, max_degree=0)
         if kind == "mixed":
             f = f + random_function(pair, rng, max_label=2, min_degree=1, max_degree=2)
+        elif kind == "cubic":
+            f = f + random_function(pair, rng, max_label=2, min_degree=3, max_degree=3)
         return f
 
     def sample(self, pair, f):
@@ -1083,31 +1109,78 @@ class TestFamilies:
                 M = placed(pair, T)
             assert np.abs(M - one.matrix).max() <= 1e-13 * np.abs(one.matrix).max()
 
-    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed", "cubic"])
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
     def test_recorded_norms_are_those_of_the_operators(self, instance, seed, kind, request):
+        # every norm is taken on its family's support: those of the
+        # operators, at regular points, walls and K-dual labels, of the
+        # path's steps and of the ladder's deltas to the zero point are the
+        # norms of the whole matrices
         pair = request.getfixturevalue(instance.lower())
-        sample = self.sample(pair, self.function(pair, kind, seed))
+        f = self.function(pair, kind, seed)
+        sample = self.sample(pair, f)
         for T in sample.operators.values():
             assert T.op_norm == pytest.approx(operator_norm(T.matrix), rel=1e-12, abs=1e-14)
             assert T.hs_norm == pytest.approx(hs_norm(T.matrix), rel=1e-12, abs=1e-14)
             with pytest.raises(ValueError):  # read-only, so the norms cannot go stale
                 T.matrix[0, 0] = 1.0
+        ladders, levels = self.LADDERS[instance], 3
+        bar = pair.K.contragredient(f.terms[0].u.label)[0]
+        for n, Hs in enumerate(self.PATHS[instance]):
+            # weight 0, which every K-type holds; on a wall, the first term's bar's
+            mu = tuple(b if h == 0.0 else 0 for b, h in zip(bar, Hs[0])) if pair.rank > 1 else 0
+            mus, H0 = ladders[n % len(ladders)]
+            plan = VerificationPlan(self.LAM_MAX, list(sample.grid),
+                                    [make_dual_point(pair, mu, H) for H in Hs], mus, H0, levels)
+            out = sample_field(f, pair, plan, self.LAM_MAX)
+            ops = [out["path"].operators[p].matrix for p in out["path"].grid]
+            fine = [operator_norm(b - a) for a, b in zip(ops, ops[1:])]
+            coarse = [operator_norm(b - a) for a, b in zip(ops[::2], ops[2::2])]
+            assert max(fine) > 1e-3
+            for got, want in zip(out["path"].steps, (fine, coarse)):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            for mu, deltas in out["h_ladder"]:
+                zero = pi_mu0_matrix(f, pair, mu, self.LAM_MAX,
+                                     basis=peter_weyl_basis(pair, mu, H0, self.LAM_MAX)).matrix
+                want = [operator_norm(pi_matrix(f, pair, mu, tuple(c * 2.0 ** (-j) for c in H0),
+                                                self.LAM_MAX).matrix - zero)
+                        for j in range(levels + 1)]
+                assert deltas == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_one_svd_per_shape(self, monkeypatch):
         # m3-default's main grid: two induced families (9 x 9 and 8 x 8) and
-        # two nonzero K-dual entries (one nonzero row of 5 and of 3), one
-        # batched SVD per shape; the four zero entries take none
+        # two nonzero K-dual entries (3 x 3 and 5 x 5), each normed on its
+        # support, one batched SVD per shape: the families' supports are
+        # 2 x 2 (a unit per term) and the entries' 1 x 1, so two SVDs; the
+        # four zero entries take none
         config = load_scenario("m3-default")
         pair = config.build_pair()
         f = config.build_test_function(pair)
         calls, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         sample = sample_field(f, pair, config.plan.grid, config.plan.lambda_max)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert sum(p.stratum == "gamma2" for p in sample.grid) == 6
         assert sum(T.op_norm == 0.0 for T in sample.operators.values()) == 4
+
+    def test_degree_three_grid_is_normed_on_its_support(self, m3, monkeypatch):
+        # nine points of one degree-3 term at lambda_max 16 (N = 289): each
+        # operator has 15 nonzero rows, its bar copy's one column, so the
+        # pass takes one SVD of (9, 15, 1), not of (9, 289, 289)
+        L = 16
+        g = PolyGaussian(3, 1.0, {(1, 1, 1): 1.0, (3, 0, 0): 0.5, (0, 0, 0): 0.2})
+        f = TestFunction(m3, [Term(1.0, MatrixCoefficient(L - 3, 0, 0), g)])
+        grid = [make_dual_point(m3, 0, (0.3 + 0.25 * i,)) for i in range(9)]
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: shapes.append(a.shape) or svd(a, **k))
+        sample = sample_field(f, m3, grid, L)
+        assert shapes and all(n <= 15 and m <= 1 for _, n, m in shapes), shapes
+        monkeypatch.undo()
+        for T in sample.operators.values():
+            assert T.size == 289
+            assert T.op_norm == pytest.approx(operator_norm(T.matrix), rel=1e-13)
+            assert T.hs_norm == pytest.approx(hs_norm(T.matrix), rel=1e-13)
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
     @pytest.mark.parametrize("seed", range(2))

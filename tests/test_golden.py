@@ -114,9 +114,10 @@ def test_m3_default_bases_are_cut_at_the_window(patch_everywhere, tmp_path):
 def test_m3_default_run_forms_each_family_once(patch_everywhere, monkeypatch, tmp_path):
     # one field pass over the plan: five induced families with a K-type in
     # the window (mu = -2..2; the ladder and the path join them) and the two
-    # nonzero K-dual entries, one pi_family call each; one SVD per matrix
-    # shape; no norm beside stack_norms', as lambda_max > W leaves
-    # condition 1 no top-band row (separate passes made 19, 25 and 43)
+    # nonzero K-dual entries, one pi_family call each; one SVD per shape of
+    # the matrices on their families' supports, 2 x 2 and 1 x 1 (whole
+    # families made 5); no norm beside stack_norms', as lambda_max > W
+    # leaves condition 1 no top-band row (separate passes made 19, 25, 43)
     calls = dict.fromkeys(["pi_family", "svd", "norm"], 0)
 
     def counted(name, fn):
@@ -129,7 +130,7 @@ def test_m3_default_run_forms_each_family_once(patch_everywhere, monkeypatch, tm
     for name in ("svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     assert run_scenario(load_scenario(SCENARIOS["m3-default"]), tmp_path)[0].overall
-    assert calls["pi_family"] <= 7 and calls["svd"] <= 7 and calls["norm"] <= 7, calls
+    assert calls["pi_family"] <= 7 and calls["svd"] <= 2 and calls["norm"] <= 2, calls
 
 
 def test_lambda_sweep_matches_golden(golden):
@@ -153,8 +154,8 @@ def test_lambda_sweep_matches_golden(golden):
 
 def test_pi_matrix_records_the_norms_of_its_window_rows(monkeypatch):
     # on the sweep input only the rows of band <= W = 2 of the N x N matrix
-    # are nonzero; the norms pi_matrix records from them on the first read
-    # (outside the sweep's timed region) are those of the whole matrix
+    # are nonzero; the norms pi_matrix records on its support on the first
+    # read (outside the sweep's timed region) are those of the whole matrix
     sweep = json.loads((WORKLOADS / "m3-lambda-sweep.json").read_text())
     assert sweep["lambda_max"] == [8, 10, 12]
     config = load_scenario(str(WORKLOADS / sweep["scenario"]))

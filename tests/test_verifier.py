@@ -29,7 +29,6 @@ from motionfields import (
     run_verification,
     sample_field,
     tau_matrix,
-    verify_membership,
 )
 from motionfields.errors import SupBoundOverflow
 from motionfields import cli
@@ -403,7 +402,7 @@ def bundled_plan(name):
 class TestMembership:
     def test_m3_default_plan_passes(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 2, 1, 3), gauss_term(m3, 1, 0, 0, 0.5, 0.8)])
-        report = verify_membership(f, m3, bundled_plan("m3-default"))
+        report = run_verification(f, m3, bundled_plan("m3-default"))[0]
         assert report.overall
         assert [r.condition for r in report.reports] == [1, 2, 3, 4, 5]
 
@@ -411,7 +410,7 @@ class TestMembership:
         f = TestFunction(
             m2xm2, [gauss_term(m2xm2, (1, 2)), gauss_term(m2xm2, (0, 1), coeff=0.5, sigma=0.9)]
         )
-        report = verify_membership(f, m2xm2, bundled_plan("m2xm2-gamma1"))
+        report = run_verification(f, m2xm2, bundled_plan("m2xm2-gamma1"))[0]
         assert report.overall
 
     def test_run_checks_the_path_once(self, m3, patch_everywhere):
@@ -424,7 +423,7 @@ class TestMembership:
             return check_path(pair, pts)
 
         patch_everywhere(check_path, counted)
-        assert verify_membership(f, m3, plan).overall
+        assert run_verification(f, m3, plan)[0].overall
         assert calls == [len(plan.path)]
 
     def test_run_without_a_path_raises(self, m3):
