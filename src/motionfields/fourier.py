@@ -13,18 +13,17 @@ g-hat(Ad(k) H).  For a Gaussian flat factor (degree 0) that is a constant,
 a function of |H| alone as Ad is orthogonal (``_envelope``); then A is a
 Schur sum too and the basis copies drop out: the term adds coeff g-hat(H)
 times J[:, row] J[:, col]^H / d to each copy of its contragredient bar.
-That is a matrix unit, and ``_schur_blocks`` writes it as one entry per
-copy, with no array but the stack: no block, Schur sum or polynomial
-evaluation.  For the other terms g-hat(Ad(k)H) is the envelope of |H|
-times a polynomial in matrix coefficients of K
-(``CompactGroup.orbit_expansion``), so A is a sum of Gaunt integrals of
-three matrix coefficients (``CompactGroup.gaunt``, a band: Kronecker deltas
-on SO(2), products of two 3j symbols on SO(3)), and B is read off the
-units.  Each intertwiner is a unit at the positions its copy selects
-(``PeterWeylBasis.positions``), so each (Gaunt key, r) meets at most one
-copy of a K-type and one of bar: ``_gaunt_entries`` gives a term's
-entries as a scatter of their nonzeros, for all points of a family at
-once, and forms no intertwiner.  At H = 0 these give the K-dual entry
+That is a matrix unit, and ``_schur_blocks`` gives it as one entry per
+copy, with no array: no d x d block, Schur sum or polynomial evaluation.
+For the other terms g-hat(Ad(k)H) is the envelope of |H| times a
+polynomial in matrix coefficients of K (``CompactGroup.orbit_expansion``),
+so A is a sum of Gaunt integrals of three matrix coefficients
+(``CompactGroup.gaunt``, a band: Kronecker deltas on SO(2), products of two
+3j symbols on SO(3)), and B is read off the units.  Each intertwiner is
+a unit at the positions its copy selects (``PeterWeylBasis.positions``),
+so each (Gaunt key, r) meets at most one copy of a K-type and one of bar:
+``_gaunt_entries`` gives a term's entries as a scatter of their nonzeros,
+for all points of a family at once, and forms no intertwiner.  At H = 0 these give the K-dual entry
 tau_lambda(f), on ``induction.k_type_basis``, and the zero-point operator.
 
 Selection rule: a term u g (u of the K-type l, g of degree d) has entries
@@ -36,19 +35,22 @@ unless lambda is the bar of a term.
 
 The field is evaluated one family at a time: the induced points that share
 mu and a stabilizer share one basis, cut at min(lambda_max, W), and
-``pi_family`` forms all their operators as one (P, n, n) stack on it, with
-one ``_schur_blocks`` call for the Gaussian terms and one ``_gaunt_entries``
-call per other term; beyond the mu cut-off that basis is empty and no
-stack is formed.  The basis holds the block layout (``columns``), which
-both read, the branching counts and the copies' positions.  A
-``TruncatedOperator`` holds a read-only matrix, its basis and its norms.
-Every norm is taken once, on the support of a family (``on_support``).
-``sample_field`` reads a whole ``VerificationPlan`` in one pass: the points
-of its grid, path, weight sample and h-ladder (zero points included) that
-share a family are one stack, a point two readings share is formed once,
-and every norm the five checks read, of operators, path steps and ladder
-deltas, comes from one batched SVD per shape.  ``pi_matrix`` keeps the
-basis cut at lambda_max and forms only the rows of its window K-types.
+``pi_family`` forms all their operators on it at once, on the support they
+write: sorted basis rows and columns and a (P, rows, cols) block, with one
+``_schur_blocks`` call for the Gaussian terms and one ``_gaunt_entries``
+call per other term, both written straight into the block; beyond the mu
+cut-off that basis is empty and nothing is formed.  No N x N array is
+formed on any run path.  The basis holds the block layout (``columns``),
+which both read, the branching counts and the copies' positions.  A
+``TruncatedOperator`` holds its block, rows, columns and basis; its dense
+``matrix`` is built only when read.  Every norm is taken once, on the
+block of a family.  ``sample_field`` reads a whole ``VerificationPlan`` in
+one pass: the points of its grid, path, weight sample and h-ladder (zero
+points included) that share a family are one block, a point two readings
+share is formed once, and every norm the five checks read, of operators,
+path steps and ladder deltas, comes from one batched SVD per shape.
+``pi_matrix`` keeps the basis cut at lambda_max and writes only the rows of
+its window K-types.
 """
 
 from __future__ import annotations
@@ -67,26 +69,31 @@ from .pairs import as_coords, stabilizer
 
 @dataclass(eq=False)
 class TruncatedOperator:
-    """Matrix of an operator in an explicit finite basis.
+    """An operator on an explicit finite basis, held on its support.
 
-    ``basis`` holds the layout (``block_index``: K-type label, copy and
-    vector index per row); a K-dual entry's basis is the K-type's own
-    (``induction.k_type_basis``).  One of ``sample_field`` holds its window:
-    ``basis`` is cut at min(``lambda_max``, W), above which entries are
-    zero, and is empty (a 0 x 0 matrix) beyond the mu cut-off;
-    ``lambda_max`` is the requested cutoff.  The matrix is made read-only
-    here, so ``op_norm`` and ``hs_norm`` are taken once, on a support
-    (``on_support``): by ``sample_field``'s batch on its family's, else on
-    the first read, on the matrix's own.
+    ``block`` holds its entries at the basis rows ``rows`` and columns
+    ``cols`` (sorted tuples); every other entry is zero, so the operator
+    takes memory with its support, not with the basis.  ``basis`` holds the
+    layout (``block_index``: K-type label, copy and vector index per row);
+    a K-dual entry's basis is the K-type's own (``induction.k_type_basis``).
+    One of ``sample_field`` holds its window: ``basis`` is cut at
+    min(``lambda_max``, W), above which entries are zero, and is empty (a
+    0 x 0 operator) beyond the mu cut-off; ``lambda_max`` is the requested
+    cutoff.  The block is made read-only here, so ``op_norm`` and
+    ``hs_norm`` are taken once, on it: by ``sample_field``'s batch on its
+    family's block, else on the first read.  ``matrix``, the dense N x N
+    form, is built only when read (``to_dict`` and the tests).
     """
 
-    matrix: np.ndarray
+    block: np.ndarray
+    rows: tuple
+    cols: tuple
     lambda_max: int
     basis: PeterWeylBasis
     point: DualPoint | None = None
 
     def __post_init__(self):
-        self.matrix.flags.writeable = False
+        self.block.flags.writeable = False
 
     @property
     def block_index(self):
@@ -94,11 +101,24 @@ class TruncatedOperator:
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        return self.basis.size
+
+    def on(self, rows, cols):
+        """A new array of the operator at the sorted basis ``rows`` and ``cols``, which hold its support."""
+        M = np.zeros((len(rows), len(cols)), dtype=complex)
+        M[np.ix_(np.searchsorted(rows, self.rows), np.searchsorted(cols, self.cols))] = self.block
+        return M
+
+    @cached_property
+    def matrix(self):
+        """The dense, read-only N x N matrix."""
+        M = self.on(range(self.size), range(self.size))
+        M.flags.writeable = False
+        return M
 
     @cached_property
     def _norms(self):  # unless sample_field has set them
-        (a,), (b,) = stack_norms(on_support(self.matrix[None]))
+        (a,), (b,) = stack_norms(self.block[None])
         return float(a), float(b)
 
     @property
@@ -119,21 +139,11 @@ class TruncatedOperator:
         }
 
 
-def on_support(stack):
-    """``stack`` (P, N, N) on its support: the rows and columns where some matrix of it is nonzero.
-
-    The singular values other than 0 of a matrix are those of its cut, where
-    all norms are taken; an all-zero stack has the empty support, (P, 0, 0).
-    """
-    nonzero = stack.any(axis=0)
-    return stack[:, nonzero.any(axis=1)][:, :, nonzero.any(axis=0)]
-
-
 def stack_norms(stack):
     """(operator norms, HS norms) of the matrices of ``stack`` (P, n, m), on a support.
 
-    The support (``on_support``) is empty, n = m = 0, where a selection rule
-    zeroes the operator.  One batched SVD covers the stack: the operator
+    The support is empty, n = m = 0, where a selection rule zeroes the
+    operator.  One batched SVD covers the stack: the operator
     norm is the largest singular value (0 for an empty matrix) and the HS
     norm the 2-norm of all of them, which needs no temporary the size of the
     stack.
@@ -164,21 +174,21 @@ def _envelope(g, r2):
 
 
 def _schur_blocks(terms, basis, r2):
-    """The entries of the Gaussian ``terms`` on ``basis``, one matrix per point.
+    """The entries of the Gaussian ``terms`` on ``basis``: {(i, j): values}, values per point.
 
-    ``r2`` holds |H|^2 per point, and the result is (P, N, N).  A Gaussian
-    g-hat is constant on the orbit of H: its value is c_0 times the
-    envelope of |H| (``_envelope``), c_0 its constant coefficient.  By Schur
-    orthogonality the term then adds coeff g-hat(H) times J[:, row]
-    J[:, col]^H / d_bar to each copy of the contragredient bar of its label,
-    within ``basis.columns[bar]``, with (bar, units) =
-    ``CompactGroup.contragredient``.  J is a signed permutation, so that is
-    a matrix unit: one entry, at (a, b) in the copy, with (a, x) and (b, y)
-    the units of columns row and col, and weight x conj(y) / d_bar.  Each
-    entry's P values are summed in Python, from 0j in term order, and
-    written once per copy; the stack is the one array formed.  A term whose
-    bar is not in the basis adds nothing, and its g-hat is not evaluated.
-    Returns the stack and, per point, whether its entries are all finite.
+    ``r2`` holds |H|^2 per point.  A Gaussian g-hat is constant on the
+    orbit of H: its value is c_0 times the envelope of |H| (``_envelope``),
+    c_0 its constant coefficient.  By Schur orthogonality the term then adds
+    coeff g-hat(H) times J[:, row] J[:, col]^H / d_bar to each copy of the
+    contragredient bar of its label, within ``basis.columns[bar]``, with
+    (bar, units) = ``CompactGroup.contragredient``.  J is a signed
+    permutation, so that is a matrix unit: one entry, at (a, b) in the copy,
+    with (a, x) and (b, y) the units of columns row and col, and weight x
+    conj(y) / d_bar.  Each entry's P values are summed in Python, from 0j in
+    term order, and given once per copy at its basis position (i, j); no
+    array is formed.  A term whose bar is not in the basis adds nothing, and
+    its g-hat is not evaluated.  Returns the entries and, per point, whether
+    they are all finite.
     """
     K, cols = basis.K, basis.columns
     entries = {}  # (bar, d_bar, a, b) -> the entry's value per point
@@ -190,12 +200,10 @@ def _schur_blocks(terms, basis, r2):
             values = entries.setdefault((bar, d, a, b), [0j] * len(r2))
             for p, s in enumerate(r2):
                 values[p] += (t.coeff * (c0 * _envelope(t.g, s))) * w
-    M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
-    for (bar, d, a, b), values in entries.items():
-        for i in range(cols[bar].start, cols[bar].stop, d):
-            M[:, i + a, i + b] = values
-    return M, [all(math.isfinite(v[p].real) and math.isfinite(v[p].imag) for v in entries.values())
-               for p in range(len(r2))]
+    units = {(i + a, i + b): values for (bar, d, a, b), values in entries.items()
+             for i in range(cols[bar].start, cols[bar].stop, d)}
+    return units, [all(math.isfinite(v[p].real) and math.isfinite(v[p].imag) for v in entries.values())
+                   for p in range(len(r2))]
 
 
 def _gaunt_entries(t, basis, rows, Hs, r2):
@@ -251,41 +259,56 @@ def _gaunt_entries(t, basis, rows, Hs, r2):
 
 
 def pi_family(f, pair, basis, Hs):
-    """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``.
+    """Induced operators of ``f`` at the flat points ``Hs`` that share ``basis``, on the support they write.
 
     The points of one family share mu and a stabilizer, hence the basis
-    (callers cut it at the window; H = 0 is the zero point).  Returns the
-    (P, N, N) stack of their entries <pi(f) psi_j, psi_i>, in ``Hs`` order
-    (N = 0 on an empty basis).  Gaussian terms are one ``_schur_blocks``
-    call for all points; each other term whose bar is in the basis adds its
-    nonzeros (``_gaunt_entries``), in the window rows, for all points at
-    once.  ValueError is raised unless every point has ``pair.rank``
-    coordinates.  NonFiniteEntries names the first point where the entries
-    written, once summed, overflow a float; no other entry is read.
+    (callers cut it at the window; H = 0 is the zero point).  Returns
+    (rows, cols, block): the sorted basis rows and columns of the entries
+    <pi(f) psi_j, psi_i> written, as tuples, and the (P, len(rows),
+    len(cols)) block of their values, in ``Hs`` order; every other entry
+    is zero by the selection rule, and no N x N array is formed.  The
+    support is empty, and the block (P, 0, 0), where no term writes (on an
+    empty basis, or where no term's bar is in it).  Gaussian terms are one
+    ``_schur_blocks`` call for all points; each other term whose bar is in
+    the basis adds its nonzeros (``_gaunt_entries``), in the window rows,
+    for all points at once.  ValueError is raised unless every point has
+    ``pair.rank`` coordinates.  NonFiniteEntries names the first point
+    where an entry written, once summed, overflows a float.
     """
-    K, cols = pair.K, basis.columns
+    K, columns = pair.K, basis.columns
     if any(len(H) != pair.rank for H in Hs):
         raise ValueError(f"flat points {Hs!r} are not all of rank {pair.rank}, that of {pair.name}")
     r2 = [sum(h * h for h in map(float, H)) for H in Hs]  # |H|^2, the envelope's argument
-    M, finite = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
+    # a Gaussian-only family checks its values in Python, and calls numpy only for its block
+    units, finite = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
     poly_terms = [t for t in f.terms
-                  if t.g.max_degree() and K.contragredient(t.u.label)[0] in cols]
+                  if t.g.max_degree() and K.contragredient(t.u.label)[0] in columns]
+    scatters, written = [], list(units)
     if poly_terms:
         # A has band <= W: only the rows of the window's K-types are nonzero
-        rows = [lam for lam in cols if K.char_band(lam) <= f.window]
-        points, written = np.asarray(Hs, dtype=float).reshape(-1, pair.rank), []
+        window = [lam for lam in columns if K.char_band(lam) <= f.window]
+        points = np.asarray(Hs, dtype=float).reshape(-1, pair.rank)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
             for t in poly_terms:
-                i, j, values = _gaunt_entries(t, basis, rows, points, r2)
-                M[:, i, j] += t.coeff * values
-                written.append((i, j))
-            i, j = (np.concatenate(x) for x in zip(*written))
-            finite = [a and b for a, b in zip(finite, np.isfinite(M[:, i, j]).all(axis=1).tolist())]
+                i, j, values = _gaunt_entries(t, basis, window, points, r2)
+                i, j = i.tolist(), j.tolist()
+                scatters.append((i, j, t.coeff * values))
+                written += zip(i, j)
+    rows, cols = sorted({i for i, _ in written}), sorted({j for _, j in written})
+    at_row, at_col = {i: n for n, i in enumerate(rows)}, {j: n for n, j in enumerate(cols)}
+    block = np.zeros((len(Hs), len(rows), len(cols)), dtype=complex)
+    for (i, j), values in units.items():
+        block[:, at_row[i], at_col[j]] = values
+    if scatters:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, j, values in scatters:
+                block[:, [at_row[x] for x in i], [at_col[y] for y in j]] += values
+        finite = np.isfinite(block).all(axis=(1, 2)).tolist()  # the Gaussian entries too, once summed
     if not all(finite):  # an inf from g-hat's polynomial factor, or inf * 0 against its Gaussian
         p = finite.index(False)
         H = tuple(map(float, Hs[p]))
         raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float", p)
-    return M
+    return tuple(rows), tuple(cols), block
 
 
 def pi_matrix(f, pair, mu, H, lambda_max):
@@ -295,10 +318,11 @@ def pi_matrix(f, pair, mu, H, lambda_max):
     of H) cut at ``lambda_max``.  Entries are <pi(f) psi_j, psi_i>, formed
     only in the rows of its window K-types (the rest is zero by the
     selection rule).  No norm is taken here: they are taken on the first
-    read, on the matrix's support.
+    read, on the block.
     """
     basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    return TruncatedOperator(pi_family(f, pair, basis, [as_coords(H)])[0], lambda_max, basis)
+    rows, cols, block = pi_family(f, pair, basis, [as_coords(H)])
+    return TruncatedOperator(block[0], rows, cols, lambda_max, basis)
 
 
 def tau_matrix(f, pair, lam):
@@ -309,8 +333,8 @@ def tau_matrix(f, pair, lam):
     contragredient of the term's label.
     """
     basis = k_type_basis(pair, lam)
-    matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
-    return TruncatedOperator(matrix, basis.lambda_max, basis)
+    rows, cols, block = pi_family(f, pair, basis, [pair.zero_point()])
+    return TruncatedOperator(block[0], rows, cols, basis.lambda_max, basis)
 
 
 def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
@@ -324,8 +348,8 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     """
     if basis is None:
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
-    matrix = pi_family(f, pair, basis, [pair.zero_point()])[0]
-    return TruncatedOperator(matrix, lambda_max, basis)
+    rows, cols, block = pi_family(f, pair, basis, [pair.zero_point()])
+    return TruncatedOperator(block[0], rows, cols, lambda_max, basis)
 
 
 @dataclass(eq=False)
@@ -334,8 +358,9 @@ class OperatorFieldSample:
 
     ``steps`` reads the grid as a continuity path: the operator norms of its
     step differences at full and at half resolution (``step_differences``),
-    on the support of its matrices.  ``sample_field`` sets them for a plan's
-    path in its batch; any other sample takes them on the first read.
+    on the union of its operators' supports.  ``sample_field`` sets them
+    for a plan's path in its batch; any other sample takes them on the
+    first read.
     """
 
     instance_name: str
@@ -345,8 +370,10 @@ class OperatorFieldSample:
 
     @cached_property
     def steps(self):  # unless sample_field has set them
-        ops = np.stack([self.operators[p].matrix for p in self.grid])
-        fine, coarse = step_differences(on_support(ops))
+        ops = [self.operators[p] for p in self.grid]
+        rows = sorted(set().union(*(T.rows for T in ops)))
+        cols = sorted(set().union(*(T.cols for T in ops)))
+        fine, coarse = step_differences(np.stack([T.on(rows, cols) for T in ops]))
         return stack_norms(fine)[0].tolist(), stack_norms(coarse)[0].tolist()
 
 
@@ -436,23 +463,25 @@ def _named(e, stage, mu, H, lambda_max):
 
 
 class _Family:
-    """The points on one basis: a stack with one row per distinct H, in order of first request.
+    """The points on one basis: one index per distinct H, in order of first request.
 
     ``live``: formed by ``pi_family``, else zero; ``asked``: (reading, mu,
-    H, lambda_max) of each row's first request; ``block``: the stack on its
-    support, empty unless formed; ``normed``: row -> its place among the
-    matrices normed, for the rows a reading holds as operators.
+    H, lambda_max) of each point's first request; ``rows``, ``cols`` and
+    ``block``: the support ``pi_family`` wrote, one matrix per point, empty
+    unless formed; ``normed``: point -> its place among the matrices
+    normed, for the points a reading holds as operators.
     """
 
     def __init__(self, basis, live):
         self.basis, self.live = basis, live
-        self.rows, self.asked, self.stack, self.block, self.normed = {}, [], None, None, {}
+        self.points, self.asked, self.normed = {}, [], {}
+        self.rows = self.cols = self.block = None
 
-    def row(self, H, asked):
-        if H not in self.rows:
-            self.rows[H] = len(self.asked)
+    def index(self, H, asked):
+        if H not in self.points:
+            self.points[H] = len(self.asked)
             self.asked.append(asked)
-        return self.rows[H]
+        return self.points[H]
 
 
 def sample_field(f, pair, grid, lambda_max):
@@ -467,16 +496,16 @@ def sample_field(f, pair, grid, lambda_max):
 
     Every induced point of every reading joins the family of its weight,
     stabilizer structure and window cut min(lambda_max, W): one
-    ``window_basis`` and one ``pi_family`` stack, a row per distinct H
-    (no call beyond the mu cut-off, where the basis is empty).  A ladder's
-    rungs and zero point (H = 0) join the family of its weight at H0; a
-    K-dual label is a one-point family at H = 0 on ``k_type_basis``,
-    formed only where a term's bar is the label (else zero, by the
-    selection rule).  The stacks are read-only.  Each formed family takes
-    its support once (``on_support``), one not formed has the empty one,
-    and the operators, the path's steps (``step_differences``) and the
-    ladder's deltas are normed on it, with one ``stack_norms`` call per
-    shape.  EmptyBasis, NonFiniteEntries and a refused label name the
+    ``window_basis`` and one ``pi_family`` block on the support the family
+    writes, a matrix per distinct H (no call beyond the mu cut-off, where
+    the basis is empty).  A ladder's rungs and zero point (H = 0) join the
+    family of its weight at H0; a K-dual label is a one-point family at H
+    = 0 on ``k_type_basis``, formed only where a term's bar is the label
+    (else zero, by the selection rule).  A family not formed has the empty
+    support and allocates nothing, however large its basis.  The blocks are
+    read-only, and the operators, the path's steps (``step_differences``)
+    and the ladder's deltas are normed on them, with one ``stack_norms``
+    call per shape.  EmptyBasis, NonFiniteEntries and a refused label name the
     reading ("main grid", "path", "mu points", "h-ladder"), the point and
     its lambda_max; ``operators`` follow the grid order, and the
     metadata carries W and the ``fhat2_sup`` bound.
@@ -515,9 +544,9 @@ def sample_field(f, pair, grid, lambda_max):
         except (MotionFieldsError, ValueError) as e:
             raise _named(e, stage, mu, H, lam_r) from None
 
-    placed = {}  # reading -> (family, row) per point
+    placed = {}  # reading -> (family, index) per point
     for name, stage, pts, lam_r in readings:
-        placed[name] = [(fam, fam.row(zero if p.H is None else p.H, (stage, p.label, p.H, lam_r)))
+        placed[name] = [(fam, fam.index(zero if p.H is None else p.H, (stage, p.label, p.H, lam_r)))
                         for p in pts for fam in [family(stage, p.label, p.H, lam_r)]]
     ladder = []
     if plan.h_ladder_mus:
@@ -525,20 +554,18 @@ def sample_field(f, pair, grid, lambda_max):
         Hs = [tuple(c * 2.0 ** (-j) for c in H0) for j in range(plan.h_ladder_levels + 1)]
         for mu in plan.h_ladder_mus:
             fam = family("h-ladder", mu, H0, lam)
-            ladder.append((mu, fam, [fam.row(H, ("h-ladder", mu, H, lam)) for H in Hs + [zero]]))
+            ladder.append((mu, fam, [fam.index(H, ("h-ladder", mu, H, lam)) for H in Hs + [zero]]))
 
     for fam in families.values():
-        basis, Hs = fam.basis, list(fam.rows)
+        basis, Hs = fam.basis, list(fam.points)
         if basis.size and fam.live:
             try:
-                fam.stack = pi_family(f, pair, basis, Hs)
+                fam.rows, fam.cols, fam.block = pi_family(f, pair, basis, Hs)
             except NonFiniteEntries as e:
                 raise _named(e, *fam.asked[e.index]) from None
-            fam.block = on_support(fam.stack)
-        else:  # beyond the mu cut-off, or a K-dual label that is no term's bar: no scan
-            fam.stack = np.zeros((len(Hs), basis.size, basis.size), dtype=complex)
-            fam.block = fam.stack[:, :0, :0]
-        fam.stack.flags.writeable = False
+        else:  # beyond the mu cut-off, or a K-dual label that is no term's bar
+            fam.rows, fam.cols, fam.block = (), (), np.zeros((len(Hs), 0, 0), dtype=complex)
+        fam.block.flags.writeable = False
     mats = []  # every matrix whose norms a check reads: the readings' operators, once each
     for name, _, _, _ in readings:
         for fam, r in placed[name]:
@@ -563,7 +590,8 @@ def sample_field(f, pair, grid, lambda_max):
         operators = {}
         for p, (fam, r) in zip(pts, placed[name]):
             T = operators[p] = TruncatedOperator(
-                fam.stack[r], fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p)
+                fam.block[r], fam.rows, fam.cols,
+                fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p)
             T._norms = norms[fam.normed[r]]
         out[name] = OperatorFieldSample(pair.name, tuple(pts), operators,
                                         dict(common, lambda_max=lam_r))

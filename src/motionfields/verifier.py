@@ -10,7 +10,7 @@ over a finite weight list), and (5) decay along the K-dual.  Each check
 separates the measurement from the verdict: ``judge_*`` functions decide on
 plain witness data, so adversarial fixtures can exercise them directly.
 ``run_verification`` measures once: ``fourier.sample_field`` reads the
-whole plan in one pass (one ``pi_family`` stack per family, one batched SVD
+whole plan in one pass (one ``pi_family`` block per family, one batched SVD
 per matrix shape), and each check judges what that pass returns.
 
 All verdict thresholds live in one configuration block for reproducibility.
@@ -110,13 +110,15 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         B = T.basis  # a top band above a sampled operator's window holds no entry
         above = branches_between(pair.K, B.stab, B.mu, B.lambda_max, T.lambda_max)
         top = None if above else max(bands, default=None)
-        idx = [i for i, b in enumerate(bands) if b == top]
-        tail2 = 0.0  # no row in the top band: exactly 0, with no norm taken
-        if idx:
+        # the block's rows and columns in the top band: outside them every entry is 0
+        rows = [n for n, i in enumerate(T.rows) if bands[i] == top]
+        cols = [n for n, j in enumerate(T.cols) if bands[j] == top]
+        tail2 = 0.0  # no support in the top band: exactly 0, with no norm taken
+        if rows or cols:
             tail2 = float(
-                np.linalg.norm(T.matrix[idx, :]) ** 2
-                + np.linalg.norm(T.matrix[:, idx]) ** 2
-                - np.linalg.norm(T.matrix[np.ix_(idx, idx)]) ** 2
+                np.linalg.norm(T.block[rows, :]) ** 2
+                + np.linalg.norm(T.block[:, cols]) ** 2
+                - np.linalg.norm(T.block[np.ix_(rows, cols)]) ** 2
             )
         frac = tail2 / hs2 if hs2 > 0 else 0.0
         good = hs2 <= bound and frac < thresholds.tail_mass

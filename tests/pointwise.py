@@ -13,7 +13,11 @@ two points' stabilizers; ``value`` evaluates a test function.  It also
 keeps the listings that src's closed forms replaced: ``weights`` lists an
 irrep's torus weights and ``restrict`` maps one to a stabilizer label (the
 oracles of the closed-form branching), and ``signed_permutation`` forms the
-matrix J of a contragredient's units.
+matrix J of a contragredient's units.  Operators, which src holds on their
+support, have their dense forms here: ``on_support`` cuts a dense stack to
+its nonzero rows and columns (the oracle of the support a family writes),
+``dense_family`` places a family's block in its basis, and
+``dense_operator`` makes an operator of a dense matrix.
 """
 
 import itertools
@@ -22,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from motionfields.fourier import TruncatedOperator
 from motionfields.groups import CircleGroup, ProductGroup, RotationGroup3, TrivialGroup
 from motionfields.testfunctions import poly_eval
 
@@ -310,3 +315,31 @@ def value(f, k, X):
     u = u_table(f, params_of(f.pair.K, [k]))[:, 0]
     out = sum(t.coeff * ut * g_value(t.g, X) for t, ut in zip(f.terms, u))
     return out if out.size > 1 else complex(out[0])
+
+
+# -- operators: the dense forms src holds on their support -----------------------
+
+
+def on_support(stack):
+    """``stack`` (P, N, N) on its support: the rows and columns where some matrix of it is nonzero.
+
+    The singular values other than 0 of a matrix are those of its cut; an
+    all-zero stack has the empty support, (P, 0, 0).  The oracle of the
+    support ``fourier.pi_family`` writes.
+    """
+    nonzero = stack.any(axis=0)
+    return stack[:, nonzero.any(axis=1)][:, :, nonzero.any(axis=0)]
+
+
+def dense_family(basis, family):
+    """The (P, N, N) stack of a ``fourier.pi_family`` result (rows, cols, block) on ``basis``."""
+    rows, cols, block = family
+    M = np.zeros((len(block), basis.size, basis.size), dtype=complex)
+    M[:, np.asarray(rows, dtype=int)[:, None], np.asarray(cols, dtype=int)] = block
+    return M
+
+
+def dense_operator(matrix, lambda_max, basis, point=None):
+    """The ``TruncatedOperator`` of a dense N x N ``matrix`` on ``basis``: its support is every row and column."""
+    n = range(len(matrix))
+    return TruncatedOperator(np.asarray(matrix), tuple(n), tuple(n), lambda_max, basis, point)

@@ -38,7 +38,7 @@ from motionfields import (
     transport_label,
 )
 from motionfields.config import ScenarioConfig
-from motionfields.fourier import OperatorFieldSample, TruncatedOperator
+from motionfields.fourier import OperatorFieldSample
 from motionfields.scenarios import BUNDLED_NAMES, bundled_scenario
 from motionfields.verifier import judge_h_ladder
 
@@ -347,10 +347,7 @@ def _identity_fixture(pair, sample):
         if p.stratum != "gamma2":
             # identity on the space cut at lambda_max; T holds its window only
             B = peter_weyl_basis(pair, p.label, p.H, T.lambda_max)
-            ops[p] = TruncatedOperator(
-                np.eye(B.size, dtype=complex), T.lambda_max,
-                B, T.point,
-            )
+            ops[p] = pw.dense_operator(np.eye(B.size, dtype=complex), T.lambda_max, B, T.point)
     merged = dict(sample.operators)
     merged.update(ops)
     return OperatorFieldSample(
@@ -391,10 +388,7 @@ def test_10_verifier_discrimination_and_membership():
     bump = np.zeros_like(T.matrix)
     low = [i for i, b in enumerate(T.block_index) if b[0] == T.block_index[0][0]]
     bump[np.ix_(low, low)] = 1.5 * np.eye(len(low))
-    poisoned[pts[4]] = TruncatedOperator(
-        T.matrix + bump, T.lambda_max,
-        T.basis, T.point,
-    )
+    poisoned[pts[4]] = pw.dense_operator(T.matrix + bump, T.lambda_max, T.basis, T.point)
     fx2 = OperatorFieldSample(path.instance_name, path.grid, poisoned, path.metadata)
     assert not check_continuity(pair, fx2).passed
     assert check_compactness_proxy(pair, fx2).passed
@@ -408,9 +402,7 @@ def test_10_verifier_discrimination_and_membership():
         B = peter_weyl_basis(pair, p.label, p.H, T.lambda_max)  # beyond T's window
         M = np.zeros((B.size, B.size), dtype=complex)
         M[0, 0] = 1.0
-        const_ops[p] = TruncatedOperator(
-            M, T.lambda_max, B, T.point
-        )
+        const_ops[p] = pw.dense_operator(M, T.lambda_max, B, T.point)
     fx3 = OperatorFieldSample(
         mu_sample.instance_name, mu_sample.grid, const_ops, mu_sample.metadata
     )
@@ -426,10 +418,8 @@ def test_10_verifier_discrimination_and_membership():
     for p in good.grid:
         T = good.operators[p]
         if p.stratum == "gamma2":
-            const_g2[p] = TruncatedOperator(
-                np.eye(T.size, dtype=complex) * 0.5, T.lambda_max,
-                T.basis, T.point,
-            )
+            const_g2[p] = pw.dense_operator(np.eye(T.size, dtype=complex) * 0.5, T.lambda_max,
+                                            T.basis, T.point)
     merged = dict(good.operators)
     merged.update(const_g2)
     fx5 = OperatorFieldSample(good.instance_name, good.grid, merged, good.metadata)

@@ -9,7 +9,7 @@ import pytest
 from test_config_property import REPLACEMENTS, _mutate, _paths
 
 import motionfields
-from motionfields import cli, config, dual, pairs
+from motionfields import cli, config, dual, fourier, pairs
 from motionfields.cli import main, run_scenario
 from motionfields.config import ScenarioConfig, dump_json
 from motionfields.errors import ConfigError
@@ -219,7 +219,8 @@ class TestConfig:
             ScenarioConfig.from_dict(doc)
         assert err.value.field == "grids.gamma2[6]"
         assert "dimension 20000000001" in str(err.value)
-        # the K-type 10**8 fits numpy's index: its allocation fails at run time
+        # the K-type 10**8 fits numpy's index: it is accepted, and its run
+        # allocates nothing (test_k_dual_label_of_no_term_allocates_nothing)
         doc = bundled_scenario(name)
         doc["grids"]["gamma2"].append(10**8)
         ScenarioConfig.from_dict(doc)
@@ -414,19 +415,42 @@ class TestMain:
             "entries of pi(f) at mu=0, H=(1000000.0,) overflow a float"
         ]
 
-    def test_unallocatable_array_exits_3(self, tmp_path, capsys):
-        # the K-type 10**8 of SO(3) has dimension d = 2 * 10**8 + 1: its
-        # d x d matrix, 568 PiB, lies beyond any 57-bit address space, so
-        # the allocation is refused at once and no memory is used
-        doc = bundled_scenario("m3-default")
-        doc["grids"]["gamma2"].append(10**8)
+    def test_unallocatable_array_exits_3(self, tmp_path, capsys, patch_everywhere):
+        # an allocation numpy refuses ends the run with exit 3 and no
+        # traceback.  No run path forms an N x N array (the K-dual label
+        # 10**8 takes none: test_k_dual_label_of_no_term_allocates_nothing),
+        # so here each family asks for the d x d matrix of that K-type, d =
+        # 2 * 10**8 + 1: 568 PiB, beyond any 57-bit address space, so the
+        # allocation is refused at once and no memory is used
+        d = 2 * 10**8 + 1
+        patch_everywhere(fourier.pi_family, lambda *args: np.zeros((d, d), dtype=complex))
         path = tmp_path / "doc.json"
-        path.write_text(dump_json(doc))
+        path.write_text(dump_json(bundled_scenario("m3-default")))
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 3
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("run failed: MemoryError: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["grids"].update(gamma2=[0, 1, 2, 3, 100000]) or d.update(convergence_queries=[]),
+        lambda d: d["grids"]["gamma2"].append(10**8),
+    ], ids=["grid_to_100000", "appended_10_8"])
+    def test_k_dual_label_of_no_term_allocates_nothing(self, edit, tmp_path, capsys):
+        # tau_lambda(f) is 0 unless lambda is a term's bar: such a family is
+        # not formed and has the empty support, however large its K-type
+        # (d = 200,001 or 2 * 10**8 + 1, whose d x d arrays would take 596 GiB
+        # and 568 PiB), so the run reaches m3-default's five verdicts
+        edited, verdicts = bundled_scenario("m3-default"), []
+        edit(edited)
+        for n, doc in enumerate([bundled_scenario("m3-default"), edited]):
+            path = tmp_path / f"doc{n}.json"
+            path.write_text(dump_json(doc))
+            out = tmp_path / f"out{n}"
+            assert main(["run", "--scenario", str(path), "--output-dir", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            verdicts.append([line for line in lines if line.startswith("condition ")])
+        assert len(verdicts[1]) == 5 and verdicts[1] == verdicts[0]
 
     @pytest.mark.parametrize("edit", [
         # the run lists no K-type up to lambda_max: its bases are cut at the

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -550,7 +551,7 @@ def test_degree_one_families_sum_gaunt_bands_without_tensordot(instance, request
     no_tensordot.tensordot = refuse
     monkeypatch.setattr(fourier, "np", no_tensordot)
     monkeypatch.setattr(groups, "_GAUNT", {})
-    got = [fourier.pi_family(f, pair, basis, Hs) for Hs, _, _, basis in refs]
+    got = [pw.dense_family(basis, fourier.pi_family(f, pair, basis, Hs)) for Hs, _, _, basis in refs]
     scale = max(np.abs(ref).max() for _, _, stack, _ in refs for ref in stack)
     assert scale > 1e-3  # the comparison is not vacuous
     for M, (Hs, mu, stack, _) in zip(got, refs):
@@ -561,6 +562,38 @@ def test_degree_one_families_sum_gaunt_bands_without_tensordot(instance, request
         assert len(r) == len(b) == len(values) and (values != 0).all()
         if name == "SO(3)":
             assert len(values) <= 2 * min(label, lam) + 1
+
+
+def test_operators_allocate_with_their_support(m3):
+    # tracemalloc sees numpy's buffers: an operator takes memory with the
+    # entries it writes, not with its basis.  m3-default's function at
+    # lambda_max 32 (N = 1,088, a dense matrix of 18.9 MB) and the degree-3
+    # term of ROADMAP's recipe at L = 24 over nine points (N = 625, a dense
+    # (9, 625, 625) stack of 56 MB) each peak far below their dense size
+    config = load_scenario("m3-default")
+    f = config.build_test_function(m3)
+    tracemalloc.start()
+    try:
+        op = pi_matrix(f, m3, 1, (1.0,), 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.size == 1088 and op.op_norm > 0
+    assert peak < 1e6, peak
+    L = 24
+    g = PolyGaussian(3, 1.0, {(1, 1, 1): 1.0, (3, 0, 0): 0.5, (0, 0, 0): 0.2})
+    f = TestFunction(m3, [Term(1.0, MatrixCoefficient(L - 3, 0, 0), g)])
+    grid = [make_dual_point(m3, 0, (0.3 + 0.25 * i,)) for i in range(9)]
+    f.fhat2_sup()  # memoised: its grid search is not the operators' memory
+    tracemalloc.start()
+    try:
+        sample = sample_field(f, m3, grid, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {T.size for T in sample.operators.values()} == {625}
+    assert min(T.op_norm for T in sample.operators.values()) > 0
+    assert peak < 4e6, peak
 
 
 def test_src_builds_no_quadrature_rule():
@@ -701,7 +734,10 @@ class TestMatrixUnits:
         basis = PeterWeylBasis(pair.name, None, 2, pair.M, K, blocks, 1)
         assert max(c for lam, c in blocks if lam in bars) >= 2
         r2 = [sum(h * h for h in H) for H in self.points(pair)]
-        M, _ = fourier._schur_blocks(f.terms, basis, r2)
+        units, _ = fourier._schur_blocks(f.terms, basis, r2)
+        M = np.zeros((len(r2), basis.size, basis.size), dtype=complex)
+        for (i, j), values in units.items():
+            M[:, i, j] = values
         ref = dense_schur_blocks(f.terms, basis, r2)
         assert M.shape == ref.shape == (4, basis.size, basis.size)
         assert np.count_nonzero(ref) > 0
@@ -719,15 +755,16 @@ class TestMatrixUnits:
         bases = [peter_weyl_basis(pair, mu, (1.0,) * pair.rank, 2)]
         bases += [k_type_basis(pair, pair.K.contragredient(t.u.label)[0]) for t in f.terms]
         for basis in bases:
-            M = fourier.pi_family(f, pair, basis, Hs)
+            M = pw.dense_family(basis, fourier.pi_family(f, pair, basis, Hs))
             assert M.tobytes() == dense_schur_blocks(f.terms, basis, r2).tobytes()
 
     @pytest.mark.parametrize("instance", ["M2", "M3", "M2xM2"])
     def test_a_gaussian_family_forms_no_array_but_the_stack(self, instance, request,
                                                             monkeypatch):
         # with the contragredients uncached and fourier's and groups' numpy
-        # cut down to np.zeros, the Gaussian-only stacks of one and four
-        # points (H = 0 among them) are byte for byte those of the real run
+        # cut down to np.zeros, the Gaussian-only blocks of one and four
+        # points (H = 0 among them) and their supports are byte for byte
+        # those of the real run
         pair = request.getfixturevalue(instance.lower())
         f = self.function(pair)
         mu = stabilizer(pair, (1.0,) * pair.rank).group.irrep_labels(0)[0]
@@ -736,8 +773,9 @@ class TestMatrixUnits:
         point_sets = [[pair.zero_point()], [(0.5,) * pair.rank], self.points(pair)]
 
         def stacks():
-            return [fourier.pi_family(f, pair, basis, Hs).tobytes()
-                    for basis in bases for Hs in point_sets]
+            return [(rows, cols, block.tobytes())
+                    for basis in bases for Hs in point_sets
+                    for rows, cols, block in [fourier.pi_family(f, pair, basis, Hs)]]
 
         expect = stacks()
         monkeypatch.setattr(groups, "_CONTRAGREDIENT", {})
@@ -769,7 +807,9 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
     # and the zero point: each copy is the positions it selects, so no
     # intertwiner is formed, and a family writes only its nonzeros (at H =
     # 0 only the Gaunt keys of degree 0 are left, and the rest is not
-    # walked, so there too every entry written is nonzero)
+    # walked, so there too every entry written is nonzero); its support is
+    # the rows and columns of the entries written, which the dense stack's
+    # nonzero rows and columns (pw.on_support) match
     def no_intertwiner(K, lam, stab, mu):
         raise AssertionError(f"intertwiner formed for K-type {lam}")
 
@@ -801,34 +841,37 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
         nonzero = zero = 0
         for basis, Hs in families:
             del written[:], at_zero[:]
-            M = fourier.pi_family(f, pair, basis, Hs)
-            at = set(zip(*(x.tolist() for x in np.nonzero(M.any(axis=0)))))
+            rows, cols, block = fourier.pi_family(f, pair, basis, Hs)
+            at = {(rows[r], cols[c]) for r, c in zip(*np.nonzero(block.any(axis=0)))}
             assert at == set(written)
+            assert (rows, cols) == tuple(tuple(sorted({x[n] for x in written})) for n in (0, 1))
+            M = pw.dense_family(basis, (rows, cols, block))
+            assert pw.on_support(M).tobytes() == block.tobytes()
             assert all(at_zero) or len(Hs) > 1  # a family at H = 0 alone writes no 0
             nonzero += len(at)
-            zero += np.count_nonzero(M[-1])
+            zero += np.count_nonzero(block[-1])
         assert nonzero > 0 and zero > 0, pair.name
     # the degree-3 family of one term at lambda_max 24: 15 entries per point
     L = 24
     g = PolyGaussian(3, 1.0, {(1, 1, 1): 1.0, (3, 0, 0): 0.5, (0, 0, 0): 0.2})
     f = TestFunction(m3, [Term(1.0, MatrixCoefficient(L - 3, 0, 0), g)])
     del written[:]
-    M = fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), L),
-                          [(0.3 + 0.25 * i,) for i in range(9)])
-    assert len(written) == 15
-    assert [np.count_nonzero(m) for m in M] == [15] * 9
+    rows, cols, block = fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), L),
+                                          [(0.3 + 0.25 * i,) for i in range(9)])
+    assert len(written) == 15 and block.shape == (9, 15, 1)  # one column: its bar's copy
+    assert [np.count_nonzero(m) for m in block] == [15] * 9
     # at H = 0 only the Gaunt key of degree 0 is left: one entry, at the
     # zero point and in the K-dual entry of the term's bar, not 15 and 4
     for basis in (peter_weyl_basis(m3, 0, (1.0,), L), k_type_basis(m3, L - 3)):
         del written[:], at_zero[:]
-        M = fourier.pi_family(f, m3, basis, [m3.zero_point()])
-        assert len(written) == 1 and all(at_zero) and np.count_nonzero(M) == 1
+        rows, cols, block = fourier.pi_family(f, m3, basis, [m3.zero_point()])
+        assert len(written) == 1 and all(at_zero) and block.shape == (1, 1, 1) and block.all()
     # g = x_1: g-hat vanishes at 0, so no key is left and nothing is written
     f = TestFunction(m3, [Term(1.0, MatrixCoefficient(2), PolyGaussian(3, 1.0, {(1, 0, 0): 1.0}))])
     for basis in (peter_weyl_basis(m3, 0, (1.0,), 4), k_type_basis(m3, 2)):
         del written[:]
-        M = fourier.pi_family(f, m3, basis, [m3.zero_point()])
-        assert not written and not M.any()
+        rows, cols, block = fourier.pi_family(f, m3, basis, [m3.zero_point()])
+        assert not written and rows == cols == () and block.shape == (1, 0, 0)
     assert tau_matrix(f, m3, 2).op_norm == 0.0
 
 
@@ -957,9 +1000,7 @@ class TestPiMu0:
 
 class TestNorms:
     def test_identity(self, m3):
-        from motionfields import TruncatedOperator
-
-        T = TruncatedOperator(np.eye(3, dtype=complex), 1, k_type_basis(m3, 1))
+        T = pw.dense_operator(np.eye(3, dtype=complex), 1, k_type_basis(m3, 1))
         assert operator_norm(T) == pytest.approx(1.0)
         assert hs_norm(T) == pytest.approx(np.sqrt(3))
 
@@ -1206,7 +1247,7 @@ class TestFamilies:
     def test_replaced_matrix_takes_its_own_norms(self, m3):
         f = self.function(m3, "gaussian", 0)
         T = next(iter(self.sample(m3, f).operators.values()))
-        U = dataclasses.replace(T, matrix=2.0 * T.matrix)
+        U = dataclasses.replace(T, block=2.0 * T.block)
         assert U.op_norm == pytest.approx(2.0 * T.op_norm, rel=1e-12)
         assert U.hs_norm == pytest.approx(2.0 * T.hs_norm, rel=1e-12)
 

@@ -2,6 +2,7 @@ import dataclasses
 import re
 
 import numpy as np
+import pointwise as pw
 import pytest
 
 from motionfields import (
@@ -33,7 +34,7 @@ from motionfields import (
 from motionfields.errors import SupBoundOverflow
 from motionfields import cli
 from motionfields.config import ScenarioConfig
-from motionfields.fourier import OperatorFieldSample, TruncatedOperator, check_path
+from motionfields.fourier import OperatorFieldSample, check_path
 from motionfields.scenarios import bundled_scenario
 from motionfields.verifier import judge_h_ladder, judge_lambda_decay, judge_mu_decay
 
@@ -64,12 +65,8 @@ def constant_operator(template, value=1.0, pair=None):
     if pair is not None:
         basis = peter_weyl_basis(pair, template.point.label, template.point.H,
                                  template.lambda_max)
-    return TruncatedOperator(
-        matrix=np.eye(basis.size, dtype=complex) * value,
-        lambda_max=template.lambda_max,
-        basis=basis,
-        point=template.point,
-    )
+    return pw.dense_operator(np.eye(basis.size, dtype=complex) * value, template.lambda_max,
+                             basis, template.point)
 
 
 class TestCompactness:
@@ -147,7 +144,7 @@ def test_poisoned_sample_is_judged_on_its_own_norms(m3):
     scaled = {}
     for s in (sample, mu_sample):
         scaled[s] = override_sample(s, {
-            p: TruncatedOperator(3.0 * T.matrix, T.lambda_max, T.basis, T.point)
+            p: pw.dense_operator(3.0 * T.matrix, T.lambda_max, T.basis, T.point)
             for p, T in s.operators.items()
         })
     induced = [p for p in sample.grid if p.stratum != "gamma2"]
