@@ -340,6 +340,6 @@ def dense_family(basis, family):
 
 
 def dense_operator(matrix, lambda_max, basis, point=None):
-    """The ``TruncatedOperator`` of a dense N x N ``matrix`` on ``basis``: its support is every row and column."""
+    """The ``TruncatedOperator`` of a dense N x N ``matrix`` on ``basis``, held on every row and column."""
     n = range(len(matrix))
     return TruncatedOperator(np.asarray(matrix), tuple(n), tuple(n), lambda_max, basis, point)
