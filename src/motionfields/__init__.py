@@ -61,7 +61,6 @@ from .verifier import (
     Thresholds,
     VerificationPlan,
     check_compactness_proxy,
-    check_continuity,
     check_h_to_zero,
     check_lambda_decay,
     check_mu_decay,

@@ -12,12 +12,12 @@ convergence queries, and writes:
 
 Exit status: 0 overall pass, 1 overall fail, 2 invalid scenario document
 or tolerance override (refused before any work), 3 a module's error, an
-array too large to allocate, a label too large for numpy or Python or an
-unwritable artifact, told in one line.  Outputs are deterministic for a
-fixed scenario: floats are printed at 12 significant digits, and the JSON
-files are written by ``config.dump_json``, whose bytes are fixed.  Each
-file is written under a temporary name beside it and moved into place, so
-a failed run leaves no partial file.
+array too large to allocate, numpy's or Python's error on a value too
+large for them or an unwritable artifact, told in one line.  Outputs are
+deterministic for a fixed scenario: floats are printed at 12 significant
+digits, and the JSON files are written by ``config.dump_json``, whose
+bytes are fixed.  Each file is written under a temporary name beside it
+and moved into place, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations

@@ -110,13 +110,6 @@ def _below(where, pair, mu, H, lambda_max):
              f"{pair.name}: a weight beyond cutoffs.lambda_max")
 
 
-def _indexable(where, pair, lam):
-    """Refuse a K-type whose d x d complex matrix has more bytes than numpy can index."""
-    d = pair.K.irrep_dim(lam)
-    _require(16 * d * d <= np.iinfo(np.intp).max, where,
-             f"the K-type {lam!r} has dimension {d}: its d x d matrix is too big for numpy")
-
-
 def _located_each(where, x, pair, H):
     """The dual point at ``H`` of each label of the list ``x``."""
     return [_located(w, v, pair, [H])[0] for w, v in _items(where, x)]
@@ -222,7 +215,6 @@ def _plan(doc, pair):
     )
     for w, lam in _items("grids.gamma2", grids.get("gamma2")):
         grid += _located(w, lam, pair, [None])
-        _indexable(w, pair, grid[-1].label)
     path = _located("grids.continuity.mu", _key("grids.continuity", cont, "mu"), pair, path)
     broken = path_break(pair, path)  # the check condition 2 makes, before any work
     if broken:

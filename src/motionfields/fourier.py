@@ -48,7 +48,9 @@ block of a family.  ``sample_field`` reads a whole ``VerificationPlan`` in
 one pass: the points of its grid, path, weight sample and h-ladder (zero
 points included) that share a family are one block, a point two readings
 share is formed once, and every norm the five checks read, of operators,
-path steps and ladder deltas, comes from one batched SVD per shape.
+path steps and ladder deltas, comes from one batched SVD per shape.  The
+path's step norms are taken there only, and the pass hands them to its path
+sample (``OperatorFieldSample.steps``).
 ``pi_matrix`` keeps the basis cut at lambda_max and writes only the rows of
 its window K-types.
 """
@@ -103,16 +105,11 @@ class TruncatedOperator:
     def size(self):
         return self.basis.size
 
-    def on(self, rows, cols):
-        """A new array of the operator at the sorted basis ``rows`` and ``cols``, which hold its support."""
-        M = np.zeros((len(rows), len(cols)), dtype=complex)
-        M[np.ix_(np.searchsorted(rows, self.rows), np.searchsorted(cols, self.cols))] = self.block
-        return M
-
     @cached_property
     def matrix(self):
         """The dense, read-only N x N matrix."""
-        M = self.on(range(self.size), range(self.size))
+        M = np.zeros((self.size, self.size), dtype=complex)
+        M[np.ix_(self.rows, self.cols)] = self.block
         M.flags.writeable = False
         return M
 
@@ -311,6 +308,12 @@ def pi_family(f, pair, basis, Hs):
     return tuple(rows), tuple(cols), block
 
 
+def _one_point(f, pair, basis, H, lambda_max):
+    """The one-point ``pi_family`` at ``H`` on ``basis``, held as a ``TruncatedOperator``."""
+    rows, cols, block = pi_family(f, pair, basis, [H])
+    return TruncatedOperator(block[0], rows, cols, lambda_max, basis)
+
+
 def pi_matrix(f, pair, mu, H, lambda_max):
     """Truncated matrix of the induced-representation operator at (mu, H).
 
@@ -321,8 +324,7 @@ def pi_matrix(f, pair, mu, H, lambda_max):
     read, on the block.
     """
     basis = peter_weyl_basis(pair, mu, H, lambda_max)
-    rows, cols, block = pi_family(f, pair, basis, [as_coords(H)])
-    return TruncatedOperator(block[0], rows, cols, lambda_max, basis)
+    return _one_point(f, pair, basis, as_coords(H), lambda_max)
 
 
 def tau_matrix(f, pair, lam):
@@ -333,8 +335,7 @@ def tau_matrix(f, pair, lam):
     contragredient of the term's label.
     """
     basis = k_type_basis(pair, lam)
-    rows, cols, block = pi_family(f, pair, basis, [pair.zero_point()])
-    return TruncatedOperator(block[0], rows, cols, basis.lambda_max, basis)
+    return _one_point(f, pair, basis, pair.zero_point(), basis.lambda_max)
 
 
 def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
@@ -348,33 +349,24 @@ def pi_mu0_matrix(f, pair, mu, lambda_max, basis=None):
     """
     if basis is None:
         basis = peter_weyl_basis(pair, mu, (1.0,) * pair.rank, lambda_max)
-    rows, cols, block = pi_family(f, pair, basis, [pair.zero_point()])
-    return TruncatedOperator(block[0], rows, cols, lambda_max, basis)
+    return _one_point(f, pair, basis, pair.zero_point(), lambda_max)
 
 
 @dataclass(eq=False)
 class OperatorFieldSample:
     """A finite grid of dual points with attached truncated operators.
 
-    ``steps`` reads the grid as a continuity path: the operator norms of its
-    step differences at full and at half resolution (``step_differences``),
-    on the union of its operators' supports.  ``sample_field`` sets them
-    for a plan's path in its batch; any other sample takes them on the
-    first read.
+    ``steps`` is set on the path sample of a plan's ``sample_field`` pass,
+    and None on every other: (fine, coarse), the operator norms of the
+    path's step differences at full and at half resolution
+    (``step_differences``), which condition 2 reads.
     """
 
     instance_name: str
     grid: tuple
     operators: dict
     metadata: dict = field(default_factory=dict)
-
-    @cached_property
-    def steps(self):  # unless sample_field has set them
-        ops = [self.operators[p] for p in self.grid]
-        rows = sorted(set().union(*(T.rows for T in ops)))
-        cols = sorted(set().union(*(T.cols for T in ops)))
-        fine, coarse = step_differences(np.stack([T.on(rows, cols) for T in ops]))
-        return stack_norms(fine)[0].tolist(), stack_norms(coarse)[0].tolist()
+    steps: tuple | None = None
 
 
 @dataclass
@@ -594,9 +586,8 @@ def sample_field(f, pair, grid, lambda_max):
                 fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p)
             T._norms = norms[fam.normed[r]]
         out[name] = OperatorFieldSample(pair.name, tuple(pts), operators,
-                                        dict(common, lambda_max=lam_r))
-    if plan.path:
-        out["path"].steps = tuple(diff_norms[:2])
+                                        dict(common, lambda_max=lam_r),
+                                        tuple(diff_norms[:2]) if name == "path" and pts else None)
     if not isinstance(grid, VerificationPlan):
         return out["main"]
     out["h_ladder"] = [(mu, d) for (mu, _, _), d in zip(ladder, diff_norms[len(diffs) - len(ladder):])]

@@ -12,6 +12,8 @@ plain witness data, so adversarial fixtures can exercise them directly.
 ``run_verification`` measures once: ``fourier.sample_field`` reads the
 whole plan in one pass (one ``pi_family`` block per family, one batched SVD
 per matrix shape), and each check judges what that pass returns.
+Condition 2 reads only that pass: the path's step norms exist on its path
+sample alone.
 
 All verdict thresholds live in one configuration block for reproducibility.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from .dual import GAMMA2
 from .errors import MissingGamma2Data, MissingSupBound
-from .fourier import VerificationPlan, check_path, sample_field
+from .fourier import VerificationPlan, sample_field
 from .induction import branches_between
 from .pairs import stabilizer
 
@@ -106,13 +108,14 @@ def check_compactness_proxy(pair, sample, thresholds=Thresholds()):
         d_mu = _d_mu(pair, p)
         hs2 = T.hs_norm**2
         bound = d_mu * sup**2 * (1.0 + thresholds.hs_slack)
-        bands = [pair.K.char_band(lam) for lam, _, _ in T.block_index]
         B = T.basis  # a top band above a sampled operator's window holds no entry
         above = branches_between(pair.K, B.stab, B.mu, B.lambda_max, T.lambda_max)
-        top = None if above else max(bands, default=None)
+        bands = {lam: pair.K.char_band(lam) for lam in B.columns}
+        top = None if above else max(bands.values(), default=None)
+        spans = [range(s.start, s.stop) for lam, s in B.columns.items() if bands[lam] == top]
         # the block's rows and columns in the top band: outside them every entry is 0
-        rows = [n for n, i in enumerate(T.rows) if bands[i] == top]
-        cols = [n for n, j in enumerate(T.cols) if bands[j] == top]
+        rows = [n for n, i in enumerate(T.rows) if any(i in r for r in spans)]
+        cols = [n for n, j in enumerate(T.cols) if any(j in r for r in spans)]
         tail2 = 0.0  # no support in the top band: exactly 0, with no norm taken
         if rows or cols:
             tail2 = float(
@@ -158,22 +161,14 @@ def judge_continuity(diffs_fine, diffs_coarse, steps_fine, steps_coarse,
     return bool(lip_ok and halve_ok), detail
 
 
-def check_continuity(pair, sample, thresholds=Thresholds()):
-    """Norm continuity along a discretized path inside one stratum.
-
-    The grid order of the sample is the path order; the point count must be
-    odd so the half-resolution path is well-defined.  PathCrossesStrata,
-    naming the path, is raised when the stratum tag, wall set or label
-    changes along the path, or a step of either resolution has length 0
-    (``fourier.check_path``).  The step norms are the sample's ``steps``:
-    a plan's path has them from ``sample_field``'s batch.
-    """
-    check_path(pair, list(sample.grid))
-    return _continuity_report(sample, thresholds)
-
-
 def _continuity_report(sample, thresholds):
-    """Condition 2's report on a path sample whose path ``fourier.check_path`` has passed."""
+    """Condition 2's report on the path sample of a plan's ``sample_field`` pass.
+
+    The pass has checked the path (``fourier.check_path``: an odd count, one
+    stratum, no step of length 0) and normed its step differences at both
+    resolutions, the sample's ``steps``; this judges them against the step
+    lengths.
+    """
     pts = list(sample.grid)
     fine, coarse = sample.steps
     steps_fine = [math.dist(a.H, b.H) for a, b in zip(pts, pts[1:])]
@@ -343,13 +338,14 @@ def run_verification(f, pair, plan, thresholds=Thresholds()):
 
     The field is read in one pass, ``sample_field`` over the whole plan,
     and each check judges what it returns; the path is checked once, by
-    ``fourier.check_path`` in that pass.  Returns the aggregated report
+    ``fourier.check_path`` in that pass, and ValueError is raised first for
+    a plan with no path.  Returns the aggregated report
     together with the computed samples (keys "main", "path", "mu") so
     callers can export per-point norms.  Plans come from scenarios:
     ``ScenarioConfig.from_dict(doc).plan``.
     """
-    if not plan.path:  # sample_field checks a plan's path where it has one
-        check_path(pair, plan.path)
+    if not plan.path:  # sample_field checks the rest of the path rule
+        raise ValueError("continuity path needs an odd number (>= 3) of points, got none")
     samples = sample_field(f, pair, plan, plan.lambda_max)
     ladder = samples.pop("h_ladder")
     samples.setdefault("mu", samples["main"])  # trivial-stabilizer family: vacuous by design

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from motionfields import build_instance
+from motionfields import build_instance, fourier
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +47,25 @@ def patch_everywhere(monkeypatch):
         return held
 
     return patch
+
+
+@pytest.fixture()
+def jump_at(patch_everywhere):
+    """``jump(H, value)`` makes ``fourier.pi_family`` add ``value`` to the block of the flat point H.
+
+    The field is poisoned where a run forms it, so every reading that holds
+    H sees the jump and no other does.
+    """
+    form = fourier.pi_family
+
+    def jump(H, value):
+        def poisoned(f, pair, basis, Hs):
+            rows, cols, block = form(f, pair, basis, Hs)
+            for p, h in enumerate(Hs):
+                if tuple(h) == H:
+                    block[p] += value
+            return rows, cols, block
+
+        patch_everywhere(form, poisoned)
+
+    return jump

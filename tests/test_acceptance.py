@@ -22,7 +22,6 @@ from motionfields import (
     TestFunction,
     build_instance,
     check_compactness_proxy,
-    check_continuity,
     check_h_to_zero,
     check_lambda_decay,
     check_mu_decay,
@@ -356,7 +355,7 @@ def _identity_fixture(pair, sample):
     )
 
 
-def test_10_verifier_discrimination_and_membership():
+def test_10_verifier_discrimination_and_membership(jump_at, monkeypatch):
     t0 = time.perf_counter()
     pair = build_instance("M3")
     f = TestFunction(pair, [gauss_term(pair, 2, 1, 3), gauss_term(pair, 1, 0, 0, 0.5, 0.8)])
@@ -379,19 +378,14 @@ def test_10_verifier_discrimination_and_membership():
     assert not check_compactness_proxy(pair, fx1).passed
     assert check_lambda_decay(pair, fx1).passed
 
-    # 2: jump along a path fails continuity; the jump sits on the lowest
-    # K-type block so the HS budget and the top-band tail stay green
-    pts = [make_dual_point(pair, 1, (1.0 + 0.125 * i,)) for i in range(9)]
-    path = sample_field(f, pair, pts, 4)
-    poisoned = dict(path.operators)
-    T = poisoned[pts[4]]
-    bump = np.zeros_like(T.matrix)
-    low = [i for i, b in enumerate(T.block_index) if b[0] == T.block_index[0][0]]
-    bump[np.ix_(low, low)] = 1.5 * np.eye(len(low))
-    poisoned[pts[4]] = pw.dense_operator(T.matrix + bump, T.lambda_max, T.basis, T.point)
-    fx2 = OperatorFieldSample(path.instance_name, path.grid, poisoned, path.metadata)
-    assert not check_continuity(pair, fx2).passed
-    assert check_compactness_proxy(pair, fx2).passed
+    # 2: jump along a path fails continuity; the run's pass forms the jump
+    # at H = 1.375, a point of m3-default's path that no other reading
+    # holds, so the HS budget, the top-band tail and the rest stay green
+    jump_at((1.375,), 1.5)
+    plan = ScenarioConfig.from_dict(bundled_scenario("m3-default")).plan
+    fx2 = run_verification(f, pair, plan)[0]
+    assert [r.passed for r in fx2.reports] == [True, False, True, True, True]
+    monkeypatch.undo()
 
     # 3: constant-in-weight field fails the weight decay; compactness green
     mu_pts = [make_dual_point(pair, mu, (1.0,)) for mu in range(-4, 5)]

@@ -18,7 +18,6 @@ from motionfields import (
     Thresholds,
     VerificationPlan,
     check_compactness_proxy,
-    check_continuity,
     check_h_to_zero,
     check_lambda_decay,
     check_mu_decay,
@@ -163,42 +162,45 @@ def test_poisoned_sample_is_judged_on_its_own_norms(m3):
 
 
 class TestContinuity:
-    def _path_sample(self, m3, poison=None):
+    """Condition 2 reads a run: its path's step norms come from the plan pass alone.
+
+    m3-default's path is mu = 1 at H = 1.0, 1.125, ..., 2.0; H = 1.375 is a
+    path point that no other reading of its plan holds, so a jump there can
+    trip condition 2 only.
+    """
+
+    def _verdicts(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
-        pts = [make_dual_point(m3, 1, (1.0 + 0.125 * i,)) for i in range(9)]
-        sample = sample_field(f, m3, pts, 3)
-        if poison is not None:
-            p = pts[poison]
-            sample = override_sample(
-                sample, {p: constant_operator(sample.operators[p], 5.0)}
-            )
-        return sample
+        report = run_verification(f, m3, bundled_plan("m3-default"))[0]
+        return [r.passed for r in report.reports]
 
     def test_gaussian_path_passes(self, m3):
-        assert check_continuity(m3, self._path_sample(m3)).passed
+        assert self._verdicts(m3) == [True] * 5
 
-    def test_jump_fails(self, m3):
-        assert not check_continuity(m3, self._path_sample(m3, poison=4)).passed
+    def test_jump_fails(self, m3, jump_at):
+        jump_at((1.375,), 5.0)
+        assert self._verdicts(m3) == [True, False, True, True, True]
 
     def test_crossing_zero_guarded(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
         pts = [make_dual_point(m3, 0, (h,)) for h in (1.0, 0.5, 1e-12, 0.5, 1.0)]
         with pytest.raises(PathCrossesStrata):
-            check_continuity(m3, sample_field(f, m3, pts, 2))
+            sample_field(f, m3, VerificationPlan(2, [], pts, [], None, 0), 2)
 
     def test_zero_step_guarded(self, m3):
         f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
         pts = [make_dual_point(m3, 0, (h,)) for h in (1.0, 1.5, 1.0)]
         with pytest.raises(PathCrossesStrata, match="step of length 0"):
-            check_continuity(m3, sample_field(f, m3, pts, 2))
+            sample_field(f, m3, VerificationPlan(2, [], pts, [], None, 0), 2)
 
     def test_wall_path_on_product(self, m2xm2):
         f = TestFunction(
             m2xm2, [gauss_term(m2xm2, (1, 2)), gauss_term(m2xm2, (0, 1), coeff=0.5)]
         )
         pts = [make_dual_point(m2xm2, (0, 2), (1.0 + 0.125 * i, 0.0)) for i in range(9)]
-        sample = sample_field(f, m2xm2, pts, 4)
-        assert check_continuity(m2xm2, sample).passed
+        plan = dataclasses.replace(bundled_plan("m2xm2-gamma1"), path=pts)
+        report = run_verification(f, m2xm2, plan)[0]
+        assert report.reports[1].condition == 2 and report.reports[1].passed
 
 
 class TestStageErrors:
@@ -429,13 +431,11 @@ class TestMembership:
         with pytest.raises(ValueError, match="odd number"):
             run_verification(f, m3, plan)
 
-    def test_adversarial_injection_fails_condition_two(self, m3):
-        f = TestFunction(m3, [gauss_term(m3, 1, 0, 0)])
-        pts = [make_dual_point(m3, 1, (1.0 + 0.125 * i,)) for i in range(9)]
-        sample = sample_field(f, m3, pts, 3)
-        p = pts[4]
-        poisoned = override_sample(
-            sample, {p: constant_operator(sample.operators[p], 7.0)}
-        )
-        assert check_continuity(m3, sample).passed
-        assert not check_continuity(m3, poisoned).passed
+    def test_adversarial_injection_fails_condition_two(self, m3, jump_at):
+        # the jump is formed by the run's own pass, at a point only the path reads
+        f = TestFunction(m3, [gauss_term(m3, 2, 1, 3), gauss_term(m3, 1, 0, 0, 0.5, 0.8)])
+        plan = bundled_plan("m3-default")
+        verdicts = lambda: [r.passed for r in run_verification(f, m3, plan)[0].reports]
+        assert verdicts() == [True] * 5
+        jump_at((1.375,), 7.0)
+        assert verdicts() == [True, False, True, True, True]
