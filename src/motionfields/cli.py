@@ -44,14 +44,24 @@ def _write_text(path, text):
     """Write ``text`` under a temporary name beside ``path``, then move it there.
 
     A failure leaves no partial file and keeps any previous ``path`` intact;
-    after a success the temporary name is gone with the move.
+    after a success the temporary name is gone with the move.  The bytes go
+    through ``os.write`` on one descriptor, with no text layer.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 

@@ -47,9 +47,10 @@ SCHEMA_VERSION = 1
 # -- field parsers: each returns the parsed value or raises ConfigError ------
 
 
-def _require(ok, where, message):
+def _require(ok, where, message, *args):
+    """ConfigError at ``where`` unless ``ok``: ``message`` formatted with ``args``, only then."""
     if not ok:
-        raise ConfigError(where, message)
+        raise ConfigError(where, message.format(*args))
 
 
 def _is_int(x):
@@ -64,25 +65,26 @@ def _is_number(x):
 
 
 def _obj(where, x):
-    _require(isinstance(x, dict), where, f"expected an object, got {x!r}")
+    _require(isinstance(x, dict), where, "expected an object, got {!r}", x)
     return x
 
 
 def _key(where, obj, key):
     """``obj[key]``, where ``obj`` is the object at ``where``."""
-    _require(key in _obj(where, obj), f"{where}.{key}", "missing")
+    if key not in _obj(where, obj):
+        raise ConfigError(f"{where}.{key}", "missing")
     return obj[key]
 
 
 def _items(where, x, empty_ok=False):
     """(field name, entry) for each entry of a list."""
     what = "a list" if empty_ok else "a nonempty list"
-    _require(isinstance(x, list) and (x or empty_ok), where, f"expected {what}, got {x!r}")
+    _require(isinstance(x, list) and (x or empty_ok), where, "expected {}, got {!r}", what, x)
     return [(f"{where}[{i}]", v) for i, v in enumerate(x)]
 
 
 def _positive_int(where, x):
-    _require(_is_int(x) and x > 0, where, f"must be a positive integer, got {x!r}")
+    _require(_is_int(x) and x > 0, where, "must be a positive integer, got {!r}", x)
     return x
 
 
@@ -90,7 +92,7 @@ def _label(where, x):
     """An irrep label: an integer or a nonempty list of integers."""
     if isinstance(x, list) and x and all(map(_is_int, x)):
         return tuple(x)
-    _require(_is_int(x), where, f"not an irrep label: {x!r}")
+    _require(_is_int(x), where, "not an irrep label: {!r}", x)
     return x
 
 
@@ -106,8 +108,8 @@ def _located(where, x, pair, Hs):
 def _below(where, pair, mu, H, lambda_max):
     """Refuse a weight over which no K-type up to ``lambda_max`` lies: its space is empty."""
     over = branches_between(pair.K, pair.stabilizer_of(H), mu, -1, lambda_max)
-    _require(over, where, f"no K-type below {lambda_max} branches over mu={mu!r} on "
-             f"{pair.name}: a weight beyond cutoffs.lambda_max")
+    _require(over, where, "no K-type below {} branches over mu={!r} on {}: a weight beyond "
+             "cutoffs.lambda_max", lambda_max, mu, pair.name)
 
 
 def _located_each(where, x, pair, H):
@@ -118,23 +120,23 @@ def _located_each(where, x, pair, H):
 def _coords(where, x, rank):
     """A flat point: ``rank`` finite numbers."""
     ok = isinstance(x, list) and len(x) == rank and all(map(_is_number, x))
-    _require(ok, where, f"expected a list of {rank} numbers, got {x!r}")
-    _require(all(map(math.isfinite, x)), where, f"coordinates must be finite, got {x!r}")
+    _require(ok, where, "expected a list of {} numbers, got {!r}", rank, x)
+    _require(all(map(math.isfinite, x)), where, "coordinates must be finite, got {!r}", x)
     return tuple(float(v) for v in x)
 
 
 def _nonzero(where, x, pair):
     """A flat point off the zero point: its norm exceeds the wall tolerance."""
     H = _coords(where, x, pair.rank)
-    _require(math.hypot(*H) > WALL_TOL, where, f"must be a nonzero point, got {list(H)!r}")
+    _require(math.hypot(*H) > WALL_TOL, where, "must be a nonzero point, got {!r}", list(H))
     return H
 
 
 def _complex(where, x):
     pair = isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
-    _require(_is_number(x) or pair, where, f"expected a number or [re, im], got {x!r}")
+    _require(_is_number(x) or pair, where, "expected a number or [re, im], got {!r}", x)
     z = complex(*x) if pair else complex(x)
-    _require(math.isfinite(abs(z)), where, f"must be finite, got {x!r}")
+    _require(math.isfinite(abs(z)), where, "must be finite, got {!r}", x)
     return z
 
 
@@ -143,7 +145,7 @@ def _tolerances(where, tol):
     for k, v in _obj(where, tol).items():
         _require(k in Thresholds.__dataclass_fields__, f"{where}.{k}", "unknown threshold name")
         _require(_is_number(v) and 0 < v < math.inf, f"{where}.{k}",
-                 f"must be a finite positive number, got {v!r}")
+                 "must be a finite positive number, got {!r}", v)
     return tol
 
 
@@ -159,7 +161,7 @@ def _term(where, t, dim):
         _require(all(a.isdecimal() for a in alpha), f"{where}.g.poly.{key}", "not a multi-index")
         poly[tuple(map(int, alpha))] = _complex(f"{where}.g.poly.{key}", val)
     sigma, radial = _key(f"{where}.g", g, "sigma"), g.get("radial", False)
-    _require(_is_number(sigma), f"{where}.g.sigma", f"must be a number, got {sigma!r}")
+    _require(_is_number(sigma), f"{where}.g.sigma", "must be a number, got {!r}", sigma)
     _require(isinstance(radial, bool), f"{where}.g.radial", "must be true or false")
     coeff = _complex(f"{where}.coeff", _key(where, t, "coeff"))
     try:
@@ -194,7 +196,7 @@ def _plan(doc, pair):
     cut, grids = _obj("cutoffs", doc.get("cutoffs", {})), _obj("grids", doc.get("grids", {}))
     order = cut.get("order")  # null in older documents
     _require(order is None, "cutoffs.order",
-             f"not a setting: entries are closed forms, with no quadrature order, got {order!r}")
+             "not a setting: entries are closed forms, with no quadrature order, got {!r}", order)
     cont, ladder = _key("grids", grids, "continuity"), _key("grids", grids, "h_ladder")
     path = _items("grids.continuity.path", _key("grids.continuity", cont, "path"))
     _require(len(path) >= 3 and len(path) % 2, "grids.continuity.path",
@@ -252,7 +254,7 @@ def _queries(queries, pair):
     out = []
     for i, (where, q) in enumerate(_items("convergence_queries", queries, empty_ok=True)):
         name = _obj(where, q).get("name", f"query-{i}")
-        _require(isinstance(name, str), f"{where}.name", f"must be a string, got {name!r}")
+        _require(isinstance(name, str), f"{where}.name", "must be a string, got {!r}", name)
         seq = _items(f"{where}.sequence", q.get("sequence"))
         limit = _point(f"{where}.limit", q.get("limit"), pair)
         out.append((name, limit, tuple(_point(w, p, pair) for w, p in seq)))
@@ -286,13 +288,13 @@ class ScenarioConfig:
     def from_dict(cls, doc):
         doc = _obj("<root>", doc)
         schema, name, instance = doc.get("schema"), doc.get("name"), doc.get("instance")
-        _require(schema == SCHEMA_VERSION, "schema", f"expected {SCHEMA_VERSION}, got {schema!r}")
+        _require(schema == SCHEMA_VERSION, "schema", "expected {}, got {!r}", SCHEMA_VERSION, schema)
         _require(isinstance(name, str) and name, "name", "scenario needs a nonempty name")
         _require(instance in INSTANCE_NAMES, "instance",
-                 f"{instance!r} not in {', '.join(INSTANCE_NAMES)}")
+                 "{!r} not in {}", instance, ", ".join(INSTANCE_NAMES))
         output_dir = doc.get("output_dir")
         _require(output_dir is None or isinstance(output_dir, str), "output_dir",
-                 f"must be a string or null, got {output_dir!r}")
+                 "must be a string or null, got {!r}", output_dir)
         pair = build_instance(instance)
         return cls(
             name=name,

@@ -44,13 +44,19 @@ formed on any run path.  The basis holds the block layout (``columns``),
 which both read, the branching counts and the copies' positions.  A
 ``TruncatedOperator`` holds its block, rows, columns and basis; its dense
 ``matrix`` is built only when read.  Every norm is taken once, on the
-block of a family.  ``sample_field`` reads a whole ``VerificationPlan`` in
-one pass: the points of its grid, path, weight sample and h-ladder (zero
-points included) that share a family are one block, a point two readings
-share is formed once, and every norm the five checks read, of operators,
-path steps and ladder deltas, comes from one batched SVD per shape.  The
-path's step norms are taken there only, and the pass hands them to its path
-sample (``OperatorFieldSample.steps``).
+block of a family, by one rule (``stack_norms``): where the support is
+monomial, one entry in each of its rows and columns, the singular values
+are the moduli of the entries, read in Python with no SVD; any other
+support takes one batched SVD per shape.  A Gaussian term writes a matrix
+unit per copy, so a Gaussian-only family is monomial unless two of its
+units share a row or a column; every family of the bundled scenarios is.  ``sample_field`` reads a whole ``VerificationPlan``
+in one pass: the points of its grid, path, weight sample and h-ladder
+(zero points included) that share a family are one block, a point two
+readings share is formed once, and every norm the five checks read, of
+operators, path steps and ladder deltas, comes from one ``stack_norms``
+call for the monomial supports and one per shape for the others.  The
+path's step norms are taken there only, and the pass hands them to its
+path sample (``OperatorFieldSample.steps``).
 ``pi_matrix`` keeps the basis cut at lambda_max and writes only the rows of
 its window K-types.
 """
@@ -82,9 +88,10 @@ class TruncatedOperator:
     min(``lambda_max``, W), above which entries are zero, and is empty (a
     0 x 0 operator) beyond the mu cut-off; ``lambda_max`` is the requested
     cutoff.  The block is made read-only here, so ``op_norm`` and
-    ``hs_norm`` are taken once, on it: by ``sample_field``'s batch on its
-    family's block, else on the first read.  ``matrix``, the dense N x N
-    form, is built only when read (``to_dict`` and the tests).
+    ``hs_norm`` are taken once, on it (``stack_norms``, from its entries
+    where ``perm`` gives its support as monomial): by ``sample_field``'s
+    batch on its family's block, else on the first read.  ``matrix``, the
+    dense N x N form, is built only when read (``to_dict`` and the tests).
     """
 
     block: np.ndarray
@@ -93,6 +100,7 @@ class TruncatedOperator:
     lambda_max: int
     basis: PeterWeylBasis
     point: DualPoint | None = None
+    perm: tuple | None = None  # as pi_family gives it
 
     def __post_init__(self):
         self.block.flags.writeable = False
@@ -115,8 +123,8 @@ class TruncatedOperator:
 
     @cached_property
     def _norms(self):  # unless sample_field has set them
-        (a,), (b,) = stack_norms(self.block[None])
-        return float(a), float(b)
+        (a,), (b,) = stack_norms(_entries(self.block[None], self.perm))
+        return a, b
 
     @property
     def op_norm(self):
@@ -137,16 +145,45 @@ class TruncatedOperator:
 
 
 def stack_norms(stack):
-    """(operator norms, HS norms) of the matrices of ``stack`` (P, n, m), on a support.
+    """(operator norms, HS norms), as lists, of the matrices of ``stack`` on a support.
 
-    The support is empty, n = m = 0, where a selection rule zeroes the
-    operator.  One batched SVD covers the stack: the operator
-    norm is the largest singular value (0 for an empty matrix) and the HS
-    norm the 2-norm of all of them, which needs no temporary the size of the
-    stack.
+    ``stack`` is a (P, n, m) array; the support is empty, n = m = 0, where
+    a selection rule zeroes the operator.  One batched SVD covers it: the
+    operator norm is the largest singular value (0 for an empty matrix) and
+    the HS norm the 2-norm of all of them, which needs no temporary the size
+    of the stack.  A support is monomial when each of its rows and columns
+    holds one entry (``pi_family``'s ``perm``): its matrices are weighted
+    partial permutations, whose singular values are the moduli of their
+    entries.  Such a stack is given as the list of its matrices' entry
+    values (``_entries``), and is normed from them in Python, with no SVD.
     """
+    if isinstance(stack, list):
+        moduli = [list(map(abs, m)) for m in stack]
+        return [max(m, default=0.0) for m in moduli], [math.hypot(*m) for m in moduli]
     s = np.linalg.svd(stack, compute_uv=False)
-    return s.max(axis=1, initial=0.0), np.linalg.norm(s, axis=1)
+    return s.max(axis=1, initial=0.0).tolist(), np.linalg.norm(s, axis=1).tolist()
+
+
+def _entries(block, perm):
+    """What ``stack_norms`` reads of the stack ``block`` (P, n, m): the block, or a list of entry values.
+
+    ``perm`` is None, or gives the support as monomial: the column of the
+    one entry of each row (``pi_family``).  Then each matrix is given by
+    the tuple of its n entry values, in row order, read one entry of the
+    support at a time.
+    """
+    if perm is None:
+        return block
+    if not perm:  # the empty support
+        return [()] * len(block)
+    return list(zip(*[block[:, k, c].tolist() for k, c in enumerate(perm)]))
+
+
+def _differences(ops, later, earlier):
+    """ops[i] - ops[j] for i, j in zip(``later``, ``earlier``), of a stack as ``_entries`` gives it."""
+    if isinstance(ops, list):
+        return [[y - x for x, y in zip(ops[j], ops[i])] for i, j in zip(later, earlier)]
+    return ops[list(later)] - ops[list(earlier)]
 
 
 def operator_norm(T):
@@ -260,9 +297,12 @@ def pi_family(f, pair, basis, Hs):
 
     The points of one family share mu and a stabilizer, hence the basis
     (callers cut it at the window; H = 0 is the zero point).  Returns
-    (rows, cols, block): the sorted basis rows and columns of the entries
-    <pi(f) psi_j, psi_i> written, as tuples, and the (P, len(rows),
-    len(cols)) block of their values, in ``Hs`` order; every other entry
+    (rows, cols, block, perm): the sorted basis rows and columns of the
+    entries <pi(f) psi_j, psi_i> written, as tuples, the (P, len(rows),
+    len(cols)) block of their values, in ``Hs`` order, and, where the
+    support is monomial (each of its rows and columns holds one written
+    entry: the positions written number len(rows) = len(cols)), the block
+    column of each row's entry, as a tuple, else None.  Every other entry
     is zero by the selection rule, and no N x N array is formed.  The
     support is empty, and the block (P, 0, 0), where no term writes (on an
     empty basis, or where no term's bar is in it).  Gaussian terms are one
@@ -280,7 +320,7 @@ def pi_family(f, pair, basis, Hs):
     units, finite = _schur_blocks([t for t in f.terms if not t.g.max_degree()], basis, r2)
     poly_terms = [t for t in f.terms
                   if t.g.max_degree() and K.contragredient(t.u.label)[0] in columns]
-    scatters, written = [], list(units)
+    scatters, written = [], set(units)
     if poly_terms:
         # A has band <= W: only the rows of the window's K-types are nonzero
         window = [lam for lam in columns if K.char_band(lam) <= f.window]
@@ -290,7 +330,7 @@ def pi_family(f, pair, basis, Hs):
                 i, j, values = _gaunt_entries(t, basis, window, points, r2)
                 i, j = i.tolist(), j.tolist()
                 scatters.append((i, j, t.coeff * values))
-                written += zip(i, j)
+                written.update(zip(i, j))
     rows, cols = sorted({i for i, _ in written}), sorted({j for _, j in written})
     at_row, at_col = {i: n for n, i in enumerate(rows)}, {j: n for n, j in enumerate(cols)}
     block = np.zeros((len(Hs), len(rows), len(cols)), dtype=complex)
@@ -305,13 +345,15 @@ def pi_family(f, pair, basis, Hs):
         p = finite.index(False)
         H = tuple(map(float, Hs[p]))
         raise NonFiniteEntries(f"entries of pi(f) at mu={basis.mu!r}, H={H} overflow a float", p)
-    return tuple(rows), tuple(cols), block
+    monomial = len(written) == len(rows) == len(cols)
+    perm = tuple(at_col[j] for _, j in sorted(written)) if monomial else None
+    return tuple(rows), tuple(cols), block, perm
 
 
 def _one_point(f, pair, basis, H, lambda_max):
     """The one-point ``pi_family`` at ``H`` on ``basis``, held as a ``TruncatedOperator``."""
-    rows, cols, block = pi_family(f, pair, basis, [H])
-    return TruncatedOperator(block[0], rows, cols, lambda_max, basis)
+    rows, cols, block, perm = pi_family(f, pair, basis, [H])
+    return TruncatedOperator(block[0], rows, cols, lambda_max, basis, perm=perm)
 
 
 def pi_matrix(f, pair, mu, H, lambda_max):
@@ -421,30 +463,33 @@ def check_path(pair, pts):
         raise PathCrossesStrata(f"path: {broken[1]}")
 
 
-def step_differences(ops):
-    """(fine, coarse): the step differences of a path's matrices, the stack ``ops``, as new arrays.
+def step_differences(ops, path):
+    """(fine, coarse): the differences of the path's matrices ops[i], i in ``path``, one and two steps apart.
 
-    A stride-2 difference is the sum of the two steps it spans.
+    ``ops`` is a stack as ``_entries`` gives it, and so are the differences.
     """
-    fine = np.diff(ops, axis=0)
-    return fine, fine[:-1:2] + fine[1::2]
+    return _differences(ops, path[1:], path[:-1]), _differences(ops, path[2::2], path[:-2:2])
 
 
-def _norms_by_shape(mats):
-    """(operator, HS) norms of each matrix of ``mats``: one ``stack_norms`` call per shape.
+def _norms_by_shape(stacks):
+    """(operator, HS) norms of the matrices of each stack of ``stacks``, a list per stack.
 
-    The matrices are given on their families' supports; one with no entry
-    (an empty support) has norms (0, 0) without an SVD, the value
-    ``stack_norms`` gives it.
+    The stacks are as ``stack_norms`` reads them, on their families'
+    supports: the lists of monomial ones are normed in one call, and the
+    arrays whose matrices have one shape in one call.  An array with no
+    entry (empty supports, or no matrix) takes no call: its matrices' norms
+    are (0, 0), the value ``stack_norms`` gives them.
     """
-    shapes, norms = {}, [(0.0, 0.0)] * len(mats)
-    for i, m in enumerate(mats):
-        if m.size:
-            shapes.setdefault(m.shape, []).append(i)
-    for at in shapes.values():
-        op, hs = stack_norms(np.stack([mats[i] for i in at]))
-        for i, a, b in zip(at, op.tolist(), hs.tolist()):
-            norms[i] = (a, b)
+    shapes, norms = {}, [[(0.0, 0.0)] * len(s) for s in stacks]
+    for i, s in enumerate(stacks):
+        if isinstance(s, list) or s.size:
+            shapes.setdefault(None if isinstance(s, list) else s.shape[1:], []).append(i)
+    for shape, at in shapes.items():
+        group = [stacks[i] for i in at]
+        pairs = list(zip(*stack_norms([m for g in group for m in g] if shape is None
+                                      else np.concatenate(group))))
+        for i, g in zip(at, group):
+            norms[i], pairs = pairs[:len(g)], pairs[len(g):]
     return norms
 
 
@@ -458,16 +503,17 @@ class _Family:
     """The points on one basis: one index per distinct H, in order of first request.
 
     ``live``: formed by ``pi_family``, else zero; ``asked``: (reading, mu,
-    H, lambda_max) of each point's first request; ``rows``, ``cols`` and
-    ``block``: the support ``pi_family`` wrote, one matrix per point, empty
-    unless formed; ``normed``: point -> its place among the matrices
-    normed, for the points a reading holds as operators.
+    H, lambda_max) of each point's first request; ``rows``, ``cols``,
+    ``block`` and ``perm``: the support ``pi_family`` wrote, one matrix per
+    point, empty unless formed; ``entries``: what ``stack_norms`` reads of
+    the block (``_entries``); ``norms``: the (operator, HS) norms of each
+    point's matrix.
     """
 
     def __init__(self, basis, live):
         self.basis, self.live = basis, live
-        self.points, self.asked, self.normed = {}, [], {}
-        self.rows = self.cols = self.block = None
+        self.points, self.asked = {}, []
+        self.rows = self.cols = self.block = self.perm = self.entries = self.norms = None
 
     def index(self, H, asked):
         if H not in self.points:
@@ -495,12 +541,14 @@ def sample_field(f, pair, grid, lambda_max):
     = 0 on ``k_type_basis``, formed only where a term's bar is the label
     (else zero, by the selection rule).  A family not formed has the empty
     support and allocates nothing, however large its basis.  The blocks are
-    read-only, and the operators, the path's steps (``step_differences``)
-    and the ladder's deltas are normed on them, with one ``stack_norms``
-    call per shape.  EmptyBasis, NonFiniteEntries and a refused label name the
-    reading ("main grid", "path", "mu points", "h-ladder"), the point and
-    its lambda_max; ``operators`` follow the grid order, and the
-    metadata carries W and the ``fhat2_sup`` bound.
+    read-only, and every point's matrix, the path's steps
+    (``step_differences``) and the ladder's deltas are normed on them
+    (``_norms_by_shape``); a family whose support is monomial
+    (``pi_family``) is normed from its entry values alone.
+    EmptyBasis, NonFiniteEntries and a refused label name the reading
+    ("main grid", "path", "mu points", "h-ladder"), the point and its
+    lambda_max; ``operators`` follow the grid order, and the metadata
+    carries W and the ``fhat2_sup`` bound.
     """
     plan = grid if isinstance(grid, VerificationPlan) else VerificationPlan(
         lambda_max, list(grid), [], [], None, 0)
@@ -552,28 +600,24 @@ def sample_field(f, pair, grid, lambda_max):
         basis, Hs = fam.basis, list(fam.points)
         if basis.size and fam.live:
             try:
-                fam.rows, fam.cols, fam.block = pi_family(f, pair, basis, Hs)
+                fam.rows, fam.cols, fam.block, fam.perm = pi_family(f, pair, basis, Hs)
             except NonFiniteEntries as e:
                 raise _named(e, *fam.asked[e.index]) from None
         else:  # beyond the mu cut-off, or a K-dual label that is no term's bar
-            fam.rows, fam.cols, fam.block = (), (), np.zeros((len(Hs), 0, 0), dtype=complex)
+            fam.rows, fam.cols, fam.perm = (), (), ()
+            fam.block = np.zeros((len(Hs), 0, 0), dtype=complex)
         fam.block.flags.writeable = False
-    mats = []  # every matrix whose norms a check reads: the readings' operators, once each
-    for name, _, _, _ in readings:
-        for fam, r in placed[name]:
-            if r not in fam.normed:
-                fam.normed[r] = len(mats)
-                mats.append(fam.block[r])
-    # the path's steps (one family: check_path) and each ladder weight's deltas to its zero point
-    path = [fam.block[r] for fam, r in placed["path"]]
-    diffs = list(step_differences(np.stack(path))) if path else []
-    diffs += [fam.block[rows[:-1]] - fam.block[rows[-1]] for _, fam, rows in ladder]
-    at = len(mats)
-    for d in diffs:
-        mats.extend(d)
-    norms = _norms_by_shape(mats)
-    left = iter(a for a, _ in norms[at:])  # the differences' operator norms, in order
-    diff_norms = [[next(left) for _ in d] for d in diffs]
+        fam.entries = _entries(fam.block, fam.perm)
+    # every point's matrix, the path's steps (one family: check_path) and
+    # each ladder weight's deltas to its zero point
+    fams, path = list(families.values()), placed["path"]
+    diffs = list(step_differences(path[0][0].entries, [r for _, r in path])) if path else []
+    diffs += [_differences(fam.entries, rows[:-1], rows[-1:] * (len(rows) - 1))
+              for _, fam, rows in ladder]
+    norms = _norms_by_shape([fam.entries for fam in fams] + diffs)
+    for fam, n in zip(fams, norms):
+        fam.norms = n
+    diff_norms = [[a for a, _ in n] for n in norms[len(fams):]]  # the differences' operator norms
 
     common = {"function": f.describe(), "bandlimit": f.bandlimit, "window": f.window,
               "fhat2_sup": sup}
@@ -583,8 +627,8 @@ def sample_field(f, pair, grid, lambda_max):
         for p, (fam, r) in zip(pts, placed[name]):
             T = operators[p] = TruncatedOperator(
                 fam.block[r], fam.rows, fam.cols,
-                fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p)
-            T._norms = norms[fam.normed[r]]
+                fam.basis.lambda_max if p.H is None else lam_r, fam.basis, p, fam.perm)
+            T._norms = fam.norms[r]
         out[name] = OperatorFieldSample(pair.name, tuple(pts), operators,
                                         dict(common, lambda_max=lam_r),
                                         tuple(diff_norms[:2]) if name == "path" and pts else None)

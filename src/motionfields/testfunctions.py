@@ -195,7 +195,8 @@ class PolyGaussian:
 
 
 def _complex_json(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 @dataclass(frozen=True)

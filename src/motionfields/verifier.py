@@ -10,8 +10,10 @@ over a finite weight list), and (5) decay along the K-dual.  Each check
 separates the measurement from the verdict: ``judge_*`` functions decide on
 plain witness data, so adversarial fixtures can exercise them directly.
 ``run_verification`` measures once: ``fourier.sample_field`` reads the
-whole plan in one pass (one ``pi_family`` block per family, one batched SVD
-per matrix shape), and each check judges what that pass returns.
+whole plan in one pass (one ``pi_family`` block per family; its norms
+with no SVD where the support is monomial, as in every bundled scenario,
+else one batched SVD per matrix shape), and each check judges what that
+pass returns.
 Condition 2 reads only that pass: the path's step norms exist on its path
 sample alone.
 
@@ -194,7 +196,7 @@ def judge_mu_decay(norms_by_abs_mu, thresholds=Thresholds()):
     """Verdict on sup norms indexed by |mu| (max over signs already taken)."""
     keys = sorted(norms_by_abs_mu)
     vals = [norms_by_abs_mu[k] for k in keys]
-    peak = int(np.argmax(vals))
+    peak = vals.index(max(vals))  # the first maximum
     monotone = all(
         b <= a + thresholds.monotone_slack
         for a, b in zip(vals[peak:], vals[peak + 1:])
@@ -294,7 +296,7 @@ def judge_lambda_decay(norms_by_band, bandlimit=None, thresholds=Thresholds()):
     if bandlimit is not None:
         beyond = [v for k, v in zip(keys, vals) if k > bandlimit]
         return bool(all(v < thresholds.lambda_exact for v in beyond))
-    peak = int(np.argmax(vals))
+    peak = vals.index(max(vals))  # the first maximum
     monotone = all(
         b <= a + thresholds.monotone_slack
         for a, b in zip(vals[peak:], vals[peak + 1:])

@@ -60,11 +60,11 @@ def jump_at(patch_everywhere):
 
     def jump(H, value):
         def poisoned(f, pair, basis, Hs):
-            rows, cols, block = form(f, pair, basis, Hs)
+            rows, cols, block, _ = form(f, pair, basis, Hs)
             for p, h in enumerate(Hs):
                 if tuple(h) == H:
                     block[p] += value
-            return rows, cols, block
+            return rows, cols, block, None  # every entry of the support moved: not monomial
 
         patch_everywhere(form, poisoned)
 

@@ -332,8 +332,8 @@ def on_support(stack):
 
 
 def dense_family(basis, family):
-    """The (P, N, N) stack of a ``fourier.pi_family`` result (rows, cols, block) on ``basis``."""
-    rows, cols, block = family
+    """The (P, N, N) stack of a ``fourier.pi_family`` result (rows, cols, block, perm) on ``basis``."""
+    rows, cols, block, _ = family
     M = np.zeros((len(block), basis.size, basis.size), dtype=complex)
     M[:, np.asarray(rows, dtype=int)[:, None], np.asarray(cols, dtype=int)] = block
     return M

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pointwise as pw
-import pytest
 from quadrature import quadrature
 from scipy.optimize import minimize
 from test_dual import neighborhood_cross_check

@@ -295,9 +295,7 @@ class TestRun:
     def test_successful_run_leaves_only_the_artifacts(self, tmp_path, monkeypatch):
         # every temp is moved into place, so none is left and none is unlinked
         unlinked = []
-        monkeypatch.setattr(
-            cli.Path, "unlink", lambda path, missing_ok=False: unlinked.append(path)
-        )
+        monkeypatch.setattr(cli.os, "unlink", unlinked.append)
         run_scenario(ScenarioConfig.from_dict(bundled_scenario("m2-default")), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACTS)
         assert unlinked == []

@@ -23,7 +23,6 @@ from motionfields.config import ScenarioConfig
 from motionfields.pairs import (
     WALL_TOL,
     SymmetricPairDescriptor,
-    build_instance,
     dominant_representative,
     stabilizer,
 )

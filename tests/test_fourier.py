@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from motionfields import (
@@ -776,7 +778,7 @@ class TestMatrixUnits:
         def stacks():
             return [(rows, cols, block.tobytes())
                     for basis in bases for Hs in point_sets
-                    for rows, cols, block in [fourier.pi_family(f, pair, basis, Hs)]]
+                    for rows, cols, block, _ in [fourier.pi_family(f, pair, basis, Hs)]]
 
         expect = stacks()
         monkeypatch.setattr(groups, "_CONTRAGREDIENT", {})
@@ -842,11 +844,11 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
         nonzero = zero = 0
         for basis, Hs in families:
             del written[:], at_zero[:]
-            rows, cols, block = fourier.pi_family(f, pair, basis, Hs)
+            rows, cols, block, _ = fourier.pi_family(f, pair, basis, Hs)
             at = {(rows[r], cols[c]) for r, c in zip(*np.nonzero(block.any(axis=0)))}
             assert at == set(written)
             assert (rows, cols) == tuple(tuple(sorted({x[n] for x in written})) for n in (0, 1))
-            M = pw.dense_family(basis, (rows, cols, block))
+            M = pw.dense_family(basis, (rows, cols, block, None))
             assert pw.on_support(M).tobytes() == block.tobytes()
             assert all(at_zero) or len(Hs) > 1  # a family at H = 0 alone writes no 0
             nonzero += len(at)
@@ -857,21 +859,21 @@ def test_a_family_forms_no_intertwiner(m2, m3, m2xm2, monkeypatch, patch_everywh
     g = PolyGaussian(3, 1.0, {(1, 1, 1): 1.0, (3, 0, 0): 0.5, (0, 0, 0): 0.2})
     f = TestFunction(m3, [Term(1.0, MatrixCoefficient(L - 3, 0, 0), g)])
     del written[:]
-    rows, cols, block = fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), L),
-                                          [(0.3 + 0.25 * i,) for i in range(9)])
+    rows, cols, block, _ = fourier.pi_family(f, m3, peter_weyl_basis(m3, 0, (1.0,), L),
+                                             [(0.3 + 0.25 * i,) for i in range(9)])
     assert len(written) == 15 and block.shape == (9, 15, 1)  # one column: its bar's copy
     assert [np.count_nonzero(m) for m in block] == [15] * 9
     # at H = 0 only the Gaunt key of degree 0 is left: one entry, at the
     # zero point and in the K-dual entry of the term's bar, not 15 and 4
     for basis in (peter_weyl_basis(m3, 0, (1.0,), L), k_type_basis(m3, L - 3)):
         del written[:], at_zero[:]
-        rows, cols, block = fourier.pi_family(f, m3, basis, [m3.zero_point()])
+        rows, cols, block, _ = fourier.pi_family(f, m3, basis, [m3.zero_point()])
         assert len(written) == 1 and all(at_zero) and block.shape == (1, 1, 1) and block.all()
     # g = x_1: g-hat vanishes at 0, so no key is left and nothing is written
     f = TestFunction(m3, [Term(1.0, MatrixCoefficient(2), PolyGaussian(3, 1.0, {(1, 0, 0): 1.0}))])
     for basis in (peter_weyl_basis(m3, 0, (1.0,), 4), k_type_basis(m3, 2)):
         del written[:]
-        rows, cols, block = fourier.pi_family(f, m3, basis, [m3.zero_point()])
+        rows, cols, block, _ = fourier.pi_family(f, m3, basis, [m3.zero_point()])
         assert not written and rows == cols == () and block.shape == (1, 0, 0)
     assert tau_matrix(f, m3, 2).op_norm == 0.0
 
@@ -999,6 +1001,15 @@ class TestPiMu0:
         assert operator_norm(op) == pytest.approx(max(blocks), abs=1e-12)
 
 
+@st.composite
+def monomial_stacks(draw):
+    """(values, perm): P x n complex entry values, some zero, and a permutation of range(n)."""
+    n, P = draw(st.integers(0, 7)), draw(st.integers(1, 5))
+    part = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+    values = [complex(draw(part), draw(part)) for _ in range(n * P)]
+    return np.array(values, dtype=complex).reshape(P, n), tuple(draw(st.permutations(range(n))))
+
+
 class TestNorms:
     def test_identity(self, m3):
         T = pw.dense_operator(np.eye(3, dtype=complex), 1, k_type_basis(m3, 1))
@@ -1020,6 +1031,42 @@ class TestNorms:
             operator_norm(M), abs=1e-12
         )
         assert hs_norm(Q @ M @ Q.conj().T) == pytest.approx(hs_norm(M), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(monomial_stacks())
+    def test_monomial_rule_is_the_svd(self, stack):
+        # a weighted partial permutation's singular values are the moduli of
+        # its entries: the rule, read from the P lists of n entry values,
+        # gives the SVD's norms for the (P, n, n) stack and for its
+        # differences, which are those of the entry values
+        values, perm = stack
+        M = np.zeros((*values.shape, len(perm)), dtype=complex)
+        M[:, np.arange(len(perm)), list(perm)] = values
+        path = range(len(M))
+        stacks = (M, *fourier.step_differences(M, path))
+        for A, x in zip(stacks, (values.tolist(), *fourier.step_differences(values.tolist(), path))):
+            assert list(map(list, fourier._entries(A, perm))) == x
+            s = np.linalg.svd(A, compute_uv=False)
+            for got, want in zip(fourier.stack_norms(x), (s.max(axis=1, initial=0.0),
+                                                          np.linalg.norm(s, axis=1))):
+                assert np.all(np.abs(np.array(got) - want) <= 1e-15 * want)
+
+    @pytest.mark.parametrize("terms, shape", [
+        # one degree-3 term writes 15 rows of one column
+        ([(5, 0, {(1, 1, 1): 1.0, (3, 0, 0): 0.5, (0, 0, 0): 0.2})], (15, 1)),
+        # two Gaussian units of one label share its row 0
+        ([(1, 0, {(0, 0, 0): 1.0}), (1, 1, {(0, 0, 0): 0.5})], (1, 2)),
+    ])
+    def test_a_support_not_monomial_takes_the_svd(self, m3, monkeypatch, terms, shape):
+        # both supports are rank one, so both norms are the entries' 2-norm
+        f = TestFunction(m3, [Term(1.0, MatrixCoefficient(ell, 0, col), PolyGaussian(3, 1.0, poly))
+                              for ell, col, poly in terms])
+        T = pi_matrix(f, m3, 0, (0.7,), 8)
+        assert T.perm is None and T.block.shape == shape
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: calls.append(a.shape) or svd(a, **k))
+        assert (T.op_norm, T.hs_norm) == pytest.approx((np.linalg.norm(T.block),) * 2, rel=1e-15)
+        assert calls == [(1, *shape)]
 
 
 class TestJsonExport:
@@ -1190,19 +1237,22 @@ class TestFamilies:
                         for j in range(levels + 1)]
                 assert deltas == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_one_svd_per_shape(self, monkeypatch):
+    def test_monomial_families_are_normed_in_one_call(self, monkeypatch):
         # m3-default's main grid: two induced families (9 x 9 and 8 x 8) and
         # two nonzero K-dual entries (3 x 3 and 5 x 5), each normed on its
-        # support, one batched SVD per shape: the families' supports are
-        # 2 x 2 (a unit per term) and the entries' 1 x 1, so two SVDs; the
-        # four zero entries take none
+        # support: the families' supports are 2 x 2 (a unit per term) and
+        # the entries' 1 x 1, both monomial, so one stack_norms call takes
+        # all their entry values, and no SVD is taken; the four zero
+        # entries, of empty supports, add empty lists
         config = load_scenario("m3-default")
         pair = config.build_pair()
         f = config.build_test_function(pair)
-        calls, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        svds, stacks, svd, norms = [], [], np.linalg.svd, fourier.stack_norms
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+        monkeypatch.setattr(fourier, "stack_norms", lambda s: stacks.append(s) or norms(s))
         sample = sample_field(f, pair, config.plan.grid, config.plan.lambda_max)
-        assert len(calls) == 2
+        assert len(stacks) == 1 and not svds
+        assert sorted({len(m) for m in stacks[0]}) == [0, 1, 2]
         assert sum(p.stratum == "gamma2" for p in sample.grid) == 6
         assert sum(T.op_norm == 0.0 for T in sample.operators.values()) == 4
 
@@ -1299,10 +1349,12 @@ class TestOnePass:
             group = stabilizer(pair, plan.mu_points[0].H).group
             top = max(group.char_band(p.label) for p in plan.mu_points)
             alone["mu"] = sample_field(f, pair, plan.mu_points, max(plan.lambda_max, top + 2))
-        # the path's step norms, of its points read alone and placed dense
-        ops = np.stack([alone["path"].operators[p].matrix for p in plan.path])
+        # the path's step norms, of its points read alone, on their support
+        # by the one rule (from the entries, where the support is monomial)
+        path = [alone["path"].operators[p] for p in plan.path]
+        ops = fourier._entries(np.stack([T.block for T in path]), path[0].perm)
         steps = [math.dist(a.H, b.H) for a, b in zip(plan.path, plan.path[1:])]
-        diffs = fourier.stack_norms(fourier.step_differences(ops)[0])[0]
+        diffs = fourier.stack_norms(fourier.step_differences(ops, range(len(path)))[0])[0]
         ladder = check_h_to_zero(f, pair, plan.h_ladder_mus, plan.h_ladder_H0,
                                  plan.h_ladder_levels, plan.lambda_max).witnesses
         scale = max(T.op_norm for s in alone.values() for T in s.operators.values())

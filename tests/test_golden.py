@@ -114,10 +114,11 @@ def test_m3_default_bases_are_cut_at_the_window(patch_everywhere, tmp_path):
 def test_m3_default_run_forms_each_family_once(patch_everywhere, monkeypatch, tmp_path):
     # one field pass over the plan: five induced families with a K-type in
     # the window (mu = -2..2; the ladder and the path join them) and the two
-    # nonzero K-dual entries, one pi_family call each; one SVD per shape of
-    # the matrices on their families' supports, 2 x 2 and 1 x 1 (whole
-    # families made 5); no norm beside stack_norms', as lambda_max > W
-    # leaves condition 1 no top-band row (separate passes made 19, 25, 43)
+    # nonzero K-dual entries, one pi_family call each; every family's
+    # support is monomial (2 x 2 and 1 x 1), so its norms come from its
+    # entries in Python, with no SVD and no np.linalg.norm (one SVD per
+    # shape made 2, whole families 5), and lambda_max > W leaves condition
+    # 1 no top-band row to norm (separate passes made 19, 25, 43)
     calls = dict.fromkeys(["pi_family", "svd", "norm"], 0)
 
     def counted(name, fn):
@@ -130,7 +131,21 @@ def test_m3_default_run_forms_each_family_once(patch_everywhere, monkeypatch, tm
     for name in ("svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     assert run_scenario(load_scenario(SCENARIOS["m3-default"]), tmp_path)[0].overall
-    assert calls["pi_family"] <= 7 and calls["svd"] <= 2 and calls["norm"] <= 2, calls
+    assert calls["pi_family"] <= 7 and calls["svd"] == calls["norm"] == 0, calls
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_only_degree_one_scenarios_take_an_svd(name, monkeypatch, tmp_path):
+    # a Gaussian term writes one matrix unit per copy, and no two units of
+    # a bundled scenario's family share a row or a column, so every family
+    # has a monomial support and is normed from its entries: such a run
+    # never calls LAPACK.  Where a degree >= 1 term's scatter puts two
+    # entries in a row or column of the support, the family still takes
+    # the batched SVD
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **k: calls.append(a.shape) or svd(a, **k))
+    run_scenario(load_scenario(SCENARIOS[name]), tmp_path)
+    assert bool(calls) == name.endswith("-poly"), calls
 
 
 def test_lambda_sweep_matches_golden(golden):
@@ -155,7 +170,8 @@ def test_lambda_sweep_matches_golden(golden):
 def test_pi_matrix_records_the_norms_of_its_window_rows(monkeypatch):
     # on the sweep input only the rows of band <= W = 2 of the N x N matrix
     # are nonzero; the norms pi_matrix records on its support on the first
-    # read (outside the sweep's timed region) are those of the whole matrix
+    # read (outside the sweep's timed region) are those of the whole matrix,
+    # taken from its entries, as the sweep input's support is monomial
     sweep = json.loads((WORKLOADS / "m3-lambda-sweep.json").read_text())
     assert sweep["lambda_max"] == [8, 10, 12]
     config = load_scenario(str(WORKLOADS / sweep["scenario"]))
@@ -171,7 +187,7 @@ def test_pi_matrix_records_the_norms_of_its_window_rows(monkeypatch):
             op.matrix[0, 0] = 1.0
         assert 0 < op.matrix.any(axis=1).sum() < op.size
         norms = op.op_norm, op.hs_norm
-        assert len(calls) == 1  # one SVD, on the first read
+        assert not calls  # nor on the first read
         assert norms[0] == pytest.approx(fourier.operator_norm(op.matrix), rel=1e-12)
         assert norms[1] == pytest.approx(fourier.hs_norm(op.matrix), rel=1e-12)
 

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
-``__init__`` imports to re-export, so it is exempt.  A name is used where
-the module reads it: an ``ast.Name`` anywhere in its code, annotations
-included.  A mention in a docstring or comment does not count.
+The package's ``__init__`` imports to re-export, so it is exempt.  A name
+is used where the module reads it: an ``ast.Name`` anywhere in its code,
+annotations included.  A mention in a docstring or comment does not count,
+nor does a name read only in code held in a string.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "motionfields"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "motionfields"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -29,11 +32,17 @@ def unused_imports(source):
 
 def test_the_package_has_modules():
     assert "fourier.py" in MODULES and "verifier.py" in MODULES
+    assert "conftest.py" in TEST_MODULES and "test_imports.py" in TEST_MODULES
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_imported_name_is_used_in_the_tests(module):
+    assert unused_imports((TESTS / module).read_text()) == []
 
 
 def test_a_stale_import_is_caught():

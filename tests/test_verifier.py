@@ -15,7 +15,6 @@ from motionfields import (
     PolyGaussian,
     Term,
     TestFunction,
-    Thresholds,
     VerificationPlan,
     check_compactness_proxy,
     check_h_to_zero,
@@ -28,7 +27,6 @@ from motionfields import (
     restriction_multiplicity,
     run_verification,
     sample_field,
-    tau_matrix,
 )
 from motionfields.errors import SupBoundOverflow
 from motionfields import cli
